@@ -200,12 +200,27 @@ pub const ZONES: &[ZoneRule] = &[
     ZoneRule { zone: "tests", prefix: "crates/serve/tests", lints: SUPPORT, test_lints: SUPPORT },
     ZoneRule { zone: "tests", prefix: "crates/audit/tests", lints: SUPPORT, test_lints: SUPPORT },
     ZoneRule { zone: "examples", prefix: "examples", lints: SUPPORT, test_lints: SUPPORT },
+    // The benchmark package times the workspace; wall-clock reads are its
+    // purpose. Its thread-CPU clock and core pinning call libc, so U1 runs
+    // in vendor mode there (see `SAFETY_COMMENT_MODE`).
+    ZoneRule { zone: "timing", prefix: "geobench", lints: TIMING, test_lints: TIMING },
     // Vendored shims: `// SAFETY:` justification on every unsafe block.
     ZoneRule { zone: "vendor", prefix: "vendor", lints: VENDOR, test_lints: VENDOR },
 ];
 
+/// Paths where U1 runs in vendor mode: `unsafe` is allowed when a
+/// `// SAFETY:` comment justifies it, and no crate root must forbid it.
+/// The vendored shims stand in for external crates; the benchmark calls
+/// libc for thread CPU time and core affinity.
+pub const SAFETY_COMMENT_MODE: &[&str] = &["vendor", "geobench"];
+
+/// Whether U1 runs in vendor mode for `path` (repo-relative, `/`-separated).
+pub fn is_safety_comment_mode(path: &str) -> bool {
+    SAFETY_COMMENT_MODE.iter().any(|prefix| matches_prefix(path, prefix))
+}
+
 /// Paths never scanned (build output, the linter's own hostile fixtures).
-pub const EXCLUDED: &[&str] = &["target", "crates/audit/tests/fixtures", ".git"];
+pub const EXCLUDED: &[&str] = &["target", "geobench/target", "crates/audit/tests/fixtures", ".git"];
 
 /// Whether `path` (repo-relative, `/`-separated) is excluded from scanning.
 pub fn is_excluded(path: &str) -> bool {
@@ -241,6 +256,20 @@ mod tests {
         assert!(zones.contains(&"request-path"));
         // And no deterministic zone: D2 must not apply.
         assert!(!zones.contains(&"deterministic-core"));
+    }
+
+    #[test]
+    fn benchmark_is_timing_allowed_with_vendor_mode_unsafe() {
+        let zones: Vec<&str> =
+            zones_for("geobench/src/calibrate.rs").iter().map(|z| z.zone).collect();
+        assert_eq!(zones, vec!["timing"]);
+        assert!(zones_for("geobench/build.rs").iter().all(|z| z.zone == "timing"));
+        // Its libc calls need `// SAFETY:` comments, not a crate-root forbid.
+        assert!(is_safety_comment_mode("geobench/src/calibrate.rs"));
+        assert!(is_safety_comment_mode("vendor/rand/src/lib.rs"));
+        assert!(!is_safety_comment_mode("crates/bench/src/lib.rs"));
+        assert!(!is_safety_comment_mode("geobenchmarks/src/main.rs"));
+        assert!(is_excluded("geobench/target/release/build/out.rs"));
     }
 
     #[test]

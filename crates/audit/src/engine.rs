@@ -14,7 +14,7 @@
 //!
 //! `--write-baseline` regenerates the file from the current tree.
 
-use crate::config::{is_excluded, zones_for};
+use crate::config::{is_excluded, is_safety_comment_mode, zones_for};
 use crate::lints::{scan_source, Finding, Lint, ScanOptions};
 use std::collections::BTreeMap;
 use std::fs;
@@ -92,9 +92,10 @@ pub fn scan_file(rel: &str, source: &str) -> Vec<Finding> {
             ),
         }];
     }
+    let vendor = is_safety_comment_mode(rel);
     let mut options = ScanOptions {
-        vendor: rel.starts_with("vendor/"),
-        require_forbid: !rel.starts_with("vendor/") && is_crate_root(rel),
+        vendor,
+        require_forbid: !vendor && is_crate_root(rel),
         ..ScanOptions::default()
     };
     for zone in &zones {
@@ -318,5 +319,12 @@ mod tests {
         // An uncovered file is its own finding.
         let found = scan_file("rogue/file.rs", "fn f() {}");
         assert_eq!(found[0].lint, Lint::Z0);
+        // The benchmark: wall clocks allowed, `unsafe` only with `// SAFETY:`.
+        let src = "fn f() { let _t = Instant::now(); unsafe { g() } }\n\
+                   // SAFETY: g has no preconditions\n\
+                   fn h() { unsafe { g() } }\n";
+        let found: Vec<(u32, Lint)> =
+            scan_file("geobench/src/calibrate.rs", src).iter().map(|f| (f.line, f.lint)).collect();
+        assert_eq!(found, vec![(1, Lint::U1)]);
     }
 }

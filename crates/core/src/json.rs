@@ -304,14 +304,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the byte
-                    // stream is valid UTF-8 by construction).
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -371,6 +373,18 @@ mod tests {
             Some("a\"b\\c\nd\te\u{1}")
         );
         assert_eq!(JsonValue::parse(r#""caf\u00e9 é""#).unwrap().as_str(), Some("café é"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Every unescaped character used to re-validate the rest of the
+        // input as UTF-8, so a 1 MiB string took minutes. Multi-byte
+        // characters next to escapes check the run boundaries.
+        let text = "é gère \u{1F30D}".repeat(1 << 17);
+        assert!(text.len() >= 1 << 20);
+        let document = format!("\"{text}\\n{text}\\\"\"");
+        let parsed = JsonValue::parse(&document).unwrap();
+        assert_eq!(parsed.as_str(), Some(format!("{text}\n{text}\"").as_str()));
     }
 
     #[test]

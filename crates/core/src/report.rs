@@ -834,6 +834,26 @@ mod tests {
     }
 
     #[test]
+    fn large_per_user_documents_round_trip() {
+        // 2,400 users render to about a megabyte. String parsing used to
+        // re-validate the rest of the input for every character, so a
+        // document this size took minutes to read back.
+        let template = per_user_recommendation();
+        let users = (0..2_400u64)
+            .map(|i| {
+                let mut row = template.users[i as usize % template.users.len()].clone();
+                row.user = UserId::new(i + 1);
+                row
+            })
+            .collect();
+        let recommendation = PerUserRecommendation { dataset: template.dataset, users };
+        let json = per_user_recommendation_to_json(&recommendation);
+        let parsed = per_user_recommendation_from_json(&json).unwrap();
+        assert_eq!(parsed, recommendation);
+        assert_eq!(per_user_recommendation_to_json(&parsed), json);
+    }
+
+    #[test]
     fn tampered_per_user_documents_are_rejected() {
         let json = per_user_recommendation_to_json(&per_user_recommendation());
 

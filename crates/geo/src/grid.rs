@@ -6,6 +6,18 @@
 //! size (200 m by default, a typical San Francisco block), and [`CellSet`]
 //! represents the set of cells touched by a trace together with the usual
 //! set-similarity measures (Jaccard index, F1 score).
+//!
+//! A sweep evaluates area coverage for every user at every configuration
+//! point, so building and comparing cell sets is a hot loop. A [`CellSet`] is
+//! therefore a sorted, deduplicated `Vec<u64>` of packed keys
+//! `(col << 32) | row` rather than a tree of [`CellId`]s. Packed keys sort
+//! exactly like `CellId`'s derived `Ord` (column, then row), so
+//! [`CellSet::iter`] still yields cells in lexicographic order.
+//! [`Grid::coverage`] builds a set in one pass (one key per record, then
+//! one sort and dedup), and
+//! [`CellSet::intersection_size`] is a linear merge of two sorted key lists.
+//! Sizes and similarities depend only on set membership, never on the
+//! container, so every value is bit-identical to a tree-based set's.
 
 use crate::bbox::BoundingBox;
 use crate::error::GeoError;
@@ -13,7 +25,8 @@ use crate::point::GeoPoint;
 use crate::projection::LocalProjection;
 use crate::units::Meters;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a grid cell: `(column, row)` indices from the south-west corner.
@@ -123,14 +136,16 @@ impl Grid {
     /// Returns the cell containing `point`.
     ///
     /// Points outside the bounding box are clamped to the nearest border cell.
+    #[inline]
     pub fn cell_of(&self, point: GeoPoint) -> CellId {
         let p = self.projection.project(point);
-        let col = (p.x() / self.cell_size.as_f64()).floor();
-        let row = (p.y() / self.cell_size.as_f64()).floor();
-        CellId {
-            col: col.clamp(0.0, f64::from(self.columns - 1)) as u32,
-            row: row.clamp(0.0, f64::from(self.rows - 1)) as u32,
-        }
+        let col = (p.x() / self.cell_size.as_f64()).clamp(0.0, f64::from(self.columns - 1));
+        let row = (p.y() / self.cell_size.as_f64()).clamp(0.0, f64::from(self.rows - 1));
+        // No `floor`: the cast truncates toward zero, which equals flooring
+        // once the value is clamped to be non-negative (NaN casts to 0
+        // either way). Baseline x86-64 has no floor instruction, so each
+        // `floor` would be a libm call.
+        CellId { col: col as u32, row: row as u32 }
     }
 
     /// Returns the geographic center of a cell.
@@ -166,13 +181,23 @@ impl Grid {
     }
 }
 
+/// Packs a cell into a key that sorts like [`CellId`]'s derived `Ord`.
+fn pack(cell: CellId) -> u64 {
+    (u64::from(cell.col) << 32) | u64::from(cell.row)
+}
+
+fn unpack(key: u64) -> CellId {
+    CellId { col: (key >> 32) as u32, row: key as u32 }
+}
+
 /// A set of grid cells, typically the coverage of a mobility trace.
 ///
 /// Provides the set-similarity measures used by the area-coverage utility
-/// metric.
+/// metric. The cells are kept as sorted, distinct packed keys (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CellSet {
-    cells: BTreeSet<CellId>,
+    keys: Vec<u64>,
 }
 
 impl CellSet {
@@ -183,41 +208,47 @@ impl CellSet {
 
     /// Creates a set from an iterator of cells.
     pub fn from_cells<I: IntoIterator<Item = CellId>>(cells: I) -> Self {
-        Self { cells: cells.into_iter().collect() }
+        let mut keys: Vec<u64> = cells.into_iter().map(pack).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Self { keys }
     }
 
     /// Number of distinct cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.keys.len()
     }
 
     /// Returns `true` if the set contains no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.keys.is_empty()
     }
 
     /// Returns `true` if the set contains `cell`.
     pub fn contains(&self, cell: CellId) -> bool {
-        self.cells.contains(&cell)
-    }
-
-    /// Inserts a cell, returning `true` if it was not already present.
-    pub fn insert(&mut self, cell: CellId) -> bool {
-        self.cells.insert(cell)
+        self.keys.binary_search(&pack(cell)).is_ok()
     }
 
     /// Iterates over the cells in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cells.iter().copied()
+        self.keys.iter().map(|&key| unpack(key))
     }
 
     /// Number of cells present in both sets.
     pub fn intersection_size(&self, other: &CellSet) -> usize {
-        if self.len() <= other.len() {
-            self.cells.iter().filter(|c| other.cells.contains(c)).count()
-        } else {
-            other.intersection_size(self)
+        let (mut i, mut j, mut common) = (0, 0, 0);
+        while let (Some(a), Some(b)) = (self.keys.get(i), other.keys.get(j)) {
+            match a.cmp(b) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    common += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        common
     }
 
     /// Number of cells present in either set.
@@ -272,12 +303,6 @@ impl CellSet {
 impl FromIterator<CellId> for CellSet {
     fn from_iter<I: IntoIterator<Item = CellId>>(iter: I) -> Self {
         Self::from_cells(iter)
-    }
-}
-
-impl Extend<CellId> for CellSet {
-    fn extend<I: IntoIterator<Item = CellId>>(&mut self, iter: I) {
-        self.cells.extend(iter);
     }
 }
 
@@ -406,14 +431,14 @@ mod tests {
     }
 
     #[test]
-    fn cellset_collect_and_extend() {
-        let mut s: CellSet = [cell(0, 0), cell(1, 1)].into_iter().collect();
-        assert_eq!(s.len(), 2);
-        s.extend([cell(1, 1), cell(2, 2)]);
-        assert_eq!(s.len(), 3);
+    fn cellset_collect_dedups_in_lexicographic_order() {
+        let s: CellSet = [cell(2, 2), cell(1, 1), cell(0, u32::MAX), cell(1, 1), cell(u32::MAX, 0)]
+            .into_iter()
+            .collect();
+        assert_eq!(s.len(), 4);
         assert!(s.contains(cell(2, 2)));
-        assert!(s.insert(cell(3, 3)));
-        assert!(!s.insert(cell(3, 3)));
-        assert_eq!(s.iter().count(), 4);
+        assert!(!s.contains(cell(2, 1)));
+        let cells: Vec<CellId> = s.iter().collect();
+        assert_eq!(cells, vec![cell(0, u32::MAX), cell(1, 1), cell(2, 2), cell(u32::MAX, 0)]);
     }
 }

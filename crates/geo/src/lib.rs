@@ -17,7 +17,9 @@
 //! * [`BoundingBox`] — geographic extents.
 //! * [`Grid`] / [`CellSet`] — uniform "city block" grids and coverage sets,
 //!   the substrate of the paper's area-coverage utility metric.
-//! * [`QuadTree`] — a spatial index used for POI matching.
+//! * [`QuadTree`] — a planar point index with radius and nearest-neighbour
+//!   queries. No metric uses it: POI matching scans POI pairs by
+//!   great-circle distance.
 //!
 //! ## Example
 //!

@@ -55,6 +55,7 @@ impl LocalProjection {
     }
 
     /// Projects a geographic point into the local planar frame (meters).
+    #[inline]
     pub fn project(&self, point: GeoPoint) -> Point {
         let dlat = (point.latitude() - self.reference.latitude()).to_radians();
         let dlon = (point.longitude() - self.reference.longitude()).to_radians();

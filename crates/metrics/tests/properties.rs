@@ -1,15 +1,19 @@
 //! Property-based tests of the privacy and utility metrics.
 
-use geopriv_geo::{GeoPoint, LocalProjection, Meters, Point, Seconds};
-use geopriv_lppm::{Epsilon, GaussianPerturbation, GeoIndistinguishability, Identity, Lppm};
-use geopriv_metrics::{
-    AreaCoverage, DistortionUtility, HotspotPreservation, MeanDistortion, PoiExtractor,
-    PoiRetrieval, PrivacyMetric, UtilityMetric,
+use geopriv_geo::{BoundingBox, GeoPoint, Grid, LocalProjection, Meters, Point, Seconds};
+use geopriv_lppm::{
+    Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Identity, Lppm,
 };
-use geopriv_mobility::{Dataset, Record, Trace, UserId};
+use geopriv_metrics::{
+    AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, MeanDistortion,
+    MetricValue, PoiExtractor, PoiRetrieval, PrivacyMetric, UtilityMetric,
+};
+use geopriv_mobility::generator::TaxiFleetBuilder;
+use geopriv_mobility::{Dataset, Record, Trace, TraceView, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// A deterministic trace with `stops` dwell periods separated by short drives.
 fn stop_and_go_trace(user: u64, stops: usize, dwell_records: usize) -> Trace {
@@ -319,4 +323,103 @@ fn breakdowns_of_different_metrics_join_by_user_not_position() {
     // is user 2.
     assert_eq!(privacy.per_user()[1].0, UserId::new(3));
     assert_eq!(utility.per_user()[1].0, UserId::new(2));
+}
+
+/// Area coverage evaluated as it was before `CellSet` became a sorted key
+/// vector: one `BTreeSet` of `floor`-computed cells per trace, on a grid
+/// over both datasets' combined bounds.
+fn reference_area_coverage(
+    metric: &AreaCoverage,
+    actual: &Dataset,
+    protected: &Dataset,
+) -> MetricValue {
+    let (a, p) = (actual.bounding_box().unwrap(), protected.bounding_box().unwrap());
+    let bounds = BoundingBox::new(
+        a.min_latitude().min(p.min_latitude()),
+        a.min_longitude().min(p.min_longitude()),
+        a.max_latitude().max(p.max_latitude()),
+        a.max_longitude().max(p.max_longitude()),
+    )
+    .unwrap()
+    .expanded(0.02);
+    let grid = Grid::new(bounds, metric.cell_size()).unwrap();
+    let projection = LocalProjection::centered_on(bounds.south_west());
+    let cell = metric.cell_size().as_f64();
+    let cells_of = |trace: &TraceView| -> BTreeSet<(u32, u32)> {
+        trace
+            .iter()
+            .map(|record| {
+                let p = projection.project(record.location());
+                (
+                    (p.x() / cell).floor().clamp(0.0, f64::from(grid.columns() - 1)) as u32,
+                    (p.y() / cell).floor().clamp(0.0, f64::from(grid.rows() - 1)) as u32,
+                )
+            })
+            .collect()
+    };
+    let per_user = actual
+        .paired_with(protected)
+        .unwrap()
+        .iter()
+        .map(|(actual_trace, protected_trace)| {
+            let (a, p) = (cells_of(actual_trace), cells_of(protected_trace));
+            let value = match metric.similarity() {
+                CoverageSimilarity::AreaRatio => {
+                    let (a, p) = (a.len() as f64, p.len() as f64);
+                    if a == 0.0 && p == 0.0 {
+                        1.0
+                    } else {
+                        a.min(p) / a.max(p)
+                    }
+                }
+                CoverageSimilarity::CellF1 => {
+                    let common = a.intersection(&p).count() as f64;
+                    let precision = match (p.is_empty(), a.is_empty()) {
+                        (true, true) => 1.0,
+                        (true, false) => 0.0,
+                        _ => common / p.len() as f64,
+                    };
+                    let recall = if a.is_empty() { 1.0 } else { common / a.len() as f64 };
+                    if precision + recall == 0.0 {
+                        0.0
+                    } else {
+                        2.0 * precision * recall / (precision + recall)
+                    }
+                }
+            };
+            (actual_trace.user(), value)
+        })
+        .collect();
+    MetricValue::from_per_user(per_user).unwrap()
+}
+
+/// The sorted-key cell sets change no area-coverage bit: every mode, every
+/// mechanism family, from nearly-exact releases to noise that throws points
+/// far outside the city.
+#[test]
+fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let actual = TaxiFleetBuilder::new().drivers(4).duration_hours(6.0).build(&mut rng).unwrap();
+    let mechanisms: Vec<Box<dyn Lppm>> = vec![
+        Box::new(GeoIndistinguishability::new(Epsilon::new(1e-4).unwrap())),
+        Box::new(GeoIndistinguishability::new(Epsilon::new(1e-2).unwrap())),
+        Box::new(GeoIndistinguishability::new(Epsilon::new(1.0).unwrap())),
+        Box::new(GaussianPerturbation::new(Meters::new(300.0)).unwrap()),
+        Box::new(GridCloaking::new(Meters::new(500.0)).unwrap()),
+    ];
+    let bits = |v: &MetricValue| -> Vec<u64> {
+        std::iter::once(v.value())
+            .chain(v.per_user().iter().map(|(_, x)| *x))
+            .map(f64::to_bits)
+            .collect()
+    };
+    for mechanism in &mechanisms {
+        let protected = mechanism.protect_dataset(&actual, &mut rng).unwrap();
+        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
+            let value = metric.evaluate(&actual, &protected).unwrap();
+            let reference = reference_area_coverage(&metric, &actual, &protected);
+            assert_eq!(bits(&value), bits(&reference), "{} on {}", metric.name(), mechanism.name());
+            assert_eq!(value, reference, "{} on {}", metric.name(), mechanism.name());
+        }
+    }
 }
