@@ -6,13 +6,22 @@
 //! location plus planar-Laplace noise calibrated by ε (in m⁻¹): the lower
 //! the ε, the higher the noise and therefore the stronger the privacy
 //! guarantee — and the lower the utility of the released data.
+//!
+//! The offline paths ([`Lppm::protect_trace`] and [`Lppm::protect_view`])
+//! share one record loop: it walks a trace in chunks of a fixed stack
+//! buffer, samples each chunk's noise with the staged
+//! [`PlanarLaplace::sample_into`] and displaces each record with
+//! `displaced`. The streaming kernel displaces its one record per push with
+//! the same function and samples it with [`PlanarLaplace::sample`], the
+//! one-record case of the same kernel. Staging changes no bit: see the
+//! [`crate::laplace`] module docs.
 
 use crate::error::LppmError;
-use crate::laplace::PlanarLaplace;
+use crate::laplace::{PlanarLaplace, CHUNK};
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
 use crate::stream::LppmStream;
 use crate::traits::Lppm;
-use geopriv_geo::LocalProjection;
+use geopriv_geo::{GeoPoint, LocalProjection};
 use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -74,6 +83,36 @@ impl GeoIndistinguishability {
         )
         .expect("static descriptor is valid")
     }
+
+    /// The offline record loop: hands each record of `trace` and its
+    /// released location to `release`, in record order.
+    fn protect_records(
+        &self,
+        trace: TraceView<'_>,
+        rng: &mut dyn RngCore,
+        mut release: impl FnMut(Record, GeoPoint),
+    ) {
+        let noise = PlanarLaplace::new(self.epsilon);
+        // One projection per trace, centered on its first record, keeps the
+        // planar approximation error negligible at city scale while avoiding
+        // a data-dependent (privacy-leaking) global frame.
+        let projection = LocalProjection::centered_on(trace.first().location());
+        let (mut dx, mut dy) = ([0.0; CHUNK], [0.0; CHUNK]);
+        let mut records = trace.iter();
+        while records.len() > 0 {
+            let n = records.len().min(CHUNK);
+            noise.sample_into(rng, &mut dx[..n], &mut dy[..n]);
+            for (record, (&dx, &dy)) in records.by_ref().take(n).zip(dx.iter().zip(&dy)) {
+                release(record, displaced(&projection, record.location(), dx, dy));
+            }
+        }
+    }
+}
+
+/// GEO-I's per-record math: `location` moved by the noise vector `(dx, dy)`
+/// in meters, within the trace's local projection.
+fn displaced(projection: &LocalProjection, location: GeoPoint, dx: f64, dy: f64) -> GeoPoint {
+    projection.unproject(projection.project(location).translated(dx, dy))
 }
 
 impl Lppm for GeoIndistinguishability {
@@ -86,19 +125,8 @@ impl Lppm for GeoIndistinguishability {
     }
 
     fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let noise = PlanarLaplace::new(self.epsilon);
-        // One projection per trace, centered on its first record, keeps the
-        // planar approximation error negligible at city scale while avoiding
-        // a data-dependent (privacy-leaking) global frame.
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let locations = trace
-            .iter()
-            .map(|record| {
-                let (dx, dy) = noise.sample(rng);
-                let actual = projection.project(record.location());
-                projection.unproject(actual.translated(dx, dy))
-            })
-            .collect();
+        let mut locations = Vec::with_capacity(trace.len());
+        self.protect_records(trace.view(), rng, |_, location| locations.push(location));
         Ok(trace.with_locations(locations)?)
     }
 
@@ -108,16 +136,10 @@ impl Lppm for GeoIndistinguishability {
         out: &mut DatasetBuilder,
         rng: &mut dyn RngCore,
     ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: identical per-record operation
-        // and RNG draw order, writing straight into the output columns.
-        let noise = PlanarLaplace::new(self.epsilon);
-        let projection = LocalProjection::centered_on(trace.first().location());
         out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let (dx, dy) = noise.sample(rng);
-            let actual = projection.project(record.location());
-            out.push_record(record.timestamp(), projection.unproject(actual.translated(dx, dy)));
-        }
+        self.protect_records(trace, rng, |record, location| {
+            out.push_record(record.timestamp(), location)
+        });
         out.finish_trace()?;
         Ok(())
     }
@@ -148,9 +170,8 @@ impl LppmStream for GeoIndistinguishabilityStream {
         let projection =
             *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
         let (dx, dy) = self.noise.sample(&mut self.rng);
-        let actual = projection.project(record.location());
         self.released += 1;
-        Ok(record.with_location(projection.unproject(actual.translated(dx, dy))))
+        Ok(record.with_location(displaced(&projection, record.location(), dx, dy)))
     }
 
     fn len(&self) -> usize {
@@ -161,10 +182,120 @@ impl LppmStream for GeoIndistinguishabilityStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laplace::scalar_reference::{self, ScriptedRng};
     use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::generator::TaxiFleetBuilder;
+    use geopriv_mobility::{Dataset, Record, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The record-at-a-time GEO-I loop the chunked one replaced, verbatim
+    /// over the scalar reference sampler.
+    fn reference_protect(epsilon: f64, trace: TraceView<'_>, rng: &mut dyn RngCore) -> Vec<u64> {
+        let projection = LocalProjection::centered_on(trace.first().location());
+        let mut bits = Vec::new();
+        for record in trace.iter() {
+            let (dx, dy) = scalar_reference::sample(epsilon, rng);
+            let actual = projection.project(record.location());
+            let released = projection.unproject(actual.translated(dx, dy));
+            bits.extend([released.latitude().to_bits(), released.longitude().to_bits()]);
+        }
+        bits
+    }
+
+    fn location_bits(records: impl IntoIterator<Item = Record>) -> Vec<u64> {
+        records
+            .into_iter()
+            .flat_map(|r| [r.location().latitude().to_bits(), r.location().longitude().to_bits()])
+            .collect()
+    }
+
+    /// Asserts `protect_trace`, `protect_view` and the stream kernel release
+    /// exactly the reference loop's bits for every trace of `dataset`, with
+    /// one RNG threaded through the traces as `protect_dataset` does.
+    fn assert_matches_reference(
+        epsilon: f64,
+        dataset: &Dataset,
+        rng: impl Fn() -> Box<dyn RngCore>,
+    ) {
+        let geoi = GeoIndistinguishability::with_epsilon(epsilon).unwrap();
+        let (mut reference_rng, mut trace_rng, mut view_rng) = (rng(), rng(), rng());
+        let mut out = DatasetBuilder::new();
+        for (i, view) in dataset.iter().enumerate() {
+            let reference = reference_protect(epsilon, view, &mut reference_rng);
+            let what = format!("eps {epsilon}, trace {i} of {} records", view.len());
+
+            let trace = geoi.protect_trace(&view.to_trace(), &mut trace_rng).unwrap();
+            assert_eq!(location_bits(trace.iter()), reference, "protect_trace, {what}");
+
+            let mut single = DatasetBuilder::new();
+            geoi.protect_view(view, &mut single, &mut view_rng).unwrap();
+            let single = single.finish().unwrap();
+            assert_eq!(location_bits(single.trace_at(0).iter()), reference, "protect_view, {what}");
+            out.push_view(single.trace_at(0));
+
+            let mut stream = geoi.stream_kernel(i as u64).unwrap();
+            let streamed: Vec<Record> = view.iter().map(|r| stream.push(r).unwrap()).collect();
+            let seeded = reference_protect(epsilon, view, &mut StdRng::seed_from_u64(i as u64));
+            assert_eq!(location_bits(streamed), seeded, "stream kernel, {what}");
+        }
+        let protected = geoi.protect_dataset(dataset, &mut rng()).unwrap();
+        assert_eq!(protected, out.finish().unwrap(), "protect_dataset, eps {epsilon}");
+    }
+
+    /// One trace of `len` records on a short north-bound walk.
+    fn walk(len: usize) -> Trace {
+        let records = (0..len)
+            .map(|i| {
+                let location = GeoPoint::new(37.76 + i as f64 * 1e-4, -122.44).unwrap();
+                Record::new(Seconds::new(i as f64 * 30.0), location)
+            })
+            .collect();
+        Trace::new(UserId::new(len as u64), records).unwrap()
+    }
+
+    #[test]
+    fn chunk_edges_are_bit_identical_to_the_scalar_reference() {
+        let lengths = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1];
+        let dataset = Dataset::new(lengths.iter().map(|&len| walk(len)).collect()).unwrap();
+        for &epsilon in &[1e-4, 1e-2, 1.0] {
+            assert_matches_reference(epsilon, &dataset, || Box::new(StdRng::seed_from_u64(5)));
+        }
+    }
+
+    #[test]
+    fn taxi_fleet_is_bit_identical_to_the_scalar_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let fleet = TaxiFleetBuilder::new().drivers(4).duration_hours(4.0).build(&mut rng).unwrap();
+        for &epsilon in &[1e-4, 1e-2, 1.0] {
+            assert_matches_reference(epsilon, &fleet, || Box::new(StdRng::seed_from_u64(8)));
+        }
+    }
+
+    #[test]
+    fn p_zero_records_are_bit_identical_to_the_scalar_reference() {
+        // p = 0 gives radius 0: the record is released at its own location
+        // (through the projection round trip). Zeroed draws sit on both sides
+        // of the chunk boundaries, counted across the dataset's traces.
+        let long = walk(2 * CHUNK + 1);
+        let dataset = Dataset::new(vec![long.clone(), walk(3)]).unwrap();
+        assert_eq!(dataset.trace_at(1).len(), long.len());
+        let zeroed = [1, 3, 3 + CHUNK - 1, 3 + CHUNK, 3 + 2 * CHUNK];
+        for &epsilon in &[1e-4, 1.0] {
+            assert_matches_reference(epsilon, &dataset, || {
+                Box::new(ScriptedRng::zero_p_of(17, &zeroed))
+            });
+        }
+        let zeroed = [0, CHUNK - 1, CHUNK, 2 * CHUNK];
+        let geoi = GeoIndistinguishability::with_epsilon(0.01).unwrap();
+        let protected =
+            geoi.protect_trace(&long, &mut ScriptedRng::zero_p_of(17, &zeroed)).unwrap();
+        let projection = LocalProjection::centered_on(long.first().location());
+        for &k in &zeroed {
+            let at_rest = displaced(&projection, long.view().location(k), 0.0, 0.0);
+            assert_eq!(protected.view().location(k), at_rest, "record {k}");
+        }
+    }
 
     fn trace() -> Trace {
         let records: Vec<Record> = (0..200)

@@ -44,12 +44,16 @@ impl HttpClient {
     }
 
     fn request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        let head = format!(
+        // One write per message: the socket is `TCP_NODELAY`, so a separate
+        // head and body would leave as two segments.
+        let mut message = Vec::with_capacity(64 + path.len() + body.len());
+        write!(
+            message,
             "{method} {path} HTTP/1.1\r\nHost: geopriv\r\nContent-Length: {}\r\n\r\n",
             body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
+        )?;
+        message.extend_from_slice(body.as_bytes());
+        self.stream.write_all(&message)?;
         self.stream.flush()?;
 
         let malformed =

@@ -17,6 +17,8 @@ use geopriv_mobility::{DatasetBuilder, Record, TraceView, UserId};
 use geopriv_serve::{derive_user_seed, AssignmentRegistry, GeoPrivServer, HttpClient, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const MASTER_SEED: u64 = 20161212;
@@ -349,4 +351,37 @@ fn registry_loads_from_the_json_wire_format_end_to_end() {
         MASTER_SEED,
     )
     .is_err());
+}
+
+#[test]
+fn an_idle_keep_alive_peer_does_not_starve_a_new_connection() {
+    let server = start_server(&ServeConfig::default());
+    let addr = server.local_addr();
+
+    // Client A is answered once, then stays silent with its connection open.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n").unwrap();
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 512];
+    while !answer.ends_with(b"\r\n\r\nok\n") {
+        let read = idle.read(&mut buf).unwrap();
+        assert!(read > 0, "A's connection closed before its answer");
+        answer.extend_from_slice(&buf[..read]);
+    }
+    assert!(answer.starts_with(b"HTTP/1.1 200 OK\r\n"));
+
+    // Client B must not wait on A: the shim used to go back to A's idle
+    // connection after every read timeout and never reach accept.
+    let (sender, receiver) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let answer = HttpClient::connect(addr).and_then(|mut b| b.get("/healthz"));
+        let _ = sender.send(answer);
+    });
+    let answer = receiver.recv_timeout(Duration::from_secs(1)).expect("B starved behind idle A");
+    assert_eq!(answer.unwrap(), (200, "ok\n".to_string()));
+
+    // The server closed A's idle connection to serve B: A reads EOF.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(idle.read(&mut buf).unwrap(), 0, "A's idle connection is still open");
+    server.shutdown();
 }
