@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use geopriv_core::json;
 use geopriv_core::prelude::*;
 use geopriv_metrics::{AreaCoverage, PoiRetrieval};
 use geopriv_mobility::generator::TaxiFleetBuilder;
@@ -165,34 +166,17 @@ impl BenchJson {
         Self::default().string("bench", bench)
     }
 
-    /// Escapes a string for embedding inside a JSON string literal.
-    fn escape(raw: &str) -> String {
-        let mut out = String::with_capacity(raw.len());
-        for c in raw.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
     /// Adds a string field (the value is JSON-escaped).
     #[must_use]
     pub fn string(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        self.entries.push((Self::escape(key), format!("\"{}\"", Self::escape(&value.to_string()))));
+        self.entries.push((json::string(key), json::string(&value.to_string())));
         self
     }
 
     /// Adds an integer field.
     #[must_use]
     pub fn int(mut self, key: &str, value: u64) -> Self {
-        self.entries.push((Self::escape(key), value.to_string()));
+        self.entries.push((json::string(key), value.to_string()));
         self
     }
 
@@ -202,7 +186,7 @@ impl BenchJson {
     pub fn float(mut self, key: &str, value: f64, decimals: usize) -> Self {
         let rendered =
             if value.is_finite() { format!("{value:.decimals$}") } else { "null".to_string() };
-        self.entries.push((Self::escape(key), rendered));
+        self.entries.push((json::string(key), rendered));
         self
     }
 
@@ -210,7 +194,7 @@ impl BenchJson {
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (key, value)) in self.entries.iter().enumerate() {
-            out.push_str(&format!("  \"{key}\": {value}"));
+            out.push_str(&format!("  {key}: {value}"));
             out.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
         }
         out.push('}');

@@ -128,7 +128,7 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         let e = CoreError::from(MetricError::DatasetMismatch { reason: "x".into() });
         assert!(std::error::Error::source(&e).is_some());
-        let e = CoreError::from(LppmError::EmptyProtectedTrace);
+        let e = CoreError::from(LppmError::from(MobilityError::EmptyTrace));
         assert!(std::error::Error::source(&e).is_some());
 
         let e = CoreError::Infeasible { reason: "privacy and utility conflict".into() };

@@ -1,11 +1,14 @@
-//! A minimal JSON parser for the framework's wire formats.
+//! A minimal JSON parser for the framework's wire formats, and the two
+//! rendering helpers every hand-written JSON emitter shares.
 //!
 //! The vendored `serde` is a marker-trait shim (see `vendor/README.md`), so
 //! the JSON the framework *renders* by hand (the [`crate::report`] exporters,
-//! the bench baselines) must also be *parsed* by hand. This module is that
-//! inverse: a small recursive-descent parser producing a [`JsonValue`] tree
-//! whose objects preserve insertion order — the property the round-trip
-//! golden tests rely on.
+//! the serving protocol, the bench baselines) must also be *parsed* by hand.
+//! [`string`] and [`number`] are the only string escaper and float renderer
+//! those emitters use. The parser is their inverse: a small
+//! recursive-descent parser producing a [`JsonValue`] tree whose objects
+//! preserve insertion order — the property the round-trip golden tests rely
+//! on.
 //!
 //! Numbers are parsed with Rust's `str::parse::<f64>`, which is correctly
 //! rounded: a float rendered with the exporters' shortest round-trip
@@ -15,6 +18,40 @@
 
 use crate::error::CoreError;
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Renders `value` as a JSON string literal: quoted, with `"`, `\` and the
+/// control characters escaped.
+pub fn string(value: &str) -> String {
+    let mut out = String::with_capacity(value.len() + 2);
+    out.push('"');
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Renders a float in Rust's shortest round-trip form, which re-parses to
+/// the bit-identical `f64`; non-finite values, which JSON cannot express,
+/// become `null`.
+pub fn number(value: f64) -> String {
+    if value.is_finite() {
+        format!("{value}")
+    } else {
+        "null".to_string()
+    }
+}
 
 /// One parsed JSON value. Object members keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,6 +374,19 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rendered_strings_and_numbers_parse_back_exactly() {
+        for text in ["plain", "a\"b\\c", "line\nbreak\tand\u{1}\r", "ünïcödé ✓", ""] {
+            let parsed = JsonValue::parse(&string(text)).unwrap();
+            assert_eq!(parsed.as_str(), Some(text));
+        }
+        for value in [0.1, -1.6777926, 1e-300, 48.117266, f64::MAX, 0.0] {
+            let parsed = JsonValue::parse(&number(value)).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), value.to_bits());
+        }
+        assert_eq!(JsonValue::parse(&number(f64::NAN)).unwrap(), JsonValue::Null);
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

@@ -9,7 +9,7 @@
 use crate::configurator::{PerUserRecommendation, Recommendation, UserRecommendation, UserVerdict};
 use crate::error::CoreError;
 use crate::experiment::SweepResult;
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use crate::modeling::{FittedSuite, MetricResponse};
 use geopriv_lppm::ConfigPoint;
 use geopriv_metrics::MetricId;
@@ -289,44 +289,16 @@ pub fn per_user_csv(recommendation: &PerUserRecommendation) -> String {
 // --- JSON export -----------------------------------------------------------
 //
 // The vendored `serde` is a marker-trait shim (see `vendor/README.md`), so
-// machine-consumable output is rendered by hand, exactly like the bench
-// harness's `BenchJson`. Floats use Rust's shortest round-trip `Display`
-// (valid JSON numbers, bit-faithful on re-parse); non-finite values become
-// `null`.
-
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
-}
+// machine-consumable output is rendered by hand with the shared
+// `json::string` and `json::number`: floats in Rust's shortest round-trip
+// `Display` (valid JSON numbers, bit-faithful on re-parse), non-finite
+// values as `null`.
 
 fn json_point(point: &geopriv_lppm::ConfigPoint, indent: &str) -> String {
     let entries: Vec<String> = point
         .values()
         .iter()
-        .map(|(name, value)| format!("{indent}  {}: {}", json_string(name), json_number(*value)))
+        .map(|(name, value)| format!("{indent}  {}: {}", json::string(name), json::number(*value)))
         .collect();
     format!("{{\n{}\n{indent}}}", entries.join(",\n"))
 }
@@ -338,7 +310,7 @@ fn json_predictions(predictions: &[(MetricId, f64)], indent: &str) -> String {
     let entries: Vec<String> = predictions
         .iter()
         .map(|(id, value)| {
-            format!("{indent}  {}: {}", json_string(id.as_str()), json_number(*value))
+            format!("{indent}  {}: {}", json::string(id.as_str()), json::number(*value))
         })
         .collect();
     format!("{{\n{}\n{indent}}}", entries.join(",\n"))
@@ -351,9 +323,9 @@ fn json_recommendation(recommendation: &Recommendation, indent: &str) -> String 
         .map(|(name, (lo, hi))| {
             format!(
                 "{indent}    {}: {{\"min\": {}, \"max\": {}}}",
-                json_string(name),
-                json_number(*lo),
-                json_number(*hi)
+                json::string(name),
+                json::number(*lo),
+                json::number(*hi)
             )
         })
         .collect();
@@ -388,11 +360,11 @@ pub fn per_user_recommendation_to_json(recommendation: &PerUserRecommendation) -
         let mut entry = format!(
             "    {{\n      \"user\": {},\n      \"verdict\": {},\n      \"fallback\": {}",
             user.user.value(),
-            json_string(user.verdict.label()),
+            json::string(user.verdict.label()),
             user.used_fallback()
         );
         if !reason.is_empty() {
-            let _ = write!(entry, ",\n      \"reason\": {}", json_string(&reason));
+            let _ = write!(entry, ",\n      \"reason\": {}", json::string(&reason));
         }
         let _ = write!(
             entry,
@@ -405,7 +377,7 @@ pub fn per_user_recommendation_to_json(recommendation: &PerUserRecommendation) -
     format!(
         "{{\n  \"fallback_policy\": {},\n  \"feasible_users\": {},\n  \"fallback_users\": {},\n  \
          \"dataset\": {},\n  \"users\": [\n{}\n  ]\n}}\n",
-        json_string("infeasible and unmodeled users are assigned the dataset-level point"),
+        json::string("infeasible and unmodeled users are assigned the dataset-level point"),
         recommendation.feasible_count(),
         recommendation.fallback_count(),
         json_recommendation(&recommendation.dataset, "  "),
@@ -889,12 +861,12 @@ mod tests {
 
     #[test]
     fn json_strings_and_numbers_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak\tand\u{1}"), "\"line\\nbreak\\tand\\u0001\"");
-        assert_eq!(json_number(0.5), "0.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
+        assert_eq!(json::string("plain"), "\"plain\"");
+        assert_eq!(json::string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json::string("line\nbreak\tand\u{1}"), "\"line\\nbreak\\tand\\u0001\"");
+        assert_eq!(json::number(0.5), "0.5");
+        assert_eq!(json::number(f64::NAN), "null");
+        assert_eq!(json::number(f64::INFINITY), "null");
     }
 
     #[test]

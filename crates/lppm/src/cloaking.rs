@@ -9,11 +9,8 @@
 
 use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Kernel, Lppm, Relocate};
 use geopriv_geo::{GeoPoint, LocalProjection, Meters, Point};
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
-use rand::RngCore;
 
 /// Grid-rounding spatial cloaking with a fixed, data-independent grid origin.
 ///
@@ -96,57 +93,15 @@ impl Lppm for GridCloaking {
         vec![Self::cell_size_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let projection = LocalProjection::centered_on(self.origin);
-        let locations = trace.iter().map(|r| self.snap(&projection, r.location())).collect();
-        Ok(trace.with_locations(locations)?)
+    /// Snaps each record against the grid anchored on the configured
+    /// origin, never on the trace, so no record depends on another.
+    fn kernel(&self) -> Box<dyn Kernel> {
+        let (cloaking, projection) = (*self, LocalProjection::centered_on(self.origin));
+        Box::new(Relocate(move |location| cloaking.snap(&projection, location)))
     }
 
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        _rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: a deterministic scan snapping
-        // each coordinate pair straight into the output columns.
-        let projection = LocalProjection::centered_on(self.origin);
-        out.begin_trace(trace.user());
-        for record in trace.iter() {
-            out.push_record(record.timestamp(), self.snap(&projection, record.location()));
-        }
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, _seed: u64) -> Option<Box<dyn LppmStream>> {
-        // The grid is anchored on the *configured* origin (never on the
-        // trace), so streaming is a stateless per-record snap — trivially
-        // bit-identical to the offline scan, no RNG involved.
-        Some(Box::new(GridCloakingStream {
-            mechanism: *self,
-            projection: LocalProjection::centered_on(self.origin),
-            released: 0,
-        }))
-    }
-}
-
-/// O(1) streaming kernel of [`GridCloaking`]: a per-record snap against the
-/// configured (trace-independent) grid.
-struct GridCloakingStream {
-    mechanism: GridCloaking,
-    projection: LocalProjection,
-    released: usize,
-}
-
-impl LppmStream for GridCloakingStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
-        self.released += 1;
-        Ok(record.with_location(self.mechanism.snap(&self.projection, record.location())))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+    fn draws_randomness(&self) -> bool {
+        false
     }
 }
 
@@ -154,7 +109,7 @@ impl LppmStream for GridCloakingStream {
 mod tests {
     use super::*;
     use geopriv_geo::{distance, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

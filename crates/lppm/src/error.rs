@@ -16,20 +16,9 @@ pub enum LppmError {
         /// Human-readable description of the constraint.
         reason: &'static str,
     },
-    /// The underlying mobility data could not be manipulated.
+    /// The underlying mobility data could not be manipulated (for example
+    /// a mechanism released no record of a trace).
     Mobility(MobilityError),
-    /// A mechanism dropped every record of a trace, which would produce an
-    /// empty (invalid) protected trace.
-    EmptyProtectedTrace,
-    /// A mechanism cannot protect a record stream incrementally under the
-    /// bit-identity contract of [`crate::stream::open_stream`] — it drops,
-    /// resamples or reorders records, or consumes randomness non-causally.
-    Unstreamable {
-        /// Name of the mechanism.
-        mechanism: String,
-        /// Why the streaming contract cannot hold.
-        reason: String,
-    },
 }
 
 impl fmt::Display for LppmError {
@@ -39,12 +28,6 @@ impl fmt::Display for LppmError {
                 write!(f, "invalid parameter {name} = {value}: {reason}")
             }
             LppmError::Mobility(e) => write!(f, "mobility error: {e}"),
-            LppmError::EmptyProtectedTrace => {
-                write!(f, "protection mechanism dropped every record of a trace")
-            }
-            LppmError::Unstreamable { mechanism, reason } => {
-                write!(f, "mechanism \"{mechanism}\" cannot protect a record stream: {reason}")
-            }
         }
     }
 }
@@ -81,16 +64,6 @@ mod tests {
         let m = LppmError::from(MobilityError::EmptyTrace);
         assert!(m.to_string().contains("mobility"));
         assert!(std::error::Error::source(&m).is_some());
-
-        assert!(LppmError::EmptyProtectedTrace.to_string().contains("dropped"));
-
-        let e = LppmError::Unstreamable {
-            mechanism: "pipeline[a, b]".into(),
-            reason: "stage-major randomness".into(),
-        };
-        assert!(e.to_string().contains("pipeline[a, b]"));
-        assert!(e.to_string().contains("record stream"));
-        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]

@@ -8,12 +8,10 @@
 
 use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Kernel, Lppm};
 use geopriv_geo::{LocalProjection, Meters};
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use geopriv_mobility::{DatasetBuilder, TraceView};
+use rand::{Rng, RngCore};
 
 /// Isotropic Gaussian location perturbation.
 ///
@@ -81,75 +79,29 @@ impl Lppm for GaussianPerturbation {
         vec![Self::sigma_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let sigma = self.sigma.as_f64();
-        let locations = trace
-            .iter()
-            .map(|record| {
-                let p = projection.project(record.location());
-                let dx = Self::sample_normal(rng, sigma);
-                let dy = Self::sample_normal(rng, sigma);
-                projection.unproject(p.translated(dx, dy))
-            })
-            .collect();
-        Ok(trace.with_locations(locations)?)
-    }
-
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: identical per-record operation
-        // and RNG draw order (dx before dy), writing into the output columns.
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let sigma = self.sigma.as_f64();
-        out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let p = projection.project(record.location());
-            let dx = Self::sample_normal(rng, sigma);
-            let dy = Self::sample_normal(rng, sigma);
-            out.push_record(record.timestamp(), projection.unproject(p.translated(dx, dy)));
-        }
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, seed: u64) -> Option<Box<dyn LppmStream>> {
-        Some(Box::new(GaussianPerturbationStream {
-            sigma: self.sigma.as_f64(),
-            projection: None,
-            rng: StdRng::seed_from_u64(seed),
-            released: 0,
-        }))
+    fn kernel(&self) -> Box<dyn Kernel> {
+        Box::new(GaussianKernel { sigma: self.sigma.as_f64(), projection: None })
     }
 }
 
-/// O(1) streaming kernel of [`GaussianPerturbation`]: projection anchored on
-/// the first pushed record, persistent RNG drawing dx before dy per record —
-/// the offline per-record operation and draw order exactly.
-struct GaussianPerturbationStream {
+/// The Gaussian kernel: projection anchored on the trace's first record,
+/// then per record a draw for dx before one for dy.
+struct GaussianKernel {
     sigma: f64,
     projection: Option<LocalProjection>,
-    rng: StdRng,
-    released: usize,
 }
 
-impl LppmStream for GaussianPerturbationStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
-        let projection =
-            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
-        let p = projection.project(record.location());
-        let dx = GaussianPerturbation::sample_normal(&mut self.rng, self.sigma);
-        let dy = GaussianPerturbation::sample_normal(&mut self.rng, self.sigma);
-        self.released += 1;
-        Ok(record.with_location(projection.unproject(p.translated(dx, dy))))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+impl Kernel for GaussianKernel {
+    fn protect(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        let projection = *self
+            .projection
+            .get_or_insert_with(|| LocalProjection::centered_on(records.first().location()));
+        for record in records.iter() {
+            let p = projection.project(record.location());
+            let dx = GaussianPerturbation::sample_normal(rng, self.sigma);
+            let dy = GaussianPerturbation::sample_normal(rng, self.sigma);
+            out.push_record(record.timestamp(), projection.unproject(p.translated(dx, dy)));
+        }
     }
 }
 
@@ -157,7 +109,7 @@ impl LppmStream for GaussianPerturbationStream {
 mod tests {
     use super::*;
     use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

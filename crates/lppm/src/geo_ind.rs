@@ -7,24 +7,21 @@
 //! the ε, the higher the noise and therefore the stronger the privacy
 //! guarantee — and the lower the utility of the released data.
 //!
-//! The offline paths ([`Lppm::protect_trace`] and [`Lppm::protect_view`])
-//! share one record loop: it walks a trace in chunks of a fixed stack
+//! The kernel walks the records it receives in chunks of a fixed stack
 //! buffer, samples each chunk's noise with the staged
 //! [`PlanarLaplace::sample_into`] and displaces each record with
-//! `displaced`. The streaming kernel displaces its one record per push with
-//! the same function and samples it with [`PlanarLaplace::sample`], the
-//! one-record case of the same kernel. Staging changes no bit: see the
+//! `displaced`. A one-record call (a stream push) samples with
+//! [`PlanarLaplace::sample`], the one-record case of the same sampler, whose
+//! scratch holds one lane. Staging changes no bit: see the
 //! [`crate::laplace`] module docs.
 
 use crate::error::LppmError;
 use crate::laplace::{PlanarLaplace, CHUNK};
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Kernel, Lppm};
 use geopriv_geo::{GeoPoint, LocalProjection};
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use geopriv_mobility::{DatasetBuilder, TraceView};
+use rand::RngCore;
 
 /// The ε range swept by the paper's evaluation (Figure 1): 10⁻⁴ to 1 m⁻¹.
 pub const PAPER_EPSILON_RANGE: (f64, f64) = (1e-4, 1.0);
@@ -83,30 +80,6 @@ impl GeoIndistinguishability {
         )
         .expect("static descriptor is valid")
     }
-
-    /// The offline record loop: hands each record of `trace` and its
-    /// released location to `release`, in record order.
-    fn protect_records(
-        &self,
-        trace: TraceView<'_>,
-        rng: &mut dyn RngCore,
-        mut release: impl FnMut(Record, GeoPoint),
-    ) {
-        let noise = PlanarLaplace::new(self.epsilon);
-        // One projection per trace, centered on its first record, keeps the
-        // planar approximation error negligible at city scale while avoiding
-        // a data-dependent (privacy-leaking) global frame.
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let (mut dx, mut dy) = ([0.0; CHUNK], [0.0; CHUNK]);
-        let mut records = trace.iter();
-        while records.len() > 0 {
-            let n = records.len().min(CHUNK);
-            noise.sample_into(rng, &mut dx[..n], &mut dy[..n]);
-            for (record, (&dx, &dy)) in records.by_ref().take(n).zip(dx.iter().zip(&dy)) {
-                release(record, displaced(&projection, record.location(), dx, dy));
-            }
-        }
-    }
 }
 
 /// GEO-I's per-record math: `location` moved by the noise vector `(dx, dy)`
@@ -124,58 +97,45 @@ impl Lppm for GeoIndistinguishability {
         vec![Self::epsilon_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let mut locations = Vec::with_capacity(trace.len());
-        self.protect_records(trace.view(), rng, |_, location| locations.push(location));
-        Ok(trace.with_locations(locations)?)
-    }
-
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        out.begin_trace(trace.user());
-        self.protect_records(trace, rng, |record, location| {
-            out.push_record(record.timestamp(), location)
-        });
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, seed: u64) -> Option<Box<dyn LppmStream>> {
-        Some(Box::new(GeoIndistinguishabilityStream {
+    fn kernel(&self) -> Box<dyn Kernel> {
+        Box::new(GeoIndistinguishabilityKernel {
             noise: PlanarLaplace::new(self.epsilon),
             projection: None,
-            rng: StdRng::seed_from_u64(seed),
-            released: 0,
-        }))
+        })
     }
 }
 
-/// O(1) streaming kernel of [`GeoIndistinguishability`]: the projection is
-/// anchored on the *first* pushed record (exactly the per-trace anchoring of
-/// the offline paths) and the persistent RNG draws one planar-Laplace sample
-/// per record in push order — the offline draw order, record for record.
-struct GeoIndistinguishabilityStream {
+/// GEO-I's kernel: one planar-Laplace sample per record, in record order.
+struct GeoIndistinguishabilityKernel {
     noise: PlanarLaplace,
+    /// One projection per trace, centered on its first record, keeps the
+    /// planar approximation error negligible at city scale while avoiding a
+    /// data-dependent (privacy-leaking) global frame.
     projection: Option<LocalProjection>,
-    rng: StdRng,
-    released: usize,
 }
 
-impl LppmStream for GeoIndistinguishabilityStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
-        let projection =
-            *self.projection.get_or_insert_with(|| LocalProjection::centered_on(record.location()));
-        let (dx, dy) = self.noise.sample(&mut self.rng);
-        self.released += 1;
-        Ok(record.with_location(displaced(&projection, record.location(), dx, dy)))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+impl Kernel for GeoIndistinguishabilityKernel {
+    fn protect(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        let projection = *self
+            .projection
+            .get_or_insert_with(|| LocalProjection::centered_on(records.first().location()));
+        if records.len() == 1 {
+            let (record, (dx, dy)) = (records.first(), self.noise.sample(rng));
+            out.push_record(record.timestamp(), displaced(&projection, record.location(), dx, dy));
+            return;
+        }
+        let (mut dx, mut dy) = ([0.0; CHUNK], [0.0; CHUNK]);
+        let mut records = records.iter();
+        while records.len() > 0 {
+            let n = records.len().min(CHUNK);
+            self.noise.sample_into(rng, &mut dx[..n], &mut dy[..n]);
+            for (record, (&dx, &dy)) in records.by_ref().take(n).zip(dx.iter().zip(&dy)) {
+                out.push_record(
+                    record.timestamp(),
+                    displaced(&projection, record.location(), dx, dy),
+                );
+            }
+        }
     }
 }
 
@@ -183,9 +143,10 @@ impl LppmStream for GeoIndistinguishabilityStream {
 mod tests {
     use super::*;
     use crate::laplace::scalar_reference::{self, ScriptedRng};
+    use crate::stream::open_stream;
     use geopriv_geo::{distance, GeoPoint, Seconds};
     use geopriv_mobility::generator::TaxiFleetBuilder;
-    use geopriv_mobility::{Dataset, Record, UserId};
+    use geopriv_mobility::{Dataset, Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,7 +171,7 @@ mod tests {
             .collect()
     }
 
-    /// Asserts `protect_trace`, `protect_view` and the stream kernel release
+    /// Asserts `protect_trace`, `protect_view` and the stream release
     /// exactly the reference loop's bits for every trace of `dataset`, with
     /// one RNG threaded through the traces as `protect_dataset` does.
     fn assert_matches_reference(
@@ -234,10 +195,10 @@ mod tests {
             assert_eq!(location_bits(single.trace_at(0).iter()), reference, "protect_view, {what}");
             out.push_view(single.trace_at(0));
 
-            let mut stream = geoi.stream_kernel(i as u64).unwrap();
+            let mut stream = open_stream(&geoi, i as u64);
             let streamed: Vec<Record> = view.iter().map(|r| stream.push(r).unwrap()).collect();
             let seeded = reference_protect(epsilon, view, &mut StdRng::seed_from_u64(i as u64));
-            assert_eq!(location_bits(streamed), seeded, "stream kernel, {what}");
+            assert_eq!(location_bits(streamed), seeded, "stream, {what}");
         }
         let protected = geoi.protect_dataset(dataset, &mut rng()).unwrap();
         assert_eq!(protected, out.finish().unwrap(), "protect_dataset, eps {epsilon}");

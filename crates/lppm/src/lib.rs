@@ -6,7 +6,9 @@
 //! a mechanism that transforms an actual mobility trace into a protected one.
 //! This crate provides:
 //!
-//! * [`Lppm`] — the common, object-safe mechanism interface;
+//! * [`Lppm`] — the common, object-safe mechanism interface, and [`Kernel`],
+//!   the record loop each mechanism implements once: one trace, a columnar
+//!   view, a dataset and a record stream are all protected by it;
 //! * [`GeoIndistinguishability`] — the paper's illustrated mechanism
 //!   (planar-Laplace noise parameterized by ε in m⁻¹, Andrés et al. CCS 2013);
 //! * [`GridCloaking`], [`GaussianPerturbation`], [`TemporalDownsampling`],
@@ -14,8 +16,8 @@
 //!   targets, used as baselines and ablations;
 //! * [`Pipeline`] — sequential composition of mechanisms;
 //! * [`stream::open_stream`] — record-at-a-time streaming sessions for the
-//!   online serving path, bit-identical to the offline columnar protection
-//!   under a fixed seed;
+//!   online serving path: the same kernel, one record per call, so the
+//!   stream is bit-identical to the offline protection under a fixed seed;
 //! * [`Epsilon`], [`ParameterDescriptor`] — typed configuration parameters and
 //!   the sweep metadata the framework consumes;
 //! * [`ConfigSpace`], [`ConfigPoint`] — multi-dimensional configuration
@@ -51,7 +53,6 @@ pub mod geo_ind;
 pub mod laplace;
 pub mod params;
 pub mod pipeline;
-pub mod promesse;
 pub mod rounding;
 pub mod space;
 pub mod stream;
@@ -65,12 +66,11 @@ pub use geo_ind::{GeoIndistinguishability, PAPER_EPSILON_RANGE};
 pub use laplace::PlanarLaplace;
 pub use params::{Epsilon, ParameterDescriptor, ParameterScale};
 pub use pipeline::{qualify_stage_parameters, Pipeline};
-pub use promesse::SpeedSmoothing;
 pub use rounding::CoordinateRounding;
 pub use space::{ConfigPoint, ConfigSpace};
-pub use stream::{open_stream, open_stream_bounded, LppmStream, ReplayStream};
+pub use stream::{open_stream, LppmStream};
 pub use temporal::{ReleaseSampling, TemporalDownsampling};
-pub use traits::{Identity, Lppm};
+pub use traits::{Identity, Kernel, Lppm};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -80,10 +80,9 @@ pub mod prelude {
     pub use crate::geo_ind::GeoIndistinguishability;
     pub use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
     pub use crate::pipeline::Pipeline;
-    pub use crate::promesse::SpeedSmoothing;
     pub use crate::rounding::CoordinateRounding;
     pub use crate::space::{ConfigPoint, ConfigSpace};
     pub use crate::stream::{open_stream, LppmStream};
     pub use crate::temporal::{ReleaseSampling, TemporalDownsampling};
-    pub use crate::traits::{Identity, Lppm};
+    pub use crate::traits::{Identity, Kernel, Lppm};
 }

@@ -4,12 +4,21 @@
 //! Geo-Indistinguishability noise. [`Pipeline`] applies a sequence of LPPMs
 //! in order and is itself an LPPM, so composed mechanisms can be fed to the
 //! configuration framework unchanged.
+//!
+//! A pipeline's kernel holds one kernel per stage and passes whatever it
+//! receives through them in order: stage k + 1 protects what stage k
+//! released, and a stage that releases nothing ends the call. With at most
+//! one stage that draws randomness ([`Lppm::draws_randomness`]) the draws
+//! are that stage's, in its record order, however the records are split, so
+//! each call passes its records through whole. With two or more, the
+//! stages' draws interleave by call, so the kernel passes one record at a
+//! time: record-major order, the only one a stream can reproduce.
 
 use crate::error::LppmError;
 use crate::params::ParameterDescriptor;
 use crate::space::ConfigSpace;
-use crate::traits::Lppm;
-use geopriv_mobility::Trace;
+use crate::traits::{Kernel, Lppm};
+use geopriv_mobility::{DatasetBuilder, TraceView};
 use rand::RngCore;
 
 /// Qualifies per-stage parameter descriptors so the flattened list has
@@ -168,24 +177,68 @@ impl Lppm for Pipeline {
         qualify_stage_parameters(&per_stage).into_iter().flatten().collect()
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let mut current = trace.clone();
-        for stage in &self.stages {
-            current = stage.protect_trace(&current, rng)?;
+    fn kernel(&self) -> Box<dyn Kernel> {
+        let randomizing = self.stages.iter().filter(|s| s.draws_randomness()).count();
+        Box::new(PipelineKernel {
+            stages: self.stages.iter().map(|s| s.kernel()).collect(),
+            released: (1..self.stages.len()).map(|_| DatasetBuilder::new()).collect(),
+            record_major: randomizing > 1,
+        })
+    }
+
+    fn draws_randomness(&self) -> bool {
+        self.stages.iter().any(|s| s.draws_randomness())
+    }
+}
+
+/// The kernel of a [`Pipeline`] (see the module docs).
+struct PipelineKernel {
+    stages: Vec<Box<dyn Kernel>>,
+    /// What each stage but the last released in the current pass.
+    released: Vec<DatasetBuilder>,
+    record_major: bool,
+}
+
+impl PipelineKernel {
+    fn pass(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        let Some((last, inner)) = self.stages.split_last_mut() else {
+            records.iter().for_each(|r| out.push_record(r.timestamp(), r.location()));
+            return;
+        };
+        let mut input = records;
+        for (stage, released) in inner.iter_mut().zip(&mut self.released) {
+            released.clear();
+            released.begin_trace(records.user());
+            stage.protect(input, rng, released);
+            match released.open_trace() {
+                Some(view) => input = view,
+                None => return,
+            }
         }
-        Ok(current)
+        last.protect(input, rng, out);
+    }
+}
+
+impl Kernel for PipelineKernel {
+    fn protect(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        if self.record_major {
+            (0..records.len()).for_each(|i| self.pass(records.slice(i..i + 1), rng, out));
+        } else {
+            self.pass(records, rng, out);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloaking::GridCloaking;
     use crate::geo_ind::GeoIndistinguishability;
     use crate::params::Epsilon;
     use crate::temporal::TemporalDownsampling;
     use crate::traits::Identity;
-    use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -229,6 +282,44 @@ mod tests {
             })
             .count();
         assert!(displaced > 20);
+    }
+
+    /// The stage-major reference: each stage's `protect_trace` applied to
+    /// the previous stage's whole output, one RNG threaded through.
+    fn stage_major(stages: &[&dyn Lppm], trace: &Trace, seed: u64) -> Trace {
+        let mut rng = StdRng::seed_from_u64(seed);
+        stages.iter().fold(trace.clone(), |t, stage| stage.protect_trace(&t, &mut rng).unwrap())
+    }
+
+    #[test]
+    fn one_randomizing_stage_keeps_the_stage_major_bits() {
+        // Longer than two sampler chunks, on a moving path.
+        let records = (0..300)
+            .map(|i| {
+                let location =
+                    GeoPoint::new(37.76 + (i % 13) as f64 * 4e-4, -122.44 + i as f64 * 1e-4);
+                Record::new(Seconds::new(i as f64 * 30.0), location.unwrap())
+            })
+            .collect();
+        let t = Trace::new(UserId::new(3), records).unwrap();
+        let cloaking = GridCloaking::new(Meters::new(500.0)).unwrap();
+        let downsampling = TemporalDownsampling::new(3).unwrap();
+        for (seed, epsilon) in [(1, 1e-4), (2, 1e-2), (3, 1.0)] {
+            let geoi = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
+            let pipelines: [(Pipeline, [&dyn Lppm; 2]); 2] = [
+                (Pipeline::new().then(geoi).then(cloaking), [&geoi, &cloaking]),
+                (Pipeline::new().then(downsampling).then(geoi), [&downsampling, &geoi]),
+            ];
+            for (pipeline, stages) in &pipelines {
+                let protected = pipeline.protect_trace(&t, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    protected.unwrap(),
+                    stage_major(stages, &t, seed),
+                    "{}",
+                    pipeline.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -282,12 +373,8 @@ mod tests {
                     .unwrap();
                 vec![d.clone(), d]
             }
-            fn protect_trace(
-                &self,
-                trace: &Trace,
-                _: &mut dyn RngCore,
-            ) -> Result<Trace, LppmError> {
-                Ok(trace.clone())
+            fn kernel(&self) -> Box<dyn Kernel> {
+                Identity.kernel()
             }
         }
 

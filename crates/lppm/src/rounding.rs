@@ -8,11 +8,8 @@
 
 use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
-use crate::stream::LppmStream;
-use crate::traits::Lppm;
+use crate::traits::{Kernel, Lppm, Relocate};
 use geopriv_geo::GeoPoint;
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView};
-use rand::RngCore;
 
 /// Maximum number of decimal digits that still constitutes a reduction for
 /// consumer GPS data (beyond ~7 digits the rounding is a no-op).
@@ -73,6 +70,13 @@ impl CoordinateRounding {
         let factor = 10f64.powi(i32::from(self.digits));
         (value * factor).round() / factor
     }
+
+    fn round(&self, location: GeoPoint) -> GeoPoint {
+        GeoPoint::clamped(
+            self.round_coordinate(location.latitude()),
+            self.round_coordinate(location.longitude()),
+        )
+    }
 }
 
 impl Lppm for CoordinateRounding {
@@ -84,64 +88,13 @@ impl Lppm for CoordinateRounding {
         vec![Self::digits_descriptor()]
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let locations = trace
-            .iter()
-            .map(|r| {
-                GeoPoint::clamped(
-                    self.round_coordinate(r.location().latitude()),
-                    self.round_coordinate(r.location().longitude()),
-                )
-            })
-            .collect();
-        Ok(trace.with_locations(locations)?)
+    fn kernel(&self) -> Box<dyn Kernel> {
+        let rounding = *self;
+        Box::new(Relocate(move |location| rounding.round(location)))
     }
 
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        _rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        // Columnar twin of `protect_trace`: a pure scan over the coordinate
-        // columns (the mechanism is deterministic, no RNG involved).
-        out.begin_trace(trace.user());
-        for record in trace.iter() {
-            let released = GeoPoint::clamped(
-                self.round_coordinate(record.location().latitude()),
-                self.round_coordinate(record.location().longitude()),
-            );
-            out.push_record(record.timestamp(), released);
-        }
-        out.finish_trace()?;
-        Ok(())
-    }
-
-    fn stream_kernel(&self, _seed: u64) -> Option<Box<dyn LppmStream>> {
-        // Stateless per-record truncation: trivially bit-identical to the
-        // offline scan, no RNG involved.
-        Some(Box::new(CoordinateRoundingStream { mechanism: *self, released: 0 }))
-    }
-}
-
-/// O(1) streaming kernel of [`CoordinateRounding`]: the offline per-record
-/// truncation, one record at a time.
-struct CoordinateRoundingStream {
-    mechanism: CoordinateRounding,
-    released: usize,
-}
-
-impl LppmStream for CoordinateRoundingStream {
-    fn push(&mut self, record: Record) -> Result<Record, LppmError> {
-        self.released += 1;
-        Ok(record.with_location(GeoPoint::clamped(
-            self.mechanism.round_coordinate(record.location().latitude()),
-            self.mechanism.round_coordinate(record.location().longitude()),
-        )))
-    }
-
-    fn len(&self) -> usize {
-        self.released
+    fn draws_randomness(&self) -> bool {
+        false
     }
 }
 
@@ -149,7 +102,7 @@ impl LppmStream for CoordinateRoundingStream {
 mod tests {
     use super::*;
     use geopriv_geo::{distance, GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

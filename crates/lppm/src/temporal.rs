@@ -13,9 +13,34 @@
 
 use crate::error::LppmError;
 use crate::params::{ParameterDescriptor, ParameterScale};
-use crate::traits::Lppm;
-use geopriv_mobility::{Record, Trace};
+use crate::traits::{Kernel, Lppm};
+use geopriv_mobility::{DatasetBuilder, TraceView};
 use rand::{Rng, RngCore};
+
+/// The kernel of both mechanisms: releases, unchanged, each record for which
+/// `keep(index in the trace, rng)` holds.
+struct Keep<F> {
+    keep: F,
+    index: usize,
+}
+
+fn keep<F>(keep: F) -> Box<dyn Kernel>
+where
+    F: FnMut(usize, &mut dyn RngCore) -> bool + Send + 'static,
+{
+    Box::new(Keep { keep, index: 0 })
+}
+
+impl<F: FnMut(usize, &mut dyn RngCore) -> bool + Send> Kernel for Keep<F> {
+    fn protect(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        for record in records.iter() {
+            if (self.keep)(self.index, rng) {
+                out.push_record(record.timestamp(), record.location());
+            }
+            self.index += 1;
+        }
+    }
+}
 
 /// Keeps every `n`-th record of a trace.
 ///
@@ -68,8 +93,15 @@ impl Lppm for TemporalDownsampling {
             .expect("static descriptor is valid")]
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        Ok(trace.downsampled(self.factor)?)
+    /// Keeps each record whose index in the trace is a multiple of the
+    /// factor, as [`geopriv_mobility::Trace::downsampled`] does.
+    fn kernel(&self) -> Box<dyn Kernel> {
+        let factor = self.factor;
+        keep(move |index, _| index % factor == 0)
+    }
+
+    fn draws_randomness(&self) -> bool {
+        false
     }
 }
 
@@ -115,17 +147,10 @@ impl Lppm for ReleaseSampling {
             .expect("static descriptor is valid")]
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let records: Vec<Record> = trace
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i == 0 || rng.gen_bool(self.probability))
-            .map(|(_, r)| r)
-            .collect();
-        if records.is_empty() {
-            return Err(LppmError::EmptyProtectedTrace);
-        }
-        Ok(Trace::new(trace.user(), records)?)
+    /// Keeps the first record, then draws one `gen_bool(p)` per record.
+    fn kernel(&self) -> Box<dyn Kernel> {
+        let probability = self.probability;
+        keep(move |index, rng| index == 0 || rng.gen_bool(probability))
     }
 }
 
@@ -133,7 +158,7 @@ impl Lppm for ReleaseSampling {
 mod tests {
     use super::*;
     use geopriv_geo::{GeoPoint, Seconds};
-    use geopriv_mobility::UserId;
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

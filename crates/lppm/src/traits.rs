@@ -1,17 +1,40 @@
-//! The [`Lppm`] trait: the common interface of every protection mechanism.
+//! The [`Lppm`] trait, the common interface of every protection mechanism,
+//! and the [`Kernel`] trait, the one place a mechanism's math lives.
 
 use crate::error::LppmError;
 use crate::params::ParameterDescriptor;
-use crate::stream::LppmStream;
+use geopriv_geo::GeoPoint;
 use geopriv_mobility::{Dataset, DatasetBuilder, Trace, TraceView};
 use rand::RngCore;
+
+/// A mechanism's record loop over one trace.
+///
+/// [`Lppm::kernel`] hands out a fresh kernel per trace. Each call to
+/// [`Kernel::protect`] protects the next records of that trace, in order,
+/// and appends every record it releases to `out`'s open trace (see
+/// [`DatasetBuilder::begin_trace`]). A kernel may release fewer records than
+/// it receives.
+///
+/// **Contract:** the released records and the RNG draws are the same
+/// however the trace is split across calls — the whole trace in one call,
+/// chunks, or one record at a time. The batch paths ([`Lppm::protect_view`]
+/// and friends) hand each trace to its kernel in one call, a stream
+/// ([`crate::open_stream`]) one record per call, so the two release the same
+/// records under the same seed because both run the same kernel.
+pub trait Kernel: Send {
+    /// Protects `records`, the next records of the trace, writing each
+    /// released record to `out`.
+    fn protect(&mut self, records: TraceView<'_>, rng: &mut dyn RngCore, out: &mut DatasetBuilder);
+}
 
 /// A Location Privacy Protection Mechanism.
 ///
 /// An LPPM transforms an *actual* mobility trace into a *protected* trace
-/// that can be released to a location-based service. Implementations receive
-/// a random-number generator explicitly so that experiments are reproducible
-/// under a fixed seed; deterministic mechanisms simply ignore it.
+/// that can be released to a location-based service. A mechanism implements
+/// [`Lppm::kernel`]; every protection path — one trace, a columnar view, a
+/// dataset, a record stream — is derived from that kernel. Randomness comes
+/// from an explicitly passed generator, so experiments are reproducible
+/// under a fixed seed.
 ///
 /// The trait is object safe: the configuration framework stores mechanisms as
 /// `Box<dyn Lppm>` when sweeping configuration parameters.
@@ -25,48 +48,49 @@ pub trait Lppm: Send + Sync {
     /// without configuration return an empty vector.
     fn parameters(&self) -> Vec<ParameterDescriptor>;
 
+    /// A fresh kernel for one trace.
+    fn kernel(&self) -> Box<dyn Kernel>;
+
+    /// Whether the mechanism's kernel may draw from the RNG. `true`, the
+    /// default, is always correct; a mechanism that never draws says `false`,
+    /// which lets a [`crate::Pipeline`] keep its stages' chunked calls.
+    fn draws_randomness(&self) -> bool {
+        true
+    }
+
     /// Protects a single trace.
     ///
     /// # Errors
     ///
-    /// Implementations return [`LppmError`] if the protected trace cannot be
-    /// constructed (for example when every record was dropped).
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError>;
+    /// Returns [`LppmError::Mobility`] if the mechanism released no record.
+    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
+        let mut out = DatasetBuilder::with_capacity(1, trace.len());
+        out.begin_trace(trace.user());
+        self.kernel().protect(trace.view(), rng, &mut out);
+        out.finish_trace()?;
+        Ok(out.finish()?.trace_at(0).to_trace())
+    }
 
     /// Protects one trace given as a zero-copy columnar view, appending the
-    /// protected trace to the columnar `out` builder.
-    ///
-    /// This is the hot path of [`Lppm::protect_dataset`]: perturbation
-    /// mechanisms override it to write protected coordinates straight into
-    /// the shared output columns, skipping every intermediate `Vec<Record>`.
-    /// The default implementation materializes the view and falls back to
-    /// [`Lppm::protect_trace`] — correct for any mechanism, including those
-    /// that drop or resample records.
-    ///
-    /// Overrides must draw from `rng` in exactly the per-record order of
-    /// their `protect_trace`, so that the columnar and row paths stay
-    /// bit-identical under a fixed seed.
+    /// protected trace to the columnar `out` builder: the hot path of
+    /// [`Lppm::protect_dataset`], one kernel call per trace.
     ///
     /// # Errors
     ///
-    /// Implementations return [`LppmError`] if the protected trace cannot be
-    /// constructed (for example when every record was dropped).
+    /// Returns [`LppmError::Mobility`] if the mechanism released no record.
     fn protect_view(
         &self,
         trace: TraceView<'_>,
         out: &mut DatasetBuilder,
         rng: &mut dyn RngCore,
     ) -> Result<(), LppmError> {
-        let protected = self.protect_trace(&trace.to_trace(), rng)?;
-        out.push_trace(&protected);
-        Ok(())
+        out.begin_trace(trace.user());
+        self.kernel().protect(trace, rng, out);
+        Ok(out.finish_trace()?)
     }
 
-    /// Protects every trace of a dataset.
-    ///
-    /// The default implementation streams [`Lppm::protect_view`] over each
-    /// trace in order, assembling the protected dataset columnar-to-columnar
-    /// through a [`DatasetBuilder`].
+    /// Protects every trace of a dataset, in order, with
+    /// [`Lppm::protect_view`].
     ///
     /// # Errors
     ///
@@ -82,19 +106,17 @@ pub trait Lppm: Send + Sync {
         }
         Ok(out.finish()?)
     }
+}
 
-    /// An O(1)-per-push streaming session kernel for this mechanism, or
-    /// `None` (the default) to stream through the prefix-replaying fallback.
-    ///
-    /// [`crate::stream::open_stream`] is the public entry point — call that,
-    /// not this. Overrides must uphold the streaming bit-identity contract:
-    /// pushing records r₁…rₙ in order releases exactly the records
-    /// [`Lppm::protect_view`] writes for the trace (r₁…rₙ) under a fresh
-    /// `StdRng::seed_from_u64(seed)` — same per-record operations, same RNG
-    /// draw order, same projection anchoring.
-    fn stream_kernel(&self, seed: u64) -> Option<Box<dyn LppmStream>> {
-        let _ = seed;
-        None
+/// The kernel of a deterministic mechanism that releases every record at a
+/// location computed from its own.
+pub(crate) struct Relocate<F>(pub(crate) F);
+
+impl<F: Fn(GeoPoint) -> GeoPoint + Send> Kernel for Relocate<F> {
+    fn protect(&mut self, records: TraceView<'_>, _: &mut dyn RngCore, out: &mut DatasetBuilder) {
+        for record in records.iter() {
+            out.push_record(record.timestamp(), (self.0)(record.location()));
+        }
     }
 }
 
@@ -121,42 +143,12 @@ impl Lppm for Identity {
         Vec::new()
     }
 
-    fn protect_trace(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        Ok(trace.clone())
+    fn kernel(&self) -> Box<dyn Kernel> {
+        Box::new(Relocate(|location| location))
     }
 
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        _rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        out.push_view(trace);
-        Ok(())
-    }
-
-    fn stream_kernel(&self, _seed: u64) -> Option<Box<dyn LppmStream>> {
-        Some(Box::new(IdentityStream { released: 0 }))
-    }
-}
-
-/// The trivial streaming kernel of [`Identity`]: releases every record
-/// unchanged, drawing no randomness — exactly the columnar path.
-struct IdentityStream {
-    released: usize,
-}
-
-impl LppmStream for IdentityStream {
-    fn push(
-        &mut self,
-        record: geopriv_mobility::Record,
-    ) -> Result<geopriv_mobility::Record, LppmError> {
-        self.released += 1;
-        Ok(record)
-    }
-
-    fn len(&self) -> usize {
-        self.released
+    fn draws_randomness(&self) -> bool {
+        false
     }
 }
 
@@ -189,6 +181,42 @@ mod tests {
         assert!(lppm.parameters().is_empty());
         let protected = lppm.protect_dataset(&d, &mut rng).unwrap();
         assert_eq!(protected, d);
+    }
+
+    #[test]
+    fn a_mechanism_that_releases_nothing_fails_offline_and_withholds_online() {
+        /// Withholds every record.
+        struct Silence;
+        impl Lppm for Silence {
+            fn name(&self) -> &str {
+                "silence"
+            }
+            fn parameters(&self) -> Vec<ParameterDescriptor> {
+                Vec::new()
+            }
+            fn kernel(&self) -> Box<dyn Kernel> {
+                struct Nothing;
+                impl Kernel for Nothing {
+                    fn protect(
+                        &mut self,
+                        _: TraceView<'_>,
+                        _: &mut dyn RngCore,
+                        _: &mut DatasetBuilder,
+                    ) {
+                    }
+                }
+                Box::new(Nothing)
+            }
+        }
+        let d = dataset();
+        let mut rng = StdRng::seed_from_u64(3);
+        let empty =
+            |e| matches!(e, LppmError::Mobility(geopriv_mobility::MobilityError::EmptyTrace));
+        assert!(empty(Silence.protect_trace(&d.to_traces()[0], &mut rng).unwrap_err()));
+        assert!(empty(Silence.protect_dataset(&d, &mut rng).unwrap_err()));
+        let mut stream = crate::open_stream(&Silence, 3);
+        assert!(d.trace_at(0).iter().all(|r| stream.push(r).is_none()));
+        assert!(stream.is_empty());
     }
 
     #[test]

@@ -2,13 +2,13 @@
 
 use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
 use geopriv_lppm::{
-    CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking,
-    Identity, Lppm, ReleaseSampling, SpeedSmoothing, TemporalDownsampling,
+    open_stream, CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability,
+    GridCloaking, Identity, Lppm, Pipeline, ReleaseSampling, TemporalDownsampling,
 };
-use geopriv_mobility::{Record, Trace, UserId};
+use geopriv_mobility::{DatasetBuilder, Record, Trace, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// A deterministic trace near San Francisco parameterized by length and step size.
 fn trace(n: usize, step_m: f64) -> Trace {
@@ -26,8 +26,120 @@ fn trace(n: usize, step_m: f64) -> Trace {
     Trace::new(UserId::new(9), records).expect("ordered records")
 }
 
+/// Every shipped mechanism, plus the pipelines [downsampling → GEO-I],
+/// [GEO-I → cloaking] and [GEO-I → Gaussian].
+fn mechanisms(epsilon: f64, sigma: f64, cell: f64, factor: usize, p: f64) -> Vec<Box<dyn Lppm>> {
+    let geoi = || GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
+    let gaussian = || GaussianPerturbation::new(Meters::new(sigma)).unwrap();
+    let cloaking = || GridCloaking::new(Meters::new(cell)).unwrap();
+    let downsampling = || TemporalDownsampling::new(factor).unwrap();
+    vec![
+        Box::new(Identity::new()),
+        Box::new(geoi()),
+        Box::new(gaussian()),
+        Box::new(cloaking()),
+        Box::new(CoordinateRounding::new(3).unwrap()),
+        Box::new(downsampling()),
+        Box::new(ReleaseSampling::new(p).unwrap()),
+        Box::new(Pipeline::new().then(downsampling()).then(geoi())),
+        Box::new(Pipeline::new().then(geoi()).then(cloaking())),
+        Box::new(Pipeline::new().then(geoi()).then(gaussian())),
+    ]
+}
+
+/// Protects `t` with one kernel, handing it consecutive pieces of the
+/// lengths in `pieces` (cycled), and returns the released records' bits plus
+/// the RNG's next draw, which tells whether both runs drew alike.
+fn protect_in_pieces(lppm: &dyn Lppm, t: &Trace, pieces: &[usize], seed: u64) -> (Vec<u64>, u64) {
+    let (mut kernel, mut rng) = (lppm.kernel(), StdRng::seed_from_u64(seed));
+    let mut out = DatasetBuilder::new();
+    out.begin_trace(t.user());
+    let mut start = 0;
+    for &len in pieces.iter().cycle() {
+        if start == t.len() {
+            break;
+        }
+        let end = (start + len).min(t.len());
+        kernel.protect(t.view().slice(start..end), &mut rng, &mut out);
+        start = end;
+    }
+    let released = out.open_trace().map_or_else(Vec::new, |view| {
+        view.iter()
+            .flat_map(|r| {
+                let location = r.location();
+                [r.timestamp().as_f64(), location.latitude(), location.longitude()]
+            })
+            .map(f64::to_bits)
+            .collect()
+    });
+    (released, rng.next_u64())
+}
+
+/// An RNG that fails the test on any draw.
+struct NoDraws;
+
+impl RngCore for NoDraws {
+    fn next_u32(&mut self) -> u32 {
+        panic!("a deterministic mechanism drew from the RNG")
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        panic!("a deterministic mechanism drew from the RNG")
+    }
+}
+
+#[test]
+fn deterministic_mechanisms_never_draw() {
+    let t = trace(150, 40.0);
+    let cloaking = || GridCloaking::new(Meters::new(300.0)).unwrap();
+    let mut deterministic: Vec<Box<dyn Lppm>> = mechanisms(0.01, 50.0, 300.0, 3, 0.5)
+        .into_iter()
+        .filter(|m| !m.draws_randomness())
+        .collect();
+    let names: Vec<&str> = deterministic.iter().map(|m| m.name()).collect();
+    assert_eq!(
+        names,
+        ["identity", "grid-cloaking", "coordinate-rounding", "temporal-downsampling"]
+    );
+    deterministic.push(Box::new(Pipeline::new()));
+    deterministic.push(Box::new(
+        Pipeline::new()
+            .then(TemporalDownsampling::new(2).unwrap())
+            .then(cloaking())
+            .then(CoordinateRounding::new(4).unwrap()),
+    ));
+    for mechanism in &deterministic {
+        assert!(!mechanism.draws_randomness(), "{}", mechanism.name());
+        let protected = mechanism.protect_trace(&t, &mut NoDraws).unwrap();
+        let mut stream = open_stream(mechanism.as_ref(), 0);
+        assert!(t.iter().filter_map(|r| stream.push(r)).eq(protected.iter()));
+    }
+    let randomized =
+        Pipeline::new().then(cloaking()).then(GeoIndistinguishability::with_epsilon(0.01).unwrap());
+    assert!(randomized.draws_randomness());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn kernels_release_the_same_records_however_a_trace_is_split(
+        n in 2usize..300,
+        pieces in prop::collection::vec(1usize..=129, 1..8),
+        epsilon in 1e-4f64..1.0,
+        sigma in 0.0f64..500.0,
+        cell in 50.0f64..2_000.0,
+        factor in 1usize..6,
+        p in 0.05f64..1.0,
+        seed in 0u64..500,
+    ) {
+        let t = trace(n, 35.0);
+        for mechanism in mechanisms(epsilon, sigma, cell, factor, p) {
+            let whole = protect_in_pieces(mechanism.as_ref(), &t, &[t.len()], seed);
+            let split = protect_in_pieces(mechanism.as_ref(), &t, &pieces, seed);
+            prop_assert!(whole == split, "{} changed with pieces {:?}", mechanism.name(), pieces);
+        }
+    }
 
     #[test]
     fn all_mechanisms_produce_valid_nonempty_traces(
@@ -36,7 +148,6 @@ proptest! {
         epsilon in 1e-4f64..1.0,
         sigma in 0.0f64..2_000.0,
         cell in 50.0f64..2_000.0,
-        alpha in 10.0f64..1_000.0,
         digits in 0u8..8,
         factor in 1usize..16,
         probability in 0.01f64..1.0,
@@ -48,7 +159,6 @@ proptest! {
             Box::new(GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())),
             Box::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap()),
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(SpeedSmoothing::new(Meters::new(alpha)).unwrap()),
             Box::new(CoordinateRounding::new(digits.min(7)).unwrap()),
             Box::new(TemporalDownsampling::new(factor).unwrap()),
             Box::new(ReleaseSampling::new(probability).unwrap()),
@@ -111,7 +221,6 @@ proptest! {
         let deterministic: Vec<Box<dyn Lppm>> = vec![
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
             Box::new(CoordinateRounding::new(digits.min(7)).unwrap()),
-            Box::new(SpeedSmoothing::new(Meters::new(cell)).unwrap()),
             Box::new(TemporalDownsampling::new(3).unwrap()),
             Box::new(Identity::new()),
         ];

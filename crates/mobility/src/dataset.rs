@@ -74,9 +74,6 @@ struct UserSpans {
 /// * [`Dataset::builder`] — append protected columns trace by trace without
 ///   materializing intermediate `Vec<Record>`s.
 ///
-/// [`ColumnarDataset`] is an alias for this type, naming the storage scheme
-/// explicitly.
-///
 /// # Examples
 ///
 /// ```
@@ -101,13 +98,6 @@ pub struct Dataset {
     spans: Vec<TraceSpan>,
     user_index: Vec<UserSpans>,
 }
-
-/// Alias naming the columnar storage scheme of [`Dataset`] explicitly.
-///
-/// Since the struct-of-arrays refactor every `Dataset` *is* columnar; the
-/// alias exists so code written against the storage layer can say what it
-/// means.
-pub type ColumnarDataset = Dataset;
 
 fn build_user_index(spans: &[TraceSpan]) -> Vec<UserSpans> {
     let mut index: Vec<UserSpans> = Vec::new();
@@ -542,6 +532,28 @@ impl DatasetBuilder {
         Ok(())
     }
 
+    /// The records pushed since [`DatasetBuilder::begin_trace`], or `None`
+    /// when no trace is open or the open trace has no record yet.
+    pub fn open_trace(&self) -> Option<TraceView<'_>> {
+        let (user, start) = self.open?;
+        (self.t.len() > start).then(|| TraceView {
+            user,
+            t: &self.t[start..],
+            lat: &self.lat[start..],
+            lon: &self.lon[start..],
+        })
+    }
+
+    /// Empties the builder, keeping its allocations: a builder used as a
+    /// scratch sink is cleared and reopened for each use.
+    pub fn clear(&mut self) {
+        self.t.clear();
+        self.lat.clear();
+        self.lon.clear();
+        self.spans.clear();
+        self.open = None;
+    }
+
     /// Total number of records appended so far.
     pub fn record_count(&self) -> usize {
         self.t.len()
@@ -772,6 +784,23 @@ mod tests {
 
         // An empty builder yields no dataset.
         assert!(matches!(Dataset::builder().finish(), Err(MobilityError::EmptyDataset)));
+    }
+
+    #[test]
+    fn the_open_trace_reads_back_and_clear_empties_the_builder() {
+        let mut b = Dataset::builder();
+        b.push_trace(&trace(1, 37.77));
+        assert!(b.open_trace().is_none());
+        b.begin_trace(UserId::new(2));
+        assert!(b.open_trace().is_none());
+        b.push_record(Seconds::new(5.0), gp(37.79, -122.43));
+        let open = b.open_trace().unwrap();
+        assert_eq!((open.user(), open.len()), (UserId::new(2), 1));
+        assert_eq!(open.first(), Record::new(Seconds::new(5.0), gp(37.79, -122.43)));
+        b.clear();
+        assert_eq!(b.record_count(), 0);
+        assert!(b.open_trace().is_none());
+        assert!(matches!(b.finish(), Err(MobilityError::EmptyDataset)));
     }
 
     #[test]

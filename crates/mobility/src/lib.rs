@@ -12,10 +12,10 @@
 //! privacy/utility metrics depend on.
 //!
 //! * [`Record`], [`Trace`], [`Dataset`] — the data model. Since the
-//!   struct-of-arrays refactor the dataset is a *columnar* store
-//!   ([`ColumnarDataset`] is an alias): contiguous timestamp/latitude/
-//!   longitude buffers plus a [`TraceSpan`] table and a per-user index,
-//!   with zero-copy [`TraceView`]s preserving the trace-oriented API.
+//!   struct-of-arrays refactor the dataset is a *columnar* store:
+//!   contiguous timestamp/latitude/longitude buffers plus a [`TraceSpan`]
+//!   table and a per-user index, with zero-copy [`TraceView`]s preserving
+//!   the trace-oriented API.
 //! * [`io`] — CSV import/export (combined layout and cabspotting layout).
 //! * [`properties`] — candidate dataset properties (the `d_j` of Equation 1).
 //! * [`generator`] — synthetic workload generators.
@@ -53,7 +53,7 @@ pub mod record;
 pub mod splitter;
 pub mod trace;
 
-pub use dataset::{ColumnarDataset, Dataset, DatasetBuilder, TraceSpan};
+pub use dataset::{Dataset, DatasetBuilder, TraceSpan};
 pub use error::MobilityError;
 pub use properties::{DatasetProperties, TraceProperties};
 pub use record::{Record, UserId};
@@ -61,7 +61,7 @@ pub use trace::{Trace, TraceView};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::dataset::{ColumnarDataset, Dataset, DatasetBuilder, TraceSpan};
+    pub use crate::dataset::{Dataset, DatasetBuilder, TraceSpan};
     pub use crate::error::MobilityError;
     pub use crate::generator::{
         CityModel, CommuterBuilder, RandomWaypointBuilder, TaxiFleetBuilder,

@@ -4,6 +4,7 @@ use crate::error::MobilityError;
 use crate::record::{Record, UserId};
 use geopriv_geo::{distance, BoundingBox, GeoPoint, Meters, Seconds};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A mobility trace: the chronologically ordered location records of one user.
 ///
@@ -371,6 +372,16 @@ impl<'a> TraceView<'a> {
         self.record(0)
     }
 
+    /// The view of the records in `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is empty or out of bounds.
+    pub fn slice(&self, range: Range<usize>) -> TraceView<'a> {
+        let (t, lat, lon) = (&self.t[range.clone()], &self.lat[range.clone()], &self.lon[range]);
+        TraceView::from_columns(self.user, t, lat, lon)
+    }
+
     /// The last record.
     pub fn last(&self) -> Record {
         self.record(self.len() - 1)
@@ -552,6 +563,17 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn views_slice_into_sub_views() {
+        let t = sample_trace();
+        let view = t.view();
+        let middle = view.slice(1..3);
+        assert_eq!((middle.user(), middle.len()), (t.user(), 2));
+        assert_eq!(middle.first(), view.record(1));
+        assert_eq!(middle.last(), view.record(2));
+        assert_eq!(view.slice(0..4).to_trace(), t);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! ## Determinism contract
 //!
-//! With a fixed master seed, a user's protected stream is **bit-identical**
-//! to the offline [`geopriv_lppm::Lppm::protect_view`] of the same record
-//! sequence at the same point, seeded with
+//! With a fixed master seed, the records a user's stream releases are
+//! **bit-identical** to the offline [`geopriv_lppm::Lppm::protect_view`] of
+//! the same record sequence at the same point, seeded with
 //! `StdRng::seed_from_u64(derive_user_seed(master_seed, user))` — the wire
 //! format renders floats in shortest round-trip form, so the contract holds
 //! end to end *through the HTTP responses*, not just in memory. See
@@ -62,5 +62,5 @@ pub use client::HttpClient;
 pub use metrics::RequestMetrics;
 pub use middleware::{Handler, HttpRequest, HttpResponse, MiddlewareStack};
 pub use protocol::ProtectRequest;
-pub use registry::{derive_user_seed, Assignment, AssignmentRegistry, AssignmentSource};
+pub use registry::{derive_user_seed, Assignment, AssignmentRegistry, AssignmentSource, Withheld};
 pub use server::{GeoPrivServer, ServeConfig};

@@ -8,7 +8,7 @@
 //! wire*: a protected coordinate survives render → parse with its exact
 //! bits.
 
-use geopriv_core::json::JsonValue;
+use geopriv_core::json::{self, JsonValue};
 use geopriv_geo::{GeoPoint, Seconds};
 use geopriv_mobility::Record;
 
@@ -77,21 +77,10 @@ impl ProtectRequest {
         format!(
             "{{\"user\": {}, \"t\": {}, \"lat\": {}, \"lon\": {}}}",
             self.user,
-            json_number(self.t),
-            json_number(self.lat),
-            json_number(self.lon)
+            json::number(self.t),
+            json::number(self.lat),
+            json::number(self.lon)
         )
-    }
-}
-
-/// Renders a finite float in the workspace's shortest round-trip form
-/// (non-finite values never reach a response: protected coordinates are
-/// valid `GeoPoint`s by construction).
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -101,27 +90,15 @@ fn json_number(value: f64) -> String {
 pub fn protect_response_json(user: u64, protected: &Record, released: usize) -> String {
     format!(
         "{{\"user\": {user}, \"t\": {}, \"lat\": {}, \"lon\": {}, \"released\": {released}}}",
-        json_number(protected.timestamp().as_f64()),
-        json_number(protected.location().latitude()),
-        json_number(protected.location().longitude()),
+        json::number(protected.timestamp().as_f64()),
+        json::number(protected.location().latitude()),
+        json::number(protected.location().longitude()),
     )
 }
 
 /// Renders an error body: `{"error": "<reason>"}`.
 pub fn error_json(reason: &str) -> String {
-    let mut escaped = String::with_capacity(reason.len());
-    for c in reason.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    format!("{{\"error\": \"{escaped}\"}}")
+    format!("{{\"error\": {}}}", json::string(reason))
 }
 
 #[cfg(test)]

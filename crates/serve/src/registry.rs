@@ -15,8 +15,9 @@
 //! A user's protected stream is a pure function of
 //! `(master seed, user id, her configuration point, her record sequence)`:
 //! sessions are seeded with [`derive_user_seed`] and protected through
-//! [`geopriv_lppm::open_stream_bounded`], whose output is bit-identical to
-//! the offline [`geopriv_lppm::Lppm::protect_view`] of the same trace under
+//! [`geopriv_lppm::open_stream`], which runs the mechanism's one kernel, so
+//! the released records are bit-identical to the offline
+//! [`geopriv_lppm::Lppm::protect_view`] of the same trace under
 //! `StdRng::seed_from_u64(derive_user_seed(master_seed, user))`. Restarting
 //! the service (or replaying the requests elsewhere) reproduces the exact
 //! same released coordinates.
@@ -25,16 +26,15 @@
 //!
 //! Live sessions are LRU-capped ([`AssignmentRegistry::set_max_sessions`])
 //! so a client iterating fabricated user ids cannot grow server memory
-//! without bound, and replay-fallback sessions carry a prefix cap
-//! ([`AssignmentRegistry::set_replay_prefix_limit`]) so a single
-//! kernel-less session cannot either.
+//! without bound. A session holds only its mechanism's kernel state and
+//! costs O(1) per update, whatever the mechanism.
 
-use geopriv_core::{CoreError, LppmFactory, PerUserRecommendation};
-use geopriv_lppm::{open_stream_bounded, ConfigPoint, Lppm, LppmError, LppmStream};
+use geopriv_core::{json, CoreError, LppmFactory, PerUserRecommendation};
+use geopriv_lppm::{open_stream, ConfigPoint, Lppm, LppmStream};
 use geopriv_mobility::{Record, UserId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt;
 
 /// Derives the deterministic per-user session seed from the service master
 /// seed (same FNV-1a-plus-golden-ratio mixing as the sweep engine's
@@ -98,29 +98,11 @@ impl Assignment {
             point.join(", ")
         );
         if let AssignmentSource::DatasetFallback { reason } = &self.source {
-            out.push_str(&format!(", \"reason\": {}", quoted(reason)));
+            out.push_str(&format!(", \"reason\": {}", json::string(reason)));
         }
         out.push('}');
         out
     }
-}
-
-fn quoted(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Default cap on concurrently live protection sessions (and the bound a
@@ -129,13 +111,22 @@ fn quoted(text: &str) -> String {
 /// [`AssignmentRegistry::set_max_sessions`].
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
-/// Default cap on the record prefix a replay-fallback session may hold (see
-/// [`geopriv_lppm::open_stream_bounded`]); kernel-streaming mechanisms are
-/// unaffected.
-pub const DEFAULT_REPLAY_PREFIX_LIMIT: usize = 4_096;
+/// The error of [`AssignmentRegistry::protect`]: the user's mechanism
+/// withheld the update (temporal downsampling, release sampling), so there
+/// is no protected record to answer with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Withheld;
+
+impl fmt::Display for Withheld {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("the mechanism withheld this update")
+    }
+}
+
+impl std::error::Error for Withheld {}
 
 struct Session {
-    stream: Box<dyn LppmStream>,
+    stream: LppmStream,
     /// Logical access time (a per-registry counter, not wall clock), for
     /// least-recently-used eviction at the session cap.
     last_used: u64,
@@ -151,14 +142,13 @@ struct Sessions {
 pub struct AssignmentRegistry {
     factory: Box<dyn LppmFactory>,
     dataset_point: ConfigPoint,
-    /// The dataset-level mechanism, shared by every fallback session
-    /// (mechanisms are stateless; per-session state lives in the stream).
-    dataset_lppm: Arc<dyn Lppm>,
+    /// The dataset-level mechanism, the fallback of every session whose
+    /// point fails to instantiate (per-session state lives in the stream).
+    dataset_lppm: Box<dyn Lppm>,
     assignments: HashMap<u64, Assignment>,
     master_seed: u64,
     sessions: Mutex<Sessions>,
     max_sessions: usize,
-    replay_prefix_limit: usize,
 }
 
 impl AssignmentRegistry {
@@ -181,7 +171,7 @@ impl AssignmentRegistry {
         master_seed: u64,
     ) -> Result<AssignmentRegistry, CoreError> {
         let dataset_point = recommendation.dataset.point.clone();
-        let dataset_lppm: Arc<dyn Lppm> = Arc::from(factory.instantiate_at(&dataset_point)?);
+        let dataset_lppm = factory.instantiate_at(&dataset_point)?;
         let mut assignments = HashMap::with_capacity(recommendation.users.len());
         for user in &recommendation.users {
             let source = if user.used_fallback() {
@@ -208,7 +198,6 @@ impl AssignmentRegistry {
             master_seed,
             sessions: Mutex::new(Sessions::default()),
             max_sessions: DEFAULT_MAX_SESSIONS,
-            replay_prefix_limit: DEFAULT_REPLAY_PREFIX_LIMIT,
         })
     }
 
@@ -224,17 +213,6 @@ impl AssignmentRegistry {
     /// population; `cap` is clamped to at least 1.
     pub fn set_max_sessions(&mut self, cap: usize) {
         self.max_sessions = cap.max(1);
-    }
-
-    /// Caps the record prefix a replay-fallback session may hold (default
-    /// [`DEFAULT_REPLAY_PREFIX_LIMIT`]). Mechanisms without a streaming
-    /// kernel store and re-protect their full prefix per push — O(n) memory
-    /// and CPU — so a long-lived session must bound it; pushes beyond the
-    /// cap fail with [`LppmError::Unstreamable`]. Kernel-streaming
-    /// mechanisms (the default geo-indistinguishability deployment) are
-    /// unaffected.
-    pub fn set_replay_prefix_limit(&mut self, limit: usize) {
-        self.replay_prefix_limit = limit.max(1);
     }
 
     /// Loads a registry from the JSON wire format
@@ -288,11 +266,9 @@ impl AssignmentRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates the mechanism error (e.g. [`LppmError::Unstreamable`] for
-    /// mechanisms that cannot protect record-at-a-time, or a
-    /// replay-fallback session past its prefix cap); the session is left in
-    /// place so the error is stable across retries.
-    pub fn protect(&self, user: u64, record: Record) -> Result<(Record, usize), LppmError> {
+    /// Returns [`Withheld`] when her mechanism releases nothing for this
+    /// record; the session still advanced past it.
+    pub fn protect(&self, user: u64, record: Record) -> Result<(Record, usize), Withheld> {
         let user_id = UserId::new(user);
         let mut sessions = self.sessions.lock();
         sessions.tick += 1;
@@ -311,17 +287,16 @@ impl AssignmentRegistry {
         let session = sessions.map.entry(user).or_insert_with(|| {
             let assignment = self.assignment_for(user);
             // A known user's point was validated at load time; the
-            // fallback path re-uses the shared dataset mechanism.
-            let lppm: Arc<dyn Lppm> = match self.factory.instantiate_at(&assignment.point) {
-                Ok(lppm) => Arc::from(lppm),
-                Err(_) => Arc::clone(&self.dataset_lppm),
-            };
+            // fallback path re-uses the dataset mechanism.
             let seed = derive_user_seed(self.master_seed, user_id);
-            let stream = open_stream_bounded(lppm, user_id, seed, self.replay_prefix_limit);
+            let stream = match self.factory.instantiate_at(&assignment.point) {
+                Ok(lppm) => open_stream(lppm.as_ref(), seed),
+                Err(_) => open_stream(self.dataset_lppm.as_ref(), seed),
+            };
             Session { stream, last_used: tick }
         });
         session.last_used = tick;
-        let protected = session.stream.push(record)?;
+        let protected = session.stream.push(record).ok_or(Withheld)?;
         Ok((protected, session.stream.len()))
     }
 }

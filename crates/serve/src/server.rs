@@ -6,7 +6,7 @@
 //!
 //! | Method | Path               | Response |
 //! |--------|--------------------|----------|
-//! | POST   | `/protect`         | protected record JSON; 400 malformed, 422 mechanism error |
+//! | POST   | `/protect`         | protected record JSON; 400 malformed, 204 withheld by the mechanism |
 //! | GET    | `/assignment/<id>` | the user's resolved assignment (never 404s on unknown ids — the fallback *is* the answer) |
 //! | GET    | `/metrics`         | Prometheus text exposition |
 //! | GET    | `/healthz`         | `ok` |
@@ -23,7 +23,7 @@ use crate::middleware::{
     Timeout,
 };
 use crate::protocol::{error_json, protect_response_json, ProtectRequest};
-use crate::registry::AssignmentRegistry;
+use crate::registry::{AssignmentRegistry, Withheld};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -94,7 +94,7 @@ impl Router {
             Ok((protected, released)) => {
                 HttpResponse::json(200, protect_response_json(request.user, &protected, released))
             }
-            Err(e) => HttpResponse::json(422, error_json(&e.to_string())),
+            Err(Withheld) => HttpResponse::text(204, String::new()),
         }
     }
 }

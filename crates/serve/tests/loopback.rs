@@ -8,12 +8,12 @@
 
 use geopriv_core::json::JsonValue;
 use geopriv_core::{
-    GeoIndistinguishabilityFactory, LppmFactory, MetricId, PerUserRecommendation, Recommendation,
-    UserRecommendation, UserVerdict,
+    CoreError, GeoIndistinguishabilityFactory, LppmFactory, MetricId, PerUserRecommendation,
+    Recommendation, UserRecommendation, UserVerdict,
 };
 use geopriv_geo::{GeoPoint, Seconds};
-use geopriv_lppm::ConfigPoint;
-use geopriv_mobility::{DatasetBuilder, Record, TraceView, UserId};
+use geopriv_lppm::{ConfigPoint, ConfigSpace, Lppm, Pipeline, TemporalDownsampling};
+use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView, UserId};
 use geopriv_serve::{derive_user_seed, AssignmentRegistry, GeoPrivServer, HttpClient, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -191,6 +191,76 @@ fn online_stream_is_bit_identical_to_offline_protection_through_the_wire() {
             "longitude of record {i} diverged online vs offline"
         );
     }
+}
+
+/// GEO-I behind a downsampling by 2, on GEO-I's ε axis: its sessions
+/// withhold every second update.
+struct ThinnedGeoIndistinguishability;
+
+impl LppmFactory for ThinnedGeoIndistinguishability {
+    fn name(&self) -> &str {
+        "thinned-geo-indistinguishability"
+    }
+
+    fn space(&self) -> ConfigSpace {
+        GeoIndistinguishabilityFactory::new().space()
+    }
+
+    fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError> {
+        let geoi = GeoIndistinguishabilityFactory::new().instantiate_at(point)?;
+        Ok(Box::new(Pipeline::new().then(TemporalDownsampling::new(2)?).then_boxed(geoi)))
+    }
+}
+
+#[test]
+fn withheld_updates_answer_204_and_released_records_match_offline(
+) -> Result<(), Box<dyn std::error::Error>> {
+    let registry = AssignmentRegistry::load(
+        Box::new(ThinnedGeoIndistinguishability),
+        &recommendation(),
+        MASTER_SEED,
+    )?;
+    let server = GeoPrivServer::start(registry, &ServeConfig::default())?;
+    let mut client = HttpClient::connect(server.local_addr())?;
+
+    const RECORDS: u32 = 21;
+    let mut online = Vec::new();
+    for i in 0..RECORDS {
+        let (status, body) = client.post("/protect", &protect_body(1, i))?;
+        if i % 2 == 1 {
+            assert_eq!((status, body.as_str()), (204, ""), "update {i}");
+            continue;
+        }
+        assert_eq!(status, 200, "{body}");
+        let value = JsonValue::parse(&body)?;
+        let released = value.get("released").and_then(JsonValue::as_u64);
+        assert_eq!(released, Some(u64::from(i / 2 + 1)), "released counts released records only");
+        for key in ["t", "lat", "lon"] {
+            online.push(value.get(key).and_then(JsonValue::as_f64).ok_or("missing member")?);
+        }
+    }
+    let (_, metrics) = client.get("/metrics")?;
+    assert!(metrics.contains("geopriv_requests_total{route=\"/protect\",status=\"204\"} 10"));
+    server.shutdown();
+
+    // Offline reference: the whole trace protected at user 1's point under
+    // the derived session seed.
+    let records = (0..RECORDS)
+        .map(|i| {
+            let location = GeoPoint::new(48.1173 + f64::from(i) * 1e-4, -1.6778)?;
+            Ok(Record::new(Seconds::new(f64::from(i) * 30.0), location))
+        })
+        .collect::<Result<Vec<Record>, geopriv_geo::GeoError>>()?;
+    let lppm = ThinnedGeoIndistinguishability.instantiate_at(&point(0.02))?;
+    let mut rng = StdRng::seed_from_u64(derive_user_seed(MASTER_SEED, UserId::new(1)));
+    let offline = lppm.protect_trace(&Trace::new(UserId::new(1), records)?, &mut rng)?;
+    let offline: Vec<f64> = offline
+        .iter()
+        .flat_map(|r| [r.timestamp().as_f64(), r.location().latitude(), r.location().longitude()])
+        .collect();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&online), bits(&offline));
+    Ok(())
 }
 
 #[test]

@@ -88,7 +88,7 @@ mod tests {
         let errors: Vec<Error> = vec![
             CoreError::Infeasible { reason: "conflict".into() }.into(),
             MetricError::DatasetMismatch { reason: "sizes".into() }.into(),
-            LppmError::EmptyProtectedTrace.into(),
+            LppmError::from(MobilityError::EmptyTrace).into(),
             AnalysisError::NotInvertible.into(),
             MobilityError::EmptyDataset.into(),
         ];

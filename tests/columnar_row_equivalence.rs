@@ -1,28 +1,26 @@
 //! Row-path vs column-path equivalence.
 //!
-//! Every shipped mechanism overrides [`Lppm::protect_view`] to write
-//! protected coordinates straight into the output columns; the trait default
-//! materializes each view and falls back to `protect_trace` (the historical
-//! row layout). The override contract is that both paths draw from the RNG
-//! in exactly the same per-record order, so a sweep over the columnar path
-//! must be **bit-identical** to the same sweep forced through the row path —
-//! at dataset grain and at per-user grain alike.
+//! Every protection path is derived from the mechanism's one kernel:
+//! [`Lppm::protect_view`] writes a trace's released records straight into
+//! the output columns, [`Lppm::protect_trace`] materializes an owned trace
+//! (the historical row layout). A sweep over the columnar path must
+//! therefore be **bit-identical** to the same sweep forced through the row
+//! path — at dataset grain and at per-user grain alike.
 
 use geopriv::core::{
     ExperimentRunner, GeoIndistinguishabilityFactory, LppmFactory, SweepConfig, SweepPlan,
     SystemDefinition,
 };
-use geopriv::lppm::{ConfigPoint, ConfigSpace, Lppm, LppmError, ParameterDescriptor};
+use geopriv::lppm::{ConfigPoint, ConfigSpace, Kernel, Lppm, LppmError, ParameterDescriptor};
 use geopriv::metrics::{AreaCoverage, PoiRetrieval};
-use geopriv::mobility::{Dataset, Trace};
+use geopriv::mobility::{Dataset, DatasetBuilder, TraceView};
 use geopriv::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Wraps any mechanism and strips its columnar fast path: `protect_trace`
-/// delegates, but `protect_view` and `protect_dataset` deliberately stay at
-/// the trait defaults, so every trace goes through the row-materializing
-/// fallback.
+/// Wraps any mechanism and routes every trace through the row path:
+/// `kernel` delegates, and `protect_view` (which `protect_dataset` calls per
+/// trace) materializes the view and protects it with `protect_trace`.
 struct ForcedRowPath(Box<dyn Lppm>);
 
 impl Lppm for ForcedRowPath {
@@ -34,11 +32,19 @@ impl Lppm for ForcedRowPath {
         self.0.parameters()
     }
 
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        self.0.protect_trace(trace, rng)
+    fn kernel(&self) -> Box<dyn Kernel> {
+        self.0.kernel()
     }
 
-    // No protect_view / protect_dataset overrides: that is the point.
+    fn protect_view(
+        &self,
+        trace: TraceView<'_>,
+        out: &mut DatasetBuilder,
+        rng: &mut dyn RngCore,
+    ) -> Result<(), LppmError> {
+        out.push_trace(&self.protect_trace(&trace.to_trace(), rng)?);
+        Ok(())
+    }
 }
 
 /// Factory wrapper instantiating [`ForcedRowPath`]-wrapped mechanisms.
