@@ -46,7 +46,14 @@ fn d2_accepts_injected_timestamps() {
 #[test]
 fn d2_does_not_apply_in_timing_zones() {
     // The same wall-clock reads are fine where the zone map says so.
-    assert_eq!(findings("crates/bench/src/fixture.rs", include_str!("fixtures/d2_bad.rs")), vec![]);
+    assert_eq!(findings("geobench/src/fixture.rs", include_str!("fixtures/d2_bad.rs")), vec![]);
+}
+
+#[test]
+fn d2_flags_wall_clock_reads_in_the_reproduction_bins() {
+    // The paper's reproductions print figures, not timings: no clock there.
+    let found = findings("crates/bench/src/bin/fig1.rs", include_str!("fixtures/d2_bad.rs"));
+    assert_eq!(found, vec![(2, Lint::D2), (7, Lint::D2)]);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! rendering helpers every hand-written JSON emitter shares.
 //!
 //! The vendored `serde` is a marker-trait shim (see `vendor/README.md`), so
-//! the JSON the framework *renders* by hand (the [`crate::report`] exporters,
-//! the serving protocol, the bench baselines) must also be *parsed* by hand.
+//! the JSON the framework *renders* by hand (the [`crate::report`] exporters
+//! and the serving protocol) must also be *parsed* by hand.
 //! [`string`] and [`number`] are the only string escaper and float renderer
 //! those emitters use. The parser is their inverse: a small
 //! recursive-descent parser producing a [`JsonValue`] tree whose objects

@@ -586,7 +586,7 @@ impl Modeler {
     /// the previous sweep and this one (the cached-sweep contract), the
     /// result is **bit-identical to a full [`Modeler::fit_per_user`]** on
     /// `sweep` — this is asserted by the incremental integration tests and
-    /// the `incremental` bench on every run.
+    /// the `fleet-refresh` benchmark workload on every run.
     ///
     /// Users present in `previous` but absent from `sweep` are dropped (they
     /// left the dataset); the output covers exactly `sweep.users()`, in

@@ -94,7 +94,7 @@ impl Lppm for TemporalDownsampling {
     }
 
     /// Keeps each record whose index in the trace is a multiple of the
-    /// factor, as [`geopriv_mobility::Trace::downsampled`] does.
+    /// factor: the first record, then every `factor`-th one after it.
     fn kernel(&self) -> Box<dyn Kernel> {
         let factor = self.factor;
         keep(move |index, _| index % factor == 0)

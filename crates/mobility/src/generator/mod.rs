@@ -35,11 +35,12 @@ use std::collections::BTreeSet;
 /// Generates a scale-test taxi dataset with `users` drivers, deterministic
 /// from one `seed`.
 ///
-/// This is the entry point the scale benches use to emit 10 → 1,000,000-user
-/// datasets: a deliberately short observation window (30 minutes at a
-/// 2-minute sampling interval, 16 records per driver) keeps the per-user
-/// footprint small enough that million-user datasets fit in memory while
-/// still exercising every protection and metric path. The same
+/// This is the fleet of the `fleet-refresh` benchmark workload (10,000
+/// users) and of the incremental example: a deliberately short observation
+/// window (30 minutes at a 2-minute sampling interval, 16 records per
+/// driver) keeps the per-user footprint small enough that million-user
+/// datasets fit in memory while still exercising every protection and
+/// metric path. The same
 /// `(users, seed)` pair always produces the bit-identical dataset.
 ///
 /// # Errors

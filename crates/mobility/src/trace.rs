@@ -238,15 +238,6 @@ impl Trace {
         self.view().time_window(start, end)
     }
 
-    /// Returns a copy of the trace keeping every `n`-th record (downsampling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::InvalidParameter`] if `n == 0`.
-    pub fn downsampled(&self, n: usize) -> Result<Trace, MobilityError> {
-        self.view().downsampled(n)
-    }
-
     /// Builds a new trace with the same user and timestamps but different
     /// locations, in the same order.
     ///
@@ -485,26 +476,6 @@ impl<'a> TraceView<'a> {
         }
         Ok(Trace { user: self.user, t, lat, lon })
     }
-
-    /// Returns an owned trace keeping every `n`-th record (downsampling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::InvalidParameter`] if `n == 0`.
-    pub fn downsampled(&self, n: usize) -> Result<Trace, MobilityError> {
-        if n == 0 {
-            return Err(MobilityError::InvalidParameter {
-                name: "n",
-                reason: "downsampling factor must be at least 1".to_string(),
-            });
-        }
-        Ok(Trace {
-            user: self.user,
-            t: self.t.iter().step_by(n).copied().collect(),
-            lat: self.lat.iter().step_by(n).copied().collect(),
-            lon: self.lon.iter().step_by(n).copied().collect(),
-        })
-    }
 }
 
 impl<'a> IntoIterator for TraceView<'a> {
@@ -724,17 +695,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w.first().timestamp().as_f64(), 30.0);
         assert!(t.time_window(Seconds::new(500.0), Seconds::new(600.0)).is_err());
-    }
-
-    #[test]
-    fn downsampling() {
-        let t = sample_trace();
-        let d = t.downsampled(2).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.first().timestamp().as_f64(), 0.0);
-        assert_eq!(d.last().timestamp().as_f64(), 60.0);
-        assert!(t.downsampled(0).is_err());
-        assert_eq!(t.downsampled(10).unwrap().len(), 1);
     }
 
     #[test]

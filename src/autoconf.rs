@@ -496,7 +496,8 @@ impl FittedAutoConf<'_> {
     /// The refreshed study is **bit-identical to a cold full study of the
     /// changed dataset** (sweep columns, fits, every recommendation) — the
     /// workspace's warm≡cold contract, asserted by the incremental
-    /// integration tests and the `incremental` bench on every run.
+    /// integration tests and, on the `run_cached` / `refit_per_user` path
+    /// underneath, by the `fleet-refresh` benchmark workload on every run.
     ///
     /// Consumes `self`: the refreshed study replaces it, bound to the
     /// changed dataset.

@@ -89,3 +89,59 @@ proptest! {
         prop_assert_eq!(adaptive, grid);
     }
 }
+
+/// The adaptive 2-D study (GEO-I ε × grid-cloaking cell size) spends at most
+/// 40 % of the full grid's evaluations, more than its coarse pass and no more
+/// than its budget, and its recommendation predicts every metric within 0.08
+/// of the full grid's.
+#[test]
+fn adaptive_study_saves_sixty_percent_of_the_grid_and_tracks_its_recommendation() {
+    let mut rng = StdRng::seed_from_u64(20161212);
+    let dataset = TaxiFleetBuilder::new()
+        .drivers(4)
+        .duration_hours(6.0)
+        .sampling_interval_s(30.0)
+        .build(&mut rng)
+        .expect("static generator configuration is valid");
+    let system = SystemDefinition::with_pair(
+        Box::new(
+            PipelineFactory::new()
+                .then(GeoIndistinguishabilityFactory::new())
+                .then(GridCloakingFactory::with_range(100.0, 2000.0).expect("valid range")),
+        ),
+        Box::new(PoiRetrieval::default()),
+        Box::new(AreaCoverage::default()),
+    )
+    .expect("distinct metric names");
+    let config = SweepConfig { points: 5, repetitions: 1, seed: 20161212, parallel: true };
+    let grid = ExperimentRunner::with_plan(SweepPlan::grid(config))
+        .run(&system, &dataset)
+        .expect("grid study succeeds");
+    let adaptive =
+        ExperimentRunner::with_plan(SweepPlan::adaptive(SweepConfig { points: 3, ..config }, 10))
+            .run(&system, &dataset)
+            .expect("adaptive study succeeds");
+
+    assert_eq!(grid.len(), 25);
+    assert!(adaptive.len() > 9, "refinement never spent its budget");
+    assert!(adaptive.len() <= 10);
+    assert!(adaptive.len() * 5 <= grid.len() * 2, "adaptive spent more than 40 % of the grid");
+
+    let objectives = Objectives::new()
+        .require("poi-retrieval", at_most(0.60))
+        .and_then(|o| o.require("area-coverage", at_least(0.30)))
+        .expect("known metrics");
+    let recommend = |sweep: &SweepResult| {
+        Configurator::new(Modeler::new().fit(sweep).expect("fit succeeds"))
+            .recommend(&objectives)
+            .expect("objectives are feasible")
+    };
+    let (grid_rec, adaptive_rec) = (recommend(&grid), recommend(&adaptive));
+    for (id, grid_value) in &grid_rec.predictions {
+        let adaptive_value = adaptive_rec.predicted(id).expect("same metrics");
+        assert!(
+            (adaptive_value - grid_value).abs() <= 0.08,
+            "{id}: adaptive {adaptive_value} vs grid {grid_value}"
+        );
+    }
+}
