@@ -11,7 +11,7 @@
 //! cargo run -p geopriv-bench --release --bin equation2 [-- --fidelity smoke|standard|full]
 //! ```
 
-use geopriv_bench::{fidelity_from_args, reproduction_dataset, run_paper_sweep};
+use geopriv_bench::{fidelity_from_args, reproduction_dataset, run_paper_sweep, shape_check};
 use geopriv_core::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,15 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         utility.r_squared()
     );
     println!();
-    println!("shape checks:");
-    println!(
-        "  both slopes positive (metrics increase with epsilon): privacy {} utility {}",
-        privacy.slope() > 0.0,
-        utility.slope() > 0.0
-    );
-    println!(
-        "  privacy responds more steeply than utility (b > β): {}",
-        privacy.slope() > utility.slope()
-    );
+    shape_check("privacy increases with epsilon (b > 0)", privacy.slope() > 0.0)?;
+    shape_check("utility increases with epsilon (β > 0)", utility.slope() > 0.0)?;
+    shape_check(
+        "privacy responds more steeply than utility (b > β)",
+        privacy.slope() > utility.slope(),
+    )?;
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! can be plotted directly; the vertical-line zone boundaries reported by the
 //! modeler correspond to the non-saturated zones marked in the paper's figure.
 
-use geopriv_bench::{fidelity_from_args, reproduction_dataset, run_paper_sweep};
+use geopriv_bench::{fidelity_from_args, reproduction_dataset, run_paper_sweep, shape_check};
 use geopriv_core::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,19 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         utility.active_zone.0, utility.active_zone.1
     );
 
-    // Shape checks mirrored in EXPERIMENTS.md.
+    // Figure 1's shape: both metrics rise across the swept range.
     let privacy_means = sweep.values(&MetricId::new("poi-retrieval")).expect("privacy column");
     let utility_means = sweep.values(&MetricId::new("area-coverage")).expect("utility column");
     println!();
-    println!(
-        "shape check: privacy rises from {:.3} to {:.3} (paper: ~0 to ~0.4)",
-        privacy_means.first().expect("sweep is non-empty"),
-        privacy_means.last().expect("sweep is non-empty")
-    );
-    println!(
-        "shape check: utility rises from {:.3} to {:.3} (paper: ~0.2 to ~1.0)",
-        utility_means.first().expect("sweep is non-empty"),
-        utility_means.last().expect("sweep is non-empty")
-    );
+    for (metric, means, paper) in
+        [("privacy", privacy_means, "~0 to ~0.4"), ("utility", utility_means, "~0.2 to ~1.0")]
+    {
+        let first = means.first().expect("sweep is non-empty");
+        let last = means.last().expect("sweep is non-empty");
+        shape_check(
+            &format!("{metric} rises from {first:.3} to {last:.3} (paper: {paper})"),
+            last > first,
+        )?;
+    }
     Ok(())
 }

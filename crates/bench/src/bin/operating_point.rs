@@ -7,7 +7,9 @@
 //! cargo run -p geopriv-bench --release --bin operating_point [-- --fidelity smoke|standard|full]
 //! ```
 
-use geopriv_bench::{fidelity_from_args, reproduction_dataset, run_paper_sweep, REPRODUCTION_SEED};
+use geopriv_bench::{
+    fidelity_from_args, reproduction_dataset, run_paper_sweep, shape_check, REPRODUCTION_SEED,
+};
 use geopriv_core::prelude::*;
 use geopriv_metrics::{AreaCoverage, PoiRetrieval, PrivacyMetric, UtilityMetric};
 use rand::rngs::StdRng;
@@ -52,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (id, constraint) in objectives.constraints() {
         let (_, value) =
             measured.iter().find(|(m, _)| m == id).expect("paper objectives cover both metrics");
-        println!(
-            "measured {id} = {value:.3}  (objective {id} {constraint}, satisfied: {})",
-            constraint.is_satisfied_by(*value)
-        );
+        shape_check(
+            &format!("measured {id} = {value:.3} meets the objective {id} {constraint}"),
+            constraint.is_satisfied_by(*value),
+        )?;
     }
     println!();
     println!(

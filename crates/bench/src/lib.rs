@@ -126,6 +126,22 @@ pub fn run_paper_sweep(dataset: &Dataset, fidelity: Fidelity) -> Result<SweepRes
     ExperimentRunner::new(config).run(&SystemDefinition::paper_geoi(), dataset)
 }
 
+/// Prints one of a reproduction's shape checks as
+/// `shape check: <claim>: <holds>`.
+///
+/// # Errors
+///
+/// Returns `shape check failed: <claim>` when the check does not hold, so
+/// that a binary returning it with `?` exits non-zero.
+pub fn shape_check(claim: &str, holds: bool) -> Result<(), String> {
+    println!("shape check: {claim}: {holds}");
+    if holds {
+        Ok(())
+    } else {
+        Err(format!("shape check failed: {claim}"))
+    }
+}
+
 /// Parses `--fidelity <level>` from command-line arguments, defaulting to
 /// [`Fidelity::Standard`]; unknown levels fall back to the default.
 pub fn fidelity_from_args() -> Fidelity {
@@ -150,6 +166,19 @@ mod tests {
         assert!(Fidelity::Full.sweep_points() > Fidelity::Smoke.sweep_points());
         assert!(Fidelity::Full.duration_hours() > Fidelity::Smoke.duration_hours());
         assert!(Fidelity::Full.repetitions() >= Fidelity::Smoke.repetitions());
+    }
+
+    #[test]
+    fn a_failed_shape_check_is_an_error() {
+        // fig1's check on a flat series: it does not rise.
+        let flat = [0.3; 9];
+        let (first, last) = (flat[0], flat[8]);
+        let claim = format!("privacy rises from {first:.3} to {last:.3}");
+        assert_eq!(
+            shape_check(&claim, last > first),
+            Err("shape check failed: privacy rises from 0.300 to 0.300".to_string())
+        );
+        assert_eq!(shape_check("utility rises", true), Ok(()));
     }
 
     #[test]

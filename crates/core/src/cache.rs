@@ -25,10 +25,18 @@
 //! it takes to produce it. I/O failures while storing are likewise warnings,
 //! not errors.
 //!
+//! The format version in the magic covers the *meaning* of the stored values
+//! as well as their layout. The signature names the mechanism and its
+//! parameters but says nothing about what the mechanism outputs, so a change
+//! that re-baselines a mechanism's bits under an unchanged signature must
+//! bump the version: files written before it then take the older-format path
+//! above (one warning, a cold run, the file overwritten) instead of serving
+//! the old outputs. Version 2 marks GEO-I's Gamma(2) sampler.
+//!
 //! File layout (all integers little-endian):
 //!
 //! ```text
-//! magic     8 bytes  b"GPCACHE1" (format version 1)
+//! magic     8 bytes  b"GPCACHE2" (format version 2)
 //! checksum  u64      FNV-1a over every byte after this field
 //! sig_len   u64      length of the UTF-8 signature string
 //! signature …        collision guard: must equal the requested signature
@@ -136,7 +144,7 @@ pub struct MeasurementCache {
     dir: PathBuf,
 }
 
-const MAGIC: &[u8; 8] = b"GPCACHE1";
+const MAGIC: &[u8; 8] = b"GPCACHE2";
 
 impl MeasurementCache {
     /// Opens (without touching the filesystem) the cache rooted at `dir`.
@@ -456,6 +464,24 @@ mod tests {
         let (loaded, warnings) = cache.load("sig-c", 2, 1, 2);
         assert!(loaded.is_empty());
         assert!(warnings[0].contains("signature"), "{warnings:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_file_of_the_previous_format_version_is_not_served() {
+        let dir = std::env::temp_dir().join(format!("geopriv-cache-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MeasurementCache::open(&dir);
+        assert!(cache.store("sig-v", &[entry(1, 2)]).is_empty());
+        // The checksum covers only the bytes after the magic, so this file
+        // is intact apart from its version.
+        let path = cache.path_for("sig-v");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"GPCACHE1");
+        std::fs::write(&path, &bytes).unwrap();
+        let (loaded, warnings) = cache.load("sig-v", 2, 1, 2);
+        assert!(loaded.is_empty());
+        assert!(warnings.len() == 1 && warnings[0].contains("older cache format"), "{warnings:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

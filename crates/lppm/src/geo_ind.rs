@@ -7,19 +7,19 @@
 //! the ε, the higher the noise and therefore the stronger the privacy
 //! guarantee — and the lower the utility of the released data.
 //!
-//! The kernel walks the records it receives in chunks of a fixed stack
-//! buffer, samples each chunk's noise with the staged
-//! [`PlanarLaplace::sample_into`] and displaces each record with
-//! `displaced`. A one-record call (a stream push) samples with
-//! [`PlanarLaplace::sample`], the one-record case of the same sampler, whose
-//! scratch holds one lane. Staging changes no bit: see the
-//! [`crate::laplace`] module docs.
+//! The kernel releases its records one at a time: each draws one noise
+//! vector from [`PlanarLaplace::sample`] — a Gamma(2, 1/ε) radius along a
+//! uniform direction, from one `ln` and a rejection loop that ends after
+//! 4/π attempts on average (see the [`crate::laplace`] module docs) — and
+//! moves the record by it within the trace's local projection. Batch, trace,
+//! stream and serve protection all run this one loop, so they release the
+//! same bits for the same RNG.
 
 use crate::error::LppmError;
-use crate::laplace::{PlanarLaplace, CHUNK};
+use crate::laplace::PlanarLaplace;
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
 use crate::traits::{Kernel, Lppm};
-use geopriv_geo::{GeoPoint, LocalProjection};
+use geopriv_geo::LocalProjection;
 use geopriv_mobility::{DatasetBuilder, TraceView};
 use rand::RngCore;
 
@@ -82,12 +82,6 @@ impl GeoIndistinguishability {
     }
 }
 
-/// GEO-I's per-record math: `location` moved by the noise vector `(dx, dy)`
-/// in meters, within the trace's local projection.
-fn displaced(projection: &LocalProjection, location: GeoPoint, dx: f64, dy: f64) -> GeoPoint {
-    projection.unproject(projection.project(location).translated(dx, dy))
-}
-
 impl Lppm for GeoIndistinguishability {
     fn name(&self) -> &str {
         "geo-indistinguishability"
@@ -119,22 +113,10 @@ impl Kernel for GeoIndistinguishabilityKernel {
         let projection = *self
             .projection
             .get_or_insert_with(|| LocalProjection::centered_on(records.first().location()));
-        if records.len() == 1 {
-            let (record, (dx, dy)) = (records.first(), self.noise.sample(rng));
-            out.push_record(record.timestamp(), displaced(&projection, record.location(), dx, dy));
-            return;
-        }
-        let (mut dx, mut dy) = ([0.0; CHUNK], [0.0; CHUNK]);
-        let mut records = records.iter();
-        while records.len() > 0 {
-            let n = records.len().min(CHUNK);
-            self.noise.sample_into(rng, &mut dx[..n], &mut dy[..n]);
-            for (record, (&dx, &dy)) in records.by_ref().take(n).zip(dx.iter().zip(&dy)) {
-                out.push_record(
-                    record.timestamp(),
-                    displaced(&projection, record.location(), dx, dy),
-                );
-            }
+        for record in records.iter() {
+            let (dx, dy) = self.noise.sample(rng);
+            let released = projection.project(record.location()).translated(dx, dy);
+            out.push_record(record.timestamp(), projection.unproject(released));
         }
     }
 }
@@ -142,27 +124,12 @@ impl Kernel for GeoIndistinguishabilityKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplace::scalar_reference::{self, ScriptedRng};
     use crate::stream::open_stream;
     use geopriv_geo::{distance, GeoPoint, Seconds};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use geopriv_mobility::{Dataset, Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// The record-at-a-time GEO-I loop the chunked one replaced, verbatim
-    /// over the scalar reference sampler.
-    fn reference_protect(epsilon: f64, trace: TraceView<'_>, rng: &mut dyn RngCore) -> Vec<u64> {
-        let projection = LocalProjection::centered_on(trace.first().location());
-        let mut bits = Vec::new();
-        for record in trace.iter() {
-            let (dx, dy) = scalar_reference::sample(epsilon, rng);
-            let actual = projection.project(record.location());
-            let released = projection.unproject(actual.translated(dx, dy));
-            bits.extend([released.latitude().to_bits(), released.longitude().to_bits()]);
-        }
-        bits
-    }
 
     fn location_bits(records: impl IntoIterator<Item = Record>) -> Vec<u64> {
         records
@@ -171,37 +138,35 @@ mod tests {
             .collect()
     }
 
-    /// Asserts `protect_trace`, `protect_view` and the stream release
-    /// exactly the reference loop's bits for every trace of `dataset`, with
-    /// one RNG threaded through the traces as `protect_dataset` does.
-    fn assert_matches_reference(
-        epsilon: f64,
-        dataset: &Dataset,
-        rng: impl Fn() -> Box<dyn RngCore>,
-    ) {
+    /// Asserts that `protect_trace`, `protect_view`, `protect_dataset` and a
+    /// stream's pushes release the same bits for every trace of `dataset`.
+    /// The batch paths thread one `StdRng::seed_from_u64(seed)` through the
+    /// traces, as `protect_dataset` does; trace `i`'s stream is seeded with
+    /// `i` and compared with `protect_trace` under that seed.
+    fn assert_paths_agree(epsilon: f64, dataset: &Dataset, seed: u64) {
         let geoi = GeoIndistinguishability::with_epsilon(epsilon).unwrap();
-        let (mut reference_rng, mut trace_rng, mut view_rng) = (rng(), rng(), rng());
-        let mut out = DatasetBuilder::new();
+        let (mut trace_rng, mut view_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let mut traces = DatasetBuilder::new();
         for (i, view) in dataset.iter().enumerate() {
-            let reference = reference_protect(epsilon, view, &mut reference_rng);
             let what = format!("eps {epsilon}, trace {i} of {} records", view.len());
-
             let trace = geoi.protect_trace(&view.to_trace(), &mut trace_rng).unwrap();
-            assert_eq!(location_bits(trace.iter()), reference, "protect_trace, {what}");
+            traces.push_view(trace.view());
 
             let mut single = DatasetBuilder::new();
             geoi.protect_view(view, &mut single, &mut view_rng).unwrap();
             let single = single.finish().unwrap();
-            assert_eq!(location_bits(single.trace_at(0).iter()), reference, "protect_view, {what}");
-            out.push_view(single.trace_at(0));
+            let bits = location_bits(trace.iter());
+            assert_eq!(location_bits(single.trace_at(0).iter()), bits, "protect_view, {what}");
 
             let mut stream = open_stream(&geoi, i as u64);
             let streamed: Vec<Record> = view.iter().map(|r| stream.push(r).unwrap()).collect();
-            let seeded = reference_protect(epsilon, view, &mut StdRng::seed_from_u64(i as u64));
-            assert_eq!(location_bits(streamed), seeded, "stream, {what}");
+            let mut seeded = StdRng::seed_from_u64(i as u64);
+            let batch = geoi.protect_trace(&view.to_trace(), &mut seeded).unwrap();
+            assert_eq!(location_bits(streamed), location_bits(batch.iter()), "stream, {what}");
         }
-        let protected = geoi.protect_dataset(dataset, &mut rng()).unwrap();
-        assert_eq!(protected, out.finish().unwrap(), "protect_dataset, eps {epsilon}");
+        let protected = geoi.protect_dataset(dataset, &mut StdRng::seed_from_u64(seed)).unwrap();
+        assert_eq!(protected, traces.finish().unwrap(), "protect_dataset, eps {epsilon}");
     }
 
     /// One trace of `len` records on a short north-bound walk.
@@ -216,45 +181,20 @@ mod tests {
     }
 
     #[test]
-    fn chunk_edges_are_bit_identical_to_the_scalar_reference() {
-        let lengths = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1];
+    fn trace_lengths_release_the_same_bits_on_every_path() {
+        let lengths = [1, 2, 63, 64, 65, 129];
         let dataset = Dataset::new(lengths.iter().map(|&len| walk(len)).collect()).unwrap();
         for &epsilon in &[1e-4, 1e-2, 1.0] {
-            assert_matches_reference(epsilon, &dataset, || Box::new(StdRng::seed_from_u64(5)));
+            assert_paths_agree(epsilon, &dataset, 5);
         }
     }
 
     #[test]
-    fn taxi_fleet_is_bit_identical_to_the_scalar_reference() {
+    fn taxi_fleet_releases_the_same_bits_on_every_path() {
         let mut rng = StdRng::seed_from_u64(21);
         let fleet = TaxiFleetBuilder::new().drivers(4).duration_hours(4.0).build(&mut rng).unwrap();
         for &epsilon in &[1e-4, 1e-2, 1.0] {
-            assert_matches_reference(epsilon, &fleet, || Box::new(StdRng::seed_from_u64(8)));
-        }
-    }
-
-    #[test]
-    fn p_zero_records_are_bit_identical_to_the_scalar_reference() {
-        // p = 0 gives radius 0: the record is released at its own location
-        // (through the projection round trip). Zeroed draws sit on both sides
-        // of the chunk boundaries, counted across the dataset's traces.
-        let long = walk(2 * CHUNK + 1);
-        let dataset = Dataset::new(vec![long.clone(), walk(3)]).unwrap();
-        assert_eq!(dataset.trace_at(1).len(), long.len());
-        let zeroed = [1, 3, 3 + CHUNK - 1, 3 + CHUNK, 3 + 2 * CHUNK];
-        for &epsilon in &[1e-4, 1.0] {
-            assert_matches_reference(epsilon, &dataset, || {
-                Box::new(ScriptedRng::zero_p_of(17, &zeroed))
-            });
-        }
-        let zeroed = [0, CHUNK - 1, CHUNK, 2 * CHUNK];
-        let geoi = GeoIndistinguishability::with_epsilon(0.01).unwrap();
-        let protected =
-            geoi.protect_trace(&long, &mut ScriptedRng::zero_p_of(17, &zeroed)).unwrap();
-        let projection = LocalProjection::centered_on(long.first().location());
-        for &k in &zeroed {
-            let at_rest = displaced(&projection, long.view().location(k), 0.0, 0.0);
-            assert_eq!(protected.view().location(k), at_rest, "record {k}");
+            assert_paths_agree(epsilon, &fleet, 8);
         }
     }
 

@@ -756,36 +756,58 @@ mod tests {
         let sweep = ExperimentRunner::new(config).run(&system, &dataset).unwrap();
         let fitted = Modeler::new().fit(&sweep).unwrap();
         let configurator = Configurator::new(fitted.clone());
-        let explicit = configurator.recommend(&Objectives::paper_example()).unwrap();
 
-        // Facade path.
+        // Facade path, stated in full, and again with the sweep stated first
+        // and the repetition and parallelism defaults left alone.
         let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
             .dataset(&dataset)
             .sweep(|s| s.points(13).repetitions(1).seed(42).parallel(true))
             .fit()
             .unwrap();
+        let defaults = AutoConf::for_system(SystemDefinition::paper_geoi())
+            .sweep(|s| s.points(config.points).seed(config.seed))
+            .dataset(&dataset)
+            .fit()
+            .unwrap();
+        assert_eq!((defaults.sweep_result(), defaults.fitted()), (&sweep, &fitted));
+
+        // Bit-identical, not merely close, at objectives this six-driver
+        // fleet meets at every sweep seed.
         let recommendation = studied
+            .require("poi-retrieval", at_most(0.15))
+            .unwrap()
+            .require("area-coverage", at_least(0.75))
+            .unwrap()
+            .recommend()
+            .unwrap();
+        let objectives = Objectives::new()
+            .require("poi-retrieval", at_most(0.15))
+            .and_then(|o| o.require("area-coverage", at_least(0.75)))
+            .unwrap();
+        assert_eq!(recommendation, configurator.recommend(&objectives).unwrap());
+    }
+
+    #[test]
+    fn the_facade_and_the_explicit_path_agree_on_the_paper_objectives() {
+        // This six-driver fleet meets the paper's objectives at only some
+        // sweep seeds: both paths must reach the same outcome, feasible or not.
+        let dataset = dataset();
+        let config = SweepConfig { points: 13, repetitions: 1, seed: 42, parallel: true };
+        let system = SystemDefinition::paper_geoi();
+        let sweep = ExperimentRunner::new(config).run(&system, &dataset).unwrap();
+        let fitted = Modeler::new().fit(&sweep).unwrap();
+        let explicit = Configurator::new(fitted).recommend(&Objectives::paper_example());
+        let facade = AutoConf::for_system(SystemDefinition::paper_geoi())
+            .dataset(&dataset)
+            .sweep(|s| s.points(13).repetitions(1).seed(42).parallel(true))
+            .fit()
+            .unwrap()
             .require("poi-retrieval", at_most(0.1))
             .unwrap()
             .require("area-coverage", at_least(0.8))
             .unwrap()
-            .recommend()
-            .unwrap();
-
-        // Bit-identical, not merely close.
-        assert_eq!(recommendation, explicit);
-        assert_eq!(studied_eq_check(&dataset, config), (sweep, fitted));
-    }
-
-    /// Rebuilds the facade's intermediate state for the equality check above
-    /// (the facade consumed itself through `require`).
-    fn studied_eq_check(dataset: &Dataset, config: SweepConfig) -> (SweepResult, FittedSuite) {
-        let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
-            .sweep(|s| s.points(config.points).seed(config.seed))
-            .dataset(dataset)
-            .fit()
-            .unwrap();
-        (studied.sweep_result().clone(), studied.fitted().clone())
+            .recommend();
+        assert_eq!(facade.map_err(|e| e.to_string()), explicit.map_err(|e| e.to_string()));
     }
 
     #[test]
