@@ -32,16 +32,17 @@ pub struct ZoneRule {
 }
 
 /// Lints for deterministic-core zones: iteration order (D1), wall clock
-/// (D2), entropy seeding (D3) and the unsafe-code ban (U1). Inside test
-/// regions only D3 and U1 apply — a test may iterate a scratch map to
-/// assert set-equality, but may never draw entropy (derandomized tests are
-/// themselves a workspace contract).
-const DETERMINISTIC: &[Lint] = &[Lint::D1, Lint::D2, Lint::D3, Lint::U1];
+/// (D2), entropy seeding (D3), the unsafe-code ban (U1) and reachability
+/// (R1). Inside test regions only D3 and U1 apply — a test may iterate a
+/// scratch map to assert set-equality, but may never draw entropy
+/// (derandomized tests are themselves a workspace contract).
+const DETERMINISTIC: &[Lint] = &[Lint::D1, Lint::D2, Lint::D3, Lint::U1, Lint::R1];
 const DETERMINISTIC_TESTS: &[Lint] = &[Lint::D3, Lint::U1];
 
 /// Lints for the serving request path: panic-freedom (P1) everywhere,
-/// including tests (see module docs), plus D3/U1.
-const REQUEST_PATH: &[Lint] = &[Lint::P1, Lint::D3, Lint::U1];
+/// including tests (see module docs), plus D3/U1, and R1 outside tests.
+const REQUEST_PATH: &[Lint] = &[Lint::P1, Lint::D3, Lint::U1, Lint::R1];
+const REQUEST_PATH_TESTS: &[Lint] = &[Lint::P1, Lint::D3, Lint::U1];
 
 /// Timing-allowed zones: D2 is deliberately absent — these measure wall
 /// time as their purpose. Everything else still applies.
@@ -140,7 +141,7 @@ pub const ZONES: &[ZoneRule] = &[
         zone: "request-path",
         prefix: "crates/serve/src",
         lints: REQUEST_PATH,
-        test_lints: REQUEST_PATH,
+        test_lints: REQUEST_PATH_TESTS,
     },
     // Sweep hot path: PR 7 replaced the hot-path `expect`s with typed
     // `CoreError::Internal`; P1 keeps them out. Tests are exempt from P1
@@ -226,6 +227,16 @@ pub fn is_safety_comment_mode(path: &str) -> bool {
     SAFETY_COMMENT_MODE.iter().any(|prefix| matches_prefix(path, prefix))
 }
 
+/// Zones whose code never counts as a use for R1: tests exercise items
+/// that nothing else may need, and vendored shims stand in for external
+/// crates.
+const NOT_USES: &[&str] = &["tests", "vendor"];
+
+/// Whether identifiers in `path` count as uses for R1.
+pub(crate) fn counts_as_use(path: &str) -> bool {
+    zones_for(path).iter().all(|rule| !NOT_USES.contains(&rule.zone))
+}
+
 /// Paths never scanned (build output, the linter's own hostile fixtures).
 pub const EXCLUDED: &[&str] = &["target", "geobench/target", "crates/audit/tests/fixtures", ".git"];
 
@@ -284,6 +295,16 @@ mod tests {
         assert!(matches_prefix("src/lib.rs", "src"));
         assert!(!matches_prefix("srcery/lib.rs", "src"));
         assert!(matches_prefix("vendor/rand/src/lib.rs", "vendor"));
+    }
+
+    #[test]
+    fn r1_zones_count_their_own_uses() {
+        // R1 subtracts an item's own tokens from the tree-wide count, which
+        // holds only where the item's file was counted too.
+        for rule in ZONES.iter().filter(|rule| rule.lints.contains(&Lint::R1)) {
+            assert!(!NOT_USES.contains(&rule.zone), "{}", rule.prefix);
+            assert!(!rule.test_lints.contains(&Lint::R1), "{}", rule.prefix);
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! `--write-baseline` regenerates the file from the current tree.
 
-use crate::config::{is_excluded, is_safety_comment_mode, zones_for};
-use crate::lints::{scan_source, Finding, Lint, ScanOptions};
+use crate::config::{counts_as_use, is_excluded, is_safety_comment_mode, zones_for};
+use crate::lints::{scan_source_with, Finding, Lint, ScanOptions, Uses};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -62,25 +62,49 @@ pub fn scan_tree(root: &Path) -> Result<AuditReport, String> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort();
-    let mut report = AuditReport::default();
-    for rel in files {
-        let source = fs::read_to_string(root.join(&rel))
-            .map_err(|e| format!("failed to read {rel}: {e}"))?;
-        report.files_scanned += 1;
-        for finding in scan_file(&rel, &source) {
-            report.findings.push(FileFinding { file: rel.clone(), finding });
+    let sources = files
+        .into_iter()
+        .map(|rel| match fs::read_to_string(root.join(&rel)) {
+            Ok(source) => Ok((rel, source)),
+            Err(e) => Err(format!("failed to read {rel}: {e}")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let sources: Vec<(&str, &str)> =
+        sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+    Ok(scan_sources(&sources))
+}
+
+/// Scans `(repo-relative path, source)` files as one tree: first counts the
+/// identifier uses of every file outside the `tests` and `vendor` zones,
+/// then scans each file as [`scan_file`] does, with R1 armed against those
+/// counts.
+pub fn scan_sources(sources: &[(&str, &str)]) -> AuditReport {
+    let mut uses = Uses::default();
+    for (rel, source) in sources {
+        if counts_as_use(rel) {
+            uses.add(source);
+        }
+    }
+    let mut report = AuditReport { findings: Vec::new(), files_scanned: sources.len() };
+    for (rel, source) in sources {
+        for finding in scan(rel, source, Some(&uses)) {
+            report.findings.push(FileFinding { file: rel.to_string(), finding });
         }
     }
     report.findings.sort_by(|a, b| {
         (&a.file, a.finding.line, a.finding.lint).cmp(&(&b.file, b.finding.line, b.finding.lint))
     });
-    Ok(report)
+    report
 }
 
 /// Scans one file's source as the engine would: zone lookup, crate-root
-/// detection, vendor mode, then the token-level lints. Exposed for the
-/// fixture tests.
+/// detection, vendor mode, then the token-level lints — all but R1, which
+/// needs the whole tree ([`scan_sources`]). Exposed for the fixture tests.
 pub fn scan_file(rel: &str, source: &str) -> Vec<Finding> {
+    scan(rel, source, None)
+}
+
+fn scan(rel: &str, source: &str, uses: Option<&Uses>) -> Vec<Finding> {
     let zones = zones_for(rel);
     if zones.is_empty() {
         return vec![Finding {
@@ -110,7 +134,7 @@ pub fn scan_file(rel: &str, source: &str) -> Vec<Finding> {
             }
         }
     }
-    scan_source(source, &options)
+    scan_source_with(source, &options, uses)
 }
 
 /// Whether `rel` is a crate-root file that must carry the forbid attribute.

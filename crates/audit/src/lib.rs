@@ -18,6 +18,7 @@
 //! | D3 | no entropy-seeded RNGs anywhere — seeds flow through `derive_*_seed` |
 //! | P1 | no panic surfaces (`unwrap`/`expect`/`panic!`/`unreachable!`/bare indexing) on request/hot paths |
 //! | U1 | `#![forbid(unsafe_code)]` on every non-vendor crate root; `// SAFETY:` on every vendor `unsafe` |
+//! | R1 | every bare-`pub` library item is named by non-test code outside its own definition |
 //! | A1/A2 | every `audit:allow` is well-formed, reasoned, and actually used |
 //! | Z0 | every scanned file is covered by an explicit zone rule |
 //!
@@ -35,5 +36,5 @@ pub mod engine;
 pub mod lexer;
 pub mod lints;
 
-pub use engine::{scan_file, scan_tree, AuditReport, Baseline, FileFinding};
+pub use engine::{scan_file, scan_sources, scan_tree, AuditReport, Baseline, FileFinding};
 pub use lints::{scan_source, Finding, Lint, ScanOptions};

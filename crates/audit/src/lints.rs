@@ -8,6 +8,7 @@
 //! enforces and the historical bug it guards against.
 
 use crate::lexer::{lex, TokKind, Token};
+use std::collections::BTreeMap;
 
 /// The contract lints. `A1`/`A2`/`Z0` are meta-lints raised by the engine
 /// itself (malformed allow, unused allow, file not covered by the zone
@@ -29,6 +30,9 @@ pub enum Lint {
     /// Unsafe-code hygiene: non-vendor crate roots carry
     /// `#![forbid(unsafe_code)]`; vendor `unsafe` blocks carry `// SAFETY:`.
     U1,
+    /// A bare-`pub` library item that no non-test code names outside its
+    /// own definition: code that nothing reaches is deleted.
+    R1,
     /// Malformed `audit:allow` (unknown lint id or missing reason).
     A1,
     /// An `audit:allow` that suppresses nothing (stale escape hatch).
@@ -46,6 +50,7 @@ impl Lint {
             Lint::D3 => "D3",
             Lint::P1 => "P1",
             Lint::U1 => "U1",
+            Lint::R1 => "R1",
             Lint::A1 => "A1",
             Lint::A2 => "A2",
             Lint::Z0 => "Z0",
@@ -61,6 +66,7 @@ impl Lint {
             "D3" => Some(Lint::D3),
             "P1" => Some(Lint::P1),
             "U1" => Some(Lint::U1),
+            "R1" => Some(Lint::R1),
             _ => None,
         }
     }
@@ -100,13 +106,49 @@ struct Allow {
     used: bool,
 }
 
+/// Identifier uses across a scanned tree, for R1: how often each name
+/// occurs as a token that counts as a use (see [`countable`]).
+#[derive(Default)]
+pub(crate) struct Uses(BTreeMap<String, usize>);
+
+impl Uses {
+    /// Adds one file's uses.
+    pub(crate) fn add(&mut self, src: &str) {
+        let tokens = lex(src);
+        let sig = significant(&tokens);
+        for (token, counts) in sig.iter().zip(countable(&sig, &test_regions(&sig))) {
+            if let (true, Some(name)) = (counts, token.ident()) {
+                *self.0.entry(name.to_string()).or_insert(0) += 1;
+            }
+        }
+    }
+
+    fn count(&self, name: &str) -> usize {
+        self.0.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// The tokens lints look at: everything but comments.
+fn significant(tokens: &[Token]) -> Vec<&Token> {
+    tokens.iter().filter(|t| !matches!(t.kind, TokKind::Comment(_))).collect()
+}
+
 /// Scans one file's source under the given options and returns its
 /// findings, sorted by line then lint id, with allows already applied and
-/// allow-discipline findings (A1/A2) included.
+/// allow-discipline findings (A1/A2) included. R1 needs the whole tree's
+/// uses, so it stays off here.
 pub fn scan_source(src: &str, options: &ScanOptions) -> Vec<Finding> {
+    scan_source_with(src, options, None)
+}
+
+/// [`scan_source`], with R1 armed against `uses` when given.
+pub(crate) fn scan_source_with(
+    src: &str,
+    options: &ScanOptions,
+    uses: Option<&Uses>,
+) -> Vec<Finding> {
     let tokens = lex(src);
-    let sig: Vec<&Token> =
-        tokens.iter().filter(|t| !matches!(t.kind, TokKind::Comment(_))).collect();
+    let sig = significant(&tokens);
     let comments: Vec<(u32, &str)> = tokens
         .iter()
         .filter_map(|t| match &t.kind {
@@ -116,7 +158,7 @@ pub fn scan_source(src: &str, options: &ScanOptions) -> Vec<Finding> {
         .collect();
 
     let test_regions = test_regions(&sig);
-    let in_tests = |line: u32| test_regions.iter().any(|&(lo, hi)| line >= lo && line <= hi);
+    let in_tests = |line: u32| in_regions(line, &test_regions);
     let enabled = |lint: Lint, line: u32| {
         if in_tests(line) {
             options.test_lints.contains(&lint)
@@ -140,6 +182,10 @@ pub fn scan_source(src: &str, options: &ScanOptions) -> Vec<Finding> {
     }
     if options.lints.contains(&Lint::U1) || options.test_lints.contains(&Lint::U1) {
         detect_u1(&sig, &comments, options, &mut raw);
+    }
+    let r1_armed = options.lints.contains(&Lint::R1);
+    if let (true, Some(uses)) = (r1_armed, uses) {
+        detect_r1(&sig, &countable(&sig, &test_regions), uses, &mut raw);
     }
     raw.retain(|f| enabled(f.lint, f.line));
 
@@ -166,7 +212,9 @@ pub fn scan_source(src: &str, options: &ScanOptions) -> Vec<Finding> {
         }
     }
     for allow in &allows {
-        if !allow.used {
+        // Without the tree's uses R1 cannot run, so its allows are not stale.
+        let unjudged = allow.lint == Lint::R1 && r1_armed && uses.is_none();
+        if !(allow.used || unjudged) {
             findings.push(Finding {
                 line: allow.line,
                 lint: Lint::A2,
@@ -257,6 +305,27 @@ fn test_regions(sig: &[&Token]) -> Vec<(u32, u32)> {
     regions
 }
 
+fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
+    regions.iter().any(|&(lo, hi)| line >= lo && line <= hi)
+}
+
+/// Which tokens count as uses for R1: those outside test regions and
+/// outside `pub use …;` statements (a re-export reaches nothing by itself).
+fn countable(sig: &[&Token], test_regions: &[(u32, u32)]) -> Vec<bool> {
+    let mut counts: Vec<bool> = sig.iter().map(|t| !in_regions(t.line, test_regions)).collect();
+    let mut i = 0;
+    while i + 1 < sig.len() {
+        if sig[i].ident() == Some("pub") && sig[i + 1].ident() == Some("use") {
+            while i < sig.len() && !sig[i].is_punct(';') {
+                counts[i] = false;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    counts
+}
+
 /// Parses an attribute starting at its `[`; returns (index of `]`, whether
 /// it gates on test). `#[cfg(not(test))]` gates on *not* test and is
 /// excluded.
@@ -321,6 +390,91 @@ fn item_body(sig: &[&Token], mut i: usize) -> Option<(usize, u32)> {
         i += 1;
     }
     None
+}
+
+/// Item kinds R1 checks after a bare `pub`.
+const R1_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// The item a `pub` at `at` declares, as (kind, name, line), when it is one
+/// R1 checks: not `pub(crate)`, `pub mod`, `pub use` or a field.
+fn pub_item<'t>(sig: &[&'t Token], at: usize) -> Option<(&'t str, &'t str, u32)> {
+    let ident = |k: usize| sig.get(k).and_then(|t| t.ident());
+    let mut k = at + 1;
+    // `const fn`, `async fn`, `unsafe fn` and their combinations.
+    while matches!(ident(k), Some("const" | "async" | "unsafe"))
+        && matches!(ident(k + 1), Some("fn" | "const" | "async" | "unsafe"))
+    {
+        k += 1;
+    }
+    let kind = ident(k).filter(|kind| R1_ITEMS.contains(kind))?;
+    Some((kind, ident(k + 1)?, sig[k + 1].line))
+}
+
+/// Every `impl` block as (self-type name, index of `impl`, index of its
+/// closing `}`). A block's `impl` starts an item, so what precedes it ends
+/// one; `impl Trait` in argument or return position is a type instead.
+fn impl_blocks<'t>(sig: &[&'t Token]) -> Vec<(&'t str, usize, usize)> {
+    let mut blocks = Vec::new();
+    for i in 0..sig.len() {
+        if sig[i].ident() != Some("impl") {
+            continue;
+        }
+        if i > 0 && !matches!(sig[i - 1].kind, TokKind::Punct('}' | ';' | ']' | '{')) {
+            continue;
+        }
+        // The self type is the header's last name outside generics: it
+        // follows `for` when the block implements a trait.
+        let (mut angle, mut self_type) = (0i32, None);
+        for k in i + 1..sig.len() {
+            match &sig[k].kind {
+                TokKind::Punct('<') => angle += 1,
+                TokKind::Punct('>') if !sig[k - 1].is_punct('-') => angle -= 1,
+                TokKind::Punct('{' | ';') if angle == 0 => break,
+                TokKind::Ident(name) if angle == 0 && name == "where" => break,
+                TokKind::Ident(name) if angle == 0 => self_type = Some(name.as_str()),
+                _ => {}
+            }
+        }
+        if let (Some(self_type), Some((end, _))) = (self_type, item_body(sig, i)) {
+            blocks.push((self_type, i, end));
+        }
+    }
+    blocks
+}
+
+/// R1: a bare-`pub` item whose name no countable token outside its own
+/// definition carries — for a struct, enum or type alias, outside its own
+/// `impl` blocks too.
+fn detect_r1(sig: &[&Token], countable: &[bool], uses: &Uses, findings: &mut Vec<Finding>) {
+    let impls = impl_blocks(sig);
+    let named = |name: &str, lo: usize, hi: usize| {
+        (lo..=hi).filter(|&k| countable[k] && sig[k].ident() == Some(name)).count()
+    };
+    for i in 0..sig.len() {
+        if !countable[i] || sig[i].ident() != Some("pub") {
+            continue;
+        }
+        let Some((kind, name, line)) = pub_item(sig, i) else { continue };
+        let end = item_body(sig, i).map_or(sig.len() - 1, |(end, _)| end);
+        let mut own = named(name, i, end);
+        if matches!(kind, "struct" | "enum" | "type") {
+            own += impls
+                .iter()
+                .filter(|(self_type, _, _)| *self_type == name)
+                .map(|&(_, lo, hi)| named(name, lo, hi))
+                .sum::<usize>();
+        }
+        if uses.count(name) <= own {
+            findings.push(Finding {
+                line,
+                lint: Lint::R1,
+                message: format!(
+                    "`{name}` is `pub` but no non-test code names it outside its own definition \
+                     — delete it, or audit:allow(R1) it as deliberate public API"
+                ),
+            });
+        }
+    }
 }
 
 /// Names declared (or ascribed) in this file with a `HashMap`/`HashSet`

@@ -55,7 +55,7 @@
 //! ```
 
 use geopriv_mobility::UserId;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One metric evaluation of one user at one `(point, repetition)` sample, as
 /// the cache stores it: the aggregate over the user's own traces, the
@@ -151,11 +151,6 @@ impl MeasurementCache {
     /// The directory is created lazily on the first store.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         Self { dir: dir.into() }
-    }
-
-    /// The cache's root directory.
-    pub fn directory(&self) -> &Path {
-        &self.dir
     }
 
     /// The file a signature's measurements live in: `sweep-<fnv64 hex>.bin`.

@@ -3,9 +3,9 @@
 //! The paper's Figure 1 family evaluates *multiple* LPPMs against the same
 //! metric suite. Running each sweep through its own
 //! [`crate::ExperimentRunner`] wastes work twice: every run re-extracts the
-//! actual dataset's POIs, quadtrees and grids at each of its sweep samples,
-//! and each run synchronizes on its own thread pool, leaving cores idle at
-//! every sweep boundary.
+//! actual dataset's POIs and grids at each of its sweep samples, and each
+//! run synchronizes on its own thread pool, leaving cores idle at every
+//! sweep boundary.
 //!
 //! [`CampaignRunner`] fixes both. It flattens an M-system × K-dataset study
 //! into one pool of `(system, dataset, point, repetition)` work units that
@@ -155,7 +155,10 @@ impl CampaignRunner {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid sweep
-    /// configuration or empty `systems`/`datasets`. A failing work unit
+    /// configuration, a cached plan ([`SweepPlan::cached`]: the shared pool
+    /// neither reads nor writes the measurement cache, so its cells could not
+    /// match [`crate::ExperimentRunner::run`] on that plan) or empty
+    /// `systems`/`datasets`. A failing work unit
     /// short-circuits the rest of the campaign; the error propagated is the
     /// first genuine unit error in `(system, dataset, point, repetition)`
     /// order among the units that ran (in sequential mode, exactly the first
@@ -166,6 +169,13 @@ impl CampaignRunner {
         datasets: &[Dataset],
     ) -> Result<CampaignResult, CoreError> {
         self.plan.config.validate()?;
+        if self.plan.cache_directory().is_some() {
+            return Err(CoreError::InvalidConfiguration {
+                reason: "campaigns cannot be cached: the shared work pool does not use the \
+                         measurement cache — run each cell through ExperimentRunner::run_cached"
+                    .to_string(),
+            });
+        }
         if systems.is_empty() {
             return Err(CoreError::InvalidConfiguration {
                 reason: "a campaign needs at least one system".to_string(),
@@ -619,6 +629,15 @@ mod tests {
                 assert!(cell.len() >= 4, "adaptive cell kept its coarse pass");
             }
         }
+    }
+
+    #[test]
+    fn cached_plans_are_rejected_up_front() {
+        let dir = std::env::temp_dir().join(format!("geopriv-campaign-{}", std::process::id()));
+        let plan = SweepPlan::grid(small_config()).cached(&dir);
+        let result = CampaignRunner::with_plan(plan).run(&three_systems(), &[small_dataset(4)]);
+        assert!(matches!(result, Err(CoreError::InvalidConfiguration { .. })));
+        assert!(!dir.exists(), "a rejected campaign must not touch the cache directory");
     }
 
     #[test]

@@ -222,6 +222,10 @@ impl SweepPlan {
     /// identical inputs in identical (dataset) user order either way. A
     /// corrupt or unwritable cache degrades to the cold path with a warning
     /// ([`crate::cache::CacheStats::warnings`]) — never a different result.
+    ///
+    /// Only [`ExperimentRunner::run`] and [`ExperimentRunner::run_cached`]
+    /// honour the cache; [`crate::campaign::CampaignRunner::run`] rejects a
+    /// cached plan with [`CoreError::InvalidConfiguration`].
     #[must_use]
     pub fn cached(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -246,11 +250,6 @@ impl SweepPlan {
         self.mode = SweepMode::Adaptive;
         self.refine_budget = Some(budget);
         self
-    }
-
-    /// The total evaluation budget of an adaptive plan, if one was set.
-    pub fn refinement_budget(&self) -> Option<usize> {
-        self.refine_budget
     }
 
     /// Asks adaptive refinement to prioritize the interval `[lo, hi]` of one

@@ -17,9 +17,6 @@
 //! * [`BoundingBox`] — geographic extents.
 //! * [`Grid`] / [`CellSet`] — uniform "city block" grids and coverage sets,
 //!   the substrate of the paper's area-coverage utility metric.
-//! * [`QuadTree`] — a planar point index with radius and nearest-neighbour
-//!   queries. No metric uses it: POI matching scans POI pairs by
-//!   great-circle distance.
 //!
 //! ## Example
 //!
@@ -51,7 +48,6 @@ pub mod error;
 pub mod grid;
 pub mod point;
 pub mod projection;
-pub mod quadtree;
 pub mod units;
 
 pub use bbox::BoundingBox;
@@ -59,7 +55,6 @@ pub use error::GeoError;
 pub use grid::{CellId, CellSet, Grid};
 pub use point::{GeoPoint, Point};
 pub use projection::LocalProjection;
-pub use quadtree::QuadTree;
 pub use units::{Degrees, Meters, Seconds};
 
 /// Commonly used items, for glob import.
@@ -70,6 +65,5 @@ pub mod prelude {
     pub use crate::grid::{CellId, CellSet, Grid};
     pub use crate::point::{GeoPoint, Point};
     pub use crate::projection::LocalProjection;
-    pub use crate::quadtree::QuadTree;
     pub use crate::units::{Degrees, Meters, Seconds};
 }

@@ -85,11 +85,6 @@ impl GeoPoint {
         self.lat.to_radians()
     }
 
-    /// Longitude in radians.
-    pub fn longitude_radians(&self) -> f64 {
-        self.lon.to_radians()
-    }
-
     /// Returns the (latitude, longitude) pair.
     pub fn into_parts(self) -> (f64, f64) {
         (self.lat, self.lon)
@@ -173,11 +168,6 @@ impl Point {
     /// Euclidean distance to another planar point.
     pub fn distance_to(&self, other: Point) -> Meters {
         Meters::new(((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt())
-    }
-
-    /// Squared euclidean distance (cheaper when only comparisons are needed).
-    pub fn distance_squared_to(&self, other: Point) -> f64 {
-        (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 
     /// Translates the point by `(dx, dy)` meters.
@@ -299,7 +289,6 @@ mod tests {
         let a = Point::new(1.0, 2.0);
         let b = Point::new(4.0, 6.0);
         assert!((a.distance_to(b).as_f64() - 5.0).abs() < 1e-12);
-        assert_eq!(a.distance_squared_to(b), 25.0);
         assert_eq!(a.distance_to(a).as_f64(), 0.0);
     }
 

@@ -1,8 +1,6 @@
 //! Property-based tests for the geospatial substrate.
 
-use geopriv_geo::{
-    distance, BoundingBox, CellId, GeoPoint, Grid, LocalProjection, Meters, Point, QuadTree,
-};
+use geopriv_geo::{distance, BoundingBox, CellId, GeoPoint, Grid, LocalProjection, Meters, Point};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -225,37 +223,6 @@ proptest! {
             area.north_east(),
         ] {
             prop_assert_eq!(grid.cell_of(point), floor_cell_of(&grid, point), "{}", point);
-        }
-    }
-
-    #[test]
-    fn quadtree_range_query_equals_brute_force(points in planar_points(80), radius in 0.0f64..5000.0,
-                                               qx in -10_000.0f64..10_000.0, qy in -10_000.0f64..10_000.0) {
-        let tree = QuadTree::build(&points);
-        let center = Point::new(qx, qy);
-        let mut expected: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.distance_to(center).as_f64() <= radius)
-            .map(|(i, _)| i)
-            .collect();
-        let mut got = tree.within_radius(center, Meters::new(radius));
-        expected.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn quadtree_nearest_equals_brute_force(points in planar_points(80),
-                                           qx in -10_000.0f64..10_000.0, qy in -10_000.0f64..10_000.0) {
-        let tree = QuadTree::build(&points);
-        let target = Point::new(qx, qy);
-        match tree.nearest(target) {
-            None => prop_assert!(points.is_empty()),
-            Some((_, d)) => {
-                let brute = points.iter().map(|p| p.distance_to(target).as_f64()).fold(f64::INFINITY, f64::min);
-                prop_assert!((d.as_f64() - brute).abs() < 1e-9);
-            }
         }
     }
 }

@@ -23,6 +23,10 @@ use crate::trace::Trace;
 use geopriv_geo::{GeoPoint, Meters, Point, Seconds};
 use rand::Rng;
 
+/// Shortest stop a driver makes, in seconds (16 min): shorter stops are
+/// stretched to it so that they remain detectable POIs.
+const STOP_MIN_DURATION_S: f64 = 16.0 * 60.0;
+
 /// Builder for a synthetic taxi-fleet dataset.
 ///
 /// The defaults produce a dataset comparable (in structure, not size) to the
@@ -55,7 +59,6 @@ pub struct TaxiFleetBuilder {
     speed_mean_mps: f64,
     speed_std_mps: f64,
     stop_mean_duration: Seconds,
-    stop_min_duration: Seconds,
     stop_probability: f64,
     gps_noise: Meters,
     hotspot_count: usize,
@@ -73,7 +76,6 @@ impl Default for TaxiFleetBuilder {
             speed_mean_mps: 8.0,
             speed_std_mps: 2.0,
             stop_mean_duration: Seconds::from_minutes(25.0),
-            stop_min_duration: Seconds::from_minutes(16.0),
             stop_probability: 0.55,
             gps_noise: Meters::new(8.0),
             hotspot_count: 15,
@@ -117,16 +119,10 @@ impl TaxiFleetBuilder {
 
     /// Mean duration of a stop, in minutes. Default: 25 min.
     ///
-    /// Stops shorter than the minimum stop duration (16 min by default) are
-    /// stretched to that minimum so they remain detectable POIs.
+    /// Stops shorter than 16 min are stretched to 16 min so they remain
+    /// detectable POIs.
     pub fn stop_mean_minutes(mut self, minutes: f64) -> Self {
         self.stop_mean_duration = Seconds::from_minutes(minutes);
-        self
-    }
-
-    /// Minimum duration of a stop, in minutes. Default: 16 min.
-    pub fn stop_min_minutes(mut self, minutes: f64) -> Self {
-        self.stop_min_duration = Seconds::from_minutes(minutes);
         self
     }
 
@@ -189,12 +185,6 @@ impl TaxiFleetBuilder {
         positive("sampling_interval", self.sampling_interval.as_f64())?;
         positive("speed_mean", self.speed_mean_mps)?;
         positive("stop_mean_duration", self.stop_mean_duration.as_f64())?;
-        if self.stop_min_duration.as_f64() < 0.0 {
-            return Err(MobilityError::InvalidParameter {
-                name: "stop_min_duration",
-                reason: "must be non-negative".to_string(),
-            });
-        }
         if !(0.0..=1.0).contains(&self.stop_probability) {
             return Err(MobilityError::InvalidParameter {
                 name: "stop_probability",
@@ -264,9 +254,7 @@ impl TaxiFleetBuilder {
 
         // Drivers begin their shift stopped at a hotspot, so even short
         // simulations contain at least one POI-grade stop.
-        let initial_dwell = self
-            .stop_min_duration
-            .as_f64()
+        let initial_dwell = STOP_MIN_DURATION_S
             .max(sample_exponential(rng, self.stop_mean_duration.as_f64()))
             .min(horizon);
         while time <= initial_dwell.min(horizon) {
@@ -306,9 +294,7 @@ impl TaxiFleetBuilder {
 
             // Possibly dwell at the destination (producing a POI-grade stop).
             if rng.gen_bool(self.stop_probability) {
-                let dwell = self
-                    .stop_min_duration
-                    .as_f64()
+                let dwell = STOP_MIN_DURATION_S
                     .max(sample_exponential(rng, self.stop_mean_duration.as_f64()));
                 let stop_end = (time + dwell).min(horizon);
                 while time <= stop_end {
