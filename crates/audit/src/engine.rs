@@ -4,13 +4,18 @@
 //! ## The ratchet
 //!
 //! `audit-baseline.txt` (repo root) lists grandfathered findings as
-//! `(lint, count, file)` rows. `--check` passes only when the tree's
-//! findings match the baseline *exactly*:
+//! `(lint, count, file)` rows — `(R1, count, file#item)` for R1, whose rows
+//! count one item each. `--check` passes only when the tree's findings match
+//! the baseline *exactly*:
 //!
-//! - a file whose count **grows** fails (new debt is rejected), and
+//! - a row whose count **grows** fails (new debt is rejected), and
 //! - a baseline row whose count **shrinks** fails too — fixing a finding
 //!   must shrink the baseline in the same commit, so the ledger can never
 //!   overstate the debt and silently re-absorb regressions.
+//!
+//! Per-file counts would let a new R1 finding hide behind a fixed one in
+//! the same file (one item becomes reached, another unreached, the count
+//! stays put); per-item rows make that swap fail both ways.
 //!
 //! `--write-baseline` regenerates the file from the current tree.
 
@@ -110,6 +115,7 @@ fn scan(rel: &str, source: &str, uses: Option<&Uses>) -> Vec<Finding> {
         return vec![Finding {
             line: 1,
             lint: Lint::Z0,
+            item: None,
             message: format!(
                 "`{rel}` is covered by no zone rule — add it to the zone map in \
                  crates/audit/src/config.rs (coverage must be explicit, never silent)"
@@ -164,16 +170,18 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<String>) -> Result<(), String> 
     Ok(())
 }
 
-/// The committed baseline: grandfathered finding counts per (file, lint).
+/// The committed baseline: grandfathered finding counts per (file, lint),
+/// and per (file#item, lint) for R1.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Baseline {
-    /// `(file, lint id) → grandfathered count`, kept sorted by the map.
+    /// `(file or file#item, lint id) → grandfathered count`, kept sorted by
+    /// the map.
     pub counts: BTreeMap<(String, String), usize>,
 }
 
 impl Baseline {
-    /// Parses the baseline file format: `<lint-id> <count> <path>` rows,
-    /// `#` comments and blank lines ignored.
+    /// Parses the baseline file format: `<lint-id> <count> <path>` rows
+    /// (`<path>#<item>` for R1), `#` comments and blank lines ignored.
     ///
     /// # Errors
     ///
@@ -212,10 +220,11 @@ impl Baseline {
     pub fn render_from(report: &AuditReport) -> String {
         let mut out = String::from(
             "# audit-baseline.txt — grandfathered geopriv-audit findings.\n\
-             # Format: <lint-id> <count> <path>. Ratchet rule: counts may only\n\
-             # decrease. `cargo run -p geopriv-audit -- --check` fails if a file's\n\
-             # count grows OR if this file lists findings that no longer exist\n\
-             # (shrink the row — or delete it — in the same commit as the fix).\n\
+             # Format: <lint-id> <count> <path>, one row per file — except R1,\n\
+             # one row per item: R1 <count> <path>#<item>. Ratchet rule: counts\n\
+             # may only decrease. `cargo run -p geopriv-audit -- --check` fails if\n\
+             # a row's count grows OR if this file lists findings that no longer\n\
+             # exist (shrink the row — or delete it — in the same commit as the fix).\n\
              # Regenerate with `cargo run -p geopriv-audit -- --write-baseline`.\n",
         );
         for ((file, lint), count) in group_counts(report) {
@@ -229,20 +238,20 @@ impl Baseline {
     pub fn check(&self, report: &AuditReport) -> Vec<String> {
         let current = group_counts(report);
         let mut errors = Vec::new();
-        for ((file, lint), count) in &current {
-            let allowed = self.counts.get(&(file.clone(), lint.clone())).copied().unwrap_or(0);
+        for (key @ (row, lint), count) in &current {
+            let allowed = self.counts.get(key).copied().unwrap_or(0);
             if *count > allowed {
                 errors.push(format!(
-                    "{file}: {count} {lint} finding(s), baseline allows {allowed} — fix them or \
+                    "{row}: {count} {lint} finding(s), baseline allows {allowed} — fix them or \
                      audit:allow each with a reason"
                 ));
             }
         }
-        for ((file, lint), allowed) in &self.counts {
-            let count = current.get(&(file.clone(), lint.clone())).copied().unwrap_or(0);
+        for (key @ (row, lint), allowed) in &self.counts {
+            let count = current.get(key).copied().unwrap_or(0);
             if count < *allowed {
                 errors.push(format!(
-                    "ratchet: baseline lists {allowed} {lint} finding(s) for {file} but only \
+                    "ratchet: baseline lists {allowed} {lint} finding(s) for {row} but only \
                      {count} remain — shrink the baseline (cargo run -p geopriv-audit -- \
                      --write-baseline)"
                 ));
@@ -252,23 +261,33 @@ impl Baseline {
     }
 }
 
+/// The baseline row a finding counts toward: `(file#item, R1)` for R1,
+/// `(file, lint)` for every other lint.
+fn row_key(f: &FileFinding) -> (String, String) {
+    let row = match &f.finding.item {
+        Some(item) => format!("{}#{item}", f.file),
+        None => f.file.clone(),
+    };
+    (row, f.finding.lint.id().to_string())
+}
+
 fn group_counts(report: &AuditReport) -> BTreeMap<(String, String), usize> {
     let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
     for f in &report.findings {
-        *counts.entry((f.file.clone(), f.finding.lint.id().to_string())).or_insert(0) += 1;
+        *counts.entry(row_key(f)).or_insert(0) += 1;
     }
     counts
 }
 
 /// Findings that the baseline does not cover, for display: everything in
-/// files/lints whose count exceeds the baseline.
+/// rows whose count exceeds the baseline.
 pub fn uncovered<'a>(report: &'a AuditReport, baseline: &Baseline) -> Vec<&'a FileFinding> {
     let current = group_counts(report);
     report
         .findings
         .iter()
         .filter(|f| {
-            let key = (f.file.clone(), f.finding.lint.id().to_string());
+            let key = row_key(f);
             let allowed = baseline.counts.get(&key).copied().unwrap_or(0);
             current.get(&key).copied().unwrap_or(0) > allowed
         })
@@ -280,12 +299,24 @@ mod tests {
     use super::*;
 
     fn report(entries: &[(&str, u32, Lint)]) -> AuditReport {
+        let items: Vec<_> =
+            entries.iter().map(|&(file, line, lint)| (file, line, lint, "")).collect();
+        report_items(&items)
+    }
+
+    /// A report whose R1 findings name the given items (ignored for other lints).
+    fn report_items(entries: &[(&str, u32, Lint, &str)]) -> AuditReport {
         AuditReport {
             findings: entries
                 .iter()
-                .map(|(file, line, lint)| FileFinding {
-                    file: (*file).to_string(),
-                    finding: Finding { line: *line, lint: *lint, message: String::new() },
+                .map(|&(file, line, lint, item)| FileFinding {
+                    file: file.to_string(),
+                    finding: Finding {
+                        line,
+                        lint,
+                        item: (lint == Lint::R1).then(|| item.to_string()),
+                        message: String::new(),
+                    },
                 })
                 .collect(),
             files_scanned: 1,
@@ -299,6 +330,17 @@ mod tests {
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed.counts.get(&("a.rs".into(), "P1".into())), Some(&2));
         assert!(parsed.check(&r).is_empty());
+
+        // R1 rows count per item; other lints' rows per file.
+        let r = report_items(&[
+            ("a.rs", 3, Lint::R1, "lonely"),
+            ("a.rs", 9, Lint::R1, "lonely"),
+            ("a.rs", 12, Lint::R1, "unused"),
+            ("a.rs", 20, Lint::P1, ""),
+        ]);
+        let text = Baseline::render_from(&r);
+        assert!(text.contains("\nP1 1 a.rs\nR1 2 a.rs#lonely\nR1 1 a.rs#unused\n"), "{text}");
+        assert!(Baseline::parse(&text).unwrap().check(&r).is_empty());
     }
 
     #[test]
@@ -314,6 +356,20 @@ mod tests {
         assert!(errors[0].contains("ratchet"));
         // A clean tree against a non-empty baseline is also stale.
         assert_eq!(baseline.check(&report(&[])).len(), 1);
+    }
+
+    #[test]
+    fn an_r1_swap_within_one_file_fails_the_ratchet() {
+        // `unused` became reached and `fresh` unreached: the file still has
+        // one R1 finding, which a per-file count would have let through.
+        let baseline = Baseline::parse("R1 1 a.rs#unused\n").unwrap();
+        let swapped = report_items(&[("a.rs", 5, Lint::R1, "fresh")]);
+        let errors = baseline.check(&swapped);
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].starts_with("a.rs#fresh: 1 R1 finding(s), baseline allows 0"));
+        assert!(errors[1].contains("ratchet") && errors[1].contains("a.rs#unused"));
+        let shown: Vec<_> = uncovered(&swapped, &baseline).iter().map(|f| f.finding.line).collect();
+        assert_eq!(shown, vec![5]);
     }
 
     #[test]

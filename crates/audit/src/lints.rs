@@ -81,6 +81,9 @@ pub struct Finding {
     pub lint: Lint,
     /// Human-readable explanation pointing at the offending construct.
     pub message: String,
+    /// The item an R1 finding is about, which keys its baseline row; `None`
+    /// for every other lint, whose rows are per file.
+    pub item: Option<String>,
 }
 
 /// How one file should be scanned (derived from its zone memberships).
@@ -218,6 +221,7 @@ pub(crate) fn scan_source_with(
             findings.push(Finding {
                 line: allow.line,
                 lint: Lint::A2,
+                item: None,
                 message: format!(
                     "unused audit:allow({}) — it suppresses nothing on this or the next line; \
                      remove it",
@@ -245,6 +249,7 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
+                item: None,
                 message: "malformed audit:allow — expected `audit:allow(<lint-id>): <reason>`"
                     .to_string(),
             });
@@ -254,6 +259,7 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
+                item: None,
                 message: "malformed audit:allow — unclosed lint id".to_string(),
             });
             break;
@@ -264,6 +270,7 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
+                item: None,
                 message: format!("audit:allow names unknown or non-allowable lint `{id}`"),
             });
             continue;
@@ -273,6 +280,7 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
+                item: None,
                 message: format!(
                     "audit:allow({id}) without a reason — write `audit:allow({id}): <why this \
                      is sound>`"
@@ -468,6 +476,7 @@ fn detect_r1(sig: &[&Token], countable: &[bool], uses: &Uses, findings: &mut Vec
             findings.push(Finding {
                 line,
                 lint: Lint::R1,
+                item: Some(name.to_string()),
                 message: format!(
                     "`{name}` is `pub` but no non-test code names it outside its own definition \
                      — delete it, or audit:allow(R1) it as deliberate public API"
@@ -570,6 +579,7 @@ fn detect_d1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i + 1].line,
                     lint: Lint::D1,
+                    item: None,
                     message: d1_message(&name),
                 });
                 break;
@@ -602,6 +612,7 @@ fn detect_d1(sig: &[&Token], findings: &mut Vec<Finding>) {
                     findings.push(Finding {
                         line: sig[j].line,
                         lint: Lint::D1,
+                        item: None,
                         message: d1_message(name),
                     });
                 }
@@ -682,6 +693,7 @@ fn detect_d2(sig: &[&Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 line: sig[i].line,
                 lint: Lint::D2,
+                item: None,
                 message: format!(
                     "wall-clock read `{name}::now` in a deterministic zone — time must come in \
                      as data, never be sampled"
@@ -698,6 +710,7 @@ fn detect_d3(sig: &[&Token], findings: &mut Vec<Finding>) {
             Some(name @ ("thread_rng" | "from_entropy")) => findings.push(Finding {
                 line: sig[i].line,
                 lint: Lint::D3,
+                item: None,
                 message: format!(
                     "entropy-seeded RNG (`{name}`) — seeds must flow through the \
                      `derive_*_seed` family so every stream is replayable"
@@ -711,6 +724,7 @@ fn detect_d3(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::D3,
+                    item: None,
                     message: "entropy-seeded RNG (`rand::random`) — seeds must flow through the \
                               `derive_*_seed` family so every stream is replayable"
                         .to_string(),
@@ -734,6 +748,7 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                     findings.push(Finding {
                         line: sig[i + 1].line,
                         lint: Lint::P1,
+                        item: None,
                         message: format!(
                             "`.{name}()` on a panic-free path — return a typed error instead"
                         ),
@@ -747,6 +762,7 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::P1,
+                    item: None,
                     message: format!(
                         "`{name}!` on a panic-free path — return a typed error instead"
                     ),
@@ -775,6 +791,7 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::P1,
+                    item: None,
                     message: "indexing without `get` may panic — use `.get(…)` and handle `None`"
                         .to_string(),
                 });
@@ -803,6 +820,7 @@ fn detect_u1(
             findings.push(Finding {
                 line: 1,
                 lint: Lint::U1,
+                item: None,
                 message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
             });
         }
@@ -819,6 +837,7 @@ fn detect_u1(
                 findings.push(Finding {
                     line: token.line,
                     lint: Lint::U1,
+                    item: None,
                     message: "vendor `unsafe` without a `// SAFETY:` comment on or just above \
                               this line"
                         .to_string(),
@@ -828,6 +847,7 @@ fn detect_u1(
             findings.push(Finding {
                 line: token.line,
                 lint: Lint::U1,
+                item: None,
                 message: "`unsafe` outside vendor code — the workspace forbids it".to_string(),
             });
         }

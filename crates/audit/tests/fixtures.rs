@@ -126,7 +126,7 @@ fn uncovered_files_are_their_own_finding() {
 fn findings_render_as_file_line_id_message() {
     let finding = FileFinding {
         file: "crates/serve/src/fixture.rs".to_string(),
-        finding: Finding { line: 6, lint: Lint::P1, message: "boom".to_string() },
+        finding: Finding { line: 6, lint: Lint::P1, item: None, message: "boom".to_string() },
     };
     assert_eq!(finding.render(), "crates/serve/src/fixture.rs:6: P1 boom");
 }

@@ -1,23 +1,34 @@
-//! Uniform "city block" grids and cell coverage sets.
+//! Uniform "city block" grids and cell coverage.
 //!
 //! The paper's utility metric compares the *area coverage* of a user's actual
 //! and protected traces at the granularity of a city block. [`Grid`]
 //! discretizes a geographic bounding box into square cells of a configurable
 //! size (200 m by default, a typical San Francisco block), and [`CellSet`]
-//! represents the set of cells touched by a trace together with the usual
-//! set-similarity measures (Jaccard index, F1 score).
+//! represents the set of cells touched by a trace.
 //!
 //! A sweep evaluates area coverage for every user at every configuration
-//! point, so building and comparing cell sets is a hot loop. A [`CellSet`] is
-//! therefore a sorted, deduplicated `Vec<u64>` of packed keys
-//! `(col << 32) | row` rather than a tree of [`CellId`]s. Packed keys sort
-//! exactly like `CellId`'s derived `Ord` (column, then row), so
-//! [`CellSet::iter`] still yields cells in lexicographic order.
-//! [`Grid::coverage`] builds a set in one pass (one key per record, then
-//! one sort and dedup), and
-//! [`CellSet::intersection_size`] is a linear merge of two sorted key lists.
-//! Sizes and similarities depend only on set membership, never on the
-//! container, so every value is bit-identical to a tree-based set's.
+//! point, and both of its similarities read only three counts per user:
+//! |A|, |P| and |A ∩ P| ([`CellOverlap`]). [`Grid::overlaps`] makes them for
+//! every (actual, protected) pair in one call, from the traces' coordinate
+//! columns, in one of two ways chosen once per call:
+//!
+//! * **Dense grid** (at most 32 cells per input record): two bitmaps over
+//!   the linear cell index `col × rows + row`, allocated once per call. A
+//!   cell is counted the first time its bit is set, so each trace takes one
+//!   pass and no sort; only the words a pair touched are cleared before the
+//!   next pair.
+//! * **Sparser grid:** one [`CellSet`] per trace, a sorted, deduplicated
+//!   `Vec<u64>` of packed keys `(col << 32) | row` built by [`Grid::coverage`]
+//!   (one key per record, then one sort and dedup), and
+//!   [`CellSet::intersection_size`], a linear merge of two sorted key lists.
+//!   A grid may have up to 2³² cells, and a bitmap over that many takes
+//!   512 MiB however few records it holds; sorted keys keep memory in
+//!   proportion to the input.
+//!
+//! Packed keys sort exactly like `CellId`'s derived `Ord` (column, then
+//! row), so [`CellSet::iter`] yields cells in lexicographic order. Counts
+//! depend only on set membership, never on the container, so both ways give
+//! the same counts as a tree of [`CellId`]s.
 
 use crate::bbox::BoundingBox;
 use crate::error::GeoError;
@@ -179,6 +190,146 @@ impl Grid {
         }
         hist
     }
+
+    /// Counts |A|, |P| and |A ∩ P| for each (actual, protected) pair of
+    /// traces, in pair order.
+    ///
+    /// Each trace is given as its `(latitudes, longitudes)` columns, in
+    /// decimal degrees, of equal length and taken from valid [`GeoPoint`]s.
+    /// A grid with at most 32 cells per record of all the pairs counts on
+    /// bitmaps, a sparser one on [`CellSet`]s (see the module docs); the
+    /// counts are the same either way. The pairs are walked twice: once to
+    /// size the scratch space, once to count.
+    pub fn overlaps<'a, I>(&self, pairs: I) -> Vec<CellOverlap>
+    where
+        I: IntoIterator<Item = (Columns<'a>, Columns<'a>)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        let (mut count, mut records, mut widest) = (0_usize, 0_usize, 0_usize);
+        for ((actual, _), (protected, _)) in pairs.clone() {
+            let pair = actual.len().saturating_add(protected.len());
+            count += 1;
+            records = records.saturating_add(pair);
+            widest = widest.max(pair);
+        }
+        let mut overlaps = Vec::with_capacity(count);
+        // Two bits per cell then take at most 8 bytes per record, the size
+        // of one packed key: a memory bound, not a tuning value.
+        let limit = u64::try_from(records).map_or(u64::MAX, |r| r.saturating_mul(32));
+        let dense = self.cell_count() <= limit;
+        match usize::try_from(self.cell_count().div_ceil(64)) {
+            Ok(words) if dense => {
+                let mut bitmaps =
+                    CellBitmaps { words: vec![[0; 2]; words], touched: Vec::with_capacity(widest) };
+                overlaps.extend(pairs.map(|(a, p)| bitmaps.overlap(self, a, p)));
+            }
+            _ => overlaps.extend(pairs.map(|(a, p)| {
+                let (a, p) = (self.coverage(points(a)), self.coverage(points(p)));
+                CellOverlap { actual: a.len(), protected: p.len(), common: a.intersection_size(&p) }
+            })),
+        }
+        overlaps
+    }
+}
+
+/// One trace's `(latitudes, longitudes)` columns, in decimal degrees.
+type Columns<'a> = (&'a [f64], &'a [f64]);
+
+/// The points of stored coordinate columns.
+fn points((lat, lon): Columns<'_>) -> impl Iterator<Item = GeoPoint> + '_ {
+    lat.iter().zip(lon).map(|(&lat, &lon)| GeoPoint::from_stored(lat, lon))
+}
+
+/// The dense path of [`Grid::overlaps`]: the actual and the protected
+/// bitmap over the linear cell index, word-interleaved so that a cell's two
+/// bits share a cache line.
+struct CellBitmaps {
+    /// Per 64 cells: the actual trace's word, then the protected trace's.
+    words: Vec<[u64; 2]>,
+    /// The words the current pair set bits in: all that needs clearing.
+    touched: Vec<usize>,
+}
+
+impl CellBitmaps {
+    fn overlap(&mut self, grid: &Grid, actual: Columns<'_>, protected: Columns<'_>) -> CellOverlap {
+        // The protected bitmap is clear while the actual trace is marked, so
+        // only the protected pass finds shared cells.
+        let (actual, _) = self.mark(grid, actual, 0);
+        let (protected, common) = self.mark(grid, protected, 1);
+        for &word in &self.touched {
+            self.words[word] = [0; 2];
+        }
+        self.touched.clear();
+        CellOverlap { actual, protected, common }
+    }
+
+    /// Sets `side`'s bit for every cell the trace touches; returns how many
+    /// cells were new to that side, and how many of those the other side
+    /// holds.
+    fn mark(&mut self, grid: &Grid, trace: Columns<'_>, side: usize) -> (usize, usize) {
+        let rows = grid.rows as usize;
+        let (mut new, mut shared) = (0, 0);
+        for point in points(trace) {
+            let cell = grid.cell_of(point);
+            let index = cell.col as usize * rows + cell.row as usize;
+            let (word, bit) = (index / 64, 1_u64 << (index % 64));
+            let bits = &mut self.words[word];
+            if bits[side] & bit == 0 {
+                bits[side] |= bit;
+                new += 1;
+                shared += usize::from(bits[1 - side] & bit != 0);
+                self.touched.push(word);
+            }
+        }
+        (new, shared)
+    }
+}
+
+/// The cell counts of an actual trace A and its protected release P on one
+/// grid: |A|, |P| and |A ∩ P|, all that the area-coverage similarities read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellOverlap {
+    /// |A|: distinct cells the actual trace touches.
+    pub actual: usize,
+    /// |P|: distinct cells the protected trace touches.
+    pub protected: usize,
+    /// |A ∩ P|: cells both touch.
+    pub common: usize,
+}
+
+impl CellOverlap {
+    /// Compares the *size* of the two coverages: `min(|A|, |P|) /
+    /// max(|A|, |P|)`, in `[0, 1]`. Two empty coverages have ratio 1.
+    pub fn area_ratio(&self) -> f64 {
+        let (a, p) = (self.actual as f64, self.protected as f64);
+        if a == 0.0 && p == 0.0 {
+            1.0
+        } else {
+            a.min(p) / a.max(p)
+        }
+    }
+
+    /// F1 score (harmonic mean of precision and recall) of P against A taken
+    /// as ground truth, in `[0, 1]`.
+    ///
+    /// Precision is the fraction of P's cells in A (1 if both are empty, 0
+    /// if only P is); recall is the fraction of A's cells in P (1 if A is
+    /// empty).
+    pub fn f1(&self) -> f64 {
+        let common = self.common as f64;
+        let precision = match (self.protected, self.actual) {
+            (0, 0) => 1.0,
+            (0, _) => 0.0,
+            (p, _) => common / p as f64,
+        };
+        let recall = if self.actual == 0 { 1.0 } else { common / self.actual as f64 };
+        if precision + recall == 0.0 {
+            0.0
+        } else {
+            2.0 * precision * recall / (precision + recall)
+        }
+    }
 }
 
 /// Packs a cell into a key that sorts like [`CellId`]'s derived `Ord`.
@@ -192,9 +343,7 @@ fn unpack(key: u64) -> CellId {
 
 /// A set of grid cells, typically the coverage of a mobility trace.
 ///
-/// Provides the set-similarity measures used by the area-coverage utility
-/// metric. The cells are kept as sorted, distinct packed keys (see the
-/// module docs).
+/// The cells are kept as sorted, distinct packed keys (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CellSet {
     keys: Vec<u64>,
@@ -249,54 +398,6 @@ impl CellSet {
             }
         }
         common
-    }
-
-    /// Number of cells present in either set.
-    pub fn union_size(&self, other: &CellSet) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
-    }
-
-    /// Jaccard similarity `|A ∩ B| / |A ∪ B|` in `[0, 1]`.
-    ///
-    /// Two empty sets are considered identical (similarity 1).
-    pub fn jaccard(&self, other: &CellSet) -> f64 {
-        let union = self.union_size(other);
-        if union == 0 {
-            return 1.0;
-        }
-        self.intersection_size(other) as f64 / union as f64
-    }
-
-    /// Precision of `other` against `self` taken as ground truth:
-    /// the fraction of `other`'s cells that are also in `self`.
-    pub fn precision_of(&self, other: &CellSet) -> f64 {
-        if other.is_empty() {
-            return if self.is_empty() { 1.0 } else { 0.0 };
-        }
-        self.intersection_size(other) as f64 / other.len() as f64
-    }
-
-    /// Recall of `other` against `self` taken as ground truth:
-    /// the fraction of `self`'s cells that are covered by `other`.
-    pub fn recall_of(&self, other: &CellSet) -> f64 {
-        if self.is_empty() {
-            return 1.0;
-        }
-        self.intersection_size(other) as f64 / self.len() as f64
-    }
-
-    /// F1 score (harmonic mean of precision and recall) of `other` against
-    /// `self` taken as ground truth.
-    ///
-    /// This is the default area-coverage similarity of the utility metric.
-    pub fn f1_of(&self, other: &CellSet) -> f64 {
-        let p = self.precision_of(other);
-        let r = self.recall_of(other);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
     }
 }
 
@@ -398,36 +499,73 @@ mod tests {
         assert_eq!(hist[&g.cell_of(b)], 1);
     }
 
+    /// The overlap of two traces that visit the centers of the given cells.
+    fn overlap_of(g: &Grid, actual: &[CellId], protected: &[CellId]) -> CellOverlap {
+        let columns = |cells: &[CellId]| -> (Vec<f64>, Vec<f64>) {
+            cells.iter().map(|&c| g.cell_center(c)).map(|p| (p.latitude(), p.longitude())).unzip()
+        };
+        let (a, p) = (columns(actual), columns(protected));
+        let overlaps = g.overlaps([((&a.0[..], &a.1[..]), (&p.0[..], &p.1[..]))]);
+        assert_eq!(overlaps.len(), 1);
+        overlaps[0]
+    }
+
     #[test]
     fn cellset_similarities() {
         let a = CellSet::from_cells([cell(0, 0), cell(1, 0), cell(2, 0)]);
         let b = CellSet::from_cells([cell(1, 0), cell(2, 0), cell(3, 0)]);
         assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(a.union_size(&b), 4);
-        assert!((a.jaccard(&b) - 0.5).abs() < 1e-12);
-        assert!((a.precision_of(&b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((a.recall_of(&b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((a.f1_of(&b) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(b.intersection_size(&a), 2);
 
-        // Identity.
-        assert_eq!(a.jaccard(&a), 1.0);
-        assert_eq!(a.f1_of(&a), 1.0);
+        // 5 400 cells for 6 to 8 records counts on cell sets; 25 on bitmaps.
+        for g in [sf_grid(200.0), sf_grid(3_000.0)] {
+            let (a, b) =
+                ([cell(0, 0), cell(1, 0), cell(2, 0)], [cell(1, 0), cell(2, 0), cell(3, 0)]);
+            let ab = overlap_of(&g, &a, &b);
+            assert_eq!(ab, CellOverlap { actual: 3, protected: 3, common: 2 });
+            let jaccard = ab.common as f64 / (ab.actual + ab.protected - ab.common) as f64;
+            assert!((jaccard - 0.5).abs() < 1e-12);
+            assert!((ab.f1() - 2.0 / 3.0).abs() < 1e-12);
+            assert_eq!(ab.area_ratio(), 1.0);
 
-        // Disjoint sets.
-        let c = CellSet::from_cells([cell(9, 9)]);
-        assert_eq!(a.jaccard(&c), 0.0);
-        assert_eq!(a.f1_of(&c), 0.0);
+            // Identity, with repeated visits.
+            let aa = overlap_of(&g, &[a[0], a[1], a[0], a[2], a[2]], &a);
+            assert_eq!(aa, CellOverlap { actual: 3, protected: 3, common: 3 });
+            assert_eq!(aa.f1(), 1.0);
+
+            // Disjoint sets.
+            let ac = overlap_of(&g, &a, &[cell(4, 4)]);
+            assert_eq!(ac, CellOverlap { actual: 3, protected: 1, common: 0 });
+            assert_eq!(ac.f1(), 0.0);
+            assert_eq!(ac.area_ratio(), 1.0 / 3.0);
+        }
     }
 
     #[test]
     fn cellset_empty_conventions() {
         let empty = CellSet::new();
-        let nonempty = CellSet::from_cells([cell(0, 0)]);
         assert!(empty.is_empty());
-        assert_eq!(empty.jaccard(&empty), 1.0);
-        assert_eq!(empty.f1_of(&empty), 1.0);
-        assert_eq!(nonempty.precision_of(&empty), 0.0);
-        assert_eq!(empty.recall_of(&nonempty), 1.0);
+        assert_eq!(empty.intersection_size(&CellSet::from_cells([cell(0, 0)])), 0);
+
+        // Two empty coverages are identical.
+        let none = CellOverlap { actual: 0, protected: 0, common: 0 };
+        assert_eq!((none.f1(), none.area_ratio()), (1.0, 1.0));
+        // An empty release of a non-empty truth has precision 0 and recall 0;
+        // a non-empty release of an empty truth has recall 1 and precision 0.
+        let dropped = CellOverlap { actual: 1, protected: 0, common: 0 };
+        assert_eq!((dropped.f1(), dropped.area_ratio()), (0.0, 0.0));
+        let invented = CellOverlap { actual: 0, protected: 1, common: 0 };
+        assert_eq!((invented.f1(), invented.area_ratio()), (0.0, 0.0));
+
+        // An empty trace counts no cell, on cell sets (5 400 cells for one
+        // record) and on bitmaps (25 cells); no pair gives no counts.
+        let nothing: &[f64] = &[];
+        for g in [sf_grid(200.0), sf_grid(3_000.0)] {
+            assert_eq!(overlap_of(&g, &[cell(1, 1)], &[]), dropped);
+            assert_eq!(overlap_of(&g, &[], &[cell(1, 1)]), invented);
+            assert_eq!(g.overlaps([((nothing, nothing), (nothing, nothing))]), vec![none]);
+            assert!(g.overlaps(std::iter::empty()).is_empty());
+        }
     }
 
     #[test]

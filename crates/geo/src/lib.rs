@@ -15,8 +15,9 @@
 //!   San Francisco evaluation).
 //! * [`distance`] — haversine and planar distances.
 //! * [`BoundingBox`] — geographic extents.
-//! * [`Grid`] / [`CellSet`] — uniform "city block" grids and coverage sets,
-//!   the substrate of the paper's area-coverage utility metric.
+//! * [`Grid`] / [`CellSet`] / [`CellOverlap`] — uniform "city block" grids,
+//!   coverage sets, and the |A|, |P|, |A ∩ P| cell counts the paper's
+//!   area-coverage utility metric reads, made in one pass per trace.
 //!
 //! ## Example
 //!
@@ -52,7 +53,7 @@ pub mod units;
 
 pub use bbox::BoundingBox;
 pub use error::GeoError;
-pub use grid::{CellId, CellSet, Grid};
+pub use grid::{CellId, CellOverlap, CellSet, Grid};
 pub use point::{GeoPoint, Point};
 pub use projection::LocalProjection;
 pub use units::{Degrees, Meters, Seconds};
@@ -62,7 +63,7 @@ pub mod prelude {
     pub use crate::bbox::BoundingBox;
     pub use crate::distance;
     pub use crate::error::GeoError;
-    pub use crate::grid::{CellId, CellSet, Grid};
+    pub use crate::grid::{CellId, CellOverlap, CellSet, Grid};
     pub use crate::point::{GeoPoint, Point};
     pub use crate::projection::LocalProjection;
     pub use crate::units::{Degrees, Meters, Seconds};

@@ -1,8 +1,11 @@
 //! Property-based tests for the geospatial substrate.
 
-use geopriv_geo::{distance, BoundingBox, CellId, GeoPoint, Grid, LocalProjection, Meters, Point};
+use geopriv_geo::{
+    distance, BoundingBox, CellId, CellOverlap, GeoPoint, Grid, LocalProjection, Meters, Point,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// City-scale latitudes/longitudes around San Francisco, the paper's study area.
 fn sf_coords() -> impl Strategy<Value = (f64, f64)> {
@@ -16,9 +19,9 @@ fn sf_area() -> BoundingBox {
 /// Trace-like point sequences: a random walk of steps up to ~300 m, so
 /// consecutive points often share a cell, with repeated records and jumps
 /// to anywhere on the globe, mostly far outside the study area.
-fn trace_points(max_len: usize) -> impl Strategy<Value = Vec<GeoPoint>> {
+fn trace_points(len: Range<usize>) -> impl Strategy<Value = Vec<GeoPoint>> {
     let step = (-1.0f64..1.0, -1.0f64..1.0, 0u8..10);
-    (sf_coords(), prop::collection::vec(step, 0..max_len)).prop_map(|((lat, lon), steps)| {
+    (sf_coords(), prop::collection::vec(step, len)).prop_map(|((lat, lon), steps)| {
         let mut here = (lat, lon);
         steps
             .into_iter()
@@ -50,18 +53,8 @@ fn reference_coverage(grid: &Grid, points: &[GeoPoint]) -> BTreeSet<CellId> {
     points.iter().map(|&p| floor_cell_of(grid, p)).collect()
 }
 
-/// `CellSet::jaccard` evaluated on reference sets.
-fn reference_jaccard(a: &BTreeSet<CellId>, b: &BTreeSet<CellId>) -> f64 {
-    let common = a.intersection(b).count();
-    let union = a.len() + b.len() - common;
-    if union == 0 {
-        1.0
-    } else {
-        common as f64 / union as f64
-    }
-}
-
-/// `CellSet::f1_of` evaluated on reference sets (`truth` is the ground truth).
+/// F1 as `CellSet::f1_of` computed it on reference sets (`truth` is the
+/// ground truth): precision, then recall, then 2pr/(p+r).
 fn reference_f1(truth: &BTreeSet<CellId>, other: &BTreeSet<CellId>) -> f64 {
     let common = truth.intersection(other).count() as f64;
     let precision = match (other.is_empty(), truth.is_empty()) {
@@ -75,6 +68,43 @@ fn reference_f1(truth: &BTreeSet<CellId>, other: &BTreeSet<CellId>) -> f64 {
     } else {
         2.0 * precision * recall / (precision + recall)
     }
+}
+
+/// The area ratio as area coverage computed it on reference sets.
+fn reference_area_ratio(a: &BTreeSet<CellId>, p: &BTreeSet<CellId>) -> f64 {
+    let (a, p) = (a.len() as f64, p.len() as f64);
+    if a == 0.0 && p == 0.0 {
+        1.0
+    } else {
+        a.min(p) / a.max(p)
+    }
+}
+
+/// Checks one `Grid::overlaps` call on `pairs` against `BTreeSet`
+/// references, pair by pair: the three counts, and the F1 and area-ratio
+/// bits computed from them.
+fn assert_overlaps_match_reference(grid: &Grid, pairs: &[(&[GeoPoint], &[GeoPoint])]) {
+    let columns = |points: &[GeoPoint]| -> (Vec<f64>, Vec<f64>) {
+        points.iter().map(|p| (p.latitude(), p.longitude())).unzip()
+    };
+    let stored: Vec<_> = pairs.iter().map(|(a, p)| (columns(a), columns(p))).collect();
+    let overlaps =
+        grid.overlaps(stored.iter().map(|(a, p)| ((&a.0[..], &a.1[..]), (&p.0[..], &p.1[..]))));
+    assert_eq!(overlaps.len(), pairs.len());
+    for (i, (overlap, (a, p))) in overlaps.iter().zip(pairs).enumerate() {
+        let (ref_a, ref_p) = (reference_coverage(grid, a), reference_coverage(grid, p));
+        let common = ref_a.intersection(&ref_p).count();
+        let expected = CellOverlap { actual: ref_a.len(), protected: ref_p.len(), common };
+        assert_eq!(*overlap, expected, "pair {i}");
+        assert_eq!(overlap.f1().to_bits(), reference_f1(&ref_a, &ref_p).to_bits(), "pair {i}");
+        let ratio = reference_area_ratio(&ref_a, &ref_p);
+        assert_eq!(overlap.area_ratio().to_bits(), ratio.to_bits(), "pair {i}");
+    }
+}
+
+/// Whether `Grid::overlaps` counts `records` records on `grid` with bitmaps.
+fn is_dense(grid: &Grid, records: usize) -> bool {
+    grid.cell_count() <= 32 * records as u64
 }
 
 fn planar_points(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -154,25 +184,30 @@ proptest! {
         let area = BoundingBox::new(37.60, -122.60, 37.90, -122.30).unwrap();
         let grid = Grid::new(area, Meters::new(200.0)).unwrap();
         let proj = LocalProjection::centered_on(area.center());
-        let geos: Vec<GeoPoint> = points.iter().map(|p| proj.unproject(*p)).collect();
-        let shifted: Vec<GeoPoint> = points
-            .iter()
-            .map(|p| proj.unproject(Point::new(p.x() + radius, p.y())))
-            .collect();
-        let a = grid.coverage(geos.iter().copied());
-        let b = grid.coverage(shifted.iter().copied());
-        let j = a.jaccard(&b);
-        let f1 = a.f1_of(&b);
+        let columns = |dx: f64| -> (Vec<f64>, Vec<f64>) {
+            points
+                .iter()
+                .map(|p| proj.unproject(Point::new(p.x() + dx, p.y())))
+                .map(|g| (g.latitude(), g.longitude()))
+                .unzip()
+        };
+        let (a, b) = (columns(0.0), columns(radius));
+        let overlap = grid.overlaps([((&a.0[..], &a.1[..]), (&b.0[..], &b.1[..]))])[0];
+        let union = overlap.actual + overlap.protected - overlap.common;
+        let j = if union == 0 { 1.0 } else { overlap.common as f64 / union as f64 };
+        let f1 = overlap.f1();
+        prop_assert!(overlap.common <= overlap.actual.min(overlap.protected));
         prop_assert!((0.0..=1.0).contains(&j));
         prop_assert!((0.0..=1.0).contains(&f1));
+        prop_assert!((0.0..=1.0).contains(&overlap.area_ratio()));
         // F1 is never smaller than Jaccard.
         prop_assert!(f1 + 1e-12 >= j);
     }
 
     #[test]
     fn coverage_equals_a_btreeset_reference(
-        a in trace_points(150),
-        b in trace_points(150),
+        a in trace_points(0..150),
+        b in trace_points(0..150),
         cell_m in 50.0f64..1000.0,
     ) {
         let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
@@ -184,11 +219,48 @@ proptest! {
         let common = ref_a.intersection(&ref_b).count();
         prop_assert_eq!(cells_a.intersection_size(&cells_b), common);
         prop_assert_eq!(cells_b.intersection_size(&cells_a), common);
-        prop_assert_eq!(cells_a.union_size(&cells_b), ref_a.union(&ref_b).count());
-        prop_assert_eq!(cells_a.jaccard(&cells_b).to_bits(), reference_jaccard(&ref_a, &ref_b).to_bits());
-        prop_assert_eq!(cells_a.f1_of(&cells_b).to_bits(), reference_f1(&ref_a, &ref_b).to_bits());
-        prop_assert_eq!(cells_b.f1_of(&cells_a).to_bits(), reference_f1(&ref_b, &ref_a).to_bits());
-        prop_assert_eq!(cells_a.f1_of(&cells_a).to_bits(), reference_f1(&ref_a, &ref_a).to_bits());
+        prop_assert_eq!(cells_a.intersection_size(&cells_a), ref_a.len());
+    }
+
+    #[test]
+    fn overlaps_equal_a_btreeset_reference_on_dense_grids(
+        a in trace_points(20..150),
+        b in trace_points(20..150),
+        cell_m in 1000.0f64..3000.0,
+    ) {
+        // At most 27 × 34 cells for at least 40 records: bitmaps.
+        let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
+        prop_assert!(is_dense(&grid, a.len() + b.len()));
+        assert_overlaps_match_reference(&grid, &[(&a, &b), (&b, &a), (&a, &a)]);
+    }
+
+    #[test]
+    fn overlaps_equal_a_btreeset_reference_on_sparse_grids(
+        a in trace_points(0..20),
+        b in trace_points(0..20),
+        cell_m in 5.0f64..50.0,
+    ) {
+        // At least 528 × 668 cells for at most 38 records: cell sets.
+        let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
+        prop_assert!(!is_dense(&grid, a.len() + b.len()));
+        assert_overlaps_match_reference(&grid, &[(&a, &b), (&b, &a), (&a, &a)]);
+    }
+
+    #[test]
+    fn overlaps_clear_their_bitmaps_between_pairs(
+        traces in prop::collection::vec(trace_points(10..80), 4),
+        cell_m in 500.0f64..3000.0,
+    ) {
+        // Every trace appears in several pairs, on either side, so a later
+        // pair's cells overlap an earlier pair's: a bit left set by one pair
+        // would inflate the next pair's counts.
+        let [t0, t1, t2, t3] = [&traces[0], &traces[1], &traces[2], &traces[3]];
+        let pairs: [(&[GeoPoint], &[GeoPoint]); 7] =
+            [(t0, t1), (t1, t0), (t0, t0), (t2, t1), (t1, t3), (t3, t2), (t2, t0)];
+        // At most 53 × 67 cells for at least 140 records: bitmaps.
+        let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
+        prop_assert!(is_dense(&grid, pairs.iter().map(|(a, p)| a.len() + p.len()).sum()));
+        assert_overlaps_match_reference(&grid, &pairs);
     }
 
     #[test]

@@ -41,6 +41,12 @@ pub enum CoverageSimilarity {
 /// [`CoverageSimilarity`]; the dataset-level value is the mean over users —
 /// the quantity plotted on the y-axis of Figure 1b.
 ///
+/// Both similarities read only three counts per user — the actual and the
+/// protected coverage's sizes and the size of their intersection — which
+/// one [`Grid::overlaps`] call makes for every user from the traces'
+/// coordinate columns, without building a set per trace on grids dense
+/// enough for a cell bitmap.
+///
 /// # Examples
 ///
 /// ```
@@ -141,24 +147,22 @@ impl UtilityMetric for AreaCoverage {
         let bounds = combined_bounds(actual, protected)?;
         let grid = Grid::new(bounds, self.cell_size)?;
 
-        let mut per_user = Vec::with_capacity(pairs.len());
-        for (actual_trace, protected_trace) in pairs {
-            let actual_cells = grid.coverage(actual_trace.iter().map(|r| r.location()));
-            let protected_cells = grid.coverage(protected_trace.iter().map(|r| r.location()));
-            let similarity = match self.similarity {
-                CoverageSimilarity::AreaRatio => {
-                    let a = actual_cells.len() as f64;
-                    let p = protected_cells.len() as f64;
-                    if a == 0.0 && p == 0.0 {
-                        1.0
-                    } else {
-                        a.min(p) / a.max(p)
-                    }
-                }
-                CoverageSimilarity::CellF1 => actual_cells.f1_of(&protected_cells),
-            };
-            per_user.push((actual_trace.user(), similarity));
-        }
+        let overlaps = grid.overlaps(
+            pairs
+                .iter()
+                .map(|(a, p)| ((a.latitudes(), a.longitudes()), (p.latitudes(), p.longitudes()))),
+        );
+        let per_user = pairs
+            .iter()
+            .zip(overlaps)
+            .map(|((actual_trace, _), overlap)| {
+                let similarity = match self.similarity {
+                    CoverageSimilarity::AreaRatio => overlap.area_ratio(),
+                    CoverageSimilarity::CellF1 => overlap.f1(),
+                };
+                (actual_trace.user(), similarity)
+            })
+            .collect();
         MetricValue::from_per_user(per_user)
     }
 

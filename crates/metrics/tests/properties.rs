@@ -393,9 +393,10 @@ fn reference_area_coverage(
     MetricValue::from_per_user(per_user).unwrap()
 }
 
-/// The sorted-key cell sets change no area-coverage bit: every mode, every
-/// mechanism family, from nearly-exact releases to noise that throws points
-/// far outside the city.
+/// Neither the sorted-key cell sets nor the cell bitmaps change an
+/// area-coverage bit: every mode, every mechanism family, from nearly-exact
+/// releases to noise that throws points far outside the city, at the dataset
+/// and the per-user grain.
 #[test]
 fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(41);
@@ -413,13 +414,27 @@ fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
             .map(f64::to_bits)
             .collect()
     };
+    let check = |actual: &Dataset, protected: &Dataset, label: &str| {
+        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
+            let value = metric.evaluate(actual, protected).unwrap();
+            let reference = reference_area_coverage(&metric, actual, protected);
+            assert_eq!(bits(&value), bits(&reference), "{} on {label}", metric.name());
+            assert_eq!(value, reference, "{} on {label}", metric.name());
+        }
+    };
     for mechanism in &mechanisms {
         let protected = mechanism.protect_dataset(&actual, &mut rng).unwrap();
-        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
-            let value = metric.evaluate(&actual, &protected).unwrap();
-            let reference = reference_area_coverage(&metric, &actual, &protected);
-            assert_eq!(bits(&value), bits(&reference), "{} on {}", metric.name(), mechanism.name());
-            assert_eq!(value, reference, "{} on {}", metric.name(), mechanism.name());
+        check(&actual, &protected, mechanism.name());
+    }
+    // The per-user grain: one user per call. At ε = 1e-4 the noise spreads a
+    // user's records over far more cells than a bitmap may cover; at 1e-2
+    // they stay dense enough for one.
+    for eps in [1e-4, 1e-2] {
+        let mechanism = GeoIndistinguishability::new(Epsilon::new(eps).unwrap());
+        for user in 0..actual.len() {
+            let actual = actual.user_slice(user..user + 1).unwrap();
+            let protected = mechanism.protect_dataset(&actual, &mut rng).unwrap();
+            check(&actual, &protected, &format!("user {user} at eps = {eps}"));
         }
     }
 }

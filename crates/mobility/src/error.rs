@@ -18,6 +18,11 @@ pub enum MobilityError {
         /// Index of the first out-of-order record.
         index: usize,
     },
+    /// A timestamp was `NaN` or infinite: it has no place on a timeline.
+    NonFiniteTimestamp {
+        /// Index of the first non-finite timestamp.
+        index: usize,
+    },
     /// A generator or parser was configured with an invalid parameter.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -44,6 +49,9 @@ impl fmt::Display for MobilityError {
             MobilityError::EmptyDataset => write!(f, "dataset contains no traces"),
             MobilityError::UnorderedRecords { index } => {
                 write!(f, "records are not ordered by timestamp (first violation at index {index})")
+            }
+            MobilityError::NonFiniteTimestamp { index } => {
+                write!(f, "timestamp at index {index} is not finite")
             }
             MobilityError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
@@ -87,6 +95,9 @@ mod tests {
         let e = MobilityError::from(GeoError::EmptyBounds);
         assert!(e.to_string().contains("geospatial"));
         assert!(std::error::Error::source(&e).is_some());
+
+        let t = MobilityError::NonFiniteTimestamp { index: 2 };
+        assert_eq!(t.to_string(), "timestamp at index 2 is not finite");
 
         let p = MobilityError::Parse { line: 3, reason: "bad latitude".into() };
         assert!(p.to_string().contains("line 3"));

@@ -52,8 +52,9 @@ pub fn write_csv<W: Write>(dataset: &Dataset, mut writer: W) -> Result<(), Mobil
 ///
 /// # Errors
 ///
-/// Returns [`MobilityError::Parse`] for malformed lines and
-/// [`MobilityError::EmptyDataset`] if no record was found.
+/// Returns [`MobilityError::Parse`] for malformed lines (including a `NaN`
+/// or infinite timestamp) and [`MobilityError::EmptyDataset`] if no record
+/// was found.
 // audit:allow(R1): public API — how a user loads their own traces
 pub fn read_csv<R: Read>(reader: R) -> Result<Dataset, MobilityError> {
     let reader = BufReader::new(reader);
@@ -78,10 +79,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset, MobilityError> {
             line: line_no,
             reason: format!("invalid user id {:?}", fields[0]),
         })?;
-        let timestamp: f64 = fields[1].parse().map_err(|_| MobilityError::Parse {
-            line: line_no,
-            reason: format!("invalid timestamp {:?}", fields[1]),
-        })?;
+        let timestamp = parse_timestamp(fields[1], line_no)?;
         let lat: f64 = fields[2].parse().map_err(|_| MobilityError::Parse {
             line: line_no,
             reason: format!("invalid latitude {:?}", fields[2]),
@@ -110,8 +108,9 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset, MobilityError> {
 ///
 /// # Errors
 ///
-/// Returns [`MobilityError::Parse`] for malformed lines and
-/// [`MobilityError::EmptyTrace`] if the input has no record.
+/// Returns [`MobilityError::Parse`] for malformed lines (including a `NaN`
+/// or infinite timestamp) and [`MobilityError::EmptyTrace`] if the input has
+/// no record.
 // audit:allow(R1): public API — the loader for the paper's cabspotting dataset
 pub fn read_cabspotting_trace<R: Read>(user: UserId, reader: R) -> Result<Trace, MobilityError> {
     let reader = BufReader::new(reader);
@@ -138,15 +137,21 @@ pub fn read_cabspotting_trace<R: Read>(user: UserId, reader: R) -> Result<Trace,
             line: line_no,
             reason: format!("invalid longitude {:?}", fields[1]),
         })?;
-        let timestamp: f64 = fields[3].parse().map_err(|_| MobilityError::Parse {
-            line: line_no,
-            reason: format!("invalid timestamp {:?}", fields[3]),
-        })?;
+        let timestamp = parse_timestamp(fields[3], line_no)?;
         let location = GeoPoint::new(lat, lon)
             .map_err(|e| MobilityError::Parse { line: line_no, reason: e.to_string() })?;
         records.push(Record::new(Seconds::new(timestamp), location));
     }
     Trace::from_unordered(user, records)
+}
+
+/// Parses a timestamp field. `NaN` and `inf` parse as `f64` but have no
+/// place on a timeline, so they are rejected with the rest.
+fn parse_timestamp(field: &str, line: usize) -> Result<f64, MobilityError> {
+    field.parse().ok().filter(|t: &f64| t.is_finite()).ok_or_else(|| MobilityError::Parse {
+        line,
+        reason: format!("invalid timestamp {field:?}: expected a finite number of seconds"),
+    })
 }
 
 #[cfg(test)]
@@ -214,6 +219,11 @@ mod tests {
             ("1,0,37.77", "4 comma-separated"),
             ("x,0,37.77,-122.41", "user id"),
             ("1,zzz,37.77,-122.41", "timestamp"),
+            // `NaN` and `±inf` parse as `f64`; the second record makes the
+            // loader sort by timestamp.
+            ("1,NaN,37.77,-122.41\n1,5,37.71,-122.41", "timestamp"),
+            ("1,inf,37.77,-122.41\n1,5,37.71,-122.41", "timestamp"),
+            ("1,-inf,37.77,-122.41\n1,5,37.71,-122.41", "timestamp"),
             ("1,0,91.5,-122.41", "latitude"),
             ("1,0,37.77,abc", "longitude"),
         ] {
@@ -241,5 +251,11 @@ mod tests {
         assert!(read_cabspotting_trace(UserId::new(1), "37.7 -122.4 0".as_bytes()).is_err());
         assert!(read_cabspotting_trace(UserId::new(1), "lat -122.4 0 123".as_bytes()).is_err());
         assert!(read_cabspotting_trace(UserId::new(1), "".as_bytes()).is_err());
+        for bad in ["NaN", "inf", "-inf"] {
+            let text = format!("37.7 -122.4 0 {bad}\n37.71 -122.41 1 5\n");
+            let err = read_cabspotting_trace(UserId::new(1), text.as_bytes()).unwrap_err();
+            assert!(matches!(err, MobilityError::Parse { line: 1, .. }), "{text:?} -> {err}");
+            assert!(err.to_string().contains("timestamp"), "{text:?} -> {err}");
+        }
     }
 }

@@ -4,6 +4,7 @@ use crate::error::MobilityError;
 use crate::record::{Record, UserId};
 use geopriv_geo::{distance, BoundingBox, GeoPoint, Meters, Seconds};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// A mobility trace: the chronologically ordered location records of one user.
@@ -74,6 +75,7 @@ impl Trace {
     ///
     /// * [`MobilityError::EmptyTrace`] if the columns are empty.
     /// * [`MobilityError::InvalidParameter`] if the columns have different lengths.
+    /// * [`MobilityError::NonFiniteTimestamp`] if a timestamp is `NaN` or infinite.
     /// * [`MobilityError::UnorderedRecords`] if timestamps are not non-decreasing.
     pub fn from_columns(
         user: UserId,
@@ -95,6 +97,7 @@ impl Trace {
                 ),
             });
         }
+        check_finite(t.iter().copied())?;
         for (i, pair) in t.windows(2).enumerate() {
             if pair[1] < pair[0] {
                 return Err(MobilityError::UnorderedRecords { index: i + 1 });
@@ -107,16 +110,17 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns [`MobilityError::EmptyTrace`] if `records` is empty.
+    /// * [`MobilityError::EmptyTrace`] if `records` is empty.
+    /// * [`MobilityError::NonFiniteTimestamp`] if a timestamp is `NaN` or
+    ///   infinite (the index is into `records` as given).
     pub fn from_unordered(user: UserId, mut records: Vec<Record>) -> Result<Self, MobilityError> {
         if records.is_empty() {
             return Err(MobilityError::EmptyTrace);
         }
+        check_finite(records.iter().map(|r| r.timestamp().as_f64()))?;
+        // Finite timestamps always compare.
         records.sort_by(|a, b| {
-            a.timestamp()
-                .as_f64()
-                .partial_cmp(&b.timestamp().as_f64())
-                .expect("timestamps are finite")
+            a.timestamp().as_f64().partial_cmp(&b.timestamp().as_f64()).unwrap_or(Ordering::Equal)
         });
         Self::new(user, records)
     }
@@ -272,6 +276,14 @@ impl<'a> IntoIterator for &'a Trace {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+/// Rejects the first timestamp that is `NaN` or infinite.
+fn check_finite(timestamps: impl Iterator<Item = f64>) -> Result<(), MobilityError> {
+    match timestamps.map(f64::is_finite).position(|finite| !finite) {
+        Some(index) => Err(MobilityError::NonFiniteTimestamp { index }),
+        None => Ok(()),
     }
 }
 
@@ -559,8 +571,22 @@ mod tests {
             Err(MobilityError::UnorderedRecords { index: 1 })
         ));
         // from_unordered sorts instead of failing.
-        let sorted = Trace::from_unordered(UserId::new(1), unordered).unwrap();
+        let sorted = Trace::from_unordered(UserId::new(1), unordered.clone()).unwrap();
         assert!(sorted.first().timestamp() <= sorted.last().timestamp());
+        // …except past a non-finite timestamp: an error, not a panic while
+        // sorting, whose index is into the records as given.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut records = unordered.clone();
+            records.push(Record::new(Seconds::new(bad), gp(37.79, -122.43)));
+            assert!(matches!(
+                Trace::from_unordered(UserId::new(1), records.clone()),
+                Err(MobilityError::NonFiniteTimestamp { index: 2 })
+            ));
+            assert!(matches!(
+                Trace::new(UserId::new(1), records),
+                Err(MobilityError::NonFiniteTimestamp { index: 2 })
+            ));
+        }
     }
 
     #[test]
@@ -590,6 +616,18 @@ mod tests {
             ),
             Err(MobilityError::UnorderedRecords { index: 1 })
         ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let columns =
+                |t| Trace::from_columns(UserId::new(1), t, vec![37.7; 2], vec![-122.4; 2]);
+            assert!(matches!(
+                columns(vec![0.0, bad]),
+                Err(MobilityError::NonFiniteTimestamp { index: 1 })
+            ));
+            assert!(matches!(
+                columns(vec![bad, 0.0]),
+                Err(MobilityError::NonFiniteTimestamp { index: 0 })
+            ));
+        }
     }
 
     #[test]
