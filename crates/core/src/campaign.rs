@@ -7,13 +7,15 @@
 //! run synchronizes on its own thread pool, leaving cores idle at every
 //! sweep boundary.
 //!
-//! [`CampaignRunner`] fixes both. It flattens an M-system × K-dataset study
-//! into one pool of `(system, dataset, point, repetition)` work units that
-//! threads claim greedily, and it calls each metric's
-//! [`geopriv_metrics::PrivacyMetric::prepare`] hook exactly once per distinct
-//! `(metric configuration, dataset)` pair, sharing the prepared actual-side
-//! state across every point, repetition, system and suite position of the
-//! campaign.
+//! [`CampaignRunner`] fixes both. It hands an M-system × K-dataset study to
+//! the sweep engine's one executor as M × K cells in a single call: one pool
+//! of `(system, dataset, point)` work units that threads claim greedily, each
+//! unit measuring every repetition of its point. The executor calls each
+//! metric's [`geopriv_metrics::PrivacyMetric::prepare`] hook exactly once per
+//! distinct `(metric configuration, dataset)` pair, sharing the prepared
+//! actual-side state across every point, repetition, system and suite
+//! position of the campaign. A plain [`crate::ExperimentRunner`] sweep is the
+//! one-cell case of the same call.
 //!
 //! Determinism is preserved exactly: the per-unit RNG seed is derived by the
 //! same [`derive_unit_seed`] contract the [`crate::ExperimentRunner`] uses —
@@ -52,18 +54,12 @@
 
 use crate::error::CoreError;
 use crate::experiment::{
-    assemble_sweep, derive_unit_seed, run_indexed, MetricSample, SweepConfig, SweepMode, SweepPlan,
-    SweepResult,
+    assemble_sweep, derive_unit_seed, measure_cells, Cell, ExperimentRunner, SweepConfig,
+    SweepMode, SweepPlan, SweepResult,
 };
 use crate::system::SystemDefinition;
 use geopriv_lppm::ConfigPoint;
-use geopriv_metrics::PreparedState;
-use geopriv_metrics::{Direction, MetricId};
 use geopriv_mobility::Dataset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The sweep of one `(system, dataset)` cell of a campaign.
 #[derive(Debug)]
@@ -110,14 +106,6 @@ impl CampaignResult {
     }
 }
 
-/// One schedulable work unit: a single protection + evaluation.
-struct Unit {
-    system: usize,
-    dataset: usize,
-    point: usize,
-    repetition: usize,
-}
-
 /// Runs campaigns of M systems × K datasets on a shared work pool.
 ///
 /// The same [`SweepConfig`] (points, repetitions, master seed, parallelism)
@@ -158,11 +146,12 @@ impl CampaignRunner {
     /// configuration, a cached plan ([`SweepPlan::cached`]: the shared pool
     /// neither reads nor writes the measurement cache, so its cells could not
     /// match [`crate::ExperimentRunner::run`] on that plan) or empty
-    /// `systems`/`datasets`. A failing work unit
-    /// short-circuits the rest of the campaign; the error propagated is the
-    /// first genuine unit error in `(system, dataset, point, repetition)`
-    /// order among the units that ran (in sequential mode, exactly the first
-    /// failing unit).
+    /// `systems`/`datasets`. A failing work unit short-circuits the rest of
+    /// the campaign, as in every pooled sweep: the error propagated is the
+    /// first genuine unit error in `(system, dataset, point)` order among the
+    /// units that ran (in sequential mode, exactly the first failing unit).
+    /// Sharded and adaptive plans run cell by cell in `(system, dataset)`
+    /// order and stop at the first failing cell.
     pub fn run(
         &self,
         systems: &[SystemDefinition],
@@ -196,7 +185,7 @@ impl CampaignRunner {
         // work pool internally), and the results are bit-identical to
         // independent runs by construction — it *is* that code path.
         if self.plan.user_shard_size().is_some() || self.plan.mode == SweepMode::Adaptive {
-            let runner = crate::experiment::ExperimentRunner::with_plan(self.plan.clone());
+            let runner = ExperimentRunner::with_plan(self.plan.clone());
             let mut runs = Vec::with_capacity(systems.len() * datasets.len());
             for (s, system) in systems.iter().enumerate() {
                 for (d, dataset) in datasets.iter().enumerate() {
@@ -213,263 +202,35 @@ impl CampaignRunner {
 
         let design_points: Vec<Vec<ConfigPoint>> =
             systems.iter().map(|s| self.plan.enumerate(&s.space())).collect::<Result<_, _>>()?;
-        let prepared = self.prepare_cells(systems, datasets)?;
+        let master = self.plan.config.seed;
+        let seed =
+            |p: usize, _: &ConfigPoint, repetition: usize| derive_unit_seed(master, p, repetition);
+        // Cells in (system, dataset) order: the order of the runs, and with
+        // each cell's points the unit order errors are reported in.
+        let mut cells = Vec::with_capacity(systems.len() * datasets.len());
+        for (system, points) in systems.iter().zip(&design_points) {
+            for dataset in 0..datasets.len() {
+                cells.push(Cell { system, dataset, points, seed: &seed });
+            }
+        }
+        let mut measured = measure_cells(
+            &cells,
+            datasets,
+            self.plan.config.repetitions,
+            self.plan.grain,
+            self.plan.config.parallel,
+        )?
+        .into_iter();
 
-        // Flatten the whole campaign into one unit list. Unit index order is
-        // the deterministic (system, dataset, point, repetition) order used
-        // for both error reporting and result assembly.
-        let mut units = Vec::new();
-        for (s, points) in design_points.iter().enumerate() {
+        let mut runs = Vec::with_capacity(cells.len());
+        for (s, (system, points)) in systems.iter().zip(&design_points).enumerate() {
             for d in 0..datasets.len() {
-                for point in 0..points.len() {
-                    for repetition in 0..self.plan.config.repetitions {
-                        units.push(Unit { system: s, dataset: d, point, repetition });
-                    }
-                }
-            }
-        }
-
-        // Short-circuit flag: once any unit fails, remaining units are
-        // skipped (`None`) instead of protecting and evaluating for nothing.
-        // Skipped slots are distinct from errors so a skip can never mask the
-        // genuine failure that caused it, whatever the thread interleaving.
-        let abort = std::sync::atomic::AtomicBool::new(false);
-        let measurements = run_indexed(units.len(), self.plan.config.parallel, |i| {
-            if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                return None;
-            }
-            let resolved = units.get(i).and_then(|unit| {
-                Some((
-                    systems.get(unit.system)?,
-                    datasets.get(unit.dataset)?,
-                    prepared.get(unit.system)?.get(unit.dataset)?,
-                    unit,
-                    design_points.get(unit.system)?.get(unit.point)?,
-                ))
-            });
-            let Some((system, dataset, cell, unit, point)) = resolved else {
-                abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                return Some(Err(CoreError::Internal {
-                    reason: format!("campaign unit {i} of {} out of range", units.len()),
-                }));
-            };
-            let result = self.measure_unit(system, dataset, cell, unit, point);
-            if result.is_err() {
-                abort.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            Some(result)
-        })?;
-
-        self.assemble(systems, datasets, &design_points, &units, measurements)
-    }
-
-    /// Prepares the actual-side metric state of every `(system, dataset)`
-    /// cell, sharing state between identically configured metrics: each
-    /// distinct `(metric cache key, dataset)` pair is prepared exactly once
-    /// per campaign, with the distinct preparation jobs running through the
-    /// same work pool as the measurement units.
-    ///
-    /// Returns, per system and dataset, one prepared state per suite metric
-    /// (in suite order).
-    fn prepare_cells(
-        &self,
-        systems: &[SystemDefinition],
-        datasets: &[Dataset],
-    ) -> Result<Vec<Vec<Vec<Arc<PreparedState>>>>, CoreError> {
-        /// A distinct preparation job: which system's metric (by suite
-        /// position) to prepare against which dataset.
-        struct PrepareJob {
-            system: usize,
-            metric: usize,
-            dataset: usize,
-        }
-
-        // Deduplicate by (cache key, dataset) in deterministic (system,
-        // dataset, suite position) order; the map points each cell's metric
-        // at its job index.
-        let mut jobs: Vec<PrepareJob> = Vec::new();
-        let mut job_index: HashMap<(String, usize), usize> = HashMap::new();
-        for (s, system) in systems.iter().enumerate() {
-            for d in 0..datasets.len() {
-                for (k, metric) in system.suite().iter().enumerate() {
-                    job_index.entry((metric.cache_key(), d)).or_insert_with(|| {
-                        jobs.push(PrepareJob { system: s, metric: k, dataset: d });
-                        jobs.len() - 1
-                    });
-                }
-            }
-        }
-
-        let states: Vec<Arc<PreparedState>> =
-            run_indexed(jobs.len(), self.plan.config.parallel, |i| {
-                let resolved = jobs.get(i).and_then(|job| {
-                    let metric = systems.get(job.system)?.suite().metrics().get(job.metric)?;
-                    Some((metric, datasets.get(job.dataset)?))
-                });
-                let Some((metric, dataset)) = resolved else {
-                    return Err(CoreError::Internal {
-                        reason: format!("preparation job {i} of {} out of range", jobs.len()),
-                    });
-                };
-                metric.prepare(dataset).map_err(CoreError::from)
-            })?
-            .into_iter()
-            .map(|state| state.map(Arc::new))
-            .collect::<Result<_, _>>()?;
-
-        systems
-            .iter()
-            .map(|system| {
-                (0..datasets.len())
-                    .map(|d| {
-                        system
-                            .suite()
-                            .iter()
-                            .map(|metric| {
-                                job_index
-                                    .get(&(metric.cache_key(), d))
-                                    .and_then(|&j| states.get(j))
-                                    .map(Arc::clone)
-                                    .ok_or_else(|| CoreError::Internal {
-                                        reason: format!(
-                                            "metric \"{}\" has no prepared state for dataset {d}",
-                                            metric.id()
-                                        ),
-                                    })
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Executes one work unit: instantiate, protect, evaluate every suite
-    /// metric against the cell's prepared state, in suite order. At
-    /// [`crate::experiment::Grain::PerUser`] the samples keep their
-    /// user-keyed breakdowns; at dataset grain they are dropped here, inside
-    /// the unit, exactly as [`crate::ExperimentRunner`] does.
-    fn measure_unit(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        cell: &[Arc<PreparedState>],
-        unit: &Unit,
-        point: &ConfigPoint,
-    ) -> Result<Vec<MetricSample>, CoreError> {
-        let lppm = system.factory().instantiate_at(point)?;
-        let mut rng = StdRng::seed_from_u64(derive_unit_seed(
-            self.plan.config.seed,
-            unit.point,
-            unit.repetition,
-        ));
-        let protected = lppm.protect_dataset(dataset, &mut rng)?;
-        system
-            .suite()
-            .iter()
-            .zip(cell)
-            .map(|(metric, state)| {
-                let measured = metric.evaluate_prepared(state, dataset, &protected)?;
-                Ok(MetricSample::of(&measured, self.plan.grain))
-            })
-            .collect()
-    }
-
-    /// Groups per-unit measurements back into per-cell [`SweepResult`]s,
-    /// reproducing [`crate::ExperimentRunner`]'s aggregation arithmetic
-    /// exactly (repetitions averaged in repetition order, one column per
-    /// suite metric).
-    ///
-    /// Returns the first genuine unit error in unit order; `None` slots mark
-    /// units skipped by the short-circuit after some unit failed.
-    fn assemble(
-        &self,
-        systems: &[SystemDefinition],
-        datasets: &[Dataset],
-        design_points: &[Vec<ConfigPoint>],
-        units: &[Unit],
-        measurements: Vec<Option<Result<Vec<MetricSample>, CoreError>>>,
-    ) -> Result<CampaignResult, CoreError> {
-        // (system, dataset, point) -> per-repetition metric samples.
-        // Systems may sweep differently sized designs (a 2-axis grid next to
-        // a 1-axis sweep), so slots are laid out with per-system offsets.
-        let mut system_offset = Vec::with_capacity(systems.len());
-        let mut total = 0usize;
-        for points in design_points {
-            system_offset.push(total);
-            total += datasets.len() * points.len();
-        }
-        let reps = self.plan.config.repetitions;
-        let slot_of = |system: usize, dataset: usize, point: usize| -> Option<usize> {
-            Some(*system_offset.get(system)? + dataset * design_points.get(system)?.len() + point)
-        };
-        let mut per_point: Vec<Vec<Vec<MetricSample>>> = vec![Vec::with_capacity(reps); total];
-        let mut skipped = false;
-        for (unit, measurement) in units.iter().zip(measurements) {
-            let values = match measurement {
-                Some(result) => result?,
-                None => {
-                    skipped = true;
-                    continue;
-                }
-            };
-            let slot_samples = slot_of(unit.system, unit.dataset, unit.point)
-                .and_then(|slot| per_point.get_mut(slot))
-                .ok_or_else(|| CoreError::Internal {
-                    reason: format!(
-                        "campaign unit ({}, {}, {}) addresses no result slot",
-                        unit.system, unit.dataset, unit.point
-                    ),
-                })?;
-            // Units are generated with `repetition` innermost, and
-            // `run_indexed` returns results in unit order, so pushes arrive
-            // in repetition order — except when an earlier repetition was
-            // skipped by the abort flag, in which case the whole campaign is
-            // discarded below anyway.
-            debug_assert!(skipped || slot_samples.len() == unit.repetition);
-            slot_samples.push(values);
-        }
-        if skipped {
-            // Unreachable in practice: units are only skipped after a failed
-            // unit, and that failure is returned by the loop above.
-            return Err(CoreError::InvalidConfiguration {
-                reason: "campaign aborted without a recorded unit error".to_string(),
-            });
-        }
-
-        let mut runs = Vec::with_capacity(systems.len() * datasets.len());
-        for (s, system) in systems.iter().enumerate() {
-            let meta: Vec<(MetricId, Direction)> =
-                system.suite().iter().map(|m| (m.id(), m.direction())).collect();
-            let points = design_points.get(s).ok_or_else(|| CoreError::Internal {
-                reason: format!("system {s} has no enumerated design points"),
-            })?;
-            for d in 0..datasets.len() {
-                let cell: Vec<Vec<Vec<MetricSample>>> = (0..points.len())
-                    .map(|point| {
-                        slot_of(s, d, point)
-                            .and_then(|slot| per_point.get_mut(slot))
-                            .map(std::mem::take)
-                            .ok_or_else(|| CoreError::Internal {
-                                reason: format!(
-                                    "campaign cell ({s}, {d}, {point}) addresses no result slot"
-                                ),
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
+                let per_point: Vec<_> = measured.by_ref().take(points.len()).collect();
                 runs.push(CampaignRun {
                     system_index: s,
                     dataset_index: d,
                     system_key: system.cache_key(),
-                    result: assemble_sweep(
-                        system.factory().name(),
-                        system.space(),
-                        self.plan.mode,
-                        self.plan.grain,
-                        points.clone(),
-                        &meta,
-                        &cell,
-                    )?,
+                    result: assemble_sweep(&self.plan, system, points.clone(), &per_point)?,
                 });
             }
         }
@@ -480,14 +241,16 @@ impl CampaignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentRunner;
     use crate::system::{GaussianPerturbationFactory, GridCloakingFactory};
     use geopriv_metrics::{
         AreaCoverage, DistortionUtility, HotspotPreservation, MetricError, MetricSuite,
-        MetricValue, PoiRetrieval, PrivacyMetric, SuiteMetric,
+        MetricValue, PoiRetrieval, PreparedState, PrivacyMetric, SuiteMetric,
     };
     use geopriv_mobility::generator::TaxiFleetBuilder;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_dataset(seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -711,21 +474,43 @@ mod tests {
         }
     }
 
+    fn failing_system(evaluations: &Arc<AtomicUsize>) -> SystemDefinition {
+        SystemDefinition::with_pair(
+            Box::new(GaussianPerturbationFactory::new()),
+            Box::new(FailingMetric { evaluations: Arc::clone(evaluations) }),
+            Box::new(AreaCoverage::default()),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn a_failing_unit_short_circuits_the_rest_of_the_campaign() {
         let evaluations = Arc::new(AtomicUsize::new(0));
-        let system = SystemDefinition::with_pair(
-            Box::new(GaussianPerturbationFactory::new()),
-            Box::new(FailingMetric { evaluations: Arc::clone(&evaluations) }),
-            Box::new(AreaCoverage::default()),
-        )
-        .unwrap();
+        let system = failing_system(&evaluations);
         let dataset = small_dataset(7);
         let config = SweepConfig { points: 8, repetitions: 2, seed: 1, parallel: false };
         let result = CampaignRunner::new(config).run(std::slice::from_ref(&system), &[dataset]);
         assert!(result.is_err());
         // Sequential mode: the first unit fails, every later unit is skipped.
         assert_eq!(evaluations.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_failing_unit_short_circuits_plain_sharded_and_adaptive_sweeps() {
+        let dataset = small_dataset(7);
+        let config = SweepConfig { points: 8, repetitions: 2, seed: 1, parallel: false };
+        let plans = [
+            SweepPlan::grid(config),
+            SweepPlan::grid(config).shard_users(1),
+            SweepPlan::adaptive(config, 12),
+        ];
+        for plan in plans {
+            let evaluations = Arc::new(AtomicUsize::new(0));
+            let runner = ExperimentRunner::with_plan(plan.clone());
+            assert!(runner.run(&failing_system(&evaluations), &dataset).is_err());
+            // Sequential mode: the first unit fails, every later unit is skipped.
+            assert_eq!(evaluations.load(Ordering::SeqCst), 1, "{plan:?}");
+        }
     }
 
     #[test]

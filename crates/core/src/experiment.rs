@@ -16,12 +16,16 @@
 use crate::error::CoreError;
 use crate::system::SystemDefinition;
 use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor, ParameterScale};
-use geopriv_metrics::{Direction, MetricId};
+use geopriv_metrics::{Direction, MetricId, MetricValue, PreparedState, SuiteMetric};
 use geopriv_mobility::{Dataset, UserId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Configuration of a parameter sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -408,8 +412,9 @@ impl UserColumn {
 #[derive(Debug, Clone)]
 pub(crate) struct MetricSample {
     pub(crate) value: f64,
-    /// Number of evaluated traces behind `value` — the weight sharded
-    /// execution combines shard aggregates with.
+    /// Number of evaluated traces behind `value` — the weight a sharded
+    /// sweep folds shard aggregates with, and a cached sweep folds users
+    /// with ([`MetricSample::absorb`]).
     pub(crate) weight: usize,
     pub(crate) per_user: Vec<(UserId, f64)>,
 }
@@ -441,6 +446,10 @@ impl MetricSample {
     }
 }
 
+/// One design point's samples: per repetition, one per suite metric (suite
+/// order).
+pub(crate) type PointSamples = Vec<Vec<MetricSample>>;
+
 /// Groups per-unit measurements into a [`SweepResult`], reproducing the
 /// historical aggregation arithmetic exactly (repetitions averaged in
 /// repetition order, one column per suite metric) and — at
@@ -448,18 +457,17 @@ impl MetricSample {
 /// per-unit breakdowns.
 ///
 /// `per_point[p][r][k]` is the sample of metric `k` at design point `p`,
-/// repetition `r`. Shared by [`ExperimentRunner`] and
-/// [`crate::campaign::CampaignRunner`] so both engines produce identical
-/// stores by construction.
+/// repetition `r`. Every execution mode assembles through here, tagged with
+/// the plan's mode and grain, so all produce identical stores by
+/// construction.
 pub(crate) fn assemble_sweep(
-    lppm_name: &str,
-    space: ConfigSpace,
-    mode: SweepMode,
-    grain: Grain,
+    plan: &SweepPlan,
+    system: &SystemDefinition,
     points: Vec<ConfigPoint>,
-    meta: &[(MetricId, Direction)],
-    per_point: &[Vec<Vec<MetricSample>>],
+    per_point: &[PointSamples],
 ) -> Result<SweepResult, CoreError> {
+    let (lppm_name, space, mode) = (system.factory().name(), system.space(), plan.mode);
+    let meta = ExperimentRunner::suite_meta(system);
     let mut columns: Vec<MetricColumn> = meta
         .iter()
         .map(|(id, direction)| MetricColumn {
@@ -480,7 +488,7 @@ pub(crate) fn assemble_sweep(
         }
     }
 
-    if grain == Grain::Dataset {
+    if plan.grain == Grain::Dataset {
         return SweepResult::new(lppm_name, space, mode, points, columns);
     }
 
@@ -645,13 +653,176 @@ pub fn derive_user_seed(
         .wrapping_add(user.value() ^ 0xCBF2_9CE4_8422_2325)
 }
 
-/// How a design point derives its RNG streams: positionally (the
-/// Grid/OneAtATime contract, [`derive_unit_seed`]) or from its stable
-/// coordinate token ([`derive_point_seed`], adaptive refinement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seeding {
-    Positional,
-    PointIdentity,
+/// The seed rule of a measurement cell: the RNG seed of one protection as a
+/// function of the point's index in the cell, the point itself and the
+/// repetition. Grid and one-at-a-time cells and an adaptive coarse pass seed
+/// by index ([`derive_unit_seed`]), adaptive refinement by point identity
+/// ([`derive_point_seed`]), and shard `s` remixes either one.
+pub(crate) type SeedRule<'a> = dyn Fn(usize, &ConfigPoint, usize) -> u64 + Sync + 'a;
+
+/// One cell of a measurement schedule: a batch of one system's design points,
+/// measured against one dataset under one seed rule.
+pub(crate) struct Cell<'a> {
+    pub(crate) system: &'a SystemDefinition,
+    /// Index into the `datasets` passed to [`measure_cells`].
+    pub(crate) dataset: usize,
+    pub(crate) points: &'a [ConfigPoint],
+    pub(crate) seed: &'a SeedRule<'a>,
+}
+
+/// The executor every pooled sweep schedules over: a plain or one-at-a-time
+/// sweep and each adaptive batch are one cell, a sharded sweep is one call
+/// per shard, and a campaign passes all of its cells at once. Returns the
+/// samples of every cell's points, cell after cell.
+///
+/// Each distinct `(metric cache key, dataset)` pair is prepared exactly once
+/// ([`geopriv_metrics::PrivacyMetric::prepare`]) and its state shared by
+/// every cell, point and repetition that needs it; prepared evaluation is
+/// bit-identical to direct evaluation by the metric contract. The
+/// `(cell, point)` units then run on one [`run_indexed`] pool.
+///
+/// # Errors
+///
+/// After the first failing unit, the units not yet started are skipped, and
+/// the first error in unit order among the units that ran is returned (in
+/// sequential mode, exactly the first failing unit's). Preparation errors
+/// are returned before any unit runs.
+pub(crate) fn measure_cells(
+    cells: &[Cell<'_>],
+    datasets: &[Dataset],
+    repetitions: usize,
+    grain: Grain,
+    parallel: bool,
+) -> Result<Vec<PointSamples>, CoreError> {
+    let prepared = prepare_suites(cells, datasets, parallel)?;
+    let mut units = Vec::new();
+    for (cell, states) in cells.iter().zip(&prepared) {
+        let dataset = datasets.get(cell.dataset).ok_or_else(|| CoreError::Internal {
+            reason: format!("cell dataset {} of {} out of range", cell.dataset, datasets.len()),
+        })?;
+        units.extend(
+            cell.points.iter().enumerate().map(|(p, point)| (cell, dataset, states, p, point)),
+        );
+    }
+
+    // A skipped unit is `None`, distinct from an error, so a skip can never
+    // mask the failure that caused it, whatever the thread interleaving. The
+    // flag publishes no data (results travel through `run_indexed`'s lock),
+    // so `Relaxed` suffices.
+    let abort = AtomicBool::new(false);
+    let measured = run_indexed(units.len(), parallel, |i| {
+        let &(cell, dataset, states, p, point) = units.get(i)?;
+        if abort.load(Ordering::Relaxed) {
+            return None;
+        }
+        let result = measure_point(
+            cell.system,
+            dataset,
+            states,
+            point,
+            repetitions,
+            |repetition| (cell.seed)(p, point, repetition),
+            |measured| MetricSample::of(measured, grain),
+        );
+        if result.is_err() {
+            abort.store(true, Ordering::Relaxed);
+        }
+        Some(result)
+    })?;
+    // Units are only skipped after a failure, which the collect returns.
+    let samples: Vec<PointSamples> = measured.into_iter().flatten().collect::<Result<_, _>>()?;
+    if samples.len() != units.len() {
+        return Err(CoreError::Internal {
+            reason: format!(
+                "{} of {} work units never ran",
+                units.len() - samples.len(),
+                units.len()
+            ),
+        });
+    }
+    Ok(samples)
+}
+
+/// Prepares every cell's suite on the units' pool, each distinct
+/// `(metric cache key, dataset)` pair once: returns, per cell, one state per
+/// suite metric (suite order).
+fn prepare_suites(
+    cells: &[Cell<'_>],
+    datasets: &[Dataset],
+    parallel: bool,
+) -> Result<Vec<Vec<Arc<PreparedState>>>, CoreError> {
+    let mut jobs: Vec<(&SuiteMetric, usize)> = Vec::new();
+    let mut job_of: HashMap<(String, usize), usize> = HashMap::new();
+    let cell_jobs: Vec<Vec<usize>> = cells
+        .iter()
+        .map(|cell| {
+            cell.system
+                .suite()
+                .iter()
+                .map(|metric| {
+                    *job_of.entry((metric.cache_key(), cell.dataset)).or_insert_with(|| {
+                        jobs.push((metric, cell.dataset));
+                        jobs.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+
+    let states: Vec<Arc<PreparedState>> = run_indexed(jobs.len(), parallel, |i| {
+        let (metric, dataset) = jobs
+            .get(i)
+            .and_then(|&(metric, d)| Some((metric, datasets.get(d)?)))
+            .ok_or_else(|| CoreError::Internal {
+                reason: format!("preparation job {i} of {} out of range", jobs.len()),
+            })?;
+        metric.prepare(dataset).map(Arc::new).map_err(CoreError::from)
+    })?
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    cell_jobs
+        .iter()
+        .map(|jobs| {
+            jobs.iter()
+                .map(|&job| {
+                    states.get(job).map(Arc::clone).ok_or_else(|| CoreError::Internal {
+                        reason: format!("preparation job {job} of {} out of range", states.len()),
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The one measurement unit of the engine: instantiates the system's
+/// mechanism at `point` once, then per repetition protects `dataset` under
+/// `seed(repetition)` and records every suite metric, evaluated against its
+/// prepared state, with `record`. Returns per repetition, per suite metric,
+/// one record.
+fn measure_point<T>(
+    system: &SystemDefinition,
+    dataset: &Dataset,
+    prepared: &[impl Borrow<PreparedState>],
+    point: &ConfigPoint,
+    repetitions: usize,
+    seed: impl Fn(usize) -> u64,
+    record: impl Fn(&MetricValue) -> T,
+) -> Result<Vec<Vec<T>>, CoreError> {
+    let lppm = system.factory().instantiate_at(point)?;
+    (0..repetitions)
+        .map(|repetition| {
+            let mut rng = StdRng::seed_from_u64(seed(repetition));
+            let protected = lppm.protect_dataset(dataset, &mut rng)?;
+            system
+                .suite()
+                .iter()
+                .zip(prepared)
+                .map(|(metric, state)| {
+                    Ok(record(&metric.evaluate_prepared(state.borrow(), dataset, &protected)?))
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Runs `count` independent work items on a shared work-stealing pool and
@@ -1023,17 +1194,25 @@ impl ExperimentRunner {
     /// Runs the sweep: for every design point of the plan, protect the
     /// dataset and evaluate every metric of the suite, in suite order.
     ///
-    /// The actual-side metric state (POI extraction, bounding boxes — see
-    /// [`geopriv_metrics::PrivacyMetric::prepare`]) is prepared once for the
-    /// whole sweep and reused at every `(point, repetition)` sample; the
-    /// metrics guarantee this is bit-identical to direct evaluation.
+    /// Plain, one-at-a-time, adaptive and sharded plans run on the executor a
+    /// [`crate::campaign::CampaignRunner`] uses: a plain sweep and each
+    /// adaptive batch are one cell over the dataset, a sharded sweep one cell
+    /// per shard. The actual-side metric state (POI extraction, bounding
+    /// boxes — see [`geopriv_metrics::PrivacyMetric::prepare`]) is prepared
+    /// once per distinct metric configuration and reused at every
+    /// `(point, repetition)` sample; the metrics guarantee this is
+    /// bit-identical to direct evaluation. A cached plan runs
+    /// [`ExperimentRunner::run_cached`] instead.
     ///
     /// Results are deterministic for a given `(dataset, config.seed)` pair,
     /// regardless of the number of threads.
     ///
     /// # Errors
     ///
-    /// Propagates configuration, protection and metric errors.
+    /// Propagates configuration, protection and metric errors. A failing
+    /// `(point)` unit skips the units not yet started; the error returned is
+    /// the first in design order among the units that ran (in sequential
+    /// mode, exactly the first failing unit's).
     pub fn run(
         &self,
         system: &SystemDefinition,
@@ -1047,16 +1226,8 @@ impl ExperimentRunner {
             return self.run_adaptive(system, dataset, space);
         }
         let points = self.plan.enumerate(&space)?;
-        let per_point = self.measure_points(system, dataset, &points, Seeding::Positional)?;
-        assemble_sweep(
-            system.factory().name(),
-            space,
-            self.plan.mode,
-            self.plan.grain,
-            points,
-            &Self::suite_meta(system),
-            &per_point,
-        )
+        let per_point = self.measure_points(system, dataset, &points, &self.positional_seed())?;
+        assemble_sweep(&self.plan, system, points, &per_point)
     }
 
     /// Runs the sweep in the cached per-user execution mode
@@ -1076,7 +1247,9 @@ impl ExperimentRunner {
     /// directory, is adaptive (refinement points depend on measurements, so
     /// per-user entries cannot be keyed up front), or is sharded (cached
     /// execution already measures one user at a time); propagates
-    /// configuration, protection and metric errors. Cache integrity problems
+    /// configuration, protection and metric errors. Misses run on their own
+    /// pool, which does not short-circuit: every miss is measured, and the
+    /// first error in dataset order is returned. Cache integrity problems
     /// are never errors — they surface as [`crate::cache::CacheStats::warnings`]
     /// with a cold-path fallback.
     pub fn run_cached(
@@ -1133,7 +1306,10 @@ impl ExperimentRunner {
         }
         let hits = entries.iter().filter(|slot| slot.is_some()).count();
 
-        // Re-measure the misses, one user-slice at a time, in parallel.
+        // Re-measure the misses, one user-slice at a time, in parallel. Each
+        // miss is compacted into its cache entry as soon as it is measured;
+        // as one-user cells of `measure_cells` every user's samples would
+        // stay live until the whole pool returned.
         let measured = run_indexed(misses.len(), self.plan.config.parallel, |j| {
             let Some(&(index, user, fingerprint)) = misses.get(j) else {
                 return Err(CoreError::Internal {
@@ -1181,7 +1357,7 @@ impl ExperimentRunner {
         // order: the first user's sample passes through, every later user is
         // absorbed as an evaluated-trace-weighted fold — the same arithmetic
         // whether a sample came from the cache or a fresh measurement.
-        let mut per_point: Vec<Vec<Vec<MetricSample>>> = Vec::with_capacity(points.len());
+        let mut per_point: Vec<PointSamples> = Vec::with_capacity(points.len());
         for p in 0..points.len() {
             let mut point_reps = Vec::with_capacity(reps);
             for r in 0..reps {
@@ -1217,17 +1393,8 @@ impl ExperimentRunner {
             }
             per_point.push(point_reps);
         }
-        let result = assemble_sweep(
-            system.factory().name(),
-            space,
-            self.plan.mode,
-            self.plan.grain,
-            points,
-            &meta,
-            &per_point,
-        )?;
         Ok(CachedSweep {
-            result,
+            result: assemble_sweep(&self.plan, system, points, &per_point)?,
             stats: crate::cache::CacheStats {
                 users: fingerprints.len(),
                 hits,
@@ -1237,9 +1404,9 @@ impl ExperimentRunner {
         })
     }
 
-    /// Measures one user's whole design: protect her own slice at every
-    /// `(point, repetition)` under her identity-keyed seed stream, evaluate
-    /// every suite metric against per-user prepared state.
+    /// Measures one user's whole design on the user's own slice, against
+    /// state prepared on that slice, under the user's identity-keyed seed
+    /// stream.
     fn measure_user(
         &self,
         system: &SystemDefinition,
@@ -1249,108 +1416,87 @@ impl ExperimentRunner {
         points: &[ConfigPoint],
     ) -> Result<Vec<Vec<Vec<crate::cache::CachedSample>>>, CoreError> {
         let slice = dataset.user_slice(index..index + 1)?;
-        let prepared: Vec<geopriv_metrics::PreparedState> = system
+        let prepared: Vec<PreparedState> = system
             .suite()
             .iter()
             .map(|m| m.prepare(&slice).map_err(CoreError::from))
             .collect::<Result<_, _>>()?;
-        let mut per_point = Vec::with_capacity(points.len());
-        for (p, point) in points.iter().enumerate() {
-            let lppm = system.factory().instantiate_at(point)?;
-            let mut point_reps = Vec::with_capacity(self.plan.config.repetitions);
-            for repetition in 0..self.plan.config.repetitions {
-                let seed = derive_user_seed(self.plan.config.seed, p, repetition, user);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let protected = lppm.protect_dataset(&slice, &mut rng)?;
-                let mut samples = Vec::with_capacity(system.suite().len());
-                for (metric, state) in system.suite().iter().zip(&prepared) {
-                    let measured = metric.evaluate_prepared(state, &slice, &protected)?;
-                    samples.push(crate::cache::CachedSample {
+        let config = self.plan.config;
+        points
+            .iter()
+            .enumerate()
+            .map(|(p, point)| {
+                measure_point(
+                    system,
+                    &slice,
+                    &prepared,
+                    point,
+                    config.repetitions,
+                    |repetition| derive_user_seed(config.seed, p, repetition, user),
+                    |measured| crate::cache::CachedSample {
                         value: measured.value(),
                         weight: measured.evaluated_count() as u64,
                         breakdown: measured.value_for(user),
-                    });
-                }
-                point_reps.push(samples);
-            }
-            per_point.push(point_reps);
-        }
-        Ok(per_point)
+                    },
+                )
+            })
+            .collect()
     }
 
     fn suite_meta(system: &SystemDefinition) -> Vec<(MetricId, Direction)> {
         system.suite().iter().map(|m| (m.id(), m.direction())).collect()
     }
 
-    /// Measures an arbitrary batch of design points — the full enumeration of
-    /// a one-shot plan, or one refinement batch of an adaptive plan — with
-    /// the plan's shard dispatch applied either way.
+    /// The positional seed rule of grid and one-at-a-time sweeps and of an
+    /// adaptive coarse pass ([`derive_unit_seed`]).
+    fn positional_seed(&self) -> impl Fn(usize, &ConfigPoint, usize) -> u64 + Sync {
+        let master = self.plan.config.seed;
+        move |p: usize, _: &ConfigPoint, repetition: usize| derive_unit_seed(master, p, repetition)
+    }
+
+    /// Measures a batch of design points — the full enumeration of a one-shot
+    /// plan, or one batch of an adaptive plan — as one [`measure_cells`] cell
+    /// over the dataset. A sharded plan instead measures one cell per
+    /// contiguous user shard, one shard after another, under the shard's
+    /// remix of `seed`, and folds the shards together
+    /// ([`MetricSample::absorb`]): only one shard's columns, protected copies
+    /// and prepared metric state are live at any moment, so peak memory is
+    /// O(shard), not O(dataset).
     fn measure_points(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
         points: &[ConfigPoint],
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
-        match self.plan.user_shard_size() {
-            Some(0) => Err(CoreError::InvalidConfiguration {
-                reason: "a sharded sweep needs a shard size of at least 1 user".to_string(),
-            }),
+        seed: &SeedRule<'_>,
+    ) -> Result<Vec<PointSamples>, CoreError> {
+        let measure = |dataset: &Dataset, seed: &SeedRule<'_>| {
+            measure_cells(
+                &[Cell { system, dataset: 0, points, seed }],
+                std::slice::from_ref(dataset),
+                self.plan.config.repetitions,
+                self.plan.grain,
+                self.plan.config.parallel,
+            )
+        };
+        let user_count = dataset.user_count();
+        let shard_users = match self.plan.user_shard_size() {
+            Some(0) => {
+                return Err(CoreError::InvalidConfiguration {
+                    reason: "a sharded sweep needs a shard size of at least 1 user".to_string(),
+                })
+            }
+            Some(users) if users < user_count => users,
             // A shard covering the whole dataset is the unsharded run: same
             // data, same shard-0 (= unit) seeds, no merge arithmetic.
-            Some(users) if users < dataset.user_count() => {
-                self.measure_sharded(system, dataset, points, users, seeding)
-            }
-            _ => self.measure_shard(system, dataset, points, 0, seeding),
-        }
-    }
-
-    /// Measures every design point against one dataset (the whole dataset,
-    /// or one user shard of it), preparing the actual-side metric state once.
-    fn measure_shard(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        points: &[ConfigPoint],
-        shard: usize,
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
-        let prepared: Vec<geopriv_metrics::PreparedState> = system
-            .suite()
-            .iter()
-            .map(|m| m.prepare(dataset).map_err(CoreError::from))
-            .collect::<Result<_, _>>()?;
-
-        // Per point: per repetition: per metric (suite order) sample.
-        run_indexed(points.len(), self.plan.config.parallel, |i| {
-            let Some(point) = points.get(i) else {
-                return Err(CoreError::Internal {
-                    reason: format!("design point {i} of {} out of range", points.len()),
-                });
-            };
-            self.measure_point(system, dataset, &prepared, i, point, shard, seeding)
-        })?
-        .into_iter()
-        .collect()
-    }
-
-    /// Sharded execution: runs the whole design over one contiguous user
-    /// shard at a time and folds the shards together ([`MetricSample::absorb`]).
-    /// Only one shard's columns, protected copies and prepared metric state
-    /// are live at any moment, so peak memory is O(shard), not O(dataset).
-    fn measure_sharded(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        points: &[ConfigPoint],
-        shard_users: usize,
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<Vec<MetricSample>>>, CoreError> {
-        let user_count = dataset.user_count();
-        let mut merged: Vec<Vec<Vec<MetricSample>>> = Vec::new();
+            _ => return measure(dataset, seed),
+        };
+        let mut merged: Vec<PointSamples> = Vec::new();
         for (shard, start) in (0..user_count).step_by(shard_users).enumerate() {
             let slice = dataset.user_slice(start..(start + shard_users).min(user_count))?;
-            let shard_points = self.measure_shard(system, &slice, points, shard, seeding)?;
+            let shard_seed = |p: usize, point: &ConfigPoint, repetition: usize| {
+                remix_shard(seed(p, point, repetition), shard)
+            };
+            let shard_points = measure(&slice, &shard_seed)?;
             if shard == 0 {
                 merged = shard_points;
             } else {
@@ -1364,41 +1510,6 @@ impl ExperimentRunner {
             }
         }
         Ok(merged)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn measure_point(
-        &self,
-        system: &SystemDefinition,
-        dataset: &Dataset,
-        prepared: &[geopriv_metrics::PreparedState],
-        index: usize,
-        point: &ConfigPoint,
-        shard: usize,
-        seeding: Seeding,
-    ) -> Result<Vec<Vec<MetricSample>>, CoreError> {
-        let lppm = system.factory().instantiate_at(point)?;
-        let mut reps = Vec::with_capacity(self.plan.config.repetitions);
-        for repetition in 0..self.plan.config.repetitions {
-            // Derive a per-(point, repetition, shard) seed so parallel
-            // execution and sequential execution see exactly the same random
-            // streams; shard 0 is the historical per-(point, repetition) seed.
-            let unit = match seeding {
-                Seeding::Positional => derive_unit_seed(self.plan.config.seed, index, repetition),
-                Seeding::PointIdentity => {
-                    derive_point_seed(self.plan.config.seed, point, repetition)
-                }
-            };
-            let mut rng = StdRng::seed_from_u64(remix_shard(unit, shard));
-            let protected = lppm.protect_dataset(dataset, &mut rng)?;
-            let mut samples = Vec::with_capacity(system.suite().len());
-            for (metric, state) in system.suite().iter().zip(prepared) {
-                let measured = metric.evaluate_prepared(state, dataset, &protected)?;
-                samples.push(MetricSample::of(&measured, self.plan.grain));
-            }
-            reps.push(samples);
-        }
-        Ok(reps)
     }
 
     /// The staged evaluate→model→refine loop of [`SweepMode::Adaptive`].
@@ -1425,11 +1536,14 @@ impl ExperimentRunner {
         dataset: &Dataset,
         space: ConfigSpace,
     ) -> Result<SweepResult, CoreError> {
-        let meta = Self::suite_meta(system);
         let coarse = self.plan.enumerate(&space)?;
         let budget = self.plan.refine_budget.unwrap_or(coarse.len()).max(coarse.len());
-        let samples = self.measure_points(system, dataset, &coarse, Seeding::Positional)?;
-        let mut measured: Vec<(ConfigPoint, Vec<Vec<MetricSample>>)> =
+        let samples = self.measure_points(system, dataset, &coarse, &self.positional_seed())?;
+        let master = self.plan.config.seed;
+        let point_identity = |_: usize, point: &ConfigPoint, repetition: usize| {
+            derive_point_seed(master, point, repetition)
+        };
+        let mut measured: Vec<(ConfigPoint, PointSamples)> =
             coarse.into_iter().zip(samples).collect();
         let mut seen: std::collections::BTreeSet<String> =
             measured.iter().map(|(p, _)| p.cache_token()).collect();
@@ -1440,7 +1554,7 @@ impl ExperimentRunner {
         let mut active_users: Option<Vec<UserId>> = None;
 
         while remaining > 0 {
-            let result = self.assemble_adaptive(system, &space, &meta, &mut measured)?;
+            let result = self.assemble_adaptive(system, &mut measured)?;
             // A suite the modeler cannot fit yet gives refinement nothing to
             // steer by; return the measurements gathered so far.
             let Ok(fitted) = crate::modeling::Modeler::new().fit(&result) else { break };
@@ -1471,13 +1585,12 @@ impl ExperimentRunner {
             if candidates.is_empty() {
                 break;
             }
-            let samples =
-                self.measure_points(system, dataset, &candidates, Seeding::PointIdentity)?;
+            let samples = self.measure_points(system, dataset, &candidates, &point_identity)?;
             remaining -= candidates.len();
             measured.extend(candidates.into_iter().zip(samples));
         }
 
-        self.assemble_adaptive(system, &space, &meta, &mut measured)
+        self.assemble_adaptive(system, &mut measured)
     }
 
     /// Sorts the (coarse ∪ refined) measurements into the stable coordinate
@@ -1489,9 +1602,7 @@ impl ExperimentRunner {
     fn assemble_adaptive(
         &self,
         system: &SystemDefinition,
-        space: &ConfigSpace,
-        meta: &[(MetricId, Direction)],
-        measured: &mut [(ConfigPoint, Vec<Vec<MetricSample>>)],
+        measured: &mut [(ConfigPoint, PointSamples)],
     ) -> Result<SweepResult, CoreError> {
         measured.sort_by(|(a, _), (b, _)| {
             a.coords()
@@ -1502,17 +1613,8 @@ impl ExperimentRunner {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let points: Vec<ConfigPoint> = measured.iter().map(|(p, _)| p.clone()).collect();
-        let per_point: Vec<Vec<Vec<MetricSample>>> =
-            measured.iter().map(|(_, s)| s.clone()).collect();
-        assemble_sweep(
-            system.factory().name(),
-            space.clone(),
-            SweepMode::Adaptive,
-            self.plan.grain,
-            points,
-            meta,
-            &per_point,
-        )
+        let per_point: Vec<PointSamples> = measured.iter().map(|(_, s)| s.clone()).collect();
+        assemble_sweep(&self.plan, system, points, &per_point)
     }
 }
 
