@@ -15,7 +15,7 @@ use geopriv_bench::{fidelity_from_args, reproduction_dataset, Fidelity, REPRODUC
 use geopriv_core::prelude::*;
 use geopriv_geo::Meters;
 use geopriv_lppm::{Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Lppm};
-use geopriv_metrics::{AreaCoverage, PoiExtractor, PoiRetrieval, PrivacyMetric, UtilityMetric};
+use geopriv_metrics::{AreaCoverage, Metric, PoiExtractor, PoiRetrieval};
 use geopriv_mobility::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -11,7 +11,7 @@ use geopriv_bench::{
     fidelity_from_args, reproduction_dataset, run_paper_sweep, shape_check, REPRODUCTION_SEED,
 };
 use geopriv_core::prelude::*;
-use geopriv_metrics::{AreaCoverage, PoiRetrieval, PrivacyMetric, UtilityMetric};
+use geopriv_metrics::{AreaCoverage, Metric, PoiRetrieval};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

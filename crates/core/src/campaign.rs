@@ -11,7 +11,7 @@
 //! the sweep engine's one executor as M × K cells in a single call: one pool
 //! of `(system, dataset, point)` work units that threads claim greedily, each
 //! unit measuring every repetition of its point. The executor calls each
-//! metric's [`geopriv_metrics::PrivacyMetric::prepare`] hook exactly once per
+//! metric's [`geopriv_metrics::Metric::prepare`] hook exactly once per
 //! distinct `(metric configuration, dataset)` pair, sharing the prepared
 //! actual-side state across every point, repetition, system and suite
 //! position of the campaign. A plain [`crate::ExperimentRunner`] sweep is the
@@ -243,8 +243,8 @@ mod tests {
     use super::*;
     use crate::system::{GaussianPerturbationFactory, GridCloakingFactory};
     use geopriv_metrics::{
-        AreaCoverage, DistortionUtility, HotspotPreservation, MetricError, MetricSuite,
-        MetricValue, PoiRetrieval, PreparedState, PrivacyMetric, SuiteMetric,
+        AreaCoverage, Direction, DistortionUtility, HotspotPreservation, Metric, MetricError,
+        MetricSuite, MetricValue, PoiRetrieval, PreparedState, SuiteMetric,
     };
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
@@ -409,10 +409,10 @@ mod tests {
             SystemDefinition::new(
                 Box::new(GaussianPerturbationFactory::new()),
                 MetricSuite::new(vec![
-                    SuiteMetric::privacy(PoiRetrieval::default()),
-                    SuiteMetric::utility(DistortionUtility::default()),
-                    SuiteMetric::utility(AreaCoverage::default()),
-                    SuiteMetric::utility(HotspotPreservation::default()),
+                    SuiteMetric::new(PoiRetrieval::default()),
+                    SuiteMetric::new(DistortionUtility::default()),
+                    SuiteMetric::new(AreaCoverage::default()),
+                    SuiteMetric::new(HotspotPreservation::default()),
                 ])
                 .unwrap(),
             )
@@ -434,9 +434,12 @@ mod tests {
         inner: PoiRetrieval,
     }
 
-    impl PrivacyMetric for CountingMetric {
+    impl Metric for CountingMetric {
         fn name(&self) -> &str {
             "counting-poi-retrieval"
+        }
+        fn direction(&self) -> Direction {
+            Direction::LowerIsBetter
         }
         fn evaluate(
             &self,
@@ -464,9 +467,12 @@ mod tests {
         evaluations: Arc<AtomicUsize>,
     }
 
-    impl PrivacyMetric for FailingMetric {
+    impl Metric for FailingMetric {
         fn name(&self) -> &str {
             "failing"
+        }
+        fn direction(&self) -> Direction {
+            Direction::LowerIsBetter
         }
         fn evaluate(&self, _: &Dataset, _: &Dataset) -> Result<MetricValue, MetricError> {
             self.evaluations.fetch_add(1, Ordering::SeqCst);

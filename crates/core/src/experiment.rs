@@ -676,7 +676,7 @@ pub(crate) struct Cell<'a> {
 /// samples of every cell's points, cell after cell.
 ///
 /// Each distinct `(metric cache key, dataset)` pair is prepared exactly once
-/// ([`geopriv_metrics::PrivacyMetric::prepare`]) and its state shared by
+/// ([`geopriv_metrics::Metric::prepare`]) and its state shared by
 /// every cell, point and repetition that needs it; prepared evaluation is
 /// bit-identical to direct evaluation by the metric contract. The
 /// `(cell, point)` units then run on one [`run_indexed`] pool.
@@ -1198,7 +1198,7 @@ impl ExperimentRunner {
     /// [`crate::campaign::CampaignRunner`] uses: a plain sweep and each
     /// adaptive batch are one cell over the dataset, a sharded sweep one cell
     /// per shard. The actual-side metric state (POI extraction, bounding
-    /// boxes — see [`geopriv_metrics::PrivacyMetric::prepare`]) is prepared
+    /// boxes — see [`geopriv_metrics::Metric::prepare`]) is prepared
     /// once per distinct metric configuration and reused at every
     /// `(point, repetition)` sample; the metrics guarantee this is
     /// bit-identical to direct evaluation. A cached plan runs

@@ -348,11 +348,6 @@ impl FittedSuite {
         self.models.iter().map(|m| m.id.clone()).collect()
     }
 
-    /// The first fitted model improving in `direction`.
-    pub fn model_by_direction(&self, direction: Direction) -> Option<&MetricModel> {
-        self.models.iter().find(|m| m.direction == direction)
-    }
-
     /// The axis names joined for display (`"epsilon"` for the paper's 1-D
     /// study, `"epsilon × cell_size"` for a composed one).
     pub fn axis_label(&self) -> String {
@@ -1093,7 +1088,8 @@ mod tests {
         assert!(u.r_squared() > 0.95);
 
         // Directions flow from the columns into the models.
-        assert_eq!(fitted.model_by_direction(Direction::LowerIsBetter).unwrap().id, privacy_id());
+        assert_eq!(fitted.model(&privacy_id()).unwrap().direction, Direction::LowerIsBetter);
+        assert_eq!(fitted.model(&utility_id()).unwrap().direction, Direction::HigherIsBetter);
 
         // The display mentions both metrics.
         let text = fitted.to_string();

@@ -19,7 +19,7 @@ use geopriv_lppm::{
     qualify_stage_parameters, ConfigPoint, ConfigSpace, Epsilon, GaussianPerturbation,
     GeoIndistinguishability, GridCloaking, Lppm, ParameterDescriptor, ParameterScale, Pipeline,
 };
-use geopriv_metrics::{AreaCoverage, MetricSuite, PoiRetrieval, PrivacyMetric, UtilityMetric};
+use geopriv_metrics::{AreaCoverage, Metric, MetricSuite, PoiRetrieval, SuiteMetric};
 
 /// A factory able to instantiate an LPPM at any point of its configuration
 /// space.
@@ -378,7 +378,7 @@ impl SystemDefinition {
     }
 
     /// Defines a system from the paper's shape — one privacy metric and one
-    /// utility metric, in that order.
+    /// utility metric, in that order. Each keeps the direction it reports.
     ///
     /// # Errors
     ///
@@ -386,11 +386,14 @@ impl SystemDefinition {
     /// name (give them distinct ids via [`MetricSuite::new`] instead).
     pub fn with_pair(
         factory: Box<dyn LppmFactory>,
-        privacy_metric: Box<dyn PrivacyMetric>,
-        utility_metric: Box<dyn UtilityMetric>,
+        privacy_metric: Box<dyn Metric>,
+        utility_metric: Box<dyn Metric>,
     ) -> Result<Self, CoreError> {
-        let suite = MetricSuite::pair(privacy_metric, utility_metric)
-            .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })?;
+        let suite = MetricSuite::new(vec![
+            SuiteMetric::boxed(privacy_metric),
+            SuiteMetric::boxed(utility_metric),
+        ])
+        .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })?;
         Ok(Self::new(factory, suite))
     }
 
@@ -461,7 +464,7 @@ impl std::fmt::Debug for SystemDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geopriv_metrics::{Direction, HotspotPreservation, MetricId, SuiteMetric};
+    use geopriv_metrics::{Direction, HotspotPreservation, MetricId};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -605,10 +608,10 @@ mod tests {
         let system = SystemDefinition::new(
             Box::new(GeoIndistinguishabilityFactory::new()),
             MetricSuite::new(vec![
-                SuiteMetric::privacy(PoiRetrieval::default()),
-                SuiteMetric::utility(geopriv_metrics::DistortionUtility::default()),
-                SuiteMetric::utility(AreaCoverage::default()),
-                SuiteMetric::utility(HotspotPreservation::default()),
+                SuiteMetric::new(PoiRetrieval::default()),
+                SuiteMetric::new(geopriv_metrics::DistortionUtility::default()),
+                SuiteMetric::new(AreaCoverage::default()),
+                SuiteMetric::new(HotspotPreservation::default()),
             ])
             .unwrap(),
         );
@@ -622,9 +625,12 @@ mod tests {
     fn with_pair_rejects_colliding_metric_names() {
         /// A utility metric that (wrongly) reuses the privacy metric's name.
         struct Impostor;
-        impl UtilityMetric for Impostor {
+        impl Metric for Impostor {
             fn name(&self) -> &str {
                 "poi-retrieval"
+            }
+            fn direction(&self) -> Direction {
+                Direction::HigherIsBetter
             }
             fn evaluate(
                 &self,

@@ -4,16 +4,17 @@
 //! LPPM for that dataset. A natural robustness question (and a prerequisite
 //! for the paper's future work on "other datasets") is whether a model fitted
 //! on *some users* predicts the metrics measured on *other users*.
-//! [`HoldOutValidator`] splits a dataset into a training and a validation
-//! population, fits every suite metric's model on the training sweep, and
-//! reports the per-metric prediction errors on the validation sweep.
+//! [`HoldOutValidator`] splits a dataset's users into a training and a
+//! validation population, so every trace of a user falls on the same side,
+//! fits every suite metric's model on the training sweep, and reports the
+//! per-metric prediction errors on the validation sweep.
 
 use crate::error::CoreError;
 use crate::experiment::{ExperimentRunner, SweepConfig, SweepPlan, SweepResult};
 use crate::modeling::{FittedSuite, MetricModel, Modeler};
 use crate::system::SystemDefinition;
 use geopriv_metrics::MetricId;
-use geopriv_mobility::Dataset;
+use geopriv_mobility::{Dataset, TraceView};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -91,36 +92,30 @@ impl HoldOutValidator {
         Self { plan }
     }
 
-    /// Splits `dataset` by alternating traces (even-indexed traces train,
-    /// odd-indexed traces validate), fits the suite on the training
-    /// population and measures per-metric prediction errors on the validation
-    /// population.
+    /// Splits `dataset` by alternating users in user-id order (the 1st,
+    /// 3rd, … user trains, the 2nd, 4th, … validates, each with all of her
+    /// traces), fits the suite on the training population and measures
+    /// per-metric prediction errors on the validation population. On a
+    /// dataset with one trace per user this alternates traces.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidConfiguration`] if the dataset has fewer than two traces.
+    /// * [`CoreError::InvalidConfiguration`] if the dataset has fewer than two users.
     /// * Any experiment or modeling error from the underlying pipeline.
     pub fn validate(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
     ) -> Result<ValidationReport, CoreError> {
-        if dataset.len() < 2 {
+        if dataset.user_count() < 2 {
             return Err(CoreError::InvalidConfiguration {
-                reason: "hold-out validation needs at least two traces".to_string(),
+                reason: "hold-out validation needs at least two users".to_string(),
             });
         }
-        let mut training = Vec::new();
-        let mut validation = Vec::new();
-        for (i, trace) in dataset.iter().enumerate() {
-            if i % 2 == 0 {
-                training.push(trace.to_trace());
-            } else {
-                validation.push(trace.to_trace());
-            }
-        }
-        let training = Dataset::new(training)?;
-        let validation = Dataset::new(validation)?;
+        let users = dataset.users();
+        let validates = |t: TraceView<'_>| users.binary_search(&t.user()).is_ok_and(|i| i % 2 == 1);
+        let training = dataset.filter(|t| !validates(t))?;
+        let validation = dataset.filter(validates)?;
 
         let runner = ExperimentRunner::with_plan(self.plan.clone());
         let training_sweep = runner.run(system, &training)?;
@@ -187,6 +182,7 @@ impl HoldOutValidator {
 mod tests {
     use super::*;
     use geopriv_mobility::generator::TaxiFleetBuilder;
+    use geopriv_mobility::Trace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,6 +206,32 @@ mod tests {
         let system = SystemDefinition::paper_geoi();
         let single = dataset(1);
         assert!(validator.validate(&system, &single).is_err());
+    }
+
+    /// A user with a trace per day stays on one side of the split: a model
+    /// validated on a day of a user it was trained on would not be checked
+    /// on *other* users.
+    #[test]
+    fn every_trace_of_a_user_falls_on_the_same_side() {
+        let fleet = dataset(3);
+        let first = fleet.trace_at(0);
+        let next_day = Trace::from_columns(
+            first.user(),
+            first.timestamps().iter().map(|t| t + 86_400.0).collect(),
+            first.latitudes().to_vec(),
+            first.longitudes().to_vec(),
+        )
+        .unwrap();
+        let mut traces = fleet.to_traces();
+        traces.push(next_day);
+        let two_days = Dataset::new(traces).unwrap();
+        assert_eq!((two_days.len(), two_days.user_count()), (4, 3));
+
+        let report = HoldOutValidator::new(config())
+            .validate(&SystemDefinition::paper_geoi(), &two_days)
+            .unwrap();
+        // The first and third users train (three traces), the second validates.
+        assert_eq!((report.training_traces, report.validation_traces), (3, 1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::error::MetricError;
 use crate::grid_support::combined_bounds;
-use crate::traits::{MetricValue, UtilityMetric};
+use crate::traits::{Direction, Metric, MetricValue};
 use geopriv_geo::{Grid, Meters};
 use geopriv_mobility::Dataset;
 use serde::{Deserialize, Serialize};
@@ -50,7 +50,7 @@ pub enum CoverageSimilarity {
 /// # Examples
 ///
 /// ```
-/// use geopriv_metrics::{AreaCoverage, UtilityMetric};
+/// use geopriv_metrics::{AreaCoverage, Metric};
 /// use geopriv_lppm::{Identity, Lppm};
 /// use geopriv_mobility::generator::TaxiFleetBuilder;
 /// use rand::SeedableRng;
@@ -126,12 +126,16 @@ impl AreaCoverage {
     }
 }
 
-impl UtilityMetric for AreaCoverage {
+impl Metric for AreaCoverage {
     fn name(&self) -> &str {
         match self.similarity {
             CoverageSimilarity::AreaRatio => Self::ID,
             CoverageSimilarity::CellF1 => "area-coverage-f1",
         }
+    }
+
+    fn direction(&self) -> Direction {
+        Direction::HigherIsBetter
     }
 
     // The grid metrics keep the trait's default passthrough `prepare`: the
@@ -207,7 +211,8 @@ mod tests {
         for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
             let value = metric.evaluate(&actual, &protected).unwrap();
             assert!(value.value() > 0.999, "{}: got {}", metric.name(), value.value());
-            assert!(value.worst_for_utility() > 0.999);
+            assert!(!value.per_user().is_empty());
+            assert!(value.per_user().iter().all(|&(_, v)| v > 0.999), "{}", metric.name());
         }
     }
 

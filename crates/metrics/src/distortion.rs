@@ -7,7 +7,7 @@
 //! alternative utility plug-in demonstrating the framework's modularity.
 
 use crate::error::MetricError;
-use crate::traits::{MetricValue, UtilityMetric};
+use crate::traits::{Direction, Metric, MetricValue};
 use geopriv_geo::{distance, Meters};
 use geopriv_mobility::{Dataset, TraceView};
 use serde::{Deserialize, Serialize};
@@ -117,9 +117,13 @@ impl DistortionUtility {
     }
 }
 
-impl UtilityMetric for DistortionUtility {
+impl Metric for DistortionUtility {
     fn name(&self) -> &str {
         Self::ID
+    }
+
+    fn direction(&self) -> Direction {
+        Direction::HigherIsBetter
     }
 
     fn evaluate(&self, actual: &Dataset, protected: &Dataset) -> Result<MetricValue, MetricError> {

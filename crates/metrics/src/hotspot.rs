@@ -10,7 +10,7 @@
 
 use crate::error::MetricError;
 use crate::grid_support::combined_bounds;
-use crate::traits::{MetricValue, UtilityMetric};
+use crate::traits::{Direction, Metric, MetricValue};
 use geopriv_geo::{CellId, Grid, Meters};
 use geopriv_mobility::{Dataset, TraceView};
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 /// # Examples
 ///
 /// ```
-/// use geopriv_metrics::{HotspotPreservation, UtilityMetric};
+/// use geopriv_metrics::{HotspotPreservation, Metric};
 /// use geopriv_lppm::{Identity, Lppm};
 /// use geopriv_mobility::generator::TaxiFleetBuilder;
 /// use rand::SeedableRng;
@@ -94,9 +94,13 @@ impl HotspotPreservation {
     }
 }
 
-impl UtilityMetric for HotspotPreservation {
+impl Metric for HotspotPreservation {
     fn name(&self) -> &str {
         Self::ID
+    }
+
+    fn direction(&self) -> Direction {
+        Direction::HigherIsBetter
     }
 
     // Keeps the trait's default passthrough `prepare`: the grid spans the

@@ -3,8 +3,11 @@
 //! Privacy and utility metrics for the `geopriv` workspace — the two
 //! assessment dimensions of Cerf et al.'s configuration framework.
 //!
-//! * [`PrivacyMetric`] / [`UtilityMetric`] — the plug-in interfaces (the
-//!   framework is "modular: by using different metrics…").
+//! * [`Metric`] — the plug-in interface (the framework is "modular: by using
+//!   different metrics…"); each metric reports the [`Direction`] in which it
+//!   improves, lower for privacy, higher for utility.
+//! * [`MetricSuite`] — an ordered set of metrics, each addressed by a
+//!   [`MetricId`].
 //! * [`PoiExtractor`] — stay-point clustering ("meaningful locations where a
 //!   user made a significant stop").
 //! * [`PoiRetrieval`] — the paper's privacy metric: proportion of actual POIs
@@ -17,7 +20,7 @@
 //! ## Example
 //!
 //! ```
-//! use geopriv_metrics::{AreaCoverage, PoiRetrieval, PrivacyMetric, UtilityMetric};
+//! use geopriv_metrics::{AreaCoverage, Direction, Metric, PoiRetrieval};
 //! use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm};
 //! use geopriv_mobility::generator::TaxiFleetBuilder;
 //! use rand::SeedableRng;
@@ -28,10 +31,13 @@
 //! let protected = GeoIndistinguishability::new(Epsilon::new(0.01)?)
 //!     .protect_dataset(&actual, &mut rng)?;
 //!
-//! let privacy = PoiRetrieval::default().evaluate(&actual, &protected)?;
-//! let utility = AreaCoverage::default().evaluate(&actual, &protected)?;
-//! assert!((0.0..=1.0).contains(&privacy.value()));
-//! assert!((0.0..=1.0).contains(&utility.value()));
+//! let metrics: [&dyn Metric; 2] = [&PoiRetrieval::default(), &AreaCoverage::default()];
+//! for metric in metrics {
+//!     let value = metric.evaluate(&actual, &protected)?;
+//!     assert!((0.0..=1.0).contains(&value.value()));
+//! }
+//! assert_eq!(metrics[0].direction(), Direction::LowerIsBetter);
+//! assert_eq!(metrics[1].direction(), Direction::HigherIsBetter);
 //! # Ok(())
 //! # }
 //! ```
@@ -56,9 +62,7 @@ pub use hotspot::HotspotPreservation;
 pub use poi::{Poi, PoiExtractor};
 pub use poi_retrieval::PoiRetrieval;
 pub use suite::{MetricId, MetricSuite, SuiteMetric};
-pub use traits::{
-    DatasetFingerprint, Direction, MetricValue, PreparedState, PrivacyMetric, UtilityMetric,
-};
+pub use traits::{DatasetFingerprint, Direction, Metric, MetricValue, PreparedState};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -69,7 +73,5 @@ pub mod prelude {
     pub use crate::poi::{Poi, PoiExtractor};
     pub use crate::poi_retrieval::PoiRetrieval;
     pub use crate::suite::{MetricId, MetricSuite, SuiteMetric};
-    pub use crate::traits::{
-        DatasetFingerprint, Direction, MetricValue, PreparedState, PrivacyMetric, UtilityMetric,
-    };
+    pub use crate::traits::{DatasetFingerprint, Direction, Metric, MetricValue, PreparedState};
 }

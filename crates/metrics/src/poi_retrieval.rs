@@ -7,7 +7,7 @@
 
 use crate::error::MetricError;
 use crate::poi::{Poi, PoiExtractor};
-use crate::traits::{DatasetFingerprint, MetricValue, PreparedState, PrivacyMetric};
+use crate::traits::{DatasetFingerprint, Direction, Metric, MetricValue, PreparedState};
 use geopriv_geo::{distance, Meters};
 use geopriv_mobility::Dataset;
 use serde::{Deserialize, Serialize};
@@ -31,13 +31,13 @@ use serde::{Deserialize, Serialize};
 /// defined as `0.0` (nothing is retrievable at all).
 ///
 /// The expensive actual-side POI extraction is invariant across evaluations
-/// against the same actual dataset; [`PrivacyMetric::prepare`] computes it
+/// against the same actual dataset; [`Metric::prepare`] computes it
 /// once so sweeps and campaigns can amortize it.
 ///
 /// # Examples
 ///
 /// ```
-/// use geopriv_metrics::{PoiRetrieval, PrivacyMetric};
+/// use geopriv_metrics::{Metric, PoiRetrieval};
 /// use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm};
 /// use geopriv_mobility::generator::TaxiFleetBuilder;
 /// use rand::SeedableRng;
@@ -160,9 +160,13 @@ impl PoiRetrieval {
     }
 }
 
-impl PrivacyMetric for PoiRetrieval {
+impl Metric for PoiRetrieval {
     fn name(&self) -> &str {
         Self::ID
+    }
+
+    fn direction(&self) -> Direction {
+        Direction::LowerIsBetter
     }
 
     fn evaluate(&self, actual: &Dataset, protected: &Dataset) -> Result<MetricValue, MetricError> {

@@ -9,7 +9,7 @@
 //! the framework per metric pair.
 
 use crate::error::MetricError;
-use crate::traits::{Direction, MetricValue, PreparedState, PrivacyMetric, UtilityMetric};
+use crate::traits::{Direction, Metric, MetricValue, PreparedState};
 use geopriv_mobility::Dataset;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -64,40 +64,22 @@ impl PartialEq<&str> for MetricId {
     }
 }
 
-/// One entry of a [`MetricSuite`]: a boxed metric (either trait) plus its
-/// optional id override.
-///
-/// The wrapped trait decides the [`Direction`]: [`PrivacyMetric`]s improve
-/// downward, [`UtilityMetric`]s improve upward.
+/// One entry of a [`MetricSuite`]: a boxed [`Metric`] plus its optional id
+/// override.
 pub struct SuiteMetric {
-    kind: Kind,
+    metric: Box<dyn Metric>,
     id: Option<MetricId>,
 }
 
-enum Kind {
-    Privacy(Box<dyn PrivacyMetric>),
-    Utility(Box<dyn UtilityMetric>),
-}
-
 impl SuiteMetric {
-    /// Wraps a privacy-style metric (lower is better).
-    pub fn privacy<M: PrivacyMetric + 'static>(metric: M) -> Self {
-        Self::privacy_boxed(Box::new(metric))
+    /// Wraps a metric.
+    pub fn new<M: Metric + 'static>(metric: M) -> Self {
+        Self::boxed(Box::new(metric))
     }
 
-    /// Wraps an already-boxed privacy-style metric.
-    pub fn privacy_boxed(metric: Box<dyn PrivacyMetric>) -> Self {
-        Self { kind: Kind::Privacy(metric), id: None }
-    }
-
-    /// Wraps a utility-style metric (higher is better).
-    pub fn utility<M: UtilityMetric + 'static>(metric: M) -> Self {
-        Self::utility_boxed(Box::new(metric))
-    }
-
-    /// Wraps an already-boxed utility-style metric.
-    pub fn utility_boxed(metric: Box<dyn UtilityMetric>) -> Self {
-        Self { kind: Kind::Utility(metric), id: None }
+    /// Wraps an already-boxed metric.
+    pub fn boxed(metric: Box<dyn Metric>) -> Self {
+        Self { metric, id: None }
     }
 
     /// Overrides the id this metric is addressed by inside its suite
@@ -115,18 +97,12 @@ impl SuiteMetric {
 
     /// The underlying metric's human-readable name.
     pub fn name(&self) -> &str {
-        match &self.kind {
-            Kind::Privacy(m) => m.name(),
-            Kind::Utility(m) => m.name(),
-        }
+        self.metric.name()
     }
 
     /// Which way this metric improves.
     pub fn direction(&self) -> Direction {
-        match &self.kind {
-            Kind::Privacy(m) => m.direction(),
-            Kind::Utility(m) => m.direction(),
-        }
+        self.metric.direction()
     }
 
     /// Evaluates the metric on an actual/protected dataset pair.
@@ -139,27 +115,20 @@ impl SuiteMetric {
         actual: &Dataset,
         protected: &Dataset,
     ) -> Result<MetricValue, MetricError> {
-        match &self.kind {
-            Kind::Privacy(m) => m.evaluate(actual, protected),
-            Kind::Utility(m) => m.evaluate(actual, protected),
-        }
+        self.metric.evaluate(actual, protected)
     }
 
-    /// Precomputes the metric's actual-side state (see
-    /// [`PrivacyMetric::prepare`]).
+    /// Precomputes the metric's actual-side state (see [`Metric::prepare`]).
     ///
     /// # Errors
     ///
     /// Propagates the underlying metric's errors.
     pub fn prepare(&self, actual: &Dataset) -> Result<PreparedState, MetricError> {
-        match &self.kind {
-            Kind::Privacy(m) => m.prepare(actual),
-            Kind::Utility(m) => m.prepare(actual),
-        }
+        self.metric.prepare(actual)
     }
 
     /// Evaluates the metric against prepared actual-side state (bit-identical
-    /// to [`SuiteMetric::evaluate`] by the metric traits' contract).
+    /// to [`SuiteMetric::evaluate`] by the [`Metric`] contract).
     ///
     /// # Errors
     ///
@@ -170,20 +139,14 @@ impl SuiteMetric {
         actual: &Dataset,
         protected: &Dataset,
     ) -> Result<MetricValue, MetricError> {
-        match &self.kind {
-            Kind::Privacy(m) => m.evaluate_prepared(prepared, actual, protected),
-            Kind::Utility(m) => m.evaluate_prepared(prepared, actual, protected),
-        }
+        self.metric.evaluate_prepared(prepared, actual, protected)
     }
 
     /// The underlying metric's configuration cache key (see
-    /// [`PrivacyMetric::cache_key`]), used to share prepared state between
+    /// [`Metric::cache_key`]), used to share prepared state between
     /// identically configured metrics.
     pub fn cache_key(&self) -> String {
-        match &self.kind {
-            Kind::Privacy(m) => m.cache_key(),
-            Kind::Utility(m) => m.cache_key(),
-        }
+        self.metric.cache_key()
     }
 }
 
@@ -207,8 +170,8 @@ impl fmt::Debug for SuiteMetric {
 ///
 /// # fn main() -> Result<(), geopriv_metrics::MetricError> {
 /// let suite = MetricSuite::new(vec![
-///     SuiteMetric::privacy(PoiRetrieval::default()),
-///     SuiteMetric::utility(AreaCoverage::default()),
+///     SuiteMetric::new(PoiRetrieval::default()),
+///     SuiteMetric::new(AreaCoverage::default()),
 /// ])?;
 /// assert_eq!(suite.len(), 2);
 /// assert!(suite.get(&"poi-retrieval".into()).is_some());
@@ -246,19 +209,6 @@ impl MetricSuite {
         Ok(Self { metrics })
     }
 
-    /// The paper's shape: one privacy metric and one utility metric, in that
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidSuite`] if both metrics share a name.
-    pub fn pair(
-        privacy: Box<dyn PrivacyMetric>,
-        utility: Box<dyn UtilityMetric>,
-    ) -> Result<Self, MetricError> {
-        Self::new(vec![SuiteMetric::privacy_boxed(privacy), SuiteMetric::utility_boxed(utility)])
-    }
-
     /// Number of metrics.
     #[allow(clippy::len_without_is_empty)] // a suite is never empty
     pub fn len(&self) -> usize {
@@ -284,17 +234,6 @@ impl MetricSuite {
     pub fn get(&self, id: &MetricId) -> Option<&SuiteMetric> {
         self.metrics.iter().find(|m| &m.id() == id)
     }
-
-    /// The position of a metric inside the suite.
-    pub fn index_of(&self, id: &MetricId) -> Option<usize> {
-        self.metrics.iter().position(|m| &m.id() == id)
-    }
-
-    /// The first metric improving in `direction`, if any — how the paper's
-    /// "the privacy metric" / "the utility metric" map onto a suite.
-    pub fn first_with_direction(&self, direction: Direction) -> Option<&SuiteMetric> {
-        self.metrics.iter().find(|m| m.direction() == direction)
-    }
 }
 
 impl fmt::Debug for MetricSuite {
@@ -306,14 +245,17 @@ impl fmt::Debug for MetricSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AreaCoverage, HotspotPreservation, PoiRetrieval};
+    use crate::{AreaCoverage, DistortionUtility, HotspotPreservation, PoiRetrieval};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn paper_suite() -> MetricSuite {
-        MetricSuite::pair(Box::new(PoiRetrieval::default()), Box::new(AreaCoverage::default()))
-            .unwrap()
+        MetricSuite::new(vec![
+            SuiteMetric::new(PoiRetrieval::default()),
+            SuiteMetric::new(AreaCoverage::default()),
+        ])
+        .unwrap()
     }
 
     #[test]
@@ -344,12 +286,7 @@ mod tests {
         );
         assert_eq!(suite.metrics()[0].direction(), Direction::LowerIsBetter);
         assert_eq!(suite.metrics()[1].direction(), Direction::HigherIsBetter);
-        assert_eq!(suite.index_of(&"area-coverage".into()), Some(1));
         assert!(suite.get(&"nope".into()).is_none());
-        assert_eq!(
-            suite.first_with_direction(Direction::HigherIsBetter).unwrap().id(),
-            MetricId::new("area-coverage")
-        );
         assert!(format!("{suite:?}").contains("poi-retrieval"));
         assert!(format!("{:?}", suite.metrics()[0]).contains("LowerIsBetter"));
     }
@@ -358,32 +295,48 @@ mod tests {
     fn suite_rejects_empty_and_duplicate_ids() {
         assert!(matches!(MetricSuite::new(vec![]), Err(MetricError::InvalidSuite { .. })));
         let duplicated = MetricSuite::new(vec![
-            SuiteMetric::utility(AreaCoverage::default()),
-            SuiteMetric::utility(AreaCoverage::default()),
+            SuiteMetric::new(AreaCoverage::default()),
+            SuiteMetric::new(AreaCoverage::default()),
         ]);
         assert!(
             matches!(duplicated, Err(MetricError::InvalidSuite { reason }) if reason.contains("area-coverage"))
         );
         // with_id disambiguates.
         let suite = MetricSuite::new(vec![
-            SuiteMetric::utility(AreaCoverage::default()),
-            SuiteMetric::utility(AreaCoverage::default()).with_id("area-coverage-fine"),
+            SuiteMetric::new(AreaCoverage::default()),
+            SuiteMetric::new(AreaCoverage::default()).with_id("area-coverage-fine"),
         ])
         .unwrap();
         assert_eq!(suite.ids()[1], MetricId::new("area-coverage-fine"));
     }
 
+    /// Every shipped metric configuration, with the direction it must
+    /// report: a metric's direction is a value, so nothing but this test
+    /// catches a flipped one.
     #[test]
     fn suite_metric_delegates_evaluation_and_caching() {
         let mut rng = StdRng::seed_from_u64(3);
         let dataset =
             TaxiFleetBuilder::new().drivers(2).duration_hours(3.0).build(&mut rng).unwrap();
         let suite = MetricSuite::new(vec![
-            SuiteMetric::privacy(PoiRetrieval::default()),
-            SuiteMetric::utility(AreaCoverage::default()),
-            SuiteMetric::utility(HotspotPreservation::default()),
+            SuiteMetric::new(PoiRetrieval::default()),
+            SuiteMetric::new(AreaCoverage::default()),
+            SuiteMetric::new(AreaCoverage::cell_overlap()),
+            SuiteMetric::new(HotspotPreservation::default()),
+            SuiteMetric::new(DistortionUtility::default()),
         ])
         .unwrap();
+        let directions: Vec<_> = suite.iter().map(|m| (m.id(), m.direction())).collect();
+        assert_eq!(
+            directions,
+            vec![
+                (MetricId::new("poi-retrieval"), Direction::LowerIsBetter),
+                (MetricId::new("area-coverage"), Direction::HigherIsBetter),
+                (MetricId::new("area-coverage-f1"), Direction::HigherIsBetter),
+                (MetricId::new("hotspot-preservation"), Direction::HigherIsBetter),
+                (MetricId::new("distortion-utility"), Direction::HigherIsBetter),
+            ]
+        );
         for metric in suite.iter() {
             assert_eq!(metric.cache_key(), metric.cache_key());
             let prepared = metric.prepare(&dataset).unwrap();

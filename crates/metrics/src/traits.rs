@@ -2,9 +2,9 @@
 //!
 //! The paper's framework is "modular: by using different metrics, a system
 //! designer is able to fine-tune her LPPM according to her expected privacy
-//! and utility guarantees". [`PrivacyMetric`] and [`UtilityMetric`] are those
-//! two plug-in points; both compare an *actual* dataset with its *protected*
-//! counterpart and return a value in `[0, 1]`.
+//! and utility guarantees". [`Metric`] is that plug-in point: a metric
+//! compares an *actual* dataset with its *protected* counterpart, returns a
+//! value in `[0, 1]` and reports the [`Direction`] in which it improves.
 
 use crate::error::MetricError;
 use geopriv_mobility::{Dataset, UserId};
@@ -48,9 +48,8 @@ impl fmt::Display for Direction {
     }
 }
 
-/// Opaque actual-side state computed once by a metric's
-/// [`PrivacyMetric::prepare`] / [`UtilityMetric::prepare`] and reused across
-/// many evaluations against the *same* actual dataset.
+/// Opaque actual-side state computed once by a metric's [`Metric::prepare`]
+/// and reused across many evaluations against the *same* actual dataset.
 ///
 /// Sweeps and campaigns evaluate a metric at every `(point, repetition)`
 /// sample while the actual dataset never changes; whatever the metric derives
@@ -323,22 +322,6 @@ impl MetricValue {
     pub fn value_for(&self, user: UserId) -> Option<f64> {
         self.per_user.iter().find(|(u, _)| *u == user).map(|(_, v)| *v)
     }
-
-    /// The worst per-user value — the maximum for a privacy metric (where
-    /// higher is worse), the minimum for a utility metric. Falls back to the
-    /// aggregate when the breakdown is empty ([`MetricValue::defined_zero`]).
-    pub fn worst_for_privacy(&self) -> f64 {
-        self.per_user.iter().map(|(_, v)| *v).fold(self.value, f64::max)
-    }
-
-    /// The worst per-user value for a utility metric (minimum). Falls back to
-    /// the aggregate when the breakdown is empty.
-    pub fn worst_for_utility(&self) -> f64 {
-        if self.per_user.is_empty() {
-            return self.value;
-        }
-        self.per_user.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min)
-    }
 }
 
 impl fmt::Display for MetricValue {
@@ -347,19 +330,19 @@ impl fmt::Display for MetricValue {
     }
 }
 
-/// A privacy metric: *lower is better* (less information retrievable by the
-/// adversary from the protected data).
+/// A metric comparing an actual dataset with its protected counterpart.
 ///
-/// The paper's example is POI retrieval: "the proportion of actual POIs
-/// retrieved from the protected data for each user".
-pub trait PrivacyMetric: Send + Sync {
+/// The paper uses two: a privacy metric, POI retrieval ("the proportion of
+/// actual POIs retrieved from the protected data for each user"), where
+/// lower is better, and a utility metric, area-coverage similarity at
+/// city-block granularity, where higher is better. Privacy or utility is
+/// not a separate interface: it is the [`Direction`] a metric reports.
+pub trait Metric: Send + Sync {
     /// Human-readable name of the metric.
     fn name(&self) -> &str;
 
-    /// Privacy metrics improve downward ([`Direction::LowerIsBetter`]).
-    fn direction(&self) -> Direction {
-        Direction::LowerIsBetter
-    }
+    /// Which way the metric improves.
+    fn direction(&self) -> Direction;
 
     /// Evaluates the metric for an actual dataset and its protected counterpart.
     ///
@@ -370,7 +353,7 @@ pub trait PrivacyMetric: Send + Sync {
     fn evaluate(&self, actual: &Dataset, protected: &Dataset) -> Result<MetricValue, MetricError>;
 
     /// Precomputes the actual-side state reused by
-    /// [`PrivacyMetric::evaluate_prepared`]. The default prepares nothing.
+    /// [`Metric::evaluate_prepared`]. The default prepares nothing.
     ///
     /// Implementations must guarantee that `evaluate(a, p)` and
     /// `evaluate_prepared(&prepare(a)?, a, p)` return bit-identical values.
@@ -384,70 +367,8 @@ pub trait PrivacyMetric: Send + Sync {
     }
 
     /// Evaluates the metric, reusing state prepared from the same actual
-    /// dataset by [`PrivacyMetric::prepare`]. The default ignores the state
-    /// and falls back to [`PrivacyMetric::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::DatasetMismatch`] when the datasets are not
-    /// aligned or (for metrics that prepare state and fingerprint it, see
-    /// [`DatasetFingerprint`]) `prepared` was built for a different dataset.
-    fn evaluate_prepared(
-        &self,
-        prepared: &PreparedState,
-        actual: &Dataset,
-        protected: &Dataset,
-    ) -> Result<MetricValue, MetricError> {
-        let _ = prepared;
-        self.evaluate(actual, protected)
-    }
-
-    /// A stable key encoding the metric's full configuration, so prepared
-    /// state can be shared between separately constructed but identically
-    /// configured metric instances. Defaults to the metric name; metrics with
-    /// parameters must include them.
-    fn cache_key(&self) -> String {
-        self.name().to_string()
-    }
-}
-
-/// A utility metric: *higher is better* (the protected data remains useful).
-///
-/// The paper's example is area-coverage similarity at city-block granularity.
-pub trait UtilityMetric: Send + Sync {
-    /// Human-readable name of the metric.
-    fn name(&self) -> &str;
-
-    /// Utility metrics improve upward ([`Direction::HigherIsBetter`]).
-    fn direction(&self) -> Direction {
-        Direction::HigherIsBetter
-    }
-
-    /// Evaluates the metric for an actual dataset and its protected counterpart.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::DatasetMismatch`] when the datasets are not
-    /// aligned, or configuration errors.
-    fn evaluate(&self, actual: &Dataset, protected: &Dataset) -> Result<MetricValue, MetricError>;
-
-    /// Precomputes the actual-side state reused by
-    /// [`UtilityMetric::evaluate_prepared`]. The default prepares nothing.
-    ///
-    /// Implementations must guarantee that `evaluate(a, p)` and
-    /// `evaluate_prepared(&prepare(a)?, a, p)` return bit-identical values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from analyzing the actual dataset.
-    fn prepare(&self, actual: &Dataset) -> Result<PreparedState, MetricError> {
-        let _ = actual;
-        Ok(PreparedState::empty())
-    }
-
-    /// Evaluates the metric, reusing state prepared from the same actual
-    /// dataset by [`UtilityMetric::prepare`]. The default ignores the state
-    /// and falls back to [`UtilityMetric::evaluate`].
+    /// dataset by [`Metric::prepare`]. The default ignores the state and
+    /// falls back to [`Metric::evaluate`].
     ///
     /// # Errors
     ///
@@ -493,8 +414,6 @@ mod tests {
         );
         assert_eq!(v.value_for(UserId::new(2)), Some(0.3));
         assert_eq!(v.value_for(UserId::new(9)), None);
-        assert_eq!(v.worst_for_privacy(), 0.3);
-        assert_eq!(v.worst_for_utility(), 0.1);
         assert!(v.to_string().contains("3 users"));
     }
 
@@ -531,9 +450,6 @@ mod tests {
         assert!(v.per_user().is_empty());
         assert_eq!(v.users().count(), 0);
         assert_eq!(v.value_for(UserId::new(1)), None);
-        // The worst-case accessors fall back to the aggregate.
-        assert_eq!(v.worst_for_privacy(), 0.0);
-        assert_eq!(v.worst_for_utility(), 0.0);
         assert!(v.to_string().contains("0 users"));
     }
 
@@ -580,9 +496,12 @@ mod tests {
         /// A metric relying entirely on the trait's default prepared-state
         /// plumbing.
         struct ConstantMetric;
-        impl PrivacyMetric for ConstantMetric {
+        impl Metric for ConstantMetric {
             fn name(&self) -> &str {
                 "constant"
+            }
+            fn direction(&self) -> Direction {
+                Direction::LowerIsBetter
             }
             fn evaluate(&self, actual: &Dataset, _: &Dataset) -> Result<MetricValue, MetricError> {
                 MetricValue::from_per_user(actual.iter().map(|t| (t.user(), 0.5)).collect())

@@ -6,7 +6,7 @@ use geopriv_lppm::{
 };
 use geopriv_metrics::{
     AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, MeanDistortion,
-    MetricValue, PoiExtractor, PoiRetrieval, PrivacyMetric, UtilityMetric,
+    Metric, MetricValue, PoiExtractor, PoiRetrieval,
 };
 use geopriv_mobility::generator::TaxiFleetBuilder;
 use geopriv_mobility::{Dataset, Record, Trace, TraceView, UserId};
@@ -66,8 +66,8 @@ proptest! {
             .protect_dataset(&actual, &mut rng)
             .unwrap();
 
-        let metrics_privacy: Vec<Box<dyn PrivacyMetric>> = vec![Box::new(PoiRetrieval::default())];
-        let metrics_utility: Vec<Box<dyn UtilityMetric>> = vec![
+        let metrics_privacy: Vec<Box<dyn Metric>> = vec![Box::new(PoiRetrieval::default())];
+        let metrics_utility: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
             Box::new(AreaCoverage::cell_overlap()),
             Box::new(HotspotPreservation::default()),
@@ -205,7 +205,7 @@ proptest! {
             privacy.evaluate_prepared(&prepared, &actual, &protected).unwrap()
         );
 
-        let utilities: Vec<Box<dyn UtilityMetric>> = vec![
+        let utilities: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
             Box::new(AreaCoverage::cell_overlap()),
             Box::new(HotspotPreservation::default()),
@@ -267,7 +267,7 @@ fn metrics_evaluate_datasets_with_several_traces_per_user() {
         .protect_dataset(&actual, &mut rng)
         .unwrap();
 
-    let metrics: Vec<Box<dyn UtilityMetric>> = vec![
+    let metrics: Vec<Box<dyn Metric>> = vec![
         Box::new(AreaCoverage::default()),
         Box::new(HotspotPreservation::default()),
         Box::new(DistortionUtility::default()),

@@ -50,7 +50,6 @@ pub mod generator;
 pub mod io;
 pub mod properties;
 pub mod record;
-pub mod splitter;
 pub mod trace;
 
 pub use dataset::{Dataset, DatasetBuilder, TraceSpan};
@@ -68,6 +67,5 @@ pub mod prelude {
     };
     pub use crate::properties::{DatasetProperties, TraceProperties};
     pub use crate::record::{Record, UserId};
-    pub use crate::splitter;
     pub use crate::trace::{Trace, TraceView};
 }

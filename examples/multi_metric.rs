@@ -25,10 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One suite, four direction-tagged metrics.
     let suite = MetricSuite::new(vec![
-        SuiteMetric::privacy(PoiRetrieval::default()),
-        SuiteMetric::utility(DistortionUtility::default()),
-        SuiteMetric::utility(AreaCoverage::default()),
-        SuiteMetric::utility(HotspotPreservation::default()),
+        SuiteMetric::new(PoiRetrieval::default()),
+        SuiteMetric::new(DistortionUtility::default()),
+        SuiteMetric::new(AreaCoverage::default()),
+        SuiteMetric::new(HotspotPreservation::default()),
     ])?;
     let system = SystemDefinition::new(Box::new(GeoIndistinguishabilityFactory::new()), suite);
 

@@ -620,7 +620,7 @@ impl FittedAutoConf<'_> {
     }
 
     /// Hold-out validation of the fitted models: split the dataset by
-    /// alternating traces, fit on one half, and measure the per-metric
+    /// alternating users, fit on one half, and measure the per-metric
     /// prediction error on the other — exactly
     /// [`HoldOutValidator::validate`] with this study's sweep plan (at
     /// dataset grain; the split sweeps need no per-user curves).
@@ -628,7 +628,7 @@ impl FittedAutoConf<'_> {
     /// # Errors
     ///
     /// Propagates [`HoldOutValidator::validate`] errors (fewer than two
-    /// traces, sweep or modeling failures on a split half).
+    /// users, sweep or modeling failures on a split half).
     ///
     /// # Examples
     ///
@@ -848,10 +848,10 @@ mod tests {
         let system = SystemDefinition::new(
             Box::new(geopriv_core::GeoIndistinguishabilityFactory::new()),
             MetricSuite::new(vec![
-                SuiteMetric::privacy(PoiRetrieval::default()),
-                SuiteMetric::utility(DistortionUtility::default()),
-                SuiteMetric::utility(AreaCoverage::default()),
-                SuiteMetric::utility(HotspotPreservation::default()),
+                SuiteMetric::new(PoiRetrieval::default()),
+                SuiteMetric::new(DistortionUtility::default()),
+                SuiteMetric::new(AreaCoverage::default()),
+                SuiteMetric::new(HotspotPreservation::default()),
             ])
             .unwrap(),
         );

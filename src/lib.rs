@@ -16,7 +16,7 @@
 //! * [`analysis`] — regression, PCA, interpolation, saturation detection.
 //! * [`mobility`] — mobility traces, datasets and synthetic generators.
 //! * [`lppm`] — protection mechanisms (Geo-Indistinguishability & friends).
-//! * [`metrics`] — metric traits and direction-tagged suites
+//! * [`metrics`] — the metric trait and direction-tagged suites
 //!   ([`metrics::MetricSuite`]).
 //! * [`core`] — the configuration framework itself.
 //! * [`serve`] — online per-user enforcement of a recommendation behind an

@@ -5,7 +5,7 @@
 //! The legacy algorithm (one privacy metric + one utility metric, evaluated
 //! per `(point, repetition)` against a protection seeded by
 //! `derive_unit_seed`, then averaged in repetition order) is re-derived
-//! inline here, straight from the metric traits — independently of
+//! inline here, straight from the `Metric` trait — independently of
 //! `ExperimentRunner` — and every suite-path artifact (sweep columns,
 //! recommendation, campaign cells, facade output) is compared against it
 //! exactly, never approximately.
@@ -108,10 +108,10 @@ fn growing_the_suite_never_perturbs_the_existing_columns() {
         .expect("pair sweep succeeds");
 
     let suite = MetricSuite::new(vec![
-        SuiteMetric::privacy(PoiRetrieval::default()),
-        SuiteMetric::utility(DistortionUtility::default()),
-        SuiteMetric::utility(AreaCoverage::default()),
-        SuiteMetric::utility(HotspotPreservation::default()),
+        SuiteMetric::new(PoiRetrieval::default()),
+        SuiteMetric::new(DistortionUtility::default()),
+        SuiteMetric::new(AreaCoverage::default()),
+        SuiteMetric::new(HotspotPreservation::default()),
     ])
     .expect("distinct ids");
     let four = ExperimentRunner::new(config)
