@@ -16,14 +16,19 @@
 //!   user inside the file, invalidated individually when her records change.
 //!
 //! The encoding is hand-rolled little-endian binary (the vendored `serde` is
-//! a marker shim): every `f64` travels as its raw `to_bits()` word, so values
-//! round-trip **bit-exactly** — the property the warm≡cold identity contract
-//! rests on. A FNV-1a checksum over the entire payload guards the file;
-//! any mismatch (corruption, truncation, a foreign or older format) makes the
-//! cache report itself empty with a warning, and the runner falls back to the
-//! cold path. A cache can therefore *never* change a result — only the time
-//! it takes to produce it. I/O failures while storing are likewise warnings,
-//! not errors.
+//! a marker shim) made of 64-bit words: every `f64` travels as its raw
+//! `to_bits()` word, so values round-trip **bit-exactly** — the property the
+//! warm≡cold identity contract rests on. A FNV-1a checksum over the
+//! payload's words guards the file. Each step xors one word into the hash
+//! and multiplies by an odd constant; both are bijections, so any change
+//! confined to one word changes the checksum. Any mismatch (corruption,
+//! truncation, a foreign or older format) makes the cache report itself
+//! empty with a warning, and the runner falls back to the cold path. The
+//! decoder checks the header's counts against the payload's length, with
+//! checked arithmetic, before it allocates anything, so a forged count costs
+//! a warning, never memory. A cache can therefore *never* change a result —
+//! only the time it takes to produce it. I/O failures while storing are
+//! likewise warnings, not errors.
 //!
 //! The format version in the magic covers the *meaning* of the stored values
 //! as well as their layout. The signature names the mechanism and its
@@ -31,30 +36,37 @@
 //! that re-baselines a mechanism's bits under an unchanged signature must
 //! bump the version: files written before it then take the older-format path
 //! above (one warning, a cold run, the file overwritten) instead of serving
-//! the old outputs. Version 2 marks GEO-I's Gamma(2) sampler.
+//! the old outputs. Version 2 marks GEO-I's Gamma(2) sampler. Version 3
+//! changes only the layout, to the columns below, which are read and written
+//! in bulk; it stores the same values as version 2.
 //!
-//! File layout (all integers little-endian):
+//! File layout (every field a little-endian 64-bit word; `U` users, and
+//! `S = points × reps × metrics` samples per user):
 //!
 //! ```text
-//! magic     8 bytes  b"GPCACHE2" (format version 2)
-//! checksum  u64      FNV-1a over every byte after this field
-//! sig_len   u64      length of the UTF-8 signature string
-//! signature …        collision guard: must equal the requested signature
-//! points    u64      design-point count
-//! reps      u64      repetition count
-//! metrics   u64      metric count
-//! users     u64      entry count
-//! per user:
-//!   user id      u64
-//!   fingerprint  u64
-//!   per (point, repetition, metric), point-major:
-//!     value      u64  f64 bits
-//!     weight     u64  evaluated-trace count behind the value
-//!     tag        u8   1 if a per-user breakdown value follows
-//!     breakdown  u64  f64 bits (only when tag == 1)
+//! magic         8 bytes   b"GPCACHE3" (format version 3)
+//! checksum      1 word    FNV-1a over every word after this field
+//! sig_len       1 word    length of the UTF-8 signature in bytes
+//! signature     …         its bytes, zero-padded to a whole word
+//! points        1 word    design-point count
+//! reps          1 word    repetition count
+//! metrics       1 word    metric count
+//! users         1 word    U
+//! user ids      U words
+//! fingerprints  U words
+//! then one column per sample field, U·S samples each, in the order
+//! [user][point][repetition][metric]:
+//! values        U·S words         f64 bits
+//! weights       U·S words         evaluated-trace count behind the value
+//! breakdowns    U·S words         f64 bits of the user's breakdown value,
+//!                                 0 when the metric could not evaluate her
+//! presence      ⌈U·S / 64⌉ words  sample i has a breakdown value when bit
+//!                                 i % 64 of word i / 64 is set
 //! ```
 
+use crate::error::CoreError;
 use geopriv_mobility::UserId;
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// One metric evaluation of one user at one `(point, repetition)` sample, as
@@ -68,46 +80,137 @@ pub(crate) struct CachedSample {
     pub(crate) breakdown: Option<f64>,
 }
 
-/// The cached measurements of one user across a whole sweep design.
+/// The cached measurements of a whole sweep design as one flat block. Row
+/// `i` is one user: her id, her sub-fingerprint and her `points × reps ×
+/// metrics` samples, `[point][repetition][metric]`. Every row's samples sit
+/// back to back in one user-major vector.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CachedUserEntry {
-    pub(crate) user: UserId,
-    pub(crate) fingerprint: u64,
+pub(crate) struct CacheBlock {
     points: usize,
     reps: usize,
     metrics: usize,
-    /// Flat `[point][repetition][metric]` storage, point-major.
+    /// Samples per row: `points × reps × metrics`.
+    row_len: usize,
+    users: Vec<UserId>,
+    fingerprints: Vec<u64>,
     samples: Vec<CachedSample>,
 }
 
-impl CachedUserEntry {
-    /// Builds an entry from per-point, per-repetition, per-metric samples.
-    /// Ragged input is rejected with `None` (an engine invariant violation
-    /// the caller surfaces as a typed internal error).
-    pub(crate) fn new(
-        user: UserId,
-        fingerprint: u64,
-        points: usize,
-        reps: usize,
-        metrics: usize,
-        per_point: Vec<Vec<Vec<CachedSample>>>,
-    ) -> Option<Self> {
-        if per_point.len() != points
-            || per_point.iter().any(|p| p.len() != reps || p.iter().any(|r| r.len() != metrics))
-        {
-            return None;
+impl CacheBlock {
+    /// An empty block of `points × reps × metrics` samples per row, with
+    /// room for `users` rows.
+    pub(crate) fn with_capacity(points: usize, reps: usize, metrics: usize, users: usize) -> Self {
+        let row_len = points.saturating_mul(reps).saturating_mul(metrics);
+        Self {
+            points,
+            reps,
+            metrics,
+            row_len,
+            users: Vec::with_capacity(users),
+            fingerprints: Vec::with_capacity(users),
+            samples: Vec::with_capacity(row_len.saturating_mul(users)),
         }
-        let samples = per_point.into_iter().flatten().flatten().collect();
-        Some(Self { user, fingerprint, points, reps, metrics, samples })
     }
 
-    /// The metric samples (suite order) at one `(point, repetition)`.
-    pub(crate) fn samples_at(&self, point: usize, rep: usize) -> Option<&[CachedSample]> {
-        if point >= self.points || rep >= self.reps {
-            return None;
+    /// Number of rows (users).
+    pub(crate) fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// Appends one user's row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Internal`] when `samples` is not exactly one row
+    /// (an engine invariant violation); the block is left as it was.
+    pub(crate) fn push(
+        &mut self,
+        user: UserId,
+        fingerprint: u64,
+        samples: impl IntoIterator<Item = CachedSample>,
+    ) -> Result<(), CoreError> {
+        let start = self.samples.len();
+        self.samples.extend(samples);
+        let pushed = self.samples.len() - start;
+        if pushed != self.row_len {
+            self.samples.truncate(start);
+            return Err(CoreError::Internal {
+                reason: format!(
+                    "user {user} has {pushed} samples, a cache row holds {}",
+                    self.row_len
+                ),
+            });
         }
-        let start = (point * self.reps + rep) * self.metrics;
-        self.samples.get(start..start + self.metrics)
+        self.users.push(user);
+        self.fingerprints.push(fingerprint);
+        Ok(())
+    }
+
+    /// The samples of one row.
+    fn row(&self, row: usize) -> Option<&[CachedSample]> {
+        let start = row.checked_mul(self.row_len)?;
+        self.samples.get(start..start.checked_add(self.row_len)?)
+    }
+
+    /// Every row's user and samples, in row order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (UserId, &[CachedSample])> + '_ {
+        // `push` keeps one full row per user, so every row exists.
+        self.users.iter().enumerate().map(|(i, &user)| (user, self.row(i).unwrap_or_default()))
+    }
+}
+
+/// A cache file as loaded: checked (magic, checksum, signature, dimensions,
+/// and every count against the payload's length) but not decoded. The
+/// users and fingerprints are read in place, and a row's samples are
+/// decoded only when a hit copies them into a refreshed [`CacheBlock`].
+#[derive(Debug, Default)]
+pub(crate) struct StoredRows {
+    bytes: Vec<u8>,
+    /// Samples per row: `points × reps × metrics`.
+    row_len: usize,
+    /// Byte ranges of the file's columns inside `bytes`.
+    ids: Range<usize>,
+    fingerprints: Range<usize>,
+    values: Range<usize>,
+    weights: Range<usize>,
+    breakdowns: Range<usize>,
+    presence: Range<usize>,
+}
+
+impl StoredRows {
+    /// Every row's user and sub-fingerprint, in row order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (UserId, u64)> + '_ {
+        let column = |range: &Range<usize>| self.bytes.get(range.clone()).unwrap_or_default();
+        words(column(&self.ids)).map(UserId::new).zip(words(column(&self.fingerprints)))
+    }
+
+    /// The decoded samples of one row, `[point][repetition][metric]`.
+    pub(crate) fn row(&self, row: usize) -> Option<impl Iterator<Item = CachedSample> + '_> {
+        let (values, weights) = (self.span(&self.values, row)?, self.span(&self.weights, row)?);
+        let breakdowns = self.span(&self.breakdowns, row)?;
+        let first = row * self.row_len;
+        Some(words(values).zip(words(weights)).zip(words(breakdowns)).enumerate().map(
+            move |(i, ((value, weight), breakdown))| CachedSample {
+                value: f64::from_bits(value),
+                weight,
+                breakdown: self.present(first + i).then_some(f64::from_bits(breakdown)),
+            },
+        ))
+    }
+
+    /// The bytes of one row's words in one sample column.
+    fn span(&self, column: &Range<usize>, row: usize) -> Option<&[u8]> {
+        let len = self.row_len.checked_mul(8)?;
+        let start = column.start.checked_add(row.checked_mul(len)?)?;
+        let end = start.checked_add(len).filter(|&end| end <= column.end)?;
+        self.bytes.get(start..end)
+    }
+
+    /// Whether sample `i`, counted across the rows, has a breakdown value.
+    fn present(&self, i: usize) -> bool {
+        let start = self.presence.start + i / 64 * 8;
+        let word = self.bytes.get(start..start + 8).and_then(|word| words(word).next());
+        word.is_some_and(|word| (word >> (i % 64)) & 1 == 1)
     }
 }
 
@@ -144,7 +247,11 @@ pub struct MeasurementCache {
     dir: PathBuf,
 }
 
-const MAGIC: &[u8; 8] = b"GPCACHE2";
+const MAGIC: &[u8; 8] = b"GPCACHE3";
+
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 impl MeasurementCache {
     /// Opens (without touching the filesystem) the cache rooted at `dir`.
@@ -160,26 +267,29 @@ impl MeasurementCache {
         self.dir.join(format!("sweep-{:016x}.bin", fnv1a(signature.as_bytes())))
     }
 
-    /// Loads every cached user entry under `signature`, with any warnings.
+    /// Loads the rows cached under `signature`, with any warnings.
     ///
     /// A missing file is a plain cold start (no warning). Anything
     /// undecodable — bad magic, truncation, checksum mismatch, a different
-    /// signature, dimensions disagreeing with `points`/`reps`/`metrics` —
-    /// returns no entries plus one warning describing why.
+    /// signature, dimensions disagreeing with `points`/`reps`/`metrics`,
+    /// counts the payload cannot hold — returns no rows plus one warning
+    /// describing why.
     pub(crate) fn load(
         &self,
         signature: &str,
         points: usize,
         reps: usize,
         metrics: usize,
-    ) -> (Vec<CachedUserEntry>, Vec<String>) {
+    ) -> (StoredRows, Vec<String>) {
         let path = self.path_for(signature);
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (Vec::new(), Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return (StoredRows::default(), Vec::new())
+            }
             Err(e) => {
                 return (
-                    Vec::new(),
+                    StoredRows::default(),
                     vec![format!(
                         "cache file {} is unreadable ({e}); falling back to the cold path",
                         path.display()
@@ -187,10 +297,10 @@ impl MeasurementCache {
                 )
             }
         };
-        match decode(&bytes, signature, points, reps, metrics) {
-            Ok(entries) => (entries, Vec::new()),
+        match decode(bytes, signature, points, reps, metrics) {
+            Ok(rows) => (rows, Vec::new()),
             Err(reason) => (
-                Vec::new(),
+                StoredRows::default(),
                 vec![format!(
                     "cache file {} rejected ({reason}); falling back to the cold path",
                     path.display()
@@ -199,10 +309,10 @@ impl MeasurementCache {
         }
     }
 
-    /// Atomically stores `entries` under `signature` (temp file + rename),
+    /// Atomically stores `block` under `signature` (temp file + rename),
     /// replacing any previous contents. Returns warnings instead of failing:
     /// a cache that cannot be written costs time, never correctness.
-    pub(crate) fn store(&self, signature: &str, entries: &[CachedUserEntry]) -> Vec<String> {
+    pub(crate) fn store(&self, signature: &str, block: &CacheBlock) -> Vec<String> {
         let path = self.path_for(signature);
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             return vec![format!(
@@ -210,7 +320,7 @@ impl MeasurementCache {
                 self.dir.display()
             )];
         }
-        let bytes = encode(signature, entries);
+        let bytes = encode(signature, block);
         let tmp = path.with_extension("bin.tmp");
         if let Err(e) = std::fs::write(&tmp, &bytes) {
             return vec![format!(
@@ -229,147 +339,171 @@ impl MeasurementCache {
     }
 }
 
-/// FNV-1a over a byte string — the fixed, platform-independent hash used for
-/// both the filename and the checksum (never the standard library's
-/// randomized hasher).
+/// FNV-1a over a byte string — the fixed, platform-independent hash the
+/// filename uses (never the standard library's randomized hasher).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    bytes.iter().fold(FNV_OFFSET, |hash, &byte| fnv1a_word(hash, u64::from(byte)))
 }
 
-fn encode(signature: &str, entries: &[CachedUserEntry]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, signature.len() as u64);
-    payload.extend_from_slice(signature.as_bytes());
-    let (points, reps, metrics) =
-        entries.first().map_or((0, 0, 0), |e| (e.points as u64, e.reps as u64, e.metrics as u64));
-    put_u64(&mut payload, points);
-    put_u64(&mut payload, reps);
-    put_u64(&mut payload, metrics);
-    put_u64(&mut payload, entries.len() as u64);
-    for entry in entries {
-        put_u64(&mut payload, entry.user.value());
-        put_u64(&mut payload, entry.fingerprint);
-        for sample in &entry.samples {
-            put_u64(&mut payload, sample.value.to_bits());
-            put_u64(&mut payload, sample.weight);
-            match sample.breakdown {
-                Some(v) => {
-                    payload.push(1);
-                    put_u64(&mut payload, v.to_bits());
-                }
-                None => payload.push(0),
-            }
+/// One FNV-1a step over a whole word: the checksum's hash over the payload.
+fn fnv1a_word(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The little-endian words of `bytes`; a trailing partial word is ignored
+/// (the decoder rejects a payload that has one before it reads any).
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|word| word.try_into().map_or(0, u64::from_le_bytes))
+}
+
+/// A file image under construction: each word is hashed into the checksum
+/// as it is appended.
+struct Writer {
+    bytes: Vec<u8>,
+    checksum: u64,
+}
+
+impl Writer {
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
+        for word in words {
+            self.bytes.extend_from_slice(&word.to_le_bytes());
+            self.checksum = fnv1a_word(self.checksum, word);
         }
     }
-    let mut bytes = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
-    bytes.extend_from_slice(MAGIC);
-    put_u64(&mut bytes, fnv1a(&payload));
-    bytes.extend_from_slice(&payload);
+}
+
+/// The file image of `block`, in one buffer sized up front.
+fn encode(signature: &str, block: &CacheBlock) -> Vec<u8> {
+    let samples = block.samples.len();
+    let words =
+        1 + signature.len().div_ceil(8) + 4 + 2 * block.len() + 3 * samples + samples.div_ceil(64);
+    let mut out =
+        Writer { bytes: Vec::with_capacity(MAGIC.len() + 8 * (1 + words)), checksum: FNV_OFFSET };
+    out.bytes.extend_from_slice(MAGIC);
+    // The checksum's slot, filled in once every word after it is written.
+    out.bytes.extend_from_slice(&[0; 8]);
+    let signature_words = signature.as_bytes().chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word.iter_mut().zip(chunk).for_each(|(into, &byte)| *into = byte);
+        u64::from_le_bytes(word)
+    });
+    let dimensions = [block.points, block.reps, block.metrics, block.len()].map(|n| n as u64);
+    out.words(std::iter::once(signature.len() as u64).chain(signature_words).chain(dimensions));
+    out.words(block.users.iter().map(|user| user.value()));
+    out.words(block.fingerprints.iter().copied());
+    out.words(block.samples.iter().map(|sample| sample.value.to_bits()));
+    out.words(block.samples.iter().map(|sample| sample.weight));
+    out.words(block.samples.iter().map(|sample| sample.breakdown.map_or(0, f64::to_bits)));
+    out.words(block.samples.chunks(64).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0, |bits, (i, sample)| bits | (u64::from(sample.breakdown.is_some()) << i))
+    }));
+    let Writer { mut bytes, checksum } = out;
+    if let Some(slot) = bytes.get_mut(MAGIC.len()..MAGIC.len() + 8) {
+        slot.copy_from_slice(&checksum.to_le_bytes());
+    }
     bytes
 }
 
 fn decode(
-    bytes: &[u8],
+    bytes: Vec<u8>,
     signature: &str,
     points: usize,
     reps: usize,
     metrics: usize,
-) -> Result<Vec<CachedUserEntry>, String> {
-    let mut cursor = Cursor { bytes, at: 0 };
-    let magic = cursor.take(MAGIC.len()).ok_or("file shorter than its magic")?;
-    if magic != MAGIC {
+) -> Result<StoredRows, String> {
+    let mut file = Cursor { bytes: &bytes, at: 0 };
+    let magic = file.word().ok_or("file shorter than its magic")?;
+    if magic != u64::from_le_bytes(*MAGIC) {
         return Err("unrecognized magic — a foreign file or an older cache format".to_string());
     }
-    let checksum = cursor.u64().ok_or("file truncated before its checksum")?;
-    let payload = cursor.rest();
-    if fnv1a(payload) != checksum {
+    let checksum = file.word().ok_or("file truncated before its checksum")?;
+    let payload = file.rest();
+    if payload.len() % 8 != 0 {
+        return Err("file truncated inside a word".to_string());
+    }
+    if words(payload).fold(FNV_OFFSET, fnv1a_word) != checksum {
         return Err("checksum mismatch — the file is corrupted".to_string());
     }
-    let mut cursor = Cursor { bytes: payload, at: 0 };
-    let sig_len = cursor.usize_field("signature length")?;
-    let stored_sig = cursor.take(sig_len).ok_or("file truncated inside its signature")?;
+    let sig_len = file.count("signature length")?;
+    let stored_sig = file
+        .take(sig_len.div_ceil(8))
+        .and_then(|padded| bytes.get(padded)?.get(..sig_len))
+        .ok_or("file truncated inside its signature")?;
     if stored_sig != signature.as_bytes() {
         return Err("signature mismatch — the file belongs to a different sweep".to_string());
     }
-    let stored_points = cursor.usize_field("point count")?;
-    let stored_reps = cursor.usize_field("repetition count")?;
-    let stored_metrics = cursor.usize_field("metric count")?;
-    let users = cursor.usize_field("user count")?;
+    let stored_points = file.count("point count")?;
+    let stored_reps = file.count("repetition count")?;
+    let stored_metrics = file.count("metric count")?;
+    let users = file.count("user count")?;
     if stored_points != points || stored_reps != reps || stored_metrics != metrics {
         return Err(format!(
             "dimensions {stored_points}×{stored_reps}×{stored_metrics} do not match the \
              requested sweep ({points}×{reps}×{metrics})"
         ));
     }
-    let samples_per_user = points
-        .checked_mul(reps)
-        .and_then(|n| n.checked_mul(metrics))
-        .ok_or("sample dimensions overflow")?;
-    let mut entries = Vec::new();
-    for _ in 0..users {
-        let user = UserId::new(cursor.u64().ok_or("file truncated inside a user id")?);
-        let fingerprint = cursor.u64().ok_or("file truncated inside a fingerprint")?;
-        let mut samples = Vec::with_capacity(samples_per_user);
-        for _ in 0..samples_per_user {
-            let value = f64::from_bits(cursor.u64().ok_or("file truncated inside a sample")?);
-            let weight = cursor.u64().ok_or("file truncated inside a sample weight")?;
-            let breakdown = match cursor.byte().ok_or("file truncated inside a breakdown tag")? {
-                0 => None,
-                1 => Some(f64::from_bits(
-                    cursor.u64().ok_or("file truncated inside a breakdown value")?,
-                )),
-                tag => return Err(format!("invalid breakdown tag {tag}")),
-            };
-            samples.push(CachedSample { value, weight, breakdown });
-        }
-        entries.push(CachedUserEntry { user, fingerprint, points, reps, metrics, samples });
+    // Every count is checked against the payload's length before any row
+    // is trusted.
+    let row_len = points.checked_mul(reps).and_then(|n| n.checked_mul(metrics));
+    let (Some(row_len), Some(samples)) = (row_len, row_len.and_then(|n| n.checked_mul(users)))
+    else {
+        return Err(format!("{users} users of {points}×{reps}×{metrics} samples overflow"));
+    };
+    let presence_words = samples.div_ceil(64);
+    let needed = samples
+        .checked_mul(3)
+        .and_then(|n| n.checked_add(users.checked_mul(2)?))
+        .and_then(|n| n.checked_add(presence_words));
+    let remaining = file.rest().len() / 8;
+    if needed != Some(remaining) {
+        return Err(format!(
+            "{users} users of {points}×{reps}×{metrics} samples do not fit the payload's \
+             remaining {remaining} words"
+        ));
     }
-    if !cursor.rest().is_empty() {
-        return Err("trailing bytes after the last entry".to_string());
-    }
-    Ok(entries)
+    let truncated = || "file truncated inside its columns".to_string();
+    let ids = file.take(users).ok_or_else(truncated)?;
+    let fingerprints = file.take(users).ok_or_else(truncated)?;
+    let values = file.take(samples).ok_or_else(truncated)?;
+    let weights = file.take(samples).ok_or_else(truncated)?;
+    let breakdowns = file.take(samples).ok_or_else(truncated)?;
+    let presence = file.take(presence_words).ok_or_else(truncated)?;
+    Ok(StoredRows { row_len, ids, fingerprints, values, weights, breakdowns, presence, bytes })
 }
 
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-/// A bounds-checked byte cursor: every read is `Option`al, so a truncated
-/// file can never index out of range.
+/// Reads a file front to back; every read is bounds-checked, so a truncated
+/// or forged file can never index out of range.
 struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(len)?;
-        let slice = self.bytes.get(self.at..end)?;
+    /// The byte range of the next `count` words.
+    fn take(&mut self, count: usize) -> Option<Range<usize>> {
+        let end =
+            self.at.checked_add(count.checked_mul(8)?).filter(|&end| end <= self.bytes.len())?;
+        let range = self.at..end;
         self.at = end;
-        Some(slice)
+        Some(range)
     }
 
-    fn byte(&mut self) -> Option<u8> {
-        self.take(1).and_then(|s| s.first().copied())
+    /// The next word.
+    fn word(&mut self) -> Option<u64> {
+        let word = self.take(1)?;
+        self.bytes.get(word).and_then(|word| words(word).next())
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        let slice = self.take(8)?;
-        let mut word = [0u8; 8];
-        word.copy_from_slice(slice);
-        Some(u64::from_le_bytes(word))
-    }
-
-    fn usize_field(&mut self, what: &str) -> Result<usize, String> {
-        let raw = self.u64().ok_or_else(|| format!("file truncated before its {what}"))?;
+    /// The next word, as a count this platform can hold.
+    fn count(&mut self, what: &str) -> Result<usize, String> {
+        let raw = self.word().ok_or_else(|| format!("file truncated before its {what}"))?;
         usize::try_from(raw).map_err(|_| format!("{what} {raw} does not fit this platform"))
     }
 
+    /// Everything not read yet.
     fn rest(&self) -> &'a [u8] {
         self.bytes.get(self.at..).unwrap_or_default()
     }
@@ -379,18 +513,29 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
-    fn entry(user: u64, fingerprint: u64) -> CachedUserEntry {
-        let per_point = vec![
-            vec![vec![
+    /// Rows of a 2-point, 1-repetition, 2-metric design, one per
+    /// `(user, fingerprint)`.
+    fn block(users: &[(u64, u64)]) -> CacheBlock {
+        let mut block = CacheBlock::with_capacity(2, 1, 2, users.len());
+        for &(user, fingerprint) in users {
+            let row = [
                 CachedSample { value: 0.1 + user as f64, weight: 1, breakdown: Some(0.25) },
                 CachedSample { value: f64::MIN_POSITIVE, weight: 0, breakdown: None },
-            ]],
-            vec![vec![
                 CachedSample { value: -0.0, weight: 3, breakdown: Some(f64::EPSILON) },
                 CachedSample { value: 1.0 / 3.0, weight: 2, breakdown: None },
-            ]],
-        ];
-        CachedUserEntry::new(UserId::new(user), fingerprint, 2, 1, 2, per_point).unwrap()
+            ];
+            block.push(UserId::new(user), fingerprint, row).unwrap();
+        }
+        block
+    }
+
+    /// Decodes every stored row back into a block.
+    fn decoded(rows: &StoredRows) -> CacheBlock {
+        let mut block = CacheBlock::with_capacity(2, 1, 2, 0);
+        for (row, (user, fingerprint)) in rows.keys().enumerate() {
+            block.push(user, fingerprint, rows.row(row).unwrap()).unwrap();
+        }
+        block
     }
 
     #[test]
@@ -398,13 +543,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("geopriv-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MeasurementCache::open(&dir);
-        let entries = vec![entry(7, 0xAB), entry(9, 0xCD)];
-        assert!(cache.store("sig-a", &entries).is_empty());
+        // 20 users × 4 samples: the presence bitmap spans two words.
+        let stored = block(&(0..20).map(|user| (user, user ^ 0xAB)).collect::<Vec<_>>());
+        assert!(cache.store("sig-a", &stored).is_empty());
         let (loaded, warnings) = cache.load("sig-a", 2, 1, 2);
         assert!(warnings.is_empty());
-        assert_eq!(loaded, entries);
+        let loaded = decoded(&loaded);
+        assert_eq!(loaded, stored);
         // -0.0 and subnormals survive bit-for-bit.
-        let sample = loaded[0].samples_at(1, 0).unwrap()[0];
+        let sample = loaded.row(0).unwrap()[2];
         assert_eq!(sample.value.to_bits(), (-0.0f64).to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -413,7 +560,7 @@ mod tests {
     fn missing_file_is_a_silent_cold_start() {
         let cache = MeasurementCache::open("/nonexistent-geopriv-cache");
         let (loaded, warnings) = cache.load("sig", 1, 1, 1);
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.keys().count(), 0);
         assert!(warnings.is_empty());
     }
 
@@ -423,59 +570,71 @@ mod tests {
             std::env::temp_dir().join(format!("geopriv-cache-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MeasurementCache::open(&dir);
-        let entries = vec![entry(1, 2)];
-        assert!(cache.store("sig-b", &entries).is_empty());
+        assert!(cache.store("sig-b", &block(&[(1, 2), (3, 4)])).is_empty());
         let path = cache.path_for("sig-b");
         let pristine = std::fs::read(&path).unwrap();
-
-        // Flipped payload byte → checksum mismatch.
-        let mut corrupt = pristine.clone();
-        *corrupt.last_mut().unwrap() ^= 0xFF;
-        std::fs::write(&path, &corrupt).unwrap();
-        let (loaded, warnings) = cache.load("sig-b", 2, 1, 2);
-        assert!(loaded.is_empty());
-        assert!(warnings.len() == 1 && warnings[0].contains("checksum"), "{warnings:?}");
-
-        // Truncation → checksum mismatch as well (never a panic).
-        std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-        assert!(cache.load("sig-b", 2, 1, 2).0.is_empty());
-        for len in 0..MAGIC.len() + 16 {
-            std::fs::write(&path, &pristine[..len]).unwrap();
+        let rejected = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
             let (loaded, warnings) = cache.load("sig-b", 2, 1, 2);
-            assert!(loaded.is_empty() && warnings.len() == 1);
+            assert_eq!(loaded.keys().count(), 0, "{what}");
+            assert_eq!(warnings.len(), 1, "{what}: {warnings:?}");
+            warnings.into_iter().next().unwrap()
+        };
+
+        // Every single-byte flip: the magic is rejected as such, every other
+        // byte as a checksum mismatch.
+        for at in 0..pristine.len() {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0xFF;
+            let warning = rejected(&flipped, &format!("byte {at} flipped"));
+            let expected = if at < MAGIC.len() { "magic" } else { "checksum" };
+            assert!(warning.contains(expected), "byte {at}: {warning}");
         }
+
+        // Every truncation, never a panic.
+        for len in 0..pristine.len() {
+            rejected(&pristine[..len], &format!("truncated to {len} bytes"));
+        }
+
+        // A forged user count with a recomputed checksum is refused before
+        // anything is allocated for it.
+        let users_at = MAGIC.len() + 8 * (1 + 1 + "sig-b".len().div_ceil(8) + 3);
+        assert_eq!(pristine[users_at..users_at + 8], 2u64.to_le_bytes());
+        let mut forged = pristine.clone();
+        forged[users_at..users_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let checksum = words(&forged[MAGIC.len() + 8..]).fold(FNV_OFFSET, fnv1a_word);
+        forged[MAGIC.len()..MAGIC.len() + 8].copy_from_slice(&checksum.to_le_bytes());
+        let warning = rejected(&forged, "user count forged to u64::MAX");
+        assert!(warning.contains("overflow"), "{warning}");
 
         // A different magic (older / foreign format) is rejected up front.
         let mut foreign = pristine.clone();
         foreign[..8].copy_from_slice(b"GPCACHE0");
-        std::fs::write(&path, &foreign).unwrap();
-        let (loaded, warnings) = cache.load("sig-b", 2, 1, 2);
-        assert!(loaded.is_empty());
-        assert!(warnings[0].contains("magic"), "{warnings:?}");
+        assert!(rejected(&foreign, "foreign magic").contains("magic"));
 
         // A signature collision inside the file is detected by content.
         std::fs::write(&path, &pristine).unwrap();
         std::fs::rename(&path, cache.path_for("sig-c")).unwrap();
         let (loaded, warnings) = cache.load("sig-c", 2, 1, 2);
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.keys().count(), 0);
         assert!(warnings[0].contains("signature"), "{warnings:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_file_of_the_previous_format_version_is_not_served() {
-        let dir = std::env::temp_dir().join(format!("geopriv-cache-v1-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("geopriv-cache-v2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MeasurementCache::open(&dir);
-        assert!(cache.store("sig-v", &[entry(1, 2)]).is_empty());
-        // The checksum covers only the bytes after the magic, so this file
+        assert!(cache.store("sig-v", &block(&[(1, 2)])).is_empty());
+        // The checksum covers only the words after the magic, so this file
         // is intact apart from its version.
         let path = cache.path_for("sig-v");
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(b"GPCACHE1");
+        bytes[..8].copy_from_slice(b"GPCACHE2");
         std::fs::write(&path, &bytes).unwrap();
         let (loaded, warnings) = cache.load("sig-v", 2, 1, 2);
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.keys().count(), 0);
         assert!(warnings.len() == 1 && warnings[0].contains("older cache format"), "{warnings:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -485,18 +644,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("geopriv-cache-dims-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MeasurementCache::open(&dir);
-        assert!(cache.store("sig-d", &[entry(1, 2)]).is_empty());
+        assert!(cache.store("sig-d", &block(&[(1, 2)])).is_empty());
         let (loaded, warnings) = cache.load("sig-d", 3, 1, 2);
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.keys().count(), 0);
         assert!(warnings[0].contains("dimensions"), "{warnings:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn ragged_entries_are_rejected_at_construction() {
-        let ragged = vec![vec![vec![CachedSample { value: 0.0, weight: 0, breakdown: None }]]];
-        assert!(CachedUserEntry::new(UserId::new(1), 0, 1, 1, 2, ragged).is_none());
-        assert!(entry(1, 1).samples_at(2, 0).is_none());
-        assert!(entry(1, 1).samples_at(0, 1).is_none());
+        let mut rows = block(&[(1, 1), (2, 2)]);
+        let short = [CachedSample { value: 0.0, weight: 0, breakdown: None }];
+        assert!(rows.push(UserId::new(3), 3, short).is_err());
+        assert_eq!(rows.len(), 2);
+        assert!(rows.row(1).is_some());
+        assert!(rows.row(2).is_none());
     }
 }

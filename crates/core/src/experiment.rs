@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -110,6 +110,14 @@ pub enum Grain {
 /// currency of the adaptive feedback loop: [`SweepPlan::focus`] consumes
 /// them and `Configurator::constraint_boundaries` produces them.
 pub type AxisInterval = (String, (f64, f64));
+
+/// The most evaluations a [`SweepPlan`] may ask for: its design points (the
+/// product of the per-axis counts on a grid, their sum one axis at a time)
+/// times the repetitions, plus any refinement budget. Each evaluation
+/// protects the whole dataset once, so 2²⁴ of them is far beyond any study
+/// that finishes; a plan above the cap, or one whose size overflows, is
+/// rejected before anything is enumerated or allocated.
+pub const MAX_DESIGN_SIZE: usize = 1 << 24;
 
 /// The full description of a sweep: base [`SweepConfig`], enumeration
 /// [`SweepMode`], measurement [`Grain`] and optional per-axis point-count
@@ -279,8 +287,8 @@ impl SweepPlan {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid base
-    /// config, an override naming no axis of the space, or an override below
-    /// 2 points.
+    /// config, an override naming no axis of the space, an override below
+    /// 2 points, or a design larger than [`MAX_DESIGN_SIZE`].
     pub fn counts(&self, space: &ConfigSpace) -> Result<Vec<usize>, CoreError> {
         self.config.validate()?;
         for (name, points) in &self.per_axis {
@@ -314,7 +322,7 @@ impl SweepPlan {
                 });
             }
         }
-        Ok(space
+        let counts: Vec<usize> = space
             .names()
             .iter()
             .map(|name| {
@@ -324,7 +332,31 @@ impl SweepPlan {
                     .find(|(n, _)| n == name)
                     .map_or(self.config.points, |(_, p)| *p)
             })
-            .collect())
+            .collect();
+        // Design points: the product of the counts on a grid (and an
+        // adaptive coarse pass), their sum one axis at a time.
+        let points = match self.mode {
+            SweepMode::Grid | SweepMode::Adaptive => {
+                counts.iter().try_fold(1usize, |n, &count| n.checked_mul(count))
+            }
+            SweepMode::OneAtATime => {
+                counts.iter().try_fold(0usize, |n, &count| n.checked_add(count))
+            }
+        };
+        let size = points
+            .and_then(|points| points.checked_mul(self.config.repetitions))
+            .and_then(|size| size.checked_add(self.refine_budget.unwrap_or(0)));
+        match size {
+            Some(size) if size <= MAX_DESIGN_SIZE => Ok(counts),
+            _ => Err(CoreError::InvalidConfiguration {
+                reason: format!(
+                    "the design ({counts:?} points per axis, {} repetitions, refinement budget \
+                     {}) exceeds the cap of {MAX_DESIGN_SIZE} evaluations",
+                    self.config.repetitions,
+                    self.refine_budget.unwrap_or(0),
+                ),
+            }),
+        }
     }
 
     /// Enumerates the *statically known* design points of this plan over
@@ -404,6 +436,39 @@ impl UserColumn {
     }
 }
 
+/// The user curves of a sweep, indexed by user once: a caller that visits
+/// every user looks each curve up in `O(log U)` instead of scanning a user
+/// column per user with [`UserColumn::curve`].
+pub(crate) struct UserCurves<'a> {
+    /// Each user column with its users' rows; a repeated user keeps her
+    /// first row, as [`UserColumn::curve`] does.
+    columns: Vec<(&'a UserColumn, BTreeMap<UserId, usize>)>,
+}
+
+impl<'a> UserCurves<'a> {
+    pub(crate) fn new(sweep: &'a SweepResult) -> Self {
+        let columns = sweep
+            .user_columns
+            .iter()
+            .map(|column| {
+                let mut rows = BTreeMap::new();
+                for (row, user) in column.users.iter().enumerate() {
+                    rows.entry(*user).or_insert(row);
+                }
+                (column, rows)
+            })
+            .collect();
+        Self { columns }
+    }
+
+    /// The curve of `user` for metric `id`: what
+    /// `sweep.user_column(id)?.curve(user)` returns.
+    pub(crate) fn curve(&self, id: &MetricId, user: UserId) -> Option<&'a [f64]> {
+        let (column, rows) = self.columns.iter().find(|(column, _)| &column.id == id)?;
+        column.curves.get(*rows.get(&user)?).map(Vec::as_slice)
+    }
+}
+
 /// One metric evaluation as the sweep engines carry it between measurement
 /// and assembly: the dataset-level aggregate, plus the user-keyed breakdown
 /// when (and only when) the sweep runs at [`Grain::PerUser`] — dataset-grain
@@ -431,17 +496,24 @@ impl MetricSample {
         }
     }
 
-    /// Folds another shard's sample of the same (point, repetition, metric)
-    /// into this one: the aggregate becomes the evaluated-trace-weighted mean
-    /// and the user-keyed breakdowns concatenate (shards partition the user
-    /// axis, so the keys are disjoint by construction).
-    fn absorb(&mut self, shard: MetricSample) {
-        let total = self.weight + shard.weight;
+    /// Folds the aggregate of one more part (a shard, or a cached sweep's
+    /// user) of the same (point, repetition, metric) into this one: it
+    /// becomes the evaluated-trace-weighted mean. The first part passes
+    /// through unfolded.
+    fn fold(&mut self, value: f64, weight: usize) {
+        let total = self.weight + weight;
         if total > 0 {
-            self.value = (self.value * self.weight as f64 + shard.value * shard.weight as f64)
-                / total as f64;
+            self.value = (self.value * self.weight as f64 + value * weight as f64) / total as f64;
         }
         self.weight = total;
+    }
+
+    /// Folds another shard's sample of the same (point, repetition, metric)
+    /// into this one ([`MetricSample::fold`]); the user-keyed breakdowns
+    /// concatenate (shards partition the user axis, so the keys are disjoint
+    /// by construction).
+    fn absorb(&mut self, shard: MetricSample) {
+        self.fold(shard.value, shard.weight);
         self.per_user.extend(shard.per_user);
     }
 }
@@ -498,15 +570,21 @@ pub(crate) fn assemble_sweep(
     // the curves meaningless and is reported as an error.
     let mut user_columns = Vec::with_capacity(meta.len());
     for (k, (id, direction)) in meta.iter().enumerate() {
-        let users: Vec<UserId> = match per_point.first().and_then(|reps| reps.first()) {
-            Some(rep) => sample_at(rep, k)?.per_user.iter().map(|(user, _)| *user).collect(),
+        // breakdowns[p][r]: metric k's user breakdown at point p, repetition r.
+        let breakdowns: Vec<Vec<&[(UserId, f64)]>> = per_point
+            .iter()
+            .map(|point_reps| {
+                point_reps.iter().map(|rep| Ok(sample_at(rep, k)?.per_user.as_slice())).collect()
+            })
+            .collect::<Result<_, CoreError>>()?;
+        let users: Vec<UserId> = match breakdowns.first().and_then(|reps| reps.first()) {
+            Some(first) => first.iter().map(|(user, _)| *user).collect(),
             None => Vec::new(),
         };
-        for (p, point_reps) in per_point.iter().enumerate() {
-            for (r, rep) in point_reps.iter().enumerate() {
-                let sample = sample_at(rep, k)?;
-                if sample.per_user.len() != users.len()
-                    || sample.per_user.iter().zip(&users).any(|((u, _), expected)| u != expected)
+        for (p, point_reps) in breakdowns.iter().enumerate() {
+            for (r, breakdown) in point_reps.iter().enumerate() {
+                if breakdown.len() != users.len()
+                    || breakdown.iter().zip(&users).any(|((u, _), expected)| u != expected)
                 {
                     return Err(CoreError::InvalidConfiguration {
                         reason: format!(
@@ -519,23 +597,76 @@ pub(crate) fn assemble_sweep(
             }
         }
         let reps = per_point.first().map_or(0, Vec::len).max(1) as f64;
-        // curves[u][p], built point-major: each point sums its repetitions in
-        // repetition order, exactly the historical per-user arithmetic.
-        let mut curves: Vec<Vec<f64>> = vec![Vec::with_capacity(per_point.len()); users.len()];
-        for point_reps in per_point {
-            let mut sums = vec![0.0f64; users.len()];
-            for rep in point_reps {
-                for ((_, value), sum) in sample_at(rep, k)?.per_user.iter().zip(sums.iter_mut()) {
-                    *sum += value;
+        // curves[u][p], one user's curve at a time: each point sums its
+        // repetitions in repetition order, exactly the historical per-user
+        // arithmetic.
+        let mut curves: Vec<Vec<f64>> = Vec::with_capacity(users.len());
+        for u in 0..users.len() {
+            let mut curve = Vec::with_capacity(breakdowns.len());
+            for point_reps in &breakdowns {
+                let mut sum = 0.0f64;
+                for breakdown in point_reps {
+                    let (_, value) = breakdown.get(u).ok_or_else(|| CoreError::Internal {
+                        reason: format!("metric \"{id}\" breakdown lacks user row {u}"),
+                    })?;
+                    sum += value;
                 }
-            }
-            for (curve, sum) in curves.iter_mut().zip(sums) {
                 curve.push(sum / reps);
             }
+            curves.push(curve);
         }
         user_columns.push(UserColumn { id: id.clone(), direction: *direction, users, curves });
     }
     SweepResult::with_user_columns(lppm_name, space, mode, points, columns, user_columns)
+}
+
+/// Folds a cached sweep's rows, in row (dataset) order, into one sample per
+/// (point, repetition, metric), in one pass over the users: the first user's
+/// samples pass through and each later user's fold in
+/// ([`MetricSample::fold`]) — the same arithmetic whether a row was decoded
+/// from the cache or freshly measured. At [`Grain::PerUser`] each user the
+/// metric evaluated appends her breakdown value, so every breakdown is sized
+/// once, for the whole fleet.
+fn merge_users(
+    block: &crate::cache::CacheBlock,
+    points: usize,
+    reps: usize,
+    metrics: usize,
+    grain: Grain,
+) -> Vec<PointSamples> {
+    let breakdown = |merged: &mut MetricSample, user: UserId, value: Option<f64>| {
+        if let (Grain::PerUser, Some(value)) = (grain, value) {
+            merged.per_user.push((user, value));
+        }
+    };
+    let capacity = if grain == Grain::PerUser { block.len() } else { 0 };
+    let mut rows = block.rows();
+    let mut merged: Vec<MetricSample> = match rows.next() {
+        Some((user, first)) => first
+            .iter()
+            .map(|sample| {
+                let mut merged = MetricSample {
+                    value: sample.value,
+                    weight: sample.weight as usize,
+                    per_user: Vec::with_capacity(capacity),
+                };
+                breakdown(&mut merged, user, sample.breakdown);
+                merged
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    for (user, row) in rows {
+        for (merged, sample) in merged.iter_mut().zip(row) {
+            merged.fold(sample.value, sample.weight as usize);
+            breakdown(merged, user, sample.breakdown);
+        }
+    }
+    // Rows are `[point][repetition][metric]`; so is the merged row.
+    let mut merged = merged.into_iter();
+    (0..points)
+        .map(|_| (0..reps).map(|_| merged.by_ref().take(metrics).collect()).collect())
+        .collect()
 }
 
 /// The sample of metric `k` inside one repetition's suite-ordered samples, as
@@ -1139,15 +1270,13 @@ impl SweepResult {
     /// Every user resolved by at least one metric, in order of first
     /// appearance across the user columns (suite order).
     pub fn users(&self) -> Vec<UserId> {
-        let mut users = Vec::new();
-        for column in &self.user_columns {
-            for user in &column.users {
-                if !users.contains(user) {
-                    users.push(*user);
-                }
-            }
-        }
-        users
+        let mut seen = BTreeSet::new();
+        self.user_columns
+            .iter()
+            .flat_map(|column| &column.users)
+            .filter(|user| seen.insert(**user))
+            .copied()
+            .collect()
     }
 
     /// The mean values of one metric, aligned with [`SweepResult::points`].
@@ -1233,13 +1362,17 @@ impl ExperimentRunner {
     /// Runs the sweep in the cached per-user execution mode
     /// ([`SweepPlan::cached`]): users whose
     /// [`geopriv_metrics::DatasetFingerprint::per_user`] sub-fingerprint
-    /// matches the persisted entry are decoded from the cache bit-exactly;
+    /// matches the persisted row are decoded from the cache bit-exactly;
     /// every other user is measured on her own
     /// [`geopriv_mobility::Dataset::user_slice`] under her identity-keyed
-    /// streams ([`derive_user_seed`]), and the cache file is rewritten. The
-    /// merged [`SweepResult`] is bit-identical between a cold run (empty
-    /// cache) and any warm run over the same dataset — see the contract on
-    /// [`SweepPlan::cached`].
+    /// streams ([`derive_user_seed`]). The refreshed rows form one flat
+    /// block in dataset order, hit rows copied from the file and fresh rows
+    /// from the measurements; the block is written back as the cache file
+    /// when anything was re-measured, then folded in one pass over the
+    /// users: every step but the misses' measurement is one pass over the
+    /// fleet. The merged [`SweepResult`] is bit-identical between a cold run
+    /// (empty cache) and any warm run over the same dataset — see the
+    /// contract on [`SweepPlan::cached`].
     ///
     /// # Errors
     ///
@@ -1284,120 +1417,81 @@ impl ExperimentRunner {
         let signature = cache_signature(system, &space, &self.plan, &points, &meta);
         let cache = crate::cache::MeasurementCache::open(dir);
         let (stored, mut warnings) = cache.load(&signature, points.len(), reps, meta.len());
-        let stored: std::collections::BTreeMap<u64, crate::cache::CachedUserEntry> =
-            stored.into_iter().map(|entry| (entry.user.value(), entry)).collect();
+        let stored_rows: BTreeMap<UserId, (u64, usize)> = stored
+            .keys()
+            .enumerate()
+            .map(|(row, (user, fingerprint))| (user, (fingerprint, row)))
+            .collect();
 
         // Classify every user of the dataset (in dataset order) as a cache
-        // hit (sub-fingerprint unchanged) or a miss to re-measure.
+        // hit (sub-fingerprint unchanged: her stored row) or a miss to
+        // re-measure.
         let fingerprints = geopriv_metrics::DatasetFingerprint::of(dataset).per_user();
-        let mut entries: Vec<Option<crate::cache::CachedUserEntry>> =
-            Vec::with_capacity(fingerprints.len());
-        let mut misses: Vec<(usize, UserId, u64)> = Vec::new();
+        let mut hit_rows: Vec<Option<usize>> = Vec::with_capacity(fingerprints.len());
+        let mut misses: Vec<(usize, UserId)> = Vec::new();
         for (index, &(user, fingerprint)) in fingerprints.iter().enumerate() {
-            match stored.get(&user.value()) {
-                Some(entry) if entry.fingerprint == fingerprint => {
-                    entries.push(Some(entry.clone()));
+            match stored_rows.get(&user) {
+                Some(&(stored_fingerprint, row)) if stored_fingerprint == fingerprint => {
+                    hit_rows.push(Some(row));
                 }
                 _ => {
-                    entries.push(None);
-                    misses.push((index, user, fingerprint));
+                    hit_rows.push(None);
+                    misses.push((index, user));
                 }
             }
         }
-        let hits = entries.iter().filter(|slot| slot.is_some()).count();
 
         // Re-measure the misses, one user-slice at a time, in parallel. Each
-        // miss is compacted into its cache entry as soon as it is measured;
+        // miss is compacted into its cache row as soon as it is measured;
         // as one-user cells of `measure_cells` every user's samples would
         // stay live until the whole pool returned.
         let measured = run_indexed(misses.len(), self.plan.config.parallel, |j| {
-            let Some(&(index, user, fingerprint)) = misses.get(j) else {
-                return Err(CoreError::Internal {
-                    reason: format!("cache miss {j} of {} out of range", misses.len()),
-                });
-            };
-            let per_point = self.measure_user(system, dataset, index, user, &points)?;
-            crate::cache::CachedUserEntry::new(
-                user,
-                fingerprint,
-                points.len(),
-                reps,
-                meta.len(),
-                per_point,
-            )
-            .ok_or_else(|| CoreError::Internal {
-                reason: format!("user {user} produced a ragged measurement block"),
-            })
+            let &(index, user) = misses.get(j).ok_or_else(|| CoreError::Internal {
+                reason: format!("cache miss {j} of {} out of range", misses.len()),
+            })?;
+            self.measure_user(system, dataset, index, user, &points, meta.len())
         })?;
-        for ((index, _, _), entry) in misses.iter().zip(measured) {
-            let Some(slot) = entries.get_mut(*index) else {
-                return Err(CoreError::Internal {
-                    reason: format!("cache slot {index} out of range"),
-                });
-            };
-            *slot = Some(entry?);
-        }
-        let entries: Vec<crate::cache::CachedUserEntry> = entries
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.ok_or_else(|| CoreError::Internal {
-                    reason: format!("cache slot {i} was never filled"),
-                })
-            })
-            .collect::<Result<_, _>>()?;
 
-        // Persist the refreshed entry set (current users only — departed
-        // users age out) whenever anything was re-measured.
-        if !misses.is_empty() {
-            warnings.extend(cache.store(&signature, &entries));
-        }
-
-        // Merge per (point, repetition, metric) across users in dataset
-        // order: the first user's sample passes through, every later user is
-        // absorbed as an evaluated-trace-weighted fold — the same arithmetic
-        // whether a sample came from the cache or a fresh measurement.
-        let mut per_point: Vec<PointSamples> = Vec::with_capacity(points.len());
-        for p in 0..points.len() {
-            let mut point_reps = Vec::with_capacity(reps);
-            for r in 0..reps {
-                let mut merged: Option<Vec<MetricSample>> = None;
-                for entry in &entries {
-                    let samples = entry.samples_at(p, r).ok_or_else(|| CoreError::Internal {
-                        reason: format!(
-                            "cache entry of user {} lacks sample ({p}, {r})",
-                            entry.user
-                        ),
+        // The refreshed block, in dataset order: hit rows are decoded from
+        // the stored file, and each miss takes her fresh row. The first
+        // failed miss in dataset order is the error returned.
+        let mut block = crate::cache::CacheBlock::with_capacity(
+            points.len(),
+            reps,
+            meta.len(),
+            fingerprints.len(),
+        );
+        let mut fresh = measured.into_iter();
+        for (&(user, fingerprint), hit_row) in fingerprints.iter().zip(&hit_rows) {
+            match hit_row {
+                Some(row) => {
+                    let samples = stored.row(*row).ok_or_else(|| CoreError::Internal {
+                        reason: format!("cache row {row} of user {user} out of range"),
                     })?;
-                    let user_samples: Vec<MetricSample> = samples
-                        .iter()
-                        .map(|sample| MetricSample {
-                            value: sample.value,
-                            weight: sample.weight as usize,
-                            per_user: match (self.plan.grain, sample.breakdown) {
-                                (Grain::PerUser, Some(value)) => vec![(entry.user, value)],
-                                _ => Vec::new(),
-                            },
-                        })
-                        .collect();
-                    match &mut merged {
-                        None => merged = Some(user_samples),
-                        Some(merged) => {
-                            for (into, sample) in merged.iter_mut().zip(user_samples) {
-                                into.absorb(sample);
-                            }
-                        }
-                    }
+                    block.push(user, fingerprint, samples)?;
                 }
-                point_reps.push(merged.unwrap_or_default());
+                None => {
+                    let samples = fresh.next().ok_or_else(|| CoreError::Internal {
+                        reason: format!("the measurement of user {user} is missing"),
+                    })??;
+                    block.push(user, fingerprint, samples)?;
+                }
             }
-            per_point.push(point_reps);
         }
+        drop(stored);
+
+        // Persist the refreshed block (current users only — departed users
+        // age out) whenever anything was re-measured.
+        if !misses.is_empty() {
+            warnings.extend(cache.store(&signature, &block));
+        }
+
+        let per_point = merge_users(&block, points.len(), reps, meta.len(), self.plan.grain);
         Ok(CachedSweep {
             result: assemble_sweep(&self.plan, system, points, &per_point)?,
             stats: crate::cache::CacheStats {
                 users: fingerprints.len(),
-                hits,
+                hits: fingerprints.len() - misses.len(),
                 misses: misses.len(),
                 warnings,
             },
@@ -1406,7 +1500,7 @@ impl ExperimentRunner {
 
     /// Measures one user's whole design on the user's own slice, against
     /// state prepared on that slice, under the user's identity-keyed seed
-    /// stream.
+    /// stream: her cache row, `[point][repetition][metric]`.
     fn measure_user(
         &self,
         system: &SystemDefinition,
@@ -1414,7 +1508,8 @@ impl ExperimentRunner {
         index: usize,
         user: UserId,
         points: &[ConfigPoint],
-    ) -> Result<Vec<Vec<Vec<crate::cache::CachedSample>>>, CoreError> {
+        metrics: usize,
+    ) -> Result<Vec<crate::cache::CachedSample>, CoreError> {
         let slice = dataset.user_slice(index..index + 1)?;
         let prepared: Vec<PreparedState> = system
             .suite()
@@ -1422,25 +1517,24 @@ impl ExperimentRunner {
             .map(|m| m.prepare(&slice).map_err(CoreError::from))
             .collect::<Result<_, _>>()?;
         let config = self.plan.config;
-        points
-            .iter()
-            .enumerate()
-            .map(|(p, point)| {
-                measure_point(
-                    system,
-                    &slice,
-                    &prepared,
-                    point,
-                    config.repetitions,
-                    |repetition| derive_user_seed(config.seed, p, repetition, user),
-                    |measured| crate::cache::CachedSample {
-                        value: measured.value(),
-                        weight: measured.evaluated_count() as u64,
-                        breakdown: measured.value_for(user),
-                    },
-                )
-            })
-            .collect()
+        let mut row = Vec::with_capacity(points.len() * config.repetitions * metrics);
+        for (p, point) in points.iter().enumerate() {
+            let reps = measure_point(
+                system,
+                &slice,
+                &prepared,
+                point,
+                config.repetitions,
+                |repetition| derive_user_seed(config.seed, p, repetition, user),
+                |measured| crate::cache::CachedSample {
+                    value: measured.value(),
+                    weight: measured.evaluated_count() as u64,
+                    breakdown: measured.value_for(user),
+                },
+            )?;
+            row.extend(reps.into_iter().flatten());
+        }
+        Ok(row)
     }
 
     fn suite_meta(system: &SystemDefinition) -> Vec<(MetricId, Direction)> {
@@ -1670,18 +1764,17 @@ fn rank_uncertain_users(
     per_user: &crate::modeling::PerUserFits,
     active: Option<&[UserId]>,
 ) -> Vec<(UserId, f64)> {
+    let survivors: Option<BTreeSet<UserId>> = active.map(|users| users.iter().copied().collect());
+    let curves = UserCurves::new(result);
     let mut ranked: Vec<(UserId, f64)> = per_user
         .users
         .iter()
-        .filter(|fit| match active {
-            Some(survivors) => survivors.contains(&fit.user),
-            None => true,
-        })
+        .filter(|fit| survivors.as_ref().map_or(true, |survivors| survivors.contains(&fit.user)))
         .filter_map(|fit| {
             let suite = fit.outcome.fitted()?;
             let mut worst = 0.0f64;
             for model in &suite.models {
-                let curve = result.user_column(&model.id)?.curve(fit.user)?;
+                let curve = curves.curve(&model.id, fit.user)?;
                 for (point, &value) in result.points.iter().zip(curve) {
                     let predicted = model.predict(point).ok()?;
                     worst = worst.max((value - predicted).abs());
@@ -1927,6 +2020,40 @@ mod tests {
         assert!(SweepPlan::grid(SweepConfig { points: 0, ..small_config() })
             .counts(&space)
             .is_err());
+    }
+
+    #[test]
+    fn designs_beyond_the_size_cap_are_rejected_before_enumeration() {
+        let axes = |n: usize| {
+            ConfigSpace::new((0..n).map(|i| epsilon_axis().with_name(format!("axis{i}"))).collect())
+                .unwrap()
+        };
+        let plan = |base: SweepPlan, space: &ConfigSpace, points: usize| {
+            space.names().iter().fold(base, |plan, name| plan.axis_points(*name, points))
+        };
+        let rejected = |result: Result<Vec<usize>, CoreError>| {
+            matches!(result, Err(CoreError::InvalidConfiguration { .. }))
+        };
+        // 2⁶⁴ points overflow, 2⁶³ and 2⁴⁰ fit a word but not the cap; none
+        // is enumerated, so the 2⁴⁰-point axis never asks for its 8 TB.
+        for (n, points) in [(4, 1 << 16), (3, 1 << 21), (1, 1usize << 40)] {
+            let space = axes(n);
+            let plan = plan(SweepPlan::grid(small_config()), &space, points);
+            assert!(rejected(plan.counts(&space)), "{n} axes of {points}");
+            assert!(plan.enumerate(&space).is_err(), "{n} axes of {points}");
+        }
+        // The cap counts evaluations: design points × repetitions, plus any
+        // refinement budget. Only `counts` runs here, so nothing is
+        // enumerated.
+        let space = axes(2);
+        let at_cap = |reps: usize| SweepConfig { repetitions: reps, ..small_config() };
+        assert!(plan(SweepPlan::grid(at_cap(4)), &space, 1 << 11).counts(&space).is_ok());
+        assert!(rejected(plan(SweepPlan::grid(at_cap(5)), &space, 1 << 11).counts(&space)));
+        assert!(rejected(plan(SweepPlan::adaptive(at_cap(4), 1), &space, 1 << 11).counts(&space)));
+        // One axis at a time measures the sum of the counts, not the product.
+        let one_at_a_time = SweepPlan::one_at_a_time(at_cap(1));
+        assert!(plan(one_at_a_time.clone(), &space, MAX_DESIGN_SIZE / 2).counts(&space).is_ok());
+        assert!(rejected(plan(one_at_a_time, &space, MAX_DESIGN_SIZE / 2 + 1).counts(&space)));
     }
 
     #[test]

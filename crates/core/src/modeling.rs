@@ -31,7 +31,7 @@
 //! steers by.
 
 use crate::error::CoreError;
-use crate::experiment::{run_indexed, Grain, SweepMode, SweepResult};
+use crate::experiment::{run_indexed, Grain, SweepMode, SweepResult, UserCurves};
 use geopriv_analysis::model::{LinearModel, LogLinearModel, ResponseModel};
 use geopriv_analysis::regression::MultipleLinearRegression;
 use geopriv_analysis::{find_active_zone, ActiveZone, AnalysisError, Curve};
@@ -566,7 +566,8 @@ impl Modeler {
             });
         }
         let users = sweep.users();
-        let fits = run_indexed(users.len(), true, |i| self.fit_user(sweep, users[i]))?;
+        let curves = UserCurves::new(sweep);
+        let fits = run_indexed(users.len(), true, |i| self.fit_user(sweep, &curves, users[i]))?;
         Ok(PerUserFits { space: sweep.space.clone(), mode: sweep.mode, users: fits })
     }
 
@@ -617,22 +618,24 @@ impl Modeler {
             previous.users.iter().map(|fit| (fit.user, fit)).collect();
         let changed: std::collections::BTreeSet<UserId> = changed.iter().copied().collect();
         let users = sweep.users();
+        let curves = UserCurves::new(sweep);
         let fits = run_indexed(users.len(), true, |i| {
             let user = users[i];
             match kept.get(&user) {
                 Some(&fit) if !changed.contains(&user) => fit.clone(),
-                _ => self.fit_user(sweep, user),
+                _ => self.fit_user(sweep, &curves, user),
             }
         })?;
         Ok(PerUserFits { space: sweep.space.clone(), mode: sweep.mode, users: fits })
     }
 
-    /// Fits every suite metric on one user's curves; any failure becomes an
-    /// [`UserFitOutcome::Unfit`] with the reason.
-    fn fit_user(&self, sweep: &SweepResult, user: UserId) -> UserFit {
+    /// Fits every suite metric on one user's curves (`curves` indexes
+    /// `sweep`'s); any failure becomes an [`UserFitOutcome::Unfit`] with the
+    /// reason.
+    fn fit_user(&self, sweep: &SweepResult, curves: &UserCurves<'_>, user: UserId) -> UserFit {
         let mut models = Vec::with_capacity(sweep.columns.len());
         for column in &sweep.columns {
-            let curve = sweep.user_column(&column.id).and_then(|uc| uc.curve(user));
+            let curve = curves.curve(&column.id, user);
             let Some(curve) = curve else {
                 return UserFit {
                     user,

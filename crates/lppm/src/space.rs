@@ -232,11 +232,14 @@ impl ConfigSpace {
     /// # Errors
     ///
     /// Returns [`LppmError::InvalidParameter`] when `counts` does not have
-    /// one entry per axis.
+    /// one entry per axis, or when the grid has more points than this
+    /// platform can hold (its size is computed with checked arithmetic, so it
+    /// never wraps).
     pub fn grid(&self, counts: &[usize]) -> Result<Vec<ConfigPoint>, LppmError> {
-        let sweeps = self.axis_sweeps(counts)?;
-        let total: usize = sweeps.iter().map(Vec::len).product();
-        let mut points = Vec::with_capacity(total);
+        self.check_counts(counts)?;
+        let size = counts.iter().try_fold(1usize, |size, &count| size.checked_mul(count.max(2)));
+        let (total, mut points) = reserve_design(size)?;
+        let sweeps = self.axis_sweeps(counts);
         let mut indices = vec![0usize; sweeps.len()];
         for _ in 0..total {
             points.push(ConfigPoint {
@@ -269,12 +272,13 @@ impl ConfigSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`LppmError::InvalidParameter`] when `counts` does not have
-    /// one entry per axis.
+    /// As [`ConfigSpace::grid`].
     pub fn one_at_a_time(&self, counts: &[usize]) -> Result<Vec<ConfigPoint>, LppmError> {
-        let sweeps = self.axis_sweeps(counts)?;
+        self.check_counts(counts)?;
+        let size = counts.iter().try_fold(0usize, |size, &count| size.checked_add(count.max(2)));
+        let (_, mut points) = reserve_design(size)?;
+        let sweeps = self.axis_sweeps(counts);
         let defaults: Vec<f64> = self.axes.iter().map(ParameterDescriptor::default_value).collect();
-        let mut points = Vec::with_capacity(sweeps.iter().map(Vec::len).sum());
         for (varied, sweep) in sweeps.iter().enumerate() {
             for &value in sweep {
                 points.push(ConfigPoint {
@@ -292,7 +296,7 @@ impl ConfigSpace {
         Ok(points)
     }
 
-    fn axis_sweeps(&self, counts: &[usize]) -> Result<Vec<Vec<f64>>, LppmError> {
+    fn check_counts(&self, counts: &[usize]) -> Result<(), LppmError> {
         if counts.len() != self.axes.len() {
             return Err(LppmError::InvalidParameter {
                 name: "counts",
@@ -300,7 +304,11 @@ impl ConfigSpace {
                 reason: "sweep counts must have one entry per axis",
             });
         }
-        Ok(self.axes.iter().zip(counts).map(|(axis, &count)| axis.sweep(count)).collect())
+        Ok(())
+    }
+
+    fn axis_sweeps(&self, counts: &[usize]) -> Vec<Vec<f64>> {
+        self.axes.iter().zip(counts).map(|(axis, &count)| axis.sweep(count)).collect()
     }
 
     /// A stable token identifying the whole space (every axis's
@@ -309,6 +317,20 @@ impl ConfigSpace {
     pub fn cache_token(&self) -> String {
         let tokens: Vec<String> = self.axes.iter().map(ParameterDescriptor::cache_token).collect();
         tokens.join("+")
+    }
+}
+
+/// Room for a design of `size` points, reserved before any axis is swept;
+/// `None` is a size whose checked product or sum overflowed.
+fn reserve_design(size: Option<usize>) -> Result<(usize, Vec<ConfigPoint>), LppmError> {
+    let mut points = Vec::new();
+    match size {
+        Some(size) if points.try_reserve_exact(size).is_ok() => Ok((size, points)),
+        _ => Err(LppmError::InvalidParameter {
+            name: "counts",
+            value: size.map_or(f64::INFINITY, |size| size as f64),
+            reason: "the design has more points than this platform can hold",
+        }),
     }
 }
 
@@ -526,6 +548,20 @@ mod tests {
         assert_eq!(star[7].get("cell_size"), Some(5000.0));
         assert!(star.iter().all(|p| space.contains(p)));
         assert!(space.one_at_a_time(&[3]).is_err());
+    }
+
+    #[test]
+    fn designs_too_large_to_hold_are_errors_not_wrapped_sizes() {
+        let axes = |n: usize| {
+            ConfigSpace::new((0..n).map(|i| epsilon().with_name(format!("axis{i}"))).collect())
+                .unwrap()
+        };
+        // 65,536⁴ = 2⁶⁴ points: the product overflows.
+        assert!(axes(4).grid(&[1 << 16; 4]).is_err());
+        // (2²¹)³ = 2⁶³ points: the product fits, the point list cannot.
+        assert!(axes(3).grid(&[1 << 21; 3]).is_err());
+        // One axis at a time sums its counts: this sum overflows.
+        assert!(axes(2).one_at_a_time(&[usize::MAX, 2]).is_err());
     }
 
     #[test]

@@ -40,7 +40,8 @@ use crate::error::Error;
 use geopriv_core::{
     CacheStats, Configurator, Constraint, ExperimentRunner, FittedSuite, Grain, HoldOutValidator,
     MetricId, Modeler, Objectives, ParetoFrontier, PerUserFits, PerUserRecommendation,
-    Recommendation, SweepConfig, SweepResult, SystemDefinition, UserVerdict, ValidationReport,
+    Recommendation, SweepConfig, SweepResult, SystemDefinition, UserRecommendation, UserVerdict,
+    ValidationReport,
 };
 use geopriv_lppm::ConfigPoint;
 use geopriv_metrics::DatasetFingerprint;
@@ -579,9 +580,13 @@ impl FittedAutoConf<'_> {
 
         // Diff the recommendations: who moved, and why.
         let dataset_point_moved = new_rec.dataset.point != old_rec.dataset.point;
+        let mut old_rows = std::collections::BTreeMap::<UserId, &UserRecommendation>::new();
+        for row in &old_rec.users {
+            old_rows.entry(row.user).or_insert(row);
+        }
         let mut moved = Vec::new();
         for row in &new_rec.users {
-            let old_row = old_rec.get(row.user);
+            let old_row = old_rows.get(&row.user).copied();
             let unchanged_row =
                 old_row.is_some_and(|old| old.point == row.point && old.verdict == row.verdict);
             if unchanged_row {

@@ -11,6 +11,7 @@
 //! every user curve must match the engine bit for bit, in parallel and
 //! sequentially. A change to any seed rule or fold fails here first.
 
+use geopriv::mobility::generator::perturb_users;
 use geopriv::prelude::*;
 use geopriv_core::experiment::derive_shard_seed;
 use geopriv_core::{derive_point_seed, derive_unit_seed, derive_user_seed};
@@ -233,16 +234,22 @@ fn refined_adaptive_runs_replay_unit_and_point_seeds() {
 #[test]
 fn cached_runs_replay_the_user_seed_rule_cold_and_warm() {
     let dataset = taxi_dataset();
+    // One drifted user between cached users: the partially warm run serves
+    // hits and misses interleaved in dataset order.
+    let drifted = perturb_users(&dataset, &dataset.users()[1..2], 3).unwrap();
     let system = SystemDefinition::paper_geoi();
     let points = SweepPlan::grid(config(true)).enumerate(&system.space()).unwrap();
-    let parts: Vec<Samples> = shards(&dataset, 1)
-        .iter()
-        .map(|slice| {
-            let user = slice.users()[0];
-            replay_part(&system, slice, &points, |p, _, r| derive_user_seed(SEED, p, r, user))
-        })
-        .collect();
-    let replay = fold(parts);
+    let replay_of = |dataset: &Dataset| {
+        let parts: Vec<Samples> = shards(dataset, 1)
+            .iter()
+            .map(|slice| {
+                let user = slice.users()[0];
+                replay_part(&system, slice, &points, |p, _, r| derive_user_seed(SEED, p, r, user))
+            })
+            .collect();
+        fold(parts)
+    };
+    let (replay, drifted_replay) = (replay_of(&dataset), replay_of(&drifted));
     let dir = std::env::temp_dir().join(format!("geopriv-modes-{}", std::process::id()));
     for parallel in [true, false] {
         let _ = std::fs::remove_dir_all(&dir);
@@ -254,6 +261,21 @@ fn cached_runs_replay_the_user_seed_rule_cold_and_warm() {
         let warm = runner.run_cached(&system, &dataset).unwrap();
         assert_eq!((warm.stats.hits, warm.stats.misses), (dataset.user_count(), 0));
         assert_replays(&warm.result, &replay, &format!("warm cache, {parallel}"));
+        let partial = runner.run_cached(&system, &drifted).unwrap();
+        assert_eq!((partial.stats.hits, partial.stats.misses), (drifted.user_count() - 1, 1));
+        assert_replays(&partial.result, &drifted_replay, &format!("partial cache, {parallel}"));
+
+        // The same cached plan at dataset grain folds the same rows.
+        let dataset_grain =
+            ExperimentRunner::with_plan(SweepPlan::grid(config(parallel)).cached(&dir))
+                .run_cached(&system, &drifted)
+                .unwrap();
+        assert_eq!(dataset_grain.stats.hits, drifted.user_count());
+        assert!(dataset_grain.result.user_columns.is_empty());
+        let runs = |sweep: &SweepResult| -> Vec<Vec<Vec<u64>>> {
+            sweep.columns.iter().map(|c| c.runs.iter().map(|r| bits(r)).collect()).collect()
+        };
+        assert_eq!(runs(&dataset_grain.result), runs(&partial.result), "dataset grain, {parallel}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
