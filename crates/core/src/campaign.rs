@@ -150,8 +150,8 @@ impl CampaignRunner {
     /// the campaign, as in every pooled sweep: the error propagated is the
     /// first genuine unit error in `(system, dataset, point)` order among the
     /// units that ran (in sequential mode, exactly the first failing unit).
-    /// Sharded and adaptive plans run cell by cell in `(system, dataset)`
-    /// order and stop at the first failing cell.
+    /// Adaptive plans run cell by cell in `(system, dataset)` order and stop
+    /// at the first failing cell.
     pub fn run(
         &self,
         systems: &[SystemDefinition],
@@ -176,15 +176,14 @@ impl CampaignRunner {
             });
         }
 
-        // Sharded and adaptive plans trade the campaign's cross-cell pooling
-        // for per-cell delegation to the [`crate::ExperimentRunner`] path —
-        // sharded for the O(shard) memory bound, adaptive because its design
+        // Adaptive plans trade the campaign's cross-cell pooling for per-cell
+        // delegation to the [`crate::ExperimentRunner`] path: their design
         // matrix is chosen at run time (coarse pass → fit → refine) and so
         // cannot be flattened into a static unit list. Cells run one at a
         // time in (system, dataset) order (each cell still drives the shared
         // work pool internally), and the results are bit-identical to
         // independent runs by construction — it *is* that code path.
-        if self.plan.user_shard_size().is_some() || self.plan.mode == SweepMode::Adaptive {
+        if self.plan.mode == SweepMode::Adaptive {
             let runner = ExperimentRunner::with_plan(self.plan.clone());
             let mut runs = Vec::with_capacity(systems.len() * datasets.len());
             for (s, system) in systems.iter().enumerate() {
@@ -360,22 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_cells_match_independent_sharded_runs() {
-        let systems = three_systems();
-        let datasets = [small_dataset(4), small_dataset(8)];
-        let plan = SweepPlan::grid(small_config()).per_user().shard_users(1);
-        let campaign = CampaignRunner::with_plan(plan.clone()).run(&systems, &datasets).unwrap();
-        assert_eq!(campaign.len(), systems.len() * datasets.len());
-        for (s, system) in systems.iter().enumerate() {
-            for (d, dataset) in datasets.iter().enumerate() {
-                let independent =
-                    ExperimentRunner::with_plan(plan.clone()).run(system, dataset).unwrap();
-                assert_eq!(campaign.get(s, d).unwrap(), &independent, "cell ({s}, {d})");
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_campaign_cells_match_independent_adaptive_runs() {
         let systems = three_systems();
         let datasets = [small_dataset(4), small_dataset(8)];
@@ -505,11 +488,7 @@ mod tests {
     fn a_failing_unit_short_circuits_plain_sharded_and_adaptive_sweeps() {
         let dataset = small_dataset(7);
         let config = SweepConfig { points: 8, repetitions: 2, seed: 1, parallel: false };
-        let plans = [
-            SweepPlan::grid(config),
-            SweepPlan::grid(config).shard_users(1),
-            SweepPlan::adaptive(config, 12),
-        ];
+        let plans = [SweepPlan::grid(config), SweepPlan::adaptive(config, 12)];
         for plan in plans {
             let evaluations = Arc::new(AtomicUsize::new(0));
             let runner = ExperimentRunner::with_plan(plan.clone());

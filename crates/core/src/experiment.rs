@@ -135,7 +135,6 @@ pub struct SweepPlan {
     /// Whether per-user curves are recorded alongside the dataset means.
     pub grain: Grain,
     per_axis: Vec<(String, usize)>,
-    shard_users: Option<usize>,
     refine_budget: Option<usize>,
     focus: Vec<AxisInterval>,
     cache_dir: Option<std::path::PathBuf>,
@@ -149,7 +148,6 @@ impl SweepPlan {
             mode: SweepMode::Grid,
             grain: Grain::Dataset,
             per_axis: Vec::new(),
-            shard_users: None,
             refine_budget: None,
             focus: Vec::new(),
             cache_dir: None,
@@ -191,43 +189,17 @@ impl SweepPlan {
         self
     }
 
-    /// Executes the sweep in shards of at most `users` users at a time.
-    ///
-    /// The columnar dataset is sorted by user, so each shard is one
-    /// contiguous [`geopriv_mobility::Dataset::user_slice`] copy: the live
-    /// working set of a sharded sweep (shard columns, protected columns,
-    /// prepared metric state) is O(shard), not O(dataset) — the execution
-    /// mode that carries per-user sweeps to million-user datasets.
-    ///
-    /// Determinism contract: a plan whose shard covers the whole dataset
-    /// (`users >= user_count`) is **bit-identical** to the unsharded run —
-    /// the first shard draws exactly the [`derive_unit_seed`] streams and its
-    /// samples are passed through unmerged. A genuinely multi-shard run is a
-    /// *different* deterministic experiment: shard `s > 0` draws its own
-    /// documented stream ([`derive_shard_seed`]), dataset-level aggregates
-    /// become evaluated-trace-weighted means of the shard aggregates, and
-    /// metrics that frame themselves on the actual dataset (grid metrics)
-    /// build shard-local frames.
-    #[must_use]
-    pub fn shard_users(mut self, users: usize) -> Self {
-        self.shard_users = Some(users);
-        self
-    }
-
-    /// The shard size in users, if sharded execution was requested.
-    pub fn user_shard_size(&self) -> Option<usize> {
-        self.shard_users
-    }
-
     /// Persists (and reuses) per-user measurements under `dir`, switching the
     /// runner to the **cached per-user execution mode**
     /// ([`ExperimentRunner::run_cached`]).
     ///
-    /// Determinism contract: like a genuinely multi-shard run, cached
-    /// execution is its own documented deterministic experiment — every user
-    /// is protected under her own identity-keyed stream
-    /// ([`derive_user_seed`]), so re-measuring *only the changed users* draws
-    /// exactly the bits a full run would have drawn for them. Within the
+    /// Determinism contract: cached execution is its own documented
+    /// deterministic experiment, not a plain run served from disk — every
+    /// user is measured on her own slice, protected under her own
+    /// identity-keyed stream ([`derive_user_seed`]), and the users' aggregates
+    /// fold into the dataset's by evaluated-trace weight. Re-measuring *only
+    /// the changed users* therefore draws exactly the bits a full run would
+    /// have drawn for them. Within the
     /// mode, a warm run (any subset of users served from the cache) is
     /// **bit-identical** to a cold run (empty cache, every user measured):
     /// the cache stores raw `f64` bit patterns and the merge arithmetic sees
@@ -477,9 +449,8 @@ impl<'a> UserCurves<'a> {
 #[derive(Debug, Clone)]
 pub(crate) struct MetricSample {
     pub(crate) value: f64,
-    /// Number of evaluated traces behind `value` — the weight a sharded
-    /// sweep folds shard aggregates with, and a cached sweep folds users
-    /// with ([`MetricSample::absorb`]).
+    /// Number of evaluated traces behind `value` — the weight a cached
+    /// sweep folds its users with ([`MetricSample::fold`]).
     pub(crate) weight: usize,
     pub(crate) per_user: Vec<(UserId, f64)>,
 }
@@ -496,25 +467,16 @@ impl MetricSample {
         }
     }
 
-    /// Folds the aggregate of one more part (a shard, or a cached sweep's
-    /// user) of the same (point, repetition, metric) into this one: it
-    /// becomes the evaluated-trace-weighted mean. The first part passes
-    /// through unfolded.
+    /// Folds the aggregate of a cached sweep's next user at the same
+    /// (point, repetition, metric) into this one: it becomes the
+    /// evaluated-trace-weighted mean. The first user passes through
+    /// unfolded.
     fn fold(&mut self, value: f64, weight: usize) {
         let total = self.weight + weight;
         if total > 0 {
             self.value = (self.value * self.weight as f64 + value * weight as f64) / total as f64;
         }
         self.weight = total;
-    }
-
-    /// Folds another shard's sample of the same (point, repetition, metric)
-    /// into this one ([`MetricSample::fold`]); the user-keyed breakdowns
-    /// concatenate (shards partition the user axis, so the keys are disjoint
-    /// by construction).
-    fn absorb(&mut self, shard: MetricSample) {
-        self.fold(shard.value, shard.weight);
-        self.per_user.extend(shard.per_user);
     }
 }
 
@@ -701,35 +663,6 @@ pub fn derive_unit_seed(master_seed: u64, point_index: usize, repetition: usize)
         .wrapping_add(repetition as u64)
 }
 
-/// Derives the RNG seed of one `(point, repetition, shard)` work unit of a
-/// sharded sweep ([`SweepPlan::shard_users`]).
-///
-/// Shard 0 draws **exactly** the [`derive_unit_seed`] stream — this is what
-/// makes a whole-dataset shard bit-identical to the unsharded run. Every
-/// later shard remixes the unit seed with its shard index, so shards are
-/// independent deterministic streams regardless of scheduling.
-pub fn derive_shard_seed(
-    master_seed: u64,
-    point_index: usize,
-    repetition: usize,
-    shard: usize,
-) -> u64 {
-    remix_shard(derive_unit_seed(master_seed, point_index, repetition), shard)
-}
-
-/// Remixes a per-unit seed with a shard index: shard 0 is the identity (the
-/// passthrough guarantee behind whole-dataset shards), every later shard is
-/// an independent deterministic stream. Shared by the positional
-/// ([`derive_shard_seed`]) and point-identity ([`derive_point_seed`]) seed
-/// families so sharding composes identically with both.
-fn remix_shard(unit_seed: u64, shard: usize) -> u64 {
-    if shard == 0 {
-        unit_seed
-    } else {
-        unit_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(shard as u64)
-    }
-}
-
 /// Derives the RNG seed of one `(point, repetition)` work unit from the
 /// point's *identity* rather than its position in the design enumeration.
 ///
@@ -772,7 +705,7 @@ pub fn derive_point_seed(master_seed: u64, point: &ConfigPoint, repetition: usiz
 /// re-measurement merge bit-identically into a cold run's result. Each
 /// user's stream is an independent remix of the positional unit seed
 /// ([`derive_unit_seed`]), xor-folded with the FNV offset basis so user 0's
-/// stream is distinct from the unsharded unit stream.
+/// stream is distinct from the plain sweep's unit stream.
 pub fn derive_user_seed(
     master_seed: u64,
     point_index: usize,
@@ -788,7 +721,7 @@ pub fn derive_user_seed(
 /// function of the point's index in the cell, the point itself and the
 /// repetition. Grid and one-at-a-time cells and an adaptive coarse pass seed
 /// by index ([`derive_unit_seed`]), adaptive refinement by point identity
-/// ([`derive_point_seed`]), and shard `s` remixes either one.
+/// ([`derive_point_seed`]).
 pub(crate) type SeedRule<'a> = dyn Fn(usize, &ConfigPoint, usize) -> u64 + Sync + 'a;
 
 /// One cell of a measurement schedule: a batch of one system's design points,
@@ -802,9 +735,9 @@ pub(crate) struct Cell<'a> {
 }
 
 /// The executor every pooled sweep schedules over: a plain or one-at-a-time
-/// sweep and each adaptive batch are one cell, a sharded sweep is one call
-/// per shard, and a campaign passes all of its cells at once. Returns the
-/// samples of every cell's points, cell after cell.
+/// sweep and each adaptive batch are one cell, and a campaign passes all of
+/// its cells at once. Returns the samples of every cell's points, cell after
+/// cell.
 ///
 /// Each distinct `(metric cache key, dataset)` pair is prepared exactly once
 /// ([`geopriv_metrics::Metric::prepare`]) and its state shared by
@@ -1323,10 +1256,10 @@ impl ExperimentRunner {
     /// Runs the sweep: for every design point of the plan, protect the
     /// dataset and evaluate every metric of the suite, in suite order.
     ///
-    /// Plain, one-at-a-time, adaptive and sharded plans run on the executor a
+    /// Plain, one-at-a-time and adaptive plans run on the executor a
     /// [`crate::campaign::CampaignRunner`] uses: a plain sweep and each
-    /// adaptive batch are one cell over the dataset, a sharded sweep one cell
-    /// per shard. The actual-side metric state (POI extraction, bounding
+    /// adaptive batch are one cell over the dataset. The actual-side metric
+    /// state (POI extraction, bounding
     /// boxes — see [`geopriv_metrics::Metric::prepare`]) is prepared
     /// once per distinct metric configuration and reused at every
     /// `(point, repetition)` sample; the metrics guarantee this is
@@ -1377,9 +1310,8 @@ impl ExperimentRunner {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] when the plan has no cache
-    /// directory, is adaptive (refinement points depend on measurements, so
-    /// per-user entries cannot be keyed up front), or is sharded (cached
-    /// execution already measures one user at a time); propagates
+    /// directory or is adaptive (refinement points depend on measurements,
+    /// so per-user entries cannot be keyed up front); propagates
     /// configuration, protection and metric errors. Misses run on their own
     /// pool, which does not short-circuit: every miss is measured, and the
     /// first error in dataset order is returned. Cache integrity problems
@@ -1400,13 +1332,6 @@ impl ExperimentRunner {
             return Err(CoreError::InvalidConfiguration {
                 reason: "adaptive plans cannot be cached: refinement points depend on measured \
                          values, so per-user cache entries cannot be keyed up front"
-                    .to_string(),
-            });
-        }
-        if self.plan.user_shard_size().is_some() {
-            return Err(CoreError::InvalidConfiguration {
-                reason: "sharded and cached execution cannot be combined — cached execution \
-                         already measures one user at a time"
                     .to_string(),
             });
         }
@@ -1550,12 +1475,7 @@ impl ExperimentRunner {
 
     /// Measures a batch of design points — the full enumeration of a one-shot
     /// plan, or one batch of an adaptive plan — as one [`measure_cells`] cell
-    /// over the dataset. A sharded plan instead measures one cell per
-    /// contiguous user shard, one shard after another, under the shard's
-    /// remix of `seed`, and folds the shards together
-    /// ([`MetricSample::absorb`]): only one shard's columns, protected copies
-    /// and prepared metric state are live at any moment, so peak memory is
-    /// O(shard), not O(dataset).
+    /// over the dataset.
     fn measure_points(
         &self,
         system: &SystemDefinition,
@@ -1563,47 +1483,13 @@ impl ExperimentRunner {
         points: &[ConfigPoint],
         seed: &SeedRule<'_>,
     ) -> Result<Vec<PointSamples>, CoreError> {
-        let measure = |dataset: &Dataset, seed: &SeedRule<'_>| {
-            measure_cells(
-                &[Cell { system, dataset: 0, points, seed }],
-                std::slice::from_ref(dataset),
-                self.plan.config.repetitions,
-                self.plan.grain,
-                self.plan.config.parallel,
-            )
-        };
-        let user_count = dataset.user_count();
-        let shard_users = match self.plan.user_shard_size() {
-            Some(0) => {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: "a sharded sweep needs a shard size of at least 1 user".to_string(),
-                })
-            }
-            Some(users) if users < user_count => users,
-            // A shard covering the whole dataset is the unsharded run: same
-            // data, same shard-0 (= unit) seeds, no merge arithmetic.
-            _ => return measure(dataset, seed),
-        };
-        let mut merged: Vec<PointSamples> = Vec::new();
-        for (shard, start) in (0..user_count).step_by(shard_users).enumerate() {
-            let slice = dataset.user_slice(start..(start + shard_users).min(user_count))?;
-            let shard_seed = |p: usize, point: &ConfigPoint, repetition: usize| {
-                remix_shard(seed(p, point, repetition), shard)
-            };
-            let shard_points = measure(&slice, &shard_seed)?;
-            if shard == 0 {
-                merged = shard_points;
-            } else {
-                for (merged_reps, shard_reps) in merged.iter_mut().zip(shard_points) {
-                    for (merged_rep, shard_rep) in merged_reps.iter_mut().zip(shard_reps) {
-                        for (merged_sample, shard_sample) in merged_rep.iter_mut().zip(shard_rep) {
-                            merged_sample.absorb(shard_sample);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(merged)
+        measure_cells(
+            &[Cell { system, dataset: 0, points, seed }],
+            std::slice::from_ref(dataset),
+            self.plan.config.repetitions,
+            self.plan.grain,
+            self.plan.config.parallel,
+        )
     }
 
     /// The staged evaluate→model→refine loop of [`SweepMode::Adaptive`].
@@ -1645,7 +1531,7 @@ impl ExperimentRunner {
         // Successive-halving state: the users still driving refinement
         // (`None` until the first per-user fit, `Some` shrinks by half each
         // round as curves settle).
-        let mut active_users: Option<Vec<UserId>> = None;
+        let mut active_users: Option<BTreeSet<UserId>> = None;
 
         while remaining > 0 {
             let result = self.assemble_adaptive(system, &mut measured)?;
@@ -1656,15 +1542,15 @@ impl ExperimentRunner {
             let mut driving = vec![modeler.diagnose(&result, &fitted)?];
             if self.plan.grain == Grain::PerUser {
                 let per_user = modeler.fit_per_user(&result)?;
-                let ranked = rank_uncertain_users(&result, &per_user, active_users.as_deref());
+                let curves = UserCurves::new(&result);
+                let ranked =
+                    rank_uncertain_users(&result, &curves, &per_user, active_users.as_ref());
                 let keep = ranked.len().div_ceil(2).min(ranked.len());
                 let survivors = ranked.get(..keep).unwrap_or_default();
-                for (user, _) in survivors {
-                    if let Some(suite) = per_user.fitted(*user) {
-                        driving.push(modeler.diagnose_user(&result, suite, *user)?);
-                    }
+                for &(user, _, suite) in survivors {
+                    driving.push(modeler.diagnose_user_in(&result, &curves, suite, user)?);
                 }
-                active_users = Some(survivors.iter().map(|(u, _)| *u).collect());
+                active_users = Some(survivors.iter().map(|&(user, _, _)| user).collect());
             }
             let per_round =
                 remaining.min((2 * space.len()).max(4) + 2 * driving.len().saturating_sub(1));
@@ -1753,23 +1639,23 @@ fn cache_signature(
 }
 
 /// Ranks the users still worth refining for, most uncertain first (ties by
-/// user id for determinism). A user's uncertainty is the worst absolute
-/// residual of her own fitted models against her own measured curves; users
-/// whose [`crate::modeling::UserFitOutcome`] is `Unfit` (saturated or
-/// otherwise unmodelable) are early-stopped — no further evaluations are
-/// spent on them. `active` restricts ranking to the survivors of earlier
-/// halving rounds.
-fn rank_uncertain_users(
+/// user id for determinism), each with her uncertainty and her fitted suite.
+/// A user's uncertainty is the worst absolute residual of her own fitted
+/// models against her own measured curves (read from `curves`, an index of
+/// `result`'s); users whose [`crate::modeling::UserFitOutcome`] is `Unfit`
+/// (saturated or otherwise unmodelable) are early-stopped — no further
+/// evaluations are spent on them. `active` restricts ranking to the
+/// survivors of earlier halving rounds.
+fn rank_uncertain_users<'a>(
     result: &SweepResult,
-    per_user: &crate::modeling::PerUserFits,
-    active: Option<&[UserId]>,
-) -> Vec<(UserId, f64)> {
-    let survivors: Option<BTreeSet<UserId>> = active.map(|users| users.iter().copied().collect());
-    let curves = UserCurves::new(result);
-    let mut ranked: Vec<(UserId, f64)> = per_user
+    curves: &UserCurves<'_>,
+    per_user: &'a crate::modeling::PerUserFits,
+    active: Option<&BTreeSet<UserId>>,
+) -> Vec<(UserId, f64, &'a crate::modeling::FittedSuite)> {
+    let mut ranked: Vec<(UserId, f64, &crate::modeling::FittedSuite)> = per_user
         .users
         .iter()
-        .filter(|fit| survivors.as_ref().map_or(true, |survivors| survivors.contains(&fit.user)))
+        .filter(|fit| active.map_or(true, |active| active.contains(&fit.user)))
         .filter_map(|fit| {
             let suite = fit.outcome.fitted()?;
             let mut worst = 0.0f64;
@@ -1780,7 +1666,7 @@ fn rank_uncertain_users(
                     worst = worst.max((value - predicted).abs());
                 }
             }
-            Some((fit.user, worst))
+            Some((fit.user, worst, suite))
         })
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -2192,118 +2078,6 @@ mod tests {
         assert!(coverage.curve(geopriv_mobility::UserId::new(9999)).is_none());
         assert!(!per_user.users().is_empty());
         assert!(per_user.user_column(&MetricId::new("nope")).is_none());
-    }
-
-    #[test]
-    fn whole_dataset_shard_is_bit_identical_to_unsharded() {
-        let dataset = small_dataset();
-        let system = SystemDefinition::paper_geoi();
-        let unsharded = ExperimentRunner::with_plan(SweepPlan::grid(small_config()).per_user())
-            .run(&system, &dataset)
-            .unwrap();
-        // Any shard size covering every user takes the passthrough path.
-        for shard_users in [dataset.user_count(), dataset.user_count() + 10, usize::MAX] {
-            let sharded = ExperimentRunner::with_plan(
-                SweepPlan::grid(small_config()).per_user().shard_users(shard_users),
-            )
-            .run(&system, &dataset)
-            .unwrap();
-            assert_eq!(sharded, unsharded, "shard size {shard_users}");
-        }
-    }
-
-    #[test]
-    fn multi_shard_sweeps_are_deterministic_and_cover_every_user() {
-        let dataset = small_dataset();
-        let system = SystemDefinition::paper_geoi();
-        let plan = || SweepPlan::grid(small_config()).per_user().shard_users(1);
-        let sharded = ExperimentRunner::with_plan(plan()).run(&system, &dataset).unwrap();
-        // Deterministic: the same sharded plan reproduces itself exactly.
-        assert_eq!(sharded, ExperimentRunner::with_plan(plan()).run(&system, &dataset).unwrap());
-
-        // The design matrix and column shape are those of the unsharded run.
-        let unsharded = ExperimentRunner::with_plan(SweepPlan::grid(small_config()).per_user())
-            .run(&system, &dataset)
-            .unwrap();
-        assert_eq!(sharded.points, unsharded.points);
-        assert_eq!(sharded.ids(), unsharded.ids());
-
-        // Every user of every metric is covered, in the same dataset order
-        // (shards partition the user axis contiguously), and every value is
-        // bounded like the unsharded measurements.
-        for (sharded_col, unsharded_col) in sharded.user_columns.iter().zip(&unsharded.user_columns)
-        {
-            assert_eq!(sharded_col.users, unsharded_col.users, "{}", sharded_col.id);
-            for curve in &sharded_col.curves {
-                assert_eq!(curve.len(), sharded.len());
-                assert!(curve.iter().all(|v| (0.0..=1.0).contains(v)));
-            }
-        }
-        for column in &sharded.columns {
-            assert!(column.means.iter().all(|v| (0.0..=1.0).contains(v)));
-        }
-
-        // Shard 0 of a multi-shard run draws the unit-seed streams, so the
-        // first user's curve differs from the unsharded run only where later
-        // shards would — i.e. not at all: it is the same single-user slice
-        // protected under the same seed. (The *aggregates* differ, because
-        // shards 1+ draw their own streams.)
-        assert_ne!(sharded.columns, unsharded.columns);
-    }
-
-    #[test]
-    fn sharded_aggregates_are_the_trace_weighted_mean_of_shard_aggregates() {
-        // One user per shard and one trace per user: the weighted mean
-        // reduces to the plain mean of the per-user values — which is exactly
-        // what the per-user curves record, so the invariant checked in
-        // `per_user_grain_keeps_aggregates_identical_and_records_curves`
-        // must hold shard-merged too.
-        let dataset = small_dataset();
-        let system = SystemDefinition::paper_geoi();
-        let sharded =
-            ExperimentRunner::with_plan(SweepPlan::grid(small_config()).per_user().shard_users(1))
-                .run(&system, &dataset)
-                .unwrap();
-        for column in &sharded.user_columns {
-            for point in 0..sharded.len() {
-                let mean = column.curves.iter().map(|c| c[point]).sum::<f64>()
-                    / column.user_count() as f64;
-                let aggregate = sharded.column(&column.id).unwrap().means[point];
-                assert!(
-                    (mean - aggregate).abs() < 1e-12,
-                    "{} point {point}: {mean} vs {aggregate}",
-                    column.id
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_shard_size_is_rejected() {
-        let dataset = small_dataset();
-        let system = SystemDefinition::paper_geoi();
-        let plan = SweepPlan::grid(small_config()).shard_users(0);
-        assert_eq!(plan.user_shard_size(), Some(0));
-        assert!(ExperimentRunner::with_plan(plan).run(&system, &dataset).is_err());
-    }
-
-    #[test]
-    fn shard_seeds_extend_unit_seeds() {
-        // Shard 0 is the unit-seed identity — the passthrough guarantee.
-        for point in 0..8 {
-            for rep in 0..4 {
-                assert_eq!(derive_shard_seed(42, point, rep, 0), derive_unit_seed(42, point, rep));
-            }
-        }
-        // Distinct (point, rep, shard) units never collide in a realistic sweep.
-        let mut seen = std::collections::BTreeSet::new();
-        for point in 0..16 {
-            for rep in 0..4 {
-                for shard in 0..32 {
-                    assert!(seen.insert(derive_shard_seed(42, point, rep, shard)));
-                }
-            }
-        }
     }
 
     #[test]

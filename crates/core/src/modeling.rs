@@ -830,22 +830,31 @@ impl Modeler {
     ///
     /// As [`Modeler::diagnose`], plus when the sweep records no curve of
     /// `user` for a fitted metric.
+    // audit:allow(R1): public API — the per-user counterpart of Modeler::diagnose
     pub fn diagnose_user(
         &self,
         sweep: &SweepResult,
         fitted: &FittedSuite,
         user: UserId,
     ) -> Result<FitDiagnostics, CoreError> {
+        self.diagnose_user_in(sweep, &UserCurves::new(sweep), fitted, user)
+    }
+
+    /// [`Modeler::diagnose_user`] reading the user's curves from `curves`,
+    /// an index of `sweep`'s built once by a caller that diagnoses many
+    /// users.
+    pub(crate) fn diagnose_user_in(
+        &self,
+        sweep: &SweepResult,
+        curves: &UserCurves<'_>,
+        fitted: &FittedSuite,
+        user: UserId,
+    ) -> Result<FitDiagnostics, CoreError> {
         let mut metrics = Vec::with_capacity(fitted.models.len());
         for model in &fitted.models {
             let curve =
-                sweep.user_column(&model.id).and_then(|c| c.curve(user)).ok_or_else(|| {
-                    CoreError::InvalidConfiguration {
-                        reason: format!(
-                            "sweep records no curve of {user} for metric \"{}\"",
-                            model.id
-                        ),
-                    }
+                curves.curve(&model.id, user).ok_or_else(|| CoreError::InvalidConfiguration {
+                    reason: format!("sweep records no curve of {user} for metric \"{}\"", model.id),
                 })?;
             metrics.push(Self::diagnose_model(sweep, model, curve)?);
         }

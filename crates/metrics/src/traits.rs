@@ -296,8 +296,8 @@ impl MetricValue {
     /// traces the metric actually evaluated, *before* multi-trace users are
     /// merged into the breakdown (zero for [`MetricValue::defined_zero`]).
     ///
-    /// Sharded sweep execution uses this as the weight when combining
-    /// shard-level aggregates into a dataset-level mean.
+    /// The cached per-user sweep uses this as the weight when it folds the
+    /// users' aggregates into a dataset-level mean.
     pub fn evaluated_count(&self) -> usize {
         self.evaluated
     }

@@ -308,8 +308,8 @@ impl Dataset {
     ///
     /// Because traces are sorted by user, a user range maps to one contiguous
     /// span/record range; the copy is three `memcpy`-style slice copies of
-    /// O(shard) size. This is the primitive behind per-user sharded sweep
-    /// execution.
+    /// the range's size. The cached per-user sweep measures each user on her
+    /// own one-user slice.
     ///
     /// # Errors
     ///

@@ -232,16 +232,6 @@ impl Trace {
         self.view().bounding_box()
     }
 
-    /// Returns a copy of the trace restricted to records with
-    /// `start <= timestamp < end`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::EmptyTrace`] if no record falls in the window.
-    pub fn time_window(&self, start: Seconds, end: Seconds) -> Result<Trace, MobilityError> {
-        self.view().time_window(start, end)
-    }
-
     /// Builds a new trace with the same user and timestamps but different
     /// locations, in the same order.
     ///
@@ -463,30 +453,6 @@ impl<'a> TraceView<'a> {
     /// Propagates [`geopriv_geo::GeoError`] for degenerate traces.
     pub fn bounding_box(&self) -> Result<BoundingBox, MobilityError> {
         Ok(BoundingBox::enclosing((0..self.len()).map(|i| self.location(i)))?)
-    }
-
-    /// Returns an owned trace restricted to records with
-    /// `start <= timestamp < end`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::EmptyTrace`] if no record falls in the window.
-    pub fn time_window(&self, start: Seconds, end: Seconds) -> Result<Trace, MobilityError> {
-        let (s, e) = (start.as_f64(), end.as_f64());
-        let mut t = Vec::new();
-        let mut lat = Vec::new();
-        let mut lon = Vec::new();
-        for i in 0..self.len() {
-            if self.t[i] >= s && self.t[i] < e {
-                t.push(self.t[i]);
-                lat.push(self.lat[i]);
-                lon.push(self.lon[i]);
-            }
-        }
-        if t.is_empty() {
-            return Err(MobilityError::EmptyTrace);
-        }
-        Ok(Trace { user: self.user, t, lat, lon })
     }
 }
 
@@ -724,15 +690,6 @@ mod tests {
         for r in &t {
             assert!(b.contains(r.location()));
         }
-    }
-
-    #[test]
-    fn time_window_filters_records() {
-        let t = sample_trace();
-        let w = t.time_window(Seconds::new(30.0), Seconds::new(120.0)).unwrap();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.first().timestamp().as_f64(), 30.0);
-        assert!(t.time_window(Seconds::new(500.0), Seconds::new(600.0)).is_err());
     }
 
     #[test]

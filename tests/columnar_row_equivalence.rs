@@ -126,16 +126,3 @@ fn per_user_sweeps_agree_across_layouts() {
     assert_eq!(fast, slow);
     assert!(!fast.user_columns.is_empty());
 }
-
-#[test]
-fn sharded_sweeps_agree_across_layouts() {
-    let dataset = fleet(14);
-    let (columnar, row) = paired_systems();
-    let plan = SweepPlan::grid(SweepConfig { points: 4, repetitions: 1, seed: 79, parallel: true })
-        .per_user()
-        .shard_users(2);
-    let fast =
-        ExperimentRunner::with_plan(plan.clone()).run(&columnar, &dataset).expect("sweep runs");
-    let slow = ExperimentRunner::with_plan(plan).run(&row, &dataset).expect("sweep runs");
-    assert_eq!(fast, slow);
-}

@@ -1,19 +1,19 @@
-//! Replays the execution modes whose seed rules and folds differ from the
-//! plain sweep — multi-shard, refined adaptive and cached per-user runs —
-//! straight from the public mechanism and metric calls: `prepare`,
-//! `instantiate_at`, `protect_dataset` under the mode's seed rule, and
-//! `evaluate_prepared`. The plain path has its own replays
-//! (`suite_equivalence.rs`, `config_space_equivalence.rs`).
+//! Replays the execution modes whose seed rules or fold differ from the
+//! plain sweep — refined adaptive and cached per-user runs — straight from
+//! the public mechanism and metric calls: `prepare`, `instantiate_at`,
+//! `protect_dataset` under the mode's seed rule, and `evaluate_prepared`.
+//! The plain path has its own replays (`suite_equivalence.rs`,
+//! `config_space_equivalence.rs`).
 //!
-//! Parts (shards, or a cached run's users) fold in dataset order: the first
-//! part passes through, each later part gives `(v·w + v′·w′)/(w + w′)` when
-//! `w + w′ > 0`, and the user breakdowns concatenate. Every `runs` value and
-//! every user curve must match the engine bit for bit, in parallel and
-//! sequentially. A change to any seed rule or fold fails here first.
+//! A cached run measures each user on her own slice and folds the users in
+//! dataset order: the first user passes through, each later user gives
+//! `(v·w + v′·w′)/(w + w′)` when `w + w′ > 0`, and the user breakdowns
+//! concatenate. Every `runs` value and every user curve must match the
+//! engine bit for bit, in parallel and sequentially. A change to any seed
+//! rule or to the fold fails here first.
 
 use geopriv::mobility::generator::perturb_users;
 use geopriv::prelude::*;
-use geopriv_core::experiment::derive_shard_seed;
 use geopriv_core::{derive_point_seed, derive_unit_seed, derive_user_seed};
 use geopriv_metrics::PreparedState;
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ struct Sample {
     per_user: Vec<(UserId, f64)>,
 }
 
-/// `samples[point][repetition][metric]` of one part.
+/// `samples[point][repetition][metric]` of one dataset or user slice.
 type Samples = Vec<Vec<Vec<Sample>>>;
 
 /// Protects `part` at every design point and repetition under
@@ -87,7 +87,7 @@ fn replay_part(
         .collect()
 }
 
-/// Folds parts in dataset order.
+/// Folds per-user parts in dataset order.
 fn fold(parts: Vec<Samples>) -> Samples {
     let mut parts = parts.into_iter();
     let mut folded = parts.next().expect("at least one part");
@@ -108,25 +108,6 @@ fn fold(parts: Vec<Samples>) -> Samples {
         }
     }
     folded
-}
-
-/// The dataset cut into contiguous shards of `users` users, in order.
-fn shards(dataset: &Dataset, users: usize) -> Vec<Dataset> {
-    let count = dataset.user_count();
-    (0..count)
-        .step_by(users)
-        .map(|start| dataset.user_slice(start..(start + users).min(count)).expect("in range"))
-        .collect()
-}
-
-/// The remix `derive_shard_seed` applies to a unit seed: shard 0 keeps it,
-/// every later shard draws `seed · φ + s`.
-fn remix(seed: u64, shard: usize) -> u64 {
-    if shard == 0 {
-        seed
-    } else {
-        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(shard as u64)
-    }
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -161,73 +142,26 @@ fn assert_replays(sweep: &SweepResult, replay: &Samples, what: &str) {
 }
 
 #[test]
-fn multi_shard_runs_replay_the_shard_seed_rule() {
-    let dataset = taxi_dataset();
-    let system = SystemDefinition::paper_geoi();
-    let points = SweepPlan::grid(config(true)).enumerate(&system.space()).unwrap();
-    for shard_users in [1, 2] {
-        let parts: Vec<Samples> = shards(&dataset, shard_users)
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                replay_part(&system, shard, &points, |p, _, r| derive_shard_seed(SEED, p, r, s))
-            })
-            .collect();
-        assert!(parts.len() > 1, "{shard_users}-user shards split the dataset");
-        let replay = fold(parts);
-        for parallel in [true, false] {
-            let plan = SweepPlan::grid(config(parallel)).per_user().shard_users(shard_users);
-            let sweep = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
-            assert_replays(&sweep, &replay, &format!("{shard_users}-user shards, {parallel}"));
-        }
-    }
-}
-
-#[test]
 fn refined_adaptive_runs_replay_unit_and_point_seeds() {
     let dataset = taxi_dataset();
     let system = SystemDefinition::paper_geoi();
     let coarse = SweepPlan::grid(config(true)).enumerate(&system.space()).unwrap();
-    // The remix re-derived above is the one `derive_shard_seed` applies.
-    for shard in 0..3 {
-        for r in 0..REPETITIONS {
-            assert_eq!(
-                remix(derive_unit_seed(SEED, 3, r), shard),
-                derive_shard_seed(SEED, 3, r, shard)
-            );
-        }
-    }
     // Coarse points draw the unit seed of their coarse index, refined points
-    // their point-identity seed; shard s remixes either.
-    let seed_rule = |shard: usize| {
-        let coarse = &coarse;
-        move |_: usize, point: &ConfigPoint, r: usize| {
-            let unit = match coarse.iter().position(|c| c.cache_token() == point.cache_token()) {
-                Some(index) => derive_unit_seed(SEED, index, r),
-                None => derive_point_seed(SEED, point, r),
-            };
-            remix(unit, shard)
+    // their point-identity seed.
+    let seed_rule = |_: usize, point: &ConfigPoint, r: usize| {
+        let token = point.cache_token();
+        match coarse.iter().position(|c| c.cache_token() == token) {
+            Some(index) => derive_unit_seed(SEED, index, r),
+            None => derive_point_seed(SEED, point, r),
         }
     };
     let budget = coarse.len() + 3;
-    for shard_users in [None, Some(2)] {
-        for parallel in [true, false] {
-            let mut plan = SweepPlan::adaptive(config(parallel), budget).per_user();
-            if let Some(users) = shard_users {
-                plan = plan.shard_users(users);
-            }
-            let sweep = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
-            assert!(sweep.len() > coarse.len(), "refinement added points");
-            let parts: Vec<Samples> = match shard_users {
-                None => vec![replay_part(&system, &dataset, &sweep.points, seed_rule(0))],
-                Some(users) => shards(&dataset, users)
-                    .iter()
-                    .enumerate()
-                    .map(|(s, shard)| replay_part(&system, shard, &sweep.points, seed_rule(s)))
-                    .collect(),
-            };
-            assert_replays(&sweep, &fold(parts), &format!("adaptive, {shard_users:?}, {parallel}"));
-        }
+    for parallel in [true, false] {
+        let plan = SweepPlan::adaptive(config(parallel), budget).per_user();
+        let sweep = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
+        assert!(sweep.len() > coarse.len(), "refinement added points");
+        let replay = replay_part(&system, &dataset, &sweep.points, seed_rule);
+        assert_replays(&sweep, &replay, &format!("adaptive, {parallel}"));
     }
 }
 
@@ -240,11 +174,11 @@ fn cached_runs_replay_the_user_seed_rule_cold_and_warm() {
     let system = SystemDefinition::paper_geoi();
     let points = SweepPlan::grid(config(true)).enumerate(&system.space()).unwrap();
     let replay_of = |dataset: &Dataset| {
-        let parts: Vec<Samples> = shards(dataset, 1)
-            .iter()
-            .map(|slice| {
+        let parts: Vec<Samples> = (0..dataset.user_count())
+            .map(|index| {
+                let slice = dataset.user_slice(index..index + 1).expect("in range");
                 let user = slice.users()[0];
-                replay_part(&system, slice, &points, |p, _, r| derive_user_seed(SEED, p, r, user))
+                replay_part(&system, &slice, &points, |p, _, r| derive_user_seed(SEED, p, r, user))
             })
             .collect();
         fold(parts)
