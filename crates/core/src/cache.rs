@@ -146,10 +146,27 @@ impl CacheBlock {
         Ok(())
     }
 
+    /// Appends a row of placeholder samples for `user`, to be overwritten
+    /// through [`CacheBlock::rows_mut`] once she is measured.
+    pub(crate) fn push_placeholder(
+        &mut self,
+        user: UserId,
+        fingerprint: u64,
+    ) -> Result<(), CoreError> {
+        let placeholder = CachedSample { value: 0.0, weight: 0, breakdown: None };
+        self.push(user, fingerprint, std::iter::repeat(placeholder).take(self.row_len))
+    }
+
     /// The samples of one row.
     fn row(&self, row: usize) -> Option<&[CachedSample]> {
         let start = row.checked_mul(self.row_len)?;
         self.samples.get(start..start.checked_add(self.row_len)?)
+    }
+
+    /// Every row's samples, in row order, each to overwrite on its own.
+    pub(crate) fn rows_mut(&mut self) -> impl Iterator<Item = &mut [CachedSample]> + '_ {
+        // A block of empty rows has no samples to split.
+        self.samples.chunks_mut(self.row_len.max(1))
     }
 
     /// Every row's user and samples, in row order.
@@ -230,13 +247,6 @@ pub struct CacheStats {
     /// truncated or version-mismatched cache file reports exactly one
     /// warning here and behaves as if it were absent.
     pub warnings: Vec<String>,
-}
-
-impl CacheStats {
-    /// `true` when every user was served from the cache.
-    pub fn fully_warm(&self) -> bool {
-        self.misses == 0 && self.users > 0
-    }
 }
 
 /// The on-disk measurement store: a directory holding one binary file per

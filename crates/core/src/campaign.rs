@@ -54,7 +54,7 @@
 
 use crate::error::CoreError;
 use crate::experiment::{
-    assemble_sweep, derive_unit_seed, measure_cells, Cell, ExperimentRunner, SweepConfig,
+    assemble_sweep, collect_cells, derive_unit_seed, Cell, ExperimentRunner, SweepConfig,
     SweepMode, SweepPlan, SweepResult,
 };
 use crate::system::SystemDefinition;
@@ -212,7 +212,7 @@ impl CampaignRunner {
                 cells.push(Cell { system, dataset, points, seed: &seed });
             }
         }
-        let mut measured = measure_cells(
+        let mut measured = collect_cells(
             &cells,
             datasets,
             self.plan.config.repetitions,
@@ -485,17 +485,25 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_unit_short_circuits_plain_sharded_and_adaptive_sweeps() {
+    fn a_failing_unit_short_circuits_plain_cached_and_adaptive_sweeps() {
         let dataset = small_dataset(7);
         let config = SweepConfig { points: 8, repetitions: 2, seed: 1, parallel: false };
-        let plans = [SweepPlan::grid(config), SweepPlan::adaptive(config, 12)];
+        let dir = std::env::temp_dir().join(format!("geopriv-failing-{}", std::process::id()));
+        let plans = [
+            SweepPlan::grid(config),
+            SweepPlan::grid(config).cached(&dir),
+            SweepPlan::adaptive(config, 12),
+        ];
         for plan in plans {
             let evaluations = Arc::new(AtomicUsize::new(0));
             let runner = ExperimentRunner::with_plan(plan.clone());
             assert!(runner.run(&failing_system(&evaluations), &dataset).is_err());
-            // Sequential mode: the first unit fails, every later unit is skipped.
+            // Sequential mode: the first unit fails, every later unit is
+            // skipped; a cached run's first unit is the first miss's first
+            // point, and nothing is stored.
             assert_eq!(evaluations.load(Ordering::SeqCst), 1, "{plan:?}");
         }
+        assert!(!dir.exists(), "a failed cached run stored {}", dir.display());
     }
 
     #[test]

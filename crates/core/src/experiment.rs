@@ -195,9 +195,10 @@ impl SweepPlan {
     ///
     /// Determinism contract: cached execution is its own documented
     /// deterministic experiment, not a plain run served from disk — every
-    /// user is measured on her own slice, protected under her own
-    /// identity-keyed stream ([`derive_user_seed`]), and the users' aggregates
-    /// fold into the dataset's by evaluated-trace weight. Re-measuring *only
+    /// user is measured on her own slice, a one-user cell of the executor
+    /// every sweep runs on, protected under her own identity-keyed stream
+    /// ([`derive_user_seed`]), and the users' aggregates fold into the
+    /// dataset's by evaluated-trace weight. Re-measuring *only
     /// the changed users* therefore draws exactly the bits a full run would
     /// have drawn for them. Within the
     /// mode, a warm run (any subset of users served from the cache) is
@@ -491,14 +492,14 @@ pub(crate) type PointSamples = Vec<Vec<MetricSample>>;
 /// per-unit breakdowns.
 ///
 /// `per_point[p][r][k]` is the sample of metric `k` at design point `p`,
-/// repetition `r`. Every execution mode assembles through here, tagged with
-/// the plan's mode and grain, so all produce identical stores by
-/// construction.
+/// repetition `r`, owned or borrowed. Every execution mode assembles through
+/// here, tagged with the plan's mode and grain, so all produce identical
+/// stores by construction.
 pub(crate) fn assemble_sweep(
     plan: &SweepPlan,
     system: &SystemDefinition,
     points: Vec<ConfigPoint>,
-    per_point: &[PointSamples],
+    per_point: &[impl Borrow<PointSamples>],
 ) -> Result<SweepResult, CoreError> {
     let (lppm_name, space, mode) = (system.factory().name(), system.space(), plan.mode);
     let meta = ExperimentRunner::suite_meta(system);
@@ -514,6 +515,7 @@ pub(crate) fn assemble_sweep(
     for point_reps in per_point {
         for (k, column) in columns.iter_mut().enumerate() {
             let runs: Vec<f64> = point_reps
+                .borrow()
                 .iter()
                 .map(|rep| sample_at(rep, k).map(|sample| sample.value))
                 .collect::<Result<_, _>>()?;
@@ -536,7 +538,8 @@ pub(crate) fn assemble_sweep(
         let breakdowns: Vec<Vec<&[(UserId, f64)]>> = per_point
             .iter()
             .map(|point_reps| {
-                point_reps.iter().map(|rep| Ok(sample_at(rep, k)?.per_user.as_slice())).collect()
+                let point_reps = point_reps.borrow().iter();
+                point_reps.map(|rep| Ok(sample_at(rep, k)?.per_user.as_slice())).collect()
             })
             .collect::<Result<_, CoreError>>()?;
         let users: Vec<UserId> = match breakdowns.first().and_then(|reps| reps.first()) {
@@ -558,7 +561,7 @@ pub(crate) fn assemble_sweep(
                 }
             }
         }
-        let reps = per_point.first().map_or(0, Vec::len).max(1) as f64;
+        let reps = per_point.first().map_or(0, |reps| reps.borrow().len()).max(1) as f64;
         // curves[u][p], one user's curve at a time: each point sums its
         // repetitions in repetition order, exactly the historical per-user
         // arithmetic.
@@ -721,7 +724,8 @@ pub fn derive_user_seed(
 /// function of the point's index in the cell, the point itself and the
 /// repetition. Grid and one-at-a-time cells and an adaptive coarse pass seed
 /// by index ([`derive_unit_seed`]), adaptive refinement by point identity
-/// ([`derive_point_seed`]).
+/// ([`derive_point_seed`]), and a cache miss's cell by index and user
+/// ([`derive_user_seed`]).
 pub(crate) type SeedRule<'a> = dyn Fn(usize, &ConfigPoint, usize) -> u64 + Sync + 'a;
 
 /// One cell of a measurement schedule: a batch of one system's design points,
@@ -734,77 +738,119 @@ pub(crate) struct Cell<'a> {
     pub(crate) seed: &'a SeedRule<'a>,
 }
 
-/// The executor every pooled sweep schedules over: a plain or one-at-a-time
-/// sweep and each adaptive batch are one cell, and a campaign passes all of
-/// its cells at once. Returns the samples of every cell's points, cell after
-/// cell.
+/// The executor every sweep schedules over: a plain or one-at-a-time sweep
+/// and each adaptive batch are one cell, a campaign passes all of its cells
+/// at once, and a cached sweep passes one one-user cell per cache miss.
 ///
 /// Each distinct `(metric cache key, dataset)` pair is prepared exactly once
 /// ([`geopriv_metrics::Metric::prepare`]) and its state shared by
 /// every cell, point and repetition that needs it; prepared evaluation is
 /// bit-identical to direct evaluation by the metric contract. The
-/// `(cell, point)` units then run on one [`run_indexed`] pool.
+/// `(cell, point)` units then run on one [`run_indexed`] pool; unit `i` is
+/// the `i`-th in cell-then-point order. It turns each metric evaluation
+/// into `record(i, value)` and, once it finishes, hands its records,
+/// `[repetition][metric]`, to `sink(i, records)`. Nothing is collected
+/// here, so the caller decides what stays in memory: [`collect_cells`] is
+/// the sink of the plain, adaptive and campaign sweeps.
 ///
 /// # Errors
 ///
-/// After the first failing unit, the units not yet started are skipped, and
-/// the first error in unit order among the units that ran is returned (in
-/// sequential mode, exactly the first failing unit's). Preparation errors
-/// are returned before any unit runs.
-pub(crate) fn measure_cells(
+/// A unit fails when its measurement or its sink does. After the first
+/// failing unit, the units not yet started are skipped, and the first error
+/// in unit order among the units that ran is returned (in sequential mode,
+/// exactly the first failing unit's). Preparation errors are returned
+/// before any unit runs. Returning `Ok` means every unit's records reached
+/// the sink: a unit the pool never ran is a [`CoreError::Internal`].
+pub(crate) fn measure_cells<T>(
     cells: &[Cell<'_>],
     datasets: &[Dataset],
     repetitions: usize,
-    grain: Grain,
     parallel: bool,
-) -> Result<Vec<PointSamples>, CoreError> {
+    record: impl Fn(usize, &MetricValue) -> T + Sync,
+    sink: impl Fn(usize, Vec<Vec<T>>) -> Result<(), CoreError> + Sync,
+) -> Result<(), CoreError> {
     let prepared = prepare_suites(cells, datasets, parallel)?;
-    let mut units = Vec::new();
-    for (cell, states) in cells.iter().zip(&prepared) {
-        let dataset = datasets.get(cell.dataset).ok_or_else(|| CoreError::Internal {
-            reason: format!("cell dataset {} of {} out of range", cell.dataset, datasets.len()),
+    // Unit `i` is point `i − starts[c]` of the last cell `c` starting at or
+    // before it.
+    let mut starts = Vec::with_capacity(cells.len());
+    let mut units = 0usize;
+    for cell in cells {
+        starts.push(units);
+        units = units.checked_add(cell.points.len()).ok_or_else(|| {
+            CoreError::InvalidConfiguration {
+                reason: format!("{} cells hold more work units than fit a word", cells.len()),
+            }
         })?;
-        units.extend(
-            cell.points.iter().enumerate().map(|(p, point)| (cell, dataset, states, p, point)),
-        );
     }
-
-    // A skipped unit is `None`, distinct from an error, so a skip can never
-    // mask the failure that caused it, whatever the thread interleaving. The
-    // flag publishes no data (results travel through `run_indexed`'s lock),
-    // so `Relaxed` suffices.
-    let abort = AtomicBool::new(false);
-    let measured = run_indexed(units.len(), parallel, |i| {
-        let &(cell, dataset, states, p, point) = units.get(i)?;
-        if abort.load(Ordering::Relaxed) {
-            return None;
-        }
-        let result = measure_point(
+    let unit = |i: usize| -> Result<(), CoreError> {
+        let located = starts.partition_point(|&start| start <= i).checked_sub(1).and_then(|c| {
+            let cell = cells.get(c)?;
+            let p = i.checked_sub(*starts.get(c)?)?;
+            Some((cell, datasets.get(cell.dataset)?, prepared.get(c)?, p, cell.points.get(p)?))
+        });
+        let (cell, dataset, states, p, point) = located.ok_or_else(|| CoreError::Internal {
+            reason: format!("work unit {i} of {units} lies in no cell with a dataset"),
+        })?;
+        let records = measure_point(
             cell.system,
             dataset,
             states,
             point,
             repetitions,
             |repetition| (cell.seed)(p, point, repetition),
-            |measured| MetricSample::of(measured, grain),
-        );
-        if result.is_err() {
-            abort.store(true, Ordering::Relaxed);
+            |measured| record(i, measured),
+        )?;
+        sink(i, records)
+    };
+
+    // Only the first failure in unit order is kept, not one outcome per
+    // unit. A unit is skipped only after a failure was kept, so a skip can
+    // never mask it, whatever the thread interleaving. The flag publishes no
+    // data (the failure travels through its lock, records through the
+    // sink's), so `Relaxed` suffices.
+    let abort = AtomicBool::new(false);
+    let failure: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
+    run_indexed(units, parallel, |i| {
+        if abort.load(Ordering::Relaxed) {
+            return;
         }
-        Some(result)
+        if let Err(error) = unit(i) {
+            abort.store(true, Ordering::Relaxed);
+            let mut first = failure.lock();
+            if first.as_ref().map_or(true, |&(at, _)| i < at) {
+                *first = Some((i, error));
+            }
+        }
     })?;
-    // Units are only skipped after a failure, which the collect returns.
-    let samples: Vec<PointSamples> = measured.into_iter().flatten().collect::<Result<_, _>>()?;
-    if samples.len() != units.len() {
-        return Err(CoreError::Internal {
-            reason: format!(
-                "{} of {} work units never ran",
-                units.len() - samples.len(),
-                units.len()
-            ),
-        });
-    }
-    Ok(samples)
+    failure.into_inner().map_or(Ok(()), |(_, error)| Err(error))
+}
+
+/// Measures `cells` on [`measure_cells`] and collects every unit's
+/// [`MetricSample`]s at `grain`, in unit order: each cell's points, cell
+/// after cell.
+pub(crate) fn collect_cells(
+    cells: &[Cell<'_>],
+    datasets: &[Dataset],
+    repetitions: usize,
+    grain: Grain,
+    parallel: bool,
+) -> Result<Vec<PointSamples>, CoreError> {
+    let slots: Mutex<Vec<Option<PointSamples>>> =
+        Mutex::new(cells.iter().flat_map(|cell| cell.points.iter().map(|_| None)).collect());
+    let missing = |i: usize| CoreError::Internal { reason: format!("work unit {i} has no slot") };
+    measure_cells(
+        cells,
+        datasets,
+        repetitions,
+        parallel,
+        |_, measured| MetricSample::of(measured, grain),
+        |i, samples| {
+            *slots.lock().get_mut(i).ok_or_else(|| missing(i))? = Some(samples);
+            Ok(())
+        },
+    )?;
+    let slots = slots.into_inner().into_iter().enumerate();
+    slots.map(|(i, samples)| samples.ok_or_else(|| missing(i))).collect()
 }
 
 /// Prepares every cell's suite on the units' pool, each distinct
@@ -815,23 +861,30 @@ fn prepare_suites(
     datasets: &[Dataset],
     parallel: bool,
 ) -> Result<Vec<Vec<Arc<PreparedState>>>, CoreError> {
+    // Cache keys are rendered once per system and numbered: a campaign's
+    // cells share a few systems, a cached sweep's one-user cells one.
+    let mut keys: HashMap<String, usize> = HashMap::new();
+    let mut key_ids: HashMap<*const SystemDefinition, Vec<usize>> = HashMap::new();
     let mut jobs: Vec<(&SuiteMetric, usize)> = Vec::new();
-    let mut job_of: HashMap<(String, usize), usize> = HashMap::new();
-    let cell_jobs: Vec<Vec<usize>> = cells
-        .iter()
-        .map(|cell| {
-            cell.system
-                .suite()
-                .iter()
-                .map(|metric| {
-                    *job_of.entry((metric.cache_key(), cell.dataset)).or_insert_with(|| {
-                        jobs.push((metric, cell.dataset));
-                        jobs.len() - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
+    let mut job_of: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut cell_jobs: Vec<Vec<usize>> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let suite = cell.system.suite();
+        let ids = key_ids.entry(cell.system).or_insert_with(|| {
+            let mut id = |key| {
+                let next = keys.len();
+                *keys.entry(key).or_insert(next)
+            };
+            suite.iter().map(|metric| id(metric.cache_key())).collect()
+        });
+        let jobs_of_cell = suite.iter().zip(ids.iter()).map(|(metric, &id)| {
+            *job_of.entry((id, cell.dataset)).or_insert_with(|| {
+                jobs.push((metric, cell.dataset));
+                jobs.len() - 1
+            })
+        });
+        cell_jobs.push(jobs_of_cell.collect());
+    }
 
     let states: Vec<Arc<PreparedState>> = run_indexed(jobs.len(), parallel, |i| {
         let (metric, dataset) = jobs
@@ -894,9 +947,12 @@ fn measure_point<T>(
 ///
 /// Sequential execution (`parallel == false`, a single item, or a single
 /// available core) calls `work` in index order on the current thread; parallel
-/// execution lets each thread atomically claim the next unclaimed index. The
-/// output is indistinguishable between the two modes as long as `work(i)` is
-/// a pure function of `i`.
+/// execution lets each thread atomically claim the next run of unclaimed
+/// indices, 1/64 of a thread's share (at least one), and store the run's
+/// results under one lock. Neighbouring items, such as the points of one
+/// cached user, then mostly run on one thread instead of passing their
+/// shared state from core to core. The output is indistinguishable between
+/// the two modes as long as `work(i)` is a pure function of `i`.
 ///
 /// # Errors
 ///
@@ -915,18 +971,20 @@ where
     }
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
     let next_index = std::sync::atomic::AtomicUsize::new(0);
+    let run = (count / threads / 64).max(1);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= count {
+                let start = next_index.fetch_add(run, std::sync::atomic::Ordering::SeqCst);
+                if start >= count {
                     break;
                 }
-                let result = work(i);
-                if let Some(slot) = results.lock().get_mut(i) {
-                    *slot = Some(result);
-                }
+                let done: Vec<T> =
+                    (start..start.saturating_add(run).min(count)).map(&work).collect();
+                let mut results = results.lock();
+                let slots = results.get_mut(start..).unwrap_or_default();
+                slots.iter_mut().zip(done).for_each(|(slot, result)| *slot = Some(result));
             });
         }
     });
@@ -1296,11 +1354,12 @@ impl ExperimentRunner {
     /// ([`SweepPlan::cached`]): users whose
     /// [`geopriv_metrics::DatasetFingerprint::per_user`] sub-fingerprint
     /// matches the persisted row are decoded from the cache bit-exactly;
-    /// every other user is measured on her own
-    /// [`geopriv_mobility::Dataset::user_slice`] under her identity-keyed
-    /// streams ([`derive_user_seed`]). The refreshed rows form one flat
-    /// block in dataset order, hit rows copied from the file and fresh rows
-    /// from the measurements; the block is written back as the cache file
+    /// every other user is a one-user cell of the executor every sweep runs
+    /// on: her own [`geopriv_mobility::Dataset::user_slice`] under her
+    /// identity-keyed streams ([`derive_user_seed`]). The refreshed rows
+    /// form one flat block in dataset order: hit rows are decoded from the
+    /// file first, and each miss's units write their samples straight into
+    /// her row as they finish. The block is written back as the cache file
     /// when anything was re-measured, then folded in one pass over the
     /// users: every step but the misses' measurement is one pass over the
     /// fleet. The merged [`SweepResult`] is bit-identical between a cold run
@@ -1312,11 +1371,12 @@ impl ExperimentRunner {
     /// Returns [`CoreError::InvalidConfiguration`] when the plan has no cache
     /// directory or is adaptive (refinement points depend on measurements,
     /// so per-user entries cannot be keyed up front); propagates
-    /// configuration, protection and metric errors. Misses run on their own
-    /// pool, which does not short-circuit: every miss is measured, and the
-    /// first error in dataset order is returned. Cache integrity problems
-    /// are never errors — they surface as [`crate::cache::CacheStats::warnings`]
-    /// with a cold-path fallback.
+    /// configuration, protection and metric errors. A failing miss
+    /// short-circuits the rest as in every sweep: the error returned is the
+    /// first in `(miss, point)` order among the units that ran (in
+    /// sequential mode, exactly the first failing unit's), and nothing is
+    /// stored. Cache integrity problems are never errors — they surface as
+    /// [`crate::cache::CacheStats::warnings`] with a cold-path fallback.
     pub fn run_cached(
         &self,
         system: &SystemDefinition,
@@ -1348,66 +1408,38 @@ impl ExperimentRunner {
             .map(|(row, (user, fingerprint))| (user, (fingerprint, row)))
             .collect();
 
-        // Classify every user of the dataset (in dataset order) as a cache
-        // hit (sub-fingerprint unchanged: her stored row) or a miss to
-        // re-measure.
+        // The refreshed block, in dataset order: a cache hit (sub-fingerprint
+        // unchanged) decodes her stored row, a miss takes a placeholder row
+        // for her measurements to fill.
         let fingerprints = geopriv_metrics::DatasetFingerprint::of(dataset).per_user();
-        let mut hit_rows: Vec<Option<usize>> = Vec::with_capacity(fingerprints.len());
-        let mut misses: Vec<(usize, UserId)> = Vec::new();
-        for (index, &(user, fingerprint)) in fingerprints.iter().enumerate() {
-            match stored_rows.get(&user) {
-                Some(&(stored_fingerprint, row)) if stored_fingerprint == fingerprint => {
-                    hit_rows.push(Some(row));
-                }
-                _ => {
-                    hit_rows.push(None);
-                    misses.push((index, user));
-                }
-            }
-        }
-
-        // Re-measure the misses, one user-slice at a time, in parallel. Each
-        // miss is compacted into its cache row as soon as it is measured;
-        // as one-user cells of `measure_cells` every user's samples would
-        // stay live until the whole pool returned.
-        let measured = run_indexed(misses.len(), self.plan.config.parallel, |j| {
-            let &(index, user) = misses.get(j).ok_or_else(|| CoreError::Internal {
-                reason: format!("cache miss {j} of {} out of range", misses.len()),
-            })?;
-            self.measure_user(system, dataset, index, user, &points, meta.len())
-        })?;
-
-        // The refreshed block, in dataset order: hit rows are decoded from
-        // the stored file, and each miss takes her fresh row. The first
-        // failed miss in dataset order is the error returned.
         let mut block = crate::cache::CacheBlock::with_capacity(
             points.len(),
             reps,
             meta.len(),
             fingerprints.len(),
         );
-        let mut fresh = measured.into_iter();
-        for (&(user, fingerprint), hit_row) in fingerprints.iter().zip(&hit_rows) {
-            match hit_row {
-                Some(row) => {
-                    let samples = stored.row(*row).ok_or_else(|| CoreError::Internal {
+        let mut misses: Vec<(usize, UserId)> = Vec::new();
+        for (index, &(user, fingerprint)) in fingerprints.iter().enumerate() {
+            match stored_rows.get(&user) {
+                Some(&(stored_fingerprint, row)) if stored_fingerprint == fingerprint => {
+                    let samples = stored.row(row).ok_or_else(|| CoreError::Internal {
                         reason: format!("cache row {row} of user {user} out of range"),
                     })?;
                     block.push(user, fingerprint, samples)?;
                 }
-                None => {
-                    let samples = fresh.next().ok_or_else(|| CoreError::Internal {
-                        reason: format!("the measurement of user {user} is missing"),
-                    })??;
-                    block.push(user, fingerprint, samples)?;
+                _ => {
+                    block.push_placeholder(user, fingerprint)?;
+                    misses.push((index, user));
                 }
             }
         }
         drop(stored);
 
-        // Persist the refreshed block (current users only — departed users
-        // age out) whenever anything was re-measured.
+        // The block is stored (current users only — departed users age out)
+        // only once every miss's units delivered, so no placeholder reaches
+        // the file.
         if !misses.is_empty() {
+            self.measure_misses(system, dataset, &points, &misses, &mut block)?;
             warnings.extend(cache.store(&signature, &block));
         }
 
@@ -1423,43 +1455,77 @@ impl ExperimentRunner {
         })
     }
 
-    /// Measures one user's whole design on the user's own slice, against
-    /// state prepared on that slice, under the user's identity-keyed seed
-    /// stream: her cache row, `[point][repetition][metric]`.
-    fn measure_user(
+    /// Measures the cache misses, `(dataset index, user)` in dataset order,
+    /// each as a one-user cell of [`measure_cells`]: her own slice, under her
+    /// identity-keyed streams ([`derive_user_seed`]). Every unit writes its
+    /// samples straight into her placeholder row of `block` (her dataset
+    /// index), so no miss's samples are held anywhere else. Each row has
+    /// its own lock, so threads measuring different users never share one.
+    fn measure_misses(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
-        index: usize,
-        user: UserId,
         points: &[ConfigPoint],
-        metrics: usize,
-    ) -> Result<Vec<crate::cache::CachedSample>, CoreError> {
-        let slice = dataset.user_slice(index..index + 1)?;
-        let prepared: Vec<PreparedState> = system
-            .suite()
+        misses: &[(usize, UserId)],
+        block: &mut crate::cache::CacheBlock,
+    ) -> Result<(), CoreError> {
+        let slices: Vec<Dataset> = misses
             .iter()
-            .map(|m| m.prepare(&slice).map_err(CoreError::from))
+            .map(|&(index, _)| dataset.user_slice(index..index + 1))
             .collect::<Result<_, _>>()?;
-        let config = self.plan.config;
-        let mut row = Vec::with_capacity(points.len() * config.repetitions * metrics);
-        for (p, point) in points.iter().enumerate() {
-            let reps = measure_point(
-                system,
-                &slice,
-                &prepared,
-                point,
-                config.repetitions,
-                |repetition| derive_user_seed(config.seed, p, repetition, user),
-                |measured| crate::cache::CachedSample {
-                    value: measured.value(),
-                    weight: measured.evaluated_count() as u64,
-                    breakdown: measured.value_for(user),
-                },
-            )?;
-            row.extend(reps.into_iter().flatten());
-        }
-        Ok(row)
+        let master = self.plan.config.seed;
+        let seeds: Vec<_> = misses
+            .iter()
+            .map(|&(_, user)| {
+                move |p: usize, _: &ConfigPoint, repetition: usize| {
+                    derive_user_seed(master, p, repetition, user)
+                }
+            })
+            .collect();
+        let cells: Vec<Cell<'_>> = seeds
+            .iter()
+            .enumerate()
+            .map(|(dataset, seed)| Cell { system, dataset, points, seed })
+            .collect();
+        let mut rows: Vec<Option<&mut [crate::cache::CachedSample]>> =
+            block.rows_mut().map(Some).collect();
+        let rows: Vec<Mutex<&mut [crate::cache::CachedSample]>> = misses
+            .iter()
+            .map(|&(row, _)| rows.get_mut(row).and_then(Option::take).map(Mutex::new))
+            .collect::<Option<_>>()
+            .ok_or_else(|| CoreError::Internal {
+                reason: "a cache miss has no placeholder row".to_string(),
+            })?;
+        // Unit `i` is point `i mod P` of miss `i / P`; it fills `width`
+        // samples of her row from sample `(i mod P) · width`.
+        let place = |i: usize| Some((i.checked_div(points.len())?, i.checked_rem(points.len())?));
+        let width = self.plan.config.repetitions.saturating_mul(system.suite().len());
+        measure_cells(
+            &cells,
+            &slices,
+            self.plan.config.repetitions,
+            self.plan.config.parallel,
+            |i, measured| crate::cache::CachedSample {
+                value: measured.value(),
+                weight: measured.evaluated_count() as u64,
+                breakdown: place(i)
+                    .and_then(|(j, _)| misses.get(j))
+                    .and_then(|&(_, user)| measured.value_for(user)),
+            },
+            |i, samples| {
+                let fits = samples.iter().map(Vec::len).sum::<usize>() == width;
+                let written = place(i).and_then(|(j, p)| {
+                    let mut row = rows.get(j)?.lock();
+                    let start = p.checked_mul(width)?;
+                    let span = row.get_mut(start..start.checked_add(width)?)?;
+                    let samples = samples.into_iter().flatten();
+                    fits.then(|| span.iter_mut().zip(samples).for_each(|(at, s)| *at = s))
+                });
+                written.ok_or_else(|| CoreError::Internal {
+                    reason: format!("work unit {i} does not fit its cache row"),
+                })
+            },
+        )
     }
 
     fn suite_meta(system: &SystemDefinition) -> Vec<(MetricId, Direction)> {
@@ -1474,7 +1540,7 @@ impl ExperimentRunner {
     }
 
     /// Measures a batch of design points — the full enumeration of a one-shot
-    /// plan, or one batch of an adaptive plan — as one [`measure_cells`] cell
+    /// plan, or one batch of an adaptive plan — as one [`collect_cells`] cell
     /// over the dataset.
     fn measure_points(
         &self,
@@ -1483,7 +1549,7 @@ impl ExperimentRunner {
         points: &[ConfigPoint],
         seed: &SeedRule<'_>,
     ) -> Result<Vec<PointSamples>, CoreError> {
-        measure_cells(
+        collect_cells(
             &[Cell { system, dataset: 0, points, seed }],
             std::slice::from_ref(dataset),
             self.plan.config.repetitions,
@@ -1541,10 +1607,15 @@ impl ExperimentRunner {
             let modeler = crate::modeling::Modeler::new();
             let mut driving = vec![modeler.diagnose(&result, &fitted)?];
             if self.plan.grain == Grain::PerUser {
-                let per_user = modeler.fit_per_user(&result)?;
+                // The first round fits every user, later rounds only the
+                // survivors of the last.
                 let curves = UserCurves::new(&result);
-                let ranked =
-                    rank_uncertain_users(&result, &curves, &per_user, active_users.as_ref());
+                let users = active_users.map_or_else(|| result.users(), Vec::from_iter);
+                let fits = run_indexed(users.len(), self.plan.config.parallel, |i| {
+                    users.get(i).map(|&user| modeler.fit_user(&result, &curves, user))
+                })?;
+                let fits: Vec<_> = fits.into_iter().flatten().collect();
+                let ranked = rank_uncertain_users(&result, &curves, &fits);
                 let keep = ranked.len().div_ceil(2).min(ranked.len());
                 let survivors = ranked.get(..keep).unwrap_or_default();
                 for &(user, _, suite) in survivors {
@@ -1593,7 +1664,7 @@ impl ExperimentRunner {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let points: Vec<ConfigPoint> = measured.iter().map(|(p, _)| p.clone()).collect();
-        let per_point: Vec<PointSamples> = measured.iter().map(|(_, s)| s.clone()).collect();
+        let per_point: Vec<&PointSamples> = measured.iter().map(|(_, s)| s).collect();
         assemble_sweep(&self.plan, system, points, &per_point)
     }
 }
@@ -1638,24 +1709,21 @@ fn cache_signature(
     )
 }
 
-/// Ranks the users still worth refining for, most uncertain first (ties by
-/// user id for determinism), each with her uncertainty and her fitted suite.
-/// A user's uncertainty is the worst absolute residual of her own fitted
-/// models against her own measured curves (read from `curves`, an index of
-/// `result`'s); users whose [`crate::modeling::UserFitOutcome`] is `Unfit`
-/// (saturated or otherwise unmodelable) are early-stopped — no further
-/// evaluations are spent on them. `active` restricts ranking to the
-/// survivors of earlier halving rounds.
+/// Ranks the fitted users worth refining for, most uncertain first (ties by
+/// user id, a total order, so the order of `fits` does not matter), each
+/// with her uncertainty and her fitted suite. A user's uncertainty is the
+/// worst absolute residual of her own fitted models against her own
+/// measured curves (read from `curves`, an index of `result`'s); users
+/// whose [`crate::modeling::UserFitOutcome`] is `Unfit` (saturated or
+/// otherwise unmodelable) are early-stopped — no further evaluations are
+/// spent on them.
 fn rank_uncertain_users<'a>(
     result: &SweepResult,
     curves: &UserCurves<'_>,
-    per_user: &'a crate::modeling::PerUserFits,
-    active: Option<&BTreeSet<UserId>>,
+    fits: &'a [crate::modeling::UserFit],
 ) -> Vec<(UserId, f64, &'a crate::modeling::FittedSuite)> {
-    let mut ranked: Vec<(UserId, f64, &crate::modeling::FittedSuite)> = per_user
-        .users
+    let mut ranked: Vec<(UserId, f64, &crate::modeling::FittedSuite)> = fits
         .iter()
-        .filter(|fit| active.map_or(true, |active| active.contains(&fit.user)))
         .filter_map(|fit| {
             let suite = fit.outcome.fitted()?;
             let mut worst = 0.0f64;
@@ -2140,10 +2208,14 @@ mod tests {
 
     #[test]
     fn run_indexed_preserves_index_order_in_both_modes() {
-        let sequential = run_indexed(17, false, |i| i * i).unwrap();
-        let parallel = run_indexed(17, true, |i| i * i).unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        // 1,000 items let each thread claim runs of several indices, the
+        // last one cut short.
+        for count in [17, 1_000] {
+            let sequential = run_indexed(count, false, |i| i * i).unwrap();
+            let parallel = run_indexed(count, true, |i| i * i).unwrap();
+            assert_eq!(sequential, parallel);
+            assert_eq!(sequential, (0..count).map(|i| i * i).collect::<Vec<_>>());
+        }
         assert!(run_indexed(0, true, |i| i).unwrap().is_empty());
     }
 

@@ -632,7 +632,12 @@ impl Modeler {
     /// Fits every suite metric on one user's curves (`curves` indexes
     /// `sweep`'s); any failure becomes an [`UserFitOutcome::Unfit`] with the
     /// reason.
-    fn fit_user(&self, sweep: &SweepResult, curves: &UserCurves<'_>, user: UserId) -> UserFit {
+    pub(crate) fn fit_user(
+        &self,
+        sweep: &SweepResult,
+        curves: &UserCurves<'_>,
+        user: UserId,
+    ) -> UserFit {
         let mut models = Vec::with_capacity(sweep.columns.len());
         for column in &sweep.columns {
             let curve = curves.curve(&column.id, user);

@@ -60,7 +60,11 @@ fn warm_run_is_bit_identical_to_the_cold_run_that_populated_the_cache() {
 
     let warm = study(&dataset, &cache).unwrap();
     let warm_stats = warm.cache_stats().unwrap();
-    assert!(warm_stats.fully_warm(), "expected all hits: {warm_stats:?}");
+    assert_eq!(
+        (warm_stats.hits, warm_stats.misses),
+        (cold_stats.users, 0),
+        "expected all hits: {warm_stats:?}"
+    );
     assert_eq!(warm_stats.users, cold_stats.users);
 
     // Bit-identical, not merely close: columns, per-user curves, fits,
