@@ -123,8 +123,8 @@ impl CampaignRunner {
         Self { plan: SweepPlan::grid(config) }
     }
 
-    /// Creates a campaign runner with an explicit sweep plan (mode and
-    /// per-axis point counts), applied to every system.
+    /// Creates a campaign runner with an explicit sweep plan (mode, grain
+    /// and refinement budget), applied to every system.
     pub fn with_plan(plan: SweepPlan) -> Self {
         Self { plan }
     }

@@ -57,18 +57,6 @@ impl Recommendation {
         })
     }
 
-    /// The axis name of a one-axis recommendation (legacy 1-D accessor).
-    ///
-    /// # Panics
-    ///
-    /// Panics for multi-axis recommendations.
-    pub fn parameter_name(&self) -> &str {
-        match self.point.values() {
-            [(name, _)] => name,
-            values => panic!("recommendation spans {} axes; read .point instead", values.len()),
-        }
-    }
-
     /// The feasible interval of a one-axis recommendation (legacy 1-D
     /// accessor).
     ///
@@ -236,11 +224,14 @@ impl PerUserRecommendation {
     }
 }
 
+/// Candidates per axis of the multi-axis search. One-axis recommendations
+/// are analytic and take none.
+const SEARCH_RESOLUTION: usize = 25;
+
 /// Inverts fitted metric models to recommend a configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Configurator {
     fitted: FittedSuite,
-    resolution: usize,
 }
 
 impl Configurator {
@@ -248,16 +239,7 @@ impl Configurator {
     /// vs geometric midpoints, candidate spacing) come from the suite's
     /// [`geopriv_lppm::ConfigSpace`].
     pub fn new(fitted: FittedSuite) -> Self {
-        Self { fitted, resolution: 25 }
-    }
-
-    /// Sets the per-axis candidate resolution of the multi-axis search
-    /// (default 25; clamped to at least 2). One-axis recommendations are
-    /// analytic and ignore it.
-    #[must_use]
-    pub fn with_search_resolution(mut self, resolution: usize) -> Self {
-        self.resolution = resolution.max(2);
-        self
+        Self { fitted }
     }
 
     /// The underlying fitted suite.
@@ -285,44 +267,6 @@ impl Configurator {
         } else {
             Ok((critical.max(domain.0), domain.1))
         }
-    }
-
-    /// The per-axis locations of the constraint boundaries: for every
-    /// constrained metric with an invertible 1-D fit along an axis, the
-    /// parameter value where the fitted model meets the constraint's bound —
-    /// `(axis name, (boundary, boundary))` as a degenerate interval, the
-    /// format [`crate::experiment::SweepPlan::focus`] accepts.
-    ///
-    /// This is the feedback edge of the adaptive planning loop
-    /// ([`crate::experiment::SweepMode::Adaptive`]): a coarse fit's boundary
-    /// estimates go back into the plan, and refinement bisects the measured
-    /// gaps around them so the next fit pins the feasibility boundary down
-    /// more precisely. Metrics without an axis fit on a given axis (surface
-    /// responses) and non-invertible (flat) responses contribute nothing;
-    /// boundaries outside a model's fitted domain are dropped (they are
-    /// extrapolations, not boundaries the data saw).
-    ///
-    /// # Errors
-    ///
-    /// As [`Configurator::recommend`] for unknown metrics, invalid bounds or
-    /// an empty objective set.
-    pub fn constraint_boundaries(
-        &self,
-        objectives: &Objectives,
-    ) -> Result<Vec<crate::experiment::AxisInterval>, CoreError> {
-        let constrained = Self::constrained_models(&self.fitted, objectives)?;
-        let mut boundaries = Vec::new();
-        for axis in self.fitted.space.axes() {
-            for (_, constraint, model) in &constrained {
-                let Some(fit) = model.axis_fit(axis.name()) else { continue };
-                let Ok(critical) = fit.model.invert(constraint.bound()) else { continue };
-                let (lo, hi) = fit.model.domain();
-                if critical.is_finite() && critical >= lo && critical <= hi {
-                    boundaries.push((axis.name().to_string(), (critical, critical)));
-                }
-            }
-        }
-        Ok(boundaries)
     }
 
     /// Resolves and validates every constrained metric's model inside
@@ -362,7 +306,7 @@ impl Configurator {
     ///   region satisfies every constraint.
     /// * [`CoreError::Analysis`] when a model cannot be inverted.
     pub fn recommend(&self, objectives: &Objectives) -> Result<Recommendation, CoreError> {
-        Self::recommend_on(&self.fitted, self.resolution, objectives)
+        Self::recommend_on(&self.fitted, objectives)
     }
 
     /// [`Configurator::recommend`] over an arbitrary fitted suite — the
@@ -370,14 +314,13 @@ impl Configurator {
     /// per-user recommendation.
     fn recommend_on(
         fitted: &FittedSuite,
-        resolution: usize,
         objectives: &Objectives,
     ) -> Result<Recommendation, CoreError> {
         let constrained = Self::constrained_models(fitted, objectives)?;
         if fitted.space.single_axis().is_some() {
             Self::recommend_analytic(fitted, &constrained)
         } else {
-            Self::recommend_searched(fitted, resolution, &constrained)
+            Self::recommend_searched(fitted, &constrained)
         }
     }
 
@@ -504,7 +447,6 @@ impl Configurator {
     /// enumeration order).
     fn recommend_searched(
         fitted: &FittedSuite,
-        resolution: usize,
         constrained: &[(&MetricId, &Constraint, &MetricModel)],
     ) -> Result<Recommendation, CoreError> {
         let space = &fitted.space;
@@ -517,7 +459,7 @@ impl Configurator {
             .map(|axis| Self::candidate_axis(axis, constrained))
             .collect::<Result<_, _>>()?;
         let sub_space = ConfigSpace::new(sub_axes).map_err(CoreError::from)?;
-        let candidates = sub_space.grid(&vec![resolution; space.len()])?;
+        let candidates = sub_space.grid(&vec![SEARCH_RESOLUTION; space.len()])?;
         let total = candidates.len();
 
         let mut best: Option<(f64, ConfigPoint)> = None;
@@ -654,7 +596,7 @@ impl Configurator {
             }
             UserFitOutcome::Fitted(suite) => suite,
         };
-        match Self::recommend_on(suite, self.resolution, objectives) {
+        match Self::recommend_on(suite, objectives) {
             Ok(recommendation) => Ok(UserRecommendation {
                 user,
                 verdict: UserVerdict::Feasible,
@@ -807,7 +749,7 @@ mod tests {
     #[test]
     fn paper_objectives_yield_an_epsilon_near_0_01() {
         let recommendation = configurator().recommend(&Objectives::paper_example()).unwrap();
-        assert_eq!(recommendation.parameter_name(), "epsilon");
+        assert_eq!(recommendation.point.values()[0].0, "epsilon");
         // The paper picks 0.01; any epsilon satisfying both objectives lies
         // between ~0.009 (utility >= 0.8) and ~0.013 (privacy <= 0.1).
         assert!(
@@ -1057,47 +999,6 @@ mod tests {
         assert!(matches!(
             foreign.recommend_per_user(&per_user, &Objectives::paper_example()),
             Err(CoreError::InvalidConfiguration { .. })
-        ));
-    }
-
-    #[test]
-    fn search_resolution_is_configurable_and_clamped() {
-        let coarse = Configurator::new(grid_suite()).with_search_resolution(0);
-        let objectives = Objectives::new().require("poi-retrieval", at_most(0.5)).unwrap();
-        // Even the coarsest search (2 per axis) still recommends.
-        let recommendation = coarse.recommend(&objectives).unwrap();
-        assert!(at_most(0.5).is_satisfied_by(recommendation.predicted(&privacy_id()).unwrap()));
-    }
-
-    #[test]
-    fn constraint_boundaries_bracket_the_critical_parameters() {
-        let configurator = configurator();
-        let boundaries = configurator.constraint_boundaries(&Objectives::paper_example()).unwrap();
-        // One degenerate interval per (axis, constraint) pair whose critical
-        // value falls inside the modeled domain: privacy <= 0.10 crosses near
-        // epsilon ~ 0.013, utility >= 0.80 near epsilon ~ 0.011.
-        assert_eq!(boundaries.len(), 2);
-        for (axis, (lo, hi)) in &boundaries {
-            assert_eq!(axis, "epsilon");
-            assert_eq!(lo, hi, "boundary intervals are degenerate (a single crossing)");
-            assert!((0.005..0.02).contains(lo), "critical value {lo}");
-        }
-
-        // Constraints no model can cross inside its domain contribute
-        // nothing rather than erroring out: the privacy response saturates
-        // at 0.45, so an at-most-0.5 bound never crosses in the active zone.
-        let unreachable = Objectives::new()
-            .require(privacy_id(), at_most(0.5))
-            .and_then(|o| o.require(utility_id(), at_least(0.8)))
-            .unwrap();
-        let boundaries = configurator.constraint_boundaries(&unreachable).unwrap();
-        assert_eq!(boundaries.len(), 1);
-
-        // Unknown metrics are still typed errors.
-        let bogus = Objectives::new().require(MetricId::new("nope"), at_most(0.1)).unwrap();
-        assert!(matches!(
-            configurator.constraint_boundaries(&bogus),
-            Err(CoreError::UnknownMetric { .. })
         ));
     }
 }

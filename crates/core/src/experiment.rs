@@ -3,15 +3,16 @@
 //! "Then comes the modeling phase: experiments are automatically run where
 //! parameters p_i and d_i vary in turn while evaluation metrics are
 //! measured." [`ExperimentRunner`] sweeps the mechanism's whole
-//! [`ConfigSpace`] under a [`SweepPlan`] — a full-factorial grid with
-//! per-axis point counts, or the paper's one-at-a-time design ("parameters
-//! p_i … vary in turn", other axes held at their defaults) — protects the
-//! dataset at every design point (optionally several times with different
-//! seeds), evaluates every metric of the system's suite, and collects the
-//! resulting [`SweepResult`]: a design matrix of [`ConfigPoint`]s with one
-//! metric column per suite metric — the raw material behind Figure 1 and
-//! Equation 2, generalized from the paper's fixed privacy/utility pair and
-//! single swept scalar to any number of metrics over any number of axes.
+//! [`ConfigSpace`] under a [`SweepPlan`] — a full-factorial grid of
+//! `config.points` values per axis, or the paper's one-at-a-time design
+//! ("parameters p_i … vary in turn", other axes held at their defaults) —
+//! protects the dataset at every design point (optionally several times
+//! with different seeds), evaluates every metric of the system's suite, and
+//! collects the resulting [`SweepResult`]: a design matrix of
+//! [`ConfigPoint`]s with one metric column per suite metric — the raw
+//! material behind Figure 1 and Equation 2, generalized from the paper's
+//! fixed privacy/utility pair and single swept scalar to any number of
+//! metrics over any number of axes.
 
 use crate::error::CoreError;
 use crate::system::SystemDefinition;
@@ -30,8 +31,7 @@ use std::sync::Arc;
 /// Configuration of a parameter sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepConfig {
-    /// Number of sweep points per axis (Figure 1 uses ~25). Override
-    /// individual axes with [`SweepPlan::axis_points`].
+    /// Number of sweep points on every axis (Figure 1 uses ~25).
     pub points: usize,
     /// Number of protection/evaluation repetitions per design point; metric
     /// values are averaged to smooth out the randomness of the mechanism.
@@ -79,12 +79,11 @@ pub enum SweepMode {
     /// while the other axes are held at their defaults.
     OneAtATime,
     /// Staged evaluate→model→refine loop: a coarse full-factorial pass
-    /// (the plan's per-axis counts), then model-guided refinement of the
-    /// regions where the fit is still uncertain — constraint boundaries,
-    /// active-zone edges and worst-residual gaps — until the plan's
-    /// evaluation budget ([`SweepPlan::refine`]) is spent. The design
-    /// matrix is irregular: refined points interleave with the coarse grid
-    /// in coordinate order.
+    /// (`config.points` values per axis), then model-guided refinement of
+    /// the regions where the fit is still uncertain — active-zone edges and
+    /// worst-residual gaps — until the plan's evaluation budget
+    /// ([`SweepPlan::refine`]) is spent. The design matrix is irregular:
+    /// refined points interleave with the coarse grid in coordinate order.
     Adaptive,
 }
 
@@ -106,22 +105,17 @@ pub enum Grain {
     PerUser,
 }
 
-/// A named interval `(axis, (lo, hi))` on one configuration axis — the
-/// currency of the adaptive feedback loop: [`SweepPlan::focus`] consumes
-/// them and `Configurator::constraint_boundaries` produces them.
-pub type AxisInterval = (String, (f64, f64));
-
 /// The most evaluations a [`SweepPlan`] may ask for: its design points (the
 /// product of the per-axis counts on a grid, their sum one axis at a time)
-/// times the repetitions, plus any refinement budget. Each evaluation
-/// protects the whole dataset once, so 2²⁴ of them is far beyond any study
-/// that finishes; a plan above the cap, or one whose size overflows, is
-/// rejected before anything is enumerated or allocated.
+/// times the repetitions, plus an adaptive plan's refinement budget. Each
+/// evaluation protects the whole dataset once, so 2²⁴ of them is far beyond
+/// any study that finishes; a plan above the cap, or one whose size
+/// overflows, is rejected before anything is enumerated or allocated.
 pub const MAX_DESIGN_SIZE: usize = 1 << 24;
 
 /// The full description of a sweep: base [`SweepConfig`], enumeration
-/// [`SweepMode`], measurement [`Grain`] and optional per-axis point-count
-/// overrides.
+/// [`SweepMode`], measurement [`Grain`], and the optional refinement budget
+/// ([`SweepPlan::refine`]) and measurement cache ([`SweepPlan::cached`]).
 ///
 /// On a one-axis space both modes enumerate exactly
 /// [`ParameterDescriptor::sweep`]`(config.points)` in order — the historical
@@ -134,9 +128,7 @@ pub struct SweepPlan {
     pub mode: SweepMode,
     /// Whether per-user curves are recorded alongside the dataset means.
     pub grain: Grain,
-    per_axis: Vec<(String, usize)>,
     refine_budget: Option<usize>,
-    focus: Vec<AxisInterval>,
     cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -147,9 +139,7 @@ impl SweepPlan {
             config,
             mode: SweepMode::Grid,
             grain: Grain::Dataset,
-            per_axis: Vec::new(),
             refine_budget: None,
-            focus: Vec::new(),
             cache_dir: None,
         }
     }
@@ -164,13 +154,6 @@ impl SweepPlan {
     /// Equivalent to `SweepPlan::grid(config).refine(budget)`.
     pub fn adaptive(config: SweepConfig, budget: usize) -> Self {
         Self::grid(config).refine(budget)
-    }
-
-    /// Overrides the point count of one named axis (later calls win).
-    #[must_use]
-    pub fn axis_points(mut self, axis: impl Into<String>, points: usize) -> Self {
-        self.per_axis.push((axis.into(), points));
-        self
     }
 
     /// Records per-user curves ([`Grain::PerUser`]) alongside the dataset
@@ -237,75 +220,17 @@ impl SweepPlan {
         self
     }
 
-    /// Asks adaptive refinement to prioritize the interval `[lo, hi]` of one
-    /// named axis — the hook the [`crate::configurator::Configurator`] uses
-    /// to feed constraint boundaries
-    /// ([`crate::configurator::Configurator::constraint_boundaries`]) back
-    /// into planning. A degenerate interval (`lo == hi`) marks a single
-    /// boundary location; the planner bisects the widest measured gap
-    /// overlapping each focus interval first.
-    #[must_use]
-    pub fn focus(mut self, axis: impl Into<String>, lo: f64, hi: f64) -> Self {
-        self.focus.push((axis.into(), (lo, hi)));
-        self
-    }
-
-    /// The focus intervals refinement prioritizes, in insertion order.
-    pub fn focus_intervals(&self) -> &[AxisInterval] {
-        &self.focus
-    }
-
-    /// The per-axis point counts this plan assigns to `space`, in axis order.
+    /// The per-axis point counts this plan assigns to `space`, in axis order:
+    /// `config.points` on every axis.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid base
-    /// config, an override naming no axis of the space, an override below
-    /// 2 points, or a design larger than [`MAX_DESIGN_SIZE`].
+    /// config or a design larger than [`MAX_DESIGN_SIZE`]. Only an adaptive
+    /// plan counts its refinement budget: the other modes never refine.
     pub fn counts(&self, space: &ConfigSpace) -> Result<Vec<usize>, CoreError> {
         self.config.validate()?;
-        for (name, points) in &self.per_axis {
-            if space.axis(name).is_none() {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: format!(
-                        "axis-points override names \"{name}\", which is not an axis of the \
-                         space ({})",
-                        space.names().join(", ")
-                    ),
-                });
-            }
-            if *points < 2 {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: format!("axis \"{name}\" needs at least 2 points, got {points}"),
-                });
-            }
-        }
-        for (name, (lo, hi)) in &self.focus {
-            if space.axis(name).is_none() {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: format!(
-                        "focus interval names \"{name}\", which is not an axis of the space ({})",
-                        space.names().join(", ")
-                    ),
-                });
-            }
-            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-                return Err(CoreError::InvalidConfiguration {
-                    reason: format!("focus interval [{lo}, {hi}] on \"{name}\" is not ordered"),
-                });
-            }
-        }
-        let counts: Vec<usize> = space
-            .names()
-            .iter()
-            .map(|name| {
-                self.per_axis
-                    .iter()
-                    .rev()
-                    .find(|(n, _)| n == name)
-                    .map_or(self.config.points, |(_, p)| *p)
-            })
-            .collect();
+        let counts = vec![self.config.points; space.len()];
         // Design points: the product of the counts on a grid (and an
         // adaptive coarse pass), their sum one axis at a time.
         let points = match self.mode {
@@ -316,17 +241,20 @@ impl SweepPlan {
                 counts.iter().try_fold(0usize, |n, &count| n.checked_add(count))
             }
         };
+        let budget = match self.mode {
+            SweepMode::Adaptive => self.refine_budget.unwrap_or(0),
+            SweepMode::Grid | SweepMode::OneAtATime => 0,
+        };
         let size = points
             .and_then(|points| points.checked_mul(self.config.repetitions))
-            .and_then(|size| size.checked_add(self.refine_budget.unwrap_or(0)));
+            .and_then(|size| size.checked_add(budget));
         match size {
             Some(size) if size <= MAX_DESIGN_SIZE => Ok(counts),
             _ => Err(CoreError::InvalidConfiguration {
                 reason: format!(
                     "the design ({counts:?} points per axis, {} repetitions, refinement budget \
-                     {}) exceeds the cap of {MAX_DESIGN_SIZE} evaluations",
+                     {budget}) exceeds the cap of {MAX_DESIGN_SIZE} evaluations",
                     self.config.repetitions,
-                    self.refine_budget.unwrap_or(0),
                 ),
             }),
         }
@@ -672,15 +600,15 @@ pub fn derive_unit_seed(master_seed: u64, point_index: usize, repetition: usize)
 /// Adaptive refinement discovers points incrementally, so a positional seed
 /// ([`derive_unit_seed`]) would tie a point's random stream to the order the
 /// planner happened to propose it in — any change to the refinement schedule
-/// (a different budget, an extra focus interval) would perturb measurements
-/// at points both schedules visit. Keying the seed on the point's stable
-/// coordinate token ([`geopriv_lppm::ConfigPoint::cache_token`], an
-/// axis-ordered full-precision rendering of its coordinates) makes each
-/// refined point's measurement a pure function of `(master seed, point,
-/// repetition)`: two adaptive runs that visit the same point measure the
-/// identical value no matter when they visit it. The token is hashed with
-/// FNV-1a (a fixed, platform-independent function — never the standard
-/// library's randomized hasher).
+/// (a different budget, say) would perturb measurements at points both
+/// schedules visit. Keying the seed on the point's stable coordinate token
+/// ([`geopriv_lppm::ConfigPoint::cache_token`], an axis-ordered
+/// full-precision rendering of its coordinates) makes each refined point's
+/// measurement a pure function of `(master seed, point, repetition)`: two
+/// adaptive runs that visit the same point measure the identical value no
+/// matter when they visit it. The token is hashed with FNV-1a (a fixed,
+/// platform-independent function — never the standard library's randomized
+/// hasher).
 ///
 /// Grid and one-at-a-time sweeps keep the historical positional contract;
 /// the coarse pass of an adaptive sweep does too, which is what makes a
@@ -1201,47 +1129,6 @@ impl SweepResult {
         self.points.iter().map(|p| p.get(axis)).collect()
     }
 
-    /// The single axis of a one-axis sweep, or `None` for multi-axis sweeps.
-    pub fn single_axis(&self) -> Option<&ParameterDescriptor> {
-        self.space.single_axis()
-    }
-
-    /// The swept scalar values of a one-axis sweep (legacy 1-D accessor).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sweep covers more than one axis — use
-    /// [`SweepResult::axis_values`] there, or [`SweepResult::try_parameters`]
-    /// for the non-panicking form.
-    pub fn parameters(&self) -> Vec<f64> {
-        // audit:allow(P1): documented panicking legacy accessor; try_parameters is the typed form
-        self.try_parameters().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The swept scalar values of a one-axis sweep, as a typed error instead
-    /// of a panic when the sweep covers more than one axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfiguration`] for a multi-axis sweep,
-    /// [`CoreError::Internal`] if a design point lacks the axis (a store
-    /// invariant the validating constructors rule out).
-    pub fn try_parameters(&self) -> Result<Vec<f64>, CoreError> {
-        let Some(axis) = self.single_axis() else {
-            return Err(CoreError::InvalidConfiguration {
-                reason: format!(
-                    "sweep covers {} axes ({}); use axis_values() instead of parameters()",
-                    self.space.len(),
-                    self.space.names().join(", ")
-                ),
-            });
-        };
-        let name = axis.name().to_string();
-        self.axis_values(&name).ok_or_else(|| CoreError::Internal {
-            reason: format!("a design point lacks the sweep's single axis \"{name}\""),
-        })
-    }
-
     /// The metric ids, in suite order.
     pub fn ids(&self) -> Vec<MetricId> {
         self.columns.iter().map(|c| c.id.clone()).collect()
@@ -1295,8 +1182,8 @@ impl ExperimentRunner {
         Self { plan: SweepPlan::grid(config) }
     }
 
-    /// Creates a runner with an explicit [`SweepPlan`] (mode and per-axis
-    /// point counts).
+    /// Creates a runner with an explicit [`SweepPlan`] (mode, grain,
+    /// refinement budget and cache).
     pub fn with_plan(plan: SweepPlan) -> Self {
         Self { plan }
     }
@@ -1567,10 +1454,9 @@ impl ExperimentRunner {
     ///    diagnose it ([`crate::modeling::Modeler::diagnose`]): residuals,
     ///    active-zone edges, worst-fit points.
     /// 3. **Refine** — propose new points where the model is least certain
-    ///    (focus intervals first, then zone-edge bisection, then
-    ///    worst-residual gaps), measure them under point-identity seeds
-    ///    ([`derive_point_seed`]) and loop until the budget is spent or no
-    ///    candidate remains.
+    ///    (zone-edge bisection first, then worst-residual gaps), measure
+    ///    them under point-identity seeds ([`derive_point_seed`]) and loop
+    ///    until the budget is spent or no candidate remains.
     ///
     /// At [`Grain::PerUser`] the loop applies successive halving across
     /// users: each round refits the per-user models, early-stops users whose
@@ -1625,14 +1511,7 @@ impl ExperimentRunner {
             }
             let per_round =
                 remaining.min((2 * space.len()).max(4) + 2 * driving.len().saturating_sub(1));
-            let candidates = plan_refinement(
-                &space,
-                &result,
-                &driving,
-                self.plan.focus_intervals(),
-                &mut seen,
-                per_round,
-            )?;
+            let candidates = plan_refinement(&space, &result, &driving, &mut seen, per_round)?;
             if candidates.is_empty() {
                 break;
             }
@@ -1760,17 +1639,13 @@ fn gap_width(scale: ParameterScale, a: f64, b: f64) -> f64 {
 }
 
 /// Proposes the next batch of refinement points, most valuable first, from
-/// three sources in priority order:
+/// two sources in priority order:
 ///
-/// 1. **Focus intervals** ([`SweepPlan::focus`], typically constraint
-///    boundaries from
-///    [`crate::configurator::Configurator::constraint_boundaries`]): bisect
-///    the widest measured gap overlapping each interval.
-/// 2. **Active-zone edges** (from [`crate::modeling::FitDiagnostics`], the
+/// 1. **Active-zone edges** (from [`crate::modeling::FitDiagnostics`], the
 ///    dataset suite first, then per-user suites most-uncertain-first):
 ///    bisect between each zone edge and its nearest measured neighbor
 ///    outside the zone — the bracket holding the saturation knee.
-/// 3. **Worst residuals**: at each metric's worst-fit point, bisect toward
+/// 2. **Worst residuals**: at each metric's worst-fit point, bisect toward
 ///    the neighbor on the wider-gap side of every axis.
 ///
 /// Pure and deterministic: candidates depend only on the measurements and
@@ -1781,7 +1656,6 @@ fn plan_refinement(
     space: &ConfigSpace,
     result: &SweepResult,
     driving: &[crate::modeling::FitDiagnostics],
-    focus: &[AxisInterval],
     seen: &mut std::collections::BTreeSet<String>,
     limit: usize,
 ) -> Result<Vec<ConfigPoint>, CoreError> {
@@ -1826,27 +1700,7 @@ fn plan_refinement(
         })
         .unwrap_or_else(|| axes.iter().map(ParameterDescriptor::default_value).collect());
 
-    // 1. Constraint-boundary focus intervals.
-    for (name, (lo, hi)) in focus {
-        let Some(i) = axes.iter().position(|a| a.name() == name) else { continue };
-        let (Some(axis), Some(values)) = (axes.get(i), unique.get(i)) else { continue };
-        let widest = values
-            .windows(2)
-            .filter_map(|w| match w {
-                [a, b] if *b >= *lo && *a <= *hi => Some((*a, *b)),
-                _ => None,
-            })
-            .map(|(a, b)| (gap_width(axis.scale(), a, b), a, b))
-            .max_by(|a, b| a.0.total_cmp(&b.0));
-        if let Some((_, a, b)) = widest {
-            let mut coords = base.clone();
-            let Some(slot) = coords.get_mut(i) else { continue };
-            *slot = scale_midpoint(axis.scale(), a, b);
-            push(&coords, &mut candidates, seen)?;
-        }
-    }
-
-    // 2. Active-zone edge bisection.
+    // 1. Active-zone edge bisection.
     for diag in driving {
         for metric in &diag.metrics {
             for (name, (zone_lo, zone_hi)) in &metric.zone_edges {
@@ -1864,7 +1718,7 @@ fn plan_refinement(
         }
     }
 
-    // 3. Worst-residual gaps.
+    // 2. Worst-residual gaps.
     for diag in driving {
         for metric in &diag.metrics {
             if metric.residuals.is_empty() {
@@ -1962,15 +1816,8 @@ mod tests {
         let space = composed_system().space();
         let plan = SweepPlan::grid(small_config());
         assert_eq!(plan.counts(&space).unwrap(), vec![6, 6]);
-        let plan = plan.axis_points("cell_size", 3);
-        assert_eq!(plan.counts(&space).unwrap(), vec![6, 3]);
-        // Later overrides win.
-        let plan = plan.axis_points("cell_size", 4);
-        assert_eq!(plan.counts(&space).unwrap(), vec![6, 4]);
-        assert_eq!(plan.enumerate(&space).unwrap().len(), 24);
-        // Unknown axis and degenerate counts are typed errors.
-        assert!(SweepPlan::grid(small_config()).axis_points("sigma", 5).counts(&space).is_err());
-        assert!(SweepPlan::grid(small_config()).axis_points("epsilon", 1).counts(&space).is_err());
+        assert_eq!(plan.enumerate(&space).unwrap().len(), 36);
+        // Degenerate counts are typed errors.
         assert!(SweepPlan::grid(SweepConfig { points: 0, ..small_config() })
             .counts(&space)
             .is_err());
@@ -1982,8 +1829,10 @@ mod tests {
             ConfigSpace::new((0..n).map(|i| epsilon_axis().with_name(format!("axis{i}"))).collect())
                 .unwrap()
         };
-        let plan = |base: SweepPlan, space: &ConfigSpace, points: usize| {
-            space.names().iter().fold(base, |plan, name| plan.axis_points(*name, points))
+        let sized = |points: usize, repetitions: usize| SweepConfig {
+            points,
+            repetitions,
+            ..small_config()
         };
         let rejected = |result: Result<Vec<usize>, CoreError>| {
             matches!(result, Err(CoreError::InvalidConfiguration { .. }))
@@ -1992,7 +1841,7 @@ mod tests {
         // is enumerated, so the 2⁴⁰-point axis never asks for its 8 TB.
         for (n, points) in [(4, 1 << 16), (3, 1 << 21), (1, 1usize << 40)] {
             let space = axes(n);
-            let plan = plan(SweepPlan::grid(small_config()), &space, points);
+            let plan = SweepPlan::grid(sized(points, 1));
             assert!(rejected(plan.counts(&space)), "{n} axes of {points}");
             assert!(plan.enumerate(&space).is_err(), "{n} axes of {points}");
         }
@@ -2000,14 +1849,19 @@ mod tests {
         // refinement budget. Only `counts` runs here, so nothing is
         // enumerated.
         let space = axes(2);
-        let at_cap = |reps: usize| SweepConfig { repetitions: reps, ..small_config() };
-        assert!(plan(SweepPlan::grid(at_cap(4)), &space, 1 << 11).counts(&space).is_ok());
-        assert!(rejected(plan(SweepPlan::grid(at_cap(5)), &space, 1 << 11).counts(&space)));
-        assert!(rejected(plan(SweepPlan::adaptive(at_cap(4), 1), &space, 1 << 11).counts(&space)));
+        assert!(SweepPlan::grid(sized(1 << 11, 4)).counts(&space).is_ok());
+        assert!(rejected(SweepPlan::grid(sized(1 << 11, 5)).counts(&space)));
+        assert!(rejected(SweepPlan::adaptive(sized(1 << 11, 4), 1).counts(&space)));
         // One axis at a time measures the sum of the counts, not the product.
-        let one_at_a_time = SweepPlan::one_at_a_time(at_cap(1));
-        assert!(plan(one_at_a_time.clone(), &space, MAX_DESIGN_SIZE / 2).counts(&space).is_ok());
-        assert!(rejected(plan(one_at_a_time, &space, MAX_DESIGN_SIZE / 2 + 1).counts(&space)));
+        let half = MAX_DESIGN_SIZE / 2;
+        assert!(SweepPlan::one_at_a_time(sized(half, 1)).counts(&space).is_ok());
+        assert!(rejected(SweepPlan::one_at_a_time(sized(half + 1, 1)).counts(&space)));
+        // Only an adaptive plan refines, so a budget left behind by `refine`
+        // does not count once the mode changes.
+        let mut refined = SweepPlan::adaptive(small_config(), MAX_DESIGN_SIZE);
+        assert!(rejected(refined.counts(&space)));
+        refined.mode = SweepMode::OneAtATime;
+        assert_eq!(refined.counts(&space).unwrap(), vec![6, 6]);
     }
 
     #[test]
@@ -2029,13 +1883,12 @@ mod tests {
 
         // Parameters are sorted and span exactly the paper's range: the sweep
         // pins both endpoints, no floating-point drift tolerated.
-        let parameters = result.parameters();
+        let parameters = result.axis_values("epsilon").unwrap();
         assert!(parameters.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(parameters[0], 1e-4);
         assert_eq!(*parameters.last().unwrap(), 1.0);
-        assert_eq!(result.axis_values("epsilon").unwrap(), parameters);
         assert!(result.axis_values("sigma").is_none());
-        assert_eq!(result.single_axis().unwrap().name(), "epsilon");
+        assert_eq!(result.space.single_axis().unwrap().name(), "epsilon");
 
         // Metrics are bounded.
         for column in &result.columns {
@@ -2379,17 +2232,48 @@ mod tests {
     }
 
     #[test]
-    fn focus_intervals_are_validated() {
-        let space = composed_system().space();
-        let ok = SweepPlan::adaptive(small_config(), 20).focus("epsilon", 0.01, 0.1);
-        assert!(ok.counts(&space).is_ok());
-        assert_eq!(ok.focus_intervals().len(), 1);
-        let unknown = SweepPlan::adaptive(small_config(), 20).focus("sigma", 0.01, 0.1);
-        assert!(unknown.counts(&space).is_err());
-        let inverted = SweepPlan::adaptive(small_config(), 20).focus("epsilon", 0.1, 0.01);
-        assert!(inverted.counts(&space).is_err());
-        let non_finite = SweepPlan::adaptive(small_config(), 20).focus("epsilon", f64::NAN, 0.1);
-        assert!(non_finite.counts(&space).is_err());
+    fn refinement_bisects_zone_edges_before_the_worst_residual_gap() {
+        use crate::modeling::{FitDiagnostics, MetricDiagnostics};
+        let measured = [1e-4, 1e-3, 1e-2, 1e-1, 1.0];
+        let column = MetricColumn {
+            id: privacy_id(),
+            direction: Direction::LowerIsBetter,
+            means: vec![0.0; measured.len()],
+            runs: Vec::new(),
+        };
+        let sweep = SweepResult::from_axis("m", epsilon_axis(), &measured, vec![column]).unwrap();
+        // A fit whose active zone is [1e-3, 1e-1] and whose worst residual
+        // sits at `measured[worst]`.
+        let diagnostics = |worst: usize| FitDiagnostics {
+            metrics: vec![MetricDiagnostics {
+                id: privacy_id(),
+                residuals: (0..measured.len())
+                    .map(|i| if i == worst { 0.3 } else { 0.0 })
+                    .collect(),
+                worst_point: worst,
+                zone_edges: vec![("epsilon".to_string(), (1e-3, 1e-1))],
+            }],
+        };
+        let propose = |worst: usize, seen: &mut BTreeSet<String>, limit: usize| {
+            let batch = plan_refinement(&sweep.space, &sweep, &[diagnostics(worst)], seen, limit);
+            batch.unwrap().iter().map(ConfigPoint::coords).collect::<Vec<_>>()
+        };
+        let mid = |a: f64, b: f64| vec![scale_midpoint(ParameterScale::Logarithmic, a, b)];
+
+        // Each zone edge is bisected toward its nearest measured value
+        // outside the zone, then the worst point toward its wider gap (equal
+        // gaps go left).
+        let mut seen = BTreeSet::new();
+        let first = vec![mid(1e-4, 1e-3), mid(1e-1, 1.0), mid(1e-3, 1e-2)];
+        assert_eq!(propose(2, &mut seen, 10), first);
+        // A later round that shares `seen` proposes only what it lacks.
+        assert_eq!(propose(3, &mut seen, 10), vec![mid(1e-2, 1e-1)]);
+        assert!(propose(3, &mut seen, 10).is_empty());
+
+        // `limit` caps a batch; what it cut off comes in the next one.
+        let mut seen = BTreeSet::new();
+        assert_eq!(propose(2, &mut seen, 2), first[..2]);
+        assert_eq!(propose(2, &mut seen, 2), first[2..]);
     }
 
     #[test]

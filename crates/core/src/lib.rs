@@ -79,9 +79,8 @@ pub use configurator::{
 };
 pub use error::CoreError;
 pub use experiment::{
-    derive_point_seed, derive_unit_seed, derive_user_seed, AxisInterval, CachedSweep,
-    ExperimentRunner, Grain, MetricColumn, SweepConfig, SweepMode, SweepPlan, SweepResult,
-    UserColumn,
+    derive_point_seed, derive_unit_seed, derive_user_seed, CachedSweep, ExperimentRunner, Grain,
+    MetricColumn, SweepConfig, SweepMode, SweepPlan, SweepResult, UserColumn,
 };
 pub use json::JsonValue;
 pub use modeling::{

@@ -258,17 +258,6 @@ impl MetricModel {
         }
     }
 
-    /// The 1-D fit along one named axis: the whole fit of a matching
-    /// single-axis response, or the matching per-axis leg of a one-at-a-time
-    /// response. `None` for surfaces and unknown axes.
-    pub fn axis_fit(&self, axis: &str) -> Option<&AxisFit> {
-        match &self.response {
-            MetricResponse::Axis(fit) => (fit.axis == axis).then_some(fit),
-            MetricResponse::PerAxis(fits) => fits.iter().find(|f| f.axis == axis).map(|f| &f.fit),
-            MetricResponse::Surface(_) => None,
-        }
-    }
-
     /// Predicted metric value at a configuration point.
     ///
     /// For one-at-a-time responses the prediction combines the per-axis fits
@@ -684,7 +673,7 @@ impl Modeler {
         means: &[f64],
         id: &MetricId,
     ) -> Result<MetricResponse, CoreError> {
-        if let Some(axis) = sweep.single_axis() {
+        if let Some(axis) = sweep.space.single_axis() {
             let name = axis.name().to_string();
             let parameters = sweep.axis_values(&name).ok_or_else(|| CoreError::Internal {
                 reason: format!("a design point lacks the sweep's single axis \"{name}\""),
@@ -1116,8 +1105,7 @@ mod tests {
         let model = fitted.model(&privacy_id()).unwrap();
         let point = sweep.space.point(&[("epsilon", 0.01)]).unwrap();
         assert_eq!(model.predict(&point).unwrap(), p.predict(0.01));
-        assert_eq!(model.axis_fit("epsilon").unwrap().axis, "epsilon");
-        assert!(model.axis_fit("sigma").is_none());
+        assert_eq!(model.axis().unwrap().axis, "epsilon");
     }
 
     #[test]
@@ -1246,7 +1234,6 @@ mod tests {
         assert!((model.predict(&point).unwrap() - expected).abs() < 1e-9);
         assert!(model.in_zone(&point));
         assert!(model.axis().is_none());
-        assert!(model.axis_fit("epsilon").is_none());
         // Foreign points are typed errors.
         let foreign =
             geopriv_lppm::ConfigSpace::single(epsilon_axis()).point(&[("epsilon", 0.01)]).unwrap();
@@ -1455,6 +1442,5 @@ mod tests {
         let point = space.point(&[("epsilon", 0.05), ("cell_size", 200.0)]).unwrap();
         let expected = 0.9 + 0.05 * 0.05f64.ln() - 0.04 * 200.0f64.ln();
         assert!((model.predict(&point).unwrap() - expected).abs() < 1e-6);
-        assert!(model.axis_fit("cell_size").is_some());
     }
 }

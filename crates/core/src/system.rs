@@ -26,11 +26,10 @@ use geopriv_metrics::{AreaCoverage, Metric, MetricSuite, PoiRetrieval, SuiteMetr
 ///
 /// The framework sweeps the whole [`ConfigSpace`] — one axis for the paper's
 /// GEO-I ε, several for multi-parameter mechanisms or composed pipelines
-/// (grid or one-at-a-time, see [`crate::experiment::SweepPlan`]).
-///
-/// Single-parameter factories keep the historical scalar API for free:
-/// [`LppmFactory::parameter`] and the scalar [`LppmFactory::instantiate`]
-/// are provided shims over the one-axis space.
+/// (grid or one-at-a-time, see [`crate::experiment::SweepPlan`]). A
+/// single-parameter factory is the one-axis case: its value is the
+/// one-coordinate [`ConfigPoint`] of its space
+/// ([`ConfigSpace::point_from_coords`]).
 pub trait LppmFactory: Send + Sync {
     /// Name of the mechanism family (e.g. `"geo-indistinguishability"`).
     fn name(&self) -> &str;
@@ -46,49 +45,6 @@ pub trait LppmFactory: Send + Sync {
     /// Returns [`CoreError::InvalidConfiguration`] for points that do not
     /// belong to the factory's space.
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError>;
-
-    /// The swept parameter of a single-axis factory (legacy 1-D accessor).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the factory exposes more than one axis — use
-    /// [`LppmFactory::space`] there.
-    fn parameter(&self) -> ParameterDescriptor {
-        let space = self.space();
-        space
-            .single_axis()
-            .unwrap_or_else(|| {
-                panic!(
-                    "factory \"{}\" sweeps {} axes; use space() instead of parameter()",
-                    self.name(),
-                    space.len()
-                )
-            })
-            .clone()
-    }
-
-    /// Instantiates a single-axis factory's mechanism for a scalar parameter
-    /// value (legacy 1-D shim over [`LppmFactory::instantiate_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfiguration`] for values outside the
-    /// parameter's valid range, or when the factory exposes more than one
-    /// axis.
-    fn instantiate(&self, value: f64) -> Result<Box<dyn Lppm>, CoreError> {
-        let space = self.space();
-        if space.single_axis().is_none() {
-            return Err(CoreError::InvalidConfiguration {
-                reason: format!(
-                    "factory \"{}\" sweeps {} axes; instantiate it at a ConfigPoint",
-                    self.name(),
-                    space.len()
-                ),
-            });
-        }
-        let point = space.point_from_coords(&[value]).map_err(CoreError::from)?;
-        self.instantiate_at(&point)
-    }
 }
 
 /// Factory for [`GeoIndistinguishability`] swept over ε.
@@ -423,17 +379,6 @@ impl SystemDefinition {
         self.factory.space()
     }
 
-    /// The swept parameter descriptor of a single-axis system (shortcut for
-    /// `factory().parameter()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the system sweeps more than one axis — use
-    /// [`SystemDefinition::space`] there.
-    pub fn parameter(&self) -> ParameterDescriptor {
-        self.factory.parameter()
-    }
-
     /// A stable key identifying this system's full configuration: mechanism
     /// family, the configuration space (every axis's range/scale) and every
     /// metric configuration, in suite order.
@@ -469,25 +414,35 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The one axis of a single-parameter factory.
+    fn axis(factory: &dyn LppmFactory) -> ParameterDescriptor {
+        factory.space().single_axis().expect("a single-parameter factory").clone()
+    }
+
+    /// Instantiates a single-parameter factory at `value`.
+    fn instantiate(factory: &dyn LppmFactory, value: f64) -> Result<Box<dyn Lppm>, CoreError> {
+        factory.instantiate_at(&factory.space().point_from_coords(&[value])?)
+    }
+
     #[test]
     fn geoi_factory_instantiates_across_its_range() {
         let factory = GeoIndistinguishabilityFactory::new();
         assert_eq!(factory.name(), "geo-indistinguishability");
-        let descriptor = factory.parameter();
+        let descriptor = axis(&factory);
         assert_eq!(descriptor.name(), "epsilon");
         assert_eq!(descriptor.scale(), ParameterScale::Logarithmic);
         for value in descriptor.sweep(7) {
-            let lppm = factory.instantiate(value).unwrap();
+            let lppm = instantiate(&factory, value).unwrap();
             assert_eq!(lppm.name(), "geo-indistinguishability");
         }
-        assert!(factory.instantiate(0.0).is_err());
-        assert!(factory.instantiate(-1.0).is_err());
+        assert!(instantiate(&factory, 0.0).is_err());
+        assert!(instantiate(&factory, -1.0).is_err());
     }
 
     #[test]
     fn geoi_factory_custom_range() {
         let factory = GeoIndistinguishabilityFactory::with_range(0.001, 0.1).unwrap();
-        let d = factory.parameter();
+        let d = axis(&factory);
         assert_eq!(d.min(), 0.001);
         assert_eq!(d.max(), 0.1);
         assert!(GeoIndistinguishabilityFactory::with_range(0.1, 0.001).is_err());
@@ -497,14 +452,14 @@ mod tests {
     #[test]
     fn other_factories_instantiate() {
         let cloaking = GridCloakingFactory::new();
-        assert!(cloaking.instantiate(500.0).is_ok());
-        assert!(cloaking.instantiate(0.0).is_err());
-        assert_eq!(cloaking.parameter().name(), "cell_size");
+        assert!(instantiate(&cloaking, 500.0).is_ok());
+        assert!(instantiate(&cloaking, 0.0).is_err());
+        assert_eq!(axis(&cloaking).name(), "cell_size");
 
         let gaussian = GaussianPerturbationFactory::new();
-        assert!(gaussian.instantiate(100.0).is_ok());
-        assert!(gaussian.instantiate(-1.0).is_err());
-        assert_eq!(gaussian.parameter().name(), "sigma");
+        assert!(instantiate(&gaussian, 100.0).is_ok());
+        assert!(instantiate(&gaussian, -1.0).is_err());
+        assert_eq!(axis(&gaussian).name(), "sigma");
     }
 
     #[test]
@@ -512,18 +467,18 @@ mod tests {
         // The API-consistency satellite: with_range exists on all three
         // single-axis factories, with identical validation behavior.
         let cloaking = GridCloakingFactory::with_range(100.0, 1000.0).unwrap();
-        assert_eq!((cloaking.parameter().min(), cloaking.parameter().max()), (100.0, 1000.0));
-        assert_eq!(cloaking.parameter().scale(), ParameterScale::Logarithmic);
-        // The scalar shim now enforces the configured range uniformly.
-        assert!(cloaking.instantiate(500.0).is_ok());
-        assert!(cloaking.instantiate(50.0).is_err());
+        assert_eq!((axis(&cloaking).min(), axis(&cloaking).max()), (100.0, 1000.0));
+        assert_eq!(axis(&cloaking).scale(), ParameterScale::Logarithmic);
+        // Instantiation enforces the configured range uniformly.
+        assert!(instantiate(&cloaking, 500.0).is_ok());
+        assert!(instantiate(&cloaking, 50.0).is_err());
         assert!(GridCloakingFactory::with_range(1000.0, 100.0).is_err());
         assert!(GridCloakingFactory::with_range(0.0, 100.0).is_err());
 
         let gaussian = GaussianPerturbationFactory::with_range(10.0, 200.0).unwrap();
-        assert_eq!((gaussian.parameter().min(), gaussian.parameter().max()), (10.0, 200.0));
-        assert!(gaussian.instantiate(100.0).is_ok());
-        assert!(gaussian.instantiate(1000.0).is_err());
+        assert_eq!((axis(&gaussian).min(), axis(&gaussian).max()), (10.0, 200.0));
+        assert!(instantiate(&gaussian, 100.0).is_ok());
+        assert!(instantiate(&gaussian, 1000.0).is_err());
         assert!(GaussianPerturbationFactory::with_range(200.0, 10.0).is_err());
     }
 
@@ -550,8 +505,6 @@ mod tests {
             .point(&[("epsilon", 0.01)])
             .unwrap();
         assert!(factory.instantiate_at(&foreign).is_err());
-        // Multi-axis factories reject the scalar shim with a typed error.
-        assert!(matches!(factory.instantiate(0.01), Err(CoreError::InvalidConfiguration { .. })));
         assert!(PipelineFactory::new().instantiate_at(&foreign).is_err());
     }
 
@@ -591,7 +544,6 @@ mod tests {
     fn paper_system_definition_wires_the_right_components() {
         let system = SystemDefinition::paper_geoi();
         assert_eq!(system.factory().name(), "geo-indistinguishability");
-        assert_eq!(system.parameter().name(), "epsilon");
         assert_eq!(system.space().names(), vec!["epsilon"]);
         assert_eq!(
             system.suite().ids(),
@@ -758,7 +710,7 @@ mod tests {
         let dataset =
             TaxiFleetBuilder::new().drivers(1).duration_hours(1.0).build(&mut rng).unwrap();
         let system = SystemDefinition::paper_geoi();
-        let lppm = system.factory().instantiate(0.01).unwrap();
+        let lppm = instantiate(system.factory(), 0.01).unwrap();
         let protected = lppm.protect_dataset(&dataset, &mut rng).unwrap();
         assert_eq!(protected.record_count(), dataset.record_count());
     }

@@ -86,8 +86,8 @@ impl HoldOutValidator {
         Self { plan: SweepPlan::grid(config) }
     }
 
-    /// Creates a validator with an explicit sweep plan (mode and per-axis
-    /// point counts).
+    /// Creates a validator with an explicit sweep plan (mode, grain and
+    /// refinement budget).
     pub fn with_plan(plan: SweepPlan) -> Self {
         Self { plan }
     }

@@ -24,10 +24,10 @@
 //!
 //! ## Resource bounds
 //!
-//! Live sessions are LRU-capped ([`AssignmentRegistry::set_max_sessions`])
-//! so a client iterating fabricated user ids cannot grow server memory
-//! without bound. A session holds only its mechanism's kernel state and
-//! costs O(1) per update, whatever the mechanism.
+//! Live sessions are LRU-capped ([`DEFAULT_MAX_SESSIONS`]) so a client
+//! iterating fabricated user ids cannot grow server memory without bound. A
+//! session holds only its mechanism's kernel state and costs O(1) per
+//! update, whatever the mechanism.
 
 use geopriv_core::{json, CoreError, LppmFactory, PerUserRecommendation};
 use geopriv_lppm::{open_stream, ConfigPoint, Lppm, LppmStream};
@@ -105,10 +105,15 @@ impl Assignment {
     }
 }
 
-/// Default cap on concurrently live protection sessions (and the bound a
-/// hostile client iterating user ids can grow the session map to). Well
-/// above any real per-instance population; see
-/// [`AssignmentRegistry::set_max_sessions`].
+/// Cap on concurrently live protection sessions (and the bound a hostile
+/// client iterating user ids can grow the session map to). Well above any
+/// real per-instance population.
+///
+/// At the cap, opening a session for a new user evicts the
+/// least-recently-used one. Eviction is a documented degradation, not a
+/// silent one: an evicted user's next update starts a fresh session (her
+/// `released` counter restarts at 1), and the determinism contract then
+/// holds for the new session's record sequence.
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
 /// The error of [`AssignmentRegistry::protect`]: the user's mechanism
@@ -201,17 +206,10 @@ impl AssignmentRegistry {
         })
     }
 
-    /// Caps the number of concurrently live protection sessions (default
-    /// [`DEFAULT_MAX_SESSIONS`]). At the cap, opening a session for a new
-    /// user evicts the least-recently-used one — so a client iterating
-    /// fabricated user ids bounds server memory instead of growing it.
-    ///
-    /// Eviction is a documented degradation, not a silent one: an evicted
-    /// user's next update starts a fresh session (her `released` counter
-    /// restarts at 1), and the determinism contract then holds for the new
-    /// session's record sequence. Size the cap above the real concurrent
-    /// population; `cap` is clamped to at least 1.
-    pub fn set_max_sessions(&mut self, cap: usize) {
+    /// Lowers the session cap below [`DEFAULT_MAX_SESSIONS`], so a test can
+    /// reach it; `cap` is clamped to at least 1.
+    #[cfg(test)]
+    fn set_max_sessions(&mut self, cap: usize) {
         self.max_sessions = cap.max(1);
     }
 
@@ -261,8 +259,8 @@ impl AssignmentRegistry {
     /// Protects one record of one user's stream, opening her session on
     /// first contact. Returns the protected record and its 1-based position
     /// in her released stream. Live sessions are capped
-    /// ([`AssignmentRegistry::set_max_sessions`]): at the cap, a new user
-    /// evicts the least-recently-used session.
+    /// ([`DEFAULT_MAX_SESSIONS`]): at the cap, a new user evicts the
+    /// least-recently-used session.
     ///
     /// # Errors
     ///

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The reference: the full 7 × 7 factorial (49 evaluations).
     let grid = AutoConf::for_system(two_axis_system()?)
         .dataset(&dataset)
-        .sweep(|s| s.points_per_axis(7).seed(42))
+        .sweep(|s| s.points(7).seed(42))
         .fit()?
         .require("poi-retrieval", at_most(0.5))?
         .require("area-coverage", at_least(0.4))?;
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // up to 24 total evaluations — under half the grid's cost.
     let adaptive = AutoConf::for_system(two_axis_system()?)
         .dataset(&dataset)
-        .sweep(|s| s.points_per_axis(4).adaptive(24).seed(42))
+        .sweep(|s| s.points(4).adaptive(24).seed(42))
         .fit()?
         .require("poi-retrieval", at_most(0.5))?
         .require("area-coverage", at_least(0.4))?;

@@ -55,10 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for system in systems {
         let name = system.factory().name().to_string();
         let axes = system.space().names().join(" × ");
-        let studied = AutoConf::for_system(system)
-            .dataset(&dataset)
-            .sweep(|s| s.points_per_axis(7).seed(7))
-            .fit()?;
+        let studied =
+            AutoConf::for_system(system).dataset(&dataset).sweep(|s| s.points(7).seed(7)).fit()?;
         println!();
         println!("== {name} (axes: {axes}) ==");
         let result = studied

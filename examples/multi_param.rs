@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Full-factorial grid study: 7 ε values × 7 cell sizes.
     let studied = AutoConf::for_system(two_axis_system()?)
         .dataset(&dataset)
-        .sweep(|s| s.points_per_axis(7).seed(42))
+        .sweep(|s| s.points(7).seed(42))
         .fit()?;
     println!();
     println!(
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // while the other sits at its default (ε = 0.01, the geometric midpoint).
     let one_at_a_time = AutoConf::for_system(two_axis_system()?)
         .dataset(&dataset)
-        .sweep(|s| s.one_at_a_time().points_per_axis(7).seed(42))
+        .sweep(|s| s.one_at_a_time().points(7).seed(42))
         .fit()?;
     println!();
     println!(

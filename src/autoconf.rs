@@ -12,9 +12,8 @@
 //!
 //! Multi-axis systems (composed pipelines, multi-parameter mechanisms) flow
 //! through the same chain: configure the design with
-//! [`SweepBuilder::points_per_axis`], [`SweepBuilder::axis_points`] and
-//! [`SweepBuilder::one_at_a_time`], and the recommendation surfaces a full
-//! [`geopriv_core::ConfigPoint`].
+//! [`SweepBuilder::points`] (per axis) and [`SweepBuilder::one_at_a_time`],
+//! and the recommendation surfaces a full [`geopriv_core::ConfigPoint`].
 //!
 //! ```no_run
 //! use geopriv::prelude::*;
@@ -50,8 +49,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Fluent configuration of the underlying sweep
-/// ([`geopriv_core::SweepPlan`]), passed to [`AutoConf::sweep`] /
-/// [`AutoConfWithData::sweep`] as a closure argument.
+/// ([`geopriv_core::SweepPlan`]), passed to [`AutoConfWithData::sweep`] as
+/// a closure argument.
 ///
 /// (Named `SweepBuilder` so the prelude can also export the core
 /// [`geopriv_core::SweepPlan`] it configures without a glob collision.)
@@ -65,25 +64,10 @@ impl SweepBuilder {
         Self { plan }
     }
 
-    /// Number of sweep points per configuration axis (default 25).
+    /// Number of sweep points on every configuration axis (default 25).
     #[must_use]
     pub fn points(mut self, points: usize) -> Self {
         self.plan.config.points = points;
-        self
-    }
-
-    /// Number of sweep points per configuration axis — the same setting as
-    /// [`SweepBuilder::points`] under the name that reads naturally for
-    /// multi-axis studies.
-    #[must_use]
-    pub fn points_per_axis(self, points: usize) -> Self {
-        self.points(points)
-    }
-
-    /// Overrides the point count of one named axis (later calls win).
-    #[must_use]
-    pub fn axis_points(mut self, axis: impl Into<String>, points: usize) -> Self {
-        self.plan = self.plan.axis_points(axis, points);
         self
     }
 
@@ -108,16 +92,6 @@ impl SweepBuilder {
         self
     }
 
-    /// Narrows adaptive refinement to `[lo, hi]` on `axis`: the planner
-    /// spends its budget bisecting measured gaps that overlap the interval
-    /// before falling back to model-driven candidates. No effect outside
-    /// [`SweepBuilder::adaptive`] mode.
-    #[must_use]
-    pub fn focus(mut self, axis: impl Into<String>, lo: f64, hi: f64) -> Self {
-        self.plan = self.plan.focus(axis, lo, hi);
-        self
-    }
-
     /// Records per-user response curves alongside the dataset means
     /// ([`Grain::PerUser`]), unlocking
     /// [`FittedAutoConf::recommend_per_user`]. The aggregate columns stay
@@ -125,13 +99,6 @@ impl SweepBuilder {
     #[must_use]
     pub fn per_user(mut self) -> Self {
         self.plan = self.plan.per_user();
-        self
-    }
-
-    /// Sets the measurement grain explicitly.
-    #[must_use]
-    pub fn grain(mut self, grain: Grain) -> Self {
-        self.plan = self.plan.grain(grain);
         self
     }
 
@@ -146,14 +113,6 @@ impl SweepBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.plan.config.seed = seed;
-        self
-    }
-
-    /// Whether design points run on multiple threads (default true; either
-    /// way the measurements are bit-identical).
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.plan.config.parallel = parallel;
         self
     }
 
@@ -174,25 +133,19 @@ impl SweepBuilder {
 /// See the [module docs](self) for the full chain.
 pub struct AutoConf {
     system: SystemDefinition,
-    plan: geopriv_core::SweepPlan,
 }
 
 impl AutoConf {
     /// Starts a configuration study for one system.
     pub fn for_system(system: SystemDefinition) -> Self {
-        Self { system, plan: geopriv_core::SweepPlan::grid(SweepConfig::default()) }
+        Self { system }
     }
 
-    /// Adjusts the sweep settings.
-    #[must_use]
-    pub fn sweep(mut self, configure: impl FnOnce(SweepBuilder) -> SweepBuilder) -> Self {
-        self.plan = configure(SweepBuilder::new(self.plan)).plan;
-        self
-    }
-
-    /// Binds the dataset to study, unlocking [`AutoConfWithData::fit`].
+    /// Binds the dataset to study, unlocking [`AutoConfWithData::sweep`]
+    /// and [`AutoConfWithData::fit`].
     pub fn dataset(self, dataset: &Dataset) -> AutoConfWithData<'_> {
-        AutoConfWithData { system: self.system, plan: self.plan, dataset }
+        let plan = geopriv_core::SweepPlan::grid(SweepConfig::default());
+        AutoConfWithData { system: self.system, plan, dataset }
     }
 }
 
@@ -682,37 +635,6 @@ impl FittedAutoConf<'_> {
             .map(|metric| Ok((metric.id(), metric.evaluate(dataset, &protected)?.value())))
             .collect()
     }
-
-    /// [`FittedAutoConf::measure_at_point`] for single-axis systems, taking
-    /// the scalar parameter value directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`FittedAutoConf::measure_at_point`], plus
-    /// [`geopriv_core::CoreError::InvalidConfiguration`] when the system
-    /// sweeps more than one axis.
-    pub fn measure_at(
-        &self,
-        dataset: &Dataset,
-        parameter: f64,
-        seed: u64,
-    ) -> Result<Vec<(MetricId, f64)>, Error> {
-        let space = self.system.space();
-        if space.single_axis().is_none() {
-            return Err(geopriv_core::CoreError::InvalidConfiguration {
-                reason: format!(
-                    "measure_at takes one scalar, but the system sweeps ({}); use \
-                     measure_at_point",
-                    space.names().join(", ")
-                ),
-            }
-            .into());
-        }
-        // On a one-axis system any remaining failure is the genuine one
-        // (out-of-range value) — propagate it untouched.
-        let point = space.point_from_coords(&[parameter]).map_err(geopriv_core::CoreError::from)?;
-        self.measure_at_point(dataset, &point, seed)
-    }
 }
 
 #[cfg(test)]
@@ -762,16 +684,16 @@ mod tests {
         let fitted = Modeler::new().fit(&sweep).unwrap();
         let configurator = Configurator::new(fitted.clone());
 
-        // Facade path, stated in full, and again with the sweep stated first
-        // and the repetition and parallelism defaults left alone.
+        // Facade path, stated in full, and again with the repetition default
+        // left alone.
         let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
             .dataset(&dataset)
-            .sweep(|s| s.points(13).repetitions(1).seed(42).parallel(true))
+            .sweep(|s| s.points(13).repetitions(1).seed(42))
             .fit()
             .unwrap();
         let defaults = AutoConf::for_system(SystemDefinition::paper_geoi())
-            .sweep(|s| s.points(config.points).seed(config.seed))
             .dataset(&dataset)
+            .sweep(|s| s.points(config.points).seed(config.seed))
             .fit()
             .unwrap();
         assert_eq!((defaults.sweep_result(), defaults.fitted()), (&sweep, &fitted));
@@ -804,7 +726,7 @@ mod tests {
         let explicit = Configurator::new(fitted).recommend(&Objectives::paper_example());
         let facade = AutoConf::for_system(SystemDefinition::paper_geoi())
             .dataset(&dataset)
-            .sweep(|s| s.points(13).repetitions(1).seed(42).parallel(true))
+            .sweep(|s| s.points(13).repetitions(1).seed(42))
             .fit()
             .unwrap()
             .require("poi-retrieval", at_most(0.1))
@@ -892,20 +814,19 @@ mod tests {
         let dataset = dataset();
         let studied = AutoConf::for_system(composed_system())
             .dataset(&dataset)
-            .sweep(|s| s.points_per_axis(5).axis_points("cell_size", 4).seed(11))
+            .sweep(|s| s.points(5).seed(11))
             .fit()
             .unwrap();
-        // 5 epsilon values × 4 cell sizes.
-        assert_eq!(studied.sweep_result().len(), 20);
+        // 5 epsilon values × 5 cell sizes.
+        assert_eq!(studied.sweep_result().len(), 25);
         assert_eq!(studied.sweep_result().space.names(), vec!["epsilon", "cell_size"]);
 
-        let recommendation = studied
+        let studied = studied
             .require("poi-retrieval", at_most(0.6))
             .unwrap()
             .require("area-coverage", at_least(0.3))
-            .unwrap()
-            .recommend()
             .unwrap();
+        let recommendation = studied.recommend().unwrap();
         // The recommendation is a full configuration point with predictions
         // satisfying the stated constraints.
         assert_eq!(recommendation.point.len(), 2);
@@ -914,16 +835,7 @@ mod tests {
         assert!(at_least(0.3)
             .is_satisfied_by(recommendation.predicted(&"area-coverage".into()).unwrap()));
 
-        // measure_at refuses multi-axis systems; measure_at_point works.
-        let studied = AutoConf::for_system(composed_system())
-            .dataset(&dataset)
-            .sweep(|s| s.points(5).seed(11))
-            .fit()
-            .unwrap();
-        assert!(matches!(
-            studied.measure_at(&dataset, 0.01, 3),
-            Err(Error::Core(CoreError::InvalidConfiguration { .. }))
-        ));
+        // Every suite metric re-measures at the recommended point.
         let measured = studied.measure_at_point(&dataset, &recommendation.point, 3).unwrap();
         assert_eq!(measured.len(), 2);
     }
@@ -933,7 +845,7 @@ mod tests {
         let dataset = dataset();
         let studied = AutoConf::for_system(composed_system())
             .dataset(&dataset)
-            .sweep(|s| s.one_at_a_time().points_per_axis(7).seed(13))
+            .sweep(|s| s.one_at_a_time().points(7).seed(13))
             .fit()
             .unwrap();
         // 7 points per axis, 2 axes, no cross terms: 14 design points.
@@ -1044,13 +956,14 @@ mod tests {
             .sweep(|s| s.points(9).seed(3))
             .fit()
             .unwrap();
-        let measured = studied.measure_at(&dataset, 0.01, 99).unwrap();
+        let point = studied.system().space().point(&[("epsilon", 0.01)]).unwrap();
+        let measured = studied.measure_at_point(&dataset, &point, 99).unwrap();
         assert_eq!(measured.len(), 2);
         assert_eq!(measured[0].0, MetricId::new("poi-retrieval"));
         for (_, value) in &measured {
             assert!((0.0..=1.0).contains(value));
         }
         // Deterministic in the seed.
-        assert_eq!(measured, studied.measure_at(&dataset, 0.01, 99).unwrap());
+        assert_eq!(measured, studied.measure_at_point(&dataset, &point, 99).unwrap());
     }
 }

@@ -72,6 +72,12 @@ pub use autoconf::{
 };
 pub use error::Error;
 
+// The README's Rust examples compile as doctests, so they cannot drift from
+// the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// Convenient glob-import of the most commonly used items of the workspace.
 pub mod prelude {
     pub use crate::autoconf::{

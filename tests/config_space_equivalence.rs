@@ -2,14 +2,14 @@
 //!
 //! A one-axis [`geopriv::lppm::ConfigSpace`] sweep must be **bit-identical**
 //! to the pre-redesign single-scalar sweep: the legacy measurement loop
-//! (sweep the descriptor, instantiate per scalar value, protect with the
-//! `derive_unit_seed` stream, average repetitions in order) is re-derived
-//! inline here — independently of `ExperimentRunner` — and the design
-//! matrix, metric columns, campaign cells and the recommendation are
-//! compared exactly, never approximately. The second half of the contract:
-//! a 2-D grid study (GEO-I ε × cloaking cell size through a pipeline) runs
-//! end to end through `AutoConf` and recommends a `ConfigPoint` satisfying
-//! every stated constraint.
+//! (sweep the space's one descriptor, instantiate at each value's
+//! one-coordinate point, protect with the `derive_unit_seed` stream, average
+//! repetitions in order) is re-derived inline here — independently of
+//! `ExperimentRunner` — and the design matrix, metric columns, campaign
+//! cells and the recommendation are compared exactly, never approximately.
+//! The second half of the contract: a 2-D grid study (GEO-I ε × cloaking
+//! cell size through a pipeline) runs end to end through `AutoConf` and
+//! recommends a `ConfigPoint` satisfying every stated constraint.
 
 use geopriv::prelude::*;
 use geopriv::AutoConf;
@@ -41,13 +41,15 @@ fn utility_id() -> MetricId {
 /// `(point, repetition)`, direct metric evaluation, repetition-order means.
 fn legacy_scalar_sweep(dataset: &Dataset, config: SweepConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let system = SystemDefinition::paper_geoi();
-    let values = system.parameter().sweep(config.points);
+    let space = system.space();
+    let values = space.single_axis().expect("the paper system sweeps ε").sweep(config.points);
     let privacy_metric = PoiRetrieval::default();
     let utility_metric = AreaCoverage::default();
     let mut privacy_means = Vec::new();
     let mut utility_means = Vec::new();
     for (point, &value) in values.iter().enumerate() {
-        let lppm = system.factory().instantiate(value).expect("value is in range");
+        let at = space.point_from_coords(&[value]).expect("value is in range");
+        let lppm = system.factory().instantiate_at(&at).expect("point is in the space");
         let mut privacy_runs = Vec::new();
         let mut utility_runs = Vec::new();
         for repetition in 0..config.repetitions {
@@ -89,7 +91,7 @@ fn a_one_axis_config_space_sweep_is_bit_identical_to_the_scalar_sweep() {
 
     // The design matrix is the scalar sweep, value for value, in order —
     // and both sweep modes enumerate it identically on one axis.
-    assert_eq!(sweep.parameters(), parameters);
+    assert_eq!(sweep.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(
         sweep.points.iter().map(|p| p.single().expect("one axis")).collect::<Vec<_>>(),
         parameters
@@ -116,7 +118,7 @@ fn campaign_cells_on_a_one_axis_space_match_the_scalar_sweep() {
         .expect("campaign succeeds");
     let cell = campaign.get(0, 0).expect("cell exists");
 
-    assert_eq!(cell.parameters(), parameters);
+    assert_eq!(cell.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(cell.values(&privacy_id()).expect("privacy column"), privacy.as_slice());
     assert_eq!(cell.values(&utility_id()).expect("utility column"), utility.as_slice());
 }
@@ -175,7 +177,7 @@ fn a_two_axis_grid_study_runs_end_to_end_through_autoconf() {
     let dataset = taxi_dataset(9);
     let studied = AutoConf::for_system(two_axis_system())
         .dataset(&dataset)
-        .sweep(|s| s.points_per_axis(5).seed(2016))
+        .sweep(|s| s.points(5).seed(2016))
         .fit()
         .expect("2-D fit succeeds");
 

@@ -40,13 +40,15 @@ fn utility_id() -> MetricId {
 /// Returns `(parameters, privacy means, utility means)`.
 fn legacy_pair_sweep(dataset: &Dataset, config: SweepConfig) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let system = SystemDefinition::paper_geoi();
-    let values = system.parameter().sweep(config.points);
+    let space = system.space();
+    let values = space.single_axis().expect("the paper system sweeps ε").sweep(config.points);
     let privacy_metric = PoiRetrieval::default();
     let utility_metric = AreaCoverage::default();
     let mut privacy_means = Vec::new();
     let mut utility_means = Vec::new();
     for (point, &value) in values.iter().enumerate() {
-        let lppm = system.factory().instantiate(value).expect("value is in range");
+        let at = space.point_from_coords(&[value]).expect("value is in range");
+        let lppm = system.factory().instantiate_at(&at).expect("point is in the space");
         let mut privacy_runs = Vec::new();
         let mut utility_runs = Vec::new();
         for repetition in 0..config.repetitions {
@@ -73,7 +75,7 @@ fn the_suite_path_reproduces_the_legacy_pair_sweep_bit_for_bit() {
         .run(&SystemDefinition::paper_geoi(), &dataset)
         .expect("sweep succeeds");
 
-    assert_eq!(sweep.parameters(), parameters);
+    assert_eq!(sweep.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(sweep.values(&privacy_id()).expect("privacy column"), privacy.as_slice());
     assert_eq!(sweep.values(&utility_id()).expect("utility column"), utility.as_slice());
 }
@@ -89,7 +91,7 @@ fn campaigns_reproduce_the_legacy_pair_sweep_bit_for_bit() {
         .expect("campaign succeeds");
     let cell = campaign.get(0, 0).expect("cell exists");
 
-    assert_eq!(cell.parameters(), parameters);
+    assert_eq!(cell.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(cell.values(&privacy_id()).expect("privacy column"), privacy.as_slice());
     assert_eq!(cell.values(&utility_id()).expect("utility column"), utility.as_slice());
 }
@@ -122,7 +124,7 @@ fn growing_the_suite_never_perturbs_the_existing_columns() {
         .expect("4-metric sweep succeeds");
 
     assert_eq!(four.columns.len(), 4);
-    assert_eq!(four.parameters(), pair.parameters());
+    assert_eq!(four.points, pair.points);
     assert_eq!(four.column(&privacy_id()), pair.column(&privacy_id()));
     assert_eq!(four.column(&utility_id()), pair.column(&utility_id()));
     // And the extra columns are real measurements, not placeholders.
