@@ -212,7 +212,10 @@ impl SweepPlan {
     /// left after it is spent on model-guided refinement. A budget no larger
     /// than the coarse pass therefore disables refinement entirely — such a
     /// run measures **bit-identical** values to [`SweepPlan::grid`] at the
-    /// same counts (only the result's `mode` tag differs).
+    /// same counts (only the result's `mode` tag differs). Refinement steers
+    /// by models fitted to the coarse pass, so a plan with budget to spend
+    /// needs a coarse pass the modeler can fit (at least 4 points on an
+    /// axis); [`ExperimentRunner::run`] returns the fit's error otherwise.
     #[must_use]
     pub fn refine(mut self, budget: usize) -> Self {
         self.mode = SweepMode::Adaptive;
@@ -1219,7 +1222,9 @@ impl ExperimentRunner {
     /// Propagates configuration, protection and metric errors. A failing
     /// `(point)` unit skips the units not yet started; the error returned is
     /// the first in design order among the units that ran (in sequential
-    /// mode, exactly the first failing unit's).
+    /// mode, exactly the first failing unit's). An adaptive plan with
+    /// refinement budget left after a coarse pass the modeler cannot fit
+    /// returns that fit's [`CoreError::InvalidConfiguration`].
     pub fn run(
         &self,
         system: &SystemDefinition,
@@ -1469,7 +1474,8 @@ impl ExperimentRunner {
         space: ConfigSpace,
     ) -> Result<SweepResult, CoreError> {
         let coarse = self.plan.enumerate(&space)?;
-        let budget = self.plan.refine_budget.unwrap_or(coarse.len()).max(coarse.len());
+        let coarse_points = coarse.len();
+        let budget = self.plan.refine_budget.unwrap_or(coarse_points).max(coarse_points);
         let samples = self.measure_points(system, dataset, &coarse, &self.positional_seed())?;
         let master = self.plan.config.seed;
         let point_identity = |_: usize, point: &ConfigPoint, repetition: usize| {
@@ -1487,9 +1493,15 @@ impl ExperimentRunner {
 
         while remaining > 0 {
             let result = self.assemble_adaptive(system, &mut measured)?;
-            // A suite the modeler cannot fit yet gives refinement nothing to
-            // steer by; return the measurements gathered so far.
-            let Ok(fitted) = crate::modeling::Modeler::new().fit(&result) else { break };
+            // A suite the modeler cannot fit gives refinement nothing to
+            // steer by. On the coarse pass that is the caller's error: its
+            // own fit would fail on the same design, with the budget unspent.
+            // A later round returns the measurements gathered so far.
+            let fitted = match crate::modeling::Modeler::new().fit(&result) {
+                Ok(fitted) => fitted,
+                Err(error) if measured.len() == coarse_points => return Err(error),
+                Err(_) => break,
+            };
             let modeler = crate::modeling::Modeler::new();
             let mut driving = vec![modeler.diagnose(&result, &fitted)?];
             if self.plan.grain == Grain::PerUser {
@@ -2195,6 +2207,27 @@ mod tests {
         // Bit-identical on rerun.
         let again = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
         assert_eq!(result, again);
+    }
+
+    #[test]
+    fn adaptive_plans_refuse_a_coarse_pass_the_modeler_cannot_fit() {
+        let dataset = small_dataset();
+        let system = SystemDefinition::paper_geoi();
+        let config = SweepConfig { points: 3, repetitions: 1, ..small_config() };
+        // Refinement would steer by a fit of 3 points; the modeler needs 4.
+        let refused = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 30))
+            .run(&system, &dataset)
+            .unwrap_err();
+        assert!(
+            matches!(&refused, CoreError::InvalidConfiguration { reason }
+                if reason.contains("needs at least 4 sweep points, got 3")),
+            "{refused}"
+        );
+        // With no budget to spend, nothing is fitted and the coarse pass stands.
+        let coarse = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 0))
+            .run(&system, &dataset)
+            .unwrap();
+        assert_eq!(coarse.len(), 3);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * **Dense grid** (at most 32 cells per input record): two bitmaps over
 //!   the linear cell index `col × rows + row`, allocated once per call. A
 //!   cell is counted the first time its bit is set, so each trace takes one
-//!   pass and no sort; only the words a pair touched are cleared before the
-//!   next pair.
+//!   pass, no sort and no data-dependent branch; only the words a pair
+//!   touched are cleared before the next pair.
 //! * **Sparser grid:** one [`CellSet`] per trace, a sorted, deduplicated
 //!   `Vec<u64>` of packed keys `(col << 32) | row` built by [`Grid::coverage`]
 //!   (one key per record, then one sort and dedup), and
@@ -221,7 +221,7 @@ impl Grid {
         match usize::try_from(self.cell_count().div_ceil(64)) {
             Ok(words) if dense => {
                 let mut bitmaps =
-                    CellBitmaps { words: vec![[0; 2]; words], touched: Vec::with_capacity(widest) };
+                    CellBitmaps { words: vec![[0; 2]; words], touched: vec![0; widest] };
                 overlaps.extend(pairs.map(|(a, p)| bitmaps.overlap(self, a, p)));
             }
             _ => overlaps.extend(pairs.map(|(a, p)| {
@@ -247,7 +247,9 @@ fn points((lat, lon): Columns<'_>) -> impl Iterator<Item = GeoPoint> + '_ {
 struct CellBitmaps {
     /// Per 64 cells: the actual trace's word, then the protected trace's.
     words: Vec<[u64; 2]>,
-    /// The words the current pair set bits in: all that needs clearing.
+    /// One slot per record of the widest pair. The first |A| + |P| slots
+    /// hold the word of each cell the current pair counted: all that needs
+    /// clearing.
     touched: Vec<usize>,
 }
 
@@ -255,32 +257,42 @@ impl CellBitmaps {
     fn overlap(&mut self, grid: &Grid, actual: Columns<'_>, protected: Columns<'_>) -> CellOverlap {
         // The protected bitmap is clear while the actual trace is marked, so
         // only the protected pass finds shared cells.
-        let (actual, _) = self.mark(grid, actual, 0);
-        let (protected, common) = self.mark(grid, protected, 1);
-        for &word in &self.touched {
+        let (actual, _) = self.mark(grid, actual, 0, 0);
+        let (protected, common) = self.mark(grid, protected, 1, actual);
+        for &word in &self.touched[..actual + protected] {
             self.words[word] = [0; 2];
         }
-        self.touched.clear();
         CellOverlap { actual, protected, common }
     }
 
     /// Sets `side`'s bit for every cell the trace touches; returns how many
     /// cells were new to that side, and how many of those the other side
-    /// holds.
-    fn mark(&mut self, grid: &Grid, trace: Columns<'_>, side: usize) -> (usize, usize) {
+    /// holds. The word of the `k`-th new cell goes to `touched[first + k]`.
+    ///
+    /// Whether a cell is new depends on the data, so there is no branch on
+    /// it: every record sets its bit, counts the bit's old value, and writes
+    /// its word to the next free slot, which only a new cell claims. A
+    /// record's slot is at most `first` plus its index in the trace, so
+    /// `touched` never needs to grow.
+    fn mark(
+        &mut self,
+        grid: &Grid,
+        trace: Columns<'_>,
+        side: usize,
+        first: usize,
+    ) -> (usize, usize) {
         let rows = grid.rows as usize;
         let (mut new, mut shared) = (0, 0);
         for point in points(trace) {
             let cell = grid.cell_of(point);
             let index = cell.col as usize * rows + cell.row as usize;
-            let (word, bit) = (index / 64, 1_u64 << (index % 64));
+            let (word, bit) = (index / 64, index % 64);
             let bits = &mut self.words[word];
-            if bits[side] & bit == 0 {
-                bits[side] |= bit;
-                new += 1;
-                shared += usize::from(bits[1 - side] & bit != 0);
-                self.touched.push(word);
-            }
+            let fresh = (!bits[side] >> bit) & 1;
+            bits[side] |= 1 << bit;
+            shared += (fresh & (bits[1 - side] >> bit)) as usize;
+            self.touched[first + new] = word;
+            new += fresh as usize;
         }
         (new, shared)
     }
@@ -410,6 +422,7 @@ impl FromIterator<CellId> for CellSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sf_grid(cell_m: f64) -> Grid {
         let area = BoundingBox::new(37.70, -122.52, 37.83, -122.35).unwrap();
@@ -565,6 +578,57 @@ mod tests {
             assert_eq!(overlap_of(&g, &[], &[cell(1, 1)]), invented);
             assert_eq!(g.overlaps([((nothing, nothing), (nothing, nothing))]), vec![none]);
             assert!(g.overlaps(std::iter::empty()).is_empty());
+        }
+    }
+
+    /// Cell sequences in a 9 × 9 corner of the grid, so that cells repeat
+    /// within a trace and recur across traces.
+    fn corner_cells(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<CellId>> {
+        prop::collection::vec((0_u32..9, 0_u32..9).prop_map(|(col, row)| cell(col, row)), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bitmaps count what sorted cell keys count, pair by pair, when
+        /// one call holds many pairs: consecutive pairs share a trace (and
+        /// so cells), and one-record traces and empty sides ride along, so a
+        /// word left set by one pair would show in the next pair's counts.
+        #[test]
+        fn bitmap_overlaps_equal_the_sorted_key_counts(
+            traces in prop::collection::vec(corner_cells(5..40), 3..10),
+            cell_m in 700.0_f64..3_000.0,
+        ) {
+            let g = sf_grid(cell_m);
+            let (first, second) = (&traces[0][..], &traces[1][..]);
+            let mut pairs: Vec<(&[CellId], &[CellId])> =
+                traces.windows(2).map(|pair| (&pair[0][..], &pair[1][..])).collect();
+            pairs.extend([(first, &[][..]), (&[][..], second), (&first[..1], &second[..1])]);
+            pairs.extend(traces.windows(2).map(|pair| (&pair[1][..], &pair[0][..])));
+
+            let centers = |cells: &[CellId]| -> Vec<GeoPoint> {
+                cells.iter().map(|&c| g.cell_center(c)).collect()
+            };
+            let columns = |cells: &[CellId]| -> (Vec<f64>, Vec<f64>) {
+                centers(cells).iter().map(|p| (p.latitude(), p.longitude())).unzip()
+            };
+            let stored: Vec<_> = pairs.iter().map(|&(a, p)| (columns(a), columns(p))).collect();
+            let records: usize = pairs.iter().map(|(a, p)| a.len() + p.len()).sum();
+            prop_assert!(g.cell_count() <= 32 * records as u64, "the grid counts on bitmaps");
+
+            let overlaps = g.overlaps(
+                stored.iter().map(|(a, p)| ((&a.0[..], &a.1[..]), (&p.0[..], &p.1[..]))),
+            );
+            prop_assert_eq!(overlaps.len(), pairs.len());
+            for (i, (overlap, &(a, p))) in overlaps.iter().zip(&pairs).enumerate() {
+                let (a, p) = (g.coverage(centers(a)), g.coverage(centers(p)));
+                let sorted = CellOverlap {
+                    actual: a.len(),
+                    protected: p.len(),
+                    common: a.intersection_size(&p),
+                };
+                prop_assert_eq!(*overlap, sorted, "pair {}", i);
+            }
         }
     }
 

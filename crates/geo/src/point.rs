@@ -56,6 +56,7 @@ impl GeoPoint {
     /// # Panics
     ///
     /// Panics if either value is NaN (noise generation never produces NaN).
+    #[inline]
     pub fn clamped(lat: f64, lon: f64) -> Self {
         assert!(!lat.is_nan() && !lon.is_nan(), "coordinates must not be NaN");
         let lat = lat.clamp(-90.0, 90.0);
@@ -71,11 +72,13 @@ impl GeoPoint {
     }
 
     /// Latitude in decimal degrees.
+    #[inline]
     pub fn latitude(&self) -> f64 {
         self.lat
     }
 
     /// Longitude in decimal degrees.
+    #[inline]
     pub fn longitude(&self) -> f64 {
         self.lon
     }
@@ -96,6 +99,7 @@ impl GeoPoint {
     /// This skips the range checks of [`GeoPoint::new`] in release builds —
     /// the caller asserts the values originate from an already-validated
     /// point. Debug builds still verify the invariant.
+    #[inline]
     pub fn from_stored(lat: f64, lon: f64) -> Self {
         debug_assert!(
             lat.is_finite() && (-90.0..=90.0).contains(&lat),
@@ -171,6 +175,7 @@ impl Point {
     }
 
     /// Translates the point by `(dx, dy)` meters.
+    #[inline]
     pub fn translated(&self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
     }

@@ -67,6 +67,7 @@ impl LocalProjection {
     /// Out-of-range results (which can only occur for planar points thousands
     /// of kilometers away from the reference) are clamped/wrapped into the
     /// valid WGS-84 domain.
+    #[inline]
     pub fn unproject(&self, point: Point) -> GeoPoint {
         let dlat = (point.y() / EARTH_RADIUS_M).to_degrees();
         let dlon = (point.x() / (EARTH_RADIUS_M * self.cos_ref_lat)).to_degrees();

@@ -499,6 +499,7 @@ impl DatasetBuilder {
     /// # Panics
     ///
     /// Panics if no streamed trace is open.
+    #[inline]
     pub fn push_record(&mut self, timestamp: Seconds, location: GeoPoint) {
         assert!(self.open.is_some(), "begin_trace before pushing records");
         self.t.push(timestamp.as_f64());

@@ -58,16 +58,19 @@ pub struct Record {
 
 impl Record {
     /// Creates a record from a timestamp and a location.
+    #[inline]
     pub fn new(timestamp: Seconds, location: GeoPoint) -> Self {
         Self { timestamp, location }
     }
 
     /// The record's timestamp.
+    #[inline]
     pub fn timestamp(&self) -> Seconds {
         self.timestamp
     }
 
     /// The record's location.
+    #[inline]
     pub fn location(&self) -> GeoPoint {
         self.location
     }

@@ -337,6 +337,7 @@ impl<'a> TraceView<'a> {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn record(&self, i: usize) -> Record {
         Record::new(Seconds::new(self.t[i]), GeoPoint::from_stored(self.lat[i], self.lon[i]))
     }
@@ -476,6 +477,7 @@ pub struct Records<'a> {
 impl Iterator for Records<'_> {
     type Item = Record;
 
+    #[inline]
     fn next(&mut self) -> Option<Record> {
         if self.next >= self.view.len() {
             return None;

@@ -149,3 +149,69 @@ fn parallel_and_sequential_campaigns_measure_identically() {
         assert_eq!(run_a.result, run_b.result);
     }
 }
+
+/// FNV-1a over the little-endian bytes of 64-bit words: a fingerprint of
+/// exact `f64` bits that no Rust or platform release can change.
+fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Whether area coverage counts this pair of datasets on cell bitmaps
+/// rather than on sorted cell keys: its grid frames both datasets, widened
+/// by 2 %, in 200 m cells, and takes the bitmaps when that grid has at most
+/// 32 cells per record.
+fn counts_on_bitmaps(actual: &Dataset, protected: &Dataset) -> bool {
+    let (a, p) = (actual.bounding_box().expect("a box"), protected.bounding_box().expect("a box"));
+    let bounds = BoundingBox::new(
+        a.min_latitude().min(p.min_latitude()),
+        a.min_longitude().min(p.min_longitude()),
+        a.max_latitude().max(p.max_latitude()),
+        a.max_longitude().max(p.max_longitude()),
+    )
+    .expect("a valid box")
+    .expanded(0.02);
+    let grid = Grid::new(bounds, Meters::new(200.0)).expect("a valid grid");
+    let records = actual.record_count() + protected.record_count();
+    grid.cell_count() <= 32 * records as u64
+}
+
+/// A small sequential GEO-I sweep reproduces pinned bits: every mean, every
+/// repetition's value and every per-user value, and one `protect_dataset`
+/// image, hash to constants. Kernel and metric optimizations must keep them;
+/// only a declared re-baseline may change them. The ε range reaches both of
+/// area coverage's counting paths, bitmaps at the large-ε end and sorted
+/// keys at the small-ε end, so a change to either shows here.
+#[test]
+fn a_small_geoi_sweep_reproduces_its_pinned_bits() {
+    let dataset = taxi_dataset(5);
+    let config = SweepConfig { points: 5, repetitions: 2, seed: 11, parallel: false };
+    let sweep = ExperimentRunner::with_plan(SweepPlan::grid(config).per_user())
+        .run(&SystemDefinition::paper_geoi(), &dataset)
+        .expect("sweep succeeds");
+    let epsilons = sweep.axis_values("epsilon").expect("an ε axis");
+    let protect = |epsilon: f64, seed: u64| {
+        GeoIndistinguishability::new(Epsilon::new(epsilon).expect("valid epsilon"))
+            .protect_dataset(&dataset, &mut StdRng::seed_from_u64(seed))
+            .expect("protection succeeds")
+    };
+    let (smallest, largest) = (epsilons[0], epsilons[epsilons.len() - 1]);
+    assert!(!counts_on_bitmaps(&dataset, &protect(smallest, 1)), "ε = {smallest}");
+    assert!(counts_on_bitmaps(&dataset, &protect(largest, 1)), "ε = {largest}");
+
+    let values = sweep
+        .columns
+        .iter()
+        .flat_map(|column| column.means.iter().chain(column.runs.iter().flatten()))
+        .chain(sweep.user_columns.iter().flat_map(|column| column.curves.iter().flatten()));
+    assert_eq!(values.clone().count(), 2 * (5 + 10) + 2 * 3 * 5);
+    assert_eq!(fingerprint(values.map(|v| v.to_bits())), 0x03e5_4022_6892_d1c5);
+
+    let image = protect(0.01, 99);
+    let columns = [image.timestamps(), image.latitudes(), image.longitudes()];
+    assert_eq!(
+        fingerprint(columns.into_iter().flatten().map(|v| v.to_bits())),
+        0x6b40_ee20_6c8a_0d42
+    );
+}
