@@ -68,6 +68,7 @@ use crate::error::CoreError;
 use geopriv_mobility::UserId;
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One metric evaluation of one user at one `(point, repetition)` sample, as
 /// the cache stores it: the aggregate over the user's own traces, the
@@ -322,7 +323,13 @@ impl MeasurementCache {
     /// Atomically stores `block` under `signature` (temp file + rename),
     /// replacing any previous contents. Returns warnings instead of failing:
     /// a cache that cannot be written costs time, never correctness.
+    ///
+    /// Each call writes its own temp file, named by process id and a
+    /// process-wide counter, so a concurrent writer of the same signature
+    /// never writes into the file this one renames into place. A failed
+    /// write or rename removes the temp file.
     pub(crate) fn store(&self, signature: &str, block: &CacheBlock) -> Vec<String> {
+        static WRITERS: AtomicU64 = AtomicU64::new(0);
         let path = self.path_for(signature);
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             return vec![format!(
@@ -331,8 +338,10 @@ impl MeasurementCache {
             )];
         }
         let bytes = encode(signature, block);
-        let tmp = path.with_extension("bin.tmp");
+        let writer = WRITERS.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("bin.{}-{writer}.tmp", std::process::id()));
         if let Err(e) = std::fs::write(&tmp, &bytes) {
+            let _ = std::fs::remove_file(&tmp);
             return vec![format!(
                 "cache file {} could not be written ({e}); measurements were not persisted",
                 tmp.display()
@@ -658,6 +667,35 @@ mod tests {
         let (loaded, warnings) = cache.load("sig-d", 3, 1, 2);
         assert_eq!(loaded.keys().count(), 0);
         assert!(warnings[0].contains("dimensions"), "{warnings:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_writer_cannot_tear_a_stored_file() {
+        let dir = std::env::temp_dir().join(format!("geopriv-cache-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = MeasurementCache::open(&dir);
+        // A writer still holding the temp file under a name every writer
+        // shares would write into whatever that name was renamed to.
+        let mut late = std::fs::File::create(cache.path_for("sig-r").with_extension("bin.tmp"))
+            .expect("a writer's handle on a shared temp name");
+        let stored = block(&[(1, 2), (3, 4)]);
+        assert!(cache.store("sig-r", &stored).is_empty());
+        std::io::Write::write_all(&mut late, &[0xFF; 64]).unwrap();
+        drop(late);
+        let (loaded, warnings) = cache.load("sig-r", 2, 1, 2);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(decoded(&loaded), stored);
+        // The store left no temp file of its own behind.
+        let tmp_files = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|entry| {
+                let name = entry.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(".tmp")
+            })
+            .count();
+        assert_eq!(tmp_files, 1, "only the late writer's shared-name file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,10 +16,11 @@
 use crate::error::CoreError;
 use geopriv_geo::Meters;
 use geopriv_lppm::{
-    qualify_stage_parameters, ConfigPoint, ConfigSpace, Epsilon, GaussianPerturbation,
-    GeoIndistinguishability, GridCloaking, Lppm, ParameterDescriptor, ParameterScale, Pipeline,
+    ConfigPoint, ConfigSpace, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking,
+    Lppm, ParameterDescriptor, Pipeline,
 };
 use geopriv_metrics::{AreaCoverage, Metric, MetricSuite, PoiRetrieval, SuiteMetric};
+use std::collections::HashMap;
 
 /// A factory able to instantiate an LPPM at any point of its configuration
 /// space.
@@ -34,8 +35,9 @@ pub trait LppmFactory: Send + Sync {
     /// Name of the mechanism family (e.g. `"geo-indistinguishability"`).
     fn name(&self) -> &str;
 
-    /// The full configuration space: every swept parameter with its range,
-    /// scale and default.
+    /// The full configuration space: every swept parameter with its range
+    /// and scale. This is the one declaration of what the framework sweeps;
+    /// a mechanism itself declares no parameters.
     fn space(&self) -> ConfigSpace;
 
     /// Instantiates the mechanism at a concrete configuration point.
@@ -45,6 +47,17 @@ pub trait LppmFactory: Send + Sync {
     /// Returns [`CoreError::InvalidConfiguration`] for points that do not
     /// belong to the factory's space.
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError>;
+}
+
+/// A mechanism's axis (its name and scale) over a custom range: what each
+/// single-axis factory's `with_range` sweeps.
+fn over_range(
+    axis: &ParameterDescriptor,
+    min: f64,
+    max: f64,
+) -> Result<ParameterDescriptor, CoreError> {
+    ParameterDescriptor::new(axis.name(), min, max, axis.scale())
+        .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })
 }
 
 /// Factory for [`GeoIndistinguishability`] swept over ε.
@@ -71,14 +84,8 @@ impl GeoIndistinguishabilityFactory {
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid range.
     pub fn with_range(min_epsilon: f64, max_epsilon: f64) -> Result<Self, CoreError> {
-        let descriptor = ParameterDescriptor::new(
-            "epsilon",
-            min_epsilon,
-            max_epsilon,
-            ParameterScale::Logarithmic,
-        )
-        .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })?;
-        Ok(Self { descriptor })
+        let descriptor = GeoIndistinguishability::epsilon_descriptor();
+        Ok(Self { descriptor: over_range(&descriptor, min_epsilon, max_epsilon)? })
     }
 }
 
@@ -122,14 +129,8 @@ impl GridCloakingFactory {
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid range.
     pub fn with_range(min_cell_m: f64, max_cell_m: f64) -> Result<Self, CoreError> {
-        let descriptor = ParameterDescriptor::new(
-            "cell_size",
-            min_cell_m,
-            max_cell_m,
-            ParameterScale::Logarithmic,
-        )
-        .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })?;
-        Ok(Self { descriptor })
+        let descriptor = GridCloaking::cell_size_descriptor();
+        Ok(Self { descriptor: over_range(&descriptor, min_cell_m, max_cell_m)? })
     }
 }
 
@@ -172,14 +173,8 @@ impl GaussianPerturbationFactory {
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid range.
     pub fn with_range(min_sigma_m: f64, max_sigma_m: f64) -> Result<Self, CoreError> {
-        let descriptor = ParameterDescriptor::new(
-            "sigma",
-            min_sigma_m,
-            max_sigma_m,
-            ParameterScale::Logarithmic,
-        )
-        .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })?;
-        Ok(Self { descriptor })
+        let descriptor = GaussianPerturbation::sigma_descriptor();
+        Ok(Self { descriptor: over_range(&descriptor, min_sigma_m, max_sigma_m)? })
     }
 }
 
@@ -204,11 +199,11 @@ impl LppmFactory for GaussianPerturbationFactory {
 /// with one configuration axis per stage parameter — the first-class entry
 /// point to multi-axis studies (e.g. GEO-I ε × cloaking cell size).
 ///
-/// The combined space concatenates the stage spaces with the same
-/// qualification contract as [`Pipeline::parameters`]: a name exposed by
-/// more than one stage is prefixed with its 1-based stage position
-/// (`"1.epsilon"`, `"3.epsilon"`), so every axis maps back to exactly one
-/// stage parameter.
+/// The combined space concatenates the stage spaces. A name on more than
+/// one stage is prefixed with its 1-based stage position (`"1.epsilon"`,
+/// `"3.epsilon"`), and a name still colliding after that (a nested pipeline
+/// factory's own `"2.epsilon"`) gets an occurrence suffix (`"2.epsilon#2"`),
+/// so every axis maps back to exactly one stage parameter.
 ///
 /// # Examples
 ///
@@ -256,9 +251,8 @@ impl PipelineFactory {
         self.stages.push(factory);
         let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
         self.name = format!("pipeline[{}]", names.join(", "));
-        let per_stage: Vec<Vec<ParameterDescriptor>> =
-            self.stages.iter().map(|s| s.space().axes().to_vec()).collect();
-        self.qualified = qualify_stage_parameters(&per_stage);
+        let spaces: Vec<ConfigSpace> = self.stages.iter().map(|s| s.space()).collect();
+        self.qualified = qualify_stage_parameters(&spaces);
         self
     }
 
@@ -309,6 +303,38 @@ impl LppmFactory for PipelineFactory {
         }
         Ok(Box::new(pipeline))
     }
+}
+
+/// Qualifies the stage spaces' axes so the flattened list has globally
+/// unique names, keeping the per-stage grouping (see [`PipelineFactory`]).
+/// Unambiguous names pass through unqualified.
+fn qualify_stage_parameters(spaces: &[ConfigSpace]) -> Vec<Vec<ParameterDescriptor>> {
+    // A space's names are unique, so each stage counts a name at most once.
+    let mut stages_exposing: HashMap<&str, usize> = HashMap::new();
+    for axis in spaces.iter().flat_map(ConfigSpace::axes) {
+        *stages_exposing.entry(axis.name()).or_insert(0) += 1;
+    }
+    let mut occurrences: HashMap<String, usize> = HashMap::new();
+    spaces
+        .iter()
+        .enumerate()
+        .map(|(stage, space)| {
+            space
+                .axes()
+                .iter()
+                .map(|axis| {
+                    let name = if stages_exposing[axis.name()] > 1 {
+                        format!("{}.{}", stage + 1, axis.name())
+                    } else {
+                        axis.name().to_string()
+                    };
+                    let seen = occurrences.entry(name.clone()).or_insert(0);
+                    *seen += 1;
+                    axis.with_name(if *seen > 1 { format!("{name}#{seen}") } else { name })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for PipelineFactory {
@@ -409,8 +435,10 @@ impl std::fmt::Debug for SystemDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geopriv_lppm::ParameterScale;
     use geopriv_metrics::{Direction, HotspotPreservation, MetricId};
     use geopriv_mobility::generator::TaxiFleetBuilder;
+    use geopriv_mobility::Dataset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -422,6 +450,19 @@ mod tests {
     /// Instantiates a single-parameter factory at `value`.
     fn instantiate(factory: &dyn LppmFactory, value: f64) -> Result<Box<dyn Lppm>, CoreError> {
         factory.instantiate_at(&factory.space().point_from_coords(&[value])?)
+    }
+
+    /// A GEO-I mechanism at `epsilon`.
+    fn geoi(epsilon: f64) -> GeoIndistinguishability {
+        GeoIndistinguishability::with_epsilon(epsilon).unwrap()
+    }
+
+    /// One driver's hour, protected by `lppm` under a fixed seed.
+    fn protected(lppm: &dyn Lppm) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(9);
+        let dataset =
+            TaxiFleetBuilder::new().drivers(1).duration_hours(1.0).build(&mut rng).unwrap();
+        lppm.protect_dataset(&dataset, &mut rng).unwrap()
     }
 
     #[test]
@@ -518,12 +559,62 @@ mod tests {
         // Each qualified axis keeps its own stage's range.
         assert_eq!(space.axis("2.epsilon").unwrap().min(), 1e-3);
 
-        // Instantiation routes each qualified value to its stage.
+        // Instantiation routes each qualified value to its stage: the
+        // result protects exactly as the hand-built pipeline does, and not
+        // as the one with the stages' values swapped.
         let point = space.point(&[("1.epsilon", 0.5), ("2.epsilon", 0.002)]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
-        assert_eq!(lppm.parameters().len(), 2);
+        let routed = protected(lppm.as_ref());
+        assert_eq!(routed, protected(&Pipeline::new().then(geoi(0.5)).then(geoi(0.002))));
+        assert_ne!(routed, protected(&Pipeline::new().then(geoi(0.002)).then(geoi(0.5))));
         // A value valid for stage 1 but not stage 2 fails validation.
         assert!(space.point(&[("1.epsilon", 0.5), ("2.epsilon", 0.5)]).is_err());
+    }
+
+    #[test]
+    fn colliding_stage_axes_are_qualified_by_position() {
+        // Two GEO-I stages both expose "epsilon": without qualification the
+        // sweep could not tell which stage it targets. A stage between them
+        // keeps its own name and still takes a position.
+        let factory = PipelineFactory::new()
+            .then(GeoIndistinguishabilityFactory::new())
+            .then(GridCloakingFactory::new())
+            .then(GeoIndistinguishabilityFactory::new());
+        let space = factory.space();
+        assert_eq!(space.names(), ["1.epsilon", "cell_size", "3.epsilon"]);
+        // Qualification renames only; range and scale survive.
+        let first = space.axis("1.epsilon").unwrap();
+        let d = GeoIndistinguishability::epsilon_descriptor();
+        assert_eq!((first.min(), first.max(), first.scale()), (d.min(), d.max(), d.scale()));
+        // Non-colliding names stay unqualified.
+        let single = PipelineFactory::new()
+            .then(GridCloakingFactory::new())
+            .then(GeoIndistinguishabilityFactory::new());
+        assert_eq!(single.space().names(), ["cell_size", "epsilon"]);
+    }
+
+    #[test]
+    fn nested_pipeline_factories_get_occurrence_suffixes() {
+        // The inner factory's "2.epsilon" meets the outer second stage's
+        // qualified "2.epsilon": position cannot split them, occurrence does.
+        let inner = PipelineFactory::new()
+            .then(GeoIndistinguishabilityFactory::new())
+            .then(GeoIndistinguishabilityFactory::new());
+        let factory = PipelineFactory::new()
+            .then(inner)
+            .then(GeoIndistinguishabilityFactory::new())
+            .then(GeoIndistinguishabilityFactory::new());
+        let space = factory.space();
+        assert_eq!(space.names(), ["1.epsilon", "2.epsilon", "2.epsilon#2", "3.epsilon"]);
+
+        let point = space.point_from_coords(&[0.5, 0.1, 0.01, 0.002]).unwrap();
+        let lppm = factory.instantiate_at(&point).unwrap();
+        let by_hand = Pipeline::new()
+            .then(Pipeline::new().then(geoi(0.5)).then(geoi(0.1)))
+            .then(geoi(0.01))
+            .then(geoi(0.002));
+        assert_eq!(lppm.name(), by_hand.name());
+        assert_eq!(protected(lppm.as_ref()), protected(&by_hand));
     }
 
     #[test]
@@ -534,8 +625,8 @@ mod tests {
         let factory = PipelineFactory::new()
             .then(GeoIndistinguishabilityFactory::new())
             .then(GridCloakingFactory::new());
-        let space = factory.space();
-        let lppm = factory.instantiate_at(&space.default_point()).unwrap();
+        let point = factory.space().point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
+        let lppm = factory.instantiate_at(&point).unwrap();
         let protected = lppm.protect_dataset(&dataset, &mut rng).unwrap();
         assert_eq!(protected.record_count(), dataset.record_count());
     }

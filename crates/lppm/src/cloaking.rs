@@ -89,10 +89,6 @@ impl Lppm for GridCloaking {
         "grid-cloaking"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![Self::cell_size_descriptor()]
-    }
-
     /// Snaps each record against the grid anchored on the configured
     /// origin, never on the trace, so no record depends on another.
     fn kernel(&self) -> Box<dyn Kernel> {
@@ -137,7 +133,6 @@ mod tests {
         assert!(GridCloaking::new(Meters::new(f64::NAN)).is_err());
         let c = GridCloaking::new(Meters::new(300.0)).unwrap();
         assert_eq!(c.name(), "grid-cloaking");
-        assert_eq!(c.parameters()[0].name(), "cell_size");
     }
 
     #[test]

@@ -75,10 +75,6 @@ impl Lppm for GaussianPerturbation {
         "gaussian-perturbation"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![Self::sigma_descriptor()]
-    }
-
     fn kernel(&self) -> Box<dyn Kernel> {
         Box::new(GaussianKernel { sigma: self.sigma.as_f64(), projection: None })
     }
@@ -130,7 +126,6 @@ mod tests {
         assert!(GaussianPerturbation::new(Meters::new(f64::NAN)).is_err());
         let g = GaussianPerturbation::new(Meters::new(10.0)).unwrap();
         assert_eq!(g.name(), "gaussian-perturbation");
-        assert_eq!(g.parameters()[0].name(), "sigma");
     }
 
     #[test]

@@ -87,10 +87,6 @@ impl Lppm for GeoIndistinguishability {
         "geo-indistinguishability"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![Self::epsilon_descriptor()]
-    }
-
     fn kernel(&self) -> Box<dyn Kernel> {
         Box::new(GeoIndistinguishabilityKernel {
             noise: PlanarLaplace::new(self.epsilon),
@@ -217,10 +213,10 @@ mod tests {
         let geoi = GeoIndistinguishability::with_epsilon(0.02).unwrap();
         assert_eq!(geoi.name(), "geo-indistinguishability");
         assert_eq!(geoi.epsilon().value(), 0.02);
-        let params = geoi.parameters();
-        assert_eq!(params.len(), 1);
-        assert_eq!(params[0].name(), "epsilon");
-        assert_eq!(params[0].scale(), ParameterScale::Logarithmic);
+        let descriptor = GeoIndistinguishability::epsilon_descriptor();
+        assert_eq!(descriptor.name(), "epsilon");
+        assert_eq!((descriptor.min(), descriptor.max()), PAPER_EPSILON_RANGE);
+        assert_eq!(descriptor.scale(), ParameterScale::Logarithmic);
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod geo_ind;
 pub mod laplace;
 pub mod params;
 pub mod pipeline;
-pub mod rounding;
 pub mod space;
 pub mod stream;
 pub mod temporal;
@@ -65,8 +64,7 @@ pub use gaussian::GaussianPerturbation;
 pub use geo_ind::{GeoIndistinguishability, PAPER_EPSILON_RANGE};
 pub use laplace::PlanarLaplace;
 pub use params::{Epsilon, ParameterDescriptor, ParameterScale};
-pub use pipeline::{qualify_stage_parameters, Pipeline};
-pub use rounding::CoordinateRounding;
+pub use pipeline::Pipeline;
 pub use space::{ConfigPoint, ConfigSpace};
 pub use stream::{open_stream, LppmStream};
 pub use temporal::{ReleaseSampling, TemporalDownsampling};
@@ -80,7 +78,6 @@ pub mod prelude {
     pub use crate::geo_ind::GeoIndistinguishability;
     pub use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
     pub use crate::pipeline::Pipeline;
-    pub use crate::rounding::CoordinateRounding;
     pub use crate::space::{ConfigPoint, ConfigSpace};
     pub use crate::stream::{open_stream, LppmStream};
     pub use crate::temporal::{ReleaseSampling, TemporalDownsampling};

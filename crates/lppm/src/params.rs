@@ -121,10 +121,6 @@ pub struct ParameterDescriptor {
     min: f64,
     max: f64,
     scale: ParameterScale,
-    /// Explicit default value, if one was set with
-    /// [`ParameterDescriptor::with_default`]; otherwise the scale-aware
-    /// midpoint of the range acts as the default.
-    default: Option<f64>,
 }
 
 impl ParameterDescriptor {
@@ -154,36 +150,18 @@ impl ParameterDescriptor {
                 reason: "logarithmic parameters must have a strictly positive range",
             });
         }
-        Ok(Self { name: name.into(), min, max, scale, default: None })
+        Ok(Self { name: name.into(), min, max, scale })
     }
 
-    /// Returns a copy of the descriptor with an explicit default value —
-    /// the value a multi-axis sweep holds this parameter at while other axes
-    /// vary (see [`crate::ConfigSpace::one_at_a_time`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LppmError::InvalidParameter`] if `default` lies outside the
-    /// descriptor's range.
-    pub fn with_default(&self, default: f64) -> Result<Self, LppmError> {
-        if !self.contains(default) {
-            return Err(LppmError::InvalidParameter {
-                name: "default",
-                value: default,
-                reason: "the default value must lie inside the parameter range",
-            });
-        }
-        Ok(Self { default: Some(default), ..self.clone() })
-    }
-
-    /// The axis default: the explicitly set default if any, otherwise the
+    /// The axis default, the value a multi-axis sweep holds this parameter at
+    /// while other axes vary (see [`crate::ConfigSpace::one_at_a_time`]): the
     /// scale-aware midpoint of the range (arithmetic for linear parameters,
     /// geometric for logarithmic ones).
     pub fn default_value(&self) -> f64 {
-        self.default.unwrap_or(match self.scale {
+        match self.scale {
             ParameterScale::Linear => (self.min + self.max) / 2.0,
             ParameterScale::Logarithmic => (self.min * self.max).sqrt(),
-        })
+        }
     }
 
     /// The parameter name.
@@ -242,8 +220,8 @@ impl ParameterDescriptor {
     }
 
     /// Returns a copy of the descriptor under a different name (same range
-    /// and scale) — used e.g. by [`crate::Pipeline`] to qualify colliding
-    /// stage parameter names.
+    /// and scale) — used by `PipelineFactory` in `geopriv-core` to qualify
+    /// colliding stage parameter names.
     #[must_use]
     pub fn with_name(&self, name: impl Into<String>) -> Self {
         Self { name: name.into(), ..self.clone() }
@@ -374,13 +352,8 @@ mod tests {
         assert!((log.default_value() - 0.01).abs() < 1e-12); // geometric midpoint
         let lin = ParameterDescriptor::new("cell", 100.0, 300.0, ParameterScale::Linear).unwrap();
         assert_eq!(lin.default_value(), 200.0);
-
-        let pinned = log.with_default(0.05).unwrap();
-        assert_eq!(pinned.default_value(), 0.05);
-        // Qualifying the name keeps the pinned default.
-        assert_eq!(pinned.with_name("1.epsilon").default_value(), 0.05);
-        assert!(log.with_default(2.0).is_err());
-        assert!(log.with_default(f64::NAN).is_err());
+        // Qualifying the name keeps the default.
+        assert_eq!(lin.with_name("1.cell").default_value(), 200.0);
     }
 
     #[test]

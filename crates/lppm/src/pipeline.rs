@@ -2,8 +2,9 @@
 //!
 //! Mechanisms compose naturally: e.g. downsample the release stream, then add
 //! Geo-Indistinguishability noise. [`Pipeline`] applies a sequence of LPPMs
-//! in order and is itself an LPPM, so composed mechanisms can be fed to the
-//! configuration framework unchanged.
+//! in order and is itself an LPPM. Its configuration space is its stage
+//! factories' spaces, composed by `PipelineFactory` in `geopriv-core`, which
+//! builds one pipeline per configuration point.
 //!
 //! A pipeline's kernel holds one kernel per stage and passes whatever it
 //! receives through them in order: stage k + 1 protects what stage k
@@ -14,70 +15,9 @@
 //! stages' draws interleave by call, so the kernel passes one record at a
 //! time: record-major order, the only one a stream can reproduce.
 
-use crate::error::LppmError;
-use crate::params::ParameterDescriptor;
-use crate::space::ConfigSpace;
 use crate::traits::{Kernel, Lppm};
 use geopriv_mobility::{DatasetBuilder, TraceView};
 use rand::RngCore;
-
-/// Qualifies per-stage parameter descriptors so the flattened list has
-/// globally unique names, preserving the per-stage grouping.
-///
-/// A name exposed by more than one stage is qualified by its 1-based stage
-/// position (`"1.epsilon"`, `"3.epsilon"`); names still colliding after that
-/// (a stage exposing one name twice, or a literal `"1.epsilon"` parameter)
-/// get an occurrence suffix (`"1.epsilon#2"`). Unambiguous names pass
-/// through unqualified. This is the naming contract of
-/// [`Pipeline::parameters`], shared with factory-side pipeline composition
-/// so a qualified axis name always maps back to one stage parameter.
-pub fn qualify_stage_parameters(
-    per_stage: &[Vec<ParameterDescriptor>],
-) -> Vec<Vec<ParameterDescriptor>> {
-    // How many *stages* expose each name (duplicates within one stage count
-    // once: position-qualification could not disambiguate those — the
-    // occurrence pass below handles them).
-    let mut stages_exposing: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    for descriptors in per_stage {
-        let mut seen_in_stage = std::collections::HashSet::new();
-        for d in descriptors {
-            if seen_in_stage.insert(d.name()) {
-                *stages_exposing.entry(d.name().to_string()).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut out: Vec<Vec<ParameterDescriptor>> = Vec::with_capacity(per_stage.len());
-    for (stage, descriptors) in per_stage.iter().enumerate() {
-        out.push(
-            descriptors
-                .iter()
-                .map(|d| {
-                    if stages_exposing[d.name()] > 1 {
-                        d.with_name(format!("{}.{}", stage + 1, d.name()))
-                    } else {
-                        d.clone()
-                    }
-                })
-                .collect(),
-        );
-    }
-    // Final uniqueness pass: whatever ambiguity survives stage qualification
-    // is resolved by occurrence, so the flattened list never contains two
-    // descriptors a sweep cannot tell apart.
-    let mut occurrences: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    for descriptors in &mut out {
-        for d in descriptors {
-            let n = occurrences.entry(d.name().to_string()).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                *d = d.with_name(format!("{}#{}", d.name(), n));
-            }
-        }
-    }
-    out
-}
 
 /// A sequence of LPPMs applied one after the other.
 ///
@@ -135,17 +75,6 @@ impl Pipeline {
         let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
         self.name = format!("pipeline[{}]", names.join(", "));
     }
-
-    /// The pipeline's full qualified configuration space: one axis per stage
-    /// parameter, with the unique names of [`Pipeline::parameters`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LppmError::InvalidParameter`] when the pipeline exposes no
-    /// parameters at all (nothing to sweep).
-    pub fn config_space(&self) -> Result<ConfigSpace, LppmError> {
-        ConfigSpace::new(self.parameters())
-    }
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -160,21 +89,6 @@ impl std::fmt::Debug for Pipeline {
 impl Lppm for Pipeline {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Concatenates the stage descriptors, guaranteeing unique names. A
-    /// parameter name exposed by more than one stage (e.g. two GEO-I stages,
-    /// both `"epsilon"`) would be ambiguous — the sweep could not tell which
-    /// stage it targets — so every occurrence of a colliding name is
-    /// qualified by its 1-based stage position (`"1.epsilon"`,
-    /// `"2.epsilon"`). Names still colliding after that (a stage exposing one
-    /// name twice, or a stage literally naming a parameter `"1.epsilon"`)
-    /// get an occurrence suffix (`"1.epsilon#2"`). Unambiguous names are
-    /// passed through unqualified.
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        let per_stage: Vec<Vec<ParameterDescriptor>> =
-            self.stages.iter().map(|s| s.parameters()).collect();
-        qualify_stage_parameters(&per_stage).into_iter().flatten().collect()
     }
 
     fn kernel(&self) -> Box<dyn Kernel> {
@@ -259,7 +173,6 @@ mod tests {
         assert_eq!(p.len(), 0);
         let t = trace();
         assert_eq!(p.protect_trace(&t, &mut rng).unwrap(), t);
-        assert!(p.parameters().is_empty());
         assert_eq!(p.name(), "pipeline[]");
     }
 
@@ -323,84 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn parameters_are_concatenated_and_name_lists_stages() {
+    fn name_lists_stages_in_order() {
         let pipeline = Pipeline::new()
             .then(Identity::new())
             .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())));
         assert_eq!(pipeline.len(), 2);
-        assert_eq!(pipeline.parameters().len(), 1);
         assert_eq!(pipeline.name(), "pipeline[identity, geo-indistinguishability]");
         assert!(format!("{pipeline:?}").contains("Pipeline"));
-    }
-
-    #[test]
-    fn colliding_stage_parameters_are_qualified_by_position() {
-        // Two GEO-I stages both expose "epsilon": without qualification the
-        // sweep could not tell which stage it targets.
-        let pipeline = Pipeline::new()
-            .then(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()))
-            .then(TemporalDownsampling::new(2).unwrap())
-            .then(GeoIndistinguishability::new(Epsilon::new(0.1).unwrap()));
-        let names: Vec<String> =
-            pipeline.parameters().iter().map(|d| d.name().to_string()).collect();
-        assert_eq!(names, vec!["1.epsilon", "factor", "3.epsilon"]);
-        // Qualification renames only; range and scale survive.
-        let first = &pipeline.parameters()[0];
-        assert_eq!((first.min(), first.max(), first.scale()), {
-            let d = GeoIndistinguishability::epsilon_descriptor();
-            (d.min(), d.max(), d.scale())
-        });
-        // Non-colliding names stay unqualified.
-        let single = Pipeline::new()
-            .then(TemporalDownsampling::new(2).unwrap())
-            .then(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()));
-        let names: Vec<String> = single.parameters().iter().map(|d| d.name().to_string()).collect();
-        assert_eq!(names, vec!["factor", "epsilon"]);
-    }
-
-    #[test]
-    fn within_stage_duplicates_get_occurrence_suffixes() {
-        use crate::params::ParameterScale;
-
-        /// A (misbehaved) stage exposing the same parameter name twice.
-        struct TwinParams;
-        impl Lppm for TwinParams {
-            fn name(&self) -> &str {
-                "twin-params"
-            }
-            fn parameters(&self) -> Vec<ParameterDescriptor> {
-                let d = ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic)
-                    .unwrap();
-                vec![d.clone(), d]
-            }
-            fn kernel(&self) -> Box<dyn Kernel> {
-                Identity.kernel()
-            }
-        }
-
-        // Stage qualification cannot split a within-stage duplicate, so the
-        // occurrence pass must — the returned names are always unique.
-        let pipeline = Pipeline::new()
-            .then(TwinParams)
-            .then(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()));
-        let names: Vec<String> =
-            pipeline.parameters().iter().map(|d| d.name().to_string()).collect();
-        assert_eq!(names, vec!["1.epsilon", "1.epsilon#2", "2.epsilon"]);
-        let unique: std::collections::HashSet<&String> = names.iter().collect();
-        assert_eq!(unique.len(), names.len());
-    }
-
-    #[test]
-    fn config_space_exposes_the_qualified_axes() {
-        let pipeline = Pipeline::new()
-            .then(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()))
-            .then(TemporalDownsampling::new(2).unwrap())
-            .then(GeoIndistinguishability::new(Epsilon::new(0.1).unwrap()));
-        let space = pipeline.config_space().unwrap();
-        assert_eq!(space.names(), vec!["1.epsilon", "factor", "3.epsilon"]);
-        // A parameterless pipeline has no space to sweep.
-        assert!(Pipeline::new().config_space().is_err());
-        assert!(Pipeline::new().then(Identity::new()).config_space().is_err());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper's method statement configures "the LPPM configuration parameters
 //! p_i and their range of values" — plural. [`ConfigSpace`] is that object:
 //! an ordered set of uniquely named [`ParameterDescriptor`] axes, one per
-//! configuration parameter of a mechanism (a composed [`crate::Pipeline`]
-//! exposes one axis per stage parameter). [`ConfigPoint`] is one concrete,
-//! validated configuration inside a space — the unit the experiment runner
-//! sweeps and the configurator recommends.
+//! configuration parameter of a mechanism (a composed pipeline has one axis
+//! per stage parameter). [`ConfigPoint`] is one concrete, validated
+//! configuration inside a space — the unit the experiment runner sweeps and
+//! the configurator recommends.
 //!
 //! A one-axis space reproduces the framework's historical single-scalar
 //! behavior exactly: [`ConfigSpace::grid`] with one count equals
@@ -47,7 +47,8 @@ impl ConfigSpace {
     ///
     /// Returns [`LppmError::InvalidParameter`] for an empty axis list or
     /// duplicate axis names (qualify colliding names first, as
-    /// [`crate::Lppm::parameters`] on [`crate::Pipeline`] does).
+    /// `PipelineFactory` in `geopriv-core` does with
+    /// [`ParameterDescriptor::with_name`]).
     pub fn new(axes: Vec<ParameterDescriptor>) -> Result<Self, LppmError> {
         if axes.is_empty() {
             return Err(LppmError::InvalidParameter {
@@ -179,18 +180,6 @@ impl ConfigSpace {
                 .map(|(axis, &value)| (axis.name().to_string(), value))
                 .collect(),
         })
-    }
-
-    /// The all-defaults point: every axis at its
-    /// [`ParameterDescriptor::default_value`].
-    pub fn default_point(&self) -> ConfigPoint {
-        ConfigPoint {
-            values: self
-                .axes
-                .iter()
-                .map(|axis| (axis.name().to_string(), axis.default_value()))
-                .collect(),
-        }
     }
 
     /// Returns `true` if the point names exactly this space's axes (in
@@ -527,22 +516,18 @@ mod tests {
 
     #[test]
     fn one_at_a_time_holds_other_axes_at_defaults() {
-        let space = ConfigSpace::new(vec![
-            epsilon().with_default(0.01).unwrap(),
-            cell().with_default(500.0).unwrap(),
-        ])
-        .unwrap();
+        let space = two_d();
         let star = space.one_at_a_time(&[3, 5]).unwrap();
         assert_eq!(star.len(), 8);
-        // First leg: epsilon varies, cell at default.
+        // First leg: epsilon varies, cell at its geometric midpoint.
         for point in &star[..3] {
             assert_eq!(point.get("cell_size"), Some(500.0));
         }
         assert_eq!(star[0].get("epsilon"), Some(1e-4));
         assert_eq!(star[2].get("epsilon"), Some(1.0));
-        // Second leg: cell varies, epsilon at default.
+        // Second leg: cell varies, epsilon at its geometric midpoint.
         for point in &star[3..] {
-            assert_eq!(point.get("epsilon"), Some(0.01));
+            assert!((point.get("epsilon").unwrap() - 0.01).abs() < 1e-12);
         }
         assert_eq!(star[3].get("cell_size"), Some(50.0));
         assert_eq!(star[7].get("cell_size"), Some(5000.0));
@@ -562,15 +547,6 @@ mod tests {
         assert!(axes(3).grid(&[1 << 21; 3]).is_err());
         // One axis at a time sums its counts: this sum overflows.
         assert!(axes(2).one_at_a_time(&[usize::MAX, 2]).is_err());
-    }
-
-    #[test]
-    fn default_point_uses_axis_defaults() {
-        let space = two_d();
-        let point = space.default_point();
-        assert!((point.get("epsilon").unwrap() - 0.01).abs() < 1e-12);
-        assert!((point.get("cell_size").unwrap() - 500.0).abs() < 1e-9);
-        assert!(space.contains(&point));
     }
 
     #[test]

@@ -84,7 +84,6 @@ mod tests {
     use crate::gaussian::GaussianPerturbation;
     use crate::geo_ind::GeoIndistinguishability;
     use crate::pipeline::Pipeline;
-    use crate::rounding::CoordinateRounding;
     use crate::temporal::{ReleaseSampling, TemporalDownsampling};
     use crate::traits::Identity;
     use geopriv_geo::{GeoPoint, Meters, Seconds};
@@ -143,7 +142,6 @@ mod tests {
     #[test]
     fn deterministic_mechanisms_stream_bit_identically() {
         assert_stream_matches_offline(&GridCloaking::new(Meters::new(400.0)).unwrap(), 1);
-        assert_stream_matches_offline(&CoordinateRounding::new(3).unwrap(), 1);
         assert_stream_matches_offline(&Identity::new(), 1);
     }
 

@@ -12,7 +12,6 @@
 //! minimum number of observations to be clustered) at the cost of coverage.
 
 use crate::error::LppmError;
-use crate::params::{ParameterDescriptor, ParameterScale};
 use crate::traits::{Kernel, Lppm};
 use geopriv_mobility::{DatasetBuilder, TraceView};
 use rand::{Rng, RngCore};
@@ -88,11 +87,6 @@ impl Lppm for TemporalDownsampling {
         "temporal-downsampling"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![ParameterDescriptor::new("factor", 1.0, 64.0, ParameterScale::Logarithmic)
-            .expect("static descriptor is valid")]
-    }
-
     /// Keeps each record whose index in the trace is a multiple of the
     /// factor: the first record, then every `factor`-th one after it.
     fn kernel(&self) -> Box<dyn Kernel> {
@@ -142,11 +136,6 @@ impl Lppm for ReleaseSampling {
         "release-sampling"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        vec![ParameterDescriptor::new("probability", 0.01, 1.0, ParameterScale::Linear)
-            .expect("static descriptor is valid")]
-    }
-
     /// Keeps the first record, then draws one `gen_bool(p)` per record.
     fn kernel(&self) -> Box<dyn Kernel> {
         let probability = self.probability;
@@ -177,7 +166,6 @@ mod tests {
         let lppm = TemporalDownsampling::new(4).unwrap();
         assert_eq!(lppm.factor(), 4);
         assert_eq!(lppm.name(), "temporal-downsampling");
-        assert_eq!(lppm.parameters().len(), 1);
 
         let mut rng = StdRng::seed_from_u64(1);
         let t = trace(100);

@@ -2,7 +2,6 @@
 //! and the [`Kernel`] trait, the one place a mechanism's math lives.
 
 use crate::error::LppmError;
-use crate::params::ParameterDescriptor;
 use geopriv_geo::GeoPoint;
 use geopriv_mobility::{Dataset, DatasetBuilder, Trace, TraceView};
 use rand::RngCore;
@@ -36,17 +35,15 @@ pub trait Kernel: Send {
 /// from an explicitly passed generator, so experiments are reproducible
 /// under a fixed seed.
 ///
+/// A mechanism is one configured instance; its configuration space (what
+/// the framework sweeps) is declared once, by the factory that instantiates
+/// it (`LppmFactory::space` in `geopriv-core`).
+///
 /// The trait is object safe: the configuration framework stores mechanisms as
 /// `Box<dyn Lppm>` when sweeping configuration parameters.
 pub trait Lppm: Send + Sync {
     /// Human-readable name of the mechanism (e.g. `"geo-indistinguishability"`).
     fn name(&self) -> &str;
-
-    /// The mechanism's configuration parameters and their valid ranges.
-    ///
-    /// Used by the configuration framework to know what to sweep. Mechanisms
-    /// without configuration return an empty vector.
-    fn parameters(&self) -> Vec<ParameterDescriptor>;
 
     /// A fresh kernel for one trace.
     fn kernel(&self) -> Box<dyn Kernel>;
@@ -139,10 +136,6 @@ impl Lppm for Identity {
         "identity"
     }
 
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        Vec::new()
-    }
-
     fn kernel(&self) -> Box<dyn Kernel> {
         Box::new(Relocate(|location| location))
     }
@@ -178,7 +171,6 @@ mod tests {
         let d = dataset();
         let lppm = Identity::new();
         assert_eq!(lppm.name(), "identity");
-        assert!(lppm.parameters().is_empty());
         let protected = lppm.protect_dataset(&d, &mut rng).unwrap();
         assert_eq!(protected, d);
     }
@@ -190,9 +182,6 @@ mod tests {
         impl Lppm for Silence {
             fn name(&self) -> &str {
                 "silence"
-            }
-            fn parameters(&self) -> Vec<ParameterDescriptor> {
-                Vec::new()
             }
             fn kernel(&self) -> Box<dyn Kernel> {
                 struct Nothing;

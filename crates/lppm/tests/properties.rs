@@ -2,8 +2,8 @@
 
 use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
 use geopriv_lppm::{
-    open_stream, CoordinateRounding, Epsilon, GaussianPerturbation, GeoIndistinguishability,
-    GridCloaking, Identity, Lppm, Pipeline, ReleaseSampling, TemporalDownsampling,
+    open_stream, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Identity,
+    Lppm, Pipeline, ReleaseSampling, TemporalDownsampling,
 };
 use geopriv_mobility::{DatasetBuilder, Record, Trace, UserId};
 use proptest::prelude::*;
@@ -38,7 +38,6 @@ fn mechanisms(epsilon: f64, sigma: f64, cell: f64, factor: usize, p: f64) -> Vec
         Box::new(geoi()),
         Box::new(gaussian()),
         Box::new(cloaking()),
-        Box::new(CoordinateRounding::new(3).unwrap()),
         Box::new(downsampling()),
         Box::new(ReleaseSampling::new(p).unwrap()),
         Box::new(Pipeline::new().then(downsampling()).then(geoi())),
@@ -97,16 +96,10 @@ fn deterministic_mechanisms_never_draw() {
         .filter(|m| !m.draws_randomness())
         .collect();
     let names: Vec<&str> = deterministic.iter().map(|m| m.name()).collect();
-    assert_eq!(
-        names,
-        ["identity", "grid-cloaking", "coordinate-rounding", "temporal-downsampling"]
-    );
+    assert_eq!(names, ["identity", "grid-cloaking", "temporal-downsampling"]);
     deterministic.push(Box::new(Pipeline::new()));
     deterministic.push(Box::new(
-        Pipeline::new()
-            .then(TemporalDownsampling::new(2).unwrap())
-            .then(cloaking())
-            .then(CoordinateRounding::new(4).unwrap()),
+        Pipeline::new().then(TemporalDownsampling::new(2).unwrap()).then(cloaking()),
     ));
     for mechanism in &deterministic {
         assert!(!mechanism.draws_randomness(), "{}", mechanism.name());
@@ -148,7 +141,6 @@ proptest! {
         epsilon in 1e-4f64..1.0,
         sigma in 0.0f64..2_000.0,
         cell in 50.0f64..2_000.0,
-        digits in 0u8..8,
         factor in 1usize..16,
         probability in 0.01f64..1.0,
         seed in 0u64..500,
@@ -159,7 +151,6 @@ proptest! {
             Box::new(GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())),
             Box::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap()),
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(CoordinateRounding::new(digits.min(7)).unwrap()),
             Box::new(TemporalDownsampling::new(factor).unwrap()),
             Box::new(ReleaseSampling::new(probability).unwrap()),
         ];
@@ -213,14 +204,12 @@ proptest! {
         n in 2usize..100,
         step in 0.0f64..100.0,
         cell in 50.0f64..1_500.0,
-        digits in 0u8..8,
         seed_a in 0u64..100,
         seed_b in 100u64..200,
     ) {
         let t = trace(n, step);
         let deterministic: Vec<Box<dyn Lppm>> = vec![
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(CoordinateRounding::new(digits.min(7)).unwrap()),
             Box::new(TemporalDownsampling::new(3).unwrap()),
             Box::new(Identity::new()),
         ];
@@ -263,11 +252,10 @@ proptest! {
     }
 
     #[test]
-    fn cloaking_and_rounding_displacements_are_bounded(
+    fn cloaking_displacements_are_bounded(
         n in 2usize..100,
         step in 0.0f64..100.0,
         cell in 50.0f64..2_000.0,
-        digits in 2u8..7,
     ) {
         let t = trace(n, step);
         let mut rng = StdRng::seed_from_u64(5);
@@ -276,13 +264,6 @@ proptest! {
         let cloak_bound = cell / 2.0 * 2f64.sqrt() * 1.02;
         for (a, b) in t.iter().zip(cloaked.iter()) {
             prop_assert!(distance::haversine(a.location(), b.location()).as_f64() <= cloak_bound);
-        }
-
-        let rounding = CoordinateRounding::new(digits).unwrap();
-        let rounded = rounding.protect_trace(&t, &mut rng).unwrap();
-        let round_bound = rounding.approximate_granularity_m() * 0.75;
-        for (a, b) in t.iter().zip(rounded.iter()) {
-            prop_assert!(distance::haversine(a.location(), b.location()).as_f64() <= round_bound);
         }
     }
 }

@@ -10,18 +10,15 @@
 //!   the reproduction harness).
 //! * [`CommuterBuilder`] — home/work commuters, the scenario motivating the
 //!   paper's introduction (POIs reveal home and work places).
-//! * [`RandomWaypointBuilder`] — a structure-free negative control.
 //! * [`CityModel`] — the shared synthetic city (bounds plus weighted hotspots).
 
 pub mod city;
 pub mod commuter;
 pub mod noise;
-pub mod random_waypoint;
 pub mod taxi;
 
 pub use city::{CityModel, Hotspot};
 pub use commuter::CommuterBuilder;
-pub use random_waypoint::RandomWaypointBuilder;
 pub use taxi::TaxiFleetBuilder;
 
 use crate::dataset::Dataset;

@@ -7,9 +7,9 @@
 //! timestamped locations reflecting the user's moving activity" — grouped
 //! into per-user [`Trace`]s and multi-user [`Dataset`]s. Because the original
 //! cabspotting San-Francisco taxi dataset is not redistributable, the
-//! [`generator`] module provides seeded simulators (taxi fleet, commuters,
-//! random waypoint) that reproduce the structural characteristics the
-//! privacy/utility metrics depend on.
+//! [`generator`] module provides seeded simulators (taxi fleet, commuters)
+//! that reproduce the structural characteristics the privacy/utility metrics
+//! depend on.
 //!
 //! * [`Record`], [`Trace`], [`Dataset`] — the data model. Since the
 //!   struct-of-arrays refactor the dataset is a *columnar* store:
@@ -62,9 +62,7 @@ pub use trace::{Trace, TraceView};
 pub mod prelude {
     pub use crate::dataset::{Dataset, DatasetBuilder, TraceSpan};
     pub use crate::error::MobilityError;
-    pub use crate::generator::{
-        CityModel, CommuterBuilder, RandomWaypointBuilder, TaxiFleetBuilder,
-    };
+    pub use crate::generator::{CityModel, CommuterBuilder, TaxiFleetBuilder};
     pub use crate::properties::{DatasetProperties, TraceProperties};
     pub use crate::record::{Record, UserId};
     pub use crate::trace::{Trace, TraceView};

@@ -1,9 +1,7 @@
 //! Property-based tests of the mobility substrate and its generators.
 
 use geopriv_geo::{GeoPoint, Meters, Seconds};
-use geopriv_mobility::generator::{
-    CityModel, CommuterBuilder, RandomWaypointBuilder, TaxiFleetBuilder,
-};
+use geopriv_mobility::generator::{CityModel, CommuterBuilder, TaxiFleetBuilder};
 use geopriv_mobility::{io, Dataset, DatasetProperties, Record, Trace, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -87,12 +85,6 @@ proptest! {
             TaxiFleetBuilder::new().drivers(2).duration_hours(1.0).build(&mut rng).unwrap()
         };
         prop_assert_eq!(build_taxi(seed), build_taxi(seed));
-
-        let build_rw = |s| {
-            let mut rng = StdRng::seed_from_u64(s);
-            RandomWaypointBuilder::new().users(2).duration_hours(1.0).build(&mut rng).unwrap()
-        };
-        prop_assert_eq!(build_rw(seed), build_rw(seed));
     }
 
     #[test]

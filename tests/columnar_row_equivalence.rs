@@ -11,7 +11,7 @@ use geopriv::core::{
     ExperimentRunner, GeoIndistinguishabilityFactory, LppmFactory, SweepConfig, SweepPlan,
     SystemDefinition,
 };
-use geopriv::lppm::{ConfigPoint, ConfigSpace, Kernel, Lppm, LppmError, ParameterDescriptor};
+use geopriv::lppm::{ConfigPoint, ConfigSpace, Kernel, Lppm, LppmError};
 use geopriv::metrics::{AreaCoverage, PoiRetrieval};
 use geopriv::mobility::{Dataset, DatasetBuilder, TraceView};
 use geopriv::prelude::*;
@@ -26,10 +26,6 @@ struct ForcedRowPath(Box<dyn Lppm>);
 impl Lppm for ForcedRowPath {
     fn name(&self) -> &str {
         self.0.name()
-    }
-
-    fn parameters(&self) -> Vec<ParameterDescriptor> {
-        self.0.parameters()
     }
 
     fn kernel(&self) -> Box<dyn Kernel> {
