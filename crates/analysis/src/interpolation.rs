@@ -3,9 +3,9 @@
 //! Before fitting the parametric log-linear model of Equation 2, the
 //! framework represents the measured response of each metric to the swept
 //! parameter as an *empirical curve*. [`Curve`] stores such a sampled
-//! response, interpolates between samples, and — when the response is
-//! monotone — inverts it to answer "which parameter value yields this metric
-//! value?" directly from the measurements.
+//! response, linear between samples, and — when the response is monotone —
+//! inverts it to answer "which parameter value yields this metric value?"
+//! directly from the measurements.
 
 use crate::error::AnalysisError;
 use serde::{Deserialize, Serialize};
@@ -32,7 +32,6 @@ pub enum Monotonicity {
 ///
 /// # fn main() -> Result<(), geopriv_analysis::AnalysisError> {
 /// let curve = Curve::new(vec![(0.0, 0.0), (1.0, 10.0), (2.0, 20.0)])?;
-/// assert_eq!(curve.interpolate(0.5)?, 5.0);
 /// assert_eq!(curve.invert(15.0)?, 1.5);
 /// # Ok(())
 /// # }
@@ -122,27 +121,6 @@ impl Curve {
         }
     }
 
-    /// Linearly interpolates the curve at `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::OutOfDomain`] if `x` lies outside the sampled domain.
-    pub fn interpolate(&self, x: f64) -> Result<f64, AnalysisError> {
-        let (min_x, max_x) = self.domain();
-        if !x.is_finite() || x < min_x || x > max_x {
-            return Err(AnalysisError::OutOfDomain { value: x, min: min_x, max: max_x });
-        }
-        // Binary search for the segment containing x.
-        let idx = self.points.partition_point(|&(px, _)| px <= x).min(self.points.len() - 1);
-        let (x1, y1) = self.points[idx.saturating_sub(1)];
-        let (x2, y2) = self.points[idx];
-        if x2 == x1 {
-            return Ok(y2);
-        }
-        let t = (x - x1) / (x2 - x1);
-        Ok(y1 + t * (y2 - y1))
-    }
-
     /// Inverts a monotone curve: finds `x` such that the curve passes through
     /// `(x, y)`.
     ///
@@ -179,15 +157,6 @@ impl Curve {
         // Unreachable: y is within range, so some segment brackets it.
         Err(AnalysisError::OutOfDomain { value: y, min: min_y, max: max_y })
     }
-
-    /// Restricts the curve to samples whose `x` lies in `[min_x, max_x]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotEnoughData`] if fewer than two samples remain.
-    pub fn restricted(&self, min_x: f64, max_x: f64) -> Result<Curve, AnalysisError> {
-        Curve::new(self.points.iter().copied().filter(|&(x, _)| x >= min_x && x <= max_x).collect())
-    }
 }
 
 #[cfg(test)]
@@ -204,23 +173,12 @@ mod tests {
         assert_eq!(c.points().len(), 3);
         assert_eq!(c.domain(), (0.0, 2.0));
         // The later sample for x = 1.0 wins.
-        assert_eq!(c.interpolate(1.0).unwrap(), 12.0);
+        assert_eq!(c.points()[1], (1.0, 12.0));
 
         assert!(Curve::new(vec![(0.0, 1.0)]).is_err());
         assert!(Curve::new(vec![(0.0, 1.0), (0.0, 2.0)]).is_err());
         assert!(Curve::new(vec![(0.0, f64::NAN), (1.0, 1.0)]).is_err());
         assert!(Curve::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn interpolation_between_and_at_samples() {
-        let c = curve(&[(0.0, 0.0), (10.0, 100.0)]);
-        assert_eq!(c.interpolate(0.0).unwrap(), 0.0);
-        assert_eq!(c.interpolate(10.0).unwrap(), 100.0);
-        assert_eq!(c.interpolate(2.5).unwrap(), 25.0);
-        assert!(c.interpolate(-0.1).is_err());
-        assert!(c.interpolate(10.1).is_err());
-        assert!(c.interpolate(f64::NAN).is_err());
     }
 
     #[test]
@@ -276,21 +234,14 @@ mod tests {
 
     #[test]
     fn roundtrip_interpolate_invert() {
+        // The curve's y at x, on the segment that brackets x, inverts to x.
         let c = curve(&[(0.0, 0.2), (1.0, 0.35), (2.0, 0.6), (3.0, 0.9)]);
-        for x in [0.25, 0.8, 1.5, 2.9] {
-            let y = c.interpolate(x).unwrap();
-            let back = c.invert(y).unwrap();
+        for x in [0.25_f64, 0.8, 1.5, 2.9] {
+            let (i, t) = (x.floor() as usize, x.fract());
+            let (y1, y2) = (c.points()[i].1, c.points()[i + 1].1);
+            let back = c.invert(y1 + t * (y2 - y1)).unwrap();
             assert!((back - x).abs() < 1e-9, "x={x} back={back}");
         }
-    }
-
-    #[test]
-    fn restriction_keeps_sub_domain() {
-        let c = curve(&[(0.0, 0.0), (1.0, 1.0), (2.0, 4.0), (3.0, 9.0), (4.0, 16.0)]);
-        let r = c.restricted(1.0, 3.0).unwrap();
-        assert_eq!(r.domain(), (1.0, 3.0));
-        assert_eq!(r.points().len(), 3);
-        assert!(c.restricted(3.5, 3.6).is_err());
     }
 
     #[test]

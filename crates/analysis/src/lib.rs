@@ -49,7 +49,6 @@ pub use model::{LinearModel, LogLinearModel, ResponseModel};
 pub use pca::{Pca, PrincipalComponent};
 pub use regression::{MultipleLinearRegression, SimpleLinearRegression};
 pub use saturation::{find_active_zone, ActiveZone, SaturationDetector};
-pub use stats::Summary;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -60,5 +59,4 @@ pub mod prelude {
     pub use crate::pca::{Pca, PrincipalComponent};
     pub use crate::regression::{MultipleLinearRegression, SimpleLinearRegression};
     pub use crate::saturation::{find_active_zone, ActiveZone, SaturationDetector};
-    pub use crate::stats::Summary;
 }

@@ -427,7 +427,10 @@ mod tests {
         let cov = data.covariance_matrix().unwrap();
         assert!(cov.is_square());
         assert_eq!(cov[(0, 1)], cov[(1, 0)]);
-        let expected = crate::stats::covariance(&data.column(0), &data.column(1)).unwrap();
+        let (x, y) = (data.column(0), data.column(1));
+        let (mx, my) = (crate::stats::mean(&x).unwrap(), crate::stats::mean(&y).unwrap());
+        let expected =
+            x.iter().zip(&y).map(|(a, b)| (a - mx) * (b - my)).sum::<f64>() / (x.len() - 1) as f64;
         assert!((cov[(0, 1)] - expected).abs() < 1e-12);
         let var0 = crate::stats::variance(&data.column(0)).unwrap();
         assert!((cov[(0, 0)] - var0).abs() < 1e-12);

@@ -133,11 +133,6 @@ impl Pca {
         self.observation_count
     }
 
-    /// Cumulative explained-variance ratio of the first `k` components.
-    pub fn cumulative_explained_variance(&self, k: usize) -> f64 {
-        self.components.iter().take(k).map(|c| c.explained_variance_ratio).sum()
-    }
-
     /// Number of components needed to explain at least `threshold` (e.g. 0.9)
     /// of the variance.
     pub fn components_for_variance(&self, threshold: f64) -> usize {
@@ -306,7 +301,9 @@ mod tests {
         assert_eq!(pca.variable_count(), 2);
         assert_eq!(pca.observation_count(), 100);
         assert!(pca.components()[0].explained_variance_ratio > 0.95);
-        assert!((pca.cumulative_explained_variance(2) - 1.0).abs() < 1e-9);
+        let explained: f64 =
+            pca.components().iter().take(2).map(|c| c.explained_variance_ratio).sum();
+        assert!((explained - 1.0).abs() < 1e-9);
         assert_eq!(pca.components_for_variance(0.9), 1);
 
         // The dominant loadings have equal magnitude on both (standardized) variables.

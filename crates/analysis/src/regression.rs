@@ -93,11 +93,6 @@ impl SimpleLinearRegression {
         self.residual_std
     }
 
-    /// Number of samples the model was fitted on.
-    pub fn sample_count(&self) -> usize {
-        self.n
-    }
-
     /// Predicts `y` for a given `x`.
     pub fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x
@@ -198,11 +193,6 @@ impl MultipleLinearRegression {
         self.r_squared
     }
 
-    /// Number of observations the model was fitted on.
-    pub fn sample_count(&self) -> usize {
-        self.n
-    }
-
     /// Predicts the response for a new observation.
     ///
     /// # Errors
@@ -234,7 +224,6 @@ mod tests {
         assert!((fit.slope() - 3.0).abs() < 1e-12);
         assert_eq!(fit.r_squared(), 1.0);
         assert!(fit.residual_std() < 1e-9);
-        assert_eq!(fit.sample_count(), 5);
     }
 
     #[test]
@@ -301,7 +290,6 @@ mod tests {
         assert!((c[1] - 2.0).abs() < 1e-9);
         assert!((c[2] + 3.0).abs() < 1e-9);
         assert!((fit.r_squared() - 1.0).abs() < 1e-9);
-        assert_eq!(fit.sample_count(), 20);
         assert!((fit.predict(&[2.0, 1.0]).unwrap() - 2.0).abs() < 1e-9);
         assert!(fit.predict(&[1.0]).is_err());
     }

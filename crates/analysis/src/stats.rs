@@ -1,7 +1,6 @@
 //! Descriptive statistics.
 
 use crate::error::AnalysisError;
-use serde::{Deserialize, Serialize};
 
 fn check_finite(data: &[f64]) -> Result<(), AnalysisError> {
     if data.iter().any(|v| !v.is_finite()) {
@@ -45,16 +44,6 @@ pub fn variance(data: &[f64]) -> Result<f64, AnalysisError> {
 /// Requires at least two samples.
 pub fn std_dev(data: &[f64]) -> Result<f64, AnalysisError> {
     variance(data).map(f64::sqrt)
-}
-
-/// Population variance (`n` denominator), used by PCA on full property matrices.
-///
-/// # Errors
-///
-/// Requires at least one sample.
-pub fn population_variance(data: &[f64]) -> Result<f64, AnalysisError> {
-    let m = mean(data)?;
-    Ok(data.iter().map(|v| (v - m).powi(2)).sum::<f64>() / data.len() as f64)
 }
 
 /// Minimum of a slice.
@@ -117,105 +106,6 @@ pub fn median(data: &[f64]) -> Result<f64, AnalysisError> {
     quantile(data, 0.5)
 }
 
-/// Sample covariance between two equally-long slices.
-///
-/// # Errors
-///
-/// Requires two samples and equal lengths.
-pub fn covariance(x: &[f64], y: &[f64]) -> Result<f64, AnalysisError> {
-    if x.len() != y.len() {
-        return Err(AnalysisError::LengthMismatch { left: x.len(), right: y.len() });
-    }
-    if x.len() < 2 {
-        return Err(AnalysisError::NotEnoughData { required: 2, actual: x.len() });
-    }
-    let mx = mean(x)?;
-    let my = mean(y)?;
-    Ok(x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum::<f64>() / (x.len() - 1) as f64)
-}
-
-/// Pearson correlation coefficient in `[-1, 1]`.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::ZeroVariance`] if either input is constant.
-pub fn pearson_correlation(x: &[f64], y: &[f64]) -> Result<f64, AnalysisError> {
-    let cov = covariance(x, y)?;
-    let sx = std_dev(x)?;
-    let sy = std_dev(y)?;
-    if sx == 0.0 || sy == 0.0 {
-        return Err(AnalysisError::ZeroVariance);
-    }
-    Ok((cov / (sx * sy)).clamp(-1.0, 1.0))
-}
-
-/// A compact five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single sample).
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary of the sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty or non-finite sample.
-    pub fn of(data: &[f64]) -> Result<Self, AnalysisError> {
-        Ok(Self {
-            count: data.len(),
-            mean: mean(data)?,
-            std_dev: if data.len() >= 2 { std_dev(data)? } else { 0.0 },
-            min: min(data)?,
-            q1: quantile(data, 0.25)?,
-            median: median(data)?,
-            q3: quantile(data, 0.75)?,
-            max: max(data)?,
-        })
-    }
-
-    /// Interquartile range (`q3 - q1`).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    /// Full range (`max - min`).
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
-}
-
-/// Standardizes a sample to zero mean and unit variance (z-scores).
-///
-/// Constant samples are mapped to all-zeros rather than NaN.
-///
-/// # Errors
-///
-/// Returns an error for an empty or non-finite sample.
-pub fn standardize(data: &[f64]) -> Result<Vec<f64>, AnalysisError> {
-    let m = mean(data)?;
-    let s = if data.len() >= 2 { std_dev(data)? } else { 0.0 };
-    if s == 0.0 {
-        return Ok(vec![0.0; data.len()]);
-    }
-    Ok(data.iter().map(|v| (v - m) / s).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +115,6 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&data).unwrap(), 5.0);
         assert!((variance(&data).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((population_variance(&data).unwrap() - 4.0).abs() < 1e-12);
         assert!((std_dev(&data).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
@@ -254,42 +143,13 @@ mod tests {
     }
 
     #[test]
-    fn covariance_and_correlation() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = [2.0, 4.0, 6.0, 8.0, 10.0];
-        assert!((pearson_correlation(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let y_neg: Vec<f64> = y.iter().map(|v| -v).collect();
-        assert!((pearson_correlation(&x, &y_neg).unwrap() + 1.0).abs() < 1e-12);
-        assert!((covariance(&x, &y).unwrap() - 5.0).abs() < 1e-12);
-
-        assert!(covariance(&x, &y[..3]).is_err());
-        assert!(pearson_correlation(&x, &[1.0, 1.0, 1.0, 1.0, 1.0]).is_err());
-    }
-
-    #[test]
     fn summary_is_consistent() {
         let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let s = Summary::of(&data).unwrap();
-        assert_eq!(s.count, 8);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 9.0);
-        assert!(s.q1 <= s.median && s.median <= s.q3);
-        assert!((s.range() - 8.0).abs() < 1e-12);
-        assert!(s.iqr() >= 0.0);
-
-        let single = Summary::of(&[4.2]).unwrap();
-        assert_eq!(single.std_dev, 0.0);
-        assert_eq!(single.median, 4.2);
-    }
-
-    #[test]
-    fn standardize_produces_zscores() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let z = standardize(&data).unwrap();
-        assert!((mean(&z).unwrap()).abs() < 1e-12);
-        assert!((std_dev(&z).unwrap() - 1.0).abs() < 1e-12);
-
-        let constant = standardize(&[7.0, 7.0, 7.0]).unwrap();
-        assert_eq!(constant, vec![0.0, 0.0, 0.0]);
+        let (q1, q3) = (quantile(&data, 0.25).unwrap(), quantile(&data, 0.75).unwrap());
+        assert_eq!(min(&data).unwrap(), 1.0);
+        assert_eq!(max(&data).unwrap(), 9.0);
+        assert!(1.0 <= q1 && q1 <= median(&data).unwrap() && median(&data).unwrap() <= q3);
+        assert!(q3 <= 9.0);
+        assert_eq!(median(&[4.2]).unwrap(), 4.2);
     }
 }

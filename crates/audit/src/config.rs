@@ -128,8 +128,8 @@ pub const ZONES: &[ZoneRule] = &[
         lints: DETERMINISTIC,
         test_lints: DETERMINISTIC_TESTS,
     },
-    // The auditor itself renders findings and the baseline; its output
-    // order is part of the ratchet contract.
+    // The auditor itself renders findings; the gate's output is sorted and
+    // must be the same on every run.
     ZoneRule {
         zone: "deterministic-core",
         prefix: "crates/audit/src",
@@ -227,14 +227,16 @@ pub fn is_safety_comment_mode(path: &str) -> bool {
     SAFETY_COMMENT_MODE.iter().any(|prefix| matches_prefix(path, prefix))
 }
 
-/// Zones whose code never counts as a use for R1: tests exercise items
-/// that nothing else may need, and vendored shims stand in for external
-/// crates.
-const NOT_USES: &[&str] = &["tests", "vendor"];
+/// R1's roots outside the library zones: the reproduction bins, the
+/// linter's own CLI, the examples and the benchmark. Every non-test token
+/// of these files names something the repository runs, so each of them
+/// must run, not only compile, in CI.
+pub const ROOTS: &[&str] =
+    &["crates/bench/src/bin", "crates/audit/src/main.rs", "examples", "geobench"];
 
-/// Whether identifiers in `path` count as uses for R1.
-pub(crate) fn counts_as_use(path: &str) -> bool {
-    zones_for(path).iter().all(|rule| !NOT_USES.contains(&rule.zone))
+/// Whether `path` (repo-relative, `/`-separated) is one of R1's roots.
+pub fn is_root(path: &str) -> bool {
+    ROOTS.iter().any(|prefix| matches_prefix(path, prefix))
 }
 
 /// Paths never scanned (build output, the linter's own hostile fixtures).
@@ -298,13 +300,17 @@ mod tests {
     }
 
     #[test]
-    fn r1_zones_count_their_own_uses() {
-        // R1 subtracts an item's own tokens from the tree-wide count, which
-        // holds only where the item's file was counted too.
-        for rule in ZONES.iter().filter(|rule| rule.lints.contains(&Lint::R1)) {
-            assert!(!NOT_USES.contains(&rule.zone), "{}", rule.prefix);
+    fn r1_is_armed_in_every_library_zone_and_never_in_tests() {
+        for rule in ZONES {
+            let library = rule.prefix.starts_with("crates/") && rule.prefix.ends_with("/src")
+                || rule.prefix == "src";
+            assert!(!library || rule.lints.contains(&Lint::R1), "{}", rule.prefix);
             assert!(!rule.test_lints.contains(&Lint::R1), "{}", rule.prefix);
         }
+        assert!(is_root("crates/bench/src/bin/fig1.rs"));
+        assert!(is_root("geobench/build.rs"));
+        assert!(!is_root("crates/bench/src/lib.rs"));
+        assert!(!is_root("examplesque/main.rs"));
     }
 
     #[test]

@@ -18,16 +18,15 @@
 //! | D3 | no entropy-seeded RNGs anywhere — seeds flow through `derive_*_seed` |
 //! | P1 | no panic surfaces (`unwrap`/`expect`/`panic!`/`unreachable!`/bare indexing) on request/hot paths |
 //! | U1 | `#![forbid(unsafe_code)]` on every non-vendor crate root; `// SAFETY:` on every vendor `unsafe` |
-//! | R1 | every bare-`pub` library item is named by non-test code outside its own definition |
+//! | R1 | every library item is live: reached from a bin, an example, the benchmark or an allowed item |
 //! | A1/A2 | every `audit:allow` is well-formed, reasoned, and actually used |
 //! | Z0 | every scanned file is covered by an explicit zone rule |
 //!
 //! Escape hatch: `// audit:allow(<lint-id>): <reason>` on the finding's
-//! line or the line just above; the reason is mandatory. Grandfathered
-//! findings live in the committed `audit-baseline.txt` under a ratchet
-//! (counts may only decrease — see [`engine::Baseline`]).
+//! line or the line just above; the reason is mandatory. There is no
+//! ledger of tolerated findings: the tree has none, and any new one fails.
 //!
-//! Entry point: `cargo run -p geopriv-audit -- --check`.
+//! Entry point: `cargo run -p geopriv-audit`.
 
 #![forbid(unsafe_code)]
 
@@ -36,5 +35,5 @@ pub mod engine;
 pub mod lexer;
 pub mod lints;
 
-pub use engine::{scan_file, scan_sources, scan_tree, AuditReport, Baseline, FileFinding};
-pub use lints::{scan_source, Finding, Lint, ScanOptions};
+pub use engine::{scan_sources, scan_tree, AuditReport, FileFinding};
+pub use lints::{Finding, Lint};

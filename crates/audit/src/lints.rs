@@ -1,14 +1,15 @@
 //! The zone-aware contract lints and their token-level detectors.
 //!
-//! Each lint has a stable id used in findings, in `audit:allow(<id>)`
-//! escape hatches and in the committed baseline. The checks are heuristic
-//! by design — a token-level view has no type information — but every
-//! heuristic errs toward *reporting*, and the allow/baseline machinery is
-//! the pressure valve. See `docs/contracts.md` for the contract each lint
-//! enforces and the historical bug it guards against.
+//! Each lint has a stable id used in findings and in `audit:allow(<id>)`
+//! escape hatches. The checks are heuristic by design — a token-level view
+//! has no type information — but every heuristic errs toward *reporting*,
+//! and the reasoned allow is the pressure valve. R1 (liveness) is the
+//! exception: it judges by name, so it errs toward silence where names
+//! collide. See `docs/contracts.md` for the contract each lint enforces and
+//! the historical bug it guards against.
 
 use crate::lexer::{lex, TokKind, Token};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// The contract lints. `A1`/`A2`/`Z0` are meta-lints raised by the engine
 /// itself (malformed allow, unused allow, file not covered by the zone
@@ -30,8 +31,9 @@ pub enum Lint {
     /// Unsafe-code hygiene: non-vendor crate roots carry
     /// `#![forbid(unsafe_code)]`; vendor `unsafe` blocks carry `// SAFETY:`.
     U1,
-    /// A bare-`pub` library item that no non-test code names outside its
-    /// own definition: code that nothing reaches is deleted.
+    /// A library item that is not live: no bin, example, benchmark or
+    /// allowed item reaches it through the items that name each other.
+    /// Code that nothing reaches is deleted.
     R1,
     /// Malformed `audit:allow` (unknown lint id or missing reason).
     A1,
@@ -42,7 +44,7 @@ pub enum Lint {
 }
 
 impl Lint {
-    /// The stable id used in findings, allows and the baseline.
+    /// The stable id used in findings and allows.
     pub fn id(self) -> &'static str {
         match self {
             Lint::D1 => "D1",
@@ -81,14 +83,11 @@ pub struct Finding {
     pub lint: Lint,
     /// Human-readable explanation pointing at the offending construct.
     pub message: String,
-    /// The item an R1 finding is about, which keys its baseline row; `None`
-    /// for every other lint, whose rows are per file.
-    pub item: Option<String>,
 }
 
 /// How one file should be scanned (derived from its zone memberships).
 #[derive(Debug, Clone, Default)]
-pub struct ScanOptions {
+pub(crate) struct ScanOptions {
     /// Lints enforced outside test regions.
     pub lints: Vec<Lint>,
     /// Lints enforced inside `#[cfg(test)]` / `#[test]` regions.
@@ -109,28 +108,6 @@ struct Allow {
     used: bool,
 }
 
-/// Identifier uses across a scanned tree, for R1: how often each name
-/// occurs as a token that counts as a use (see [`countable`]).
-#[derive(Default)]
-pub(crate) struct Uses(BTreeMap<String, usize>);
-
-impl Uses {
-    /// Adds one file's uses.
-    pub(crate) fn add(&mut self, src: &str) {
-        let tokens = lex(src);
-        let sig = significant(&tokens);
-        for (token, counts) in sig.iter().zip(countable(&sig, &test_regions(&sig))) {
-            if let (true, Some(name)) = (counts, token.ident()) {
-                *self.0.entry(name.to_string()).or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn count(&self, name: &str) -> usize {
-        self.0.get(name).copied().unwrap_or(0)
-    }
-}
-
 /// The tokens lints look at: everything but comments.
 fn significant(tokens: &[Token]) -> Vec<&Token> {
     tokens.iter().filter(|t| !matches!(t.kind, TokKind::Comment(_))).collect()
@@ -138,18 +115,9 @@ fn significant(tokens: &[Token]) -> Vec<&Token> {
 
 /// Scans one file's source under the given options and returns its
 /// findings, sorted by line then lint id, with allows already applied and
-/// allow-discipline findings (A1/A2) included. R1 needs the whole tree's
-/// uses, so it stays off here.
-pub fn scan_source(src: &str, options: &ScanOptions) -> Vec<Finding> {
-    scan_source_with(src, options, None)
-}
-
-/// [`scan_source`], with R1 armed against `uses` when given.
-pub(crate) fn scan_source_with(
-    src: &str,
-    options: &ScanOptions,
-    uses: Option<&Uses>,
-) -> Vec<Finding> {
+/// allow-discipline findings (A1/A2) included. R1 needs the whole tree, so
+/// its findings for this file come in as `r1` ([`unreached`]).
+pub(crate) fn scan_source(src: &str, options: &ScanOptions, r1: Vec<Finding>) -> Vec<Finding> {
     let tokens = lex(src);
     let sig = significant(&tokens);
     let comments: Vec<(u32, &str)> = tokens
@@ -186,10 +154,7 @@ pub(crate) fn scan_source_with(
     if options.lints.contains(&Lint::U1) || options.test_lints.contains(&Lint::U1) {
         detect_u1(&sig, &comments, options, &mut raw);
     }
-    let r1_armed = options.lints.contains(&Lint::R1);
-    if let (true, Some(uses)) = (r1_armed, uses) {
-        detect_r1(&sig, &countable(&sig, &test_regions), uses, &mut raw);
-    }
+    raw.extend(r1);
     raw.retain(|f| enabled(f.lint, f.line));
 
     // Dedup (several detectors can hit one construct on one line).
@@ -214,21 +179,16 @@ pub(crate) fn scan_source_with(
             None => findings.push(finding),
         }
     }
-    for allow in &allows {
-        // Without the tree's uses R1 cannot run, so its allows are not stale.
-        let unjudged = allow.lint == Lint::R1 && r1_armed && uses.is_none();
-        if !(allow.used || unjudged) {
-            findings.push(Finding {
-                line: allow.line,
-                lint: Lint::A2,
-                item: None,
-                message: format!(
-                    "unused audit:allow({}) — it suppresses nothing on this or the next line; \
-                     remove it",
-                    allow.lint.id()
-                ),
-            });
-        }
+    for allow in allows.iter().filter(|a| !a.used) {
+        findings.push(Finding {
+            line: allow.line,
+            lint: Lint::A2,
+            message: format!(
+                "unused audit:allow({}) — it suppresses nothing on this or the next line; \
+                 remove it",
+                allow.lint.id()
+            ),
+        });
     }
 
     findings.sort_by_key(|f| (f.line, f.lint));
@@ -249,7 +209,6 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
-                item: None,
                 message: "malformed audit:allow — expected `audit:allow(<lint-id>): <reason>`"
                     .to_string(),
             });
@@ -259,7 +218,6 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
-                item: None,
                 message: "malformed audit:allow — unclosed lint id".to_string(),
             });
             break;
@@ -270,7 +228,6 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
-                item: None,
                 message: format!("audit:allow names unknown or non-allowable lint `{id}`"),
             });
             continue;
@@ -280,7 +237,6 @@ fn parse_allows(line: u32, text: &str, allows: &mut Vec<Allow>, findings: &mut V
             findings.push(Finding {
                 line,
                 lint: Lint::A1,
-                item: None,
                 message: format!(
                     "audit:allow({id}) without a reason — write `audit:allow({id}): <why this \
                      is sound>`"
@@ -317,26 +273,9 @@ fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
     regions.iter().any(|&(lo, hi)| line >= lo && line <= hi)
 }
 
-/// Which tokens count as uses for R1: those outside test regions and
-/// outside `pub use …;` statements (a re-export reaches nothing by itself).
-fn countable(sig: &[&Token], test_regions: &[(u32, u32)]) -> Vec<bool> {
-    let mut counts: Vec<bool> = sig.iter().map(|t| !in_regions(t.line, test_regions)).collect();
-    let mut i = 0;
-    while i + 1 < sig.len() {
-        if sig[i].ident() == Some("pub") && sig[i + 1].ident() == Some("use") {
-            while i < sig.len() && !sig[i].is_punct(';') {
-                counts[i] = false;
-                i += 1;
-            }
-        }
-        i += 1;
-    }
-    counts
-}
-
 /// Parses an attribute starting at its `[`; returns (index of `]`, whether
-/// it gates on test). `#[cfg(not(test))]` gates on *not* test and is
-/// excluded.
+/// it gates on test or doctest). `#[cfg(not(test))]` gates on *not* test
+/// and is excluded.
 fn parse_attribute(sig: &[&Token], open: usize) -> (usize, bool) {
     let mut depth = 0usize;
     let mut has_test = false;
@@ -351,7 +290,7 @@ fn parse_attribute(sig: &[&Token], open: usize) -> (usize, bool) {
                     return (i, has_test && !has_not);
                 }
             }
-            TokKind::Ident(name) if name == "test" => has_test = true,
+            TokKind::Ident(name) if name == "test" || name == "doctest" => has_test = true,
             TokKind::Ident(name) if name == "not" => has_not = true,
             _ => {}
         }
@@ -400,90 +339,329 @@ fn item_body(sig: &[&Token], mut i: usize) -> Option<(usize, u32)> {
     None
 }
 
-/// Item kinds R1 checks after a bare `pub`.
-const R1_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
-
-/// The item a `pub` at `at` declares, as (kind, name, line), when it is one
-/// R1 checks: not `pub(crate)`, `pub mod`, `pub use` or a field.
-fn pub_item<'t>(sig: &[&'t Token], at: usize) -> Option<(&'t str, &'t str, u32)> {
-    let ident = |k: usize| sig.get(k).and_then(|t| t.ident());
-    let mut k = at + 1;
-    // `const fn`, `async fn`, `unsafe fn` and their combinations.
-    while matches!(ident(k), Some("const" | "async" | "unsafe"))
-        && matches!(ident(k + 1), Some("fn" | "const" | "async" | "unsafe"))
-    {
-        k += 1;
-    }
-    let kind = ident(k).filter(|kind| R1_ITEMS.contains(kind))?;
-    Some((kind, ident(k + 1)?, sig[k + 1].line))
+/// What a file is to R1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A bin, an example or the benchmark: every non-test token is a root.
+    Root,
+    /// A file of a zone where R1 is armed: its items are the graph's nodes,
+    /// and its tokens outside every item are roots.
+    Library,
+    /// Tests and vendored shims: nothing they name keeps code alive.
+    Ignored,
 }
 
-/// Every `impl` block as (self-type name, index of `impl`, index of its
-/// closing `}`). A block's `impl` starts an item, so what precedes it ends
-/// one; `impl Trait` in argument or return position is a type instead.
-fn impl_blocks<'t>(sig: &[&'t Token]) -> Vec<(&'t str, usize, usize)> {
-    let mut blocks = Vec::new();
-    for i in 0..sig.len() {
-        if sig[i].ident() != Some("impl") {
-            continue;
-        }
-        if i > 0 && !matches!(sig[i - 1].kind, TokKind::Punct('}' | ';' | ']' | '{')) {
-            continue;
-        }
-        // The self type is the header's last name outside generics: it
-        // follows `for` when the block implements a trait.
-        let (mut angle, mut self_type) = (0i32, None);
-        for k in i + 1..sig.len() {
-            match &sig[k].kind {
-                TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') if !sig[k - 1].is_punct('-') => angle -= 1,
-                TokKind::Punct('{' | ';') if angle == 0 => break,
-                TokKind::Ident(name) if angle == 0 && name == "where" => break,
-                TokKind::Ident(name) if angle == 0 => self_type = Some(name.as_str()),
-                _ => {}
+/// Whose item an item is, for the rule that makes it live ([`Graph::live`]).
+#[derive(Debug, Clone, Copy)]
+enum Owner<'t> {
+    /// A module's: a free function, type, constant or macro.
+    Module,
+    /// An inherent `impl` block's, with its self type.
+    Inherent(&'t str),
+    /// A trait `impl` block's, with its self type; also the block's header.
+    TraitImpl(&'t str),
+    /// A trait declaration's, with the trait.
+    Trait(&'t str),
+}
+
+/// A node of R1's name graph: an item, or an `impl` block's header.
+struct Node<'t> {
+    /// Index of the node's file.
+    file: usize,
+    /// The item's name; empty for an `impl` header, which is never reported.
+    name: &'t str,
+    /// Line of the item's name.
+    line: u32,
+    owner: Owner<'t>,
+    /// Whether other items can take it as their self type or trait: a
+    /// module's struct, enum, trait or type alias.
+    is_type: bool,
+    /// Every identifier among its tokens but the name it defines.
+    names: Vec<&'t str>,
+    /// Whether an `audit:allow(R1)` sits on its name's line or the one above.
+    allowed: bool,
+}
+
+/// R1's name graph over a whole tree: the names its roots carry and the
+/// nodes of its library files.
+#[derive(Default)]
+struct Graph<'t> {
+    roots: Vec<&'t str>,
+    nodes: Vec<Node<'t>>,
+}
+
+impl<'t> Graph<'t> {
+    /// Which nodes are live when the nodes `seed` picks are live from the
+    /// start. A module's item is live when a root or a live node names it;
+    /// a trait's item or an inherent method also needs its trait or self
+    /// type live; a trait impl's item, and every impl header, is live
+    /// exactly when its self type is. A self type that the tree does not
+    /// define (a generic parameter, a std type) counts as live.
+    fn live(&self, seed: impl Fn(&Node<'t>) -> bool) -> Vec<bool> {
+        let types: BTreeSet<&str> =
+            self.nodes.iter().filter(|n| n.is_type).map(|n| n.name).collect();
+        let mut named: BTreeSet<&str> = self.roots.iter().copied().collect();
+        let mut live_types: BTreeSet<&str> = BTreeSet::new();
+        let mut live = vec![false; self.nodes.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (node, live) in self.nodes.iter().zip(live.iter_mut()) {
+                let type_live = |ty: &str| !types.contains(ty) || live_types.contains(ty);
+                let reached = match node.owner {
+                    Owner::Module => named.contains(node.name),
+                    Owner::Inherent(ty) | Owner::Trait(ty) => {
+                        named.contains(node.name) && type_live(ty)
+                    }
+                    Owner::TraitImpl(ty) => type_live(ty),
+                };
+                if *live || !(reached || seed(node)) {
+                    continue;
+                }
+                *live = true;
+                changed = true;
+                named.extend(node.names.iter().copied());
+                if node.is_type {
+                    live_types.insert(node.name);
+                }
             }
         }
-        if let (Some(self_type), Some((end, _))) = (self_type, item_body(sig, i)) {
-            blocks.push((self_type, i, end));
-        }
+        live
     }
-    blocks
 }
 
-/// R1: a bare-`pub` item whose name no countable token outside its own
-/// definition carries — for a struct, enum or type alias, outside its own
-/// `impl` blocks too.
-fn detect_r1(sig: &[&Token], countable: &[bool], uses: &Uses, findings: &mut Vec<Finding>) {
-    let impls = impl_blocks(sig);
-    let named = |name: &str, lo: usize, hi: usize| {
-        (lo..=hi).filter(|&k| countable[k] && sig[k].ident() == Some(name)).count()
-    };
-    for i in 0..sig.len() {
-        if !countable[i] || sig[i].ident() != Some("pub") {
-            continue;
-        }
-        let Some((kind, name, line)) = pub_item(sig, i) else { continue };
-        let end = item_body(sig, i).map_or(sig.len() - 1, |(end, _)| end);
-        let mut own = named(name, i, end);
-        if matches!(kind, "struct" | "enum" | "type") {
-            own += impls
-                .iter()
-                .filter(|(self_type, _, _)| *self_type == name)
-                .map(|&(_, lo, hi)| named(name, lo, hi))
-                .sum::<usize>();
-        }
-        if uses.count(name) <= own {
-            findings.push(Finding {
-                line,
-                lint: Lint::R1,
-                item: Some(name.to_string()),
-                message: format!(
-                    "`{name}` is `pub` but no non-test code names it outside its own definition \
-                     — delete it, or audit:allow(R1) it as deliberate public API"
-                ),
-            });
+/// R1 over a whole tree of `(role, source)` files: each file's findings,
+/// one per item that is not live ([`Graph::live`]).
+///
+/// Roots are the non-test tokens of [`Role::Root`] files, the tokens of
+/// library files that lie outside every item (plain `use`, module-level
+/// macro calls), and every item under `audit:allow(R1)`. Such an item gets
+/// its finding, for the allow to suppress, exactly when it would not be
+/// live without the allows: an allow on an item that is live anyway is
+/// stale (A2).
+pub(crate) fn unreached(files: &[(Role, &str)]) -> Vec<Vec<Finding>> {
+    let tokens: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src)).collect();
+    let mut graph = Graph::default();
+    for (file, ((role, _), tokens)) in files.iter().zip(&tokens).enumerate() {
+        let sig = significant(tokens);
+        let tests = test_regions(&sig);
+        match role {
+            Role::Root => graph.roots.extend(
+                sig.iter().filter(|t| !in_regions(t.line, &tests)).filter_map(|t| t.ident()),
+            ),
+            Role::Library => {
+                let mut allows = Vec::new();
+                for token in tokens {
+                    if let TokKind::Comment(text) = &token.kind {
+                        parse_allows(token.line, text, &mut allows, &mut Vec::new());
+                    }
+                }
+                let allowed: Vec<u32> =
+                    allows.iter().filter(|a| a.lint == Lint::R1).map(|a| a.line).collect();
+                let scope = Scope { sig: &sig, tests: &tests, allowed: &allowed, file };
+                scope.items(0, sig.len(), Owner::Module, &mut graph);
+            }
+            Role::Ignored => {}
         }
     }
+    let unaided = graph.live(|_| false);
+    let live = graph.live(|node| node.allowed);
+    let mut findings = vec![Vec::new(); files.len()];
+    for (k, node) in graph.nodes.iter().enumerate() {
+        let dead = if node.allowed { !unaided[k] } else { !live[k] };
+        if !dead || node.name.is_empty() {
+            continue;
+        }
+        let name = match node.owner {
+            Owner::Module => node.name.to_string(),
+            Owner::Inherent(ty) | Owner::TraitImpl(ty) | Owner::Trait(ty) => {
+                format!("{ty}::{}", node.name)
+            }
+        };
+        findings[node.file].push(Finding {
+            line: node.line,
+            lint: Lint::R1,
+            message: format!(
+                "`{name}` is not live: no bin, example, benchmark or allowed item reaches it, \
+                 directly or through items that name it — delete it, or audit:allow(R1) it as \
+                 deliberate public API"
+            ),
+        });
+    }
+    findings
+}
+
+/// One library file, split into R1's nodes.
+struct Scope<'a, 't> {
+    sig: &'a [&'t Token],
+    tests: &'a [(u32, u32)],
+    /// Lines of the file's `audit:allow(R1)` directives.
+    allowed: &'a [u32],
+    file: usize,
+}
+
+impl<'t> Scope<'_, 't> {
+    fn ident(&self, k: usize) -> Option<&'t str> {
+        self.sig.get(k).and_then(|t| t.ident())
+    }
+
+    fn punct(&self, k: usize, c: char) -> bool {
+        self.sig.get(k).is_some_and(|t| t.is_punct(c))
+    }
+
+    /// Adds the items of `sig[lo..hi]` — a module's, impl's or trait's
+    /// body — to the graph, and the names its tokens outside every item
+    /// carry to the roots. Items in test regions and `pub use` re-exports
+    /// add nothing.
+    fn items(&self, lo: usize, hi: usize, owner: Owner<'t>, graph: &mut Graph<'t>) {
+        let mut i = lo;
+        while i < hi {
+            let start = i;
+            let mut k = i;
+            while self.punct(k, '#') {
+                let open = if self.punct(k + 1, '!') { k + 2 } else { k + 1 };
+                if !self.punct(open, '[') {
+                    break;
+                }
+                k = parse_attribute(self.sig, open).0 + 1;
+            }
+            let public = self.ident(k) == Some("pub");
+            if public {
+                k += 1;
+                if self.punct(k, '(') {
+                    while k < hi && !self.punct(k, ')') {
+                        k += 1;
+                    }
+                    k += 1;
+                }
+            }
+            // `const fn`, `async fn`, `unsafe impl` and their combinations.
+            while matches!(self.ident(k), Some("const" | "async" | "unsafe"))
+                && matches!(self.ident(k + 1), Some("fn" | "const" | "async" | "unsafe" | "impl"))
+            {
+                k += 1;
+            }
+            let keyword = self.ident(k);
+            let semi_only = matches!(keyword, Some("const" | "static" | "type" | "use"));
+            let end = item_end(self.sig, k, hi, semi_only);
+            i = end + 1;
+            if self.sig.get(k).is_some_and(|t| in_regions(t.line, self.tests)) {
+                continue;
+            }
+            let is_type = matches!(owner, Owner::Module)
+                && matches!(keyword, Some("struct" | "enum" | "trait" | "type"));
+            let name_at = match keyword {
+                Some("macro_rules") if self.punct(k + 1, '!') => k + 2,
+                _ => k + 1,
+            };
+            match (keyword, self.ident(name_at)) {
+                (Some("impl"), _) => {
+                    let Some(open) = body_open(self.sig, k, end) else { continue };
+                    let (self_type, of_trait) = impl_header(&self.sig[k..open]);
+                    let header = Owner::TraitImpl(self_type);
+                    self.push(graph, (start, open), usize::MAX, header, false);
+                    let owner = if of_trait { header } else { Owner::Inherent(self_type) };
+                    self.items(open + 1, end, owner, graph);
+                }
+                (Some("mod"), _) => {
+                    if let Some(open) = body_open(self.sig, k, end) {
+                        self.items(open + 1, end, Owner::Module, graph);
+                    }
+                }
+                (Some("use"), _) if public => {}
+                (Some("trait"), Some(name)) => {
+                    let Some(open) = body_open(self.sig, k, end) else { continue };
+                    self.push(graph, (start, open), name_at, owner, is_type);
+                    self.items(open + 1, end, Owner::Trait(name), graph);
+                }
+                (
+                    Some("fn" | "struct" | "enum" | "type" | "const" | "static" | "macro_rules"),
+                    Some(_),
+                ) => self.push(graph, (start, end), name_at, owner, is_type),
+                _ => graph.roots.extend((start..=end).filter_map(|k| self.ident(k))),
+            }
+        }
+    }
+
+    /// Adds the node whose tokens are `sig[lo..=hi]` and whose name is the
+    /// token at `name_at` (none for an impl header, `usize::MAX`).
+    fn push(
+        &self,
+        graph: &mut Graph<'t>,
+        (lo, hi): (usize, usize),
+        name_at: usize,
+        owner: Owner<'t>,
+        is_type: bool,
+    ) {
+        let name = self.ident(name_at).unwrap_or("");
+        let line = self.sig.get(name_at).map_or(0, |t| t.line);
+        graph.nodes.push(Node {
+            file: self.file,
+            name,
+            line,
+            owner,
+            is_type,
+            names: (lo..=hi).filter(|&k| k != name_at).filter_map(|k| self.ident(k)).collect(),
+            allowed: self.allowed.iter().any(|&a| a == line || a + 1 == line),
+        });
+    }
+}
+
+/// The index of the last token of the item whose keyword is at `from`,
+/// within `sig[..hi]`: the `;` that ends it outside brackets, or the `}`
+/// that closes its body. Constants, statics, type aliases and `use`
+/// declarations end only at their `;`, since their values and use trees
+/// hold braces.
+fn item_end(sig: &[&Token], from: usize, hi: usize, semi_only: bool) -> usize {
+    let mut depth = 0i32;
+    for (k, token) in sig.iter().enumerate().take(hi).skip(from) {
+        match token.kind {
+            TokKind::Punct('(' | '[' | '{') => depth += 1,
+            TokKind::Punct(')' | ']') => depth -= 1,
+            TokKind::Punct('}') => {
+                depth -= 1;
+                if depth <= 0 && !semi_only {
+                    return k;
+                }
+            }
+            TokKind::Punct(';') if depth <= 0 => return k,
+            _ => {}
+        }
+    }
+    hi.saturating_sub(1).max(from)
+}
+
+/// The index of the `{` that opens the body of the item at `from`: the
+/// first one outside parentheses and brackets, up to `end`.
+fn body_open(sig: &[&Token], from: usize, end: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (k, token) in sig.iter().enumerate().take(end + 1).skip(from) {
+        match token.kind {
+            TokKind::Punct('(' | '[') => depth += 1,
+            TokKind::Punct(')' | ']') => depth -= 1,
+            TokKind::Punct('{') if depth == 0 => return Some(k),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// An impl header's self type — its last name outside generics, before
+/// any `where` — and whether the block implements a trait (a `for` outside
+/// generics).
+fn impl_header<'t>(header: &[&'t Token]) -> (&'t str, bool) {
+    let (mut angle, mut self_type, mut of_trait) = (0i32, "", false);
+    for (k, token) in header.iter().enumerate() {
+        match &token.kind {
+            TokKind::Punct('<') => angle += 1,
+            TokKind::Punct('>') if !(k > 0 && header[k - 1].is_punct('-')) => angle -= 1,
+            TokKind::Ident(name) if angle == 0 && name == "where" => break,
+            TokKind::Ident(name) if angle == 0 && name == "for" => of_trait = true,
+            TokKind::Ident(name) if angle == 0 => self_type = name.as_str(),
+            _ => {}
+        }
+    }
+    (self_type, of_trait)
 }
 
 /// Names declared (or ascribed) in this file with a `HashMap`/`HashSet`
@@ -579,7 +757,6 @@ fn detect_d1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i + 1].line,
                     lint: Lint::D1,
-                    item: None,
                     message: d1_message(&name),
                 });
                 break;
@@ -612,7 +789,6 @@ fn detect_d1(sig: &[&Token], findings: &mut Vec<Finding>) {
                     findings.push(Finding {
                         line: sig[j].line,
                         lint: Lint::D1,
-                        item: None,
                         message: d1_message(name),
                     });
                 }
@@ -693,7 +869,6 @@ fn detect_d2(sig: &[&Token], findings: &mut Vec<Finding>) {
             findings.push(Finding {
                 line: sig[i].line,
                 lint: Lint::D2,
-                item: None,
                 message: format!(
                     "wall-clock read `{name}::now` in a deterministic zone — time must come in \
                      as data, never be sampled"
@@ -710,7 +885,6 @@ fn detect_d3(sig: &[&Token], findings: &mut Vec<Finding>) {
             Some(name @ ("thread_rng" | "from_entropy")) => findings.push(Finding {
                 line: sig[i].line,
                 lint: Lint::D3,
-                item: None,
                 message: format!(
                     "entropy-seeded RNG (`{name}`) — seeds must flow through the \
                      `derive_*_seed` family so every stream is replayable"
@@ -724,7 +898,6 @@ fn detect_d3(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::D3,
-                    item: None,
                     message: "entropy-seeded RNG (`rand::random`) — seeds must flow through the \
                               `derive_*_seed` family so every stream is replayable"
                         .to_string(),
@@ -748,7 +921,6 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                     findings.push(Finding {
                         line: sig[i + 1].line,
                         lint: Lint::P1,
-                        item: None,
                         message: format!(
                             "`.{name}()` on a panic-free path — return a typed error instead"
                         ),
@@ -762,7 +934,6 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::P1,
-                    item: None,
                     message: format!(
                         "`{name}!` on a panic-free path — return a typed error instead"
                     ),
@@ -791,7 +962,6 @@ fn detect_p1(sig: &[&Token], findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     line: sig[i].line,
                     lint: Lint::P1,
-                    item: None,
                     message: "indexing without `get` may panic — use `.get(…)` and handle `None`"
                         .to_string(),
                 });
@@ -820,7 +990,6 @@ fn detect_u1(
             findings.push(Finding {
                 line: 1,
                 lint: Lint::U1,
-                item: None,
                 message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
             });
         }
@@ -837,7 +1006,6 @@ fn detect_u1(
                 findings.push(Finding {
                     line: token.line,
                     lint: Lint::U1,
-                    item: None,
                     message: "vendor `unsafe` without a `// SAFETY:` comment on or just above \
                               this line"
                         .to_string(),
@@ -847,7 +1015,6 @@ fn detect_u1(
             findings.push(Finding {
                 line: token.line,
                 lint: Lint::U1,
-                item: None,
                 message: "`unsafe` outside vendor code — the workspace forbids it".to_string(),
             });
         }
@@ -864,7 +1031,7 @@ mod tests {
             test_lints: lints.to_vec(),
             ..ScanOptions::default()
         };
-        scan_source(src, &options).into_iter().map(|f| (f.line, f.lint)).collect()
+        scan_source(src, &options, Vec::new()).into_iter().map(|f| (f.line, f.lint)).collect()
     }
 
     #[test]
@@ -935,7 +1102,7 @@ mod tests {
                    }\n";
         let options = ScanOptions { lints: vec![Lint::P1], ..ScanOptions::default() };
         let found: Vec<(u32, Lint)> =
-            scan_source(src, &options).into_iter().map(|f| (f.line, f.lint)).collect();
+            scan_source(src, &options, Vec::new()).into_iter().map(|f| (f.line, f.lint)).collect();
         assert_eq!(found, vec![(1, Lint::P1)]);
     }
 
@@ -943,7 +1110,7 @@ mod tests {
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn live(x: Option<u32>) -> u32 { x.unwrap() }\n";
         let options = ScanOptions { lints: vec![Lint::P1], ..ScanOptions::default() };
-        assert_eq!(scan_source(src, &options).len(), 1);
+        assert_eq!(scan_source(src, &options, Vec::new()).len(), 1);
     }
 
     #[test]
@@ -951,7 +1118,7 @@ mod tests {
         let src = "pub fn f() {}\n";
         let options =
             ScanOptions { lints: vec![Lint::U1], require_forbid: true, ..ScanOptions::default() };
-        let found = scan_source(src, &options);
+        let found = scan_source(src, &options, Vec::new());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].lint, Lint::U1);
 
@@ -959,8 +1126,10 @@ mod tests {
                           // SAFETY: pointer is valid for the call\n\
                           fn g() { unsafe { x() } }\n";
         let vendor = ScanOptions { lints: vec![Lint::U1], vendor: true, ..ScanOptions::default() };
-        let found: Vec<(u32, Lint)> =
-            scan_source(vendor_src, &vendor).into_iter().map(|f| (f.line, f.lint)).collect();
+        let found: Vec<(u32, Lint)> = scan_source(vendor_src, &vendor, Vec::new())
+            .into_iter()
+            .map(|f| (f.line, f.lint))
+            .collect();
         assert_eq!(found, vec![(1, Lint::U1)]);
     }
 

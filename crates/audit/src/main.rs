@@ -1,135 +1,62 @@
 //! CLI for the workspace contract linter.
 //!
 //! ```text
-//! cargo run -p geopriv-audit -- --check            # the CI gate
-//! cargo run -p geopriv-audit -- --list             # every finding, incl. baselined
-//! cargo run -p geopriv-audit -- --write-baseline   # regenerate audit-baseline.txt
-//! cargo run -p geopriv-audit -- --check --root …   # audit another checkout
+//! cargo run -p geopriv-audit                   # the CI gate
+//! cargo run -p geopriv-audit -- --root …       # audit another checkout
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings outside the baseline (or a stale
-//! baseline), 2 usage or IO error.
+//! Prints every finding. Exit codes: 0 clean, 1 any finding, 2 usage or IO
+//! error.
 
 #![forbid(unsafe_code)]
 
-use geopriv_audit::engine::uncovered;
-use geopriv_audit::{scan_tree, Baseline};
+use geopriv_audit::scan_tree;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const BASELINE_FILE: &str = "audit-baseline.txt";
-
-struct Args {
-    root: PathBuf,
-    mode: Mode,
-}
-
-enum Mode {
-    Check,
-    List,
-    WriteBaseline,
-}
-
-fn parse_args() -> Result<Args, String> {
+fn parse_root() -> Result<PathBuf, String> {
     // Default root: the workspace that contains this crate, so `cargo run
     // -p geopriv-audit` audits the tree it was built from regardless of the
     // invoking directory.
-    let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut root = default_root;
-    let mut mode = Mode::Check;
+    let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => mode = Mode::Check,
-            "--list" => mode = Mode::List,
-            "--write-baseline" => mode = Mode::WriteBaseline,
-            "--root" => {
-                let value = args.next().ok_or("--root needs a path")?;
-                root = PathBuf::from(value);
-            }
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a path")?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let root = root.canonicalize().map_err(|e| format!("bad root: {e}"))?;
-    Ok(Args { root, mode })
+    root.canonicalize().map_err(|e| format!("bad root: {e}"))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let root = match parse_root() {
+        Ok(root) => root,
         Err(e) => {
             eprintln!("geopriv-audit: {e}");
-            eprintln!("usage: geopriv-audit [--check|--list|--write-baseline] [--root <path>]");
+            eprintln!("usage: geopriv-audit [--root <path>]");
             return ExitCode::from(2);
         }
     };
-    let report = match scan_tree(&args.root) {
+    let report = match scan_tree(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("geopriv-audit: {e}");
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args.root.join(BASELINE_FILE);
-    match args.mode {
-        Mode::WriteBaseline => {
-            let text = Baseline::render_from(&report);
-            if let Err(e) = std::fs::write(&baseline_path, &text) {
-                eprintln!("geopriv-audit: failed to write {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "wrote {} ({} grandfathered finding(s) across {} file(s) scanned)",
-                BASELINE_FILE,
-                report.findings.len(),
-                report.files_scanned
-            );
-            ExitCode::SUCCESS
-        }
-        Mode::List => {
-            for finding in &report.findings {
-                println!("{}", finding.render());
-            }
-            println!(
-                "geopriv-audit: {} finding(s) across {} file(s)",
-                report.findings.len(),
-                report.files_scanned
-            );
-            ExitCode::SUCCESS
-        }
-        Mode::Check => {
-            let baseline = match std::fs::read_to_string(&baseline_path) {
-                Ok(text) => match Baseline::parse(&text) {
-                    Ok(baseline) => baseline,
-                    Err(e) => {
-                        eprintln!("geopriv-audit: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(_) => Baseline::default(), // no baseline file = empty baseline
-            };
-            let errors = baseline.check(&report);
-            if errors.is_empty() {
-                println!(
-                    "geopriv-audit: clean — {} file(s) scanned, {} baselined finding(s), \
-                     ratchet holds",
-                    report.files_scanned,
-                    report.findings.len()
-                );
-                return ExitCode::SUCCESS;
-            }
-            for finding in uncovered(&report, &baseline) {
-                println!("{}", finding.render());
-            }
-            for error in &errors {
-                println!("error: {error}");
-            }
-            println!(
-                "geopriv-audit: FAILED — {} problem(s); see docs/contracts.md for the \
-                 contracts and the audit:allow escape hatch",
-                errors.len()
-            );
-            ExitCode::FAILURE
-        }
+    for finding in &report.findings {
+        println!("{}", finding.render());
     }
+    if report.findings.is_empty() {
+        println!("geopriv-audit: clean — {} file(s) scanned", report.files_scanned);
+        return ExitCode::SUCCESS;
+    }
+    println!(
+        "geopriv-audit: FAILED — {} finding(s) across {} file(s) scanned; see \
+         docs/contracts.md for the contracts and the audit:allow escape hatch",
+        report.findings.len(),
+        report.files_scanned
+    );
+    ExitCode::FAILURE
 }

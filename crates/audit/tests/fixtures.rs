@@ -1,17 +1,25 @@
 //! Fixture-driven tests: one good and one bad file per lint, scanned
 //! exactly as the engine would scan a real workspace file (zone lookup
-//! included), with exact `line`/`lint` assertions.
+//! included), with exact `line`/`lint` assertions. R1 is left out: a lone
+//! fixture's items have no callers, and R1 has its own tests
+//! (`reachability.rs`).
 //!
 //! The fixture sources live under `tests/fixtures/` — a directory the
 //! engine itself refuses to scan (`config::EXCLUDED`), so the hostile
 //! files can never leak into the repository's own audit.
 
 use geopriv_audit::engine::FileFinding;
-use geopriv_audit::{scan_file, Finding, Lint};
+use geopriv_audit::{scan_sources, Finding, Lint};
 
-/// Scans `source` as if it sat at `zone_path` in the repository.
+/// Scans `source` as if it sat at `zone_path` in the repository, alone.
 fn findings(zone_path: &str, source: &str) -> Vec<(u32, Lint)> {
-    scan_file(zone_path, source).into_iter().map(|f| (f.line, f.lint)).collect()
+    let report = scan_sources(&[(zone_path, source)]);
+    report
+        .findings
+        .into_iter()
+        .filter(|f| f.finding.lint != Lint::R1)
+        .map(|f| (f.finding.line, f.finding.lint))
+        .collect()
 }
 
 /// A deterministic-core path (D1/D2/D3 apply, P1 does not).
@@ -126,7 +134,7 @@ fn uncovered_files_are_their_own_finding() {
 fn findings_render_as_file_line_id_message() {
     let finding = FileFinding {
         file: "crates/serve/src/fixture.rs".to_string(),
-        finding: Finding { line: 6, lint: Lint::P1, item: None, message: "boom".to_string() },
+        finding: Finding { line: 6, lint: Lint::P1, message: "boom".to_string() },
     };
     assert_eq!(finding.render(), "crates/serve/src/fixture.rs:6: P1 boom");
 }

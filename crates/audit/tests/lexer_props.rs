@@ -2,7 +2,7 @@
 //! sits inside string literals, raw strings, or (nested) block comments
 //! must never surface as a lint finding, whatever surrounds it.
 
-use geopriv_audit::{scan_source, Lint, ScanOptions};
+use geopriv_audit::{scan_sources, Finding, Lint};
 use proptest::prelude::*;
 
 /// Phrases that would each trip a lint if they appeared as real code.
@@ -20,14 +20,16 @@ const HAZARDS: &[&str] = &[
     "audit:allow(P1)",
 ];
 
-/// Every lint armed, in and out of test regions — the harshest options.
-fn armed() -> ScanOptions {
-    ScanOptions {
-        lints: vec![Lint::D1, Lint::D2, Lint::D3, Lint::P1, Lint::U1],
-        test_lints: vec![Lint::D1, Lint::D2, Lint::D3, Lint::P1, Lint::U1],
-        require_forbid: false,
-        vendor: false,
-    }
+/// A file of the serving registry, where every lint but U1's crate-root
+/// rule is armed outside tests.
+const ARMED: &str = "crates/serve/src/registry.rs";
+
+/// The findings of `src` scanned at [`ARMED`], with an example that calls
+/// its functions `f` and `g`, so that R1 finds them live.
+fn scan(src: &str) -> Vec<Finding> {
+    let caller = "fn main() { f(); g(); }\n";
+    let report = scan_sources(&[(ARMED, src), ("examples/caller.rs", caller)]);
+    report.findings.into_iter().map(|f| f.finding).collect()
 }
 
 /// Lowercase filler that cannot itself form a hazard or close a literal.
@@ -45,7 +47,7 @@ proptest! {
     #[test]
     fn hazards_inside_string_literals_never_fire(pre in filler(), h in hazard(), post in filler()) {
         let src = format!("fn f() -> usize {{\n    let s = \"{pre}{h}{post}\";\n    s.len()\n}}\n");
-        let found = scan_source(&src, &armed());
+        let found = scan(&src);
         prop_assert!(found.is_empty(), "{src} -> {found:?}");
     }
 
@@ -54,7 +56,7 @@ proptest! {
         let src = format!(
             "fn f() -> usize {{\n    let s = r#\"{pre}\"{h}\"{post}\"#;\n    s.len()\n}}\n"
         );
-        let found = scan_source(&src, &armed());
+        let found = scan(&src);
         prop_assert!(found.is_empty(), "{src} -> {found:?}");
     }
 
@@ -66,7 +68,7 @@ proptest! {
         post in filler(),
     ) {
         let src = format!("fn f() {{}}\n/* {pre} /* {h1} */ {h2} {post} */\nfn g() {{}}\n");
-        let found = scan_source(&src, &armed());
+        let found = scan(&src);
         prop_assert!(found.is_empty(), "{src} -> {found:?}");
     }
 
@@ -78,7 +80,7 @@ proptest! {
             "fn f<'a>(x: &'a [u8]) -> usize {{\n    let b = b\"{h}\";\n    let c = '\"';\n    \
              let s = \"{h}\";\n    x.len() + b.len() + s.len() + (c as usize)\n}}\n"
         );
-        let found = scan_source(&src, &armed());
+        let found = scan(&src);
         prop_assert!(found.is_empty(), "{src} -> {found:?}");
     }
 
@@ -88,7 +90,7 @@ proptest! {
         let src = format!(
             "fn f(value: Option<u32>) -> u32 {{\n    let _s = \"{pre}{h}\";\n    value.unwrap()\n}}\n"
         );
-        let found = scan_source(&src, &armed());
+        let found = scan(&src);
         prop_assert_eq!(found.len(), 1, "{src} -> {found:?}");
         prop_assert_eq!(found.first().map(|f| (f.line, f.lint)), Some((3, Lint::P1)));
     }

@@ -1,6 +1,7 @@
-//! R1 (reachability) on small synthetic trees: each test scans a handful of
+//! R1 (liveness) on small synthetic trees: each test scans a handful of
 //! `(path, source)` files through `scan_sources`, exactly as `scan_tree`
 //! scans the repository, and asserts the exact `(file, line)` findings.
+//! The sources need not compile: R1 reads tokens, not types.
 
 use geopriv_audit::{scan_sources, Lint};
 
@@ -8,6 +9,8 @@ use geopriv_audit::{scan_sources, Lint};
 const LIB: &str = "crates/geo/src/thing.rs";
 /// Another library file of the same crate.
 const OTHER: &str = "crates/geo/src/other.rs";
+/// An example: one of R1's roots.
+const EXAMPLE: &str = "examples/demo.rs";
 
 /// The `(file, line, lint)` findings of scanning `tree`.
 fn findings(tree: &[(&str, &str)]) -> Vec<(String, u32, Lint)> {
@@ -30,9 +33,9 @@ fn fires_for_an_item_named_only_in_docs_strings_and_re_exports() {
                  \x20   // lonely()\n\
                  \x20   \"lonely\"\n\
                  }\n\
-                 pub use crate::thing::lonely;\n\
-                 fn main() { caller(); }\n";
-    assert_eq!(findings(&[(LIB, lib), (OTHER, other)]), vec![r1(LIB, 1)]);
+                 pub use crate::thing::lonely;\n";
+    let example = "fn main() { geopriv_geo::caller(); }\n";
+    assert_eq!(findings(&[(LIB, lib), (OTHER, other), (EXAMPLE, example)]), vec![r1(LIB, 1)]);
 }
 
 #[test]
@@ -55,7 +58,8 @@ fn fires_for_an_item_named_only_by_tests() {
 #[test]
 fn fires_for_a_type_named_only_inside_its_own_impl_blocks() {
     // The shape `geo::QuadTree` had: a type, its constructor and queries,
-    // a trait impl — and no caller anywhere.
+    // a trait impl — and no caller anywhere. Every item of the type goes
+    // with it, the trait impl's too.
     let lib = "pub struct Tree {\n\
                \x20   nodes: Vec<Tree>,\n\
                }\n\
@@ -66,7 +70,72 @@ fn fires_for_a_type_named_only_inside_its_own_impl_blocks() {
                impl Default for Tree {\n\
                \x20   fn default() -> Tree { Tree::build() }\n\
                }\n";
-    assert_eq!(findings(&[(LIB, lib)]), vec![r1(LIB, 1), r1(LIB, 6)]);
+    assert_eq!(findings(&[(LIB, lib)]), vec![r1(LIB, 1), r1(LIB, 5), r1(LIB, 6), r1(LIB, 9)]);
+}
+
+#[test]
+fn fires_for_two_items_that_name_only_each_other() {
+    // The shape of `Trace::time_window` and its helper before both were
+    // deleted by hand: each names the other, and nothing live names either.
+    let lib = "pub struct Trace;\n\
+               impl Trace {\n\
+               \x20   pub fn time_window(&self, from: u32) -> Trace { window_of(self, from) }\n\
+               }\n\
+               pub fn window_of(trace: &Trace, from: u32) -> Trace { trace.time_window(from) }\n";
+    let example = "fn main() { let _trace = geopriv_geo::Trace; }\n";
+    assert_eq!(findings(&[(LIB, lib), (EXAMPLE, example)]), vec![r1(LIB, 3), r1(LIB, 5)]);
+}
+
+#[test]
+fn fires_for_same_named_methods_that_nothing_live_calls() {
+    // The `sample_count` shape: one type's method calls the same-named
+    // method of another, and nothing live calls either. Counting names saw
+    // a use of each outside its own definition.
+    let lib = "pub struct Fit { n: usize }\n\
+               impl Fit {\n\
+               \x20   pub fn sample_count(&self) -> usize { self.n }\n\
+               }\n\
+               pub struct Zone { fit: Fit }\n\
+               impl Zone {\n\
+               \x20   pub fn sample_count(&self) -> usize { self.fit.sample_count() }\n\
+               }\n";
+    let example = "fn main() { let _zone: Option<geopriv_geo::Zone> = None; }\n";
+    assert_eq!(findings(&[(LIB, lib), (EXAMPLE, example)]), vec![r1(LIB, 3), r1(LIB, 7)]);
+}
+
+#[test]
+fn fires_for_an_item_named_only_inside_a_dead_items_body() {
+    // `covariance`, reached only through `pearson_correlation`, which
+    // nothing reaches.
+    let lib =
+        "pub fn covariance(a: &[f64], b: &[f64]) -> f64 { a.len() as f64 * b.len() as f64 }\n\
+               pub fn pearson_correlation(a: &[f64], b: &[f64]) -> f64 { covariance(a, b) }\n";
+    assert_eq!(findings(&[(LIB, lib)]), vec![r1(LIB, 1), r1(LIB, 2)]);
+}
+
+#[test]
+fn trait_impl_methods_are_live_with_their_self_type() {
+    // Nothing names `fmt` (the trait's path is left out on purpose): the
+    // live type's `fmt` is live because its type is, the dead type's is not.
+    let lib = "pub struct Meters(f64);\n\
+               impl Display for Meters {\n\
+               \x20   fn fmt(&self, f: &mut Formatter<'_>) -> Result { write!(f, \"{} m\", self.0) }\n\
+               }\n\
+               pub struct Unused;\n\
+               impl Display for Unused {\n\
+               \x20   fn fmt(&self, f: &mut Formatter<'_>) -> Result { write!(f, \"-\") }\n\
+               }\n";
+    let example = "fn main() { println!(\"{}\", geopriv_geo::Meters(1.0)); }\n";
+    assert_eq!(findings(&[(LIB, lib), (EXAMPLE, example)]), vec![r1(LIB, 5), r1(LIB, 7)]);
+}
+
+#[test]
+fn what_an_allowed_item_names_is_live() {
+    let lib = "// audit:allow(R1): public API — the loader users call on their own files\n\
+               pub fn read_csv() -> Dataset { parse_row() }\n\
+               fn parse_row() -> Dataset { Dataset }\n\
+               pub struct Dataset;\n";
+    assert_eq!(findings(&[(LIB, lib)]), vec![]);
 }
 
 #[test]
@@ -76,8 +145,8 @@ fn stays_silent_for_items_named_by_libraries_examples_and_the_benchmark() {
                pub fn by_benchmark() {}\n";
     let tree = [
         (LIB, lib),
-        (OTHER, "pub(crate) fn f() { crate::thing::by_library() }\n"),
-        ("examples/demo.rs", "fn main() { geopriv_geo::by_example() }\n"),
+        (OTHER, "use crate::thing::by_library;\npub fn f() { by_library() }\n"),
+        (EXAMPLE, "fn main() { geopriv_geo::by_example(); geopriv_geo::f() }\n"),
         ("geobench/src/main.rs", "fn main() { geopriv_geo::by_benchmark() }\n"),
     ];
     assert_eq!(findings(&tree), vec![]);
@@ -87,7 +156,9 @@ fn stays_silent_for_items_named_by_libraries_examples_and_the_benchmark() {
 fn stays_silent_for_items_named_by_a_non_impl_function_of_their_own_file() {
     let lib = "pub struct Config;\n\
                pub fn helper() -> Config { Config }\n\
-               pub(crate) fn caller() -> Config { helper() }\n";
+               pub(crate) fn caller() -> Config { helper() }\n\
+               crate::register!(caller);\n";
+    // A module-level macro call is a root, like a plain `use`.
     assert_eq!(findings(&[(LIB, lib)]), vec![]);
 }
 
@@ -100,11 +171,11 @@ fn impl_trait_in_argument_or_return_position_is_not_an_impl_block() {
                pub fn sweep(plan: impl FnOnce(Builder) -> Builder) {}\n\
                pub fn step() -> impl FnOnce(Step) -> Step { |s| s }\n";
     let user = "fn main() { geopriv_geo::sweep(|b| b); geopriv_geo::step(); }\n";
-    assert_eq!(findings(&[(LIB, lib), ("examples/demo.rs", user)]), vec![]);
+    assert_eq!(findings(&[(LIB, lib), (EXAMPLE, user)]), vec![]);
 }
 
 #[test]
-fn only_bare_pub_items_outside_tests_are_checked() {
+fn every_item_outside_tests_is_checked() {
     let lib = "pub(crate) fn scoped() {}\n\
                pub mod nested {}\n\
                pub struct Fields { pub unread: u32 }\n\
@@ -115,9 +186,14 @@ fn only_bare_pub_items_outside_tests_are_checked() {
                pub type Alias = u32;\n\
                pub trait Shape {}\n\
                pub enum Kind { A }\n\
+               fn private() {}\n\
+               macro_rules! local { () => {} }\n\
                #[cfg(test)]\n\
-               pub fn test_helper() {}\n";
-    let expected: Vec<_> = (3..=10).map(|line| r1(LIB, line)).collect();
+               pub fn test_helper() {}\n\
+               #[cfg(doctest)]\n\
+               struct ReadmeDoctests;\n";
+    let mut expected: Vec<_> = vec![r1(LIB, 1)];
+    expected.extend((3..=12).map(|line| r1(LIB, line)));
     assert_eq!(findings(&[(LIB, lib)]), expected);
 }
 
@@ -125,8 +201,9 @@ fn only_bare_pub_items_outside_tests_are_checked() {
 fn r1_is_armed_only_in_library_zones() {
     let unused = "pub fn unused() {}\n";
     let tree = [
-        ("examples/demo.rs", unused),
+        (EXAMPLE, unused),
         ("geobench/src/lib.rs", unused),
+        ("crates/bench/src/bin/fig9.rs", unused),
         ("crates/geo/tests/props.rs", unused),
         ("vendor/shim/src/lib.rs", unused),
     ];
@@ -135,8 +212,6 @@ fn r1_is_armed_only_in_library_zones() {
         findings(&[("crates/serve/src/thing.rs", unused)]),
         vec![r1("crates/serve/src/thing.rs", 1)]
     );
-    // A single-file scan has no tree to count uses in: R1 stays off.
-    assert_eq!(geopriv_audit::scan_file(LIB, unused), vec![]);
 }
 
 #[test]
@@ -145,9 +220,7 @@ fn allows_suppress_r1_and_an_unused_one_is_stale() {
                pub fn load() {}\n\
                // audit:allow(R1): nothing to excuse — `used` has a caller\n\
                pub fn used() {}\n";
-    let other = "pub(crate) fn f() { crate::thing::used() }\n";
-    let found = findings(&[(LIB, lib), (OTHER, other)]);
+    let example = "fn main() { geopriv_geo::used() }\n";
+    let found = findings(&[(LIB, lib), (EXAMPLE, example)]);
     assert_eq!(found, vec![(LIB.to_string(), 3, Lint::A2)]);
-    // Without the tree's counts the allow is not reported as stale.
-    assert_eq!(geopriv_audit::scan_file(LIB, lib), vec![]);
 }

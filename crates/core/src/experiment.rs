@@ -53,7 +53,8 @@ impl SweepConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfiguration`] for zero points or repetitions.
+    /// Returns [`CoreError::InvalidConfiguration`] for fewer than two points
+    /// per axis or zero repetitions.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.points < 2 {
             return Err(CoreError::InvalidConfiguration {
@@ -1093,27 +1094,6 @@ impl SweepResult {
         Ok(result)
     }
 
-    /// Builds a one-axis result from plain parameter values — the historical
-    /// single-scalar constructor, used by synthetic sweeps and tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepResult::new`], plus out-of-range parameter values.
-    pub fn from_axis(
-        lppm_name: impl Into<String>,
-        axis: ParameterDescriptor,
-        parameters: &[f64],
-        columns: Vec<MetricColumn>,
-    ) -> Result<Self, CoreError> {
-        let space = ConfigSpace::single(axis);
-        let points = parameters
-            .iter()
-            .map(|&value| space.point_from_coords(&[value]))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::from)?;
-        Self::new(lppm_name, space, SweepMode::Grid, points, columns)
-    }
-
     /// Number of design points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -1771,6 +1751,30 @@ fn plan_refinement(
 }
 
 #[cfg(test)]
+impl SweepResult {
+    /// Builds a one-axis result from plain parameter values, for the unit
+    /// tests' synthetic sweeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepResult::new`], plus out-of-range parameter values.
+    pub(crate) fn from_axis(
+        lppm_name: impl Into<String>,
+        axis: ParameterDescriptor,
+        parameters: &[f64],
+        columns: Vec<MetricColumn>,
+    ) -> Result<Self, CoreError> {
+        let space = ConfigSpace::single(axis);
+        let points = parameters
+            .iter()
+            .map(|&value| space.point_from_coords(&[value]))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(CoreError::from)?;
+        Self::new(lppm_name, space, SweepMode::Grid, points, columns)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::{GeoIndistinguishabilityFactory, GridCloakingFactory, PipelineFactory};
@@ -1806,8 +1810,7 @@ mod tests {
     fn composed_system() -> SystemDefinition {
         SystemDefinition::with_pair(
             Box::new(
-                PipelineFactory::new()
-                    .then(GeoIndistinguishabilityFactory::new())
+                PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                     .then(GridCloakingFactory::with_range(100.0, 2000.0).unwrap()),
             ),
             Box::new(PoiRetrieval::default()),

@@ -137,11 +137,6 @@ impl Objectives {
     pub fn is_empty(&self) -> bool {
         self.constraints.is_empty()
     }
-
-    /// The constraints stated for one metric.
-    pub fn for_metric<'a>(&'a self, id: &'a MetricId) -> impl Iterator<Item = &'a Constraint> {
-        self.constraints.iter().filter(move |(m, _)| m == id).map(|(_, c)| c)
-    }
 }
 
 impl fmt::Display for Objectives {
@@ -201,9 +196,6 @@ mod tests {
             .unwrap();
         assert_eq!(objectives.len(), 3);
         assert!(!objectives.is_empty());
-        assert_eq!(objectives.for_metric(&"area-coverage".into()).count(), 2);
-        assert_eq!(objectives.for_metric(&"poi-retrieval".into()).count(), 1);
-        assert_eq!(objectives.for_metric(&"unknown".into()).count(), 0);
         let text = objectives.to_string();
         assert!(text.contains("poi-retrieval ≤ 0.10"));
         assert!(text.contains("area-coverage ≥ 0.80"));

@@ -12,7 +12,6 @@
 
 use crate::error::CoreError;
 use crate::experiment::SweepResult;
-use crate::objectives::Constraint;
 use geopriv_lppm::ConfigPoint;
 use geopriv_metrics::{Direction, MetricId};
 use serde::{Deserialize, Serialize};
@@ -189,22 +188,6 @@ impl ParetoFrontier {
             score(a).partial_cmp(&score(b)).expect("metric values are finite")
         })
     }
-
-    /// The frontier point with the best x-metric value among those whose
-    /// y-metric satisfies `constraint` — e.g. "the most private point that
-    /// still reaches 90 % utility" for the paper's pair.
-    pub fn best_x_where_y(&self, constraint: Constraint) -> Option<TradeOffPoint> {
-        self.points
-            .iter()
-            .filter(|p| constraint.is_satisfied_by(p.y))
-            .max_by(|a, b| {
-                self.x_direction
-                    .goodness(a.x)
-                    .partial_cmp(&self.x_direction.goodness(b.x))
-                    .expect("metric values are finite")
-            })
-            .cloned()
-    }
 }
 
 impl fmt::Display for ParetoFrontier {
@@ -227,7 +210,6 @@ impl fmt::Display for ParetoFrontier {
 mod tests {
     use super::*;
     use crate::experiment::MetricColumn;
-    use crate::objectives::at_least;
     use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
 
     fn privacy_id() -> MetricId {
@@ -325,16 +307,6 @@ mod tests {
         let frontier = ParetoFrontier::from_sweep(&sweep).unwrap();
         let knee = frontier.knee().unwrap();
         assert_eq!(knee.point.single(), Some(0.01));
-
-        let pick = frontier.best_x_where_y(at_least(0.9)).unwrap();
-        assert_eq!(pick.point.single(), Some(0.1));
-        assert!(frontier.best_x_where_y(at_least(1.0)).is_some());
-        // An upper bound on y is also expressible (only the lowest-utility
-        // point qualifies, and it has the best privacy).
-        assert_eq!(
-            frontier.best_x_where_y(crate::objectives::at_most(0.3)).unwrap().point.single(),
-            Some(0.001)
-        );
         assert!(frontier.to_string().contains("Pareto frontier"));
     }
 

@@ -160,33 +160,6 @@ pub fn recommendation_report(recommendation: &Recommendation) -> String {
     out
 }
 
-/// Renders one metric's per-user response curves as CSV: one column per
-/// configuration axis, then one column per user (`user-<id>`), one row per
-/// design point. Returns `None` when the sweep recorded no user column for
-/// the metric (dataset grain, or unknown id).
-pub fn user_curves_csv(sweep: &SweepResult, id: &MetricId) -> Option<String> {
-    let column = sweep.user_column(id)?;
-    let mut out = String::new();
-    let mut header = sweep.space.names().join(",");
-    for user in &column.users {
-        let _ = write!(header, ",{user}");
-    }
-    let _ = writeln!(out, "{header}");
-    for (index, point) in sweep.points.iter().enumerate() {
-        for (i, (_, value)) in point.values().iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ",");
-            }
-            let _ = write!(out, "{value:.6e}");
-        }
-        for curve in &column.curves {
-            let _ = write!(out, ",{:.4}", curve[index]);
-        }
-        let _ = writeln!(out);
-    }
-    Some(out)
-}
-
 /// Renders a per-user recommendation as an aligned plain-text table: the
 /// dataset-level anchor, one row per user (verdict, configuration point,
 /// per-metric predictions under the user's own models), and the reason each
@@ -338,13 +311,6 @@ fn json_recommendation(recommendation: &Recommendation, indent: &str) -> String 
     )
 }
 
-/// Renders a [`Recommendation`] as a deterministic, pretty-printed JSON
-/// object: the configuration point (axis order), per-axis feasible intervals
-/// and per-metric predictions (suite order).
-pub fn recommendation_to_json(recommendation: &Recommendation) -> String {
-    format!("{}\n", json_recommendation(recommendation, ""))
-}
-
 /// Renders a [`PerUserRecommendation`] as deterministic JSON: the documented
 /// fallback policy, the dataset-level anchor and one object per user with
 /// its verdict, fallback flag, point and predictions.
@@ -487,18 +453,6 @@ fn user_at(value: &JsonValue, path: &str) -> Result<UserRecommendation, CoreErro
     let predictions =
         predictions_at(required(value, path, "predictions")?, &format!("{path}.predictions"))?;
     Ok(UserRecommendation { user: UserId::new(id), verdict, point, predictions })
-}
-
-/// Parses the JSON produced by [`recommendation_to_json`] back into a
-/// [`Recommendation`]. Exact inverse: re-rendering the parsed value yields
-/// the input byte for byte (floats use the shortest round-trip form).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Parse`] on malformed JSON or a document without the
-/// expected members, naming the offending field path.
-pub fn recommendation_from_json(json: &str) -> Result<Recommendation, CoreError> {
-    recommendation_at(&JsonValue::parse(json)?, "$")
 }
 
 /// Parses the JSON produced by [`per_user_recommendation_to_json`] back into
@@ -710,18 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn user_curves_render_one_column_per_user() {
-        let per_user = crate::modeling::fixtures::per_user_sweep();
-        let csv = user_curves_csv(&per_user, &MetricId::new("area-coverage")).unwrap();
-        assert!(csv.starts_with("epsilon,user-1,user-2,user-3,user-4"));
-        assert_eq!(csv.lines().count(), per_user.len() + 1);
-        assert_eq!(csv.lines().nth(1).unwrap().split(',').count(), 5);
-        // Unknown metrics and dataset-grain sweeps have no user curves.
-        assert!(user_curves_csv(&per_user, &MetricId::new("nope")).is_none());
-        assert!(user_curves_csv(&sweep(), &MetricId::new("poi-retrieval")).is_none());
-    }
-
-    #[test]
     fn per_user_table_and_csv_cover_every_user_and_fallback() {
         let recommendation = per_user_recommendation();
         let table = per_user_table(&recommendation);
@@ -750,25 +692,14 @@ mod tests {
 
     #[test]
     fn json_exports_are_valid_and_deterministic() {
-        let s = sweep();
-        let fitted = Modeler::new().fit(&s).unwrap();
-        let recommendation = crate::configurator::Configurator::new(fitted)
-            .recommend(&Objectives::paper_example())
-            .unwrap();
-        let json = recommendation_to_json(&recommendation);
-        assert!(json.starts_with("{\n"));
-        assert!(json.contains("\"point\""));
-        assert!(json.contains("\"epsilon\""));
-        assert!(json.contains("\"feasible\""));
-        assert!(json.contains("\"min\""));
-        assert!(json.contains("\"predictions\""));
-        assert!(json.contains("\"poi-retrieval\""));
-        assert_eq!(json, recommendation_to_json(&recommendation));
-        // Balanced braces/brackets — a cheap structural sanity check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-
         let per_user = per_user_recommendation();
         let json = per_user_recommendation_to_json(&per_user);
+        assert!(json.starts_with("{\n"));
+        assert_eq!(json, per_user_recommendation_to_json(&per_user));
+        for member in ["\"point\"", "\"epsilon\"", "\"feasible\"", "\"min\"", "\"predictions\""] {
+            assert!(json.contains(member), "{member} missing");
+        }
+        assert!(json.contains("\"poi-retrieval\""));
         assert!(json.contains("\"fallback_policy\""));
         assert!(json.contains("\"dataset\""));
         assert!(json.contains("\"users\""));
@@ -777,23 +708,27 @@ mod tests {
         assert!(json.contains("\"reason\""));
         assert!(json.contains("\"feasible_users\": 1"));
         assert!(json.contains("\"fallback_users\": 3"));
+        // Balanced braces/brackets — a cheap structural sanity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
     fn recommendation_json_round_trips() {
+        // A dataset-level recommendation travels as a per-user document's
+        // `dataset` member.
         let s = sweep();
         let fitted = Modeler::new().fit(&s).unwrap();
-        let recommendation = crate::configurator::Configurator::new(fitted)
+        let dataset = crate::configurator::Configurator::new(fitted)
             .recommend(&Objectives::paper_example())
             .unwrap();
-        let json = recommendation_to_json(&recommendation);
-        let parsed = recommendation_from_json(&json).unwrap();
+        let recommendation = PerUserRecommendation { dataset, users: Vec::new() };
+        let json = per_user_recommendation_to_json(&recommendation);
+        let parsed = per_user_recommendation_from_json(&json).unwrap();
         // Struct equality AND byte equality of the re-render: the parser is
         // the exact inverse of the exporter.
         assert_eq!(parsed, recommendation);
-        assert_eq!(recommendation_to_json(&parsed), json);
+        assert_eq!(per_user_recommendation_to_json(&parsed), json);
     }
 
     #[test]
@@ -851,11 +786,11 @@ mod tests {
         // Missing members name the field path.
         let err = per_user_recommendation_from_json("{}").unwrap_err();
         assert!(err.to_string().contains("missing member \"dataset\""), "{err}");
-        let err = recommendation_from_json("{\"point\": {}}").unwrap_err();
+        let err = per_user_recommendation_from_json("{\"dataset\": {\"point\": {}}}").unwrap_err();
         assert!(err.to_string().contains("at least one axis"), "{err}");
-        let err = recommendation_from_json("[1, 2]").unwrap_err();
+        let err = per_user_recommendation_from_json("{\"dataset\": [1, 2]}").unwrap_err();
         assert!(err.to_string().contains("missing member \"point\""), "{err}");
-        let err = recommendation_from_json("not json").unwrap_err();
+        let err = per_user_recommendation_from_json("not json").unwrap_err();
         assert!(matches!(err, CoreError::Parse { .. }), "{err}");
     }
 

@@ -20,7 +20,7 @@ use geopriv_lppm::{
     Lppm, ParameterDescriptor, Pipeline,
 };
 use geopriv_metrics::{AreaCoverage, Metric, MetricSuite, PoiRetrieval, SuiteMetric};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A factory able to instantiate an LPPM at any point of its configuration
 /// space.
@@ -199,11 +199,13 @@ impl LppmFactory for GaussianPerturbationFactory {
 /// with one configuration axis per stage parameter — the first-class entry
 /// point to multi-axis studies (e.g. GEO-I ε × cloaking cell size).
 ///
-/// The combined space concatenates the stage spaces. A name on more than
-/// one stage is prefixed with its 1-based stage position (`"1.epsilon"`,
-/// `"3.epsilon"`), and a name still colliding after that (a nested pipeline
-/// factory's own `"2.epsilon"`) gets an occurrence suffix (`"2.epsilon#2"`),
-/// so every axis maps back to exactly one stage parameter.
+/// A pipeline has at least one stage: [`PipelineFactory::new`] takes the
+/// first. The combined space concatenates the stage spaces. A name on more
+/// than one stage is prefixed with its 1-based stage position
+/// (`"1.epsilon"`, `"3.epsilon"`), and a name still taken after that (a
+/// nested pipeline factory's own `"2.epsilon"`) gets the first free suffix
+/// (`"2.epsilon#2"`), so every axis maps back to exactly one stage
+/// parameter.
 ///
 /// # Examples
 ///
@@ -212,9 +214,8 @@ impl LppmFactory for GaussianPerturbationFactory {
 ///     PipelineFactory};
 ///
 /// # fn main() -> Result<(), geopriv_core::CoreError> {
-/// let factory = PipelineFactory::new()
-///     .then(GeoIndistinguishabilityFactory::new())
-///     .then(GridCloakingFactory::new());
+/// let factory =
+///     PipelineFactory::new(GeoIndistinguishabilityFactory::new()).then(GridCloakingFactory::new());
 /// let space = factory.space();
 /// assert_eq!(space.names(), vec!["epsilon", "cell_size"]);
 /// let lppm = factory.instantiate_at(&space.point(&[("epsilon", 0.01), ("cell_size", 500.0)])?)?;
@@ -222,21 +223,23 @@ impl LppmFactory for GaussianPerturbationFactory {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Default)]
 pub struct PipelineFactory {
+    /// The stage factories, in order; never empty.
     stages: Vec<Box<dyn LppmFactory>>,
     name: String,
-    /// Per-stage axis lists after cross-stage qualification, rebuilt once
-    /// per composition step so the sweep hot path (one `instantiate_at` per
-    /// design point) never re-derives them.
+    /// Per-stage axis lists after cross-stage qualification, and the space
+    /// they form, rebuilt once per composition step so the sweep hot path
+    /// (one `instantiate_at` per design point) never re-derives them.
     qualified: Vec<Vec<ParameterDescriptor>>,
+    space: ConfigSpace,
 }
 
 impl PipelineFactory {
-    /// Creates an empty pipeline factory; add stages with
-    /// [`PipelineFactory::then`].
-    pub fn new() -> Self {
-        Self { stages: Vec::new(), name: "pipeline[]".to_string(), qualified: Vec::new() }
+    /// Creates a pipeline factory whose first stage is `first`; append more
+    /// stages with [`PipelineFactory::then`].
+    pub fn new<F: LppmFactory + 'static>(first: F) -> Self {
+        let space = first.space();
+        Self { stages: Vec::new(), name: String::new(), qualified: Vec::new(), space }.then(first)
     }
 
     /// Appends a stage factory.
@@ -253,17 +256,12 @@ impl PipelineFactory {
         self.name = format!("pipeline[{}]", names.join(", "));
         let spaces: Vec<ConfigSpace> = self.stages.iter().map(|s| s.space()).collect();
         self.qualified = qualify_stage_parameters(&spaces);
+        // Every stage space has an axis and the qualified names are unique,
+        // so the concatenated axes always form a space.
+        if let Ok(space) = ConfigSpace::new(self.qualified.concat()) {
+            self.space = space;
+        }
         self
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Returns `true` if the factory has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
     }
 }
 
@@ -272,22 +270,12 @@ impl LppmFactory for PipelineFactory {
         &self.name
     }
 
-    /// # Panics
-    ///
-    /// Panics when the factory has no stages (an empty pipeline has no
-    /// configuration space); compose at least one stage first.
     fn space(&self) -> ConfigSpace {
-        ConfigSpace::new(self.qualified.iter().flatten().cloned().collect())
-            .expect("stage factories expose at least one uniquely qualified axis")
+        self.space.clone()
     }
 
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError> {
-        if self.stages.is_empty() {
-            return Err(CoreError::InvalidConfiguration {
-                reason: "a pipeline factory needs at least one stage".to_string(),
-            });
-        }
-        self.space().check(point).map_err(CoreError::from)?;
+        self.space.check(point).map_err(CoreError::from)?;
         // The point's coordinates are in space order, which is per-stage
         // concatenation order: hand each stage its own slice, translated back
         // to the stage's unqualified axis names.
@@ -314,7 +302,7 @@ fn qualify_stage_parameters(spaces: &[ConfigSpace]) -> Vec<Vec<ParameterDescript
     for axis in spaces.iter().flat_map(ConfigSpace::axes) {
         *stages_exposing.entry(axis.name()).or_insert(0) += 1;
     }
-    let mut occurrences: HashMap<String, usize> = HashMap::new();
+    let mut taken: HashSet<String> = HashSet::new();
     spaces
         .iter()
         .enumerate()
@@ -328,9 +316,13 @@ fn qualify_stage_parameters(spaces: &[ConfigSpace]) -> Vec<Vec<ParameterDescript
                     } else {
                         axis.name().to_string()
                     };
-                    let seen = occurrences.entry(name.clone()).or_insert(0);
-                    *seen += 1;
-                    axis.with_name(if *seen > 1 { format!("{name}#{seen}") } else { name })
+                    let mut unique = name.clone();
+                    let mut suffix = 1;
+                    while !taken.insert(unique.clone()) {
+                        suffix += 1;
+                        unique = format!("{name}#{suffix}");
+                    }
+                    axis.with_name(unique)
                 })
                 .collect()
         })
@@ -454,7 +446,7 @@ mod tests {
 
     /// A GEO-I mechanism at `epsilon`.
     fn geoi(epsilon: f64) -> GeoIndistinguishability {
-        GeoIndistinguishability::with_epsilon(epsilon).unwrap()
+        GeoIndistinguishability::new(geopriv_lppm::Epsilon::new(epsilon).unwrap())
     }
 
     /// One driver's hour, protected by `lppm` under a fixed seed.
@@ -525,11 +517,8 @@ mod tests {
 
     #[test]
     fn pipeline_factory_composes_spaces_and_mechanisms() {
-        let factory = PipelineFactory::new()
-            .then(GeoIndistinguishabilityFactory::new())
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GridCloakingFactory::with_range(100.0, 2000.0).unwrap());
-        assert_eq!(factory.len(), 2);
-        assert!(!factory.is_empty());
         assert_eq!(factory.name(), "pipeline[geo-indistinguishability, grid-cloaking]");
         assert!(format!("{factory:?}").contains("PipelineFactory"));
 
@@ -546,13 +535,11 @@ mod tests {
             .point(&[("epsilon", 0.01)])
             .unwrap();
         assert!(factory.instantiate_at(&foreign).is_err());
-        assert!(PipelineFactory::new().instantiate_at(&foreign).is_err());
     }
 
     #[test]
     fn pipeline_factory_qualifies_colliding_stage_axes() {
-        let factory = PipelineFactory::new()
-            .then(GeoIndistinguishabilityFactory::new())
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GeoIndistinguishabilityFactory::with_range(1e-3, 0.1).unwrap());
         let space = factory.space();
         assert_eq!(space.names(), vec!["1.epsilon", "2.epsilon"]);
@@ -572,12 +559,58 @@ mod tests {
     }
 
     #[test]
+    fn a_pipeline_factory_starts_from_its_first_stage() {
+        // No factory is empty: `new` takes the first stage, so the space,
+        // the cache key and instantiation all work from the start.
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new());
+        assert_eq!(factory.name(), "pipeline[geo-indistinguishability]");
+        assert_eq!(factory.space(), GeoIndistinguishabilityFactory::new().space());
+        let point = factory.space().point(&[("epsilon", 0.01)]).unwrap();
+        assert!(factory.instantiate_at(&point).is_ok());
+        let system = SystemDefinition::with_pair(
+            Box::new(factory),
+            Box::new(PoiRetrieval::default()),
+            Box::new(AreaCoverage::default()),
+        )
+        .unwrap();
+        assert!(system.cache_key().contains("epsilon"));
+    }
+
+    #[test]
+    fn qualified_names_stay_unique_next_to_a_suffixed_stage_axis() {
+        /// GEO-I with its one axis renamed.
+        struct Renamed(&'static str);
+        impl LppmFactory for Renamed {
+            fn name(&self) -> &str {
+                self.0
+            }
+            fn space(&self) -> ConfigSpace {
+                ConfigSpace::single(GeoIndistinguishability::epsilon_descriptor().with_name(self.0))
+            }
+            fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError> {
+                let epsilon = point.single().unwrap_or(0.01);
+                Ok(Box::new(GeoIndistinguishability::new(geopriv_lppm::Epsilon::new(epsilon)?)))
+            }
+        }
+        // The third stage's "1.epsilon" meets the first stage's qualified
+        // name and takes the suffix "#2", which the fourth stage's raw name
+        // already is: the fourth takes the next free one.
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
+            .then(GeoIndistinguishabilityFactory::new())
+            .then(Renamed("1.epsilon"))
+            .then(Renamed("1.epsilon#2"));
+        let space = factory.space();
+        assert_eq!(space.names(), ["1.epsilon", "2.epsilon", "1.epsilon#2", "1.epsilon#2#2"]);
+        let point = space.point_from_coords(&[0.5, 0.1, 0.01, 0.002]).unwrap();
+        assert_eq!(factory.instantiate_at(&point).unwrap().name().matches("geo-ind").count(), 4);
+    }
+
+    #[test]
     fn colliding_stage_axes_are_qualified_by_position() {
         // Two GEO-I stages both expose "epsilon": without qualification the
         // sweep could not tell which stage it targets. A stage between them
         // keeps its own name and still takes a position.
-        let factory = PipelineFactory::new()
-            .then(GeoIndistinguishabilityFactory::new())
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GridCloakingFactory::new())
             .then(GeoIndistinguishabilityFactory::new());
         let space = factory.space();
@@ -587,8 +620,7 @@ mod tests {
         let d = GeoIndistinguishability::epsilon_descriptor();
         assert_eq!((first.min(), first.max(), first.scale()), (d.min(), d.max(), d.scale()));
         // Non-colliding names stay unqualified.
-        let single = PipelineFactory::new()
-            .then(GridCloakingFactory::new())
+        let single = PipelineFactory::new(GridCloakingFactory::new())
             .then(GeoIndistinguishabilityFactory::new());
         assert_eq!(single.space().names(), ["cell_size", "epsilon"]);
     }
@@ -597,11 +629,9 @@ mod tests {
     fn nested_pipeline_factories_get_occurrence_suffixes() {
         // The inner factory's "2.epsilon" meets the outer second stage's
         // qualified "2.epsilon": position cannot split them, occurrence does.
-        let inner = PipelineFactory::new()
-            .then(GeoIndistinguishabilityFactory::new())
+        let inner = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GeoIndistinguishabilityFactory::new());
-        let factory = PipelineFactory::new()
-            .then(inner)
+        let factory = PipelineFactory::new(inner)
             .then(GeoIndistinguishabilityFactory::new())
             .then(GeoIndistinguishabilityFactory::new());
         let space = factory.space();
@@ -622,8 +652,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let dataset =
             TaxiFleetBuilder::new().drivers(1).duration_hours(1.0).build(&mut rng).unwrap();
-        let factory = PipelineFactory::new()
-            .then(GeoIndistinguishabilityFactory::new())
+        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GridCloakingFactory::new());
         let point = factory.space().point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
@@ -719,8 +748,7 @@ mod tests {
         // A composed system's key covers every axis of its space.
         let composed = SystemDefinition::with_pair(
             Box::new(
-                PipelineFactory::new()
-                    .then(GeoIndistinguishabilityFactory::new())
+                PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                     .then(GridCloakingFactory::new()),
             ),
             Box::new(PoiRetrieval::default()),
@@ -743,8 +771,7 @@ mod tests {
             Box::new(GridCloakingFactory::new()),
             Box::new(GaussianPerturbationFactory::new()),
             Box::new(
-                PipelineFactory::new()
-                    .then(GeoIndistinguishabilityFactory::new())
+                PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                     .then(GridCloakingFactory::new()),
             ),
         ];

@@ -47,12 +47,6 @@ impl ValidationReport {
     pub fn error(&self, id: &MetricId) -> Option<&PredictionError> {
         self.errors.iter().find(|(m, _)| m == id).map(|(_, e)| e)
     }
-
-    /// Returns `true` if every metric's mean absolute error is at or below
-    /// `tolerance` (in metric units, e.g. 0.1 = ten percentage points).
-    pub fn is_acceptable(&self, tolerance: f64) -> bool {
-        self.errors.iter().all(|(_, e)| e.mean_absolute_error <= tolerance)
-    }
 }
 
 impl fmt::Display for ValidationReport {
@@ -254,7 +248,6 @@ mod tests {
         // …and the utility model (a smooth, slowly varying response) transfers
         // across synthetic fleets with a small error.
         assert!(utility.mean_absolute_error < 0.15, "utility MAE {}", utility.mean_absolute_error);
-        assert!(report.is_acceptable(1.0));
         let text = report.to_string();
         assert!(text.contains("poi-retrieval") && text.contains("area-coverage"));
     }

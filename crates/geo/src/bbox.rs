@@ -142,16 +142,6 @@ impl BoundingBox {
         }
     }
 
-    /// Latitude extent in degrees.
-    pub fn latitude_span(&self) -> f64 {
-        self.max_lat - self.min_lat
-    }
-
-    /// Longitude extent in degrees.
-    pub fn longitude_span(&self) -> f64 {
-        self.max_lon - self.min_lon
-    }
-
     /// Approximate area of the box in square kilometers.
     pub fn area_km2(&self) -> f64 {
         let height_m = crate::distance::haversine(
@@ -236,16 +226,16 @@ mod tests {
         let p = GeoPoint::new(37.7749, -122.4194).unwrap();
         let b = BoundingBox::enclosing([p]).unwrap();
         assert!(b.contains(p));
-        assert!(b.latitude_span() > 0.0);
-        assert!(b.longitude_span() > 0.0);
+        assert!(b.max_lat > b.min_lat);
+        assert!(b.max_lon > b.min_lon);
     }
 
     #[test]
     fn expanded_grows_box() {
         let b = sf();
         let e = b.expanded(0.1);
-        assert!(e.latitude_span() > b.latitude_span());
-        assert!(e.longitude_span() > b.longitude_span());
+        assert!(e.max_lat - e.min_lat > b.max_lat - b.min_lat);
+        assert!(e.max_lon - e.min_lon > b.max_lon - b.min_lon);
         assert!(e.contains(b.south_west()));
         assert!(e.contains(b.north_east()));
     }

@@ -1,6 +1,6 @@
-//! Distance computations on the sphere and in the plane.
+//! Distance computations on the sphere.
 
-use crate::point::{GeoPoint, Point};
+use crate::point::GeoPoint;
 use crate::units::Meters;
 
 /// Mean Earth radius in meters (IUGG value), used by the spherical formulas.
@@ -33,26 +33,6 @@ pub fn haversine(a: GeoPoint, b: GeoPoint) -> Meters {
     let h = (dphi / 2.0).sin().powi(2) + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
     let c = 2.0 * h.sqrt().min(1.0).asin();
     Meters::new(EARTH_RADIUS_M * c)
-}
-
-/// Fast equirectangular approximation of the distance between two geographic points.
-///
-/// Within a city (a few tens of kilometers) the error relative to
-/// [`haversine`] is negligible (< 0.1 %), and the computation avoids the
-/// trigonometric inverse. Used in hot loops such as POI matching.
-pub fn equirectangular(a: GeoPoint, b: GeoPoint) -> Meters {
-    let mean_lat = ((a.latitude() + b.latitude()) / 2.0).to_radians();
-    let dx = (b.longitude() - a.longitude()).to_radians() * mean_lat.cos();
-    let dy = (b.latitude() - a.latitude()).to_radians();
-    Meters::new(EARTH_RADIUS_M * (dx * dx + dy * dy).sqrt())
-}
-
-/// Euclidean distance between two planar points.
-///
-/// Equivalent to [`Point::distance_to`], provided as a free function for
-/// symmetry with the spherical distances.
-pub fn euclidean(a: Point, b: Point) -> Meters {
-    a.distance_to(b)
 }
 
 /// Length of a polyline given as a sequence of geographic points.
@@ -102,15 +82,9 @@ mod tests {
         let a = gp(37.7749, -122.4194);
         let b = gp(37.8049, -122.3894); // a few km away
         let h = haversine(a, b).as_f64();
-        let e = equirectangular(a, b).as_f64();
+        let projection = crate::LocalProjection::centered_on(a);
+        let e = projection.project(a).distance_to(projection.project(b)).as_f64();
         assert!((h - e).abs() / h < 1e-3, "haversine={h} equirect={e}");
-    }
-
-    #[test]
-    fn euclidean_matches_point_method() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(6.0, 8.0);
-        assert_eq!(euclidean(a, b).as_f64(), 10.0);
     }
 
     #[test]

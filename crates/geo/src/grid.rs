@@ -159,18 +159,6 @@ impl Grid {
         CellId { col: col as u32, row: row as u32 }
     }
 
-    /// Returns the geographic center of a cell.
-    ///
-    /// Cells outside the grid are clamped to the nearest valid cell.
-    pub fn cell_center(&self, cell: CellId) -> GeoPoint {
-        let col = cell.col.min(self.columns - 1);
-        let row = cell.row.min(self.rows - 1);
-        let x = (f64::from(col) + 0.5) * self.cell_size.as_f64();
-        let y = (f64::from(row) + 0.5) * self.cell_size.as_f64();
-        self.projection
-            .unproject(crate::point::Point::new(x.min(self.width_m), y.min(self.height_m)))
-    }
-
     /// Builds the [`CellSet`] of all cells touched by the given points.
     pub fn coverage<I>(&self, points: I) -> CellSet
     where
@@ -495,7 +483,7 @@ mod tests {
             GeoPoint::new(37.82, -122.36).unwrap(),
         ] {
             let c = g.cell_of(point);
-            let center = g.cell_center(c);
+            let center = cell_center(&g, c);
             assert_eq!(g.cell_of(center), c, "cell {c} center {center}");
         }
     }
@@ -512,10 +500,19 @@ mod tests {
         assert_eq!(hist[&g.cell_of(b)], 1);
     }
 
+    /// The geographic center of `cell`, clamped onto `g`.
+    fn cell_center(g: &Grid, cell: CellId) -> GeoPoint {
+        let col = cell.col.min(g.columns - 1);
+        let row = cell.row.min(g.rows - 1);
+        let x = (f64::from(col) + 0.5) * g.cell_size.as_f64();
+        let y = (f64::from(row) + 0.5) * g.cell_size.as_f64();
+        g.projection.unproject(crate::point::Point::new(x.min(g.width_m), y.min(g.height_m)))
+    }
+
     /// The overlap of two traces that visit the centers of the given cells.
     fn overlap_of(g: &Grid, actual: &[CellId], protected: &[CellId]) -> CellOverlap {
         let columns = |cells: &[CellId]| -> (Vec<f64>, Vec<f64>) {
-            cells.iter().map(|&c| g.cell_center(c)).map(|p| (p.latitude(), p.longitude())).unzip()
+            cells.iter().map(|&c| cell_center(g, c)).map(|p| (p.latitude(), p.longitude())).unzip()
         };
         let (a, p) = (columns(actual), columns(protected));
         let overlaps = g.overlaps([((&a.0[..], &a.1[..]), (&p.0[..], &p.1[..]))]);
@@ -607,7 +604,7 @@ mod tests {
             pairs.extend(traces.windows(2).map(|pair| (&pair[1][..], &pair[0][..])));
 
             let centers = |cells: &[CellId]| -> Vec<GeoPoint> {
-                cells.iter().map(|&c| g.cell_center(c)).collect()
+                cells.iter().map(|&c| cell_center(&g, c)).collect()
             };
             let columns = |cells: &[CellId]| -> (Vec<f64>, Vec<f64>) {
                 centers(cells).iter().map(|p| (p.latitude(), p.longitude())).unzip()

@@ -13,7 +13,7 @@
 //! * [`LocalProjection`] — an equirectangular projection centered on a
 //!   reference point, accurate at city scale (the scale of the paper's
 //!   San Francisco evaluation).
-//! * [`distance`] — haversine and planar distances.
+//! * [`distance`] — haversine distances.
 //! * [`BoundingBox`] — geographic extents.
 //! * [`Grid`] / [`CellSet`] / [`CellOverlap`] — uniform "city block" grids,
 //!   coverage sets, and the |A|, |P|, |A ∩ P| cell counts the paper's

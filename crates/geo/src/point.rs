@@ -88,11 +88,6 @@ impl GeoPoint {
         self.lat.to_radians()
     }
 
-    /// Returns the (latitude, longitude) pair.
-    pub fn into_parts(self) -> (f64, f64) {
-        (self.lat, self.lon)
-    }
-
     /// Reconstructs a point from coordinates previously extracted from a
     /// valid `GeoPoint` (e.g. stored in columnar `f64` buffers).
     ///
@@ -180,23 +175,12 @@ impl Point {
         Point::new(self.x + dx, self.y + dy)
     }
 
-    /// Translates the point by `radius` meters in direction `angle` (radians,
-    /// measured counter-clockwise from east).
-    pub fn translated_polar(&self, radius: Meters, angle: f64) -> Point {
-        Point::new(self.x + radius.as_f64() * angle.cos(), self.y + radius.as_f64() * angle.sin())
-    }
-
     /// Linear interpolation between `self` and `other`.
     ///
     /// `t = 0` returns `self`, `t = 1` returns `other`; values outside
     /// `[0, 1]` extrapolate.
     pub fn lerp(&self, other: Point, t: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-    }
-
-    /// Component-wise midpoint.
-    pub fn midpoint(&self, other: Point) -> Point {
-        self.lerp(other, 0.5)
     }
 
     /// Returns `true` if both coordinates are finite.
@@ -285,7 +269,7 @@ mod tests {
     #[test]
     fn try_from_tuple() {
         let p = GeoPoint::try_from((37.5, -122.0)).unwrap();
-        assert_eq!(p.into_parts(), (37.5, -122.0));
+        assert_eq!((p.latitude(), p.longitude()), (37.5, -122.0));
         assert!(GeoPoint::try_from((120.0, 0.0)).is_err());
     }
 
@@ -301,10 +285,6 @@ mod tests {
     fn translations() {
         let p = Point::origin().translated(3.0, -4.0);
         assert_eq!(p, Point::new(3.0, -4.0));
-
-        let q = Point::origin().translated_polar(Meters::new(10.0), std::f64::consts::FRAC_PI_2);
-        assert!(q.x().abs() < 1e-9);
-        assert!((q.y() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -313,7 +293,7 @@ mod tests {
         let b = Point::new(10.0, 20.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.midpoint(b), Point::new(5.0, 10.0));
+        assert_eq!(a.lerp(b, 0.5), Point::new(5.0, 10.0));
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl LocalProjection {
         let dlon = (point.x() / (EARTH_RADIUS_M * self.cos_ref_lat)).to_degrees();
         GeoPoint::clamped(self.reference.latitude() + dlat, self.reference.longitude() + dlon)
     }
-
-    /// Projects a slice of geographic points.
-    pub fn project_all(&self, points: &[GeoPoint]) -> Vec<Point> {
-        points.iter().map(|&p| self.project(p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +128,6 @@ mod tests {
         assert!(north.y() > 0.0 && north.x().abs() < 1e-6);
         let east = proj.project(gp(37.7749, -122.4094));
         assert!(east.x() > 0.0 && east.y().abs() < 1e-6);
-    }
-
-    #[test]
-    fn project_all_preserves_order_and_length() {
-        let proj = LocalProjection::centered_on(gp(37.7749, -122.4194));
-        let pts = vec![gp(37.76, -122.42), gp(37.78, -122.41), gp(37.79, -122.43)];
-        let projected = proj.project_all(&pts);
-        assert_eq!(projected.len(), 3);
-        assert_eq!(projected[1], proj.project(pts[1]));
     }
 
     #[test]

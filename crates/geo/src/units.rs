@@ -175,19 +175,9 @@ impl Meters {
     pub fn to_kilometers(self) -> f64 {
         self.0 / 1_000.0
     }
-
-    /// Creates a length from kilometers.
-    pub fn from_kilometers(km: f64) -> Self {
-        Self(km * 1_000.0)
-    }
 }
 
 impl Seconds {
-    /// Converts to whole minutes (fractional).
-    pub fn to_minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
     /// Creates a duration from minutes.
     pub fn from_minutes(minutes: f64) -> Self {
         Self(minutes * 60.0)
@@ -208,11 +198,6 @@ impl Degrees {
     /// Converts to radians.
     pub fn to_radians(self) -> f64 {
         self.0.to_radians()
-    }
-
-    /// Creates an angle from radians.
-    pub fn from_radians(radians: f64) -> Self {
-        Self(radians.to_degrees())
     }
 }
 
@@ -246,13 +231,10 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Meters::from_kilometers(1.5).as_f64(), 1_500.0);
         assert_eq!(Meters::new(2_000.0).to_kilometers(), 2.0);
         assert_eq!(Seconds::from_minutes(2.0).as_f64(), 120.0);
         assert_eq!(Seconds::from_hours(1.0).as_f64(), 3_600.0);
-        assert!((Seconds::new(90.0).to_minutes() - 1.5).abs() < 1e-12);
         assert!((Degrees::new(180.0).to_radians() - std::f64::consts::PI).abs() < 1e-12);
-        assert!((Degrees::from_radians(std::f64::consts::PI).as_f64() - 180.0).abs() < 1e-12);
     }
 
     #[test]

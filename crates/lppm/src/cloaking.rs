@@ -104,6 +104,7 @@ impl Lppm for GridCloaking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::testing::ProtectOne;
     use geopriv_geo::{distance, Seconds};
     use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
@@ -140,11 +141,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cloaking = GridCloaking::with_origin(Meters::new(500.0), sf_origin()).unwrap();
         let t = trace();
-        let once = cloaking.protect_trace(&t, &mut rng).unwrap();
-        let twice = cloaking.protect_trace(&once, &mut rng).unwrap();
+        let once = cloaking.protect_one(&t, &mut rng).unwrap();
+        let twice = cloaking.protect_one(&once, &mut rng).unwrap();
         assert_eq!(once, twice);
         // And deterministic across calls (ignores the RNG).
-        let again = cloaking.protect_trace(&t, &mut rng).unwrap();
+        let again = cloaking.protect_one(&t, &mut rng).unwrap();
         assert_eq!(once, again);
     }
 
@@ -154,7 +155,7 @@ mod tests {
         let cell = 400.0;
         let cloaking = GridCloaking::with_origin(Meters::new(cell), sf_origin()).unwrap();
         let t = trace();
-        let protected = cloaking.protect_trace(&t, &mut rng).unwrap();
+        let protected = cloaking.protect_one(&t, &mut rng).unwrap();
         let max_allowed = cell / 2.0 * 2f64.sqrt() * 1.01; // 1% slack for projection error
         for (a, b) in t.iter().zip(protected.iter()) {
             let d = distance::haversine(a.location(), b.location()).as_f64();
@@ -173,7 +174,7 @@ mod tests {
             vec![Record::new(Seconds::new(0.0), a), Record::new(Seconds::new(30.0), b)],
         )
         .unwrap();
-        let protected = cloaking.protect_trace(&t, &mut rng).unwrap();
+        let protected = cloaking.protect_one(&t, &mut rng).unwrap();
         assert_eq!(protected.view().location(0), protected.view().location(1));
     }
 
@@ -183,11 +184,11 @@ mod tests {
         let t = trace();
         let coarse = GridCloaking::with_origin(Meters::new(2_000.0), sf_origin())
             .unwrap()
-            .protect_trace(&t, &mut rng)
+            .protect_one(&t, &mut rng)
             .unwrap();
         let fine = GridCloaking::with_origin(Meters::new(100.0), sf_origin())
             .unwrap()
-            .protect_trace(&t, &mut rng)
+            .protect_one(&t, &mut rng)
             .unwrap();
         let distinct = |tr: &Trace| {
             let mut locations: Vec<(u64, u64)> = tr

@@ -104,6 +104,7 @@ impl Kernel for GaussianKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::testing::ProtectOne;
     use geopriv_geo::{distance, GeoPoint, Seconds};
     use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
@@ -133,7 +134,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let t = trace();
         let g = GaussianPerturbation::new(Meters::new(0.0)).unwrap();
-        let protected = g.protect_trace(&t, &mut rng).unwrap();
+        let protected = g.protect_one(&t, &mut rng).unwrap();
         for (a, b) in t.iter().zip(protected.iter()) {
             assert!(distance::haversine(a.location(), b.location()).as_f64() < 1e-6);
         }
@@ -147,7 +148,7 @@ mod tests {
         let t = trace();
         let sigma = 100.0;
         let g = GaussianPerturbation::new(Meters::new(sigma)).unwrap();
-        let protected = g.protect_trace(&t, &mut rng).unwrap();
+        let protected = g.protect_one(&t, &mut rng).unwrap();
         let mean: f64 = t
             .iter()
             .zip(protected.iter())
@@ -163,7 +164,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let t = trace();
         let g = GaussianPerturbation::new(Meters::new(200.0)).unwrap();
-        let protected = g.protect_trace(&t, &mut rng).unwrap();
+        let protected = g.protect_one(&t, &mut rng).unwrap();
         assert_eq!(protected.len(), t.len());
         for (a, b) in t.iter().zip(protected.iter()) {
             assert_eq!(a.timestamp(), b.timestamp());

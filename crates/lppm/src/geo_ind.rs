@@ -15,7 +15,6 @@
 //! stream and serve protection all run this one loop, so they release the
 //! same bits for the same RNG.
 
-use crate::error::LppmError;
 use crate::laplace::PlanarLaplace;
 use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
 use crate::traits::{Kernel, Lppm};
@@ -54,15 +53,6 @@ impl GeoIndistinguishability {
     /// Creates the mechanism with the given privacy parameter.
     pub fn new(epsilon: Epsilon) -> Self {
         Self { epsilon }
-    }
-
-    /// Creates the mechanism from a raw ε value in m⁻¹.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LppmError::InvalidParameter`] for non-positive or non-finite values.
-    pub fn with_epsilon(epsilon: f64) -> Result<Self, LppmError> {
-        Ok(Self::new(Epsilon::new(epsilon)?))
     }
 
     /// The configured ε.
@@ -121,6 +111,7 @@ impl Kernel for GeoIndistinguishabilityKernel {
 mod tests {
     use super::*;
     use crate::stream::open_stream;
+    use crate::traits::testing::ProtectOne;
     use geopriv_geo::{distance, GeoPoint, Seconds};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use geopriv_mobility::{Dataset, Record, Trace, UserId};
@@ -134,31 +125,28 @@ mod tests {
             .collect()
     }
 
-    /// Asserts that `protect_trace`, `protect_view`, `protect_dataset` and a
-    /// stream's pushes release the same bits for every trace of `dataset`.
-    /// The batch paths thread one `StdRng::seed_from_u64(seed)` through the
-    /// traces, as `protect_dataset` does; trace `i`'s stream is seeded with
-    /// `i` and compared with `protect_trace` under that seed.
+    fn geoi(epsilon: f64) -> GeoIndistinguishability {
+        GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())
+    }
+
+    /// Asserts that `protect_dataset`, over the whole dataset or one trace
+    /// at a time, and a stream's pushes release the same bits for every
+    /// trace of `dataset`. Both batch forms thread one
+    /// `StdRng::seed_from_u64(seed)` through the traces; trace `i`'s stream
+    /// is seeded with `i` and compared with that trace alone under that seed.
     fn assert_paths_agree(epsilon: f64, dataset: &Dataset, seed: u64) {
-        let geoi = GeoIndistinguishability::with_epsilon(epsilon).unwrap();
-        let (mut trace_rng, mut view_rng) =
-            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let geoi = geoi(epsilon);
+        let mut trace_rng = StdRng::seed_from_u64(seed);
         let mut traces = DatasetBuilder::new();
         for (i, view) in dataset.iter().enumerate() {
             let what = format!("eps {epsilon}, trace {i} of {} records", view.len());
-            let trace = geoi.protect_trace(&view.to_trace(), &mut trace_rng).unwrap();
+            let trace = geoi.protect_one(&view.to_trace(), &mut trace_rng).unwrap();
             traces.push_view(trace.view());
-
-            let mut single = DatasetBuilder::new();
-            geoi.protect_view(view, &mut single, &mut view_rng).unwrap();
-            let single = single.finish().unwrap();
-            let bits = location_bits(trace.iter());
-            assert_eq!(location_bits(single.trace_at(0).iter()), bits, "protect_view, {what}");
 
             let mut stream = open_stream(&geoi, i as u64);
             let streamed: Vec<Record> = view.iter().map(|r| stream.push(r).unwrap()).collect();
             let mut seeded = StdRng::seed_from_u64(i as u64);
-            let batch = geoi.protect_trace(&view.to_trace(), &mut seeded).unwrap();
+            let batch = geoi.protect_one(&view.to_trace(), &mut seeded).unwrap();
             assert_eq!(location_bits(streamed), location_bits(batch.iter()), "stream, {what}");
         }
         let protected = geoi.protect_dataset(dataset, &mut StdRng::seed_from_u64(seed)).unwrap();
@@ -208,9 +196,9 @@ mod tests {
 
     #[test]
     fn construction_and_metadata() {
-        assert!(GeoIndistinguishability::with_epsilon(0.01).is_ok());
-        assert!(GeoIndistinguishability::with_epsilon(0.0).is_err());
-        let geoi = GeoIndistinguishability::with_epsilon(0.02).unwrap();
+        assert!(Epsilon::new(0.01).is_ok());
+        assert!(Epsilon::new(0.0).is_err());
+        let geoi = geoi(0.02);
         assert_eq!(geoi.name(), "geo-indistinguishability");
         assert_eq!(geoi.epsilon().value(), 0.02);
         let descriptor = GeoIndistinguishability::epsilon_descriptor();
@@ -223,8 +211,8 @@ mod tests {
     fn protection_preserves_structure_and_timestamps() {
         let mut rng = StdRng::seed_from_u64(1);
         let t = trace();
-        let geoi = GeoIndistinguishability::with_epsilon(0.01).unwrap();
-        let protected = geoi.protect_trace(&t, &mut rng).unwrap();
+        let geoi = geoi(0.01);
+        let protected = geoi.protect_one(&t, &mut rng).unwrap();
         assert_eq!(protected.len(), t.len());
         assert_eq!(protected.user(), t.user());
         for (a, b) in t.iter().zip(protected.iter()) {
@@ -237,8 +225,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let t = trace();
         for &eps in &[0.005, 0.01, 0.05] {
-            let geoi = GeoIndistinguishability::with_epsilon(eps).unwrap();
-            let protected = geoi.protect_trace(&t, &mut rng).unwrap();
+            let geoi = geoi(eps);
+            let protected = geoi.protect_one(&t, &mut rng).unwrap();
             let mean_displacement: f64 = t
                 .iter()
                 .zip(protected.iter())
@@ -258,10 +246,7 @@ mod tests {
         let t = trace();
         let displacement = |eps: f64, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let protected = GeoIndistinguishability::with_epsilon(eps)
-                .unwrap()
-                .protect_trace(&t, &mut rng)
-                .unwrap();
+            let protected = geoi(eps).protect_one(&t, &mut rng).unwrap();
             t.iter()
                 .zip(protected.iter())
                 .map(|(a, b)| distance::haversine(a.location(), b.location()).as_f64())
@@ -274,12 +259,12 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let t = trace();
-        let geoi = GeoIndistinguishability::with_epsilon(0.01).unwrap();
+        let geoi = geoi(0.01);
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
         assert_eq!(
-            geoi.protect_trace(&t, &mut rng_a).unwrap(),
-            geoi.protect_trace(&t, &mut rng_b).unwrap()
+            geoi.protect_one(&t, &mut rng_a).unwrap(),
+            geoi.protect_one(&t, &mut rng_b).unwrap()
         );
     }
 }

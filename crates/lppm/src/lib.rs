@@ -7,13 +7,12 @@
 //! This crate provides:
 //!
 //! * [`Lppm`] — the common, object-safe mechanism interface, and [`Kernel`],
-//!   the record loop each mechanism implements once: one trace, a columnar
-//!   view, a dataset and a record stream are all protected by it;
+//!   the record loop each mechanism implements once: a dataset and a record
+//!   stream are both protected by it;
 //! * [`GeoIndistinguishability`] — the paper's illustrated mechanism
 //!   (planar-Laplace noise parameterized by ε in m⁻¹, Andrés et al. CCS 2013);
-//! * [`GridCloaking`], [`GaussianPerturbation`], [`TemporalDownsampling`],
-//!   [`ReleaseSampling`] — the additional mechanisms the paper's future work
-//!   targets, used as baselines and ablations;
+//! * [`GridCloaking`], [`GaussianPerturbation`] — the additional mechanisms
+//!   the paper's future work targets, used as baselines and ablations;
 //! * [`Pipeline`] — sequential composition of mechanisms;
 //! * [`stream::open_stream`] — record-at-a-time streaming sessions for the
 //!   online serving path: the same kernel, one record per call, so the
@@ -55,7 +54,6 @@ pub mod params;
 pub mod pipeline;
 pub mod space;
 pub mod stream;
-pub mod temporal;
 pub mod traits;
 
 pub use cloaking::GridCloaking;
@@ -67,8 +65,7 @@ pub use params::{Epsilon, ParameterDescriptor, ParameterScale};
 pub use pipeline::Pipeline;
 pub use space::{ConfigPoint, ConfigSpace};
 pub use stream::{open_stream, LppmStream};
-pub use temporal::{ReleaseSampling, TemporalDownsampling};
-pub use traits::{Identity, Kernel, Lppm};
+pub use traits::{Kernel, Lppm};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -80,6 +77,5 @@ pub mod prelude {
     pub use crate::pipeline::Pipeline;
     pub use crate::space::{ConfigPoint, ConfigSpace};
     pub use crate::stream::{open_stream, LppmStream};
-    pub use crate::temporal::{ReleaseSampling, TemporalDownsampling};
-    pub use crate::traits::{Identity, Kernel, Lppm};
+    pub use crate::traits::{Kernel, Lppm};
 }

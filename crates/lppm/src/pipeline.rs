@@ -1,7 +1,7 @@
 //! Composition of protection mechanisms.
 //!
-//! Mechanisms compose naturally: e.g. downsample the release stream, then add
-//! Geo-Indistinguishability noise. [`Pipeline`] applies a sequence of LPPMs
+//! Mechanisms compose naturally: e.g. add Geo-Indistinguishability noise,
+//! then cloak the noisy locations to grid cells. [`Pipeline`] applies a sequence of LPPMs
 //! in order and is itself an LPPM. Its configuration space is its stage
 //! factories' spaces, composed by `PipelineFactory` in `geopriv-core`, which
 //! builds one pipeline per configuration point.
@@ -24,14 +24,15 @@ use rand::RngCore;
 /// # Examples
 ///
 /// ```
-/// use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm, Pipeline, TemporalDownsampling};
+/// use geopriv_geo::Meters;
+/// use geopriv_lppm::{Epsilon, GeoIndistinguishability, GridCloaking, Lppm, Pipeline};
 ///
 /// # fn main() -> Result<(), geopriv_lppm::LppmError> {
 /// let pipeline = Pipeline::new()
-///     .then(TemporalDownsampling::new(2)?)
-///     .then(GeoIndistinguishability::new(Epsilon::new(0.01)?));
+///     .then(GeoIndistinguishability::new(Epsilon::new(0.01)?))
+///     .then(GridCloaking::new(Meters::new(500.0))?);
 /// assert_eq!(pipeline.len(), 2);
-/// assert_eq!(pipeline.name(), "pipeline[temporal-downsampling, geo-indistinguishability]");
+/// assert_eq!(pipeline.name(), "pipeline[geo-indistinguishability, grid-cloaking]");
 /// # Ok(())
 /// # }
 /// ```
@@ -149,8 +150,8 @@ mod tests {
     use crate::cloaking::GridCloaking;
     use crate::geo_ind::GeoIndistinguishability;
     use crate::params::Epsilon;
-    use crate::temporal::TemporalDownsampling;
-    use crate::traits::Identity;
+    use crate::traits::testing::ProtectOne;
+    use crate::traits::testing::Withhold;
     use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
     use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
@@ -172,7 +173,7 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
         let t = trace();
-        assert_eq!(p.protect_trace(&t, &mut rng).unwrap(), t);
+        assert_eq!(p.protect_one(&t, &mut rng).unwrap(), t);
         assert_eq!(p.name(), "pipeline[]");
     }
 
@@ -181,9 +182,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let t = trace();
         let pipeline = Pipeline::new()
-            .then(TemporalDownsampling::new(4).unwrap())
+            .then(Withhold::EveryNth(4))
             .then(GeoIndistinguishability::new(Epsilon::new(0.05).unwrap()));
-        let protected = pipeline.protect_trace(&t, &mut rng).unwrap();
+        let protected = pipeline.protect_one(&t, &mut rng).unwrap();
         // Downsampling happened…
         assert_eq!(protected.len(), 25);
         // …and the noise displaced the surviving records.
@@ -197,11 +198,11 @@ mod tests {
         assert!(displaced > 20);
     }
 
-    /// The stage-major reference: each stage's `protect_trace` applied to
-    /// the previous stage's whole output, one RNG threaded through.
+    /// The stage-major reference: each stage applied alone to the previous
+    /// stage's whole output, one RNG threaded through.
     fn stage_major(stages: &[&dyn Lppm], trace: &Trace, seed: u64) -> Trace {
         let mut rng = StdRng::seed_from_u64(seed);
-        stages.iter().fold(trace.clone(), |t, stage| stage.protect_trace(&t, &mut rng).unwrap())
+        stages.iter().fold(trace.clone(), |t, stage| stage.protect_one(&t, &mut rng).unwrap())
     }
 
     #[test]
@@ -216,7 +217,7 @@ mod tests {
             .collect();
         let t = Trace::new(UserId::new(3), records).unwrap();
         let cloaking = GridCloaking::new(Meters::new(500.0)).unwrap();
-        let downsampling = TemporalDownsampling::new(3).unwrap();
+        let downsampling = Withhold::EveryNth(3);
         for (seed, epsilon) in [(1, 1e-4), (2, 1e-2), (3, 1.0)] {
             let geoi = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
             let pipelines: [(Pipeline, [&dyn Lppm; 2]); 2] = [
@@ -224,7 +225,7 @@ mod tests {
                 (Pipeline::new().then(downsampling).then(geoi), [&downsampling, &geoi]),
             ];
             for (pipeline, stages) in &pipelines {
-                let protected = pipeline.protect_trace(&t, &mut StdRng::seed_from_u64(seed));
+                let protected = pipeline.protect_one(&t, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
                     protected.unwrap(),
                     stage_major(stages, &t, seed),
@@ -238,27 +239,24 @@ mod tests {
     #[test]
     fn name_lists_stages_in_order() {
         let pipeline = Pipeline::new()
-            .then(Identity::new())
+            .then(Pipeline::new())
             .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())));
         assert_eq!(pipeline.len(), 2);
-        assert_eq!(pipeline.name(), "pipeline[identity, geo-indistinguishability]");
+        assert_eq!(pipeline.name(), "pipeline[pipeline[], geo-indistinguishability]");
         assert!(format!("{pipeline:?}").contains("Pipeline"));
     }
 
     #[test]
     fn pipeline_errors_propagate() {
         let mut rng = StdRng::seed_from_u64(3);
-        // A 3-record trace downsampled by 4 keeps one record; a second
-        // downsampling by 4 still keeps one record — no error. Force an error
-        // with an invalid parameter instead at construction time.
-        assert!(TemporalDownsampling::new(0).is_err());
-        // And a valid pipeline on a tiny trace still works.
+        // A stage that keeps every fourth record keeps the one record of a
+        // one-record trace: no error.
         let t = Trace::new(
             UserId::new(1),
             vec![Record::new(Seconds::new(0.0), GeoPoint::new(37.77, -122.42).unwrap())],
         )
         .unwrap();
-        let pipeline = Pipeline::new().then(TemporalDownsampling::new(4).unwrap());
-        assert_eq!(pipeline.protect_trace(&t, &mut rng).unwrap().len(), 1);
+        let pipeline = Pipeline::new().then(Withhold::EveryNth(4));
+        assert_eq!(pipeline.protect_one(&t, &mut rng).unwrap().len(), 1);
     }
 }

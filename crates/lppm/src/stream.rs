@@ -5,16 +5,16 @@
 //! one `(user, record)` update at a time and must release each protected
 //! record immediately, under the same determinism contract as the offline
 //! paths: with a fixed seed, the records a stream releases are **bit
-//! identical** to what [`Lppm::protect_view`] writes for the records pushed
-//! so far.
+//! identical** to what [`Lppm::protect_dataset`] releases for the records
+//! pushed so far.
 //!
 //! [`open_stream`] is the entry point. A stream is the mechanism's
 //! [`Kernel`] called with one record per push, plus a persistent
 //! `StdRng::seed_from_u64(seed)`. The batch paths call the same kernel with
 //! the whole trace, and the kernel contract makes the split irrelevant: the
 //! equivalence holds because only one implementation exists. Every push is
-//! O(1) for every mechanism; a mechanism that withholds a record (temporal
-//! downsampling, release sampling) makes that push return `None`.
+//! O(1) for every mechanism; a mechanism that withholds a record makes that
+//! push return `None`.
 
 use crate::traits::{Kernel, Lppm};
 use geopriv_mobility::{DatasetBuilder, Record, TraceView, UserId};
@@ -33,8 +33,9 @@ thread_local! {
 /// A streaming protection session for one user's record stream.
 ///
 /// Obtained from [`open_stream`]. Pushing the records of a trace in
-/// timestamp order releases, record for record, what [`Lppm::protect_view`]
-/// writes for that trace under a fresh RNG seeded with the session seed.
+/// timestamp order releases, record for record, what
+/// [`Lppm::protect_dataset`] releases for that trace under a fresh RNG
+/// seeded with the session seed.
 pub struct LppmStream {
     kernel: Box<dyn Kernel>,
     rng: StdRng,
@@ -83,9 +84,9 @@ mod tests {
     use crate::cloaking::GridCloaking;
     use crate::gaussian::GaussianPerturbation;
     use crate::geo_ind::GeoIndistinguishability;
+    use crate::params::Epsilon;
     use crate::pipeline::Pipeline;
-    use crate::temporal::{ReleaseSampling, TemporalDownsampling};
-    use crate::traits::Identity;
+    use crate::traits::testing::{ProtectOne, Withhold};
     use geopriv_geo::{GeoPoint, Meters, Seconds};
     use geopriv_mobility::{Dataset, Trace};
 
@@ -102,14 +103,10 @@ mod tests {
         Trace::new(UserId::new(7), records).unwrap()
     }
 
-    /// The offline reference: `protect_view` over the whole trace with a
-    /// fresh seeded RNG.
+    /// The offline reference: the whole trace protected alone, with a fresh
+    /// seeded RNG.
     fn offline(lppm: &dyn Lppm, t: &Trace, seed: u64) -> Vec<Record> {
-        let mut out = DatasetBuilder::with_capacity(1, t.len());
-        let mut rng = StdRng::seed_from_u64(seed);
-        lppm.protect_view(t.view(), &mut out, &mut rng).unwrap();
-        let protected = out.finish().unwrap();
-        protected.trace_at(0).iter().collect()
+        lppm.protect_one(t, &mut StdRng::seed_from_u64(seed)).unwrap().iter().collect()
     }
 
     /// Pushes the whole trace and asserts the released records, withheld
@@ -126,7 +123,7 @@ mod tests {
     }
 
     fn geoi(epsilon: f64) -> GeoIndistinguishability {
-        GeoIndistinguishability::with_epsilon(epsilon).unwrap()
+        GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())
     }
 
     #[test]
@@ -142,23 +139,23 @@ mod tests {
     #[test]
     fn deterministic_mechanisms_stream_bit_identically() {
         assert_stream_matches_offline(&GridCloaking::new(Meters::new(400.0)).unwrap(), 1);
-        assert_stream_matches_offline(&Identity::new(), 1);
+        assert_stream_matches_offline(&Pipeline::new(), 1);
     }
 
     #[test]
     fn pipelines_stream_bit_identically() {
         let cloaking = GridCloaking::new(Meters::new(500.0)).unwrap();
         assert_stream_matches_offline(&Pipeline::new().then(geoi(0.01)).then(cloaking), 4);
-        let thinned = Pipeline::new().then(TemporalDownsampling::new(2).unwrap()).then(geoi(0.01));
+        let thinned = Pipeline::new().then(Withhold::EveryNth(2)).then(geoi(0.01));
         assert_eq!(assert_stream_matches_offline(&thinned, 3), 20);
     }
 
     #[test]
     fn record_dropping_mechanisms_stream_what_they_release() {
-        // Downsampling by 4 withholds three records of every four; release
+        // Keeping every fourth record withholds three of every four;
         // sampling withholds at random, the first record never.
-        assert_eq!(assert_stream_matches_offline(&TemporalDownsampling::new(4).unwrap(), 3), 30);
-        let withheld = assert_stream_matches_offline(&ReleaseSampling::new(0.5).unwrap(), 3);
+        assert_eq!(assert_stream_matches_offline(&Withhold::EveryNth(4), 3), 30);
+        let withheld = assert_stream_matches_offline(&Withhold::Sample(0.5), 3);
         assert!((1..40).contains(&withheld), "withheld {withheld}");
     }
 
@@ -171,7 +168,7 @@ mod tests {
             .then(geoi(0.01))
             .then(GaussianPerturbation::new(Meters::new(50.0)).unwrap());
         assert_eq!(assert_stream_matches_offline(&pipeline, 3), 0);
-        let thinned = Pipeline::new().then(ReleaseSampling::new(0.5).unwrap()).then(geoi(0.02));
+        let thinned = Pipeline::new().then(Withhold::Sample(0.5)).then(geoi(0.02));
         assert_stream_matches_offline(&thinned, 8);
     }
 

@@ -3,7 +3,7 @@
 
 use crate::error::LppmError;
 use geopriv_geo::GeoPoint;
-use geopriv_mobility::{Dataset, DatasetBuilder, Trace, TraceView};
+use geopriv_mobility::{Dataset, DatasetBuilder, TraceView};
 use rand::RngCore;
 
 /// A mechanism's record loop over one trace.
@@ -16,10 +16,10 @@ use rand::RngCore;
 ///
 /// **Contract:** the released records and the RNG draws are the same
 /// however the trace is split across calls — the whole trace in one call,
-/// chunks, or one record at a time. The batch paths ([`Lppm::protect_view`]
-/// and friends) hand each trace to its kernel in one call, a stream
-/// ([`crate::open_stream`]) one record per call, so the two release the same
-/// records under the same seed because both run the same kernel.
+/// chunks, or one record at a time. The batch path
+/// ([`Lppm::protect_dataset`]) hands each trace to its kernel in one call, a
+/// stream ([`crate::open_stream`]) one record per call, so the two release
+/// the same records under the same seed because both run the same kernel.
 pub trait Kernel: Send {
     /// Protects `records`, the next records of the trace, writing each
     /// released record to `out`.
@@ -30,10 +30,10 @@ pub trait Kernel: Send {
 ///
 /// An LPPM transforms an *actual* mobility trace into a *protected* trace
 /// that can be released to a location-based service. A mechanism implements
-/// [`Lppm::kernel`]; every protection path — one trace, a columnar view, a
-/// dataset, a record stream — is derived from that kernel. Randomness comes
-/// from an explicitly passed generator, so experiments are reproducible
-/// under a fixed seed.
+/// [`Lppm::kernel`]; both protection paths — a dataset and a record
+/// stream — are derived from that kernel. Randomness comes from an
+/// explicitly passed generator, so experiments are reproducible under a
+/// fixed seed.
 ///
 /// A mechanism is one configured instance; its configuration space (what
 /// the framework sweeps) is declared once, by the factory that instantiates
@@ -55,43 +55,13 @@ pub trait Lppm: Send + Sync {
         true
     }
 
-    /// Protects a single trace.
+    /// Protects every trace of a dataset, in order, with one kernel call
+    /// per trace writing straight into the protected dataset's columns.
     ///
     /// # Errors
     ///
-    /// Returns [`LppmError::Mobility`] if the mechanism released no record.
-    fn protect_trace(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
-        let mut out = DatasetBuilder::with_capacity(1, trace.len());
-        out.begin_trace(trace.user());
-        self.kernel().protect(trace.view(), rng, &mut out);
-        out.finish_trace()?;
-        Ok(out.finish()?.trace_at(0).to_trace())
-    }
-
-    /// Protects one trace given as a zero-copy columnar view, appending the
-    /// protected trace to the columnar `out` builder: the hot path of
-    /// [`Lppm::protect_dataset`], one kernel call per trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LppmError::Mobility`] if the mechanism released no record.
-    fn protect_view(
-        &self,
-        trace: TraceView<'_>,
-        out: &mut DatasetBuilder,
-        rng: &mut dyn RngCore,
-    ) -> Result<(), LppmError> {
-        out.begin_trace(trace.user());
-        self.kernel().protect(trace, rng, out);
-        Ok(out.finish_trace()?)
-    }
-
-    /// Protects every trace of a dataset, in order, with
-    /// [`Lppm::protect_view`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-trace error.
+    /// Returns [`LppmError::Mobility`] if the mechanism released no record
+    /// of a trace.
     fn protect_dataset(
         &self,
         dataset: &Dataset,
@@ -99,7 +69,9 @@ pub trait Lppm: Send + Sync {
     ) -> Result<Dataset, LppmError> {
         let mut out = DatasetBuilder::with_capacity(dataset.len(), dataset.record_count());
         for trace in dataset {
-            self.protect_view(trace, &mut out, rng)?;
+            out.begin_trace(trace.user());
+            self.kernel().protect(trace, rng, &mut out);
+            out.finish_trace()?;
         }
         Ok(out.finish()?)
     }
@@ -117,39 +89,82 @@ impl<F: Fn(GeoPoint) -> GeoPoint + Send> Kernel for Relocate<F> {
     }
 }
 
-/// A no-op mechanism that releases the actual trace unchanged.
-///
-/// Useful as the "no protection" baseline: privacy metrics should be at their
-/// worst and utility metrics at their best when evaluated against it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Identity;
+/// Test support shared by the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use geopriv_mobility::Trace;
+    use rand::Rng;
 
-impl Identity {
-    /// Creates the identity mechanism.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Lppm for Identity {
-    fn name(&self) -> &str {
-        "identity"
+    /// One trace protected alone, through [`Lppm::protect_dataset`].
+    pub(crate) trait ProtectOne {
+        fn protect_one(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError>;
     }
 
-    fn kernel(&self) -> Box<dyn Kernel> {
-        Box::new(Relocate(|location| location))
+    impl<L: Lppm + ?Sized> ProtectOne for L {
+        fn protect_one(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
+            let dataset = Dataset::new(vec![trace.clone()])?;
+            Ok(self.protect_dataset(&dataset, rng)?.trace_at(0).to_trace())
+        }
     }
 
-    fn draws_randomness(&self) -> bool {
-        false
+    /// A mechanism that releases fewer records than it receives, unchanged.
+    /// No shipped mechanism withholds records, but the stream's `None` and
+    /// the pipeline's early stop still handle it.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Withhold {
+        /// Keeps each record whose index in the trace is a multiple of `n`,
+        /// drawing nothing.
+        EveryNth(usize),
+        /// Keeps the first record, then each later one with probability `p`,
+        /// one draw per record.
+        Sample(f64),
+    }
+
+    impl Lppm for Withhold {
+        fn name(&self) -> &str {
+            match self {
+                Withhold::EveryNth(_) => "every-nth",
+                Withhold::Sample(_) => "sampling",
+            }
+        }
+
+        fn kernel(&self) -> Box<dyn Kernel> {
+            struct Keep(Withhold, usize);
+            impl Kernel for Keep {
+                fn protect(
+                    &mut self,
+                    records: TraceView<'_>,
+                    rng: &mut dyn RngCore,
+                    out: &mut DatasetBuilder,
+                ) {
+                    for record in records.iter() {
+                        let keep = match self.0 {
+                            Withhold::EveryNth(n) => self.1 % n == 0,
+                            Withhold::Sample(p) => self.1 == 0 || rng.gen_bool(p),
+                        };
+                        if keep {
+                            out.push_record(record.timestamp(), record.location());
+                        }
+                        self.1 += 1;
+                    }
+                }
+            }
+            Box::new(Keep(*self, 0))
+        }
+
+        fn draws_randomness(&self) -> bool {
+            matches!(self, Withhold::Sample(_))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
     use geopriv_geo::{GeoPoint, Seconds};
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -169,8 +184,8 @@ mod tests {
     fn identity_returns_the_same_data() {
         let mut rng = StdRng::seed_from_u64(1);
         let d = dataset();
-        let lppm = Identity::new();
-        assert_eq!(lppm.name(), "identity");
+        let lppm = Pipeline::new();
+        assert_eq!(lppm.name(), "pipeline[]");
         let protected = lppm.protect_dataset(&d, &mut rng).unwrap();
         assert_eq!(protected, d);
     }
@@ -201,7 +216,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let empty =
             |e| matches!(e, LppmError::Mobility(geopriv_mobility::MobilityError::EmptyTrace));
-        assert!(empty(Silence.protect_trace(&d.to_traces()[0], &mut rng).unwrap_err()));
         assert!(empty(Silence.protect_dataset(&d, &mut rng).unwrap_err()));
         let mut stream = crate::open_stream(&Silence, 3);
         assert!(d.trace_at(0).iter().all(|r| stream.push(r).is_none()));
@@ -211,7 +225,7 @@ mod tests {
     #[test]
     fn lppm_is_object_safe() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mechanisms: Vec<Box<dyn Lppm>> = vec![Box::new(Identity::new())];
+        let mechanisms: Vec<Box<dyn Lppm>> = vec![Box::new(Pipeline::new())];
         let d = dataset();
         for m in &mechanisms {
             assert!(m.protect_dataset(&d, &mut rng).is_ok());

@@ -2,13 +2,74 @@
 
 use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
 use geopriv_lppm::{
-    open_stream, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Identity,
-    Lppm, Pipeline, ReleaseSampling, TemporalDownsampling,
+    open_stream, Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Kernel,
+    Lppm, LppmError, Pipeline,
 };
-use geopriv_mobility::{DatasetBuilder, Record, Trace, UserId};
+use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, TraceView, UserId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// One trace protected alone, through [`Lppm::protect_dataset`].
+trait ProtectOne {
+    fn protect_one(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError>;
+}
+
+impl<L: Lppm + ?Sized> ProtectOne for L {
+    fn protect_one(&self, trace: &Trace, rng: &mut dyn RngCore) -> Result<Trace, LppmError> {
+        let dataset = Dataset::new(vec![trace.clone()])?;
+        Ok(self.protect_dataset(&dataset, rng)?.trace_at(0).to_trace())
+    }
+}
+
+/// A mechanism that releases fewer records than it receives, unchanged. No
+/// shipped mechanism withholds records, but kernels, pipelines and streams
+/// still handle it.
+#[derive(Debug, Clone, Copy)]
+enum Withhold {
+    /// Keeps each record whose index in the trace is a multiple of `n`,
+    /// drawing nothing.
+    EveryNth(usize),
+    /// Keeps the first record, then each later one with probability `p`.
+    Sample(f64),
+}
+
+impl Lppm for Withhold {
+    fn name(&self) -> &str {
+        match self {
+            Withhold::EveryNth(_) => "every-nth",
+            Withhold::Sample(_) => "sampling",
+        }
+    }
+
+    fn kernel(&self) -> Box<dyn Kernel> {
+        struct Keep(Withhold, usize);
+        impl Kernel for Keep {
+            fn protect(
+                &mut self,
+                records: TraceView<'_>,
+                rng: &mut dyn RngCore,
+                out: &mut DatasetBuilder,
+            ) {
+                for record in records.iter() {
+                    let keep = match self.0 {
+                        Withhold::EveryNth(n) => self.1 % n == 0,
+                        Withhold::Sample(p) => self.1 == 0 || rng.gen_bool(p),
+                    };
+                    if keep {
+                        out.push_record(record.timestamp(), record.location());
+                    }
+                    self.1 += 1;
+                }
+            }
+        }
+        Box::new(Keep(*self, 0))
+    }
+
+    fn draws_randomness(&self) -> bool {
+        matches!(self, Withhold::Sample(_))
+    }
+}
 
 /// A deterministic trace near San Francisco parameterized by length and step size.
 fn trace(n: usize, step_m: f64) -> Trace {
@@ -26,20 +87,21 @@ fn trace(n: usize, step_m: f64) -> Trace {
     Trace::new(UserId::new(9), records).expect("ordered records")
 }
 
-/// Every shipped mechanism, plus the pipelines [downsampling → GEO-I],
-/// [GEO-I → cloaking] and [GEO-I → Gaussian].
+/// Every shipped mechanism, the empty pipeline, both withholding ones, plus
+/// the pipelines [every-nth → GEO-I], [GEO-I → cloaking] and [GEO-I →
+/// Gaussian].
 fn mechanisms(epsilon: f64, sigma: f64, cell: f64, factor: usize, p: f64) -> Vec<Box<dyn Lppm>> {
     let geoi = || GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
     let gaussian = || GaussianPerturbation::new(Meters::new(sigma)).unwrap();
     let cloaking = || GridCloaking::new(Meters::new(cell)).unwrap();
-    let downsampling = || TemporalDownsampling::new(factor).unwrap();
+    let downsampling = || Withhold::EveryNth(factor);
     vec![
-        Box::new(Identity::new()),
+        Box::new(Pipeline::new()),
         Box::new(geoi()),
         Box::new(gaussian()),
         Box::new(cloaking()),
         Box::new(downsampling()),
-        Box::new(ReleaseSampling::new(p).unwrap()),
+        Box::new(Withhold::Sample(p)),
         Box::new(Pipeline::new().then(downsampling()).then(geoi())),
         Box::new(Pipeline::new().then(geoi()).then(cloaking())),
         Box::new(Pipeline::new().then(geoi()).then(gaussian())),
@@ -96,19 +158,17 @@ fn deterministic_mechanisms_never_draw() {
         .filter(|m| !m.draws_randomness())
         .collect();
     let names: Vec<&str> = deterministic.iter().map(|m| m.name()).collect();
-    assert_eq!(names, ["identity", "grid-cloaking", "temporal-downsampling"]);
+    assert_eq!(names, ["pipeline[]", "grid-cloaking", "every-nth"]);
     deterministic.push(Box::new(Pipeline::new()));
-    deterministic.push(Box::new(
-        Pipeline::new().then(TemporalDownsampling::new(2).unwrap()).then(cloaking()),
-    ));
+    deterministic.push(Box::new(Pipeline::new().then(Withhold::EveryNth(2)).then(cloaking())));
     for mechanism in &deterministic {
         assert!(!mechanism.draws_randomness(), "{}", mechanism.name());
-        let protected = mechanism.protect_trace(&t, &mut NoDraws).unwrap();
+        let protected = mechanism.protect_one(&t, &mut NoDraws).unwrap();
         let mut stream = open_stream(mechanism.as_ref(), 0);
         assert!(t.iter().filter_map(|r| stream.push(r)).eq(protected.iter()));
     }
-    let randomized =
-        Pipeline::new().then(cloaking()).then(GeoIndistinguishability::with_epsilon(0.01).unwrap());
+    let geoi = GeoIndistinguishability::new(Epsilon::new(0.01).unwrap());
+    let randomized = Pipeline::new().then(cloaking()).then(geoi);
     assert!(randomized.draws_randomness());
 }
 
@@ -147,22 +207,22 @@ proptest! {
     ) {
         let t = trace(n, step);
         let mechanisms: Vec<Box<dyn Lppm>> = vec![
-            Box::new(Identity::new()),
+            Box::new(Pipeline::new()),
             Box::new(GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())),
             Box::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap()),
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(TemporalDownsampling::new(factor).unwrap()),
-            Box::new(ReleaseSampling::new(probability).unwrap()),
+            Box::new(Withhold::EveryNth(factor)),
+            Box::new(Withhold::Sample(probability)),
         ];
         for mechanism in &mechanisms {
             let mut rng = StdRng::seed_from_u64(seed);
-            let protected = mechanism.protect_trace(&t, &mut rng).unwrap();
+            let protected = mechanism.protect_one(&t, &mut rng).unwrap();
             prop_assert!(!protected.is_empty(), "{} emptied the trace", mechanism.name());
             prop_assert_eq!(protected.user(), t.user());
             // Timestamps stay within the original observation window and ordered.
             prop_assert!(protected.first().timestamp() >= t.first().timestamp() - Seconds::new(1e-9));
             prop_assert!(protected.last().timestamp() <= t.last().timestamp() + Seconds::new(1e-9));
-            for w in protected.to_records().windows(2) {
+            for w in protected.iter().collect::<Vec<_>>().windows(2) {
                 prop_assert!(w[0].timestamp() <= w[1].timestamp());
             }
             // Coordinates stay valid.
@@ -182,7 +242,7 @@ proptest! {
         let t = trace(400, 30.0);
         let geoi = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
         let mut rng = StdRng::seed_from_u64(seed);
-        let protected = geoi.protect_trace(&t, &mut rng).unwrap();
+        let protected = geoi.protect_one(&t, &mut rng).unwrap();
         let mean: f64 = t
             .iter()
             .zip(protected.iter())
@@ -210,15 +270,15 @@ proptest! {
         let t = trace(n, step);
         let deterministic: Vec<Box<dyn Lppm>> = vec![
             Box::new(GridCloaking::new(Meters::new(cell)).unwrap()),
-            Box::new(TemporalDownsampling::new(3).unwrap()),
-            Box::new(Identity::new()),
+            Box::new(Withhold::EveryNth(3)),
+            Box::new(Pipeline::new()),
         ];
         for mechanism in &deterministic {
             let mut rng_a = StdRng::seed_from_u64(seed_a);
             let mut rng_b = StdRng::seed_from_u64(seed_b);
             prop_assert_eq!(
-                mechanism.protect_trace(&t, &mut rng_a).unwrap(),
-                mechanism.protect_trace(&t, &mut rng_b).unwrap(),
+                mechanism.protect_one(&t, &mut rng_a).unwrap(),
+                mechanism.protect_one(&t, &mut rng_b).unwrap(),
                 "{} is not deterministic",
                 mechanism.name()
             );
@@ -229,7 +289,7 @@ proptest! {
     fn downsampling_keeps_ceil_n_over_factor_records(n in 2usize..200, factor in 1usize..20) {
         let t = trace(n, 25.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let protected = TemporalDownsampling::new(factor).unwrap().protect_trace(&t, &mut rng).unwrap();
+        let protected = Withhold::EveryNth(factor).protect_one(&t, &mut rng).unwrap();
         let expected = t.len().div_ceil(factor);
         prop_assert_eq!(protected.len(), expected);
     }
@@ -238,7 +298,7 @@ proptest! {
     fn release_sampling_is_a_subset_preserving_order(n in 2usize..200, probability in 0.05f64..1.0, seed in 0u64..300) {
         let t = trace(n, 40.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let protected = ReleaseSampling::new(probability).unwrap().protect_trace(&t, &mut rng).unwrap();
+        let protected = Withhold::Sample(probability).protect_one(&t, &mut rng).unwrap();
         prop_assert!(protected.len() <= t.len());
         // Every released record exists verbatim in the original trace.
         let originals: Vec<(f64, f64, f64)> = t
@@ -260,7 +320,7 @@ proptest! {
         let t = trace(n, step);
         let mut rng = StdRng::seed_from_u64(5);
 
-        let cloaked = GridCloaking::new(Meters::new(cell)).unwrap().protect_trace(&t, &mut rng).unwrap();
+        let cloaked = GridCloaking::new(Meters::new(cell)).unwrap().protect_one(&t, &mut rng).unwrap();
         let cloak_bound = cell / 2.0 * 2f64.sqrt() * 1.02;
         for (a, b) in t.iter().zip(cloaked.iter()) {
             prop_assert!(distance::haversine(a.location(), b.location()).as_f64() <= cloak_bound);

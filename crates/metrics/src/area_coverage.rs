@@ -51,14 +51,14 @@ pub enum CoverageSimilarity {
 ///
 /// ```
 /// use geopriv_metrics::{AreaCoverage, Metric};
-/// use geopriv_lppm::{Identity, Lppm};
+/// use geopriv_lppm::{Pipeline, Lppm};
 /// use geopriv_mobility::generator::TaxiFleetBuilder;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
 /// let actual = TaxiFleetBuilder::new().drivers(2).duration_hours(3.0).build(&mut rng)?;
-/// let released = Identity::new().protect_dataset(&actual, &mut rng)?;
+/// let released = Pipeline::new().protect_dataset(&actual, &mut rng)?;
 /// let utility = AreaCoverage::default().evaluate(&actual, &released)?;
 /// assert!(utility.value() > 0.99); // releasing the truth keeps full utility
 /// # Ok(())
@@ -108,11 +108,6 @@ impl AreaCoverage {
             });
         }
         Ok(Self { cell_size, similarity })
-    }
-
-    /// The strict cell-overlap (F1) variant with the default 200 m cells.
-    pub fn cell_overlap() -> Self {
-        Self { cell_size: Meters::new(200.0), similarity: CoverageSimilarity::CellF1 }
     }
 
     /// The city-block cell size.
@@ -178,10 +173,15 @@ impl Metric for AreaCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geopriv_lppm::{Epsilon, GaussianPerturbation, GeoIndistinguishability, Identity, Lppm};
+    use geopriv_lppm::{Epsilon, GaussianPerturbation, GeoIndistinguishability, Lppm, Pipeline};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The strict cell-overlap (F1) variant with the default 200 m cells.
+    fn cell_f1() -> AreaCoverage {
+        AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1).unwrap()
+    }
 
     fn taxi_dataset(seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -199,16 +199,16 @@ mod tests {
         assert_eq!(m.name(), "area-coverage");
         assert_eq!(m.cell_size().as_f64(), 200.0);
         assert_eq!(m.similarity(), CoverageSimilarity::AreaRatio);
-        assert_eq!(AreaCoverage::cell_overlap().name(), "area-coverage-f1");
-        assert_eq!(AreaCoverage::cell_overlap().similarity(), CoverageSimilarity::CellF1);
+        assert_eq!(cell_f1().name(), "area-coverage-f1");
+        assert_eq!(cell_f1().similarity(), CoverageSimilarity::CellF1);
     }
 
     #[test]
     fn identity_protection_keeps_full_utility_in_both_modes() {
         let actual = taxi_dataset(31);
         let mut rng = StdRng::seed_from_u64(1);
-        let protected = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
-        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
+        let protected = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
+        for metric in [AreaCoverage::default(), cell_f1()] {
             let value = metric.evaluate(&actual, &protected).unwrap();
             assert!(value.value() > 0.999, "{}: got {}", metric.name(), value.value());
             assert!(!value.per_user().is_empty());
@@ -233,12 +233,12 @@ mod tests {
         assert!(heavy < at_operating_point, "heavy-noise {heavy} not below {at_operating_point}");
 
         // Strict mode: same ordering, lower absolute values.
-        let strict_high = utility_at(0.5, AreaCoverage::cell_overlap());
-        let strict_low = utility_at(0.0005, AreaCoverage::cell_overlap());
+        let strict_high = utility_at(0.5, cell_f1());
+        let strict_low = utility_at(0.0005, cell_f1());
         assert!(strict_high > 0.85, "high-eps strict utility {strict_high}");
         assert!(strict_low < 0.4, "low-eps strict utility {strict_low}");
         // The strict metric is never more forgiving than the area ratio.
-        assert!(utility_at(0.01, AreaCoverage::cell_overlap()) <= at_operating_point + 1e-9);
+        assert!(utility_at(0.01, cell_f1()) <= at_operating_point + 1e-9);
     }
 
     #[test]
@@ -301,7 +301,7 @@ mod tests {
         let protected = GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())
             .protect_dataset(&actual, &mut rng)
             .unwrap();
-        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
+        for metric in [AreaCoverage::default(), cell_f1()] {
             // The grid metrics use the default passthrough prepare.
             let prepared = metric.prepare(&actual).unwrap();
             assert!(prepared.is_empty());
@@ -310,7 +310,7 @@ mod tests {
             assert_eq!(direct, via_prepared, "{}", metric.name());
         }
         // Distinct configurations have distinct cache keys.
-        assert_ne!(AreaCoverage::default().cache_key(), AreaCoverage::cell_overlap().cache_key());
+        assert_ne!(AreaCoverage::default().cache_key(), cell_f1().cache_key());
         assert_ne!(
             AreaCoverage::new(Meters::new(100.0)).unwrap().cache_key(),
             AreaCoverage::default().cache_key()

@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// Mean point-wise displacement between an actual trace and its protected
 /// counterpart, in meters.
 ///
-/// Records are matched by timestamp (mechanisms that drop records, such as
-/// temporal down-sampling, are compared only on the surviving timestamps).
+/// Records are matched by timestamp (a mechanism that drops records is
+/// compared only on the surviving timestamps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MeanDistortion;
 
@@ -152,11 +152,11 @@ impl Metric for DistortionUtility {
 mod tests {
     use super::*;
     use geopriv_geo::{GeoPoint, Seconds};
-    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Identity, Lppm, TemporalDownsampling};
+    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Kernel, Lppm, Pipeline};
     use geopriv_mobility::generator::TaxiFleetBuilder;
-    use geopriv_mobility::{Record, UserId};
+    use geopriv_mobility::{DatasetBuilder, Record, TraceView, UserId};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn taxi_dataset(seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -167,7 +167,7 @@ mod tests {
     fn identity_has_zero_distortion_and_full_utility() {
         let actual = taxi_dataset(41);
         let mut rng = StdRng::seed_from_u64(1);
-        let protected = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+        let protected = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
         assert!(MeanDistortion::new().of_datasets(&actual, &protected).unwrap().as_f64() < 1e-9);
         let u = DistortionUtility::default().evaluate(&actual, &protected).unwrap();
         assert!((u.value() - 1.0).abs() < 1e-9);
@@ -200,7 +200,7 @@ mod tests {
         let proj = geopriv_geo::LocalProjection::centered_on(base);
         let moved = proj.unproject(proj.project(base).translated(300.0, 0.0));
         let protected_records: Vec<Record> =
-            records.iter().map(|r| r.with_location(moved)).collect();
+            records.iter().map(|r| Record::new(r.timestamp(), moved)).collect();
         let protected =
             Dataset::new(vec![
                 geopriv_mobility::Trace::new(UserId::new(1), protected_records).unwrap()
@@ -218,10 +218,38 @@ mod tests {
 
     #[test]
     fn timestamp_matching_handles_dropped_records() {
+        /// Releases every fourth record of a trace, unchanged. No shipped
+        /// mechanism withholds records, but distortion still matches
+        /// timestamps over a thinned release.
+        struct EveryFourth;
+        impl Lppm for EveryFourth {
+            fn name(&self) -> &str {
+                "every-fourth"
+            }
+            fn kernel(&self) -> Box<dyn Kernel> {
+                struct Keep(usize);
+                impl Kernel for Keep {
+                    fn protect(
+                        &mut self,
+                        records: TraceView<'_>,
+                        _: &mut dyn RngCore,
+                        out: &mut DatasetBuilder,
+                    ) {
+                        for record in records.iter() {
+                            if self.0 % 4 == 0 {
+                                out.push_record(record.timestamp(), record.location());
+                            }
+                            self.0 += 1;
+                        }
+                    }
+                }
+                Box::new(Keep(0))
+            }
+        }
         let actual = taxi_dataset(43);
         let mut rng = StdRng::seed_from_u64(3);
-        let downsampled =
-            TemporalDownsampling::new(4).unwrap().protect_dataset(&actual, &mut rng).unwrap();
+        let downsampled = EveryFourth.protect_dataset(&actual, &mut rng).unwrap();
+        assert!(downsampled.record_count() < actual.record_count());
         // Same coordinates on surviving timestamps: distortion is zero.
         let d = MeanDistortion::new().of_datasets(&actual, &downsampled).unwrap();
         assert!(d.as_f64() < 1e-9, "got {}", d.as_f64());

@@ -22,14 +22,14 @@ use std::collections::BTreeSet;
 ///
 /// ```
 /// use geopriv_metrics::{HotspotPreservation, Metric};
-/// use geopriv_lppm::{Identity, Lppm};
+/// use geopriv_lppm::{Pipeline, Lppm};
 /// use geopriv_mobility::generator::TaxiFleetBuilder;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
 /// let actual = TaxiFleetBuilder::new().drivers(2).duration_hours(4.0).build(&mut rng)?;
-/// let released = Identity::new().protect_dataset(&actual, &mut rng)?;
+/// let released = Pipeline::new().protect_dataset(&actual, &mut rng)?;
 /// let utility = HotspotPreservation::default().evaluate(&actual, &released)?;
 /// assert!(utility.value() > 0.99);
 /// # Ok(())
@@ -135,7 +135,7 @@ impl Metric for HotspotPreservation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Identity, Lppm};
+    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm, Pipeline};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -161,7 +161,7 @@ mod tests {
     fn identity_preserves_all_hotspots() {
         let actual = taxi_dataset(51);
         let mut rng = StdRng::seed_from_u64(1);
-        let released = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+        let released = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
         let value = HotspotPreservation::default().evaluate(&actual, &released).unwrap();
         assert!(value.value() > 0.999, "got {}", value.value());
     }

@@ -221,7 +221,7 @@ mod tests {
         assert!(PoiExtractor::new(Seconds::new(60.0), Meters::new(0.0)).is_err());
         assert!(PoiExtractor::new(Seconds::new(f64::NAN), Meters::new(100.0)).is_err());
         let e = PoiExtractor::default();
-        assert_eq!(e.min_dwell().to_minutes(), 15.0);
+        assert_eq!(e.min_dwell(), Seconds::from_minutes(15.0));
         assert_eq!(e.max_diameter().as_f64(), 200.0);
     }
 
@@ -235,7 +235,7 @@ mod tests {
         assert!(distance::haversine(pois[1].location, gp(37.7800, -122.4200)).as_f64() < 50.0);
         // Both stops lasted about 30 minutes.
         for poi in &pois {
-            assert!(poi.duration().to_minutes() >= 25.0);
+            assert!(poi.duration().as_f64() >= 25.0 * 60.0);
             assert!(poi.record_count >= 55);
             assert!(poi.start < poi.end);
         }

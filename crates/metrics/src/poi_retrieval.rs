@@ -214,7 +214,7 @@ impl Metric for PoiRetrieval {
 mod tests {
     use super::*;
     use geopriv_geo::{GeoPoint, LocalProjection, Seconds};
-    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Identity, Lppm};
+    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm, Pipeline};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
@@ -261,7 +261,7 @@ mod tests {
     fn unprotected_data_has_maximal_retrieval() {
         let actual = taxi_dataset(21);
         let mut rng = StdRng::seed_from_u64(1);
-        let protected = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+        let protected = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
         let value = PoiRetrieval::default().evaluate(&actual, &protected).unwrap();
         // Identical data: every actual POI is trivially retrieved.
         assert!(value.value() > 0.99, "got {}", value.value());
@@ -301,7 +301,7 @@ mod tests {
     fn dataset_without_any_poi_has_a_defined_zero_value() {
         let dataset = Dataset::new(vec![moving_trace(1), moving_trace(2)]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let protected = Identity::new().protect_dataset(&dataset, &mut rng).unwrap();
+        let protected = Pipeline::new().protect_dataset(&dataset, &mut rng).unwrap();
         let value = PoiRetrieval::default().evaluate(&dataset, &protected).unwrap();
         assert_eq!(value.value(), 0.0);
         // Consistent breakdown rule: users without POIs never appear in it,
@@ -318,7 +318,7 @@ mod tests {
         let without_poi = moving_trace(2);
         let dataset = Dataset::new(vec![with_poi, without_poi]).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let released = Identity::new().protect_dataset(&dataset, &mut rng).unwrap();
+        let released = Pipeline::new().protect_dataset(&dataset, &mut rng).unwrap();
 
         let value = PoiRetrieval::default().evaluate(&dataset, &released).unwrap();
         // Releasing the truth retrieves 100% of user 1's POIs; user 2 has
@@ -353,7 +353,7 @@ mod tests {
             projection.unproject(projection.project(point).translated(150.0, 0.0))
         };
         let protected_records: Vec<Record> =
-            records.iter().map(|r| r.with_location(shift_east(r.location()))).collect();
+            records.iter().map(|r| Record::new(r.timestamp(), shift_east(r.location()))).collect();
         let protected =
             Dataset::new(vec![Trace::new(UserId::new(1), protected_records).unwrap()]).unwrap();
 

@@ -14,11 +14,7 @@ use geopriv_mobility::Dataset;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifier of a metric inside a suite.
-///
-/// Defaults to the metric's `name()`; [`SuiteMetric::with_id`] overrides it
-/// when one suite carries two differently configured instances of the same
-/// metric family (e.g. area coverage at two cell sizes).
+/// Identifier of a metric inside a suite: the metric's `name()`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MetricId(String);
 
@@ -64,11 +60,9 @@ impl PartialEq<&str> for MetricId {
     }
 }
 
-/// One entry of a [`MetricSuite`]: a boxed [`Metric`] plus its optional id
-/// override.
+/// One entry of a [`MetricSuite`]: a boxed [`Metric`].
 pub struct SuiteMetric {
     metric: Box<dyn Metric>,
-    id: Option<MetricId>,
 }
 
 impl SuiteMetric {
@@ -79,20 +73,12 @@ impl SuiteMetric {
 
     /// Wraps an already-boxed metric.
     pub fn boxed(metric: Box<dyn Metric>) -> Self {
-        Self { metric, id: None }
+        Self { metric }
     }
 
-    /// Overrides the id this metric is addressed by inside its suite
-    /// (default: the metric's `name()`).
-    #[must_use]
-    pub fn with_id(mut self, id: impl Into<MetricId>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
-    /// The id this metric is addressed by.
+    /// The id this metric is addressed by: its name.
     pub fn id(&self) -> MetricId {
-        self.id.clone().unwrap_or_else(|| MetricId::new(self.name()))
+        MetricId::new(self.name())
     }
 
     /// The underlying metric's human-readable name.
@@ -187,8 +173,8 @@ impl MetricSuite {
     ///
     /// # Errors
     ///
-    /// Returns [`MetricError::InvalidSuite`] for an empty list or duplicate
-    /// ids (disambiguate with [`SuiteMetric::with_id`]).
+    /// Returns [`MetricError::InvalidSuite`] for an empty list or two
+    /// metrics of the same id.
     pub fn new(metrics: Vec<SuiteMetric>) -> Result<Self, MetricError> {
         if metrics.is_empty() {
             return Err(MetricError::InvalidSuite {
@@ -200,7 +186,7 @@ impl MetricSuite {
             if !seen.insert(metric.id()) {
                 return Err(MetricError::InvalidSuite {
                     reason: format!(
-                        "duplicate metric id \"{}\" — disambiguate with SuiteMetric::with_id",
+                        "duplicate metric id \"{}\" — a suite holds one metric per id",
                         metric.id()
                     ),
                 });
@@ -245,7 +231,10 @@ impl fmt::Debug for MetricSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AreaCoverage, DistortionUtility, HotspotPreservation, PoiRetrieval};
+    use crate::{
+        AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, PoiRetrieval,
+    };
+    use geopriv_geo::Meters;
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -301,13 +290,6 @@ mod tests {
         assert!(
             matches!(duplicated, Err(MetricError::InvalidSuite { reason }) if reason.contains("area-coverage"))
         );
-        // with_id disambiguates.
-        let suite = MetricSuite::new(vec![
-            SuiteMetric::new(AreaCoverage::default()),
-            SuiteMetric::new(AreaCoverage::default()).with_id("area-coverage-fine"),
-        ])
-        .unwrap();
-        assert_eq!(suite.ids()[1], MetricId::new("area-coverage-fine"));
     }
 
     /// Every shipped metric configuration, with the direction it must
@@ -321,7 +303,10 @@ mod tests {
         let suite = MetricSuite::new(vec![
             SuiteMetric::new(PoiRetrieval::default()),
             SuiteMetric::new(AreaCoverage::default()),
-            SuiteMetric::new(AreaCoverage::cell_overlap()),
+            SuiteMetric::new(
+                AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1)
+                    .unwrap(),
+            ),
             SuiteMetric::new(HotspotPreservation::default()),
             SuiteMetric::new(DistortionUtility::default()),
         ])

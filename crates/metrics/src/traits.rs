@@ -178,12 +178,6 @@ impl DatasetFingerprint {
         out
     }
 
-    /// The sub-fingerprint of a single user, or `None` if the fingerprinted
-    /// dataset has no trace for her.
-    pub fn user_fingerprint(&self, user: UserId) -> Option<u64> {
-        self.per_user().into_iter().find(|(u, _)| *u == user).map(|(_, digest)| digest)
-    }
-
     /// Users whose sub-fingerprint differs between `self` (the new dataset)
     /// and `previous`, including users absent from `previous` entirely.
     /// Users present only in `previous` (removed from the fleet) are *not*

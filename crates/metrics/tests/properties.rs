@@ -2,7 +2,7 @@
 
 use geopriv_geo::{BoundingBox, GeoPoint, Grid, LocalProjection, Meters, Point, Seconds};
 use geopriv_lppm::{
-    Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Identity, Lppm,
+    Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Lppm, Pipeline,
 };
 use geopriv_metrics::{
     AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, MeanDistortion,
@@ -14,6 +14,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+
+/// The strict cell-overlap (F1) variant with the default 200 m cells.
+fn cell_f1() -> AreaCoverage {
+    AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1).unwrap()
+}
 
 /// A deterministic trace with `stops` dwell periods separated by short drives.
 fn stop_and_go_trace(user: u64, stops: usize, dwell_records: usize) -> Trace {
@@ -69,7 +74,7 @@ proptest! {
         let metrics_privacy: Vec<Box<dyn Metric>> = vec![Box::new(PoiRetrieval::default())];
         let metrics_utility: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
-            Box::new(AreaCoverage::cell_overlap()),
+            Box::new(cell_f1()),
             Box::new(HotspotPreservation::default()),
             Box::new(DistortionUtility::default()),
         ];
@@ -123,13 +128,13 @@ proptest! {
     ) {
         let actual = dataset(users, stops, dwell);
         let mut rng = StdRng::seed_from_u64(seed);
-        let released = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+        let released = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let noisy = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap())
             .protect_dataset(&actual, &mut rng)
             .unwrap();
 
-        // Identity: perfect utility, maximal retrieval.
+        // No protection: perfect utility, maximal retrieval.
         let utility_identity = AreaCoverage::default().evaluate(&actual, &released).unwrap().value();
         let utility_noisy = AreaCoverage::default().evaluate(&actual, &noisy).unwrap().value();
         prop_assert!(utility_identity >= utility_noisy - 1e-9);
@@ -157,7 +162,7 @@ proptest! {
         prop_assert!(distinct.len() <= pois.len());
         prop_assert!(!distinct.is_empty());
         for poi in &pois {
-            prop_assert!(poi.duration().to_minutes() >= 15.0);
+            prop_assert!(poi.duration().as_f64() >= 15.0 * 60.0);
             prop_assert!(poi.record_count >= dwell.min(16));
         }
     }
@@ -207,7 +212,7 @@ proptest! {
 
         let utilities: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
-            Box::new(AreaCoverage::cell_overlap()),
+            Box::new(cell_f1()),
             Box::new(HotspotPreservation::default()),
             Box::new(DistortionUtility::default()),
         ];
@@ -229,7 +234,7 @@ proptest! {
     ) {
         let actual = dataset(users, stops, 20);
         let mut rng = StdRng::seed_from_u64(3);
-        let released = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+        let released = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
         let metric = HotspotPreservation::new(Meters::new(200.0), top_k).unwrap();
         let v = metric.evaluate(&actual, &released).unwrap();
         prop_assert!((v.value() - 1.0).abs() < 1e-9);
@@ -297,7 +302,7 @@ fn breakdowns_of_different_metrics_join_by_user_not_position() {
     let traces = vec![stop_and_go_trace(1, 3, 20), moving_trace(2), stop_and_go_trace(3, 3, 20)];
     let actual = Dataset::new(traces).unwrap();
     let mut rng = StdRng::seed_from_u64(17);
-    let released = Identity::new().protect_dataset(&actual, &mut rng).unwrap();
+    let released = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
 
     let privacy = PoiRetrieval::default().evaluate(&actual, &released).unwrap();
     let utility = AreaCoverage::default().evaluate(&actual, &released).unwrap();
@@ -415,7 +420,7 @@ fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
             .collect()
     };
     let check = |actual: &Dataset, protected: &Dataset, label: &str| {
-        for metric in [AreaCoverage::default(), AreaCoverage::cell_overlap()] {
+        for metric in [AreaCoverage::default(), cell_f1()] {
             let value = metric.evaluate(actual, protected).unwrap();
             let reference = reference_area_coverage(&metric, actual, protected);
             assert_eq!(bits(&value), bits(&reference), "{} on {label}", metric.name());

@@ -5,7 +5,6 @@ use crate::record::UserId;
 use crate::trace::{Trace, TraceView};
 use geopriv_geo::{BoundingBox, GeoPoint, Seconds};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Span of one trace inside the dataset's columnar buffers.
@@ -349,11 +348,6 @@ impl Dataset {
         })
     }
 
-    /// Groups the record counts per user, served from the per-user index.
-    pub fn records_per_user(&self) -> BTreeMap<UserId, usize> {
-        self.user_index.iter().map(|e| (e.user, e.records)).collect()
-    }
-
     /// Pairs each trace of this dataset with the trace at the same position
     /// in `other`.
     ///
@@ -474,11 +468,6 @@ impl DatasetBuilder {
         self.lat.extend_from_slice(view.latitudes());
         self.lon.extend_from_slice(view.longitudes());
         self.spans.push(TraceSpan { user: view.user(), start, len: view.len() });
-    }
-
-    /// Appends a whole owned trace (copies its columns).
-    pub fn push_trace(&mut self, trace: &Trace) {
-        self.push_view(trace.view());
     }
 
     /// Starts streaming the records of one trace.
@@ -629,7 +618,6 @@ mod tests {
         assert_eq!(d.user_count(), 3);
         assert_eq!(d.record_count(), 6);
         assert_eq!(d.users(), vec![UserId::new(1), UserId::new(2), UserId::new(3)]);
-        assert_eq!(d.records_per_user()[&UserId::new(2)], 2);
         assert_eq!((&d).into_iter().count(), 3);
     }
 
@@ -650,10 +638,9 @@ mod tests {
 
     #[test]
     fn index_served_lookups_match_a_naive_scan() {
-        // Regression guard for the PR-6 satellite: `traces_of`, `users` and
-        // `records_per_user` are served from the per-user span index; they
-        // must keep returning exactly what the old full scans returned, on
-        // every call.
+        // Regression guard for the PR-6 satellite: `traces_of` and `users`
+        // are served from the per-user span index; they must keep returning
+        // exactly what the old full scans returned, on every call.
         let d =
             Dataset::new(vec![trace(2, 37.76), trace(1, 37.77), trace(3, 37.78), trace(2, 37.80)])
                 .unwrap();
@@ -671,12 +658,6 @@ mod tests {
                 assert_eq!(indexed, scanned);
             }
             assert!(d.traces_of(UserId::new(99)).is_empty());
-            // records_per_user(): BTreeMap accumulation scan.
-            let mut counts = BTreeMap::new();
-            for t in &d {
-                *counts.entry(t.user()).or_insert(0) += t.len();
-            }
-            assert_eq!(d.records_per_user(), counts);
         }
     }
 
@@ -704,12 +685,11 @@ mod tests {
         let d = dataset();
         let shifted = d
             .map_traces(|t| {
-                let locations = t
-                    .locations()
-                    .into_iter()
-                    .map(|l| GeoPoint::clamped(l.latitude() + 0.001, l.longitude()))
-                    .collect();
-                t.to_trace().with_locations(locations)
+                let shift = |l: GeoPoint| GeoPoint::clamped(l.latitude() + 0.001, l.longitude());
+                Trace::new(
+                    t.user(),
+                    t.iter().map(|r| Record::new(r.timestamp(), shift(r.location()))).collect(),
+                )
             })
             .unwrap();
         assert_eq!(shifted.len(), d.len());
@@ -759,7 +739,7 @@ mod tests {
         b.push_record(Seconds::new(0.0), gp(37.77, -122.41));
         b.push_record(Seconds::new(30.0), gp(37.78, -122.42));
         b.finish_trace().unwrap();
-        b.push_trace(&trace(2, 37.76));
+        b.push_view(trace(2, 37.76).view());
         assert_eq!(b.record_count(), 4);
         let d = b.finish().unwrap();
         assert_eq!(d.len(), 2);
@@ -779,8 +759,8 @@ mod tests {
 
         // Out-of-user-order pushes are rejected at finish.
         let mut b = Dataset::builder();
-        b.push_trace(&trace(2, 37.76));
-        b.push_trace(&trace(1, 37.77));
+        b.push_view(trace(2, 37.76).view());
+        b.push_view(trace(1, 37.77).view());
         assert!(b.finish().is_err());
 
         // An empty builder yields no dataset.
@@ -790,7 +770,7 @@ mod tests {
     #[test]
     fn the_open_trace_reads_back_and_clear_empties_the_builder() {
         let mut b = Dataset::builder();
-        b.push_trace(&trace(1, 37.77));
+        b.push_view(trace(1, 37.77).view());
         assert!(b.open_trace().is_none());
         b.begin_trace(UserId::new(2));
         assert!(b.open_trace().is_none());

@@ -99,24 +99,6 @@ impl CityModel {
         Ok(Self { bounds, hotspots, projection: LocalProjection::centered_on(bounds.center()) })
     }
 
-    /// Creates a city from explicitly provided hotspots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::InvalidParameter`] if `hotspots` is empty.
-    pub fn with_hotspots(
-        bounds: BoundingBox,
-        hotspots: Vec<Hotspot>,
-    ) -> Result<Self, MobilityError> {
-        if hotspots.is_empty() {
-            return Err(MobilityError::InvalidParameter {
-                name: "hotspots",
-                reason: "a city needs at least one hotspot".to_string(),
-            });
-        }
-        Ok(Self { bounds, hotspots, projection: LocalProjection::centered_on(bounds.center()) })
-    }
-
     /// The city's bounding box.
     pub fn bounds(&self) -> BoundingBox {
         self.bounds
@@ -176,7 +158,6 @@ mod tests {
     fn construction_validates_hotspot_count() {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(CityModel::san_francisco(0, &mut rng).is_err());
-        assert!(CityModel::with_hotspots(CityModel::default_bounds(), vec![]).is_err());
         let city = CityModel::san_francisco(5, &mut rng).unwrap();
         assert_eq!(city.hotspots().len(), 5);
     }
@@ -218,7 +199,8 @@ mod tests {
         let bounds = CityModel::default_bounds();
         let hotspot =
             Hotspot { location: bounds.center(), weight: 1.0, spread: Meters::new(100.0) };
-        let city = CityModel::with_hotspots(bounds, vec![hotspot]).unwrap();
+        let projection = LocalProjection::centered_on(bounds.center());
+        let city = CityModel { bounds, hotspots: vec![hotspot], projection };
         for _ in 0..200 {
             let stop = city.sample_stop_location(&mut rng);
             let d = geopriv_geo::distance::haversine(stop, hotspot.location).as_f64();

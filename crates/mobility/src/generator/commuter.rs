@@ -13,8 +13,17 @@ use crate::generator::city::CityModel;
 use crate::generator::noise::{gps_jitter, sample_normal};
 use crate::record::{Record, UserId};
 use crate::trace::Trace;
-use geopriv_geo::{Meters, Point, Seconds};
+use geopriv_geo::{Point, Seconds};
 use rand::Rng;
+
+/// Working hours (start, end), in fractional hours of the day.
+const WORK_HOURS: (f64, f64) = (9.0, 17.5);
+
+/// Mean commute speed, in m/s.
+const SPEED_MEAN_MPS: f64 = 6.0;
+
+/// Standard deviation of the GPS noise, in meters.
+const GPS_NOISE_M: f64 = 10.0;
 
 /// Builder for a synthetic commuter dataset.
 ///
@@ -36,10 +45,6 @@ pub struct CommuterBuilder {
     users: usize,
     days: usize,
     sampling_interval: Seconds,
-    work_start_hour: f64,
-    work_end_hour: f64,
-    speed_mean_mps: f64,
-    gps_noise: Meters,
     hotspot_count: usize,
     first_user_id: u64,
 }
@@ -50,10 +55,6 @@ impl Default for CommuterBuilder {
             users: 20,
             days: 1,
             sampling_interval: Seconds::new(60.0),
-            work_start_hour: 9.0,
-            work_end_hour: 17.5,
-            speed_mean_mps: 6.0,
-            gps_noise: Meters::new(10.0),
             hotspot_count: 12,
             first_user_id: 0,
         }
@@ -81,26 +82,6 @@ impl CommuterBuilder {
     /// GPS sampling interval, in seconds. Default: 60 s.
     pub fn sampling_interval_s(mut self, seconds: f64) -> Self {
         self.sampling_interval = Seconds::new(seconds);
-        self
-    }
-
-    /// Working hours (start, end) as fractional hours of the day.
-    /// Default: 9.0 – 17.5.
-    pub fn work_hours(mut self, start: f64, end: f64) -> Self {
-        self.work_start_hour = start;
-        self.work_end_hour = end;
-        self
-    }
-
-    /// Mean commute speed in m/s. Default: 6 m/s.
-    pub fn speed_mps(mut self, mean: f64) -> Self {
-        self.speed_mean_mps = mean;
-        self
-    }
-
-    /// Standard deviation of the GPS noise in meters. Default: 10 m.
-    pub fn gps_noise_m(mut self, meters: f64) -> Self {
-        self.gps_noise = Meters::new(meters);
         self
     }
 
@@ -135,24 +116,6 @@ impl CommuterBuilder {
                 reason: "must be finite and strictly positive".to_string(),
             });
         }
-        if !(0.0..24.0).contains(&self.work_start_hour)
-            || !(0.0..=24.0).contains(&self.work_end_hour)
-            || self.work_start_hour >= self.work_end_hour
-        {
-            return Err(MobilityError::InvalidParameter {
-                name: "work_hours",
-                reason: format!(
-                    "need 0 <= start < end <= 24, got {}..{}",
-                    self.work_start_hour, self.work_end_hour
-                ),
-            });
-        }
-        if !(self.speed_mean_mps.is_finite() && self.speed_mean_mps > 0.0) {
-            return Err(MobilityError::InvalidParameter {
-                name: "speed_mean",
-                reason: "must be finite and strictly positive".to_string(),
-            });
-        }
         if self.hotspot_count == 0 {
             return Err(MobilityError::InvalidParameter {
                 name: "hotspot_count",
@@ -172,7 +135,6 @@ impl CommuterBuilder {
         let city = CityModel::san_francisco(self.hotspot_count, rng)?;
         let projection = *city.projection();
         let dt = self.sampling_interval.as_f64();
-        let noise = self.gps_noise.as_f64();
         let day = 86_400.0;
 
         let traces: Result<Vec<Trace>, MobilityError> = (0..self.users)
@@ -180,20 +142,20 @@ impl CommuterBuilder {
                 let user = UserId::new(self.first_user_id + i as u64);
                 let home = projection.project(city.sample_stop_location(rng));
                 let work = projection.project(city.sample_stop_location(rng));
-                let speed = sample_normal(rng, self.speed_mean_mps, 1.0).max(1.0);
+                let speed = sample_normal(rng, SPEED_MEAN_MPS, 1.0).max(1.0);
                 let commute_time = home.distance_to(work).as_f64() / speed;
 
                 let mut records: Vec<Record> = Vec::new();
                 let emit = |records: &mut Vec<Record>, t: f64, p: Point, rng: &mut R| {
-                    let observed = gps_jitter(rng, p, noise);
+                    let observed = gps_jitter(rng, p, GPS_NOISE_M);
                     records.push(Record::new(Seconds::new(t), projection.unproject(observed)));
                 };
 
                 for d in 0..self.days {
                     let day_start = d as f64 * day;
-                    let leave_home = day_start + self.work_start_hour * 3_600.0 - commute_time;
-                    let arrive_work = day_start + self.work_start_hour * 3_600.0;
-                    let leave_work = day_start + self.work_end_hour * 3_600.0;
+                    let leave_home = day_start + WORK_HOURS.0 * 3_600.0 - commute_time;
+                    let arrive_work = day_start + WORK_HOURS.0 * 3_600.0;
+                    let leave_work = day_start + WORK_HOURS.1 * 3_600.0;
                     let arrive_home = leave_work + commute_time;
                     let day_end = day_start + day;
 
@@ -235,9 +197,6 @@ mod tests {
         assert!(CommuterBuilder::new().users(0).build(&mut rng).is_err());
         assert!(CommuterBuilder::new().days(0).build(&mut rng).is_err());
         assert!(CommuterBuilder::new().sampling_interval_s(0.0).build(&mut rng).is_err());
-        assert!(CommuterBuilder::new().work_hours(18.0, 9.0).build(&mut rng).is_err());
-        assert!(CommuterBuilder::new().work_hours(-1.0, 9.0).build(&mut rng).is_err());
-        assert!(CommuterBuilder::new().speed_mps(0.0).build(&mut rng).is_err());
         assert!(CommuterBuilder::new().hotspots(0).build(&mut rng).is_err());
     }
 

@@ -20,12 +20,21 @@ use crate::generator::city::CityModel;
 use crate::generator::noise::{gps_jitter, sample_exponential, sample_normal};
 use crate::record::{Record, UserId};
 use crate::trace::Trace;
-use geopriv_geo::{GeoPoint, Meters, Point, Seconds};
+use geopriv_geo::{GeoPoint, Point, Seconds};
 use rand::Rng;
 
 /// Shortest stop a driver makes, in seconds (16 min): shorter stops are
 /// stretched to it so that they remain detectable POIs.
 const STOP_MIN_DURATION_S: f64 = 16.0 * 60.0;
+
+/// Mean duration of a stop, in seconds (25 min).
+const STOP_MEAN_DURATION_S: f64 = 25.0 * 60.0;
+
+/// Mean and standard deviation of a trip's driving speed, in m/s.
+const SPEED_MPS: (f64, f64) = (8.0, 2.0);
+
+/// Standard deviation of the GPS measurement noise, in meters.
+const GPS_NOISE_M: f64 = 8.0;
 
 /// Builder for a synthetic taxi-fleet dataset.
 ///
@@ -56,11 +65,7 @@ pub struct TaxiFleetBuilder {
     drivers: usize,
     duration: Seconds,
     sampling_interval: Seconds,
-    speed_mean_mps: f64,
-    speed_std_mps: f64,
-    stop_mean_duration: Seconds,
     stop_probability: f64,
-    gps_noise: Meters,
     hotspot_count: usize,
     hotspot_bias: f64,
     first_user_id: u64,
@@ -73,11 +78,7 @@ impl Default for TaxiFleetBuilder {
             drivers: 50,
             duration: Seconds::from_hours(24.0),
             sampling_interval: Seconds::new(30.0),
-            speed_mean_mps: 8.0,
-            speed_std_mps: 2.0,
-            stop_mean_duration: Seconds::from_minutes(25.0),
             stop_probability: 0.55,
-            gps_noise: Meters::new(8.0),
             hotspot_count: 15,
             hotspot_bias: 0.85,
             first_user_id: 0,
@@ -110,32 +111,10 @@ impl TaxiFleetBuilder {
         self
     }
 
-    /// Mean and standard deviation of driving speed, in m/s. Default: 8 ± 2 m/s.
-    pub fn speed_mps(mut self, mean: f64, std_dev: f64) -> Self {
-        self.speed_mean_mps = mean;
-        self.speed_std_mps = std_dev;
-        self
-    }
-
-    /// Mean duration of a stop, in minutes. Default: 25 min.
-    ///
-    /// Stops shorter than 16 min are stretched to 16 min so they remain
-    /// detectable POIs.
-    pub fn stop_mean_minutes(mut self, minutes: f64) -> Self {
-        self.stop_mean_duration = Seconds::from_minutes(minutes);
-        self
-    }
-
     /// Probability that a driver stops (dwells) after reaching a destination.
     /// Default: 0.55.
     pub fn stop_probability(mut self, probability: f64) -> Self {
         self.stop_probability = probability;
-        self
-    }
-
-    /// Standard deviation of the GPS measurement noise, in meters. Default: 8 m.
-    pub fn gps_noise_m(mut self, meters: f64) -> Self {
-        self.gps_noise = Meters::new(meters);
         self
     }
 
@@ -183,8 +162,6 @@ impl TaxiFleetBuilder {
         }
         positive("duration", self.duration.as_f64())?;
         positive("sampling_interval", self.sampling_interval.as_f64())?;
-        positive("speed_mean", self.speed_mean_mps)?;
-        positive("stop_mean_duration", self.stop_mean_duration.as_f64())?;
         if !(0.0..=1.0).contains(&self.stop_probability) {
             return Err(MobilityError::InvalidParameter {
                 name: "stop_probability",
@@ -195,12 +172,6 @@ impl TaxiFleetBuilder {
             return Err(MobilityError::InvalidParameter {
                 name: "hotspot_bias",
                 reason: format!("must be in [0, 1], got {}", self.hotspot_bias),
-            });
-        }
-        if self.gps_noise.as_f64() < 0.0 || !self.gps_noise.is_finite() {
-            return Err(MobilityError::InvalidParameter {
-                name: "gps_noise",
-                reason: "must be finite and non-negative".to_string(),
             });
         }
         if self.hotspot_count == 0 {
@@ -241,22 +212,20 @@ impl TaxiFleetBuilder {
         let projection = *city.projection();
         let dt = self.sampling_interval.as_f64();
         let horizon = self.duration.as_f64();
-        let noise = self.gps_noise.as_f64();
 
         let mut records: Vec<Record> = Vec::with_capacity((horizon / dt) as usize + 1);
         let mut time = 0.0;
         let mut position: Point = projection.project(city.sample_stop_location(rng));
 
         let emit = |records: &mut Vec<Record>, time: f64, position: Point, rng: &mut R| {
-            let observed = gps_jitter(rng, position, noise);
+            let observed = gps_jitter(rng, position, GPS_NOISE_M);
             records.push(Record::new(Seconds::new(time), projection.unproject(observed)));
         };
 
         // Drivers begin their shift stopped at a hotspot, so even short
         // simulations contain at least one POI-grade stop.
-        let initial_dwell = STOP_MIN_DURATION_S
-            .max(sample_exponential(rng, self.stop_mean_duration.as_f64()))
-            .min(horizon);
+        let initial_dwell =
+            STOP_MIN_DURATION_S.max(sample_exponential(rng, STOP_MEAN_DURATION_S)).min(horizon);
         while time <= initial_dwell.min(horizon) {
             emit(&mut records, time, position, rng);
             time += dt;
@@ -272,7 +241,7 @@ impl TaxiFleetBuilder {
             let destination = projection.project(destination_geo);
 
             // Drive there in straight-line segments at a per-trip speed.
-            let speed = sample_normal(rng, self.speed_mean_mps, self.speed_std_mps).max(1.0);
+            let speed = sample_normal(rng, SPEED_MPS.0, SPEED_MPS.1).max(1.0);
             let distance = position.distance_to(destination).as_f64();
             let travel_time = distance / speed;
             let start_time = time;
@@ -294,8 +263,7 @@ impl TaxiFleetBuilder {
 
             // Possibly dwell at the destination (producing a POI-grade stop).
             if rng.gen_bool(self.stop_probability) {
-                let dwell = STOP_MIN_DURATION_S
-                    .max(sample_exponential(rng, self.stop_mean_duration.as_f64()));
+                let dwell = STOP_MIN_DURATION_S.max(sample_exponential(rng, STOP_MEAN_DURATION_S));
                 let stop_end = (time + dwell).min(horizon);
                 while time <= stop_end {
                     emit(&mut records, time, position, rng);
@@ -330,12 +298,9 @@ mod tests {
         assert!(TaxiFleetBuilder::new().drivers(0).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().duration_hours(0.0).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().sampling_interval_s(-1.0).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().speed_mps(0.0, 1.0).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().stop_probability(1.5).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().hotspot_bias(-0.1).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().gps_noise_m(f64::NAN).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().hotspots(0).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().stop_mean_minutes(0.0).build(&mut rng).is_err());
     }
 
     #[test]

@@ -74,19 +74,6 @@ impl Record {
     pub fn location(&self) -> GeoPoint {
         self.location
     }
-
-    /// Returns a copy of the record with a different location (same timestamp).
-    ///
-    /// This is the primitive used by LPPMs, which perturb *where* the user
-    /// was but not *when* she was observed.
-    pub fn with_location(&self, location: GeoPoint) -> Record {
-        Record { timestamp: self.timestamp, location }
-    }
-
-    /// Returns a copy of the record with a different timestamp (same location).
-    pub fn with_timestamp(&self, timestamp: Seconds) -> Record {
-        Record { timestamp, location: self.location }
-    }
 }
 
 impl fmt::Display for Record {
@@ -118,21 +105,5 @@ mod tests {
         assert_eq!(r.timestamp().as_f64(), 120.0);
         assert_eq!(r.location().latitude(), 37.77);
         assert!(r.to_string().contains("120"));
-    }
-
-    #[test]
-    fn with_location_preserves_timestamp() {
-        let r = Record::new(Seconds::new(60.0), gp(37.77, -122.41));
-        let moved = r.with_location(gp(37.78, -122.42));
-        assert_eq!(moved.timestamp(), r.timestamp());
-        assert_eq!(moved.location().latitude(), 37.78);
-    }
-
-    #[test]
-    fn with_timestamp_preserves_location() {
-        let r = Record::new(Seconds::new(60.0), gp(37.77, -122.41));
-        let later = r.with_timestamp(Seconds::new(90.0));
-        assert_eq!(later.location(), r.location());
-        assert_eq!(later.timestamp().as_f64(), 90.0);
     }
 }

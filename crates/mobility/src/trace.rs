@@ -135,11 +135,6 @@ impl Trace {
         self.user
     }
 
-    /// The chronologically ordered records, materialized from the columns.
-    pub fn to_records(&self) -> Vec<Record> {
-        self.view().iter().collect()
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.t.len()
@@ -230,33 +225,6 @@ impl Trace {
     /// at exactly the same coordinate are padded into a small box).
     pub fn bounding_box(&self) -> Result<BoundingBox, MobilityError> {
         self.view().bounding_box()
-    }
-
-    /// Builds a new trace with the same user and timestamps but different
-    /// locations, in the same order.
-    ///
-    /// This is the primitive LPPMs use to emit a protected trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::InvalidParameter`] if `locations.len()` does
-    /// not match the number of records.
-    pub fn with_locations(&self, locations: Vec<GeoPoint>) -> Result<Trace, MobilityError> {
-        if locations.len() != self.t.len() {
-            return Err(MobilityError::InvalidParameter {
-                name: "locations",
-                reason: format!("expected {} locations, got {}", self.t.len(), locations.len()),
-            });
-        }
-        let mut lat = Vec::with_capacity(locations.len());
-        let mut lon = Vec::with_capacity(locations.len());
-        for loc in &locations {
-            lat.push(loc.latitude());
-            lon.push(loc.longitude());
-        }
-        // Timestamps are copied from an already-validated trace, so no
-        // re-validation is needed.
-        Ok(Self { user: self.user, t: self.t.clone(), lat, lon })
     }
 }
 
@@ -634,7 +602,7 @@ mod tests {
             Record::new(Seconds::new(30.0), gp(37.7710, -122.4110)),
         ];
         let t = Trace::new(UserId::new(1), records.clone()).unwrap();
-        assert_eq!(t.to_records(), records);
+        assert_eq!(t.iter().collect::<Vec<_>>(), records);
         let view = t.view();
         assert_eq!(view.len(), 2);
         assert_eq!(view.record(1), records[1]);
@@ -692,19 +660,5 @@ mod tests {
         for r in &t {
             assert!(b.contains(r.location()));
         }
-    }
-
-    #[test]
-    fn with_locations_replaces_coordinates_only() {
-        let t = sample_trace();
-        let new_locations = vec![gp(0.0, 0.0); 4];
-        let replaced = t.with_locations(new_locations).unwrap();
-        assert_eq!(replaced.len(), 4);
-        assert_eq!(replaced.user(), t.user());
-        for (old, new) in t.iter().zip(replaced.iter()) {
-            assert_eq!(old.timestamp(), new.timestamp());
-            assert_eq!(new.location().latitude(), 0.0);
-        }
-        assert!(t.with_locations(vec![gp(0.0, 0.0)]).is_err());
     }
 }

@@ -22,7 +22,7 @@
 //! ## Determinism contract
 //!
 //! With a fixed master seed, the records a user's stream releases are
-//! **bit-identical** to the offline [`geopriv_lppm::Lppm::protect_view`] of
+//! **bit-identical** to the offline [`geopriv_lppm::Lppm::protect_dataset`] of
 //! the same record sequence at the same point, seeded with
 //! `StdRng::seed_from_u64(derive_user_seed(master_seed, user))` — the wire
 //! format renders floats in shortest round-trip form, so the contract holds

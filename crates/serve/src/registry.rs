@@ -17,7 +17,7 @@
 //! sessions are seeded with [`derive_user_seed`] and protected through
 //! [`geopriv_lppm::open_stream`], which runs the mechanism's one kernel, so
 //! the released records are bit-identical to the offline
-//! [`geopriv_lppm::Lppm::protect_view`] of the same trace under
+//! [`geopriv_lppm::Lppm::protect_dataset`] of the same trace under
 //! `StdRng::seed_from_u64(derive_user_seed(master_seed, user))`. Restarting
 //! the service (or replaying the requests elsewhere) reproduces the exact
 //! same released coordinates.
@@ -117,8 +117,7 @@ impl Assignment {
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
 /// The error of [`AssignmentRegistry::protect`]: the user's mechanism
-/// withheld the update (temporal downsampling, release sampling), so there
-/// is no protected record to answer with.
+/// withheld the update, so there is no protected record to answer with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Withheld;
 
@@ -306,7 +305,6 @@ mod tests {
         GeoIndistinguishabilityFactory, MetricId, Recommendation, UserRecommendation, UserVerdict,
     };
     use geopriv_geo::{GeoPoint, Seconds};
-    use geopriv_mobility::DatasetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -459,10 +457,9 @@ mod tests {
             &latitudes,
             &longitudes,
         );
-        let mut out = DatasetBuilder::with_capacity(1, records.len());
+        let actual = geopriv_mobility::Dataset::new(vec![view.to_trace()])?;
         let mut rng = StdRng::seed_from_u64(derive_user_seed(7, UserId::new(1)));
-        lppm.protect_view(view, &mut out, &mut rng)?;
-        let offline = out.finish()?;
+        let offline = lppm.protect_dataset(&actual, &mut rng)?;
         let trace = offline.trace_at(0);
         for (i, record) in online.iter().enumerate() {
             assert_eq!(*record, trace.record(i), "record {i} diverged online vs offline");

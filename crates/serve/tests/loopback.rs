@@ -12,11 +12,11 @@ use geopriv_core::{
     Recommendation, UserRecommendation, UserVerdict,
 };
 use geopriv_geo::{GeoPoint, Seconds};
-use geopriv_lppm::{ConfigPoint, ConfigSpace, Lppm, Pipeline, TemporalDownsampling};
-use geopriv_mobility::{DatasetBuilder, Record, Trace, TraceView, UserId};
+use geopriv_lppm::{ConfigPoint, ConfigSpace, Kernel, Lppm, Pipeline};
+use geopriv_mobility::{Dataset, DatasetBuilder, Record, Trace, TraceView, UserId};
 use geopriv_serve::{derive_user_seed, AssignmentRegistry, GeoPrivServer, HttpClient, ServeConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -170,10 +170,9 @@ fn online_stream_is_bit_identical_to_offline_protection_through_the_wire() {
     let longitudes: Vec<f64> = records.iter().map(|r| r.location().longitude()).collect();
     let view = TraceView::from_columns(UserId::new(1), &timestamps, &latitudes, &longitudes);
     let lppm = GeoIndistinguishabilityFactory::new().instantiate_at(&point(0.02)).unwrap();
-    let mut out = DatasetBuilder::with_capacity(1, records.len());
     let mut rng = StdRng::seed_from_u64(derive_user_seed(MASTER_SEED, UserId::new(1)));
-    lppm.protect_view(view, &mut out, &mut rng).unwrap();
-    let offline = out.finish().unwrap();
+    let actual = Dataset::new(vec![view.to_trace()]).unwrap();
+    let offline = lppm.protect_dataset(&actual, &mut rng).unwrap();
     let trace = offline.trace_at(0);
 
     // Bit-identical through JSON: shortest round-trip floats re-parse to
@@ -195,6 +194,41 @@ fn online_stream_is_bit_identical_to_offline_protection_through_the_wire() {
 
 /// GEO-I behind a downsampling by 2, on GEO-I's ε axis: its sessions
 /// withhold every second update.
+/// Releases every other record of a trace, unchanged. No shipped mechanism
+/// withholds records, but the server still answers a withheld update with
+/// 204.
+struct EveryOther;
+
+impl Lppm for EveryOther {
+    fn name(&self) -> &str {
+        "every-other"
+    }
+
+    fn kernel(&self) -> Box<dyn Kernel> {
+        struct Keep(usize);
+        impl Kernel for Keep {
+            fn protect(
+                &mut self,
+                records: TraceView<'_>,
+                _: &mut dyn RngCore,
+                out: &mut DatasetBuilder,
+            ) {
+                for record in records.iter() {
+                    if self.0 % 2 == 0 {
+                        out.push_record(record.timestamp(), record.location());
+                    }
+                    self.0 += 1;
+                }
+            }
+        }
+        Box::new(Keep(0))
+    }
+
+    fn draws_randomness(&self) -> bool {
+        false
+    }
+}
+
 struct ThinnedGeoIndistinguishability;
 
 impl LppmFactory for ThinnedGeoIndistinguishability {
@@ -208,7 +242,7 @@ impl LppmFactory for ThinnedGeoIndistinguishability {
 
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError> {
         let geoi = GeoIndistinguishabilityFactory::new().instantiate_at(point)?;
-        Ok(Box::new(Pipeline::new().then(TemporalDownsampling::new(2)?).then_boxed(geoi)))
+        Ok(Box::new(Pipeline::new().then(EveryOther).then_boxed(geoi)))
     }
 }
 
@@ -253,8 +287,10 @@ fn withheld_updates_answer_204_and_released_records_match_offline(
         .collect::<Result<Vec<Record>, geopriv_geo::GeoError>>()?;
     let lppm = ThinnedGeoIndistinguishability.instantiate_at(&point(0.02))?;
     let mut rng = StdRng::seed_from_u64(derive_user_seed(MASTER_SEED, UserId::new(1)));
-    let offline = lppm.protect_trace(&Trace::new(UserId::new(1), records)?, &mut rng)?;
+    let actual = Dataset::new(vec![Trace::new(UserId::new(1), records)?])?;
+    let offline = lppm.protect_dataset(&actual, &mut rng)?;
     let offline: Vec<f64> = offline
+        .trace_at(0)
         .iter()
         .flat_map(|r| [r.timestamp().as_f64(), r.location().latitude(), r.location().longitude()])
         .collect();

@@ -21,8 +21,7 @@ use rand::SeedableRng;
 fn two_axis_system() -> Result<SystemDefinition, CoreError> {
     SystemDefinition::with_pair(
         Box::new(
-            PipelineFactory::new()
-                .then(GeoIndistinguishabilityFactory::new())
+            PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                 .then(GridCloakingFactory::with_range(100.0, 2000.0)?),
         ),
         Box::new(PoiRetrieval::default()),

@@ -42,8 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         paper_pair(Box::new(GaussianPerturbationFactory::with_range(20.0, 2000.0)?))?,
         paper_pair(Box::new(GridCloakingFactory::with_range(100.0, 2000.0)?))?,
         paper_pair(Box::new(
-            PipelineFactory::new()
-                .then(GeoIndistinguishabilityFactory::new())
+            PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                 .then(GridCloakingFactory::with_range(100.0, 2000.0)?),
         ))?,
     ];

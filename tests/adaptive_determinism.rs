@@ -105,8 +105,7 @@ fn adaptive_study_saves_sixty_percent_of_the_grid_and_tracks_its_recommendation(
         .expect("static generator configuration is valid");
     let system = SystemDefinition::with_pair(
         Box::new(
-            PipelineFactory::new()
-                .then(GeoIndistinguishabilityFactory::new())
+            PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                 .then(GridCloakingFactory::with_range(100.0, 2000.0).expect("valid range")),
         ),
         Box::new(PoiRetrieval::default()),

@@ -69,8 +69,7 @@ fn legacy_scalar_sweep(dataset: &Dataset, config: SweepConfig) -> (Vec<f64>, Vec
 fn two_axis_system() -> SystemDefinition {
     SystemDefinition::with_pair(
         Box::new(
-            PipelineFactory::new()
-                .then(GeoIndistinguishabilityFactory::new())
+            PipelineFactory::new(GeoIndistinguishabilityFactory::new())
                 .then(GridCloakingFactory::with_range(100.0, 2000.0).expect("valid range")),
         ),
         Box::new(PoiRetrieval::default()),

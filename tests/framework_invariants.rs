@@ -92,7 +92,7 @@ proptest! {
             .protect_dataset(&dataset, &mut rng)
             .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let released = Identity::new().protect_dataset(&dataset, &mut rng).unwrap();
+        let released = Pipeline::new().protect_dataset(&dataset, &mut rng).unwrap();
 
         let utility_noisy = AreaCoverage::default().evaluate(&dataset, &noisy).unwrap().value();
         let utility_identity = AreaCoverage::default().evaluate(&dataset, &released).unwrap().value();
@@ -134,8 +134,7 @@ proptest! {
             parameters.iter().map(|e| (0.8 + slope_p * e.ln()).clamp(0.0, 1.0)).collect();
         let utility: Vec<f64> =
             parameters.iter().map(|e| (1.1 + slope_u * e.ln()).clamp(0.0, 1.0)).collect();
-        let sweep = SweepResult::from_axis(
-            "geo-indistinguishability",
+        let space = ConfigSpace::single(
             geopriv::lppm::ParameterDescriptor::new(
                 "epsilon",
                 1e-4,
@@ -143,7 +142,14 @@ proptest! {
                 geopriv::lppm::ParameterScale::Logarithmic,
             )
             .unwrap(),
-            &parameters,
+        );
+        let points =
+            parameters.iter().map(|&value| space.point_from_coords(&[value]).unwrap()).collect();
+        let sweep = SweepResult::new(
+            "geo-indistinguishability",
+            space,
+            SweepMode::Grid,
+            points,
             vec![
                 MetricColumn {
                     id: MetricId::new("poi-retrieval"),
