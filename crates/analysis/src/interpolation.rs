@@ -1,29 +1,15 @@
-//! Piecewise-linear curves and their inversion.
+//! Sampled response curves.
 //!
 //! Before fitting the parametric log-linear model of Equation 2, the
 //! framework represents the measured response of each metric to the swept
 //! parameter as an *empirical curve*. [`Curve`] stores such a sampled
-//! response, linear between samples, and — when the response is monotone —
-//! inverts it to answer "which parameter value yields this metric value?"
-//! directly from the measurements.
+//! response, sorted by parameter value; the saturation detector reads its
+//! samples and range to find where the response is not flat.
 
 use crate::error::AnalysisError;
 use serde::{Deserialize, Serialize};
 
-/// Monotonicity classification of a sampled curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Monotonicity {
-    /// Strictly or weakly increasing.
-    Increasing,
-    /// Strictly or weakly decreasing.
-    Decreasing,
-    /// Constant everywhere.
-    Constant,
-    /// Neither increasing nor decreasing.
-    NonMonotone,
-}
-
-/// A piecewise-linear curve through `(x, y)` samples, sorted by `x`.
+/// A curve through `(x, y)` samples, sorted by `x`.
 ///
 /// # Examples
 ///
@@ -31,8 +17,9 @@ pub enum Monotonicity {
 /// use geopriv_analysis::interpolation::Curve;
 ///
 /// # fn main() -> Result<(), geopriv_analysis::AnalysisError> {
-/// let curve = Curve::new(vec![(0.0, 0.0), (1.0, 10.0), (2.0, 20.0)])?;
-/// assert_eq!(curve.invert(15.0)?, 1.5);
+/// let curve = Curve::new(vec![(2.0, 20.0), (0.0, 0.0), (1.0, 10.0)])?;
+/// assert_eq!(curve.points()[0], (0.0, 0.0));
+/// assert_eq!(curve.range(), (0.0, 20.0));
 /// # Ok(())
 /// # }
 /// ```
@@ -75,21 +62,6 @@ impl Curve {
         &self.points
     }
 
-    /// The `x` values of the samples.
-    pub fn xs(&self) -> Vec<f64> {
-        self.points.iter().map(|(x, _)| *x).collect()
-    }
-
-    /// The `y` values of the samples.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|(_, y)| *y).collect()
-    }
-
-    /// Domain of the curve: `(min x, max x)`.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.points[0].0, self.points[self.points.len() - 1].0)
-    }
-
     /// Range of the curve: `(min y, max y)` over the samples.
     pub fn range(&self) -> (f64, f64) {
         let mut min = f64::INFINITY;
@@ -99,63 +71,6 @@ impl Curve {
             max = max.max(y);
         }
         (min, max)
-    }
-
-    /// Classifies the monotonicity of the sampled response.
-    pub fn monotonicity(&self) -> Monotonicity {
-        let mut increasing = true;
-        let mut decreasing = true;
-        for w in self.points.windows(2) {
-            if w[1].1 > w[0].1 {
-                decreasing = false;
-            }
-            if w[1].1 < w[0].1 {
-                increasing = false;
-            }
-        }
-        match (increasing, decreasing) {
-            (true, true) => Monotonicity::Constant,
-            (true, false) => Monotonicity::Increasing,
-            (false, true) => Monotonicity::Decreasing,
-            (false, false) => Monotonicity::NonMonotone,
-        }
-    }
-
-    /// Inverts a monotone curve: finds `x` such that the curve passes through
-    /// `(x, y)`.
-    ///
-    /// If several segments attain `y` exactly (plateaus), the smallest such
-    /// `x` is returned.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::NotInvertible`] if the curve is not monotone or constant.
-    /// * [`AnalysisError::OutOfDomain`] if `y` is outside the curve's range.
-    pub fn invert(&self, y: f64) -> Result<f64, AnalysisError> {
-        match self.monotonicity() {
-            Monotonicity::Increasing | Monotonicity::Decreasing => {}
-            Monotonicity::Constant | Monotonicity::NonMonotone => {
-                return Err(AnalysisError::NotInvertible)
-            }
-        }
-        let (min_y, max_y) = self.range();
-        if !y.is_finite() || y < min_y || y > max_y {
-            return Err(AnalysisError::OutOfDomain { value: y, min: min_y, max: max_y });
-        }
-        for w in self.points.windows(2) {
-            let (x1, y1) = w[0];
-            let (x2, y2) = w[1];
-            let (lo, hi) = if y1 <= y2 { (y1, y2) } else { (y2, y1) };
-            if y >= lo && y <= hi {
-                if (y2 - y1).abs() < f64::EPSILON {
-                    return Ok(x1);
-                }
-                let t = (y - y1) / (y2 - y1);
-                return Ok(x1 + t * (x2 - x1));
-            }
-        }
-        // Unreachable: y is within range, so some segment brackets it.
-        Err(AnalysisError::OutOfDomain { value: y, min: min_y, max: max_y })
     }
 }
 
@@ -171,7 +86,7 @@ mod tests {
     fn construction_sorts_and_dedups() {
         let c = Curve::new(vec![(2.0, 20.0), (0.0, 0.0), (1.0, 10.0), (1.0, 12.0)]).unwrap();
         assert_eq!(c.points().len(), 3);
-        assert_eq!(c.domain(), (0.0, 2.0));
+        assert_eq!((c.points()[0].0, c.points()[2].0), (0.0, 2.0));
         // The later sample for x = 1.0 wins.
         assert_eq!(c.points()[1], (1.0, 12.0));
 
@@ -179,69 +94,6 @@ mod tests {
         assert!(Curve::new(vec![(0.0, 1.0), (0.0, 2.0)]).is_err());
         assert!(Curve::new(vec![(0.0, f64::NAN), (1.0, 1.0)]).is_err());
         assert!(Curve::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn monotonicity_classification() {
-        assert_eq!(
-            curve(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]).monotonicity(),
-            Monotonicity::Increasing
-        );
-        assert_eq!(
-            curve(&[(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]).monotonicity(),
-            Monotonicity::Decreasing
-        );
-        assert_eq!(
-            curve(&[(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]).monotonicity(),
-            Monotonicity::Constant
-        );
-        assert_eq!(
-            curve(&[(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]).monotonicity(),
-            Monotonicity::NonMonotone
-        );
-        // Plateaus keep the overall classification.
-        assert_eq!(
-            curve(&[(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]).monotonicity(),
-            Monotonicity::Increasing
-        );
-    }
-
-    #[test]
-    fn inversion_of_monotone_curves() {
-        let inc = curve(&[(0.0, 0.0), (1.0, 10.0), (2.0, 30.0)]);
-        assert_eq!(inc.invert(5.0).unwrap(), 0.5);
-        assert_eq!(inc.invert(20.0).unwrap(), 1.5);
-        assert_eq!(inc.invert(0.0).unwrap(), 0.0);
-        assert_eq!(inc.invert(30.0).unwrap(), 2.0);
-        assert!(inc.invert(31.0).is_err());
-        assert!(inc.invert(-1.0).is_err());
-
-        let dec = curve(&[(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]);
-        assert_eq!(dec.invert(0.75).unwrap(), 0.5);
-        assert_eq!(dec.invert(0.25).unwrap(), 1.5);
-
-        let flat = curve(&[(0.0, 1.0), (1.0, 1.0)]);
-        assert_eq!(flat.invert(1.0), Err(AnalysisError::NotInvertible));
-        let bumpy = curve(&[(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]);
-        assert_eq!(bumpy.invert(1.5), Err(AnalysisError::NotInvertible));
-    }
-
-    #[test]
-    fn inversion_on_plateau_returns_smallest_x() {
-        let c = curve(&[(0.0, 0.0), (1.0, 5.0), (2.0, 5.0), (3.0, 10.0)]);
-        assert_eq!(c.invert(5.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn roundtrip_interpolate_invert() {
-        // The curve's y at x, on the segment that brackets x, inverts to x.
-        let c = curve(&[(0.0, 0.2), (1.0, 0.35), (2.0, 0.6), (3.0, 0.9)]);
-        for x in [0.25_f64, 0.8, 1.5, 2.9] {
-            let (i, t) = (x.floor() as usize, x.fract());
-            let (y1, y2) = (c.points()[i].1, c.points()[i + 1].1);
-            let back = c.invert(y1 + t * (y2 - y1)).unwrap();
-            assert!((back - x).abs() < 1e-9, "x={x} back={back}");
-        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Numerical analysis substrate for the `geopriv` workspace: everything the
 //! *modeling* phase of Cerf et al.'s configuration framework needs.
 //!
-//! * [`stats`] — descriptive statistics (means, quantiles, correlation).
+//! * [`stats`] — descriptive statistics (mean, variance, standard deviation).
 //! * [`Matrix`] — small dense matrices with a linear solver.
 //! * [`regression`] — ordinary least squares, simple and multiple.
 //! * [`Pca`] — principal component analysis (Jacobi eigen-solver), used to
 //!   select influential dataset properties (paper §3, step 1).
-//! * [`Curve`] — empirical piecewise-linear response curves with inversion.
+//! * [`Curve`] — empirical response curves, sorted by parameter value.
 //! * [`saturation`] — detection of the non-saturated zone of a response
 //!   (the vertical lines of Figure 1).
 //! * [`model`] — the invertible parametric models of Equation 2
@@ -43,20 +43,20 @@ pub mod saturation;
 pub mod stats;
 
 pub use error::AnalysisError;
-pub use interpolation::{Curve, Monotonicity};
+pub use interpolation::Curve;
 pub use matrix::Matrix;
 pub use model::{LinearModel, LogLinearModel, ResponseModel};
 pub use pca::{Pca, PrincipalComponent};
 pub use regression::{MultipleLinearRegression, SimpleLinearRegression};
-pub use saturation::{find_active_zone, ActiveZone, SaturationDetector};
+pub use saturation::{find_active_zone, ActiveZone};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::error::AnalysisError;
-    pub use crate::interpolation::{Curve, Monotonicity};
+    pub use crate::interpolation::Curve;
     pub use crate::matrix::Matrix;
     pub use crate::model::{LinearModel, LogLinearModel, ResponseModel};
     pub use crate::pca::{Pca, PrincipalComponent};
     pub use crate::regression::{MultipleLinearRegression, SimpleLinearRegression};
-    pub use crate::saturation::{find_active_zone, ActiveZone, SaturationDetector};
+    pub use crate::saturation::{find_active_zone, ActiveZone};
 }

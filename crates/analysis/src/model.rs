@@ -290,4 +290,24 @@ mod tests {
             assert!((back - e).abs() / e < 1e-9);
         }
     }
+
+    #[test]
+    fn display_shows_the_fitted_equation() {
+        let linear = LinearModel::fit(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]).unwrap();
+        assert_eq!(linear.to_string(), "y = 1.0000 + 2.0000·x (R² = 1.000)");
+        let eps = [0.01, 0.1, 1.0];
+        let ys: Vec<f64> = eps.iter().map(|e: &f64| 0.5 - 0.25 * e.ln()).collect();
+        let log = LogLinearModel::fit(&eps, &ys).unwrap();
+        assert_eq!(log.to_string(), "y = 0.5000 + -0.2500·ln(x) (R² = 1.000)");
+    }
+
+    #[test]
+    fn log_linear_inversion_past_f64_is_out_of_domain() {
+        let eps = [0.01, 0.02, 0.04];
+        let ys: Vec<f64> = eps.iter().map(|e: &f64| 0.84 + 0.17 * e.ln()).collect();
+        let m = LogLinearModel::fit(&eps, &ys).unwrap();
+        // ln x = (1000 - 0.84) / 0.17 overflows exp.
+        assert!(matches!(m.invert(1000.0), Err(AnalysisError::OutOfDomain { .. })));
+        assert!(m.invert(0.5).unwrap().is_finite());
+    }
 }

@@ -53,9 +53,6 @@ pub struct PrincipalComponent {
 pub struct Pca {
     components: Vec<PrincipalComponent>,
     variable_count: usize,
-    observation_count: usize,
-    means: Vec<f64>,
-    std_devs: Vec<f64>,
 }
 
 impl Pca {
@@ -80,15 +77,11 @@ impl Pca {
         let n = raw.rows();
 
         // Standardize column by column.
-        let mut means = Vec::with_capacity(p);
-        let mut std_devs = Vec::with_capacity(p);
         let mut standardized_rows = vec![vec![0.0; p]; n];
         for j in 0..p {
             let col = raw.column(j);
             let m = stats::mean(&col)?;
             let s = stats::std_dev(&col)?;
-            means.push(m);
-            std_devs.push(s);
             for (row, &value) in standardized_rows.iter_mut().zip(&col) {
                 row[j] = if s == 0.0 { 0.0 } else { (value - m) / s };
             }
@@ -115,22 +108,12 @@ impl Pca {
             })
             .collect();
 
-        Ok(Self { components, variable_count: p, observation_count: n, means, std_devs })
+        Ok(Self { components, variable_count: p })
     }
 
     /// The principal components in order of decreasing explained variance.
     pub fn components(&self) -> &[PrincipalComponent] {
         &self.components
-    }
-
-    /// Number of original variables.
-    pub fn variable_count(&self) -> usize {
-        self.variable_count
-    }
-
-    /// Number of observations used for the fit.
-    pub fn observation_count(&self) -> usize {
-        self.observation_count
     }
 
     /// Number of components needed to explain at least `threshold` (e.g. 0.9)
@@ -159,39 +142,6 @@ impl Pca {
             }
         }
         scores
-    }
-
-    /// Projects an observation onto the first `k` principal components.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::LengthMismatch`] if the observation length
-    /// differs from the fitted variable count.
-    pub fn project(&self, observation: &[f64], k: usize) -> Result<Vec<f64>, AnalysisError> {
-        if observation.len() != self.variable_count {
-            return Err(AnalysisError::LengthMismatch {
-                left: observation.len(),
-                right: self.variable_count,
-            });
-        }
-        let standardized: Vec<f64> =
-            observation
-                .iter()
-                .enumerate()
-                .map(|(j, &v)| {
-                    if self.std_devs[j] == 0.0 {
-                        0.0
-                    } else {
-                        (v - self.means[j]) / self.std_devs[j]
-                    }
-                })
-                .collect();
-        Ok(self
-            .components
-            .iter()
-            .take(k)
-            .map(|c| c.loadings.iter().zip(&standardized).map(|(a, b)| a * b).sum())
-            .collect())
     }
 }
 
@@ -298,8 +248,7 @@ mod tests {
             })
             .collect();
         let pca = Pca::fit(&data).unwrap();
-        assert_eq!(pca.variable_count(), 2);
-        assert_eq!(pca.observation_count(), 100);
+        assert_eq!(pca.variable_count, 2);
         assert!(pca.components()[0].explained_variance_ratio > 0.95);
         let explained: f64 =
             pca.components().iter().take(2).map(|c| c.explained_variance_ratio).sum();
@@ -340,14 +289,27 @@ mod tests {
     }
 
     #[test]
-    fn projection_reduces_dimension() {
-        let data: Vec<Vec<f64>> =
-            (0..50).map(|i| vec![i as f64, 2.0 * i as f64 + 1.0, (i % 3) as f64]).collect();
+    fn components_for_variance_counts_up_to_the_threshold() {
+        let data: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let t = i as f64;
+                vec![t.sin(), (t * 0.7).cos(), t % 5.0, (t * t) % 11.0]
+            })
+            .collect();
         let pca = Pca::fit(&data).unwrap();
-        let projected = pca.project(&[10.0, 21.0, 1.0], 2).unwrap();
-        assert_eq!(projected.len(), 2);
-        assert!(projected.iter().all(|v| v.is_finite()));
-        assert!(pca.project(&[1.0, 2.0], 2).is_err());
+        let ratios: Vec<f64> =
+            pca.components().iter().map(|c| c.explained_variance_ratio).collect();
+        assert_eq!(pca.components_for_variance(0.0), 1);
+        assert_eq!(pca.components_for_variance(1.5), ratios.len());
+        let counts: Vec<usize> = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+            .iter()
+            .map(|&t| pca.components_for_variance(t))
+            .collect();
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
+        // The count is the shortest prefix whose ratios reach the threshold.
+        let k = pca.components_for_variance(0.9);
+        assert!(ratios[..k].iter().sum::<f64>() >= 0.9);
+        assert!(ratios[..k - 1].iter().sum::<f64>() < 0.9);
     }
 
     #[test]

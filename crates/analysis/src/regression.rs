@@ -34,8 +34,6 @@ pub struct SimpleLinearRegression {
     intercept: f64,
     slope: f64,
     r_squared: f64,
-    residual_std: f64,
-    n: usize,
 }
 
 impl SimpleLinearRegression {
@@ -67,10 +65,7 @@ impl SimpleLinearRegression {
         let ss_tot: f64 = y.iter().map(|v| (v - mean_y).powi(2)).sum();
         let ss_res: f64 = x.iter().zip(y).map(|(a, b)| (b - (intercept + slope * a)).powi(2)).sum();
         let r_squared = if ss_tot == 0.0 { 1.0 } else { (1.0 - ss_res / ss_tot).clamp(0.0, 1.0) };
-        let dof = (x.len() as f64 - 2.0).max(1.0);
-        let residual_std = (ss_res / dof).sqrt();
-
-        Ok(Self { intercept, slope, r_squared, residual_std, n: x.len() })
+        Ok(Self { intercept, slope, r_squared })
     }
 
     /// The fitted intercept.
@@ -87,28 +82,6 @@ impl SimpleLinearRegression {
     pub fn r_squared(&self) -> f64 {
         self.r_squared
     }
-
-    /// Residual standard deviation.
-    pub fn residual_std(&self) -> f64 {
-        self.residual_std
-    }
-
-    /// Predicts `y` for a given `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    /// Inverts the model: the `x` that yields the requested `y`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotInvertible`] if the slope is zero or not finite.
-    pub fn invert(&self, y: f64) -> Result<f64, AnalysisError> {
-        if self.slope == 0.0 || !self.slope.is_finite() {
-            return Err(AnalysisError::NotInvertible);
-        }
-        Ok((y - self.intercept) / self.slope)
-    }
 }
 
 /// Result of a multiple-linear-regression fit
@@ -117,7 +90,6 @@ impl SimpleLinearRegression {
 pub struct MultipleLinearRegression {
     coefficients: Vec<f64>,
     r_squared: f64,
-    n: usize,
 }
 
 impl MultipleLinearRegression {
@@ -175,7 +147,7 @@ impl MultipleLinearRegression {
             .sum();
         let r_squared = if ss_tot == 0.0 { 1.0 } else { (1.0 - ss_res / ss_tot).clamp(0.0, 1.0) };
 
-        Ok(Self { coefficients, r_squared, n })
+        Ok(Self { coefficients, r_squared })
     }
 
     /// Fitted coefficients `[β₀ (intercept), β₁, …, β_k]`.
@@ -223,7 +195,6 @@ mod tests {
         assert!((fit.intercept() - 2.0).abs() < 1e-12);
         assert!((fit.slope() - 3.0).abs() < 1e-12);
         assert_eq!(fit.r_squared(), 1.0);
-        assert!(fit.residual_std() < 1e-9);
     }
 
     #[test]
@@ -239,7 +210,6 @@ mod tests {
         assert!((fit.slope() - 0.5).abs() < 0.02);
         assert!((fit.intercept() - 1.0).abs() < 0.06);
         assert!(fit.r_squared() > 0.97 && fit.r_squared() < 1.0);
-        assert!(fit.residual_std() > 0.0);
     }
 
     #[test]
@@ -251,17 +221,6 @@ mod tests {
         let fit = SimpleLinearRegression::fit(&x, &y).unwrap();
         assert!((fit.intercept() - 0.84).abs() < 1e-10);
         assert!((fit.slope() - 0.17).abs() < 1e-10);
-        // Inversion gives back ln(eps) for a target Pr of 10%.
-        let ln_eps = fit.invert(0.10).unwrap();
-        assert!((ln_eps.exp() - 0.0128).abs() < 0.001);
-    }
-
-    #[test]
-    fn prediction_and_inversion_roundtrip() {
-        let fit = SimpleLinearRegression::fit(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]).unwrap();
-        let y = fit.predict(1.7);
-        let x = fit.invert(y).unwrap();
-        assert!((x - 1.7).abs() < 1e-12);
     }
 
     #[test]
@@ -271,10 +230,9 @@ mod tests {
         assert!(SimpleLinearRegression::fit(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_err());
         assert!(SimpleLinearRegression::fit(&[1.0, f64::NAN], &[1.0, 2.0]).is_err());
 
-        // Horizontal line: slope 0 cannot be inverted.
+        // A horizontal line fits with slope 0.
         let flat = SimpleLinearRegression::fit(&[1.0, 2.0, 3.0], &[4.0, 4.0, 4.0]).unwrap();
         assert_eq!(flat.slope(), 0.0);
-        assert_eq!(flat.invert(4.0), Err(AnalysisError::NotInvertible));
     }
 
     #[test]
@@ -292,6 +250,20 @@ mod tests {
         assert!((fit.r_squared() - 1.0).abs() < 1e-9);
         assert!((fit.predict(&[2.0, 1.0]).unwrap() - 2.0).abs() < 1e-9);
         assert!(fit.predict(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn one_predictor_multiple_fit_matches_the_simple_fit() {
+        let x: Vec<f64> = (0..15).map(|i| i as f64 * 0.5).collect();
+        let y: Vec<f64> =
+            x.iter().enumerate().map(|(i, v)| 2.0 - 0.7 * v + [0.1, -0.2, 0.05][i % 3]).collect();
+        let simple = SimpleLinearRegression::fit(&x, &y).unwrap();
+        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+        let multiple = MultipleLinearRegression::fit(&rows, &y).unwrap();
+        assert!((multiple.intercept() - simple.intercept()).abs() < 1e-9);
+        assert!((multiple.coefficients()[1] - simple.slope()).abs() < 1e-9);
+        assert!((multiple.r_squared() - simple.r_squared()).abs() < 1e-9);
+        assert!(simple.r_squared() < 1.0);
     }
 
     #[test]

@@ -25,126 +25,80 @@ pub struct ActiveZone {
 }
 
 impl ActiveZone {
-    /// Width of the zone in the (possibly transformed) `x` units.
-    pub fn width(&self) -> f64 {
-        self.max_x - self.min_x
-    }
-
     /// Returns `true` if `x` lies inside the zone.
     pub fn contains(&self, x: f64) -> bool {
         (self.min_x..=self.max_x).contains(&x)
     }
 }
 
-/// Configuration for the saturation detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SaturationDetector {
-    /// Fraction of the total dynamic range below which a sample is considered
-    /// saturated at the floor (default 0.05).
-    pub low_fraction: f64,
-    /// Fraction of the total dynamic range above which a sample is considered
-    /// saturated at the ceiling (default 0.95).
-    pub high_fraction: f64,
-}
+/// Fraction of the total dynamic range below which a sample is considered
+/// saturated at the floor.
+const LOW_FRACTION: f64 = 0.05;
 
-impl Default for SaturationDetector {
-    fn default() -> Self {
-        Self { low_fraction: 0.05, high_fraction: 0.95 }
-    }
-}
+/// Fraction of the total dynamic range above which a sample is considered
+/// saturated at the ceiling.
+const HIGH_FRACTION: f64 = 0.95;
 
-impl SaturationDetector {
-    /// Creates a detector with the given floor/ceiling fractions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::OutOfDomain`] unless `0 ≤ low < high ≤ 1`.
-    pub fn new(low_fraction: f64, high_fraction: f64) -> Result<Self, AnalysisError> {
-        if !low_fraction.is_finite()
-            || !high_fraction.is_finite()
-            || !(0.0..1.0).contains(&low_fraction)
-            || !(0.0..=1.0).contains(&high_fraction)
-            || low_fraction >= high_fraction
-        {
-            return Err(AnalysisError::OutOfDomain {
-                value: low_fraction,
-                min: 0.0,
-                max: high_fraction,
-            });
-        }
-        Ok(Self { low_fraction, high_fraction })
-    }
-
-    /// Finds the contiguous zone of the curve where the response is neither
-    /// pinned at its floor nor at its ceiling.
-    ///
-    /// The zone is the smallest contiguous index range containing every
-    /// sample whose normalized response lies strictly between
-    /// `low_fraction` and `high_fraction` of the total dynamic range. If a
-    /// boundary sample exists on either side it is included, so the zone
-    /// brackets the transition like the vertical lines in Figure 1.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::ZeroVariance`] if the curve is flat (no dynamic range).
-    /// * [`AnalysisError::NotEnoughData`] if fewer than two samples end up in the zone.
-    pub fn find_active_zone(&self, curve: &Curve) -> Result<ActiveZone, AnalysisError> {
-        let points = curve.points();
-        let (min_y, max_y) = curve.range();
-        let span = max_y - min_y;
-        if span <= f64::EPSILON {
-            return Err(AnalysisError::ZeroVariance);
-        }
-
-        let normalized: Vec<f64> = points.iter().map(|&(_, y)| (y - min_y) / span).collect();
-        let active: Vec<usize> = normalized
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v > self.low_fraction && v < self.high_fraction)
-            .map(|(i, _)| i)
-            .collect();
-
-        let (mut first, mut last) = match (active.first(), active.last()) {
-            (Some(&f), Some(&l)) => (f, l),
-            _ => {
-                // No strictly-interior samples: the transition happens between
-                // two consecutive samples. Find the steepest jump.
-                let steepest = normalized
-                    .windows(2)
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| {
-                        (a[1] - a[0]).abs().partial_cmp(&(b[1] - b[0]).abs()).expect("finite")
-                    })
-                    .map(|(i, _)| i)
-                    .ok_or(AnalysisError::NotEnoughData { required: 2, actual: points.len() })?;
-                (steepest, steepest + 1)
-            }
-        };
-
-        // Include one bracketing sample on each side when available.
-        first = first.saturating_sub(1);
-        last = (last + 1).min(points.len() - 1);
-
-        if last - first + 1 < 2 {
-            return Err(AnalysisError::NotEnoughData { required: 2, actual: last - first + 1 });
-        }
-
-        Ok(ActiveZone {
-            min_x: points[first].0,
-            max_x: points[last].0,
-            first_index: first,
-            last_index: last,
-        })
-    }
-}
-
-/// Finds the active zone with the default detector thresholds.
+/// Finds the contiguous zone of the curve where the response is neither
+/// pinned at its floor nor at its ceiling.
+///
+/// The zone is the smallest contiguous index range containing every
+/// sample whose normalized response lies strictly between 5 % and 95 % of
+/// the total dynamic range. If a boundary sample exists on either side it
+/// is included, so the zone brackets the transition like the vertical lines
+/// in Figure 1.
 ///
 /// # Errors
 ///
-/// See [`SaturationDetector::find_active_zone`].
+/// * [`AnalysisError::ZeroVariance`] if the curve is flat (no dynamic range).
+/// * [`AnalysisError::NotEnoughData`] if fewer than two samples end up in the zone.
 pub fn find_active_zone(curve: &Curve) -> Result<ActiveZone, AnalysisError> {
-    SaturationDetector::default().find_active_zone(curve)
+    let points = curve.points();
+    let (min_y, max_y) = curve.range();
+    let span = max_y - min_y;
+    if span <= f64::EPSILON {
+        return Err(AnalysisError::ZeroVariance);
+    }
+
+    let normalized: Vec<f64> = points.iter().map(|&(_, y)| (y - min_y) / span).collect();
+    let active: Vec<usize> = normalized
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| v > LOW_FRACTION && v < HIGH_FRACTION)
+        .map(|(i, _)| i)
+        .collect();
+
+    let (mut first, mut last) = match (active.first(), active.last()) {
+        (Some(&f), Some(&l)) => (f, l),
+        _ => {
+            // No strictly-interior samples: the transition happens between
+            // two consecutive samples. Find the steepest jump.
+            let steepest = normalized
+                .windows(2)
+                .enumerate()
+                .max_by(|(_, a), (_, b)| {
+                    (a[1] - a[0]).abs().partial_cmp(&(b[1] - b[0]).abs()).expect("finite")
+                })
+                .map(|(i, _)| i)
+                .ok_or(AnalysisError::NotEnoughData { required: 2, actual: points.len() })?;
+            (steepest, steepest + 1)
+        }
+    };
+
+    // Include one bracketing sample on each side when available.
+    first = first.saturating_sub(1);
+    last = (last + 1).min(points.len() - 1);
+
+    if last - first + 1 < 2 {
+        return Err(AnalysisError::NotEnoughData { required: 2, actual: last - first + 1 });
+    }
+
+    Ok(ActiveZone {
+        min_x: points[first].0,
+        max_x: points[last].0,
+        first_index: first,
+        last_index: last,
+    })
 }
 
 #[cfg(test)]
@@ -165,15 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn detector_validation() {
-        assert!(SaturationDetector::new(0.05, 0.95).is_ok());
-        assert!(SaturationDetector::new(0.5, 0.5).is_err());
-        assert!(SaturationDetector::new(-0.1, 0.9).is_err());
-        assert!(SaturationDetector::new(0.1, 1.1).is_err());
-        assert!(SaturationDetector::new(f64::NAN, 0.9).is_err());
-    }
-
-    #[test]
     fn sigmoid_active_zone_brackets_the_transition() {
         let curve = sigmoid_curve();
         let zone = find_active_zone(&curve).unwrap();
@@ -182,7 +127,7 @@ mod tests {
         // The saturated tails must be excluded.
         assert!(zone.min_x > -9.0);
         assert!(zone.max_x < 1.0);
-        assert!(zone.width() > 0.5);
+        assert!(zone.max_x - zone.min_x > 0.5);
         assert!(zone.last_index - zone.first_index + 1 >= 3);
     }
 
@@ -209,15 +154,7 @@ mod tests {
         let curve = Curve::new(samples).unwrap();
         let zone = find_active_zone(&curve).unwrap();
         assert!(zone.contains(2.0) && zone.contains(3.0), "zone {zone:?}");
-        assert!(zone.width() <= 3.0);
-    }
-
-    #[test]
-    fn custom_thresholds_change_the_zone_width() {
-        let curve = sigmoid_curve();
-        let strict = SaturationDetector::new(0.2, 0.8).unwrap().find_active_zone(&curve).unwrap();
-        let loose = SaturationDetector::new(0.01, 0.99).unwrap().find_active_zone(&curve).unwrap();
-        assert!(loose.width() >= strict.width());
+        assert!(zone.max_x - zone.min_x <= 3.0);
     }
 
     #[test]
@@ -232,5 +169,33 @@ mod tests {
         let curve = Curve::new(samples).unwrap();
         let zone = find_active_zone(&curve).unwrap();
         assert!(zone.contains(4.5));
+    }
+
+    #[test]
+    fn floor_and_ceiling_are_five_and_ninety_five_percent_of_the_range() {
+        // Normalized responses 0.04 and 0.96 are saturated; 0.06 and 0.94 are not.
+        let ys = [0.0, 0.04, 0.06, 0.5, 0.94, 0.96, 1.0];
+        let curve =
+            Curve::new(ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect()).unwrap();
+        let zone = find_active_zone(&curve).unwrap();
+        // Samples 2..=4 are active; one bracketing sample joins on each side.
+        assert_eq!((zone.first_index, zone.last_index), (1, 5));
+        assert_eq!((zone.min_x, zone.max_x), (1.0, 5.0));
+    }
+
+    #[test]
+    fn zone_contains_its_edges_and_nothing_outside() {
+        let zone = ActiveZone { min_x: -2.0, max_x: 1.5, first_index: 3, last_index: 9 };
+        assert!(zone.contains(-2.0) && zone.contains(0.0) && zone.contains(1.5));
+        assert!(!zone.contains(-2.000_001) && !zone.contains(1.6));
+        assert!(!zone.contains(f64::NAN));
+    }
+
+    #[test]
+    fn two_sample_curve_zone_is_both_samples() {
+        let curve = Curve::new(vec![(0.0, 1.0), (1.0, 0.0)]).unwrap();
+        let zone = find_active_zone(&curve).unwrap();
+        assert_eq!((zone.first_index, zone.last_index), (0, 1));
+        assert_eq!((zone.min_x, zone.max_x), (0.0, 1.0));
     }
 }

@@ -15,7 +15,7 @@ use geopriv_bench::{fidelity_from_args, reproduction_dataset, Fidelity, REPRODUC
 use geopriv_core::prelude::*;
 use geopriv_geo::Meters;
 use geopriv_lppm::{Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Lppm};
-use geopriv_metrics::{AreaCoverage, Metric, PoiExtractor, PoiRetrieval};
+use geopriv_metrics::{AreaCoverage, Metric, PoiRetrieval};
 use geopriv_mobility::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,7 +54,7 @@ fn match_radius_ablation(dataset: &Dataset) -> Result<(), Box<dyn std::error::Er
     println!("{:>16} {:>10}", "match radius (m)", "privacy");
     let protected = protect_with_geoi(dataset, 0.01, 2)?;
     for radius in [100.0, 200.0, 400.0, 800.0] {
-        let metric = PoiRetrieval::new(PoiExtractor::default(), Meters::new(radius))?;
+        let metric = PoiRetrieval::new(Meters::new(radius))?;
         let privacy = metric.evaluate(dataset, &protected)?;
         println!("{radius:>16.0} {:>10.3}", privacy.value());
     }

@@ -54,8 +54,8 @@
 
 use crate::error::CoreError;
 use crate::experiment::{
-    assemble_sweep, collect_cells, derive_unit_seed, Cell, ExperimentRunner, SweepConfig,
-    SweepMode, SweepPlan, SweepResult,
+    assemble_sweep, collect_cells, derive_unit_seed, Cell, Grain, SweepConfig, SweepPlan,
+    SweepResult,
 };
 use crate::system::SystemDefinition;
 use geopriv_lppm::ConfigPoint;
@@ -85,53 +85,22 @@ pub struct CampaignResult {
     pub runs: Vec<CampaignRun>,
 }
 
-impl CampaignResult {
-    /// The sweep of one `(system, dataset)` cell.
-    pub fn get(&self, system_index: usize, dataset_index: usize) -> Option<&SweepResult> {
-        self.runs
-            .iter()
-            .find(|r| r.system_index == system_index && r.dataset_index == dataset_index)
-            .map(|r| &r.result)
-    }
-
-    /// Number of `(system, dataset)` cells.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Returns `true` when the campaign produced no runs (never the case for
-    /// a successful [`CampaignRunner::run`]).
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-}
-
 /// Runs campaigns of M systems × K datasets on a shared work pool.
 ///
 /// The same [`SweepConfig`] (points, repetitions, master seed, parallelism)
 /// applies to every system, exactly as if each were run through its own
-/// [`crate::ExperimentRunner`] with that configuration.
+/// [`crate::ExperimentRunner`] with that configuration: a full-factorial
+/// grid at dataset grain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRunner {
-    plan: SweepPlan,
+    config: SweepConfig,
 }
 
 impl CampaignRunner {
     /// Creates a campaign runner with the given per-system sweep
-    /// configuration (full-factorial grid mode).
+    /// configuration.
     pub fn new(config: SweepConfig) -> Self {
-        Self { plan: SweepPlan::grid(config) }
-    }
-
-    /// Creates a campaign runner with an explicit sweep plan (mode, grain
-    /// and refinement budget), applied to every system.
-    pub fn with_plan(plan: SweepPlan) -> Self {
-        Self { plan }
-    }
-
-    /// The per-system sweep configuration.
-    pub fn config(&self) -> SweepConfig {
-        self.plan.config
+        Self { config }
     }
 
     /// Runs every system against every dataset.
@@ -143,28 +112,17 @@ impl CampaignRunner {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] for an invalid sweep
-    /// configuration, a cached plan ([`SweepPlan::cached`]: the shared pool
-    /// neither reads nor writes the measurement cache, so its cells could not
-    /// match [`crate::ExperimentRunner::run`] on that plan) or empty
-    /// `systems`/`datasets`. A failing work unit short-circuits the rest of
-    /// the campaign, as in every pooled sweep: the error propagated is the
-    /// first genuine unit error in `(system, dataset, point)` order among the
-    /// units that ran (in sequential mode, exactly the first failing unit).
-    /// Adaptive plans run cell by cell in `(system, dataset)` order and stop
-    /// at the first failing cell.
+    /// configuration or empty `systems`/`datasets`. A failing work unit
+    /// short-circuits the rest of the campaign, as in every pooled sweep: the
+    /// error propagated is the first genuine unit error in
+    /// `(system, dataset, point)` order among the units that ran (in
+    /// sequential mode, exactly the first failing unit).
     pub fn run(
         &self,
         systems: &[SystemDefinition],
         datasets: &[Dataset],
     ) -> Result<CampaignResult, CoreError> {
-        self.plan.config.validate()?;
-        if self.plan.cache_directory().is_some() {
-            return Err(CoreError::InvalidConfiguration {
-                reason: "campaigns cannot be cached: the shared work pool does not use the \
-                         measurement cache — run each cell through ExperimentRunner::run_cached"
-                    .to_string(),
-            });
-        }
+        self.config.validate()?;
         if systems.is_empty() {
             return Err(CoreError::InvalidConfiguration {
                 reason: "a campaign needs at least one system".to_string(),
@@ -176,32 +134,10 @@ impl CampaignRunner {
             });
         }
 
-        // Adaptive plans trade the campaign's cross-cell pooling for per-cell
-        // delegation to the [`crate::ExperimentRunner`] path: their design
-        // matrix is chosen at run time (coarse pass → fit → refine) and so
-        // cannot be flattened into a static unit list. Cells run one at a
-        // time in (system, dataset) order (each cell still drives the shared
-        // work pool internally), and the results are bit-identical to
-        // independent runs by construction — it *is* that code path.
-        if self.plan.mode == SweepMode::Adaptive {
-            let runner = ExperimentRunner::with_plan(self.plan.clone());
-            let mut runs = Vec::with_capacity(systems.len() * datasets.len());
-            for (s, system) in systems.iter().enumerate() {
-                for (d, dataset) in datasets.iter().enumerate() {
-                    runs.push(CampaignRun {
-                        system_index: s,
-                        dataset_index: d,
-                        system_key: system.cache_key(),
-                        result: runner.run(system, dataset)?,
-                    });
-                }
-            }
-            return Ok(CampaignResult { runs });
-        }
-
+        let plan = SweepPlan::grid(self.config);
         let design_points: Vec<Vec<ConfigPoint>> =
-            systems.iter().map(|s| self.plan.enumerate(&s.space())).collect::<Result<_, _>>()?;
-        let master = self.plan.config.seed;
+            systems.iter().map(|s| plan.enumerate(&s.space())).collect::<Result<_, _>>()?;
+        let master = self.config.seed;
         let seed =
             |p: usize, _: &ConfigPoint, repetition: usize| derive_unit_seed(master, p, repetition);
         // Cells in (system, dataset) order: the order of the runs, and with
@@ -215,9 +151,9 @@ impl CampaignRunner {
         let mut measured = collect_cells(
             &cells,
             datasets,
-            self.plan.config.repetitions,
-            self.plan.grain,
-            self.plan.config.parallel,
+            self.config.repetitions,
+            Grain::Dataset,
+            self.config.parallel,
         )?
         .into_iter();
 
@@ -229,7 +165,7 @@ impl CampaignRunner {
                     system_index: s,
                     dataset_index: d,
                     system_key: system.cache_key(),
-                    result: assemble_sweep(&self.plan, system, points.clone(), &per_point)?,
+                    result: assemble_sweep(&plan, system, points.clone(), &per_point)?,
                 });
             }
         }
@@ -240,6 +176,7 @@ impl CampaignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentRunner;
     use crate::system::{GaussianPerturbationFactory, GridCloakingFactory};
     use geopriv_metrics::{
         AreaCoverage, Direction, DistortionUtility, HotspotPreservation, Metric, MetricError,
@@ -286,7 +223,6 @@ mod tests {
     #[test]
     fn campaign_rejects_degenerate_inputs() {
         let runner = CampaignRunner::new(small_config());
-        assert_eq!(runner.config(), small_config());
         let dataset = small_dataset(1);
         assert!(runner.run(&[], std::slice::from_ref(&dataset)).is_err());
         assert!(runner.run(&three_systems(), &[]).is_err());
@@ -299,8 +235,7 @@ mod tests {
         let systems = three_systems();
         let datasets = [small_dataset(2), small_dataset(3)];
         let campaign = CampaignRunner::new(small_config()).run(&systems, &datasets).unwrap();
-        assert_eq!(campaign.len(), 6);
-        assert!(!campaign.is_empty());
+        assert_eq!(campaign.runs.len(), 6);
         let mut expected_cells = Vec::new();
         for s in 0..3 {
             for d in 0..2 {
@@ -319,8 +254,6 @@ mod tests {
                 }
             }
         }
-        assert!(campaign.get(0, 1).is_some());
-        assert!(campaign.get(3, 0).is_none());
     }
 
     #[test]
@@ -332,58 +265,8 @@ mod tests {
             CampaignRunner::new(config).run(&systems, std::slice::from_ref(&dataset)).unwrap();
         for (s, system) in systems.iter().enumerate() {
             let independent = ExperimentRunner::new(config).run(system, &dataset).unwrap();
-            assert_eq!(campaign.get(s, 0).unwrap(), &independent, "system {s}");
+            assert_eq!(campaign.runs[s].result, independent, "system {s}");
         }
-    }
-
-    #[test]
-    fn per_user_campaign_cells_match_independent_per_user_runs() {
-        let systems = three_systems();
-        let dataset = small_dataset(4);
-        let plan = SweepPlan::grid(small_config()).per_user();
-        let campaign = CampaignRunner::with_plan(plan.clone())
-            .run(&systems, std::slice::from_ref(&dataset))
-            .unwrap();
-        for (s, system) in systems.iter().enumerate() {
-            let independent =
-                ExperimentRunner::with_plan(plan.clone()).run(system, &dataset).unwrap();
-            // Bit-identical including the user columns.
-            assert_eq!(campaign.get(s, 0).unwrap(), &independent, "system {s}");
-            assert_eq!(
-                campaign.get(s, 0).unwrap().grain,
-                crate::experiment::Grain::PerUser,
-                "system {s}"
-            );
-            assert!(!campaign.get(s, 0).unwrap().user_columns.is_empty());
-        }
-    }
-
-    #[test]
-    fn adaptive_campaign_cells_match_independent_adaptive_runs() {
-        let systems = three_systems();
-        let datasets = [small_dataset(4), small_dataset(8)];
-        let plan = SweepPlan::adaptive(small_config(), 7);
-        let campaign = CampaignRunner::with_plan(plan.clone()).run(&systems, &datasets).unwrap();
-        assert_eq!(campaign.len(), systems.len() * datasets.len());
-        for (s, system) in systems.iter().enumerate() {
-            for (d, dataset) in datasets.iter().enumerate() {
-                let independent =
-                    ExperimentRunner::with_plan(plan.clone()).run(system, dataset).unwrap();
-                let cell = campaign.get(s, d).unwrap();
-                assert_eq!(cell, &independent, "cell ({s}, {d})");
-                assert_eq!(cell.mode, SweepMode::Adaptive);
-                assert!(cell.len() >= 4, "adaptive cell kept its coarse pass");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_plans_are_rejected_up_front() {
-        let dir = std::env::temp_dir().join(format!("geopriv-campaign-{}", std::process::id()));
-        let plan = SweepPlan::grid(small_config()).cached(&dir);
-        let result = CampaignRunner::with_plan(plan).run(&three_systems(), &[small_dataset(4)]);
-        assert!(matches!(result, Err(CoreError::InvalidConfiguration { .. })));
-        assert!(!dir.exists(), "a rejected campaign must not touch the cache directory");
     }
 
     #[test]
@@ -406,7 +289,7 @@ mod tests {
             .run(&[suite_system()], std::slice::from_ref(&dataset))
             .unwrap();
         let independent = ExperimentRunner::new(config).run(&suite_system(), &dataset).unwrap();
-        assert_eq!(campaign.get(0, 0).unwrap(), &independent);
+        assert_eq!(campaign.runs[0].result, independent);
         assert_eq!(independent.columns.len(), 4);
     }
 
@@ -492,12 +375,17 @@ mod tests {
         let plans = [
             SweepPlan::grid(config),
             SweepPlan::grid(config).cached(&dir),
-            SweepPlan::adaptive(config, 12),
+            SweepPlan::grid(config).refine(12),
         ];
         for plan in plans {
             let evaluations = Arc::new(AtomicUsize::new(0));
             let runner = ExperimentRunner::with_plan(plan.clone());
-            assert!(runner.run(&failing_system(&evaluations), &dataset).is_err());
+            let system = failing_system(&evaluations);
+            if plan.cache_directory().is_some() {
+                assert!(runner.run_cached(&system, &dataset).is_err());
+            } else {
+                assert!(runner.run(&system, &dataset).is_err());
+            }
             // Sequential mode: the first unit fails, every later unit is
             // skipped; a cached run's first unit is the first miss's first
             // point, and nothing is stored.

@@ -208,11 +208,6 @@ pub struct PerUserRecommendation {
 }
 
 impl PerUserRecommendation {
-    /// The row of one user.
-    pub fn get(&self, user: UserId) -> Option<&UserRecommendation> {
-        self.users.iter().find(|u| u.user == user)
-    }
-
     /// Number of users configured with their own point.
     pub fn feasible_count(&self) -> usize {
         self.users.iter().filter(|u| u.verdict.is_feasible()).count()
@@ -936,7 +931,7 @@ mod tests {
 
         // User 1 gets her own point, satisfying every constraint under her
         // own models.
-        let own = recommendation.get(UserId::new(1)).unwrap();
+        let own = recommendation.users.iter().find(|row| row.user == UserId::new(1)).unwrap();
         assert!(own.verdict.is_feasible());
         assert!(!own.used_fallback());
         assert_eq!(own.verdict.label(), "feasible");
@@ -946,12 +941,15 @@ mod tests {
         // User 2's own models are infeasible: she lands on the dataset point
         // with an explicit verdict, and her predictions there come from HER
         // models (the report shows what she can actually expect).
-        let fallback = recommendation.get(UserId::new(2)).unwrap();
+        let fallback = recommendation.users.iter().find(|row| row.user == UserId::new(2)).unwrap();
         assert!(matches!(&fallback.verdict, UserVerdict::Infeasible { .. }));
         assert!(fallback.used_fallback());
         assert_eq!(fallback.point, recommendation.dataset.point);
         let expected = per_user
-            .fitted(UserId::new(2))
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(2))
+            .and_then(|fit| fit.outcome.fitted())
             .unwrap()
             .model(&privacy_id())
             .unwrap()
@@ -962,13 +960,14 @@ mod tests {
 
         // Users 3 and 4 could not be modeled: fallback point, no predictions.
         for user in [3u64, 4] {
-            let unmodeled = recommendation.get(UserId::new(user)).unwrap();
+            let unmodeled =
+                recommendation.users.iter().find(|row| row.user == UserId::new(user)).unwrap();
             assert!(matches!(&unmodeled.verdict, UserVerdict::Unmodeled { .. }));
             assert_eq!(unmodeled.verdict.label(), "unmodeled");
             assert_eq!(unmodeled.point, recommendation.dataset.point);
             assert!(unmodeled.predictions.is_empty());
         }
-        assert!(recommendation.get(UserId::new(9)).is_none());
+        assert!(recommendation.users.iter().find(|row| row.user == UserId::new(9)).is_none());
 
         // Deterministic regardless of the thread pool.
         assert_eq!(

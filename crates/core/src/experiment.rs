@@ -145,31 +145,12 @@ impl SweepPlan {
         }
     }
 
-    /// A one-at-a-time plan with `config.points` values per axis.
-    pub fn one_at_a_time(config: SweepConfig) -> Self {
-        Self { mode: SweepMode::OneAtATime, ..Self::grid(config) }
-    }
-
-    /// An adaptive plan: a coarse grid of `config.points` values per axis,
-    /// then model-guided refinement until `budget` total evaluations.
-    /// Equivalent to `SweepPlan::grid(config).refine(budget)`.
-    pub fn adaptive(config: SweepConfig, budget: usize) -> Self {
-        Self::grid(config).refine(budget)
-    }
-
     /// Records per-user curves ([`Grain::PerUser`]) alongside the dataset
     /// means. The aggregate columns stay bit-identical to a dataset-grain
     /// sweep with the same seed.
     #[must_use]
     pub fn per_user(mut self) -> Self {
         self.grain = Grain::PerUser;
-        self
-    }
-
-    /// Sets the measurement grain explicitly.
-    #[must_use]
-    pub fn grain(mut self, grain: Grain) -> Self {
-        self.grain = grain;
         self
     }
 
@@ -192,9 +173,10 @@ impl SweepPlan {
     /// corrupt or unwritable cache degrades to the cold path with a warning
     /// ([`crate::cache::CacheStats::warnings`]) — never a different result.
     ///
-    /// Only [`ExperimentRunner::run`] and [`ExperimentRunner::run_cached`]
-    /// honour the cache; [`crate::campaign::CampaignRunner::run`] rejects a
-    /// cached plan with [`CoreError::InvalidConfiguration`].
+    /// Only [`ExperimentRunner::run_cached`] honours the cache, and it
+    /// returns the [`crate::cache::CacheStats`] with the sweep;
+    /// [`ExperimentRunner::run`] rejects a cached plan with
+    /// [`CoreError::InvalidConfiguration`].
     #[must_use]
     pub fn cached(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -325,28 +307,12 @@ pub struct UserColumn {
     pub curves: Vec<Vec<f64>>,
 }
 
-impl UserColumn {
-    /// The response curve of one user, aligned with the design points.
-    pub fn curve(&self, user: UserId) -> Option<&[f64]> {
-        self.users
-            .iter()
-            .position(|u| *u == user)
-            .and_then(|i| self.curves.get(i))
-            .map(Vec::as_slice)
-    }
-
-    /// Number of users this metric resolved.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-}
-
 /// The user curves of a sweep, indexed by user once: a caller that visits
 /// every user looks each curve up in `O(log U)` instead of scanning a user
-/// column per user with [`UserColumn::curve`].
+/// column's users per user.
 pub(crate) struct UserCurves<'a> {
     /// Each user column with its users' rows; a repeated user keeps her
-    /// first row, as [`UserColumn::curve`] does.
+    /// first row.
     columns: Vec<(&'a UserColumn, BTreeMap<UserId, usize>)>,
 }
 
@@ -366,8 +332,7 @@ impl<'a> UserCurves<'a> {
         Self { columns }
     }
 
-    /// The curve of `user` for metric `id`: what
-    /// `sweep.user_column(id)?.curve(user)` returns.
+    /// The curve of `user` for metric `id`, if the sweep recorded one.
     pub(crate) fn curve(&self, id: &MetricId, user: UserId) -> Option<&'a [f64]> {
         let (column, rows) = self.columns.iter().find(|(column, _)| &column.id == id)?;
         column.curves.get(*rows.get(&user)?).map(Vec::as_slice)
@@ -1122,12 +1087,6 @@ impl SweepResult {
         self.columns.iter().find(|c| &c.id == id)
     }
 
-    /// The user-resolved column of one metric (only present at
-    /// [`Grain::PerUser`]).
-    pub fn user_column(&self, id: &MetricId) -> Option<&UserColumn> {
-        self.user_columns.iter().find(|c| &c.id == id)
-    }
-
     /// Every user resolved by at least one metric, in order of first
     /// appearance across the user columns (suite order).
     pub fn users(&self) -> Vec<UserId> {
@@ -1171,16 +1130,6 @@ impl ExperimentRunner {
         Self { plan }
     }
 
-    /// The sweep configuration.
-    pub fn config(&self) -> SweepConfig {
-        self.plan.config
-    }
-
-    /// The full sweep plan.
-    pub fn plan(&self) -> &SweepPlan {
-        &self.plan
-    }
-
     /// Runs the sweep: for every design point of the plan, protect the
     /// dataset and evaluate every metric of the suite, in suite order.
     ///
@@ -1191,27 +1140,33 @@ impl ExperimentRunner {
     /// boxes — see [`geopriv_metrics::Metric::prepare`]) is prepared
     /// once per distinct metric configuration and reused at every
     /// `(point, repetition)` sample; the metrics guarantee this is
-    /// bit-identical to direct evaluation. A cached plan runs
-    /// [`ExperimentRunner::run_cached`] instead.
+    /// bit-identical to direct evaluation.
     ///
     /// Results are deterministic for a given `(dataset, config.seed)` pair,
     /// regardless of the number of threads.
     ///
     /// # Errors
     ///
-    /// Propagates configuration, protection and metric errors. A failing
-    /// `(point)` unit skips the units not yet started; the error returned is
-    /// the first in design order among the units that ran (in sequential
-    /// mode, exactly the first failing unit's). An adaptive plan with
-    /// refinement budget left after a coarse pass the modeler cannot fit
-    /// returns that fit's [`CoreError::InvalidConfiguration`].
+    /// Returns [`CoreError::InvalidConfiguration`] for a cached plan
+    /// ([`SweepPlan::cached`]): only [`ExperimentRunner::run_cached`] returns
+    /// the [`crate::cache::CacheStats`] whose warnings report a corrupt or
+    /// unwritable cache. Propagates configuration, protection and metric
+    /// errors. A failing `(point)` unit skips the units not yet started; the
+    /// error returned is the first in design order among the units that ran
+    /// (in sequential mode, exactly the first failing unit's). An adaptive
+    /// plan with refinement budget left after a coarse pass the modeler
+    /// cannot fit returns that fit's [`CoreError::InvalidConfiguration`].
     pub fn run(
         &self,
         system: &SystemDefinition,
         dataset: &Dataset,
     ) -> Result<SweepResult, CoreError> {
         if self.plan.cache_directory().is_some() {
-            return Ok(self.run_cached(system, dataset)?.result);
+            return Err(CoreError::InvalidConfiguration {
+                reason: "a cached plan runs through ExperimentRunner::run_cached, which reports \
+                         the cache's hits, misses and warnings"
+                    .to_string(),
+            });
         }
         let space = system.space();
         if self.plan.mode == SweepMode::Adaptive {
@@ -1795,6 +1750,11 @@ mod tests {
         SweepConfig { points: 6, repetitions: 1, seed: 42, parallel: true }
     }
 
+    /// A plan that sweeps each axis in turn with `config.points` values.
+    fn one_at_a_time(config: SweepConfig) -> SweepPlan {
+        SweepPlan { mode: SweepMode::OneAtATime, ..SweepPlan::grid(config) }
+    }
+
     fn privacy_id() -> MetricId {
         MetricId::new("poi-retrieval")
     }
@@ -1866,14 +1826,14 @@ mod tests {
         let space = axes(2);
         assert!(SweepPlan::grid(sized(1 << 11, 4)).counts(&space).is_ok());
         assert!(rejected(SweepPlan::grid(sized(1 << 11, 5)).counts(&space)));
-        assert!(rejected(SweepPlan::adaptive(sized(1 << 11, 4), 1).counts(&space)));
+        assert!(rejected(SweepPlan::grid(sized(1 << 11, 4)).refine(1).counts(&space)));
         // One axis at a time measures the sum of the counts, not the product.
         let half = MAX_DESIGN_SIZE / 2;
-        assert!(SweepPlan::one_at_a_time(sized(half, 1)).counts(&space).is_ok());
-        assert!(rejected(SweepPlan::one_at_a_time(sized(half + 1, 1)).counts(&space)));
+        assert!(one_at_a_time(sized(half, 1)).counts(&space).is_ok());
+        assert!(rejected(one_at_a_time(sized(half + 1, 1)).counts(&space)));
         // Only an adaptive plan refines, so a budget left behind by `refine`
         // does not count once the mode changes.
-        let mut refined = SweepPlan::adaptive(small_config(), MAX_DESIGN_SIZE);
+        let mut refined = SweepPlan::grid(small_config()).refine(MAX_DESIGN_SIZE);
         assert!(rejected(refined.counts(&space)));
         refined.mode = SweepMode::OneAtATime;
         assert_eq!(refined.counts(&space).unwrap(), vec![6, 6]);
@@ -1948,7 +1908,7 @@ mod tests {
     fn one_at_a_time_holds_other_axes_at_defaults() {
         let dataset = small_dataset();
         let system = composed_system();
-        let plan = SweepPlan::one_at_a_time(SweepConfig { points: 3, ..small_config() });
+        let plan = one_at_a_time(SweepConfig { points: 3, ..small_config() });
         let result = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
 
         assert_eq!(result.mode, SweepMode::OneAtATime);
@@ -1985,7 +1945,7 @@ mod tests {
         // One user column per metric, every curve aligned with the design.
         assert_eq!(per_user.user_columns.len(), per_user.columns.len());
         for column in &per_user.user_columns {
-            assert!(column.user_count() >= 1, "{}", column.id);
+            assert!(!column.users.is_empty(), "{}", column.id);
             assert_eq!(column.curves.len(), column.users.len());
             for curve in &column.curves {
                 assert_eq!(curve.len(), per_user.len());
@@ -1994,8 +1954,8 @@ mod tests {
             // With one repetition the aggregate mean at each point is exactly
             // the mean of the user curves (same values, same summation order).
             for point in 0..per_user.len() {
-                let mean = column.curves.iter().map(|c| c[point]).sum::<f64>()
-                    / column.user_count() as f64;
+                let mean =
+                    column.curves.iter().map(|c| c[point]).sum::<f64>() / column.users.len() as f64;
                 assert_eq!(
                     mean,
                     per_user.column(&column.id).unwrap().means[point],
@@ -2006,14 +1966,14 @@ mod tests {
         }
 
         // Per-user accessors: the utility metric covers every dataset user.
-        let coverage = per_user.user_column(&utility_id()).unwrap();
-        assert_eq!(coverage.user_count(), dataset.len());
+        let coverage = per_user.user_columns.iter().find(|c| c.id == utility_id()).unwrap();
+        assert_eq!(coverage.users.len(), dataset.len());
         for trace in dataset.iter() {
-            assert!(coverage.curve(trace.user()).is_some());
+            assert!(coverage.users.contains(&trace.user()));
         }
-        assert!(coverage.curve(geopriv_mobility::UserId::new(9999)).is_none());
+        assert!(!coverage.users.contains(&geopriv_mobility::UserId::new(9999)));
         assert!(!per_user.users().is_empty());
-        assert!(per_user.user_column(&MetricId::new("nope")).is_none());
+        assert!(!per_user.user_columns.iter().any(|c| c.id == MetricId::new("nope")));
     }
 
     #[test]
@@ -2132,7 +2092,7 @@ mod tests {
         )
         .is_err());
         // Points from a different space are rejected by the full constructor.
-        let foreign = ConfigSpace::single(epsilon_axis()).point(&[("epsilon", 0.01)]).unwrap();
+        let foreign = ConfigSpace::single(epsilon_axis()).point_from_coords(&[0.01]).unwrap();
         assert!(SweepResult::new(
             "m",
             ConfigSpace::single(axis()),
@@ -2158,7 +2118,7 @@ mod tests {
         let system = SystemDefinition::paper_geoi();
         let grid = ExperimentRunner::new(small_config()).run(&system, &dataset).unwrap();
         // Budget 0 clamps to the coarse-pass size: refinement is disabled.
-        let adaptive = ExperimentRunner::with_plan(SweepPlan::adaptive(small_config(), 0))
+        let adaptive = ExperimentRunner::with_plan(SweepPlan::grid(small_config()).refine(0))
             .run(&system, &dataset)
             .unwrap();
         assert_eq!(adaptive.mode, SweepMode::Adaptive);
@@ -2171,7 +2131,7 @@ mod tests {
         let grid_plan = SweepPlan::grid(small_config()).per_user();
         let grid = ExperimentRunner::with_plan(grid_plan).run(&system, &dataset).unwrap();
         let budget = grid.len(); // exactly the coarse pass, nothing left to refine
-        let adaptive_plan = SweepPlan::adaptive(small_config(), budget).per_user();
+        let adaptive_plan = SweepPlan::grid(small_config()).refine(budget).per_user();
         let adaptive = ExperimentRunner::with_plan(adaptive_plan).run(&system, &dataset).unwrap();
         let mut relabeled = grid.clone();
         relabeled.mode = SweepMode::Adaptive;
@@ -2185,7 +2145,7 @@ mod tests {
         let config = SweepConfig { points: 3, ..small_config() };
         let coarse = 9; // 3 x 3 grid
         let budget = coarse + 5;
-        let plan = SweepPlan::adaptive(config, budget);
+        let plan = SweepPlan::grid(config).refine(budget);
         let result = ExperimentRunner::with_plan(plan.clone()).run(&system, &dataset).unwrap();
 
         assert!(result.len() > coarse, "refinement added no points");
@@ -2218,7 +2178,7 @@ mod tests {
         let system = SystemDefinition::paper_geoi();
         let config = SweepConfig { points: 3, repetitions: 1, ..small_config() };
         // Refinement would steer by a fit of 3 points; the modeler needs 4.
-        let refused = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 30))
+        let refused = ExperimentRunner::with_plan(SweepPlan::grid(config).refine(30))
             .run(&system, &dataset)
             .unwrap_err();
         assert!(
@@ -2227,7 +2187,7 @@ mod tests {
             "{refused}"
         );
         // With no budget to spend, nothing is fitted and the coarse pass stands.
-        let coarse = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 0))
+        let coarse = ExperimentRunner::with_plan(SweepPlan::grid(config).refine(0))
             .run(&system, &dataset)
             .unwrap();
         assert_eq!(coarse.len(), 3);
@@ -2238,7 +2198,7 @@ mod tests {
         let dataset = small_dataset();
         let system = composed_system();
         let config = SweepConfig { points: 3, ..small_config() };
-        let plan = SweepPlan::adaptive(config, 13).per_user();
+        let plan = SweepPlan::grid(config).refine(13).per_user();
         let result = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
 
         assert!(result.len() > 9);
@@ -2246,9 +2206,10 @@ mod tests {
         for column in &result.user_columns {
             // Successive halving prunes which users drive *planning*, never
             // which users are measured: every curve spans every point.
-            assert_eq!(column.user_count(), 3);
+            assert_eq!(column.users.len(), 3);
             for user in result.users() {
-                assert_eq!(column.curve(user).unwrap().len(), result.len());
+                let row = column.users.iter().position(|&u| u == user).unwrap();
+                assert_eq!(column.curves[row].len(), result.len());
             }
         }
     }
@@ -2320,10 +2281,10 @@ mod tests {
         let dataset = small_dataset();
         let system = composed_system();
         let config = SweepConfig { points: 3, ..small_config() };
-        let small = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 11))
+        let small = ExperimentRunner::with_plan(SweepPlan::grid(config).refine(11))
             .run(&system, &dataset)
             .unwrap();
-        let large = ExperimentRunner::with_plan(SweepPlan::adaptive(config, 15))
+        let large = ExperimentRunner::with_plan(SweepPlan::grid(config).refine(15))
             .run(&system, &dataset)
             .unwrap();
         for (i, point) in small.points.iter().enumerate() {
@@ -2335,5 +2296,22 @@ mod tests {
                 assert_eq!(sc.means[i].to_bits(), lc.means[j].to_bits());
             }
         }
+    }
+
+    #[test]
+    fn run_refuses_a_cached_plan() {
+        // Only `run_cached` reports the cache's warnings, so `run` must not
+        // serve a cached plan and drop them.
+        let dir = std::env::temp_dir().join(format!("geopriv-run-cached-{}", std::process::id()));
+        let plan = SweepPlan::grid(SweepConfig { points: 3, ..small_config() }).cached(&dir);
+        let result = ExperimentRunner::with_plan(plan)
+            .run(&SystemDefinition::paper_geoi(), &small_dataset());
+        match result {
+            Err(CoreError::InvalidConfiguration { reason }) => {
+                assert!(reason.contains("run_cached"), "reason: {reason}");
+            }
+            other => panic!("expected a refusal naming run_cached, got {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused run must not touch the cache directory");
     }
 }

@@ -389,6 +389,15 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numbers_render_as_null_and_control_characters_as_escapes() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(number(value), "null");
+        }
+        assert_eq!(number(-0.5), "-0.5");
+        assert_eq!(string("tab\there\u{1}\u{1f}"), "\"tab\\there\\u0001\\u001f\"");
+    }
+
+    #[test]
     fn parses_scalars_and_containers() {
         assert_eq!(JsonValue::parse("null").unwrap(), JsonValue::Null);
         assert_eq!(JsonValue::parse(" true ").unwrap(), JsonValue::Bool(true));

@@ -70,7 +70,6 @@ pub mod pareto;
 pub mod property_selection;
 pub mod report;
 pub mod system;
-pub mod validation;
 
 pub use cache::{CacheStats, MeasurementCache};
 pub use campaign::{CampaignResult, CampaignRun, CampaignRunner};
@@ -94,7 +93,6 @@ pub use system::{
     GaussianPerturbationFactory, GeoIndistinguishabilityFactory, GridCloakingFactory, LppmFactory,
     PipelineFactory, SystemDefinition,
 };
-pub use validation::{HoldOutValidator, PredictionError, ValidationReport};
 
 // The metric-suite vocabulary the core API is expressed in, re-exported so
 // `geopriv_core` users need not depend on `geopriv_metrics` directly.
@@ -128,7 +126,6 @@ pub mod prelude {
         GaussianPerturbationFactory, GeoIndistinguishabilityFactory, GridCloakingFactory,
         LppmFactory, PipelineFactory, SystemDefinition,
     };
-    pub use crate::validation::{HoldOutValidator, PredictionError, ValidationReport};
     pub use geopriv_lppm::{ConfigPoint, ConfigSpace};
     pub use geopriv_metrics::{Direction, MetricId, MetricSuite, SuiteMetric};
 }

@@ -135,13 +135,6 @@ pub struct AxisFit {
     pub model: ParametricModel,
 }
 
-impl AxisFit {
-    /// Returns `true` if `value` lies inside the non-saturated zone.
-    pub fn in_active_zone(&self, value: f64) -> bool {
-        (self.active_zone.0..=self.active_zone.1).contains(&value)
-    }
-}
-
 /// The fitted multivariate response of one metric over all axes of a grid
 /// design: `metric = β₀ + Σ βᵢ · scaledᵢ(xᵢ)` with `scaledᵢ = ln` on
 /// logarithmic axes.
@@ -188,16 +181,6 @@ impl SurfaceFit {
             });
         }
         Ok(self.regression.predict(&self.scaled(&point.coords()))?)
-    }
-
-    /// Returns `true` if every coordinate lies inside its fitted domain.
-    pub fn in_domain(&self, point: &ConfigPoint) -> bool {
-        point.len() == self.domain.len()
-            && point
-                .coords()
-                .iter()
-                .zip(&self.domain)
-                .all(|(value, (lo, hi))| value >= lo && value <= hi)
     }
 
     /// Coefficient of determination of the fit.
@@ -293,21 +276,6 @@ impl MetricModel {
                 let k = fits.len() as f64;
                 let mean_baseline = baseline / k;
                 Ok(total - (k - 1.0) * mean_baseline)
-            }
-        }
-    }
-
-    /// Returns `true` if the point lies where the fitted response claims
-    /// validity: inside the active zone (1-D and per-axis fits) or the
-    /// fitted domain (surfaces).
-    pub fn in_zone(&self, point: &ConfigPoint) -> bool {
-        match &self.response {
-            MetricResponse::Axis(fit) => {
-                point.get(&fit.axis).is_some_and(|v| fit.in_active_zone(v))
-            }
-            MetricResponse::Surface(surface) => surface.in_domain(point),
-            MetricResponse::PerAxis(fits) => {
-                fits.iter().all(|fit| point.get(&fit.axis).is_some_and(|v| fit.in_active_zone(v)))
             }
         }
     }
@@ -426,16 +394,6 @@ pub struct PerUserFits {
 }
 
 impl PerUserFits {
-    /// The modeling outcome of one user.
-    pub fn get(&self, user: UserId) -> Option<&UserFitOutcome> {
-        self.users.iter().find(|f| f.user == user).map(|f| &f.outcome)
-    }
-
-    /// The fitted suite of one user, if she was modeled.
-    pub fn fitted(&self, user: UserId) -> Option<&FittedSuite> {
-        self.get(user).and_then(UserFitOutcome::fitted)
-    }
-
     /// Number of users (modeled or not).
     pub fn len(&self) -> usize {
         self.users.len()
@@ -486,13 +444,6 @@ impl MetricDiagnostics {
 pub struct FitDiagnostics {
     /// One report per fitted metric model, in suite order.
     pub metrics: Vec<MetricDiagnostics>,
-}
-
-impl FitDiagnostics {
-    /// The report of one metric.
-    pub fn metric(&self, id: &MetricId) -> Option<&MetricDiagnostics> {
-        self.metrics.iter().find(|m| &m.id == id)
-    }
 }
 
 /// Fits invertible metric models from sweep measurements.
@@ -1103,7 +1054,7 @@ mod tests {
 
         // Point-based prediction equals scalar prediction on the 1-D path.
         let model = fitted.model(&privacy_id()).unwrap();
-        let point = sweep.space.point(&[("epsilon", 0.01)]).unwrap();
+        let point = sweep.space.point_from_coords(&[0.01]).unwrap();
         assert_eq!(model.predict(&point).unwrap(), p.predict(0.01));
         assert_eq!(model.axis().unwrap().axis, "epsilon");
     }
@@ -1119,12 +1070,8 @@ mod tests {
         let (lo, hi) = privacy.active_zone;
         assert!(lo > 1e-4 * 1.5, "zone starts too early: {lo}");
         assert!(hi < 1.0 / 1.5, "zone ends too late: {hi}");
-        assert!(privacy.in_active_zone(0.01));
-        assert!(!privacy.in_active_zone(1e-4));
-        // The point-level zone query agrees.
-        let model = fitted.model(&privacy_id()).unwrap();
-        assert!(model.in_zone(&sweep.space.point(&[("epsilon", 0.01)]).unwrap()));
-        assert!(!model.in_zone(&sweep.space.point(&[("epsilon", 1e-4)]).unwrap()));
+        assert!((lo..=hi).contains(&0.01));
+        assert!(!(lo..=hi).contains(&1e-4));
 
         // The utility response spans more of the range, so its zone is wider
         // (in log terms) than the privacy zone — the paper's "evolves more
@@ -1229,16 +1176,14 @@ mod tests {
         assert!((c[2] + 0.04).abs() < 1e-9);
 
         // Prediction at an interior point matches the generating plane.
-        let point = sweep.space.point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
+        let point = sweep.space.point_from_coords(&[0.01, 500.0]).unwrap();
         let expected = 0.9 + 0.05 * 0.01f64.ln() - 0.04 * 500.0f64.ln();
         assert!((model.predict(&point).unwrap() - expected).abs() < 1e-9);
-        assert!(model.in_zone(&point));
         assert!(model.axis().is_none());
         // Foreign points are typed errors.
         let foreign =
-            geopriv_lppm::ConfigSpace::single(epsilon_axis()).point(&[("epsilon", 0.01)]).unwrap();
+            geopriv_lppm::ConfigSpace::single(epsilon_axis()).point_from_coords(&[0.01]).unwrap();
         assert!(model.predict(&foreign).is_err());
-        assert!(!model.in_zone(&foreign));
         // The display mentions the multivariate fit.
         assert!(fitted.to_string().contains("multivariate"));
     }
@@ -1259,16 +1204,32 @@ mod tests {
         // Users 1 and 2 get a complete suite fitted on their own curves —
         // user 2's shifted privacy intercept is recovered.
         for user in [1u64, 2] {
-            let suite = fits.fitted(UserId::new(user)).unwrap();
+            let suite = fits
+                .users
+                .iter()
+                .find(|fit| fit.user == UserId::new(user))
+                .and_then(|fit| fit.outcome.fitted())
+                .unwrap();
             assert_eq!(suite.ids(), vec![privacy_id(), utility_id()]);
         }
-        let own = fits.fitted(UserId::new(2)).unwrap();
+        let own = fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(2))
+            .and_then(|fit| fit.outcome.fitted())
+            .unwrap();
         let intercept = own.model(&privacy_id()).unwrap().axis().unwrap().model.intercept();
         assert!((intercept - 0.89).abs() < 0.08, "user 2 intercept {intercept}");
 
         // User 3 was excluded from the privacy metric: unfit, with the
         // metric named in the reason.
-        match fits.get(UserId::new(3)).unwrap() {
+        match fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(3))
+            .map(|fit| &fit.outcome)
+            .unwrap()
+        {
             UserFitOutcome::Unfit { reason } => {
                 assert!(reason.contains("poi-retrieval"), "reason: {reason}");
                 assert!(reason.contains("user-3"), "reason: {reason}");
@@ -1276,14 +1237,30 @@ mod tests {
             other => panic!("expected unfit, got {other:?}"),
         }
         // User 4's flat utility response cannot be modeled.
-        match fits.get(UserId::new(4)).unwrap() {
+        match fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(4))
+            .map(|fit| &fit.outcome)
+            .unwrap()
+        {
             UserFitOutcome::Unfit { reason } => {
                 assert!(reason.contains("area-coverage"), "reason: {reason}");
             }
             other => panic!("expected unfit, got {other:?}"),
         }
-        assert!(fits.get(UserId::new(9)).is_none());
-        assert!(fits.fitted(UserId::new(3)).is_none());
+        assert!(fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(9))
+            .map(|fit| &fit.outcome)
+            .is_none());
+        assert!(fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(3))
+            .and_then(|fit| fit.outcome.fitted())
+            .is_none());
     }
 
     #[test]
@@ -1303,8 +1280,8 @@ mod tests {
         let diagnostics = modeler.diagnose(&sweep, &fitted).unwrap();
 
         assert_eq!(diagnostics.metrics.len(), 2);
-        assert!(diagnostics.metric(&privacy_id()).is_some());
-        assert!(diagnostics.metric(&MetricId::new("nope")).is_none());
+        assert!(diagnostics.metrics.iter().any(|m| m.id == privacy_id()));
+        assert!(!diagnostics.metrics.iter().any(|m| m.id == MetricId::new("nope")));
         for report in &diagnostics.metrics {
             assert_eq!(report.residuals.len(), sweep.len());
             assert!(report.residuals.iter().all(|r| r.is_finite() && *r >= 0.0));
@@ -1337,7 +1314,7 @@ mod tests {
         let modeler = Modeler::new();
         let fitted = modeler.fit(&sweep).unwrap();
         let diagnostics = modeler.diagnose(&sweep, &fitted).unwrap();
-        let report = diagnostics.metric(&privacy_id()).unwrap();
+        let report = diagnostics.metrics.iter().find(|m| m.id == privacy_id()).unwrap();
         // The synthetic plane fits exactly, and surface validity is the whole
         // fitted domain — no knee brackets to refine around.
         assert!(report.max_residual() < 1e-9);
@@ -1371,7 +1348,7 @@ mod tests {
         assert_eq!(fitted.mode, SweepMode::Adaptive);
         let model = fitted.model(&privacy_id()).unwrap();
         assert!(matches!(model.response, MetricResponse::Surface(_)));
-        let point = sweep.space.point(&[("epsilon", 0.05), ("cell_size", 200.0)]).unwrap();
+        let point = sweep.space.point_from_coords(&[0.05, 200.0]).unwrap();
         let expected = 0.9 + 0.05 * 0.05f64.ln() - 0.04 * 200.0f64.ln();
         assert!((model.predict(&point).unwrap() - expected).abs() < 1e-6);
     }
@@ -1383,7 +1360,12 @@ mod tests {
         let sweep = per_user_sweep();
         let modeler = Modeler::new();
         let fits = modeler.fit_per_user(&sweep).unwrap();
-        let suite = fits.fitted(UserId::new(2)).unwrap();
+        let suite = fits
+            .users
+            .iter()
+            .find(|fit| fit.user == UserId::new(2))
+            .and_then(|fit| fit.outcome.fitted())
+            .unwrap();
         let diagnostics = modeler.diagnose_user(&sweep, suite, UserId::new(2)).unwrap();
         for report in &diagnostics.metrics {
             assert_eq!(report.residuals.len(), sweep.len());
@@ -1439,7 +1421,7 @@ mod tests {
         assert!((fits[1].model.slope() + 0.04).abs() < 1e-6, "{}", fits[1].model.slope());
         // The additive combination reproduces the generating plane at an
         // off-star point (no interactions in the synthetic response).
-        let point = space.point(&[("epsilon", 0.05), ("cell_size", 200.0)]).unwrap();
+        let point = space.point_from_coords(&[0.05, 200.0]).unwrap();
         let expected = 0.9 + 0.05 * 0.05f64.ln() - 0.04 * 200.0f64.ln();
         assert!((model.predict(&point).unwrap() - expected).abs() < 1e-6);
     }

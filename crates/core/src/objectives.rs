@@ -128,11 +128,6 @@ impl Objectives {
         &self.constraints
     }
 
-    /// Number of constraints.
-    pub fn len(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Returns `true` when no constraint was stated.
     pub fn is_empty(&self) -> bool {
         self.constraints.is_empty()
@@ -186,6 +181,17 @@ mod tests {
     }
 
     #[test]
+    fn satisfaction_tolerates_a_billionth() {
+        let upper = at_most(0.1);
+        assert!(upper.is_satisfied_by(0.1 + 5e-10));
+        assert!(!upper.is_satisfied_by(0.1 + 2e-9));
+        let lower = at_least(0.8);
+        assert!(lower.is_satisfied_by(0.8 - 5e-10));
+        assert!(!lower.is_satisfied_by(0.8 - 2e-9));
+        assert!(!upper.is_satisfied_by(f64::NAN) && !lower.is_satisfied_by(f64::NAN));
+    }
+
+    #[test]
     fn objectives_collect_per_metric_constraints() {
         let objectives = Objectives::new()
             .require("poi-retrieval", at_most(0.1))
@@ -194,7 +200,7 @@ mod tests {
             .unwrap()
             .require("area-coverage", at_most(0.95))
             .unwrap();
-        assert_eq!(objectives.len(), 3);
+        assert_eq!(objectives.constraints().len(), 3);
         assert!(!objectives.is_empty());
         let text = objectives.to_string();
         assert!(text.contains("poi-retrieval ≤ 0.10"));
@@ -212,7 +218,7 @@ mod tests {
     #[test]
     fn paper_example_objectives() {
         let o = Objectives::paper_example();
-        assert_eq!(o.len(), 2);
+        assert_eq!(o.constraints().len(), 2);
         assert_eq!(o.constraints()[0].0, MetricId::new("poi-retrieval"));
         assert_eq!(o.constraints()[0].1.bound(), 0.10);
         assert_eq!(o.constraints()[1].1.bound(), 0.80);

@@ -152,21 +152,6 @@ impl ParetoFrontier {
         })
     }
 
-    /// The id of the frontier's x metric.
-    pub fn x_id(&self) -> &MetricId {
-        &self.x_id
-    }
-
-    /// The id of the frontier's y metric.
-    pub fn y_id(&self) -> &MetricId {
-        &self.y_id
-    }
-
-    /// The frontier points, sorted from best-x to best-y end.
-    pub fn points(&self) -> &[TradeOffPoint] {
-        &self.points
-    }
-
     /// Number of non-dominated points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -227,7 +212,7 @@ mod tests {
     }
 
     fn tradeoff(parameter: f64, x: f64, y: f64) -> TradeOffPoint {
-        TradeOffPoint { point: epsilon_space().point(&[("epsilon", parameter)]).unwrap(), x, y }
+        TradeOffPoint { point: epsilon_space().point_from_coords(&[parameter]).unwrap(), x, y }
     }
 
     fn sweep_from(points: &[(f64, f64, f64)]) -> SweepResult {
@@ -277,10 +262,10 @@ mod tests {
         let frontier = ParetoFrontier::from_sweep(&sweep).unwrap();
         assert_eq!(frontier.len(), 4);
         assert!(!frontier.is_empty());
-        assert_eq!(frontier.x_id(), &privacy_id());
-        assert_eq!(frontier.y_id(), &utility_id());
+        assert_eq!(frontier.x_id, privacy_id());
+        assert_eq!(frontier.y_id, utility_id());
         // Sorted from the most private end (best x) onward.
-        let privacies: Vec<f64> = frontier.points().iter().map(|p| p.x).collect();
+        let privacies: Vec<f64> = frontier.points.iter().map(|p| p.x).collect();
         assert!(privacies.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -293,7 +278,7 @@ mod tests {
         ]);
         let frontier = ParetoFrontier::from_sweep(&sweep).unwrap();
         assert_eq!(frontier.len(), 2);
-        assert!(frontier.points().iter().all(|p| p.point.single() != Some(0.01)));
+        assert!(frontier.points.iter().all(|p| p.point.single() != Some(0.01)));
     }
 
     #[test]
@@ -311,6 +296,34 @@ mod tests {
     }
 
     #[test]
+    fn repeated_measurements_appear_once_at_their_first_parameter() {
+        let sweep = sweep_from(&[
+            (0.001, 0.2, 0.6),
+            (0.01, 0.2, 0.6), // the same trade-off again
+            (0.1, 0.3, 0.5),  // dominated by both
+            (1.0, 0.4, 0.9),
+        ]);
+        let frontier = ParetoFrontier::from_sweep(&sweep).unwrap();
+        let kept: Vec<Option<f64>> = frontier.points.iter().map(|p| p.point.single()).collect();
+        assert_eq!(kept, vec![Some(0.001), Some(1.0)]);
+    }
+
+    #[test]
+    fn display_lists_the_pair_and_every_point() {
+        let sweep = sweep_from(&[(0.001, 0.0, 0.3), (0.01, 0.1, 0.6)]);
+        let text = ParetoFrontier::from_sweep(&sweep).unwrap().to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "Pareto frontier of poi-retrieval vs area-coverage (2 points):",
+                "  parameter 0.00100: 0.000 vs 0.300",
+                "  parameter 0.01000: 0.100 vs 0.600",
+            ]
+        );
+    }
+
+    #[test]
     fn explicit_pairs_choose_any_two_columns() {
         let mut sweep = sweep_from(&[(0.001, 0.1, 0.3), (0.01, 0.2, 0.6), (0.1, 0.5, 0.9)]);
         sweep.columns.push(MetricColumn {
@@ -325,7 +338,7 @@ mod tests {
         // Both higher-is-better and moving in opposite directions: every
         // point is a trade-off.
         assert_eq!(frontier.len(), 3);
-        assert_eq!(frontier.x_id(), &MetricId::new("hotspot-preservation"));
+        assert_eq!(frontier.x_id, MetricId::new("hotspot-preservation"));
 
         // Unknown ids are typed errors.
         assert!(matches!(
@@ -372,6 +385,6 @@ mod tests {
         // The saturated tails collapse to a single frontier point each; the
         // transition region (about one decade of epsilon) survives in full.
         assert!(frontier.len() >= 8, "frontier has only {} points", frontier.len());
-        assert!(frontier.points().iter().any(|p| p.x <= 0.10 && p.y >= 0.7));
+        assert!(frontier.points.iter().any(|p| p.x <= 0.10 && p.y >= 0.7));
     }
 }

@@ -63,46 +63,18 @@ impl fmt::Display for PropertySelection {
 }
 
 /// Selects influential dataset properties with a PCA.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PropertySelector {
-    variance_threshold: f64,
-    max_selected: usize,
+    _private: (),
 }
 
-impl Default for PropertySelector {
-    fn default() -> Self {
-        Self { variance_threshold: 0.9, max_selected: 4 }
-    }
-}
+/// Fraction of the variance the reported principal components must explain.
+const VARIANCE_THRESHOLD: f64 = 0.9;
+
+/// The most properties a selection keeps.
+const MAX_SELECTED: usize = 4;
 
 impl PropertySelector {
-    /// Creates a selector.
-    ///
-    /// `variance_threshold` (in `(0, 1]`) controls how many principal
-    /// components are considered "needed"; `max_selected` caps the number of
-    /// selected properties.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfiguration`] for an out-of-range
-    /// threshold or a zero cap.
-    pub fn new(variance_threshold: f64, max_selected: usize) -> Result<Self, CoreError> {
-        if !(variance_threshold.is_finite()
-            && variance_threshold > 0.0
-            && variance_threshold <= 1.0)
-        {
-            return Err(CoreError::InvalidConfiguration {
-                reason: format!("variance threshold must be in (0, 1], got {variance_threshold}"),
-            });
-        }
-        if max_selected == 0 {
-            return Err(CoreError::InvalidConfiguration {
-                reason: "at least one property must be selectable".to_string(),
-            });
-        }
-        Ok(Self { variance_threshold, max_selected })
-    }
-
     /// Runs the PCA and ranks the candidate properties.
     ///
     /// # Errors
@@ -117,7 +89,7 @@ impl PropertySelector {
         let mut order: Vec<usize> = (0..importance.len()).collect();
         order.sort_by(|&a, &b| importance[b].partial_cmp(&importance[a]).expect("finite"));
 
-        let selected_count = self.max_selected.min(importance.len());
+        let selected_count = MAX_SELECTED.min(importance.len());
         let mut ranked: Vec<RankedProperty> = order
             .iter()
             .enumerate()
@@ -138,7 +110,7 @@ impl PropertySelector {
 
         Ok(PropertySelection {
             ranked,
-            components_needed: pca.components_for_variance(self.variance_threshold),
+            components_needed: pca.components_for_variance(VARIANCE_THRESHOLD),
             first_component_variance: pca
                 .components()
                 .first()
@@ -180,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_validation() {
-        assert!(PropertySelector::new(0.9, 3).is_ok());
-        assert!(PropertySelector::new(0.0, 3).is_err());
-        assert!(PropertySelector::new(1.5, 3).is_err());
-        assert!(PropertySelector::new(0.9, 0).is_err());
-        assert!(PropertySelector::new(f64::NAN, 3).is_err());
-    }
-
-    #[test]
     fn selection_ranks_all_candidate_properties() {
         let dataset = mixed_dataset();
         let properties = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
@@ -218,8 +181,34 @@ mod tests {
     fn cap_limits_the_number_of_selected_properties() {
         let dataset = mixed_dataset();
         let properties = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
-        let selection = PropertySelector::new(0.9, 2).unwrap().select(&properties).unwrap();
-        assert!(selection.selected_names().len() <= 2);
+        let selection = PropertySelector::default().select(&properties).unwrap();
+        assert!(selection.selected_names().len() <= MAX_SELECTED);
+    }
+
+    #[test]
+    fn components_needed_is_the_pca_count_at_ninety_percent() {
+        let dataset = mixed_dataset();
+        let properties = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
+        let selection = PropertySelector::default().select(&properties).unwrap();
+        let pca = Pca::fit(&properties.as_matrix()).unwrap();
+        assert_eq!(selection.components_needed, pca.components_for_variance(0.9));
+        assert_eq!(
+            selection.first_component_variance,
+            pca.components()[0].explained_variance_ratio
+        );
+    }
+
+    #[test]
+    fn weak_properties_are_never_selected() {
+        let dataset = mixed_dataset();
+        let properties = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
+        let selection = PropertySelector::default().select(&properties).unwrap();
+        let strongest = selection.ranked[0].importance;
+        for (rank, p) in selection.ranked.iter().enumerate() {
+            // Selected: inside the cap and at least 5 % of the strongest.
+            let expected = rank < MAX_SELECTED && p.importance >= 0.05 * strongest;
+            assert_eq!(p.selected, expected, "{} at rank {rank}", p.name);
+        }
     }
 
     #[test]

@@ -60,32 +60,15 @@ fn over_range(
         .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })
 }
 
-/// Factory for [`GeoIndistinguishability`] swept over ε.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeoIndistinguishabilityFactory {
-    descriptor: ParameterDescriptor,
-}
-
-impl Default for GeoIndistinguishabilityFactory {
-    fn default() -> Self {
-        Self { descriptor: GeoIndistinguishability::epsilon_descriptor() }
-    }
-}
+/// Factory for [`GeoIndistinguishability`] swept over the paper's ε range
+/// (10⁻⁴ to 1 m⁻¹).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct GeoIndistinguishabilityFactory;
 
 impl GeoIndistinguishabilityFactory {
-    /// Creates the factory with the paper's ε range (10⁻⁴ to 1 m⁻¹).
+    /// Creates the factory.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the factory with a custom ε range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfiguration`] for an invalid range.
-    pub fn with_range(min_epsilon: f64, max_epsilon: f64) -> Result<Self, CoreError> {
-        let descriptor = GeoIndistinguishability::epsilon_descriptor();
-        Ok(Self { descriptor: over_range(&descriptor, min_epsilon, max_epsilon)? })
+        Self
     }
 }
 
@@ -95,7 +78,7 @@ impl LppmFactory for GeoIndistinguishabilityFactory {
     }
 
     fn space(&self) -> ConfigSpace {
-        ConfigSpace::single(self.descriptor.clone())
+        ConfigSpace::single(GeoIndistinguishability::epsilon_descriptor())
     }
 
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError> {
@@ -218,7 +201,7 @@ impl LppmFactory for GaussianPerturbationFactory {
 ///     PipelineFactory::new(GeoIndistinguishabilityFactory::new()).then(GridCloakingFactory::new());
 /// let space = factory.space();
 /// assert_eq!(space.names(), vec!["epsilon", "cell_size"]);
-/// let lppm = factory.instantiate_at(&space.point(&[("epsilon", 0.01), ("cell_size", 500.0)])?)?;
+/// let lppm = factory.instantiate_at(&space.point_from_coords(&[0.01, 500.0])?)?;
 /// assert_eq!(lppm.name(), "pipeline[geo-indistinguishability, grid-cloaking]");
 /// # Ok(())
 /// # }
@@ -473,13 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn geoi_factory_custom_range() {
-        let factory = GeoIndistinguishabilityFactory::with_range(0.001, 0.1).unwrap();
-        let d = axis(&factory);
-        assert_eq!(d.min(), 0.001);
-        assert_eq!(d.max(), 0.1);
-        assert!(GeoIndistinguishabilityFactory::with_range(0.1, 0.001).is_err());
-        assert!(GeoIndistinguishabilityFactory::with_range(0.0, 0.1).is_err());
+    fn geoi_factory_sweeps_exactly_the_paper_range() {
+        let factory = GeoIndistinguishabilityFactory::new();
+        let descriptor = axis(&factory);
+        assert_eq!((descriptor.min(), descriptor.max()), geopriv_lppm::PAPER_EPSILON_RANGE);
+        assert_eq!((descriptor.min(), descriptor.max()), (1e-4, 1.0));
+        assert!(instantiate(&factory, 1e-4).is_ok() && instantiate(&factory, 1.0).is_ok());
+        assert!(instantiate(&factory, 5e-5).is_err() && instantiate(&factory, 1.5).is_err());
     }
 
     #[test]
@@ -526,36 +509,41 @@ mod tests {
         assert_eq!(space.names(), vec!["epsilon", "cell_size"]);
         assert_eq!(space.axis("cell_size").unwrap().max(), 2000.0);
 
-        let point = space.point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
+        let point = space.point_from_coords(&[0.01, 500.0]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
         assert_eq!(lppm.name(), "pipeline[geo-indistinguishability, grid-cloaking]");
 
         // Out-of-space points and foreign points are rejected.
         let foreign = ConfigSpace::single(GeoIndistinguishability::epsilon_descriptor())
-            .point(&[("epsilon", 0.01)])
+            .point_from_coords(&[0.01])
             .unwrap();
         assert!(factory.instantiate_at(&foreign).is_err());
     }
 
     #[test]
     fn pipeline_factory_qualifies_colliding_stage_axes() {
-        let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
-            .then(GeoIndistinguishabilityFactory::with_range(1e-3, 0.1).unwrap());
+        let factory = PipelineFactory::new(GaussianPerturbationFactory::new())
+            .then(GaussianPerturbationFactory::with_range(10.0, 200.0).unwrap());
         let space = factory.space();
-        assert_eq!(space.names(), vec!["1.epsilon", "2.epsilon"]);
+        assert_eq!(space.names(), vec!["1.sigma", "2.sigma"]);
         // Each qualified axis keeps its own stage's range.
-        assert_eq!(space.axis("2.epsilon").unwrap().min(), 1e-3);
+        assert_eq!(space.axis("2.sigma").unwrap().min(), 10.0);
 
         // Instantiation routes each qualified value to its stage: the
         // result protects exactly as the hand-built pipeline does, and not
         // as the one with the stages' values swapped.
-        let point = space.point(&[("1.epsilon", 0.5), ("2.epsilon", 0.002)]).unwrap();
+        let point = space.point_from_coords(&[500.0, 20.0]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
         let routed = protected(lppm.as_ref());
-        assert_eq!(routed, protected(&Pipeline::new().then(geoi(0.5)).then(geoi(0.002))));
-        assert_ne!(routed, protected(&Pipeline::new().then(geoi(0.002)).then(geoi(0.5))));
+        let gaussian =
+            |sigma: f64| Box::new(GaussianPerturbation::new(Meters::new(sigma)).unwrap());
+        let pipeline = |first: f64, second: f64| {
+            Pipeline::new().then_boxed(gaussian(first)).then_boxed(gaussian(second))
+        };
+        assert_eq!(routed, protected(&pipeline(500.0, 20.0)));
+        assert_ne!(routed, protected(&pipeline(20.0, 500.0)));
         // A value valid for stage 1 but not stage 2 fails validation.
-        assert!(space.point(&[("1.epsilon", 0.5), ("2.epsilon", 0.5)]).is_err());
+        assert!(space.point_from_coords(&[500.0, 500.0]).is_err());
     }
 
     #[test]
@@ -565,7 +553,7 @@ mod tests {
         let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new());
         assert_eq!(factory.name(), "pipeline[geo-indistinguishability]");
         assert_eq!(factory.space(), GeoIndistinguishabilityFactory::new().space());
-        let point = factory.space().point(&[("epsilon", 0.01)]).unwrap();
+        let point = factory.space().point_from_coords(&[0.01]).unwrap();
         assert!(factory.instantiate_at(&point).is_ok());
         let system = SystemDefinition::with_pair(
             Box::new(factory),
@@ -640,9 +628,11 @@ mod tests {
         let point = space.point_from_coords(&[0.5, 0.1, 0.01, 0.002]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
         let by_hand = Pipeline::new()
-            .then(Pipeline::new().then(geoi(0.5)).then(geoi(0.1)))
-            .then(geoi(0.01))
-            .then(geoi(0.002));
+            .then_boxed(Box::new(
+                Pipeline::new().then_boxed(Box::new(geoi(0.5))).then_boxed(Box::new(geoi(0.1))),
+            ))
+            .then_boxed(Box::new(geoi(0.01)))
+            .then_boxed(Box::new(geoi(0.002)));
         assert_eq!(lppm.name(), by_hand.name());
         assert_eq!(protected(lppm.as_ref()), protected(&by_hand));
     }
@@ -654,7 +644,7 @@ mod tests {
             TaxiFleetBuilder::new().drivers(1).duration_hours(1.0).build(&mut rng).unwrap();
         let factory = PipelineFactory::new(GeoIndistinguishabilityFactory::new())
             .then(GridCloakingFactory::new());
-        let point = factory.space().point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
+        let point = factory.space().point_from_coords(&[0.01, 500.0]).unwrap();
         let lppm = factory.instantiate_at(&point).unwrap();
         let protected = lppm.protect_dataset(&dataset, &mut rng).unwrap();
         assert_eq!(protected.record_count(), dataset.record_count());
@@ -665,12 +655,14 @@ mod tests {
         let system = SystemDefinition::paper_geoi();
         assert_eq!(system.factory().name(), "geo-indistinguishability");
         assert_eq!(system.space().names(), vec!["epsilon"]);
+        let metrics: Vec<_> = system.suite().iter().map(|m| (m.id(), m.direction())).collect();
         assert_eq!(
-            system.suite().ids(),
-            vec![MetricId::new("poi-retrieval"), MetricId::new("area-coverage")]
+            metrics,
+            vec![
+                (MetricId::new("poi-retrieval"), Direction::LowerIsBetter),
+                (MetricId::new("area-coverage"), Direction::HigherIsBetter),
+            ]
         );
-        assert_eq!(system.suite().metrics()[0].direction(), Direction::LowerIsBetter);
-        assert_eq!(system.suite().metrics()[1].direction(), Direction::HigherIsBetter);
         let debug = format!("{system:?}");
         assert!(debug.contains("poi-retrieval"));
     }
@@ -738,12 +730,12 @@ mod tests {
 
         // Same mechanism over a different range is a different system.
         let narrow = SystemDefinition::with_pair(
-            Box::new(GeoIndistinguishabilityFactory::with_range(1e-3, 0.1).unwrap()),
+            Box::new(GridCloakingFactory::with_range(100.0, 2000.0).unwrap()),
             Box::new(PoiRetrieval::default()),
             Box::new(AreaCoverage::default()),
         )
         .unwrap();
-        assert_ne!(paper.cache_key(), narrow.cache_key());
+        assert_ne!(cloaking.cache_key(), narrow.cache_key());
 
         // A composed system's key covers every axis of its space.
         let composed = SystemDefinition::with_pair(
@@ -831,5 +823,26 @@ mod tests {
         let lppm = instantiate(system.factory(), 0.01).unwrap();
         let protected = lppm.protect_dataset(&dataset, &mut rng).unwrap();
         assert_eq!(protected.record_count(), dataset.record_count());
+    }
+
+    /// The measurement cache is keyed by these strings, so a change to a
+    /// factory's or a metric's configuration surface must render them as
+    /// before, or every stored cache file is orphaned.
+    #[test]
+    fn cache_keys_render_their_pinned_strings() {
+        assert_eq!(
+            SystemDefinition::paper_geoi().cache_key(),
+            "geo-indistinguishability[epsilon:1e-4..1e0:log]\
+             |poi-retrieval/dwell=900/diameter=200/radius=200|area-coverage/cell=200"
+        );
+        assert_eq!(HotspotPreservation::default().cache_key(), "hotspot-preservation/cell=200/k=5");
+        assert_eq!(
+            geopriv_metrics::DistortionUtility::default().cache_key(),
+            "distortion-utility/scale=200"
+        );
+        assert_eq!(
+            PoiRetrieval::default().cache_key(),
+            "poi-retrieval/dwell=900/diameter=200/radius=200"
+        );
     }
 }

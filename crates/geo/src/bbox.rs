@@ -19,8 +19,10 @@ use std::fmt;
 ///
 /// # fn main() -> Result<(), geopriv_geo::GeoError> {
 /// let sf = BoundingBox::new(37.70, -122.52, 37.83, -122.35)?;
-/// assert!(sf.contains(GeoPoint::new(37.7749, -122.4194)?));
-/// assert!(!sf.contains(GeoPoint::new(40.0, -122.4)?));
+/// let points = [GeoPoint::new(37.7749, -122.4194)?, GeoPoint::new(37.80, -122.40)?];
+/// let enclosing = BoundingBox::enclosing(points)?;
+/// assert!(enclosing.min_latitude() >= sf.min_latitude());
+/// assert!(enclosing.max_longitude() <= sf.max_longitude());
 /// # Ok(())
 /// # }
 /// ```
@@ -121,12 +123,6 @@ impl BoundingBox {
         GeoPoint::clamped((self.min_lat + self.max_lat) / 2.0, (self.min_lon + self.max_lon) / 2.0)
     }
 
-    /// Returns `true` if `point` lies inside the box (inclusive of edges).
-    pub fn contains(&self, point: GeoPoint) -> bool {
-        (self.min_lat..=self.max_lat).contains(&point.latitude())
-            && (self.min_lon..=self.max_lon).contains(&point.longitude())
-    }
-
     /// Returns a new box expanded by `margin_fraction` of its extent in every direction.
     ///
     /// A fraction of `0.1` grows each side by 10 %. The result is clamped to
@@ -156,19 +152,6 @@ impl BoundingBox {
         .as_f64();
         height_m * width_m / 1e6
     }
-
-    /// Returns the intersection with `other`, or `None` if they do not overlap.
-    pub fn intersection(&self, other: &BoundingBox) -> Option<BoundingBox> {
-        let min_lat = self.min_lat.max(other.min_lat);
-        let min_lon = self.min_lon.max(other.min_lon);
-        let max_lat = self.max_lat.min(other.max_lat);
-        let max_lon = self.max_lon.min(other.max_lon);
-        if min_lat < max_lat && min_lon < max_lon {
-            Some(BoundingBox { min_lat, min_lon, max_lat, max_lon })
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for BoundingBox {
@@ -185,6 +168,12 @@ impl fmt::Display for BoundingBox {
 mod tests {
     use super::*;
 
+    /// Whether `p` lies in `b`, edges included.
+    fn inside(b: &BoundingBox, p: GeoPoint) -> bool {
+        (b.min_latitude()..=b.max_latitude()).contains(&p.latitude())
+            && (b.min_longitude()..=b.max_longitude()).contains(&p.longitude())
+    }
+
     fn sf() -> BoundingBox {
         BoundingBox::new(37.70, -122.52, 37.83, -122.35).unwrap()
     }
@@ -200,11 +189,11 @@ mod tests {
     #[test]
     fn contains_and_corners() {
         let b = sf();
-        assert!(b.contains(GeoPoint::new(37.7749, -122.4194).unwrap()));
-        assert!(b.contains(b.south_west()));
-        assert!(b.contains(b.north_east()));
-        assert!(b.contains(b.center()));
-        assert!(!b.contains(GeoPoint::new(37.0, -122.4).unwrap()));
+        assert!(inside(&b, GeoPoint::new(37.7749, -122.4194).unwrap()));
+        assert!(inside(&b, b.south_west()));
+        assert!(inside(&b, b.north_east()));
+        assert!(inside(&b, b.center()));
+        assert!(!inside(&b, GeoPoint::new(37.0, -122.4).unwrap()));
     }
 
     #[test]
@@ -216,7 +205,7 @@ mod tests {
         ];
         let b = BoundingBox::enclosing(pts.iter().copied()).unwrap();
         for p in pts {
-            assert!(b.contains(p));
+            assert!(inside(&b, p));
         }
         assert!(BoundingBox::enclosing(std::iter::empty()).is_err());
     }
@@ -225,9 +214,43 @@ mod tests {
     fn enclosing_single_point_pads() {
         let p = GeoPoint::new(37.7749, -122.4194).unwrap();
         let b = BoundingBox::enclosing([p]).unwrap();
-        assert!(b.contains(p));
+        assert!(inside(&b, p));
         assert!(b.max_lat > b.min_lat);
         assert!(b.max_lon > b.min_lon);
+    }
+
+    #[test]
+    fn enclosing_is_the_tightest_box() {
+        let pts = [
+            GeoPoint::new(37.75, -122.45).unwrap(),
+            GeoPoint::new(37.80, -122.40).unwrap(),
+            GeoPoint::new(37.77, -122.50).unwrap(),
+        ];
+        let b = BoundingBox::enclosing(pts).unwrap();
+        assert_eq!((b.min_latitude(), b.max_latitude()), (37.75, 37.80));
+        assert_eq!((b.min_longitude(), b.max_longitude()), (-122.50, -122.40));
+    }
+
+    #[test]
+    fn enclosing_pads_degenerate_boxes_inside_the_domain() {
+        // Points on one parallel: the box is padded on every side.
+        let row = [GeoPoint::new(10.0, 20.0).unwrap(), GeoPoint::new(10.0, 21.0).unwrap()];
+        let b = BoundingBox::enclosing(row).unwrap();
+        assert_eq!((b.min_latitude(), b.max_latitude()), (10.0 - 1e-4, 10.0 + 1e-4));
+        assert_eq!((b.min_longitude(), b.max_longitude()), (20.0 - 1e-4, 21.0 + 1e-4));
+        // At a corner of the domain the padding stops at the edge.
+        let corner = BoundingBox::enclosing([GeoPoint::new(90.0, 180.0).unwrap()]).unwrap();
+        assert_eq!((corner.max_latitude(), corner.max_longitude()), (90.0, 180.0));
+        assert!(corner.min_latitude() < 90.0 && corner.min_longitude() < 180.0);
+    }
+
+    #[test]
+    fn expanded_clamps_to_the_wgs84_domain() {
+        let b = BoundingBox::new(80.0, 170.0, 89.0, 179.0).unwrap();
+        let e = b.expanded(0.5);
+        assert_eq!((e.min_latitude(), e.min_longitude()), (75.5, 165.5));
+        assert_eq!((e.max_latitude(), e.max_longitude()), (90.0, 180.0));
+        assert_eq!(b.expanded(0.0), b);
     }
 
     #[test]
@@ -236,8 +259,8 @@ mod tests {
         let e = b.expanded(0.1);
         assert!(e.max_lat - e.min_lat > b.max_lat - b.min_lat);
         assert!(e.max_lon - e.min_lon > b.max_lon - b.min_lon);
-        assert!(e.contains(b.south_west()));
-        assert!(e.contains(b.north_east()));
+        assert!(inside(&e, b.south_west()));
+        assert!(inside(&e, b.north_east()));
     }
 
     #[test]
@@ -245,20 +268,6 @@ mod tests {
         // The SF box is roughly 14.5 km x 15 km ≈ 220 km².
         let a = sf().area_km2();
         assert!((150.0..300.0).contains(&a), "got {a}");
-    }
-
-    #[test]
-    fn intersection_logic() {
-        let a = BoundingBox::new(37.0, -122.0, 38.0, -121.0).unwrap();
-        let b = BoundingBox::new(37.5, -121.5, 38.5, -120.5).unwrap();
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i.min_latitude(), 37.5);
-        assert_eq!(i.max_latitude(), 38.0);
-        assert_eq!(i.min_longitude(), -121.5);
-        assert_eq!(i.max_longitude(), -121.0);
-
-        let c = BoundingBox::new(40.0, -100.0, 41.0, -99.0).unwrap();
-        assert!(a.intersection(&c).is_none());
     }
 
     #[test]

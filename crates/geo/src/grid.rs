@@ -26,7 +26,7 @@
 //!   proportion to the input.
 //!
 //! Packed keys sort exactly like `CellId`'s derived `Ord` (column, then
-//! row), so [`CellSet::iter`] yields cells in lexicographic order. Counts
+//! row), so a [`CellSet`] holds its cells in lexicographic order. Counts
 //! depend only on set membership, never on the container, so both ways give
 //! the same counts as a tree of [`CellId`]s.
 
@@ -64,26 +64,25 @@ impl fmt::Display for CellId {
 /// # Examples
 ///
 /// ```
-/// use geopriv_geo::{BoundingBox, GeoPoint, Grid, Meters};
+/// use geopriv_geo::{BoundingBox, CellId, GeoPoint, Grid, Meters};
 ///
 /// # fn main() -> Result<(), geopriv_geo::GeoError> {
 /// let area = BoundingBox::new(37.70, -122.52, 37.83, -122.35)?;
 /// let grid = Grid::new(area, Meters::new(200.0))?;
 ///
-/// let cell = grid.cell_of(GeoPoint::new(37.7749, -122.4194)?);
-/// assert!(cell.col < grid.columns() && cell.row < grid.rows());
+/// assert_eq!(grid.cell_of(area.south_west()), CellId { col: 0, row: 0 });
+/// // Far outside the box: clamped onto a border cell, never dropped.
+/// assert_eq!(grid.cell_of(GeoPoint::new(30.0, -130.0)?), CellId { col: 0, row: 0 });
+/// assert!(grid.cell_count() > 1_000);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grid {
-    bounds: BoundingBox,
     cell_size: Meters,
     projection: LocalProjection,
     columns: u32,
     rows: u32,
-    width_m: f64,
-    height_m: f64,
 }
 
 impl Grid {
@@ -108,35 +107,7 @@ impl Grid {
         if columns == 0 || rows == 0 || columns.saturating_mul(rows) > u64::from(u32::MAX) {
             return Err(GeoError::DegenerateGrid);
         }
-        Ok(Self {
-            bounds,
-            cell_size,
-            projection,
-            columns: columns as u32,
-            rows: rows as u32,
-            width_m,
-            height_m,
-        })
-    }
-
-    /// The bounding box covered by the grid.
-    pub fn bounds(&self) -> BoundingBox {
-        self.bounds
-    }
-
-    /// The side length of a cell.
-    pub fn cell_size(&self) -> Meters {
-        self.cell_size
-    }
-
-    /// Number of columns (east-west cells).
-    pub fn columns(&self) -> u32 {
-        self.columns
-    }
-
-    /// Number of rows (north-south cells).
-    pub fn rows(&self) -> u32 {
-        self.rows
+        Ok(Self { cell_size, projection, columns: columns as u32, rows: rows as u32 })
     }
 
     /// Total number of cells.
@@ -337,10 +308,6 @@ fn pack(cell: CellId) -> u64 {
     (u64::from(cell.col) << 32) | u64::from(cell.row)
 }
 
-fn unpack(key: u64) -> CellId {
-    CellId { col: (key >> 32) as u32, row: key as u32 }
-}
-
 /// A set of grid cells, typically the coverage of a mobility trace.
 ///
 /// The cells are kept as sorted, distinct packed keys (see the module docs).
@@ -350,11 +317,6 @@ pub struct CellSet {
 }
 
 impl CellSet {
-    /// Creates an empty cell set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a set from an iterator of cells.
     pub fn from_cells<I: IntoIterator<Item = CellId>>(cells: I) -> Self {
         let mut keys: Vec<u64> = cells.into_iter().map(pack).collect();
@@ -371,16 +333,6 @@ impl CellSet {
     /// Returns `true` if the set contains no cells.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
-    }
-
-    /// Returns `true` if the set contains `cell`.
-    pub fn contains(&self, cell: CellId) -> bool {
-        self.keys.binary_search(&pack(cell)).is_ok()
-    }
-
-    /// Iterates over the cells in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.keys.iter().map(|&key| unpack(key))
     }
 
     /// Number of cells present in both sets.
@@ -425,13 +377,13 @@ mod tests {
     fn grid_dimensions_match_cell_size() {
         let g = sf_grid(200.0);
         // SF box is ~15 km x ~14.5 km -> about 75 x 72 cells.
-        assert!((60..90).contains(&g.columns()), "cols={}", g.columns());
-        assert!((60..90).contains(&g.rows()), "rows={}", g.rows());
-        assert_eq!(g.cell_count(), u64::from(g.columns()) * u64::from(g.rows()));
+        assert!((60..90).contains(&g.columns), "cols={}", g.columns);
+        assert!((60..90).contains(&g.rows), "rows={}", g.rows);
+        assert_eq!(g.cell_count(), u64::from(g.columns) * u64::from(g.rows));
 
         let fine = sf_grid(100.0);
-        assert!(fine.columns() > g.columns());
-        assert!(fine.rows() > g.rows());
+        assert!(fine.columns > g.columns);
+        assert!(fine.rows > g.rows);
     }
 
     #[test]
@@ -448,10 +400,11 @@ mod tests {
     #[test]
     fn corner_points_map_to_corner_cells() {
         let g = sf_grid(200.0);
-        let sw = g.cell_of(g.bounds().south_west());
+        let area = BoundingBox::new(37.70, -122.52, 37.83, -122.35).unwrap();
+        let sw = g.cell_of(area.south_west());
         assert_eq!(sw, cell(0, 0));
-        let ne = g.cell_of(g.bounds().north_east());
-        assert_eq!(ne, cell(g.columns() - 1, g.rows() - 1));
+        let ne = g.cell_of(area.north_east());
+        assert_eq!(ne, cell(g.columns - 1, g.rows - 1));
     }
 
     #[test]
@@ -459,7 +412,7 @@ mod tests {
         let g = sf_grid(200.0);
         let far_north = GeoPoint::new(45.0, -122.4194).unwrap();
         let c = g.cell_of(far_north);
-        assert_eq!(c.row, g.rows() - 1);
+        assert_eq!(c.row, g.rows - 1);
         let far_west = GeoPoint::new(37.75, -130.0).unwrap();
         assert_eq!(g.cell_of(far_west).col, 0);
     }
@@ -500,13 +453,28 @@ mod tests {
         assert_eq!(hist[&g.cell_of(b)], 1);
     }
 
+    #[test]
+    fn histogram_counts_every_point_once() {
+        let g = sf_grid(500.0);
+        let pts: Vec<GeoPoint> = (0..50)
+            .map(|i| {
+                let (lat, lon) = (37.71 + f64::from(i) * 0.001, -122.50 + f64::from(i % 7) * 0.01);
+                GeoPoint::new(lat, lon).unwrap()
+            })
+            .collect();
+        let hist = g.histogram(pts.iter().copied());
+        assert_eq!(hist.values().sum::<usize>(), pts.len());
+        assert_eq!(g.coverage(pts.iter().copied()).len(), hist.len());
+        assert!(hist.len() > 1);
+    }
+
     /// The geographic center of `cell`, clamped onto `g`.
     fn cell_center(g: &Grid, cell: CellId) -> GeoPoint {
         let col = cell.col.min(g.columns - 1);
         let row = cell.row.min(g.rows - 1);
         let x = (f64::from(col) + 0.5) * g.cell_size.as_f64();
         let y = (f64::from(row) + 0.5) * g.cell_size.as_f64();
-        g.projection.unproject(crate::point::Point::new(x.min(g.width_m), y.min(g.height_m)))
+        g.projection.unproject(crate::point::Point::new(x, y))
     }
 
     /// The overlap of two traces that visit the centers of the given cells.
@@ -553,7 +521,7 @@ mod tests {
 
     #[test]
     fn cellset_empty_conventions() {
-        let empty = CellSet::new();
+        let empty = CellSet::default();
         assert!(empty.is_empty());
         assert_eq!(empty.intersection_size(&CellSet::from_cells([cell(0, 0)])), 0);
 
@@ -635,9 +603,7 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(s.len(), 4);
-        assert!(s.contains(cell(2, 2)));
-        assert!(!s.contains(cell(2, 1)));
-        let cells: Vec<CellId> = s.iter().collect();
-        assert_eq!(cells, vec![cell(0, u32::MAX), cell(1, 1), cell(2, 2), cell(u32::MAX, 0)]);
+        let sorted = [cell(0, u32::MAX), cell(1, 1), cell(2, 2), cell(u32::MAX, 0)];
+        assert_eq!(s.keys, sorted.into_iter().map(pack).collect::<Vec<_>>());
     }
 }

@@ -56,7 +56,7 @@ pub use error::GeoError;
 pub use grid::{CellId, CellOverlap, CellSet, Grid};
 pub use point::{GeoPoint, Point};
 pub use projection::LocalProjection;
-pub use units::{Degrees, Meters, Seconds};
+pub use units::{Meters, Seconds};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -66,5 +66,5 @@ pub mod prelude {
     pub use crate::grid::{CellId, CellOverlap, CellSet, Grid};
     pub use crate::point::{GeoPoint, Point};
     pub use crate::projection::LocalProjection;
-    pub use crate::units::{Degrees, Meters, Seconds};
+    pub use crate::units::{Meters, Seconds};
 }

@@ -149,11 +149,6 @@ impl Point {
         Self { x, y }
     }
 
-    /// The origin of the local frame.
-    pub const fn origin() -> Self {
-        Self { x: 0.0, y: 0.0 }
-    }
-
     /// East offset in meters.
     pub const fn x(&self) -> f64 {
         self.x
@@ -181,11 +176,6 @@ impl Point {
     /// `[0, 1]` extrapolate.
     pub fn lerp(&self, other: Point, t: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-    }
-
-    /// Returns `true` if both coordinates are finite.
-    pub fn is_finite(&self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 
@@ -283,7 +273,7 @@ mod tests {
 
     #[test]
     fn translations() {
-        let p = Point::origin().translated(3.0, -4.0);
+        let p = Point::new(0.0, 0.0).translated(3.0, -4.0);
         assert_eq!(p, Point::new(3.0, -4.0));
     }
 
@@ -309,5 +299,15 @@ mod tests {
         assert_eq!(g.to_string(), "(37.000000, -122.000000)");
         let p = Point::new(1.0, 2.0);
         assert_eq!(p.to_string(), "(1.00 m, 2.00 m)");
+    }
+
+    #[test]
+    fn tuple_conversions_and_stored_coordinates() {
+        let p: Point = (3.0, -4.0).into();
+        assert_eq!(p, Point::new(3.0, -4.0));
+        assert_eq!(<(f64, f64)>::from(p), (3.0, -4.0));
+        let g = GeoPoint::from_stored(45.0, 10.0);
+        assert_eq!(g, GeoPoint::new(45.0, 10.0).unwrap());
+        assert!((g.latitude_radians() - std::f64::consts::FRAC_PI_4).abs() < 1e-15);
     }
 }

@@ -33,26 +33,6 @@ macro_rules! scalar_unit {
                 self.0
             }
 
-            /// Returns the absolute value.
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Returns `true` if the wrapped value is finite.
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
-            /// Returns the smaller of two values.
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Returns the larger of two values.
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
-            }
-
             /// Validates that the value is finite and strictly positive.
             ///
             /// # Errors
@@ -164,12 +144,6 @@ scalar_unit!(
     " s"
 );
 
-scalar_unit!(
-    /// An angle in decimal degrees.
-    Degrees,
-    "°"
-);
-
 impl Meters {
     /// Converts to kilometers.
     pub fn to_kilometers(self) -> f64 {
@@ -191,13 +165,6 @@ impl Seconds {
     /// Converts to hours (fractional).
     pub fn to_hours(self) -> f64 {
         self.0 / 3_600.0
-    }
-}
-
-impl Degrees {
-    /// Converts to radians.
-    pub fn to_radians(self) -> f64 {
-        self.0.to_radians()
     }
 }
 
@@ -234,7 +201,13 @@ mod tests {
         assert_eq!(Meters::new(2_000.0).to_kilometers(), 2.0);
         assert_eq!(Seconds::from_minutes(2.0).as_f64(), 120.0);
         assert_eq!(Seconds::from_hours(1.0).as_f64(), 3_600.0);
-        assert!((Degrees::new(180.0).to_radians() - std::f64::consts::PI).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hours_roundtrip() {
+        assert_eq!(Seconds::from_hours(2.5).to_hours(), 2.5);
+        assert_eq!(Seconds::from_minutes(90.0).to_hours(), 1.5);
+        assert_eq!(Seconds::new(900.0).to_hours(), 0.25);
     }
 
     #[test]
@@ -247,19 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_abs() {
-        let a = Meters::new(-3.0);
-        let b = Meters::new(2.0);
-        assert_eq!(a.abs().as_f64(), 3.0);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
-    }
-
-    #[test]
     fn display_has_suffix() {
         assert_eq!(Meters::new(5.0).to_string(), "5 m");
         assert_eq!(Seconds::new(5.0).to_string(), "5 s");
-        assert_eq!(Degrees::new(5.0).to_string(), "5°");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the geospatial substrate.
 
 use geopriv_geo::{
-    distance, BoundingBox, CellId, CellOverlap, GeoPoint, Grid, LocalProjection, Meters, Point,
+    distance, BoundingBox, CellId, CellOverlap, CellSet, GeoPoint, Grid, LocalProjection, Meters,
+    Point,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -37,20 +38,29 @@ fn trace_points(len: Range<usize>) -> impl Strategy<Value = Vec<GeoPoint>> {
     })
 }
 
-/// `Grid::cell_of` as it was written before it dropped `floor`.
-fn floor_cell_of(grid: &Grid, point: GeoPoint) -> CellId {
-    let p = LocalProjection::centered_on(grid.bounds().south_west()).project(point);
-    let cell = grid.cell_size().as_f64();
+/// The columns and rows of a grid of `cell_m` cells over `sf_area()`: the
+/// area's projected extent over the cell size, rounded up.
+fn sf_dimensions(cell_m: f64) -> (u32, u32) {
+    let area = sf_area();
+    let ne = LocalProjection::centered_on(area.south_west()).project(area.north_east());
+    ((ne.x() / cell_m).ceil() as u32, (ne.y() / cell_m).ceil() as u32)
+}
+
+/// `Grid::cell_of` on a grid of `cell_m` cells over `sf_area()`, as it was
+/// written before it dropped `floor`.
+fn floor_cell_of(cell_m: f64, point: GeoPoint) -> CellId {
+    let p = LocalProjection::centered_on(sf_area().south_west()).project(point);
+    let (columns, rows) = sf_dimensions(cell_m);
     CellId {
-        col: (p.x() / cell).floor().clamp(0.0, f64::from(grid.columns() - 1)) as u32,
-        row: (p.y() / cell).floor().clamp(0.0, f64::from(grid.rows() - 1)) as u32,
+        col: (p.x() / cell_m).floor().clamp(0.0, f64::from(columns - 1)) as u32,
+        row: (p.y() / cell_m).floor().clamp(0.0, f64::from(rows - 1)) as u32,
     }
 }
 
 /// A trace's coverage as it was computed before `CellSet` became a sorted
 /// key vector: a `BTreeSet<CellId>` of `floor`-computed cells.
-fn reference_coverage(grid: &Grid, points: &[GeoPoint]) -> BTreeSet<CellId> {
-    points.iter().map(|&p| floor_cell_of(grid, p)).collect()
+fn reference_coverage(cell_m: f64, points: &[GeoPoint]) -> BTreeSet<CellId> {
+    points.iter().map(|&p| floor_cell_of(cell_m, p)).collect()
 }
 
 /// F1 as `CellSet::f1_of` computed it on reference sets (`truth` is the
@@ -80,10 +90,10 @@ fn reference_area_ratio(a: &BTreeSet<CellId>, p: &BTreeSet<CellId>) -> f64 {
     }
 }
 
-/// Checks one `Grid::overlaps` call on `pairs` against `BTreeSet`
-/// references, pair by pair: the three counts, and the F1 and area-ratio
-/// bits computed from them.
-fn assert_overlaps_match_reference(grid: &Grid, pairs: &[(&[GeoPoint], &[GeoPoint])]) {
+/// Checks one `Grid::overlaps` call on `pairs`, over a grid of `cell_m`
+/// cells over `sf_area()`, against `BTreeSet` references, pair by pair: the
+/// three counts, and the F1 and area-ratio bits computed from them.
+fn assert_overlaps_match_reference(grid: &Grid, cell_m: f64, pairs: &[(&[GeoPoint], &[GeoPoint])]) {
     let columns = |points: &[GeoPoint]| -> (Vec<f64>, Vec<f64>) {
         points.iter().map(|p| (p.latitude(), p.longitude())).unzip()
     };
@@ -92,7 +102,7 @@ fn assert_overlaps_match_reference(grid: &Grid, pairs: &[(&[GeoPoint], &[GeoPoin
         grid.overlaps(stored.iter().map(|(a, p)| ((&a.0[..], &a.1[..]), (&p.0[..], &p.1[..]))));
     assert_eq!(overlaps.len(), pairs.len());
     for (i, (overlap, (a, p))) in overlaps.iter().zip(pairs).enumerate() {
-        let (ref_a, ref_p) = (reference_coverage(grid, a), reference_coverage(grid, p));
+        let (ref_a, ref_p) = (reference_coverage(cell_m, a), reference_coverage(cell_m, p));
         let common = ref_a.intersection(&ref_p).count();
         let expected = CellOverlap { actual: ref_a.len(), protected: ref_p.len(), common };
         assert_eq!(*overlap, expected, "pair {i}");
@@ -170,11 +180,11 @@ proptest! {
 
     #[test]
     fn every_point_maps_to_a_valid_grid_cell((lat, lon) in sf_coords(), cell_m in 50.0f64..1000.0) {
-        let area = BoundingBox::new(37.60, -122.60, 37.90, -122.30).unwrap();
-        let grid = Grid::new(area, Meters::new(cell_m)).unwrap();
+        let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
         let cell = grid.cell_of(GeoPoint::new(lat, lon).unwrap());
-        prop_assert!(cell.col < grid.columns());
-        prop_assert!(cell.row < grid.rows());
+        let (columns, rows) = sf_dimensions(cell_m);
+        prop_assert!(cell.col < columns);
+        prop_assert!(cell.row < rows);
     }
 
     #[test]
@@ -210,10 +220,10 @@ proptest! {
     ) {
         let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
         let (cells_a, cells_b) = (grid.coverage(a.iter().copied()), grid.coverage(b.iter().copied()));
-        let (ref_a, ref_b) = (reference_coverage(&grid, &a), reference_coverage(&grid, &b));
+        let (ref_a, ref_b) = (reference_coverage(cell_m, &a), reference_coverage(cell_m, &b));
         prop_assert_eq!(cells_a.len(), ref_a.len());
-        prop_assert_eq!(cells_a.iter().collect::<Vec<_>>(), ref_a.iter().copied().collect::<Vec<_>>());
-        prop_assert!(ref_b.iter().all(|&cell| cells_b.contains(cell)));
+        prop_assert_eq!(&cells_a, &CellSet::from_cells(ref_a.iter().copied()));
+        prop_assert_eq!(&cells_b, &CellSet::from_cells(ref_b.iter().copied()));
         let common = ref_a.intersection(&ref_b).count();
         prop_assert_eq!(cells_a.intersection_size(&cells_b), common);
         prop_assert_eq!(cells_b.intersection_size(&cells_a), common);
@@ -229,7 +239,7 @@ proptest! {
         // At most 27 × 34 cells for at least 40 records: bitmaps.
         let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
         prop_assert!(is_dense(&grid, a.len() + b.len()));
-        assert_overlaps_match_reference(&grid, &[(&a, &b), (&b, &a), (&a, &a)]);
+        assert_overlaps_match_reference(&grid, cell_m, &[(&a, &b), (&b, &a), (&a, &a)]);
     }
 
     #[test]
@@ -241,7 +251,7 @@ proptest! {
         // At least 528 × 668 cells for at most 38 records: cell sets.
         let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
         prop_assert!(!is_dense(&grid, a.len() + b.len()));
-        assert_overlaps_match_reference(&grid, &[(&a, &b), (&b, &a), (&a, &a)]);
+        assert_overlaps_match_reference(&grid, cell_m, &[(&a, &b), (&b, &a), (&a, &a)]);
     }
 
     #[test]
@@ -258,7 +268,7 @@ proptest! {
         // At most 53 × 67 cells for at least 140 records: bitmaps.
         let grid = Grid::new(sf_area(), Meters::new(cell_m)).unwrap();
         prop_assert!(is_dense(&grid, pairs.iter().map(|(a, p)| a.len() + p.len()).sum()));
-        assert_overlaps_match_reference(&grid, &pairs);
+        assert_overlaps_match_reference(&grid, cell_m, &pairs);
     }
 
     #[test]
@@ -278,8 +288,9 @@ proptest! {
             let whole = (at * f64::from(cells + 6)).floor() - 3.0;
             (whole + if on_border == 0 { 0.0 } else { inside }) * cell_m
         };
-        let near_border = projection
-            .unproject(Point::new(offset(col_at, grid.columns()), offset(row_at, grid.rows())));
+        let (columns, rows) = sf_dimensions(cell_m);
+        let near_border =
+            projection.unproject(Point::new(offset(col_at, columns), offset(row_at, rows)));
         let sw = area.south_west();
         for point in [
             GeoPoint::new(lat, lon).unwrap(),
@@ -292,7 +303,7 @@ proptest! {
             GeoPoint::new(lat, sw.longitude()).unwrap(),
             area.north_east(),
         ] {
-            prop_assert_eq!(grid.cell_of(point), floor_cell_of(&grid, point), "{}", point);
+            prop_assert_eq!(grid.cell_of(point), floor_cell_of(cell_m, point), "{}", point);
         }
     }
 }

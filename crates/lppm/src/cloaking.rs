@@ -22,7 +22,8 @@ use geopriv_geo::{GeoPoint, LocalProjection, Meters, Point};
 ///
 /// # fn main() -> Result<(), geopriv_lppm::LppmError> {
 /// let cloaking = GridCloaking::new(Meters::new(500.0))?;
-/// assert_eq!(cloaking.cell_size().as_f64(), 500.0);
+/// assert_eq!(cloaking.name(), "grid-cloaking");
+/// assert!(GridCloaking::new(Meters::new(0.0)).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -60,11 +61,6 @@ impl GridCloaking {
             });
         }
         Ok(Self { cell_size, origin })
-    }
-
-    /// The cloaking cell size.
-    pub fn cell_size(&self) -> Meters {
-        self.cell_size
     }
 
     /// The parameter descriptor for the cell size (50 m to 5 km, logarithmic).
@@ -134,6 +130,30 @@ mod tests {
         assert!(GridCloaking::new(Meters::new(f64::NAN)).is_err());
         let c = GridCloaking::new(Meters::new(300.0)).unwrap();
         assert_eq!(c.name(), "grid-cloaking");
+    }
+
+    #[test]
+    fn cell_size_descriptor_spans_fifty_metres_to_five_kilometres() {
+        let d = GridCloaking::cell_size_descriptor();
+        assert_eq!((d.name(), d.min(), d.max()), ("cell_size", 50.0, 5_000.0));
+        assert_eq!(d.scale(), ParameterScale::Logarithmic);
+        assert!(!GridCloaking::new(Meters::new(300.0)).unwrap().draws_randomness());
+    }
+
+    #[test]
+    fn releases_are_cell_centres_of_the_origin_grid() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let cell = 250.0;
+        let cloaking = GridCloaking::with_origin(Meters::new(cell), sf_origin()).unwrap();
+        let protected = cloaking.protect_one(&trace(), &mut rng).unwrap();
+        let projection = LocalProjection::centered_on(sf_origin());
+        for r in &protected {
+            let p = projection.project(r.location());
+            for v in [p.x(), p.y()] {
+                let offset = v / cell - (v / cell).floor();
+                assert!((offset - 0.5).abs() < 1e-6, "{v} m is not a cell centre");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ use rand::{Rng, RngCore};
 ///
 /// # fn main() -> Result<(), geopriv_lppm::LppmError> {
 /// let mechanism = GaussianPerturbation::new(Meters::new(100.0))?;
-/// assert_eq!(mechanism.sigma().as_f64(), 100.0);
+/// assert_eq!(mechanism.name(), "gaussian-perturbation");
+/// assert!(GaussianPerturbation::new(Meters::new(-1.0)).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -47,11 +48,6 @@ impl GaussianPerturbation {
             });
         }
         Ok(Self { sigma })
-    }
-
-    /// The per-axis noise standard deviation.
-    pub fn sigma(&self) -> Meters {
-        self.sigma
     }
 
     /// The parameter descriptor for σ (1 m to 10 km, logarithmic).
@@ -127,6 +123,14 @@ mod tests {
         assert!(GaussianPerturbation::new(Meters::new(f64::NAN)).is_err());
         let g = GaussianPerturbation::new(Meters::new(10.0)).unwrap();
         assert_eq!(g.name(), "gaussian-perturbation");
+    }
+
+    #[test]
+    fn sigma_descriptor_spans_one_metre_to_ten_kilometres() {
+        let d = GaussianPerturbation::sigma_descriptor();
+        assert_eq!((d.name(), d.min(), d.max()), ("sigma", 1.0, 10_000.0));
+        assert_eq!(d.scale(), ParameterScale::Logarithmic);
+        assert!(GaussianPerturbation::new(Meters::new(1.0)).unwrap().draws_randomness());
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl GeoIndistinguishability {
         Self { epsilon }
     }
 
-    /// The configured ε.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
     /// The parameter descriptor for ε over the paper's sweep range.
     pub fn epsilon_descriptor() -> ParameterDescriptor {
         ParameterDescriptor::new(
@@ -200,7 +195,7 @@ mod tests {
         assert!(Epsilon::new(0.0).is_err());
         let geoi = geoi(0.02);
         assert_eq!(geoi.name(), "geo-indistinguishability");
-        assert_eq!(geoi.epsilon().value(), 0.02);
+        assert_eq!(geoi.epsilon.value(), 0.02);
         let descriptor = GeoIndistinguishability::epsilon_descriptor();
         assert_eq!(descriptor.name(), "epsilon");
         assert_eq!((descriptor.min(), descriptor.max()), PAPER_EPSILON_RANGE);

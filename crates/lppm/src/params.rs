@@ -55,11 +55,6 @@ impl Epsilon {
     pub fn expected_noise_radius_m(self) -> f64 {
         2.0 / self.0
     }
-
-    /// Natural logarithm of ε — the predictor variable of the paper's Equation 2.
-    pub fn ln(self) -> f64 {
-        self.0.ln()
-    }
 }
 
 impl fmt::Display for Epsilon {
@@ -255,7 +250,6 @@ mod tests {
         assert!(Epsilon::try_from(0.5).is_ok());
         let eps = Epsilon::new(0.02).unwrap();
         assert_eq!(f64::from(eps), 0.02);
-        assert!((eps.ln() - 0.02f64.ln()).abs() < 1e-12);
         assert!(eps.to_string().contains("0.02"));
     }
 

@@ -29,9 +29,8 @@ use rand::RngCore;
 ///
 /// # fn main() -> Result<(), geopriv_lppm::LppmError> {
 /// let pipeline = Pipeline::new()
-///     .then(GeoIndistinguishability::new(Epsilon::new(0.01)?))
-///     .then(GridCloaking::new(Meters::new(500.0))?);
-/// assert_eq!(pipeline.len(), 2);
+///     .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01)?)))
+///     .then_boxed(Box::new(GridCloaking::new(Meters::new(500.0))?));
 /// assert_eq!(pipeline.name(), "pipeline[geo-indistinguishability, grid-cloaking]");
 /// # Ok(())
 /// # }
@@ -48,28 +47,11 @@ impl Pipeline {
         Self { stages: Vec::new(), name: "pipeline[]".to_string() }
     }
 
-    /// Appends a mechanism to the end of the pipeline.
-    pub fn then<M: Lppm + 'static>(mut self, mechanism: M) -> Self {
-        self.stages.push(Box::new(mechanism));
-        self.rebuild_name();
-        self
-    }
-
     /// Appends an already-boxed mechanism to the end of the pipeline.
     pub fn then_boxed(mut self, mechanism: Box<dyn Lppm>) -> Self {
         self.stages.push(mechanism);
         self.rebuild_name();
         self
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Returns `true` if the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
     }
 
     fn rebuild_name(&mut self) {
@@ -170,8 +152,6 @@ mod tests {
     fn empty_pipeline_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
         let p = Pipeline::new();
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
         let t = trace();
         assert_eq!(p.protect_one(&t, &mut rng).unwrap(), t);
         assert_eq!(p.name(), "pipeline[]");
@@ -182,8 +162,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let t = trace();
         let pipeline = Pipeline::new()
-            .then(Withhold::EveryNth(4))
-            .then(GeoIndistinguishability::new(Epsilon::new(0.05).unwrap()));
+            .then_boxed(Box::new(Withhold::EveryNth(4)))
+            .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.05).unwrap())));
         let protected = pipeline.protect_one(&t, &mut rng).unwrap();
         // Downsampling happened…
         assert_eq!(protected.len(), 25);
@@ -221,8 +201,14 @@ mod tests {
         for (seed, epsilon) in [(1, 1e-4), (2, 1e-2), (3, 1.0)] {
             let geoi = GeoIndistinguishability::new(Epsilon::new(epsilon).unwrap());
             let pipelines: [(Pipeline, [&dyn Lppm; 2]); 2] = [
-                (Pipeline::new().then(geoi).then(cloaking), [&geoi, &cloaking]),
-                (Pipeline::new().then(downsampling).then(geoi), [&downsampling, &geoi]),
+                (
+                    Pipeline::new().then_boxed(Box::new(geoi)).then_boxed(Box::new(cloaking)),
+                    [&geoi, &cloaking],
+                ),
+                (
+                    Pipeline::new().then_boxed(Box::new(downsampling)).then_boxed(Box::new(geoi)),
+                    [&downsampling, &geoi],
+                ),
             ];
             for (pipeline, stages) in &pipelines {
                 let protected = pipeline.protect_one(&t, &mut StdRng::seed_from_u64(seed));
@@ -239,11 +225,39 @@ mod tests {
     #[test]
     fn name_lists_stages_in_order() {
         let pipeline = Pipeline::new()
-            .then(Pipeline::new())
+            .then_boxed(Box::new(Pipeline::new()))
             .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())));
-        assert_eq!(pipeline.len(), 2);
         assert_eq!(pipeline.name(), "pipeline[pipeline[], geo-indistinguishability]");
         assert!(format!("{pipeline:?}").contains("Pipeline"));
+    }
+
+    #[test]
+    fn a_pipeline_draws_randomness_when_any_stage_does() {
+        let cloak = || Box::new(GridCloaking::new(Meters::new(200.0)).unwrap());
+        let geoi = Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).unwrap()));
+        assert!(!Pipeline::new().draws_randomness());
+        assert!(!Pipeline::new().then_boxed(cloak()).then_boxed(cloak()).draws_randomness());
+        assert!(Pipeline::new().then_boxed(cloak()).then_boxed(geoi).draws_randomness());
+    }
+
+    #[test]
+    fn deterministic_stages_release_the_same_trace_under_any_seed() {
+        let t = Trace::new(
+            UserId::new(1),
+            (0..20)
+                .map(|i| {
+                    let location = GeoPoint::new(37.76 + f64::from(i) * 0.001, -122.43).unwrap();
+                    Record::new(Seconds::new(f64::from(i) * 30.0), location)
+                })
+                .collect(),
+        )
+        .unwrap();
+        let pipeline = Pipeline::new()
+            .then_boxed(Box::new(GridCloaking::new(Meters::new(500.0)).unwrap()))
+            .then_boxed(Box::new(GridCloaking::new(Meters::new(120.0)).unwrap()));
+        let release = |seed| pipeline.protect_one(&t, &mut StdRng::seed_from_u64(seed)).unwrap();
+        assert_eq!(release(1), release(2));
+        assert_eq!(release(1).len(), t.len());
     }
 
     #[test]
@@ -256,7 +270,7 @@ mod tests {
             vec![Record::new(Seconds::new(0.0), GeoPoint::new(37.77, -122.42).unwrap())],
         )
         .unwrap();
-        let pipeline = Pipeline::new().then(Withhold::EveryNth(4));
+        let pipeline = Pipeline::new().then_boxed(Box::new(Withhold::EveryNth(4)));
         assert_eq!(pipeline.protect_one(&t, &mut rng).unwrap().len(), 1);
     }
 }

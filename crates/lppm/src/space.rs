@@ -30,7 +30,7 @@ use std::fmt;
 ///     ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)?,
 /// ])?;
 /// assert_eq!(space.len(), 2);
-/// let point = space.point(&[("epsilon", 0.01), ("cell_size", 500.0)])?;
+/// let point = space.point_from_coords(&[0.01, 500.0])?;
 /// assert_eq!(point.get("epsilon"), Some(0.01));
 /// # Ok(())
 /// # }
@@ -107,46 +107,6 @@ impl ConfigSpace {
             [axis] => Some(axis),
             _ => None,
         }
-    }
-
-    /// Builds a validated point from named values. Every axis must be given
-    /// exactly once; order does not matter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LppmError::InvalidParameter`] for unknown or duplicate
-    /// names, missing axes, or values outside an axis range.
-    pub fn point(&self, values: &[(&str, f64)]) -> Result<ConfigPoint, LppmError> {
-        if values.len() != self.axes.len() {
-            return Err(LppmError::InvalidParameter {
-                name: "point",
-                value: values.len() as f64,
-                reason: "a configuration point must give every axis exactly one value",
-            });
-        }
-        let mut coords = Vec::with_capacity(self.axes.len());
-        for axis in &self.axes {
-            let mut matches = values.iter().filter(|(name, _)| *name == axis.name());
-            let value = match (matches.next(), matches.next()) {
-                (Some(&(_, value)), None) => value,
-                (Some(_), Some(_)) => {
-                    return Err(LppmError::InvalidParameter {
-                        name: "point",
-                        value: f64::NAN,
-                        reason: "an axis was given more than one value",
-                    })
-                }
-                (None, _) => {
-                    return Err(LppmError::InvalidParameter {
-                        name: "point",
-                        value: f64::NAN,
-                        reason: "a named value does not match any axis of the space",
-                    })
-                }
-            };
-            coords.push(value);
-        }
-        self.point_from_coords(&coords)
     }
 
     /// Builds a validated point from positional values (axis order).
@@ -339,7 +299,7 @@ impl fmt::Display for ConfigSpace {
 /// every axis, in axis order.
 ///
 /// Points are normally constructed through their space
-/// ([`ConfigSpace::point`], [`ConfigSpace::grid`], …), so holding such a
+/// ([`ConfigSpace::point_from_coords`], [`ConfigSpace::grid`], …), so holding such a
 /// `ConfigPoint` means the coordinates were range-checked against the axes.
 /// The one exception is [`ConfigPoint::from_named`], the wire-format
 /// deserialization entry, whose points carry no validation guarantee until a
@@ -453,8 +413,8 @@ mod tests {
     #[test]
     fn named_points_are_validated_and_ordered() {
         let space = two_d();
-        // Order-insensitive construction, axis-ordered storage.
-        let point = space.point(&[("cell_size", 500.0), ("epsilon", 0.01)]).unwrap();
+        // Axis-ordered construction and storage.
+        let point = space.point_from_coords(&[0.01, 500.0]).unwrap();
         assert_eq!(point.coords(), vec![0.01, 500.0]);
         assert_eq!(point.get("epsilon"), Some(0.01));
         assert_eq!(point.get("nope"), None);
@@ -464,17 +424,14 @@ mod tests {
         assert!(space.contains(&point));
         assert!(space.check(&point).is_ok());
 
-        // Out of range, unknown name, duplicate name, missing axis.
-        assert!(space.point(&[("epsilon", 2.0), ("cell_size", 500.0)]).is_err());
-        assert!(space.point(&[("sigma", 0.01), ("cell_size", 500.0)]).is_err());
-        assert!(space.point(&[("epsilon", 0.01), ("epsilon", 0.02)]).is_err());
-        assert!(space.point(&[("epsilon", 0.01)]).is_err());
+        // Out of range, missing axis.
+        assert!(space.point_from_coords(&[2.0, 500.0]).is_err());
         assert!(space.point_from_coords(&[0.01]).is_err());
         assert!(space.point_from_coords(&[0.01, 1e9]).is_err());
 
         // A point from another space is rejected by check().
         let other = ConfigSpace::single(epsilon());
-        let foreign = other.point(&[("epsilon", 0.01)]).unwrap();
+        let foreign = other.point_from_coords(&[0.01]).unwrap();
         assert!(!space.contains(&foreign));
         assert!(space.check(&foreign).is_err());
         assert_eq!(foreign.single(), Some(0.01));
@@ -557,7 +514,7 @@ mod tests {
             ("epsilon".to_string(), 0.01),
             ("cell_size".to_string(), 500.0),
         ]);
-        assert_eq!(wire, space.point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap());
+        assert_eq!(wire, space.point_from_coords(&[0.01, 500.0]).unwrap());
         assert!(space.check(&wire).is_ok());
         // Tampered wire data constructs fine but fails the space check —
         // exactly the deferred-validation contract the serving layer uses.
@@ -574,8 +531,8 @@ mod tests {
         assert!(space.cache_token().contains("cell_size"));
         assert_ne!(space.cache_token(), ConfigSpace::single(epsilon()).cache_token());
 
-        let a = space.point(&[("epsilon", 0.01), ("cell_size", 500.0)]).unwrap();
-        let b = space.point(&[("epsilon", 0.01), ("cell_size", 500.0000001)]).unwrap();
+        let a = space.point_from_coords(&[0.01, 500.0]).unwrap();
+        let b = space.point_from_coords(&[0.01, 500.0000001]).unwrap();
         assert_eq!(a.cache_token(), a.clone().cache_token());
         assert_ne!(a.cache_token(), b.cache_token());
 

@@ -145,8 +145,13 @@ mod tests {
     #[test]
     fn pipelines_stream_bit_identically() {
         let cloaking = GridCloaking::new(Meters::new(500.0)).unwrap();
-        assert_stream_matches_offline(&Pipeline::new().then(geoi(0.01)).then(cloaking), 4);
-        let thinned = Pipeline::new().then(Withhold::EveryNth(2)).then(geoi(0.01));
+        assert_stream_matches_offline(
+            &Pipeline::new().then_boxed(Box::new(geoi(0.01))).then_boxed(Box::new(cloaking)),
+            4,
+        );
+        let thinned = Pipeline::new()
+            .then_boxed(Box::new(Withhold::EveryNth(2)))
+            .then_boxed(Box::new(geoi(0.01)));
         assert_eq!(assert_stream_matches_offline(&thinned, 3), 20);
     }
 
@@ -165,10 +170,12 @@ mod tests {
         // record at a time through both, offline too, so the stream
         // reproduces the offline release.
         let pipeline = Pipeline::new()
-            .then(geoi(0.01))
-            .then(GaussianPerturbation::new(Meters::new(50.0)).unwrap());
+            .then_boxed(Box::new(geoi(0.01)))
+            .then_boxed(Box::new(GaussianPerturbation::new(Meters::new(50.0)).unwrap()));
         assert_eq!(assert_stream_matches_offline(&pipeline, 3), 0);
-        let thinned = Pipeline::new().then(Withhold::Sample(0.5)).then(geoi(0.02));
+        let thinned = Pipeline::new()
+            .then_boxed(Box::new(Withhold::Sample(0.5)))
+            .then_boxed(Box::new(geoi(0.02)));
         assert_stream_matches_offline(&thinned, 8);
     }
 
@@ -178,7 +185,7 @@ mod tests {
         let t = trace();
         let mut a = open_stream(&lppm, 1);
         let mut b = open_stream(&lppm, 2);
-        let record = t.first();
+        let record = t.view().first();
         assert_ne!(a.push(record), b.push(record));
     }
 

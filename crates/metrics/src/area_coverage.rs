@@ -109,16 +109,6 @@ impl AreaCoverage {
         }
         Ok(Self { cell_size, similarity })
     }
-
-    /// The city-block cell size.
-    pub fn cell_size(&self) -> Meters {
-        self.cell_size
-    }
-
-    /// The configured similarity mode.
-    pub fn similarity(&self) -> CoverageSimilarity {
-        self.similarity
-    }
 }
 
 impl Metric for AreaCoverage {
@@ -197,10 +187,10 @@ mod tests {
             .is_err());
         let m = AreaCoverage::default();
         assert_eq!(m.name(), "area-coverage");
-        assert_eq!(m.cell_size().as_f64(), 200.0);
-        assert_eq!(m.similarity(), CoverageSimilarity::AreaRatio);
+        assert_eq!(m.cell_size.as_f64(), 200.0);
+        assert_eq!(m.similarity, CoverageSimilarity::AreaRatio);
         assert_eq!(cell_f1().name(), "area-coverage-f1");
-        assert_eq!(cell_f1().similarity(), CoverageSimilarity::CellF1);
+        assert_eq!(cell_f1().similarity, CoverageSimilarity::CellF1);
     }
 
     #[test]
@@ -287,7 +277,7 @@ mod tests {
     #[test]
     fn mismatched_datasets_are_rejected() {
         let a = taxi_dataset(35);
-        let b = a.take(2).unwrap();
+        let b = a.user_slice(0..2).unwrap();
         assert!(matches!(
             AreaCoverage::default().evaluate(&a, &b),
             Err(MetricError::DatasetMismatch { .. })
@@ -304,7 +294,7 @@ mod tests {
         for metric in [AreaCoverage::default(), cell_f1()] {
             // The grid metrics use the default passthrough prepare.
             let prepared = metric.prepare(&actual).unwrap();
-            assert!(prepared.is_empty());
+            assert!(format!("{prepared:?}").contains("prepared: false"));
             let direct = metric.evaluate(&actual, &protected).unwrap();
             let via_prepared = metric.evaluate_prepared(&prepared, &actual, &protected).unwrap();
             assert_eq!(direct, via_prepared, "{}", metric.name());

@@ -80,41 +80,17 @@ impl MeanDistortion {
 ///
 /// `scale` is the displacement at which utility has dropped to one half
 /// (200 m — a city block — by default).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DistortionUtility {
-    scale: Meters,
+    _private: (),
 }
 
-impl Default for DistortionUtility {
-    fn default() -> Self {
-        Self { scale: Meters::new(200.0) }
-    }
-}
+/// The displacement at which utility is one half, in meters.
+const SCALE_M: f64 = 200.0;
 
 impl DistortionUtility {
     /// The metric's id/name inside suites and sweep results.
     pub const ID: &'static str = "distortion-utility";
-
-    /// Creates the metric with an explicit half-utility displacement scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidParameter`] for a non-positive scale.
-    pub fn new(scale: Meters) -> Result<Self, MetricError> {
-        if !(scale.as_f64().is_finite() && scale.as_f64() > 0.0) {
-            return Err(MetricError::InvalidParameter {
-                name: "scale",
-                value: scale.as_f64(),
-                reason: "distortion scale must be finite and strictly positive",
-            });
-        }
-        Ok(Self { scale })
-    }
-
-    /// The half-utility displacement scale.
-    pub fn scale(&self) -> Meters {
-        self.scale
-    }
 }
 
 impl Metric for DistortionUtility {
@@ -134,7 +110,7 @@ impl Metric for DistortionUtility {
             .iter()
             .map(|&(a, p)| {
                 let d = MeanDistortion::of_traces(a, p).as_f64();
-                (a.user(), 1.0 / (1.0 + d / self.scale.as_f64()))
+                (a.user(), 1.0 / (1.0 + d / SCALE_M))
             })
             .collect();
         MetricValue::from_per_user(per_user)
@@ -144,7 +120,7 @@ impl Metric for DistortionUtility {
     // protected record matched by timestamp), so there is no actual-only
     // state worth preparing: the default passthrough `prepare` applies.
     fn cache_key(&self) -> String {
-        format!("distortion-utility/scale={}", self.scale.as_f64())
+        format!("distortion-utility/scale={SCALE_M}")
     }
 }
 
@@ -188,7 +164,8 @@ mod tests {
 
     #[test]
     fn distortion_utility_is_half_at_the_scale() {
-        // Construct a protected trace exactly 300 m east of the actual one.
+        // Construct a protected trace exactly 200 m (the scale) east of the
+        // actual one.
         let base = GeoPoint::new(37.77, -122.42).unwrap();
         let records: Vec<Record> =
             (0..10).map(|i| Record::new(Seconds::new(i as f64 * 60.0), base)).collect();
@@ -198,7 +175,7 @@ mod tests {
             ])
             .unwrap();
         let proj = geopriv_geo::LocalProjection::centered_on(base);
-        let moved = proj.unproject(proj.project(base).translated(300.0, 0.0));
+        let moved = proj.unproject(proj.project(base).translated(200.0, 0.0));
         let protected_records: Vec<Record> =
             records.iter().map(|r| Record::new(r.timestamp(), moved)).collect();
         let protected =
@@ -207,13 +184,10 @@ mod tests {
             ])
             .unwrap();
 
-        let u = DistortionUtility::new(Meters::new(300.0))
-            .unwrap()
-            .evaluate(&actual, &protected)
-            .unwrap();
+        let u = DistortionUtility::default().evaluate(&actual, &protected).unwrap();
         assert!((u.value() - 0.5).abs() < 0.01, "got {}", u.value());
         let d = MeanDistortion::new().of_datasets(&actual, &protected).unwrap();
-        assert!((d.as_f64() - 300.0).abs() < 2.0);
+        assert!((d.as_f64() - 200.0).abs() < 2.0);
     }
 
     #[test]
@@ -257,13 +231,10 @@ mod tests {
 
     #[test]
     fn validation_and_mismatch_errors() {
-        assert!(DistortionUtility::new(Meters::new(0.0)).is_err());
-        assert!(DistortionUtility::new(Meters::new(-5.0)).is_err());
         let a = taxi_dataset(44);
-        let b = a.take(1).unwrap();
+        let b = a.user_slice(0..1).unwrap();
         assert!(MeanDistortion::new().of_datasets(&a, &b).is_err());
         assert!(DistortionUtility::default().evaluate(&a, &b).is_err());
         assert_eq!(DistortionUtility::default().name(), "distortion-utility");
-        assert_eq!(DistortionUtility::default().scale().as_f64(), 200.0);
     }
 }

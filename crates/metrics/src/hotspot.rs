@@ -35,62 +35,27 @@ use std::collections::BTreeSet;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct HotspotPreservation {
-    cell_size: Meters,
-    top_k: usize,
+    _private: (),
 }
 
-impl Default for HotspotPreservation {
-    fn default() -> Self {
-        Self { cell_size: Meters::new(200.0), top_k: 5 }
-    }
-}
+/// Side of a city block the visits are counted on, in meters.
+const CELL_SIZE_M: f64 = 200.0;
+
+/// Number of most-visited cells compared per user.
+const TOP_K: usize = 5;
 
 impl HotspotPreservation {
     /// The metric's id/name inside suites and sweep results.
     pub const ID: &'static str = "hotspot-preservation";
-
-    /// Creates the metric with an explicit cell size and top-`k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidParameter`] for a non-positive cell size
-    /// or `k = 0`.
-    pub fn new(cell_size: Meters, top_k: usize) -> Result<Self, MetricError> {
-        if !(cell_size.as_f64().is_finite() && cell_size.as_f64() > 0.0) {
-            return Err(MetricError::InvalidParameter {
-                name: "cell_size",
-                value: cell_size.as_f64(),
-                reason: "cell size must be finite and strictly positive",
-            });
-        }
-        if top_k == 0 {
-            return Err(MetricError::InvalidParameter {
-                name: "top_k",
-                value: 0.0,
-                reason: "at least one hotspot must be compared",
-            });
-        }
-        Ok(Self { cell_size, top_k })
-    }
-
-    /// The city-block cell size.
-    pub fn cell_size(&self) -> Meters {
-        self.cell_size
-    }
-
-    /// The number of top cells compared.
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
 
     fn top_cells(&self, grid: &Grid, trace: TraceView<'_>) -> BTreeSet<CellId> {
         let histogram = grid.histogram(trace.iter().map(|r| r.location()));
         let mut cells: Vec<(CellId, usize)> = histogram.into_iter().collect();
         // Sort by decreasing count, breaking ties by cell id for determinism.
         cells.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        cells.into_iter().take(self.top_k).map(|(cell, _)| cell).collect()
+        cells.into_iter().take(TOP_K).map(|(cell, _)| cell).collect()
     }
 }
 
@@ -111,7 +76,7 @@ impl Metric for HotspotPreservation {
         let pairs = actual
             .paired_with(protected)
             .map_err(|e| MetricError::DatasetMismatch { reason: e.to_string() })?;
-        let grid = Grid::new(combined_bounds(actual, protected)?, self.cell_size)?;
+        let grid = Grid::new(combined_bounds(actual, protected)?, Meters::new(CELL_SIZE_M))?;
 
         let mut per_user = Vec::with_capacity(pairs.len());
         for (actual_trace, protected_trace) in pairs {
@@ -128,15 +93,17 @@ impl Metric for HotspotPreservation {
     }
 
     fn cache_key(&self) -> String {
-        format!("hotspot-preservation/cell={}/k={}", self.cell_size.as_f64(), self.top_k)
+        format!("hotspot-preservation/cell={CELL_SIZE_M}/k={TOP_K}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geopriv_geo::{BoundingBox, GeoPoint, Seconds};
     use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm, Pipeline};
     use geopriv_mobility::generator::TaxiFleetBuilder;
+    use geopriv_mobility::{Record, Trace, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -145,16 +112,20 @@ mod tests {
         TaxiFleetBuilder::new().drivers(3).duration_hours(6.0).build(&mut rng).unwrap()
     }
 
-    #[test]
-    fn construction_validation() {
-        assert!(HotspotPreservation::new(Meters::new(200.0), 5).is_ok());
-        assert!(HotspotPreservation::new(Meters::new(0.0), 5).is_err());
-        assert!(HotspotPreservation::new(Meters::new(200.0), 0).is_err());
-        assert!(HotspotPreservation::new(Meters::new(f64::NAN), 3).is_err());
-        let m = HotspotPreservation::default();
-        assert_eq!(m.name(), "hotspot-preservation");
-        assert_eq!(m.cell_size().as_f64(), 200.0);
-        assert_eq!(m.top_k(), 5);
+    /// Places about 1.1 km apart on one meridian, so no two share a cell.
+    fn places(n: usize) -> Vec<GeoPoint> {
+        (0..n).map(|i| GeoPoint::new(37.70 + i as f64 * 0.01, -122.45).unwrap()).collect()
+    }
+
+    /// A one-user dataset that visits `places[i]` `counts[i]` times, in order.
+    fn visits(places: &[GeoPoint], counts: &[usize]) -> Dataset {
+        let mut records = Vec::new();
+        for (&place, &count) in places.iter().zip(counts) {
+            for _ in 0..count {
+                records.push(Record::new(Seconds::new(records.len() as f64 * 60.0), place));
+            }
+        }
+        Dataset::new(vec![Trace::new(UserId::new(1), records).unwrap()]).unwrap()
     }
 
     #[test]
@@ -186,11 +157,40 @@ mod tests {
     #[test]
     fn mismatched_datasets_are_rejected() {
         let a = taxi_dataset(53);
-        let b = a.take(1).unwrap();
+        let b = a.user_slice(0..1).unwrap();
         assert!(matches!(
             HotspotPreservation::default().evaluate(&a, &b),
             Err(MetricError::DatasetMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn the_five_most_visited_cells_are_compared() {
+        let p = places(8);
+        let counts = [7, 6, 5, 4, 3, 2, 1];
+        let actual = visits(&p[..7], &counts);
+        let preservation = |moved: usize| {
+            let mut released = p[..7].to_vec();
+            released[moved] = p[7];
+            let protected = visits(&released, &counts);
+            HotspotPreservation::default().evaluate(&actual, &protected).unwrap().value()
+        };
+        // Moving the most visited place loses one hotspot of five...
+        assert_eq!(preservation(0), 0.8);
+        // ...and moving the sixth loses none: it is not a hotspot.
+        assert_eq!(preservation(5), 1.0);
+    }
+
+    #[test]
+    fn ties_keep_the_lowest_cell_ids() {
+        let bounds = BoundingBox::new(37.69, -122.46, 37.80, -122.44).unwrap();
+        let grid = Grid::new(bounds, Meters::new(CELL_SIZE_M)).unwrap();
+        let p = places(7);
+        let dataset = visits(&p, &[1; 7]);
+        let top = HotspotPreservation::default().top_cells(&grid, dataset.trace_at(0));
+        let mut cells: Vec<CellId> = p.iter().map(|&x| grid.cell_of(x)).collect();
+        cells.sort();
+        assert_eq!(top, cells[..5].iter().copied().collect());
     }
 
     #[test]
@@ -203,13 +203,9 @@ mod tests {
         let metric = HotspotPreservation::default();
         // The grid metrics use the default passthrough prepare.
         let prepared = metric.prepare(&actual).unwrap();
-        assert!(prepared.is_empty());
+        assert!(format!("{prepared:?}").contains("prepared: false"));
         let direct = metric.evaluate(&actual, &protected).unwrap();
         let via_prepared = metric.evaluate_prepared(&prepared, &actual, &protected).unwrap();
         assert_eq!(direct, via_prepared);
-        assert_ne!(
-            HotspotPreservation::new(Meters::new(200.0), 3).unwrap().cache_key(),
-            metric.cache_key()
-        );
     }
 }

@@ -7,7 +7,6 @@
 //! records that stay within `max_diameter` of the run's first record for at
 //! least `min_dwell` time.
 
-use crate::error::MetricError;
 use geopriv_geo::{distance, GeoPoint, LocalProjection, Meters, Point, Seconds};
 use geopriv_mobility::TraceView;
 use serde::{Deserialize, Serialize};
@@ -23,13 +22,6 @@ pub struct Poi {
     pub end: Seconds,
     /// Number of records forming the stop.
     pub record_count: usize,
-}
-
-impl Poi {
-    /// Duration of the stop.
-    pub fn duration(&self) -> Seconds {
-        self.end - self.start
-    }
 }
 
 /// Stay-point POI extractor.
@@ -54,50 +46,26 @@ impl Poi {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PoiExtractor {
-    min_dwell: Seconds,
-    max_diameter: Meters,
+    _private: (),
 }
 
-impl Default for PoiExtractor {
-    fn default() -> Self {
-        Self { min_dwell: Seconds::from_minutes(15.0), max_diameter: Meters::new(200.0) }
-    }
-}
+/// Minimum dwell time for a stop to count as a POI, in minutes.
+const MIN_DWELL_MIN: f64 = 15.0;
+
+/// Maximum spatial extent of a stop, in meters.
+const MAX_DIAMETER_M: f64 = 200.0;
 
 impl PoiExtractor {
-    /// Creates an extractor with explicit clustering thresholds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidParameter`] for non-positive thresholds.
-    pub fn new(min_dwell: Seconds, max_diameter: Meters) -> Result<Self, MetricError> {
-        if !(min_dwell.as_f64().is_finite() && min_dwell.as_f64() > 0.0) {
-            return Err(MetricError::InvalidParameter {
-                name: "min_dwell",
-                value: min_dwell.as_f64(),
-                reason: "minimum dwell time must be finite and strictly positive",
-            });
-        }
-        if !(max_diameter.as_f64().is_finite() && max_diameter.as_f64() > 0.0) {
-            return Err(MetricError::InvalidParameter {
-                name: "max_diameter",
-                value: max_diameter.as_f64(),
-                reason: "maximum stop diameter must be finite and strictly positive",
-            });
-        }
-        Ok(Self { min_dwell, max_diameter })
-    }
-
     /// Minimum dwell time for a stop to count as a POI.
     pub fn min_dwell(&self) -> Seconds {
-        self.min_dwell
+        Seconds::from_minutes(MIN_DWELL_MIN)
     }
 
     /// Maximum spatial extent of a stop.
     pub fn max_diameter(&self) -> Meters {
-        self.max_diameter
+        Meters::new(MAX_DIAMETER_M)
     }
 
     /// Extracts the POIs of a trace, in chronological order.
@@ -117,14 +85,12 @@ impl PoiExtractor {
             // Extend the candidate stay as long as records remain within
             // max_diameter of the anchor record i.
             let mut j = i + 1;
-            while j < n
-                && projected[j].distance_to(projected[i]).as_f64() <= self.max_diameter.as_f64()
-            {
+            while j < n && projected[j].distance_to(projected[i]).as_f64() <= MAX_DIAMETER_M {
                 j += 1;
             }
             // Records i..j stay near the anchor; check the dwell duration.
             let dwell = Seconds::new(timestamps[j - 1]) - Seconds::new(timestamps[i]);
-            if dwell >= self.min_dwell {
+            if dwell >= self.min_dwell() {
                 let centroid_planar =
                     geopriv_geo::point::centroid(&projected[i..j]).expect("run is non-empty");
                 pois.push(Poi {
@@ -151,8 +117,7 @@ impl PoiExtractor {
         let mut merged: Vec<Poi> = Vec::new();
         for poi in pois {
             match merged.iter_mut().find(|existing| {
-                distance::haversine(existing.location, poi.location).as_f64()
-                    <= self.max_diameter.as_f64()
+                distance::haversine(existing.location, poi.location).as_f64() <= MAX_DIAMETER_M
             }) {
                 Some(existing) => {
                     // Merge: weight centroids by record count, accumulate counts.
@@ -216,10 +181,6 @@ mod tests {
 
     #[test]
     fn extractor_validation() {
-        assert!(PoiExtractor::new(Seconds::from_minutes(10.0), Meters::new(100.0)).is_ok());
-        assert!(PoiExtractor::new(Seconds::new(0.0), Meters::new(100.0)).is_err());
-        assert!(PoiExtractor::new(Seconds::new(60.0), Meters::new(0.0)).is_err());
-        assert!(PoiExtractor::new(Seconds::new(f64::NAN), Meters::new(100.0)).is_err());
         let e = PoiExtractor::default();
         assert_eq!(e.min_dwell(), Seconds::from_minutes(15.0));
         assert_eq!(e.max_diameter().as_f64(), 200.0);
@@ -235,7 +196,7 @@ mod tests {
         assert!(distance::haversine(pois[1].location, gp(37.7800, -122.4200)).as_f64() < 50.0);
         // Both stops lasted about 30 minutes.
         for poi in &pois {
-            assert!(poi.duration().as_f64() >= 25.0 * 60.0);
+            assert!((poi.end - poi.start).as_f64() >= 25.0 * 60.0);
             assert!(poi.record_count >= 55);
             assert!(poi.start < poi.end);
         }

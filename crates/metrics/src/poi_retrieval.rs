@@ -77,12 +77,12 @@ impl PoiRetrieval {
     /// The metric's id/name inside suites and sweep results.
     pub const ID: &'static str = "poi-retrieval";
 
-    /// Creates the metric with an explicit extractor and match radius.
+    /// Creates the metric with an explicit match radius.
     ///
     /// # Errors
     ///
     /// Returns [`MetricError::InvalidParameter`] for a non-positive radius.
-    pub fn new(extractor: PoiExtractor, match_radius: Meters) -> Result<Self, MetricError> {
+    pub fn new(match_radius: Meters) -> Result<Self, MetricError> {
         if !(match_radius.as_f64().is_finite() && match_radius.as_f64() > 0.0) {
             return Err(MetricError::InvalidParameter {
                 name: "match_radius",
@@ -90,17 +90,7 @@ impl PoiRetrieval {
                 reason: "match radius must be finite and strictly positive",
             });
         }
-        Ok(Self { extractor, match_radius })
-    }
-
-    /// The POI extractor used on both the actual and protected traces.
-    pub fn extractor(&self) -> PoiExtractor {
-        self.extractor
-    }
-
-    /// The matching radius under which an actual POI counts as retrieved.
-    pub fn match_radius(&self) -> Meters {
-        self.match_radius
+        Ok(Self { extractor: PoiExtractor::default(), match_radius })
     }
 
     /// Retrieval proportion for one user: fraction of her actual POIs with a
@@ -247,13 +237,13 @@ mod tests {
 
     #[test]
     fn construction_validates_radius() {
-        assert!(PoiRetrieval::new(PoiExtractor::default(), Meters::new(100.0)).is_ok());
-        assert!(PoiRetrieval::new(PoiExtractor::default(), Meters::new(0.0)).is_err());
-        assert!(PoiRetrieval::new(PoiExtractor::default(), Meters::new(f64::NAN)).is_err());
+        assert!(PoiRetrieval::new(Meters::new(100.0)).is_ok());
+        assert!(PoiRetrieval::new(Meters::new(0.0)).is_err());
+        assert!(PoiRetrieval::new(Meters::new(f64::NAN)).is_err());
         let metric = PoiRetrieval::default();
         assert_eq!(metric.name(), "poi-retrieval");
-        assert_eq!(metric.match_radius().as_f64(), 200.0);
-        assert_eq!(metric.extractor().max_diameter().as_f64(), 200.0);
+        assert_eq!(metric.match_radius.as_f64(), 200.0);
+        assert_eq!(metric.extractor.max_diameter().as_f64(), 200.0);
         assert!(metric.cache_key().contains("radius=200"));
     }
 
@@ -372,14 +362,14 @@ mod tests {
             .unwrap();
         let metric = PoiRetrieval::default();
         let prepared = metric.prepare(&actual).unwrap();
-        assert!(!prepared.is_empty());
+        assert!(prepared.downcast_ref::<PreparedPois>().is_some());
 
         let direct = metric.evaluate(&actual, &protected).unwrap();
         let via_prepared = metric.evaluate_prepared(&prepared, &actual, &protected).unwrap();
         assert_eq!(direct, via_prepared);
 
         // State prepared for a smaller dataset is rejected.
-        let smaller = actual.take(2).unwrap();
+        let smaller = actual.user_slice(0..2).unwrap();
         let stale = metric.prepare(&smaller).unwrap();
         assert!(matches!(
             metric.evaluate_prepared(&stale, &actual, &protected),
@@ -402,7 +392,7 @@ mod tests {
     #[test]
     fn mismatched_datasets_are_rejected() {
         let a = taxi_dataset(25);
-        let b = a.take(2).unwrap();
+        let b = a.user_slice(0..2).unwrap();
         assert!(matches!(
             PoiRetrieval::default().evaluate(&a, &b),
             Err(MetricError::DatasetMismatch { .. })

@@ -4,13 +4,12 @@
 //! but is explicitly meant to grow: "we also plan to extend our framework
 //! with more metrics and parameters". [`MetricSuite`] is that growth point —
 //! an ordered set of metrics, each addressed by a [`MetricId`] and tagged
-//! with a [`Direction`], so a study can sweep POI retrieval, distortion,
+//! with a [`Direction`](crate::Direction), so a study can sweep POI retrieval, distortion,
 //! area coverage and hotspot preservation side by side instead of forking
 //! the framework per metric pair.
 
 use crate::error::MetricError;
-use crate::traits::{Direction, Metric, MetricValue, PreparedState};
-use geopriv_mobility::Dataset;
+use crate::traits::Metric;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -80,59 +79,16 @@ impl SuiteMetric {
     pub fn id(&self) -> MetricId {
         MetricId::new(self.name())
     }
+}
 
-    /// The underlying metric's human-readable name.
-    pub fn name(&self) -> &str {
-        self.metric.name()
-    }
+/// A suite entry is used as the metric it wraps: `name`, `direction`,
+/// `evaluate`, `prepare`, `evaluate_prepared` and `cache_key` resolve on
+/// the `dyn Metric`.
+impl std::ops::Deref for SuiteMetric {
+    type Target = dyn Metric;
 
-    /// Which way this metric improves.
-    pub fn direction(&self) -> Direction {
-        self.metric.direction()
-    }
-
-    /// Evaluates the metric on an actual/protected dataset pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying metric's errors.
-    pub fn evaluate(
-        &self,
-        actual: &Dataset,
-        protected: &Dataset,
-    ) -> Result<MetricValue, MetricError> {
-        self.metric.evaluate(actual, protected)
-    }
-
-    /// Precomputes the metric's actual-side state (see [`Metric::prepare`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying metric's errors.
-    pub fn prepare(&self, actual: &Dataset) -> Result<PreparedState, MetricError> {
-        self.metric.prepare(actual)
-    }
-
-    /// Evaluates the metric against prepared actual-side state (bit-identical
-    /// to [`SuiteMetric::evaluate`] by the [`Metric`] contract).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying metric's errors.
-    pub fn evaluate_prepared(
-        &self,
-        prepared: &PreparedState,
-        actual: &Dataset,
-        protected: &Dataset,
-    ) -> Result<MetricValue, MetricError> {
-        self.metric.evaluate_prepared(prepared, actual, protected)
-    }
-
-    /// The underlying metric's configuration cache key (see
-    /// [`Metric::cache_key`]), used to share prepared state between
-    /// identically configured metrics.
-    pub fn cache_key(&self) -> String {
-        self.metric.cache_key()
+    fn deref(&self) -> &Self::Target {
+        &*self.metric
     }
 }
 
@@ -160,7 +116,7 @@ impl fmt::Debug for SuiteMetric {
 ///     SuiteMetric::new(AreaCoverage::default()),
 /// ])?;
 /// assert_eq!(suite.len(), 2);
-/// assert!(suite.get(&"poi-retrieval".into()).is_some());
+/// assert!(suite.iter().any(|metric| metric.id() == "poi-retrieval"));
 /// # Ok(())
 /// # }
 /// ```
@@ -201,24 +157,9 @@ impl MetricSuite {
         self.metrics.len()
     }
 
-    /// The metrics, in suite order.
-    pub fn metrics(&self) -> &[SuiteMetric] {
-        &self.metrics
-    }
-
     /// Iterates over the metrics in suite order.
     pub fn iter(&self) -> impl Iterator<Item = &SuiteMetric> {
         self.metrics.iter()
-    }
-
-    /// The metric ids, in suite order.
-    pub fn ids(&self) -> Vec<MetricId> {
-        self.metrics.iter().map(SuiteMetric::id).collect()
-    }
-
-    /// Looks a metric up by id.
-    pub fn get(&self, id: &MetricId) -> Option<&SuiteMetric> {
-        self.metrics.iter().find(|m| &m.id() == id)
     }
 }
 
@@ -232,9 +173,11 @@ impl fmt::Debug for MetricSuite {
 mod tests {
     use super::*;
     use crate::{
-        AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, PoiRetrieval,
+        AreaCoverage, CoverageSimilarity, Direction, DistortionUtility, HotspotPreservation,
+        PoiRetrieval,
     };
     use geopriv_geo::Meters;
+    use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -270,14 +213,13 @@ mod tests {
         let suite = paper_suite();
         assert_eq!(suite.len(), 2);
         assert_eq!(
-            suite.ids(),
+            suite.iter().map(SuiteMetric::id).collect::<Vec<_>>(),
             vec![MetricId::new("poi-retrieval"), MetricId::new("area-coverage")]
         );
-        assert_eq!(suite.metrics()[0].direction(), Direction::LowerIsBetter);
-        assert_eq!(suite.metrics()[1].direction(), Direction::HigherIsBetter);
-        assert!(suite.get(&"nope".into()).is_none());
+        assert_eq!(suite.metrics[0].direction(), Direction::LowerIsBetter);
+        assert_eq!(suite.metrics[1].direction(), Direction::HigherIsBetter);
         assert!(format!("{suite:?}").contains("poi-retrieval"));
-        assert!(format!("{:?}", suite.metrics()[0]).contains("LowerIsBetter"));
+        assert!(format!("{:?}", suite.metrics[0]).contains("LowerIsBetter"));
     }
 
     #[test]
@@ -329,5 +271,24 @@ mod tests {
             let via_prepared = metric.evaluate_prepared(&prepared, &dataset, &dataset).unwrap();
             assert_eq!(direct, via_prepared);
         }
+    }
+
+    #[test]
+    fn a_suite_metric_measures_what_its_metric_measures() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let actual =
+            TaxiFleetBuilder::new().drivers(2).duration_hours(3.0).build(&mut rng).unwrap();
+        let protected = GeoIndistinguishability::new(Epsilon::new(0.01).unwrap())
+            .protect_dataset(&actual, &mut rng)
+            .unwrap();
+        let bare = DistortionUtility::default();
+        let wrapped = SuiteMetric::boxed(Box::new(DistortionUtility::default()));
+        assert_eq!((wrapped.name(), wrapped.direction()), (bare.name(), bare.direction()));
+        assert_eq!(wrapped.id(), MetricId::new(DistortionUtility::ID));
+        assert_eq!(wrapped.cache_key(), bare.cache_key());
+        assert_eq!(
+            wrapped.evaluate(&actual, &protected).unwrap(),
+            bare.evaluate(&actual, &protected).unwrap()
+        );
     }
 }

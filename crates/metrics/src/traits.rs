@@ -71,11 +71,6 @@ impl PreparedState {
         Self(None)
     }
 
-    /// Returns `true` when no state was prepared.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
     /// Borrows the prepared value as `T`, or `None` if this state is empty or
     /// was prepared by a different metric type.
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
@@ -306,11 +301,6 @@ impl MetricValue {
         &self.per_user
     }
 
-    /// The evaluated users, in breakdown order.
-    pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.per_user.iter().map(|(user, _)| *user)
-    }
-
     /// The value measured for one user, or `None` if the metric excluded
     /// that user.
     pub fn value_for(&self, user: UserId) -> Option<f64> {
@@ -403,7 +393,7 @@ mod tests {
         assert_eq!(v.evaluated_count(), 3);
         assert_eq!(v.per_user().len(), 3);
         assert_eq!(
-            v.users().collect::<Vec<_>>(),
+            v.per_user().iter().map(|&(user, _)| user).collect::<Vec<_>>(),
             vec![UserId::new(1), UserId::new(2), UserId::new(3)]
         );
         assert_eq!(v.value_for(UserId::new(2)), Some(0.3));
@@ -442,7 +432,6 @@ mod tests {
         assert_eq!(v.value(), 0.0);
         assert_eq!(v.evaluated_count(), 0);
         assert!(v.per_user().is_empty());
-        assert_eq!(v.users().count(), 0);
         assert_eq!(v.value_for(UserId::new(1)), None);
         assert!(v.to_string().contains("0 users"));
     }
@@ -450,12 +439,12 @@ mod tests {
     #[test]
     fn prepared_state_wraps_and_downcasts() {
         let empty = PreparedState::empty();
-        assert!(empty.is_empty());
+        assert!(empty.0.is_none());
         assert!(empty.downcast_ref::<u32>().is_none());
         assert!(format!("{empty:?}").contains("false"));
 
         let state = PreparedState::new(vec![1u32, 2, 3]);
-        assert!(!state.is_empty());
+        assert!(state.0.is_some());
         assert_eq!(state.downcast_ref::<Vec<u32>>(), Some(&vec![1u32, 2, 3]));
         // Downcasting to the wrong type fails instead of panicking.
         assert!(state.downcast_ref::<String>().is_none());
@@ -511,7 +500,7 @@ mod tests {
         let metric = ConstantMetric;
         assert_eq!(metric.cache_key(), "constant");
         let prepared = metric.prepare(&dataset).unwrap();
-        assert!(prepared.is_empty());
+        assert!(prepared.0.is_none());
         let direct = metric.evaluate(&dataset, &dataset).unwrap();
         let via_prepared = metric.evaluate_prepared(&prepared, &dataset, &dataset).unwrap();
         assert_eq!(direct, via_prepared);

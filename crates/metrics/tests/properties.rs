@@ -1,6 +1,6 @@
 //! Property-based tests of the privacy and utility metrics.
 
-use geopriv_geo::{BoundingBox, GeoPoint, Grid, LocalProjection, Meters, Point, Seconds};
+use geopriv_geo::{BoundingBox, GeoPoint, LocalProjection, Meters, Point, Seconds};
 use geopriv_lppm::{
     Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Lppm, Pipeline,
 };
@@ -162,7 +162,7 @@ proptest! {
         prop_assert!(distinct.len() <= pois.len());
         prop_assert!(!distinct.is_empty());
         for poi in &pois {
-            prop_assert!(poi.duration().as_f64() >= 15.0 * 60.0);
+            prop_assert!((poi.end - poi.start).as_f64() >= 15.0 * 60.0);
             prop_assert!(poi.record_count >= dwell.min(16));
         }
     }
@@ -230,12 +230,11 @@ proptest! {
     fn hotspot_preservation_never_exceeds_one_and_identity_is_perfect(
         users in 1usize..4,
         stops in 2usize..6,
-        top_k in 1usize..8,
     ) {
         let actual = dataset(users, stops, 20);
         let mut rng = StdRng::seed_from_u64(3);
         let released = Pipeline::new().protect_dataset(&actual, &mut rng).unwrap();
-        let metric = HotspotPreservation::new(Meters::new(200.0), top_k).unwrap();
+        let metric = HotspotPreservation::default();
         let v = metric.evaluate(&actual, &released).unwrap();
         prop_assert!((v.value() - 1.0).abs() < 1e-9);
     }
@@ -284,7 +283,8 @@ fn metrics_evaluate_datasets_with_several_traces_per_user() {
         assert!((0.0..=1.0).contains(&v.value()), "{}", metric.name());
         // Two users, three traces: the breakdown merges user 1's traces.
         assert_eq!(v.per_user().len(), 2, "{}", metric.name());
-        assert_eq!(v.users().collect::<Vec<_>>(), vec![UserId::new(1), UserId::new(2)]);
+        let users: Vec<UserId> = v.per_user().iter().map(|&(user, _)| user).collect();
+        assert_eq!(users, vec![UserId::new(1), UserId::new(2)]);
     }
     let privacy = PoiRetrieval::default().evaluate(&actual, &protected).unwrap();
     assert!((0.0..=1.0).contains(&privacy.value()));
@@ -309,7 +309,7 @@ fn breakdowns_of_different_metrics_join_by_user_not_position() {
 
     // The privacy breakdown names exactly the users that have POIs…
     assert_eq!(
-        privacy.users().collect::<Vec<_>>(),
+        privacy.per_user().iter().map(|&(user, _)| user).collect::<Vec<_>>(),
         vec![UserId::new(1), UserId::new(3)],
         "excluded user must not appear in the breakdown"
     );
@@ -334,7 +334,8 @@ fn breakdowns_of_different_metrics_join_by_user_not_position() {
 /// vector: one `BTreeSet` of `floor`-computed cells per trace, on a grid
 /// over both datasets' combined bounds.
 fn reference_area_coverage(
-    metric: &AreaCoverage,
+    cell: f64,
+    similarity: CoverageSimilarity,
     actual: &Dataset,
     protected: &Dataset,
 ) -> MetricValue {
@@ -347,17 +348,19 @@ fn reference_area_coverage(
     )
     .unwrap()
     .expanded(0.02);
-    let grid = Grid::new(bounds, metric.cell_size()).unwrap();
     let projection = LocalProjection::centered_on(bounds.south_west());
-    let cell = metric.cell_size().as_f64();
+    // The grid's columns and rows: its projected extent over the cell size,
+    // rounded up.
+    let ne = projection.project(bounds.north_east());
+    let (columns, rows) = ((ne.x() / cell).ceil(), (ne.y() / cell).ceil());
     let cells_of = |trace: &TraceView| -> BTreeSet<(u32, u32)> {
         trace
             .iter()
             .map(|record| {
                 let p = projection.project(record.location());
                 (
-                    (p.x() / cell).floor().clamp(0.0, f64::from(grid.columns() - 1)) as u32,
-                    (p.y() / cell).floor().clamp(0.0, f64::from(grid.rows() - 1)) as u32,
+                    (p.x() / cell).floor().clamp(0.0, columns - 1.0) as u32,
+                    (p.y() / cell).floor().clamp(0.0, rows - 1.0) as u32,
                 )
             })
             .collect()
@@ -368,7 +371,7 @@ fn reference_area_coverage(
         .iter()
         .map(|(actual_trace, protected_trace)| {
             let (a, p) = (cells_of(actual_trace), cells_of(protected_trace));
-            let value = match metric.similarity() {
+            let value = match similarity {
                 CoverageSimilarity::AreaRatio => {
                     let (a, p) = (a.len() as f64, p.len() as f64);
                     if a == 0.0 && p == 0.0 {
@@ -420,9 +423,14 @@ fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
             .collect()
     };
     let check = |actual: &Dataset, protected: &Dataset, label: &str| {
-        for metric in [AreaCoverage::default(), cell_f1()] {
+        let metrics = [
+            (AreaCoverage::default(), CoverageSimilarity::AreaRatio),
+            (cell_f1(), CoverageSimilarity::CellF1),
+        ];
+        for (metric, similarity) in metrics {
             let value = metric.evaluate(actual, protected).unwrap();
-            let reference = reference_area_coverage(&metric, actual, protected);
+            // Both metrics count 200 m cells.
+            let reference = reference_area_coverage(200.0, similarity, actual, protected);
             assert_eq!(bits(&value), bits(&reference), "{} on {label}", metric.name());
             assert_eq!(value, reference, "{} on {label}", metric.name());
         }

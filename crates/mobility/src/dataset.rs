@@ -13,33 +13,10 @@ use std::ops::Range;
 /// columns; a span locates one trace: its owning user plus the half-open
 /// record range `start .. start + len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSpan {
+struct TraceSpan {
     user: UserId,
     start: usize,
     len: usize,
-}
-
-impl TraceSpan {
-    /// The user the spanned trace belongs to.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
-    /// First record index of the span in the dataset columns.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of records in the span.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the span holds no records (never the case for spans
-    /// of a successfully constructed dataset).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// Per-user entry of the dataset's span index: the contiguous run of spans
@@ -61,7 +38,7 @@ struct UserSpans {
 /// # Columnar layout
 ///
 /// All records live in three contiguous `f64` buffers (timestamps,
-/// latitudes, longitudes). A [`TraceSpan`] table maps each trace to its
+/// latitudes, longitudes). A span table maps each trace to its
 /// record range, and a per-user index maps each user to her contiguous run
 /// of spans (traces are sorted by user id at construction). Trace access
 /// hands out zero-copy [`TraceView`]s over the buffers, so the row-oriented
@@ -70,7 +47,7 @@ struct UserSpans {
 /// * [`Dataset::iter`] / [`Dataset::traces`] — iterate [`TraceView`]s;
 /// * [`Dataset::traces_of`] — per-user lookup served from the index
 ///   (binary search, no dataset scan);
-/// * [`Dataset::builder`] — append protected columns trace by trace without
+/// * [`DatasetBuilder`] — append protected columns trace by trace without
 ///   materializing intermediate `Vec<Record>`s.
 ///
 /// # Examples
@@ -140,13 +117,6 @@ impl Dataset {
         builder.finish()
     }
 
-    /// Starts an incremental builder, the columnar way to assemble a dataset
-    /// trace by trace (used by LPPM `protect_dataset` to write protected
-    /// columns directly).
-    pub fn builder() -> DatasetBuilder {
-        DatasetBuilder::new()
-    }
-
     /// The view of the `i`-th trace (traces are sorted by user id).
     ///
     /// # Panics
@@ -171,26 +141,6 @@ impl Dataset {
     /// Iterates over the traces as zero-copy views.
     pub fn iter(&self) -> TraceViews<'_> {
         self.traces()
-    }
-
-    /// The span table: one entry per trace, sorted by user id.
-    pub fn spans(&self) -> &[TraceSpan] {
-        &self.spans
-    }
-
-    /// The timestamp column of the whole dataset, in seconds.
-    pub fn timestamps(&self) -> &[f64] {
-        &self.t
-    }
-
-    /// The latitude column of the whole dataset, in decimal degrees.
-    pub fn latitudes(&self) -> &[f64] {
-        &self.lat
-    }
-
-    /// The longitude column of the whole dataset, in decimal degrees.
-    pub fn longitudes(&self) -> &[f64] {
-        &self.lon
     }
 
     /// Number of traces.
@@ -266,40 +216,6 @@ impl Dataset {
     {
         let traces: Result<Vec<Trace>, MobilityError> = self.iter().map(&mut f).collect();
         Dataset::new(traces?)
-    }
-
-    /// Keeps only the traces for which the predicate returns `true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::EmptyDataset`] if no trace survives.
-    pub fn filter<F>(&self, mut predicate: F) -> Result<Dataset, MobilityError>
-    where
-        F: FnMut(TraceView<'_>) -> bool,
-    {
-        let mut builder = DatasetBuilder::new();
-        for view in self.iter().filter(|v| predicate(*v)) {
-            builder.push_view(view);
-        }
-        builder.finish()
-    }
-
-    /// Keeps only the first `n` traces (by user id order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MobilityError::EmptyDataset`] if `n == 0`.
-    pub fn take(&self, n: usize) -> Result<Dataset, MobilityError> {
-        let n = n.min(self.len());
-        if n == 0 {
-            return Err(MobilityError::EmptyDataset);
-        }
-        let records = self.spans[n - 1].start + self.spans[n - 1].len;
-        let mut builder = DatasetBuilder::with_capacity(n, records);
-        for i in 0..n {
-            builder.push_view(self.trace_at(i));
-        }
-        builder.finish()
     }
 
     /// Copies out the sub-dataset of a contiguous range of *users* (indices
@@ -544,11 +460,6 @@ impl DatasetBuilder {
         self.open = None;
     }
 
-    /// Total number of records appended so far.
-    pub fn record_count(&self) -> usize {
-        self.t.len()
-    }
-
     /// Seals the builder into a dataset.
     ///
     /// # Errors
@@ -624,14 +535,14 @@ mod tests {
     #[test]
     fn spans_cover_the_columns_exactly() {
         let d = dataset();
-        assert_eq!(d.timestamps().len(), d.record_count());
-        assert_eq!(d.latitudes().len(), d.record_count());
-        assert_eq!(d.longitudes().len(), d.record_count());
+        assert_eq!(d.t.len(), d.record_count());
+        assert_eq!(d.lat.len(), d.record_count());
+        assert_eq!(d.lon.len(), d.record_count());
         let mut expected_start = 0;
-        for span in d.spans() {
-            assert_eq!(span.start(), expected_start);
-            assert!(!span.is_empty());
-            expected_start += span.len();
+        for span in &d.spans {
+            assert_eq!(span.start, expected_start);
+            assert!(span.len > 0);
+            expected_start += span.len;
         }
         assert_eq!(expected_start, d.record_count());
     }
@@ -675,7 +586,9 @@ mod tests {
         let b = d.bounding_box().unwrap();
         for t in &d {
             for r in t {
-                assert!(b.contains(r.location()));
+                let (lat, lon) = (r.location().latitude(), r.location().longitude());
+                assert!((b.min_latitude()..=b.max_latitude()).contains(&lat));
+                assert!((b.min_longitude()..=b.max_longitude()).contains(&lon));
             }
         }
     }
@@ -700,19 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_take() {
-        let d = dataset();
-        let only_user_2 = d.filter(|t| t.user() == UserId::new(2)).unwrap();
-        assert_eq!(only_user_2.len(), 1);
-        assert!(d.filter(|_| false).is_err());
-
-        let first_two = d.take(2).unwrap();
-        assert_eq!(first_two.users(), vec![UserId::new(1), UserId::new(2)]);
-        assert!(d.take(0).is_err());
-        assert_eq!(d.take(100).unwrap().len(), 3);
-    }
-
-    #[test]
     fn user_slice_copies_contiguous_shards() {
         let d =
             Dataset::new(vec![trace(2, 37.76), trace(1, 37.77), trace(3, 37.78), trace(2, 37.80)])
@@ -734,42 +634,42 @@ mod tests {
 
     #[test]
     fn builder_streams_traces_and_validates() {
-        let mut b = Dataset::builder();
+        let mut b = DatasetBuilder::new();
         b.begin_trace(UserId::new(1));
         b.push_record(Seconds::new(0.0), gp(37.77, -122.41));
         b.push_record(Seconds::new(30.0), gp(37.78, -122.42));
         b.finish_trace().unwrap();
         b.push_view(trace(2, 37.76).view());
-        assert_eq!(b.record_count(), 4);
+        assert_eq!(b.t.len(), 4);
         let d = b.finish().unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d.users(), vec![UserId::new(1), UserId::new(2)]);
 
         // Empty streamed traces are rejected.
-        let mut b = Dataset::builder();
+        let mut b = DatasetBuilder::new();
         b.begin_trace(UserId::new(1));
         assert!(matches!(b.finish_trace(), Err(MobilityError::EmptyTrace)));
 
         // Unordered timestamps are rejected like Trace::new does.
-        let mut b = Dataset::builder();
+        let mut b = DatasetBuilder::new();
         b.begin_trace(UserId::new(1));
         b.push_record(Seconds::new(10.0), gp(37.77, -122.41));
         b.push_record(Seconds::new(0.0), gp(37.78, -122.42));
         assert!(matches!(b.finish_trace(), Err(MobilityError::UnorderedRecords { index: 1 })));
 
         // Out-of-user-order pushes are rejected at finish.
-        let mut b = Dataset::builder();
+        let mut b = DatasetBuilder::new();
         b.push_view(trace(2, 37.76).view());
         b.push_view(trace(1, 37.77).view());
         assert!(b.finish().is_err());
 
         // An empty builder yields no dataset.
-        assert!(matches!(Dataset::builder().finish(), Err(MobilityError::EmptyDataset)));
+        assert!(matches!(DatasetBuilder::new().finish(), Err(MobilityError::EmptyDataset)));
     }
 
     #[test]
     fn the_open_trace_reads_back_and_clear_empties_the_builder() {
-        let mut b = Dataset::builder();
+        let mut b = DatasetBuilder::new();
         b.push_view(trace(1, 37.77).view());
         assert!(b.open_trace().is_none());
         b.begin_trace(UserId::new(2));
@@ -779,7 +679,7 @@ mod tests {
         assert_eq!((open.user(), open.len()), (UserId::new(2), 1));
         assert_eq!(open.first(), Record::new(Seconds::new(5.0), gp(37.79, -122.43)));
         b.clear();
-        assert_eq!(b.record_count(), 0);
+        assert_eq!(b.t.len(), 0);
         assert!(b.open_trace().is_none());
         assert!(matches!(b.finish(), Err(MobilityError::EmptyDataset)));
     }
@@ -801,7 +701,7 @@ mod tests {
             assert_eq!(a.user(), b.user());
         }
 
-        let smaller = d.take(2).unwrap();
+        let smaller = d.user_slice(0..2).unwrap();
         assert!(d.paired_with(&smaller).is_err());
 
         let other_users =

@@ -34,9 +34,8 @@ pub struct Hotspot {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let city = CityModel::san_francisco(12, &mut rng)?;
-/// assert_eq!(city.hotspots().len(), 12);
 /// let stop = city.sample_stop_location(&mut rng);
-/// assert!(city.bounds().expanded(0.1).contains(stop));
+/// assert!((37.6..37.9).contains(&stop.latitude()));
 /// # Ok(())
 /// # }
 /// ```
@@ -99,16 +98,6 @@ impl CityModel {
         Ok(Self { bounds, hotspots, projection: LocalProjection::centered_on(bounds.center()) })
     }
 
-    /// The city's bounding box.
-    pub fn bounds(&self) -> BoundingBox {
-        self.bounds
-    }
-
-    /// The city's hotspots.
-    pub fn hotspots(&self) -> &[Hotspot] {
-        &self.hotspots
-    }
-
     /// The projection centered on the city, shared by the simulators.
     pub fn projection(&self) -> &LocalProjection {
         &self.projection
@@ -154,20 +143,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Whether `p` lies in `b`, edges included.
+    fn inside(b: &BoundingBox, p: GeoPoint) -> bool {
+        (b.min_latitude()..=b.max_latitude()).contains(&p.latitude())
+            && (b.min_longitude()..=b.max_longitude()).contains(&p.longitude())
+    }
+
     #[test]
     fn construction_validates_hotspot_count() {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(CityModel::san_francisco(0, &mut rng).is_err());
         let city = CityModel::san_francisco(5, &mut rng).unwrap();
-        assert_eq!(city.hotspots().len(), 5);
+        assert_eq!(city.hotspots.len(), 5);
     }
 
     #[test]
     fn hotspots_are_inside_bounds_and_zipf_weighted() {
         let mut rng = StdRng::seed_from_u64(2);
         let city = CityModel::san_francisco(10, &mut rng).unwrap();
-        for (i, h) in city.hotspots().iter().enumerate() {
-            assert!(city.bounds().contains(h.location));
+        for (i, h) in city.hotspots.iter().enumerate() {
+            assert!(inside(&city.bounds, h.location));
             assert!((h.weight - 1.0 / (i as f64 + 1.0)).abs() < 1e-12);
             assert!(h.spread.as_f64() >= 30.0 && h.spread.as_f64() <= 400.0);
         }
@@ -177,8 +172,8 @@ mod tests {
     fn popular_hotspots_are_sampled_more_often() {
         let mut rng = StdRng::seed_from_u64(3);
         let city = CityModel::san_francisco(5, &mut rng).unwrap();
-        let first = city.hotspots()[0].location;
-        let last = city.hotspots()[4].location;
+        let first = city.hotspots[0].location;
+        let last = city.hotspots[4].location;
         let mut first_count = 0;
         let mut last_count = 0;
         for _ in 0..5_000 {
@@ -214,9 +209,9 @@ mod tests {
         let city = CityModel::san_francisco(3, &mut rng).unwrap();
         let points: Vec<GeoPoint> =
             (0..500).map(|_| city.sample_uniform_location(&mut rng)).collect();
-        assert!(points.iter().all(|p| city.bounds().contains(*p)));
+        assert!(points.iter().all(|&p| inside(&city.bounds, p)));
         // Both halves of the box are hit.
-        let mid = city.bounds().center().latitude();
+        let mid = city.bounds.center().latitude();
         let north = points.iter().filter(|p| p.latitude() > mid).count();
         assert!(north > 100 && north < 400, "north {north}");
     }

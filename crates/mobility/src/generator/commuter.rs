@@ -25,6 +25,9 @@ const SPEED_MEAN_MPS: f64 = 6.0;
 /// Standard deviation of the GPS noise, in meters.
 const GPS_NOISE_M: f64 = 10.0;
 
+/// Number of hotspots homes and workplaces are drawn from.
+const HOTSPOTS: usize = 12;
+
 /// Builder for a synthetic commuter dataset.
 ///
 /// # Examples
@@ -45,19 +48,12 @@ pub struct CommuterBuilder {
     users: usize,
     days: usize,
     sampling_interval: Seconds,
-    hotspot_count: usize,
     first_user_id: u64,
 }
 
 impl Default for CommuterBuilder {
     fn default() -> Self {
-        Self {
-            users: 20,
-            days: 1,
-            sampling_interval: Seconds::new(60.0),
-            hotspot_count: 12,
-            first_user_id: 0,
-        }
+        Self { users: 20, days: 1, sampling_interval: Seconds::new(60.0), first_user_id: 0 }
     }
 }
 
@@ -82,12 +78,6 @@ impl CommuterBuilder {
     /// GPS sampling interval, in seconds. Default: 60 s.
     pub fn sampling_interval_s(mut self, seconds: f64) -> Self {
         self.sampling_interval = Seconds::new(seconds);
-        self
-    }
-
-    /// Number of hotspots homes/workplaces are drawn from. Default: 12.
-    pub fn hotspots(mut self, count: usize) -> Self {
-        self.hotspot_count = count;
         self
     }
 
@@ -116,12 +106,6 @@ impl CommuterBuilder {
                 reason: "must be finite and strictly positive".to_string(),
             });
         }
-        if self.hotspot_count == 0 {
-            return Err(MobilityError::InvalidParameter {
-                name: "hotspot_count",
-                reason: "at least one hotspot is required".to_string(),
-            });
-        }
         Ok(())
     }
 
@@ -132,7 +116,7 @@ impl CommuterBuilder {
     /// Returns [`MobilityError::InvalidParameter`] for invalid configuration.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Dataset, MobilityError> {
         self.validate()?;
-        let city = CityModel::san_francisco(self.hotspot_count, rng)?;
+        let city = CityModel::san_francisco(HOTSPOTS, rng)?;
         let projection = *city.projection();
         let dt = self.sampling_interval.as_f64();
         let day = 86_400.0;
@@ -197,7 +181,6 @@ mod tests {
         assert!(CommuterBuilder::new().users(0).build(&mut rng).is_err());
         assert!(CommuterBuilder::new().days(0).build(&mut rng).is_err());
         assert!(CommuterBuilder::new().sampling_interval_s(0.0).build(&mut rng).is_err());
-        assert!(CommuterBuilder::new().hotspots(0).build(&mut rng).is_err());
     }
 
     #[test]
@@ -253,5 +236,20 @@ mod tests {
         };
         assert_eq!(build(5), build(5));
         assert_ne!(build(5), build(6));
+    }
+
+    #[test]
+    fn first_user_id_offsets_users() {
+        let build = |first| {
+            let mut rng = StdRng::seed_from_u64(8);
+            CommuterBuilder::new().users(3).days(1).first_user_id(first).build(&mut rng).unwrap()
+        };
+        let (default, offset) = (build(0), build(100));
+        assert_eq!(default.users(), vec![UserId::new(0), UserId::new(1), UserId::new(2)]);
+        assert_eq!(offset.users(), vec![UserId::new(100), UserId::new(101), UserId::new(102)]);
+        // Only the ids move: every user's records are the same.
+        for (a, b) in default.iter().zip(offset.iter()) {
+            assert!(a.iter().eq(b.iter()));
+        }
     }
 }

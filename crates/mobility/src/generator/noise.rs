@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn gps_jitter_moves_points_by_roughly_sigma() {
         let mut rng = StdRng::seed_from_u64(4);
-        let origin = Point::origin();
+        let origin = Point::new(0.0, 0.0);
         let displacements: Vec<f64> = (0..5_000)
             .map(|_| gps_jitter(&mut rng, origin, 10.0).distance_to(origin).as_f64())
             .collect();

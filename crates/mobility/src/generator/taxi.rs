@@ -36,6 +36,16 @@ const SPEED_MPS: (f64, f64) = (8.0, 2.0);
 /// Standard deviation of the GPS measurement noise, in meters.
 const GPS_NOISE_M: f64 = 8.0;
 
+/// Probability that a driver stops (dwells) after reaching a destination.
+const STOP_PROBABILITY: f64 = 0.55;
+
+/// Number of activity hotspots in the synthetic city.
+const HOTSPOTS: usize = 15;
+
+/// Probability that a trip destination is a hotspot rather than a uniformly
+/// random street location.
+const HOTSPOT_BIAS: f64 = 0.85;
+
 /// Builder for a synthetic taxi-fleet dataset.
 ///
 /// The defaults produce a dataset comparable (in structure, not size) to the
@@ -65,11 +75,6 @@ pub struct TaxiFleetBuilder {
     drivers: usize,
     duration: Seconds,
     sampling_interval: Seconds,
-    stop_probability: f64,
-    hotspot_count: usize,
-    hotspot_bias: f64,
-    first_user_id: u64,
-    city: Option<CityModel>,
 }
 
 impl Default for TaxiFleetBuilder {
@@ -78,11 +83,6 @@ impl Default for TaxiFleetBuilder {
             drivers: 50,
             duration: Seconds::from_hours(24.0),
             sampling_interval: Seconds::new(30.0),
-            stop_probability: 0.55,
-            hotspot_count: 15,
-            hotspot_bias: 0.85,
-            first_user_id: 0,
-            city: None,
         }
     }
 }
@@ -111,38 +111,6 @@ impl TaxiFleetBuilder {
         self
     }
 
-    /// Probability that a driver stops (dwells) after reaching a destination.
-    /// Default: 0.55.
-    pub fn stop_probability(mut self, probability: f64) -> Self {
-        self.stop_probability = probability;
-        self
-    }
-
-    /// Number of activity hotspots in the synthetic city. Default: 15.
-    pub fn hotspots(mut self, count: usize) -> Self {
-        self.hotspot_count = count;
-        self
-    }
-
-    /// Probability that a trip destination is a hotspot rather than a
-    /// uniformly random street location. Default: 0.85.
-    pub fn hotspot_bias(mut self, bias: f64) -> Self {
-        self.hotspot_bias = bias;
-        self
-    }
-
-    /// First user id to assign; drivers get consecutive ids. Default: 0.
-    pub fn first_user_id(mut self, id: u64) -> Self {
-        self.first_user_id = id;
-        self
-    }
-
-    /// Uses an explicit city model instead of generating one.
-    pub fn city(mut self, city: CityModel) -> Self {
-        self.city = Some(city);
-        self
-    }
-
     fn validate(&self) -> Result<(), MobilityError> {
         fn positive(name: &'static str, value: f64) -> Result<(), MobilityError> {
             if value.is_finite() && value > 0.0 {
@@ -162,24 +130,6 @@ impl TaxiFleetBuilder {
         }
         positive("duration", self.duration.as_f64())?;
         positive("sampling_interval", self.sampling_interval.as_f64())?;
-        if !(0.0..=1.0).contains(&self.stop_probability) {
-            return Err(MobilityError::InvalidParameter {
-                name: "stop_probability",
-                reason: format!("must be in [0, 1], got {}", self.stop_probability),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.hotspot_bias) {
-            return Err(MobilityError::InvalidParameter {
-                name: "hotspot_bias",
-                reason: format!("must be in [0, 1], got {}", self.hotspot_bias),
-            });
-        }
-        if self.hotspot_count == 0 {
-            return Err(MobilityError::InvalidParameter {
-                name: "hotspot_count",
-                reason: "at least one hotspot is required".to_string(),
-            });
-        }
         Ok(())
     }
 
@@ -193,12 +143,9 @@ impl TaxiFleetBuilder {
     /// Returns [`MobilityError::InvalidParameter`] for invalid configuration.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Dataset, MobilityError> {
         self.validate()?;
-        let city = match &self.city {
-            Some(c) => c.clone(),
-            None => CityModel::san_francisco(self.hotspot_count, rng)?,
-        };
+        let city = CityModel::san_francisco(HOTSPOTS, rng)?;
         let traces: Result<Vec<Trace>, MobilityError> = (0..self.drivers)
-            .map(|i| self.simulate_driver(UserId::new(self.first_user_id + i as u64), &city, rng))
+            .map(|i| self.simulate_driver(UserId::new(i as u64), &city, rng))
             .collect();
         Dataset::new(traces?)
     }
@@ -233,7 +180,7 @@ impl TaxiFleetBuilder {
 
         while time <= horizon {
             // Choose the next destination.
-            let destination_geo: GeoPoint = if rng.gen_bool(self.hotspot_bias) {
+            let destination_geo: GeoPoint = if rng.gen_bool(HOTSPOT_BIAS) {
                 city.sample_stop_location(rng)
             } else {
                 city.sample_uniform_location(rng)
@@ -262,7 +209,7 @@ impl TaxiFleetBuilder {
             }
 
             // Possibly dwell at the destination (producing a POI-grade stop).
-            if rng.gen_bool(self.stop_probability) {
+            if rng.gen_bool(STOP_PROBABILITY) {
                 let dwell = STOP_MIN_DURATION_S.max(sample_exponential(rng, STOP_MEAN_DURATION_S));
                 let stop_end = (time + dwell).min(horizon);
                 while time <= stop_end {
@@ -298,9 +245,6 @@ mod tests {
         assert!(TaxiFleetBuilder::new().drivers(0).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().duration_hours(0.0).build(&mut rng).is_err());
         assert!(TaxiFleetBuilder::new().sampling_interval_s(-1.0).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().stop_probability(1.5).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().hotspot_bias(-0.1).build(&mut rng).is_err());
-        assert!(TaxiFleetBuilder::new().hotspots(0).build(&mut rng).is_err());
     }
 
     #[test]
@@ -325,7 +269,10 @@ mod tests {
         let bounds = CityModel::default_bounds().expanded(0.2);
         for trace in &dataset {
             for record in trace {
-                assert!(bounds.contains(record.location()), "record outside city: {record}");
+                let (lat, lon) = (record.location().latitude(), record.location().longitude());
+                let inside = (bounds.min_latitude()..=bounds.max_latitude()).contains(&lat)
+                    && (bounds.min_longitude()..=bounds.max_longitude()).contains(&lon);
+                assert!(inside, "record outside city: {record}");
             }
         }
     }
@@ -362,33 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn first_user_id_offsets_users() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let dataset = TaxiFleetBuilder::new()
-            .drivers(2)
-            .duration_hours(1.0)
-            .first_user_id(10)
-            .build(&mut rng)
-            .unwrap();
-        assert_eq!(dataset.users(), vec![UserId::new(10), UserId::new(11)]);
-    }
-
-    #[test]
-    fn custom_city_is_respected() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let bounds = geopriv_geo::BoundingBox::new(48.80, 2.25, 48.90, 2.42).unwrap(); // Paris
-        let city = CityModel::new(bounds, 8, &mut rng).unwrap();
-        let dataset = TaxiFleetBuilder::new()
-            .drivers(2)
-            .duration_hours(2.0)
-            .city(city)
-            .build(&mut rng)
-            .unwrap();
-        let expanded = bounds.expanded(0.2);
-        for trace in &dataset {
-            for record in trace {
-                assert!(expanded.contains(record.location()));
-            }
-        }
+    fn drivers_are_numbered_from_zero() {
+        let dataset = small_fleet(5);
+        assert_eq!(dataset.users(), vec![UserId::new(0), UserId::new(1), UserId::new(2)]);
     }
 }

@@ -210,7 +210,24 @@ mod tests {
         let parsed = read_csv(text.as_bytes()).unwrap();
         let trace = parsed.trace_at(0);
         assert_eq!(trace.first().timestamp().as_f64(), 0.0);
-        assert_eq!(trace.last().timestamp().as_f64(), 100.0);
+        assert_eq!(trace.record(1).timestamp().as_f64(), 100.0);
+    }
+
+    #[test]
+    fn write_csv_prints_one_record_per_line_in_trace_order() {
+        let mut buffer = Vec::new();
+        write_csv(&sample_dataset(), &mut buffer).unwrap();
+        let text = String::from_utf8(buffer).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                CSV_HEADER,
+                "1,0,37.770000,-122.410000",
+                "1,30,37.771000,-122.411000",
+                "2,10,37.780000,-122.420000"
+            ]
+        );
     }
 
     #[test]
@@ -242,8 +259,9 @@ mod tests {
         let trace = read_cabspotting_trace(UserId::new(5), text.as_bytes()).unwrap();
         assert_eq!(trace.user(), UserId::new(5));
         assert_eq!(trace.len(), 2);
-        assert!(trace.first().timestamp() < trace.last().timestamp());
-        assert!((trace.first().location().latitude() - 37.75149).abs() < 1e-9);
+        let view = trace.view();
+        assert!(view.first().timestamp() < view.record(1).timestamp());
+        assert!((view.first().location().latitude() - 37.75149).abs() < 1e-9);
     }
 
     #[test]

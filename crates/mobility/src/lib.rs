@@ -13,8 +13,8 @@
 //!
 //! * [`Record`], [`Trace`], [`Dataset`] — the data model. Since the
 //!   struct-of-arrays refactor the dataset is a *columnar* store:
-//!   contiguous timestamp/latitude/longitude buffers plus a [`TraceSpan`]
-//!   table and a per-user index, with zero-copy [`TraceView`]s preserving
+//!   contiguous timestamp/latitude/longitude buffers plus a span table
+//!   and a per-user index, with zero-copy [`TraceView`]s preserving
 //!   the trace-oriented API.
 //! * [`io`] — CSV import/export (combined layout and cabspotting layout).
 //! * [`properties`] — candidate dataset properties (the `d_j` of Equation 1).
@@ -52,7 +52,7 @@ pub mod properties;
 pub mod record;
 pub mod trace;
 
-pub use dataset::{Dataset, DatasetBuilder, TraceSpan};
+pub use dataset::{Dataset, DatasetBuilder};
 pub use error::MobilityError;
 pub use properties::{DatasetProperties, TraceProperties};
 pub use record::{Record, UserId};
@@ -60,7 +60,7 @@ pub use trace::{Trace, TraceView};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::dataset::{Dataset, DatasetBuilder, TraceSpan};
+    pub use crate::dataset::{Dataset, DatasetBuilder};
     pub use crate::error::MobilityError;
     pub use crate::generator::{CityModel, CommuterBuilder, TaxiFleetBuilder};
     pub use crate::properties::{DatasetProperties, TraceProperties};

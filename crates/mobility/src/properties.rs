@@ -96,7 +96,6 @@ impl TraceProperties {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetProperties {
     rows: Vec<TraceProperties>,
-    cell_size: Meters,
 }
 
 impl DatasetProperties {
@@ -113,17 +112,7 @@ impl DatasetProperties {
         let bounds = dataset.bounding_box()?.expanded(0.05);
         let grid = Grid::new(bounds, cell_size)?;
         let rows = dataset.iter().map(|t| TraceProperties::of(t, &grid)).collect();
-        Ok(Self { rows, cell_size })
-    }
-
-    /// The per-trace property rows, in dataset (user id) order.
-    pub fn rows(&self) -> &[TraceProperties] {
-        &self.rows
-    }
-
-    /// The grid cell size used for the coverage-based properties.
-    pub fn cell_size(&self) -> Meters {
-        self.cell_size
+        Ok(Self { rows })
     }
 
     /// The property matrix as rows of feature vectors, suitable for
@@ -175,11 +164,10 @@ mod tests {
     fn properties_reflect_mobility_behaviour() {
         let dataset = Dataset::new(vec![moving_trace(1), stationary_trace(2)]).unwrap();
         let props = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
-        assert_eq!(props.rows().len(), 2);
-        assert_eq!(props.cell_size().as_f64(), 200.0);
+        assert_eq!(props.rows.len(), 2);
 
-        let moving = &props.rows()[0];
-        let stationary = &props.rows()[1];
+        let moving = &props.rows[0];
+        let stationary = &props.rows[1];
 
         assert_eq!(moving.record_count, 60.0);
         assert!((moving.duration_hours - 59.0 * 30.0 / 3600.0).abs() < 1e-9);
@@ -207,6 +195,20 @@ mod tests {
     }
 
     #[test]
+    fn means_average_each_property_over_the_traces() {
+        let dataset =
+            Dataset::new(vec![moving_trace(1), stationary_trace(2), moving_trace(3)]).unwrap();
+        let props = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
+        let matrix = props.as_matrix();
+        for (j, mean) in props.means().into_iter().enumerate() {
+            let expected = matrix.iter().map(|row| row[j]).sum::<f64>() / 3.0;
+            assert_eq!(mean, expected, "{}", TraceProperties::NAMES[j]);
+        }
+        // Two identical moving traces give two identical rows.
+        assert_eq!(matrix[0], matrix[2]);
+    }
+
+    #[test]
     fn entropy_of_uniform_visits_is_log2_of_cells() {
         // A trace visiting exactly two far-apart cells the same number of times
         // has entropy 1 bit.
@@ -218,7 +220,7 @@ mod tests {
         let trace = Trace::new(UserId::new(1), records).unwrap();
         let dataset = Dataset::new(vec![trace]).unwrap();
         let props = DatasetProperties::compute(&dataset, Meters::new(200.0)).unwrap();
-        let row = &props.rows()[0];
+        let row = &props.rows[0];
         assert_eq!(row.visited_cells, 2.0);
         assert!((row.visit_entropy_bits - 1.0).abs() < 1e-9);
     }

@@ -2,7 +2,7 @@
 
 use crate::error::MobilityError;
 use crate::record::{Record, UserId};
-use geopriv_geo::{distance, BoundingBox, GeoPoint, Meters, Seconds};
+use geopriv_geo::{distance, GeoPoint, Meters, Seconds};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -35,7 +35,7 @@ use std::ops::Range;
 ///     ],
 /// )?;
 /// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace.duration().as_f64(), 60.0);
+/// assert_eq!(trace.view().duration().as_f64(), 60.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -149,82 +149,6 @@ impl Trace {
     /// Iterates over the records.
     pub fn iter(&self) -> Records<'_> {
         self.view().iter()
-    }
-
-    /// The timestamp column, in seconds.
-    pub fn timestamps(&self) -> &[f64] {
-        &self.t
-    }
-
-    /// The latitude column, in decimal degrees.
-    pub fn latitudes(&self) -> &[f64] {
-        &self.lat
-    }
-
-    /// The longitude column, in decimal degrees.
-    pub fn longitudes(&self) -> &[f64] {
-        &self.lon
-    }
-
-    /// The locations of all records, in chronological order.
-    pub fn locations(&self) -> Vec<GeoPoint> {
-        self.view().locations()
-    }
-
-    /// The first record.
-    pub fn first(&self) -> Record {
-        self.view().first()
-    }
-
-    /// The last record.
-    pub fn last(&self) -> Record {
-        self.view().last()
-    }
-
-    /// Total observation duration (last timestamp minus first timestamp).
-    pub fn duration(&self) -> Seconds {
-        self.view().duration()
-    }
-
-    /// Total distance travelled along the trace.
-    pub fn travelled_distance(&self) -> Meters {
-        self.view().travelled_distance()
-    }
-
-    /// Median interval between consecutive records.
-    ///
-    /// Returns zero for a single-record trace.
-    pub fn median_sampling_interval(&self) -> Seconds {
-        self.view().median_sampling_interval()
-    }
-
-    /// Geographic centroid of the trace (unweighted mean of coordinates).
-    pub fn centroid(&self) -> GeoPoint {
-        self.view().centroid()
-    }
-
-    /// Radius of gyration: root-mean-square distance of the records to the
-    /// trace centroid. A classic mobility-compactness property used as a
-    /// candidate dataset property `d_j`.
-    pub fn radius_of_gyration(&self) -> Meters {
-        self.view().radius_of_gyration()
-    }
-
-    /// Mean speed over the trace in meters per second.
-    ///
-    /// Returns zero for traces with no elapsed time.
-    pub fn mean_speed(&self) -> f64 {
-        self.view().mean_speed()
-    }
-
-    /// The smallest bounding box containing every record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`geopriv_geo::GeoError`] for degenerate traces (all records
-    /// at exactly the same coordinate are padded into a small box).
-    pub fn bounding_box(&self) -> Result<BoundingBox, MobilityError> {
-        self.view().bounding_box()
     }
 }
 
@@ -344,11 +268,6 @@ impl<'a> TraceView<'a> {
         TraceView::from_columns(self.user, t, lat, lon)
     }
 
-    /// The last record.
-    pub fn last(&self) -> Record {
-        self.record(self.len() - 1)
-    }
-
     /// Copies the view into an owned [`Trace`].
     pub fn to_trace(&self) -> Trace {
         Trace {
@@ -413,15 +332,6 @@ impl<'a> TraceView<'a> {
             return 0.0;
         }
         self.travelled_distance().as_f64() / duration
-    }
-
-    /// The smallest bounding box containing every record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`geopriv_geo::GeoError`] for degenerate traces.
-    pub fn bounding_box(&self) -> Result<BoundingBox, MobilityError> {
-        Ok(BoundingBox::enclosing((0..self.len()).map(|i| self.location(i)))?)
     }
 }
 
@@ -491,7 +401,7 @@ mod tests {
         let middle = view.slice(1..3);
         assert_eq!((middle.user(), middle.len()), (t.user(), 2));
         assert_eq!(middle.first(), view.record(1));
-        assert_eq!(middle.last(), view.record(2));
+        assert_eq!(middle.record(1), view.record(2));
         assert_eq!(view.slice(0..4).to_trace(), t);
     }
 
@@ -508,7 +418,7 @@ mod tests {
         ));
         // from_unordered sorts instead of failing.
         let sorted = Trace::from_unordered(UserId::new(1), unordered.clone()).unwrap();
-        assert!(sorted.first().timestamp() <= sorted.last().timestamp());
+        assert!(sorted.view().first().timestamp() <= sorted.view().record(1).timestamp());
         // …except past a non-finite timestamp: an error, not a panic while
         // sorting, whose index is into the records as given.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -584,15 +494,15 @@ mod tests {
         assert_eq!(t.user(), UserId::new(1));
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
-        assert_eq!(t.duration().as_f64(), 120.0);
-        assert_eq!(t.locations().len(), 4);
+        assert_eq!(t.view().duration().as_f64(), 120.0);
+        assert_eq!(t.view().locations().len(), 4);
         assert_eq!(t.iter().count(), 4);
         assert_eq!((&t).into_iter().count(), 4);
-        assert_eq!(t.first().timestamp().as_f64(), 0.0);
-        assert_eq!(t.last().timestamp().as_f64(), 120.0);
-        assert_eq!(t.timestamps(), &[0.0, 30.0, 60.0, 120.0]);
-        assert_eq!(t.latitudes().len(), 4);
-        assert_eq!(t.longitudes().len(), 4);
+        assert_eq!(t.view().first().timestamp().as_f64(), 0.0);
+        assert_eq!(t.view().record(3).timestamp().as_f64(), 120.0);
+        assert_eq!(t.view().timestamps(), &[0.0, 30.0, 60.0, 120.0]);
+        assert_eq!(t.view().latitudes().len(), 4);
+        assert_eq!(t.view().longitudes().len(), 4);
     }
 
     #[test]
@@ -614,31 +524,31 @@ mod tests {
     #[test]
     fn travelled_distance_and_speed() {
         let t = sample_trace();
-        let d = t.travelled_distance().as_f64();
+        let d = t.view().travelled_distance().as_f64();
         assert!(d > 1_000.0 && d < 3_000.0, "got {d}");
-        let v = t.mean_speed();
+        let v = t.view().mean_speed();
         assert!((d / 120.0 - v).abs() < 1e-9);
 
         let stationary =
             Trace::new(UserId::new(3), vec![Record::new(Seconds::new(0.0), gp(37.77, -122.41))])
                 .unwrap();
-        assert_eq!(stationary.mean_speed(), 0.0);
-        assert_eq!(stationary.median_sampling_interval().as_f64(), 0.0);
+        assert_eq!(stationary.view().mean_speed(), 0.0);
+        assert_eq!(stationary.view().median_sampling_interval().as_f64(), 0.0);
     }
 
     #[test]
     fn median_sampling_interval() {
         let t = sample_trace();
         // Intervals are 30, 30, 60 -> median 30.
-        assert_eq!(t.median_sampling_interval().as_f64(), 30.0);
+        assert_eq!(t.view().median_sampling_interval().as_f64(), 30.0);
     }
 
     #[test]
     fn centroid_and_radius_of_gyration() {
         let t = sample_trace();
-        let c = t.centroid();
+        let c = t.view().centroid();
         assert!((37.770..37.781).contains(&c.latitude()));
-        let r = t.radius_of_gyration().as_f64();
+        let r = t.view().radius_of_gyration().as_f64();
         assert!(r > 100.0 && r < 2_000.0, "got {r}");
 
         // A stationary trace has zero radius of gyration.
@@ -650,15 +560,20 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(stationary.radius_of_gyration().as_f64() < 1e-6);
+        assert!(stationary.view().radius_of_gyration().as_f64() < 1e-6);
     }
 
     #[test]
     fn bounding_box_contains_all_records() {
         let t = sample_trace();
-        let b = t.bounding_box().unwrap();
+        let b = crate::Dataset::new(vec![t.clone()]).unwrap().bounding_box().unwrap();
         for r in &t {
-            assert!(b.contains(r.location()));
+            let (lat, lon) = (r.location().latitude(), r.location().longitude());
+            assert!((b.min_latitude()..=b.max_latitude()).contains(&lat));
+            assert!((b.min_longitude()..=b.max_longitude()).contains(&lon));
         }
+        // The box is the tightest one: its corners are records' coordinates.
+        assert_eq!((b.min_latitude(), b.max_latitude()), (37.7700, 37.7800));
+        assert_eq!((b.min_longitude(), b.max_longitude()), (-122.4200, -122.4100));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the mobility substrate and its generators.
 
-use geopriv_geo::{GeoPoint, Meters, Seconds};
+use geopriv_geo::{BoundingBox, GeoPoint, Meters, Seconds};
 use geopriv_mobility::generator::{CityModel, CommuterBuilder, TaxiFleetBuilder};
 use geopriv_mobility::{io, Dataset, DatasetProperties, Record, Trace, UserId};
 use proptest::prelude::*;
@@ -26,10 +26,11 @@ proptest! {
         for w in trace.iter().collect::<Vec<_>>().windows(2) {
             prop_assert!(w[0].timestamp() <= w[1].timestamp());
         }
-        prop_assert!(trace.duration().as_f64() >= 0.0);
-        prop_assert!(trace.travelled_distance().as_f64() >= 0.0);
-        prop_assert!(trace.radius_of_gyration().as_f64() >= 0.0);
-        prop_assert!(trace.bounding_box().is_ok());
+        let view = trace.view();
+        prop_assert!(view.duration().as_f64() >= 0.0);
+        prop_assert!(view.travelled_distance().as_f64() >= 0.0);
+        prop_assert!(view.radius_of_gyration().as_f64() >= 0.0);
+        prop_assert!(BoundingBox::enclosing(view.iter().map(|r| r.location())).is_ok());
     }
 
     #[test]
@@ -73,7 +74,9 @@ proptest! {
             prop_assert!(trace.duration().to_hours() <= hours + 1e-9);
             prop_assert!(trace.median_sampling_interval().as_f64() <= interval + 1e-9);
             for record in trace {
-                prop_assert!(bounds.contains(record.location()));
+                let (lat, lon) = (record.location().latitude(), record.location().longitude());
+                prop_assert!((bounds.min_latitude()..=bounds.max_latitude()).contains(&lat));
+                prop_assert!((bounds.min_longitude()..=bounds.max_longitude()).contains(&lon));
             }
         }
     }
@@ -123,25 +126,17 @@ proptest! {
         // user, so the construction sort is a no-op).
         prop_assert_eq!(dataset.to_traces(), traces);
 
-        // The span table tiles the column buffers exactly: contiguous,
-        // gap-free, non-empty, covering every record.
-        let mut cursor = 0usize;
-        for span in dataset.spans() {
-            prop_assert_eq!(span.start(), cursor);
-            prop_assert!(!span.is_empty());
-            cursor += span.len();
-        }
-        prop_assert_eq!(cursor, dataset.record_count());
-        prop_assert_eq!(dataset.timestamps().len(), cursor);
-        prop_assert_eq!(dataset.latitudes().len(), cursor);
-        prop_assert_eq!(dataset.longitudes().len(), cursor);
+        // The views tile the records exactly: non-empty, covering every
+        // record once.
+        prop_assert!(dataset.iter().all(|view| !view.is_empty()));
+        prop_assert_eq!(dataset.iter().map(|view| view.len()).sum::<usize>(), dataset.record_count());
 
         // Every view reads exactly its trace's columns.
         for (view, trace) in dataset.iter().zip(&traces) {
             prop_assert_eq!(view.user(), trace.user());
-            prop_assert_eq!(view.timestamps(), trace.timestamps());
-            prop_assert_eq!(view.latitudes(), trace.latitudes());
-            prop_assert_eq!(view.longitudes(), trace.longitudes());
+            prop_assert_eq!(view.timestamps(), trace.view().timestamps());
+            prop_assert_eq!(view.latitudes(), trace.view().latitudes());
+            prop_assert_eq!(view.longitudes(), trace.view().longitudes());
         }
 
         // The per-user index agrees with a naive scan over all traces.
@@ -172,13 +167,17 @@ proptest! {
             .build(&mut rng)
             .unwrap();
         let properties = DatasetProperties::compute(&dataset, Meters::new(cell)).unwrap();
-        prop_assert_eq!(properties.rows().len(), dataset.len());
-        for row in properties.rows() {
-            for value in row.as_vector() {
+        let matrix = properties.as_matrix();
+        prop_assert_eq!(matrix.len(), dataset.len());
+        for row in &matrix {
+            for &value in row {
                 prop_assert!(value.is_finite() && value >= 0.0);
             }
-            prop_assert!(row.visited_cells >= 1.0);
-            prop_assert!(row.visit_entropy_bits <= (row.record_count).log2() + 1e-9);
+            // `TraceProperties::NAMES` order: the record count first, the
+            // visited cells and their entropy last.
+            let (records, cells, entropy) = (row[0], row[6], row[7]);
+            prop_assert!(cells >= 1.0);
+            prop_assert!(entropy <= records.log2() + 1e-9);
         }
     }
 }

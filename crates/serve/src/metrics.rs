@@ -57,16 +57,6 @@ impl RequestMetrics {
         self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total number of recorded requests.
-    pub fn total(&self) -> u64 {
-        self.latency_count.load(Ordering::Relaxed)
-    }
-
-    /// Number of recorded requests for one route/status pair.
-    pub fn count(&self, route: &str, status: u16) -> u64 {
-        *self.counters.lock().get(&(route.to_string(), status)).unwrap_or(&0)
-    }
-
     /// Renders the Prometheus text exposition.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -114,12 +104,8 @@ mod tests {
         metrics.record("/protect", 200, Duration::from_micros(500));
         metrics.record("/protect", 400, Duration::from_millis(2));
         metrics.record("/metrics", 200, Duration::from_secs(2));
-        assert_eq!(metrics.total(), 4);
-        assert_eq!(metrics.count("/protect", 200), 2);
-        assert_eq!(metrics.count("/protect", 400), 1);
-        assert_eq!(metrics.count("/nope", 200), 0);
-
         let text = metrics.render();
+        assert!(!text.contains("/nope"));
         assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"200\"} 2"));
         assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"400\"} 1"));
         assert!(text.contains("geopriv_requests_total{route=\"/metrics\",status=\"200\"} 1"));
@@ -158,5 +144,31 @@ mod tests {
         let mut sorted = counter_lines.clone();
         sorted.sort_unstable();
         assert_eq!(counter_lines, sorted);
+    }
+
+    #[test]
+    fn latencies_land_in_the_first_bucket_that_bounds_them() {
+        let metrics = RequestMetrics::new();
+        // On the first bound, on the third, on the last, and past it.
+        for elapsed in [
+            Duration::from_micros(100),
+            Duration::from_millis(1),
+            Duration::from_secs(1),
+            Duration::from_millis(1_500),
+        ] {
+            metrics.record("/protect", 200, elapsed);
+        }
+        let text = metrics.render();
+        let bucket = |le: &str| {
+            let prefix = format!("geopriv_request_seconds_bucket{{le=\"{le}\"}} ");
+            text.lines().find_map(|l| l.strip_prefix(&prefix)).map(str::to_string)
+        };
+        assert_eq!(bucket("0.0001").as_deref(), Some("1"));
+        assert_eq!(bucket("0.000316").as_deref(), Some("1"));
+        assert_eq!(bucket("0.001").as_deref(), Some("2"));
+        assert_eq!(bucket("0.316").as_deref(), Some("2"));
+        assert_eq!(bucket("1").as_deref(), Some("3"));
+        assert_eq!(bucket("+Inf").as_deref(), Some("4"));
+        assert!(text.contains("geopriv_request_seconds_sum 2.5011\n"));
     }
 }

@@ -418,8 +418,9 @@ mod tests {
         assert_eq!(stack.handle(&protect(1)).status, 429);
         // Both the success AND the rate-limited rejection were counted:
         // metrics sit above the limiter by construction.
-        assert_eq!(metrics.count("/protect", 200), 1);
-        assert_eq!(metrics.count("/protect", 429), 1);
+        let text = metrics.render();
+        assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"200\"} 1"));
+        assert!(text.contains("geopriv_requests_total{route=\"/protect\",status=\"429\"} 1"));
     }
 
     #[test]

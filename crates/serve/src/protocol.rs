@@ -119,6 +119,15 @@ mod tests {
     }
 
     #[test]
+    fn requests_render_the_documented_wire_form() {
+        let request = ProtectRequest { user: 7, t: 30.0, lat: 48.1173, lon: -1.6778 };
+        assert_eq!(
+            request.to_json(),
+            "{\"user\": 7, \"t\": 30, \"lat\": 48.1173, \"lon\": -1.6778}"
+        );
+    }
+
+    #[test]
     fn malformed_requests_are_rejected_with_reasons() {
         for (body, needle) in [
             ("not json", "malformed"),

@@ -240,11 +240,6 @@ impl AssignmentRegistry {
         })
     }
 
-    /// The dataset-level anchor point.
-    pub fn dataset_point(&self) -> &ConfigPoint {
-        &self.dataset_point
-    }
-
     /// Number of users with a resolved (non-lazy) assignment.
     pub fn assigned_users(&self) -> usize {
         self.assignments.len()
@@ -352,6 +347,33 @@ mod tests {
         assert_eq!(a, derive_user_seed(7, UserId::new(1)));
         assert_ne!(a, derive_user_seed(7, UserId::new(2)));
         assert_ne!(a, derive_user_seed(8, UserId::new(1)));
+    }
+
+    /// Session seeds decide every protected release a user is served, so
+    /// they are pinned: a changed mixing function would silently change
+    /// what the service releases for the same master seed.
+    #[test]
+    fn user_seeds_are_pinned() {
+        assert_eq!(derive_user_seed(7, UserId::new(1)), 0x7b64_9b43_75fb_8c83);
+        assert_eq!(derive_user_seed(0, UserId::new(0)), 0xb499_1e24_6c14_2929);
+        assert_eq!(derive_user_seed(42, UserId::new(123_456_789)), 0xe30d_90ae_441b_bc67);
+    }
+
+    #[test]
+    fn assignments_render_their_wire_body() -> TestResult {
+        let own = Assignment { point: point(0.02), source: AssignmentSource::Own };
+        assert_eq!(
+            own.to_json(1),
+            "{\"user\": 1, \"source\": \"own\", \"point\": {\"epsilon\": 0.02}}"
+        );
+        let reason = "unknown \"user\"".to_string();
+        let fallback =
+            Assignment { point: point(0.01), source: AssignmentSource::DatasetFallback { reason } };
+        let value = json::JsonValue::parse(&fallback.to_json(5))?;
+        assert_eq!(value.get("user").and_then(json::JsonValue::as_u64), Some(5));
+        assert_eq!(value.get("source").and_then(json::JsonValue::as_str), Some("dataset-fallback"));
+        assert_eq!(value.get("reason").and_then(json::JsonValue::as_str), Some("unknown \"user\""));
+        Ok(())
     }
 
     #[test]

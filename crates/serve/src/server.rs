@@ -105,7 +105,6 @@ pub struct GeoPrivServer {
     addr: SocketAddr,
     unblocker: tiny_http::Unblocker,
     worker: JoinHandle<()>,
-    metrics: Arc<RequestMetrics>,
     registry: Arc<AssignmentRegistry>,
 }
 
@@ -137,9 +136,9 @@ impl GeoPrivServer {
         // user's session, so a timed-out-but-applied update must still
         // return its real response (a 504 would invite a duplicating retry
         // that desynchronizes the stream from the record sequence).
-        let handler = stack.layer(Timeout::new(config.timeout).exempt("/protect")).service(
-            Box::new(Router { registry: Arc::clone(&registry), metrics: Arc::clone(&metrics) }),
-        );
+        let handler = stack
+            .layer(Timeout::new(config.timeout).exempt("/protect"))
+            .service(Box::new(Router { registry: Arc::clone(&registry), metrics }));
 
         let worker = std::thread::spawn(move || {
             while let Ok(incoming) = server.recv() {
@@ -157,18 +156,12 @@ impl GeoPrivServer {
                 let _ = incoming.respond(response);
             }
         });
-        Ok(GeoPrivServer { addr, unblocker, worker, metrics, registry })
+        Ok(GeoPrivServer { addr, unblocker, worker, registry })
     }
 
     /// The bound address (with the concrete ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared request metrics (for in-process inspection; the wire view
-    /// is `GET /metrics`).
-    pub fn metrics(&self) -> &Arc<RequestMetrics> {
-        &self.metrics
     }
 
     /// The shared registry (for in-process inspection).

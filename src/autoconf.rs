@@ -37,10 +37,9 @@
 
 use crate::error::Error;
 use geopriv_core::{
-    CacheStats, Configurator, Constraint, ExperimentRunner, FittedSuite, Grain, HoldOutValidator,
-    MetricId, Modeler, Objectives, ParetoFrontier, PerUserFits, PerUserRecommendation,
-    Recommendation, SweepConfig, SweepResult, SystemDefinition, UserRecommendation, UserVerdict,
-    ValidationReport,
+    CacheStats, Configurator, Constraint, ExperimentRunner, FittedSuite, Grain, MetricId, Modeler,
+    Objectives, ParetoFrontier, PerUserFits, PerUserRecommendation, Recommendation, SweepConfig,
+    SweepResult, SystemDefinition, UserRecommendation, UserVerdict,
 };
 use geopriv_lppm::ConfigPoint;
 use geopriv_metrics::DatasetFingerprint;
@@ -360,16 +359,6 @@ impl FittedAutoConf<'_> {
         &self.objectives
     }
 
-    /// The measured trade-off frontier over the default metric pair (first
-    /// lower-is-better vs first higher-is-better metric).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ParetoFrontier::from_sweep`] errors.
-    pub fn frontier(&self) -> Result<ParetoFrontier, Error> {
-        Ok(ParetoFrontier::from_sweep(&self.sweep)?)
-    }
-
     /// The measured trade-off frontier over an explicitly chosen metric pair.
     ///
     /// # Errors
@@ -577,41 +566,6 @@ impl FittedAutoConf<'_> {
         Ok((refreshed, report))
     }
 
-    /// Hold-out validation of the fitted models: split the dataset by
-    /// alternating users, fit on one half, and measure the per-metric
-    /// prediction error on the other — exactly
-    /// [`HoldOutValidator::validate`] with this study's sweep plan (at
-    /// dataset grain; the split sweeps need no per-user curves).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HoldOutValidator::validate`] errors (fewer than two
-    /// users, sweep or modeling failures on a split half).
-    ///
-    /// # Examples
-    ///
-    /// ```no_run
-    /// use geopriv::prelude::*;
-    /// use geopriv::AutoConf;
-    /// use rand::SeedableRng;
-    ///
-    /// # fn main() -> Result<(), geopriv::Error> {
-    /// # let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    /// # let dataset = TaxiFleetBuilder::new().drivers(8).duration_hours(8.0).build(&mut rng)?;
-    /// let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
-    ///     .dataset(&dataset)
-    ///     .sweep(|s| s.points(15).seed(42))
-    ///     .fit()?;
-    /// let report = studied.validate()?;
-    /// println!("{report}");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn validate(&self) -> Result<ValidationReport, Error> {
-        let plan = self.plan.clone().grain(Grain::Dataset);
-        Ok(HoldOutValidator::with_plan(plan).validate(&self.system, self.dataset)?)
-    }
-
     /// Double-checks a recommendation against the data rather than the
     /// models: instantiate the mechanism at `point`, protect `dataset` with
     /// a fresh RNG seeded from `seed`, and re-measure every suite metric
@@ -769,6 +723,26 @@ mod tests {
     }
 
     #[test]
+    fn frontier_for_is_the_sweep_frontier_of_the_pair() {
+        let dataset = dataset();
+        let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
+            .dataset(&dataset)
+            .sweep(|s| s.points(9).seed(1))
+            .fit()
+            .unwrap();
+        let (x, y) = (MetricId::new("poi-retrieval"), MetricId::new("area-coverage"));
+        let frontier = studied.frontier_for(&x, &y).unwrap();
+        assert!(!frontier.is_empty());
+        assert_eq!(frontier, ParetoFrontier::for_pair(studied.sweep_result(), &x, &y).unwrap());
+        // The paper's pair is also the default one.
+        assert_eq!(frontier, ParetoFrontier::from_sweep(studied.sweep_result()).unwrap());
+        assert!(matches!(
+            studied.frontier_for(&MetricId::new("nope"), &y),
+            Err(Error::Core(CoreError::UnknownMetric { .. }))
+        ));
+    }
+
+    #[test]
     fn a_four_metric_suite_flows_through_the_same_chain() {
         let dataset = dataset();
         let system = SystemDefinition::new(
@@ -804,7 +778,8 @@ mod tests {
             .sweep(|s| s.points(9).seed(5))
             .fit()
             .unwrap();
-        let frontier = studied.frontier().unwrap();
+        let frontier =
+            studied.frontier_for(&"poi-retrieval".into(), &"area-coverage".into()).unwrap();
         assert!(!frontier.is_empty());
     }
 
@@ -923,31 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_wraps_the_hold_out_validator() {
-        let dataset = dataset();
-        let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
-            .dataset(&dataset)
-            .sweep(|s| s.points(9).seed(13))
-            .fit()
-            .unwrap();
-        let report = studied.validate().unwrap();
-        assert_eq!(report.training_traces + report.validation_traces, dataset.len());
-        assert!(report.error(&"poi-retrieval".into()).is_some());
-        assert!(report.error(&"area-coverage".into()).is_some());
-        // Identical to driving the validator by hand with the same plan.
-        let by_hand =
-            geopriv_core::HoldOutValidator::with_plan(geopriv_core::SweepPlan::grid(SweepConfig {
-                points: 9,
-                repetitions: 1,
-                seed: 13,
-                parallel: true,
-            }))
-            .validate(studied.system(), &dataset)
-            .unwrap();
-        assert_eq!(report, by_hand);
-    }
-
-    #[test]
     fn measure_at_reevaluates_every_suite_metric() {
         let dataset = dataset();
         let studied = AutoConf::for_system(SystemDefinition::paper_geoi())
@@ -955,7 +905,7 @@ mod tests {
             .sweep(|s| s.points(9).seed(3))
             .fit()
             .unwrap();
-        let point = studied.system().space().point(&[("epsilon", 0.01)]).unwrap();
+        let point = studied.system().space().point_from_coords(&[0.01]).unwrap();
         let measured = studied.measure_at_point(&dataset, &point, 99).unwrap();
         assert_eq!(measured.len(), 2);
         assert_eq!(measured[0].0, MetricId::new("poi-retrieval"));

@@ -23,7 +23,7 @@ fn taxi_dataset(seed: u64) -> Dataset {
 fn adaptive_sweep(dataset: &Dataset, seed: u64, budget: usize) -> SweepResult {
     let system = SystemDefinition::paper_geoi();
     let config = SweepConfig { points: 5, repetitions: 1, seed, parallel: true };
-    ExperimentRunner::with_plan(SweepPlan::adaptive(config, budget))
+    ExperimentRunner::with_plan(SweepPlan::grid(config).refine(budget))
         .run(&system, dataset)
         .expect("adaptive sweep succeeds")
 }
@@ -116,10 +116,11 @@ fn adaptive_study_saves_sixty_percent_of_the_grid_and_tracks_its_recommendation(
     let grid = ExperimentRunner::with_plan(SweepPlan::grid(config))
         .run(&system, &dataset)
         .expect("grid study succeeds");
-    let adaptive =
-        ExperimentRunner::with_plan(SweepPlan::adaptive(SweepConfig { points: 3, ..config }, 10))
-            .run(&system, &dataset)
-            .expect("adaptive study succeeds");
+    let adaptive = ExperimentRunner::with_plan(
+        SweepPlan::grid(SweepConfig { points: 3, ..config }).refine(10),
+    )
+    .run(&system, &dataset)
+    .expect("adaptive study succeeds");
 
     assert_eq!(grid.len(), 25);
     assert!(adaptive.len() > 9, "refinement never spent its budget");

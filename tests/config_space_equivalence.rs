@@ -95,7 +95,9 @@ fn a_one_axis_config_space_sweep_is_bit_identical_to_the_scalar_sweep() {
         sweep.points.iter().map(|p| p.single().expect("one axis")).collect::<Vec<_>>(),
         parameters
     );
-    let one_at_a_time = ExperimentRunner::with_plan(SweepPlan::one_at_a_time(config))
+    let mut plan = SweepPlan::grid(config);
+    plan.mode = SweepMode::OneAtATime;
+    let one_at_a_time = ExperimentRunner::with_plan(plan)
         .run(&SystemDefinition::paper_geoi(), &dataset)
         .expect("sweep succeeds");
     assert_eq!(one_at_a_time.points, sweep.points);
@@ -115,7 +117,7 @@ fn campaign_cells_on_a_one_axis_space_match_the_scalar_sweep() {
     let campaign = CampaignRunner::new(config)
         .run(&[SystemDefinition::paper_geoi()], std::slice::from_ref(&dataset))
         .expect("campaign succeeds");
-    let cell = campaign.get(0, 0).expect("cell exists");
+    let cell = &campaign.runs[0].result;
 
     assert_eq!(cell.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(cell.values(&privacy_id()).expect("privacy column"), privacy.as_slice());
@@ -224,8 +226,8 @@ fn multi_axis_campaigns_match_independent_multi_axis_sweeps() {
     for (index, system) in systems.iter().enumerate() {
         let independent =
             ExperimentRunner::new(config).run(system, &dataset).expect("sweep succeeds");
-        assert_eq!(campaign.get(index, 0).expect("cell exists"), &independent, "system {index}");
+        assert_eq!(campaign.runs[index].result, independent, "system {index}");
     }
     // The 2-axis cell really is the 3×3 grid.
-    assert_eq!(campaign.get(0, 0).expect("cell exists").len(), 9);
+    assert_eq!(campaign.runs[0].result.len(), 9);
 }

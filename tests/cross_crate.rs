@@ -90,8 +90,8 @@ fn pipelines_compose_mechanisms_and_degrade_both_metrics() {
 
     let geoi_only = GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid"));
     let pipeline = Pipeline::new()
-        .then(EveryNth(4))
-        .then(GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid")));
+        .then_boxed(Box::new(EveryNth(4)))
+        .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid"))));
 
     let mut rng = StdRng::seed_from_u64(4);
     let protected_geoi =
@@ -110,8 +110,8 @@ fn pipelines_compose_mechanisms_and_degrade_both_metrics() {
     // An aggressive pipeline (32x down-sampling, then noise) leaves too few
     // records per stop for the adversary to cluster POIs at all.
     let aggressive = Pipeline::new()
-        .then(EveryNth(32))
-        .then(GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid")));
+        .then_boxed(Box::new(EveryNth(32)))
+        .then_boxed(Box::new(GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid"))));
     let mut rng = StdRng::seed_from_u64(4);
     let protected_aggressive =
         aggressive.protect_dataset(&dataset, &mut rng).expect("protection succeeds");
@@ -158,7 +158,7 @@ fn dataset_properties_feed_the_pca_selection() {
     let merged = Dataset::new(traces).expect("non-empty");
 
     let properties = DatasetProperties::compute(&merged, Meters::new(200.0)).expect("properties");
-    assert_eq!(properties.rows().len(), merged.len());
+    assert_eq!(properties.as_matrix().len(), merged.len());
     assert_eq!(properties.as_matrix()[0].len(), TraceProperties::NAMES.len());
 
     let selection = PropertySelector::default().select(&properties).expect("selection succeeds");

@@ -94,15 +94,15 @@ fn campaigns_match_independent_runs_bit_for_bit() {
         let config = SweepConfig { points: 5, repetitions: 2, seed: 11, parallel };
         let campaign =
             CampaignRunner::new(config).run(&systems, &datasets).expect("campaign succeeds");
-        assert_eq!(campaign.len(), systems.len() * datasets.len());
+        assert_eq!(campaign.runs.len(), systems.len() * datasets.len());
 
         for (s, system) in systems.iter().enumerate() {
             for (d, dataset) in datasets.iter().enumerate() {
                 let independent =
                     ExperimentRunner::new(config).run(system, dataset).expect("sweep succeeds");
                 assert_eq!(
-                    campaign.get(s, d).expect("cell exists"),
-                    &independent,
+                    campaign.runs[s * datasets.len() + d].result,
+                    independent,
                     "system {s} on dataset {d} diverged (parallel = {parallel})"
                 );
             }
@@ -120,7 +120,7 @@ fn adaptive_parallel_and_sequential_sweeps_measure_identically() {
     let system = SystemDefinition::paper_geoi();
     let run = |parallel: bool| {
         let config = SweepConfig { points: 5, repetitions: 1, seed: 11, parallel };
-        ExperimentRunner::with_plan(SweepPlan::adaptive(config, 9))
+        ExperimentRunner::with_plan(SweepPlan::grid(config).refine(9))
             .run(&system, &dataset)
             .expect("adaptive sweep succeeds")
     };
@@ -209,9 +209,10 @@ fn a_small_geoi_sweep_reproduces_its_pinned_bits() {
     assert_eq!(fingerprint(values.map(|v| v.to_bits())), 0x03e5_4022_6892_d1c5);
 
     let image = protect(0.01, 99);
-    let columns = [image.timestamps(), image.latitudes(), image.longitudes()];
-    assert_eq!(
-        fingerprint(columns.into_iter().flatten().map(|v| v.to_bits())),
-        0x6b40_ee20_6c8a_0d42
-    );
+    // The image's timestamp, latitude and longitude columns, in that order:
+    // its traces' views tile each column.
+    let columns = (image.iter().flat_map(|view| view.timestamps()))
+        .chain(image.iter().flat_map(|view| view.latitudes()))
+        .chain(image.iter().flat_map(|view| view.longitudes()));
+    assert_eq!(fingerprint(columns.map(|v| v.to_bits())), 0x6b40_ee20_6c8a_0d42);
 }

@@ -157,7 +157,7 @@ fn refined_adaptive_runs_replay_unit_and_point_seeds() {
     };
     let budget = coarse.len() + 3;
     for parallel in [true, false] {
-        let plan = SweepPlan::adaptive(config(parallel), budget).per_user();
+        let plan = SweepPlan::grid(config(parallel)).refine(budget).per_user();
         let sweep = ExperimentRunner::with_plan(plan).run(&system, &dataset).unwrap();
         assert!(sweep.len() > coarse.len(), "refinement added points");
         let replay = replay_part(&system, &dataset, &sweep.points, seed_rule);

@@ -87,7 +87,7 @@ fn per_user_golden_file_round_trips_through_the_parser() {
     assert_eq!(parsed.users.len(), 3);
     assert_eq!(parsed.feasible_count() + parsed.fallback_count(), 3);
     // User 3 is unmodeled in the synthetic study and rides the fallback.
-    let fallback = parsed.get(UserId::new(3)).unwrap();
+    let fallback = parsed.users.iter().find(|row| row.user == UserId::new(3)).unwrap();
     assert!(fallback.used_fallback());
     assert_eq!(fallback.point, parsed.dataset.point);
 }

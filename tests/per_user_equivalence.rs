@@ -74,13 +74,13 @@ proptest! {
         for user_column in &per_user.user_columns {
             let aggregate = per_user.column(&user_column.id).unwrap();
             for point in 0..per_user.len() {
-                if user_column.user_count() == 0 {
+                if user_column.users.is_empty() {
                     // Defined-zero case: no user evaluable at all.
                     prop_assert_eq!(aggregate.means[point], 0.0);
                     continue;
                 }
                 let mean = user_column.curves.iter().map(|c| c[point]).sum::<f64>()
-                    / user_column.user_count() as f64;
+                    / user_column.users.len() as f64;
                 prop_assert_eq!(mean, aggregate.means[point], "{} point {}", &user_column.id, point);
             }
         }
@@ -124,7 +124,8 @@ fn per_user_recommendations_hold_their_feasibility_promises() {
                 );
                 // And her models really are her own: the suite fitted for her
                 // predicts the same numbers.
-                let suite = per_user.fitted(user.user).unwrap();
+                let fit = per_user.users.iter().find(|fit| fit.user == user.user).unwrap();
+                let suite = fit.outcome.fitted().unwrap();
                 for (id, predicted) in &user.predictions {
                     let own = suite.model(id).unwrap().predict(&user.point).unwrap();
                     assert_eq!(own, *predicted);
@@ -149,18 +150,4 @@ fn per_user_recommendations_hold_their_feasibility_promises() {
         .require("area-coverage", at_least(0.3))
         .unwrap();
     assert_eq!(studied.recommend_per_user().unwrap(), recommendation);
-}
-
-#[test]
-fn per_user_campaign_cells_equal_independent_per_user_sweeps() {
-    let dataset = taxi_dataset(3, 21);
-    let systems = [SystemDefinition::paper_geoi()];
-    let plan = SweepPlan::grid(SweepConfig { points: 5, repetitions: 2, seed: 9, parallel: true })
-        .per_user();
-    let campaign = CampaignRunner::with_plan(plan.clone())
-        .run(&systems, std::slice::from_ref(&dataset))
-        .unwrap();
-    let independent = ExperimentRunner::with_plan(plan).run(&systems[0], &dataset).unwrap();
-    assert_eq!(campaign.get(0, 0).unwrap(), &independent);
-    assert!(!independent.user_columns.is_empty());
 }

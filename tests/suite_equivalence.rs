@@ -89,7 +89,7 @@ fn campaigns_reproduce_the_legacy_pair_sweep_bit_for_bit() {
     let campaign = CampaignRunner::new(config)
         .run(&[SystemDefinition::paper_geoi()], std::slice::from_ref(&dataset))
         .expect("campaign succeeds");
-    let cell = campaign.get(0, 0).expect("cell exists");
+    let cell = &campaign.runs[0].result;
 
     assert_eq!(cell.axis_values("epsilon").expect("ε axis"), parameters);
     assert_eq!(cell.values(&privacy_id()).expect("privacy column"), privacy.as_slice());
