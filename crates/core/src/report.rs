@@ -506,6 +506,10 @@ mod tests {
     use crate::experiment::{MetricColumn, SweepMode};
     use crate::modeling::Modeler;
     use crate::objectives::{at_least, at_most, Objectives};
+    use crate::system::{
+        GaussianPerturbationFactory, GeoIndistinguishabilityFactory, GridCloakingFactory,
+        LppmFactory,
+    };
     use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
     use geopriv_metrics::{Direction, MetricId};
 
@@ -566,6 +570,101 @@ mod tests {
             }],
         )
         .unwrap()
+    }
+
+    /// A two-axis star design (9 points per leg) over an additive plane in
+    /// (ln ε, ln cell).
+    fn one_at_a_time_sweep() -> SweepResult {
+        let space = grid_sweep().space;
+        let points = space.one_at_a_time(&[9, 9]).unwrap();
+        let response: Vec<f64> = points
+            .iter()
+            .map(|p| {
+                0.9 + 0.05 * p.get("epsilon").unwrap().ln()
+                    - 0.04 * p.get("cell_size").unwrap().ln()
+            })
+            .collect();
+        SweepResult::new(
+            "pipeline[geo-indistinguishability, grid-cloaking]",
+            space,
+            SweepMode::OneAtATime,
+            points,
+            vec![MetricColumn {
+                id: MetricId::new("poi-retrieval"),
+                direction: Direction::LowerIsBetter,
+                runs: vec![],
+                means: response,
+            }],
+        )
+        .unwrap()
+    }
+
+    /// The exact text of each model shape, in `suite_report` and in the
+    /// suite's `Display`, and of each shipped mechanism's axis.
+    #[test]
+    fn rendered_models_and_axes_are_pinned_byte_for_byte() {
+        let one_axis = Modeler::new().fit(&sweep()).unwrap();
+        assert_eq!(
+            suite_report(&one_axis),
+            "Fitted suite (epsilon):\n  \
+             poi-retrieval        = +0.8186 +0.1638·ln(epsilon)   R² = 0.998   \
+             active zone [0.00621, 0.10826]\n  \
+             area-coverage        = +1.2100 +0.0900·ln(epsilon)   R² = 1.000   \
+             active zone [0.00014, 0.07880]\n"
+        );
+        assert_eq!(
+            one_axis.to_string(),
+            "poi-retrieval (epsilon): y = 0.8186 + 0.1638·ln(x) (R² = 0.998)\n\
+             area-coverage (epsilon): y = 1.2100 + 0.0900·ln(x) (R² = 1.000)"
+        );
+
+        let per_axis = Modeler::new().fit(&one_at_a_time_sweep()).unwrap();
+        assert_eq!(
+            suite_report(&per_axis),
+            "Fitted suite (epsilon × cell_size):\n  \
+             poi-retrieval        (one axis at a time)\n    \
+             epsilon            = +0.6514 +0.0500·ln(epsilon)   R² = 1.000   \
+             active zone [0.00010, 1.00000]\n    \
+             cell_size          = +0.6697 -0.0400·ln(cell_size)   R² = 1.000   \
+             active zone [50.00000, 5000.00000]\n"
+        );
+        assert_eq!(
+            per_axis.to_string(),
+            "poi-retrieval (one-at-a-time):\n  \
+             epsilon: y = 0.6514 + 0.0500·ln(x) (R² = 1.000)\n  \
+             cell_size: y = 0.6697 + -0.0400·ln(x) (R² = 1.000)"
+        );
+
+        let surface = Modeler::new().fit(&grid_sweep()).unwrap();
+        assert_eq!(
+            suite_report(&surface),
+            "Fitted suite (epsilon × cell_size):\n  \
+             poi-retrieval        = +0.9000 +0.0500·ln(epsilon) -0.0400·ln(cell_size)   \
+             R² = 1.000\n"
+        );
+        assert_eq!(
+            surface.to_string(),
+            "poi-retrieval (epsilon × cell_size): multivariate R² = 1.000"
+        );
+
+        let factories: [&dyn LppmFactory; 3] = [
+            &GeoIndistinguishabilityFactory::new(),
+            &GridCloakingFactory::new(),
+            &GaussianPerturbationFactory::new(),
+        ];
+        let axes: Vec<(String, String)> = factories
+            .iter()
+            .map(|factory| {
+                let axis = factory.space().single_axis().expect("one axis").clone();
+                (axis.to_string(), axis.cache_token())
+            })
+            .collect();
+        let pinned = [
+            ("epsilon ∈ [0.0001, 1] (log)", "epsilon:1e-4..1e0:log"),
+            ("cell_size ∈ [50, 5000] (log)", "cell_size:5e1..5e3:log"),
+            ("sigma ∈ [1, 10000] (log)", "sigma:1e0..1e4:log"),
+        ];
+        assert_eq!(axes, pinned.map(|(text, token)| (text.to_string(), token.to_string())));
     }
 
     #[test]
