@@ -11,13 +11,13 @@
 //! * [`Curve`] — empirical response curves, sorted by parameter value.
 //! * [`saturation`] — detection of the non-saturated zone of a response
 //!   (the vertical lines of Figure 1).
-//! * [`model`] — the invertible parametric models of Equation 2
-//!   ([`LogLinearModel`], [`LinearModel`]).
+//! * [`model`] — the invertible parametric model of Equation 2
+//!   ([`LogLinearModel`]).
 //!
 //! ## Example: fitting and inverting Equation 2
 //!
 //! ```
-//! use geopriv_analysis::model::{LogLinearModel, ResponseModel};
+//! use geopriv_analysis::model::LogLinearModel;
 //!
 //! # fn main() -> Result<(), geopriv_analysis::AnalysisError> {
 //! let epsilons = [0.007, 0.01, 0.02, 0.04, 0.08];
@@ -45,7 +45,7 @@ pub mod stats;
 pub use error::AnalysisError;
 pub use interpolation::Curve;
 pub use matrix::Matrix;
-pub use model::{LinearModel, LogLinearModel, ResponseModel};
+pub use model::LogLinearModel;
 pub use pca::{Pca, PrincipalComponent};
 pub use regression::{MultipleLinearRegression, SimpleLinearRegression};
 pub use saturation::{find_active_zone, ActiveZone};
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::error::AnalysisError;
     pub use crate::interpolation::Curve;
     pub use crate::matrix::Matrix;
-    pub use crate::model::{LinearModel, LogLinearModel, ResponseModel};
+    pub use crate::model::LogLinearModel;
     pub use crate::pca::{Pca, PrincipalComponent};
     pub use crate::regression::{MultipleLinearRegression, SimpleLinearRegression};
     pub use crate::saturation::{find_active_zone, ActiveZone};

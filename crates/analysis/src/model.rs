@@ -1,7 +1,7 @@
-//! Parametric, invertible response models.
+//! The parametric, invertible response model of Equation 2.
 //!
-//! The paper's Equation 2 expresses each metric as a log-linear function of
-//! the configuration parameter ε:
+//! The paper expresses each metric as a log-linear function of the
+//! configuration parameter ε:
 //!
 //! ```text
 //! Pr = a + b·ln ε        Ut = α + β·ln ε
@@ -10,102 +10,12 @@
 //! [`LogLinearModel`] is exactly that object: it is fitted on `(ε, metric)`
 //! samples restricted to the non-saturated zone, predicts the metric for a
 //! given ε, and — crucially for the configuration step — *inverts* to give
-//! the ε achieving a target metric value. [`LinearModel`] is the same without
-//! the logarithmic transform, used when a parameter already acts linearly.
+//! the ε achieving a target metric value.
 
 use crate::error::AnalysisError;
 use crate::regression::SimpleLinearRegression;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A fitted, invertible model of a metric response to a single parameter.
-///
-/// Implemented by [`LinearModel`] and [`LogLinearModel`]; the configuration
-/// framework treats the two uniformly through this trait.
-pub trait ResponseModel: fmt::Debug {
-    /// Predicted metric value at parameter value `x`.
-    fn predict(&self, x: f64) -> f64;
-
-    /// Parameter value at which the model attains the metric value `y`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotInvertible`] when the fitted slope is zero
-    /// and [`AnalysisError::OutOfDomain`] when the requested value cannot be
-    /// reached inside the fitted domain.
-    fn invert(&self, y: f64) -> Result<f64, AnalysisError>;
-
-    /// Coefficient of determination of the fit, in `[0, 1]`.
-    fn r_squared(&self) -> f64;
-
-    /// Parameter domain `(min, max)` on which the model was fitted.
-    fn domain(&self) -> (f64, f64);
-}
-
-/// A plain linear model `y = intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearModel {
-    intercept: f64,
-    slope: f64,
-    r_squared: f64,
-    domain: (f64, f64),
-}
-
-impl LinearModel {
-    /// Fits the model on `(x, y)` samples.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimpleLinearRegression::fit`].
-    pub fn fit(xs: &[f64], ys: &[f64]) -> Result<Self, AnalysisError> {
-        let reg = SimpleLinearRegression::fit(xs, ys)?;
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok(Self {
-            intercept: reg.intercept(),
-            slope: reg.slope(),
-            r_squared: reg.r_squared(),
-            domain: (min, max),
-        })
-    }
-
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The fitted slope.
-    pub fn slope(&self) -> f64 {
-        self.slope
-    }
-}
-
-impl ResponseModel for LinearModel {
-    fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    fn invert(&self, y: f64) -> Result<f64, AnalysisError> {
-        if self.slope == 0.0 || !self.slope.is_finite() {
-            return Err(AnalysisError::NotInvertible);
-        }
-        Ok((y - self.intercept) / self.slope)
-    }
-
-    fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-
-    fn domain(&self) -> (f64, f64) {
-        self.domain
-    }
-}
-
-impl fmt::Display for LinearModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "y = {:.4} + {:.4}·x (R² = {:.3})", self.intercept, self.slope, self.r_squared)
-    }
-}
 
 /// The paper's log-linear model `y = intercept + slope · ln x`.
 ///
@@ -114,7 +24,7 @@ impl fmt::Display for LinearModel {
 /// # Examples
 ///
 /// ```
-/// use geopriv_analysis::model::{LogLinearModel, ResponseModel};
+/// use geopriv_analysis::model::LogLinearModel;
 ///
 /// # fn main() -> Result<(), geopriv_analysis::AnalysisError> {
 /// // Equation 2 of the paper: Pr = 0.84 + 0.17·ln ε.
@@ -172,14 +82,20 @@ impl LogLinearModel {
     pub fn slope(&self) -> f64 {
         self.slope
     }
-}
 
-impl ResponseModel for LogLinearModel {
-    fn predict(&self, x: f64) -> f64 {
+    /// Predicted metric value at parameter value `x`.
+    pub fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x.ln()
     }
 
-    fn invert(&self, y: f64) -> Result<f64, AnalysisError> {
+    /// Parameter value at which the model attains the metric value `y`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NotInvertible`] when the fitted slope is zero
+    /// or not finite, and [`AnalysisError::OutOfDomain`] when the parameter
+    /// value overflows `f64`.
+    pub fn invert(&self, y: f64) -> Result<f64, AnalysisError> {
         if self.slope == 0.0 || !self.slope.is_finite() {
             return Err(AnalysisError::NotInvertible);
         }
@@ -191,11 +107,13 @@ impl ResponseModel for LogLinearModel {
         Ok(x)
     }
 
-    fn r_squared(&self) -> f64 {
+    /// Coefficient of determination of the fit, in `[0, 1]`.
+    pub fn r_squared(&self) -> f64 {
         self.r_squared
     }
 
-    fn domain(&self) -> (f64, f64) {
+    /// Parameter domain `(min, max)` on which the model was fitted.
+    pub fn domain(&self) -> (f64, f64) {
         self.domain
     }
 }
@@ -215,26 +133,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_model_roundtrip() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 5.0 - 2.0 * x).collect();
-        let m = LinearModel::fit(&xs, &ys).unwrap();
-        assert!((m.intercept() - 5.0).abs() < 1e-12);
-        assert!((m.slope() + 2.0).abs() < 1e-12);
-        assert_eq!(m.domain(), (0.0, 3.0));
-        assert!((m.predict(1.5) - 2.0).abs() < 1e-12);
-        assert!((m.invert(2.0).unwrap() - 1.5).abs() < 1e-12);
-        assert_eq!(m.r_squared(), 1.0);
-        assert!(m.to_string().contains("R²"));
-    }
-
-    #[test]
     fn flat_models_are_not_invertible() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [4.0, 4.0, 4.0];
-        let lin = LinearModel::fit(&xs, &ys).unwrap();
-        assert_eq!(lin.invert(4.0), Err(AnalysisError::NotInvertible));
-        let log = LogLinearModel::fit(&xs, &ys).unwrap();
+        let log = LogLinearModel::fit(&[1.0, 2.0, 3.0], &[4.0, 4.0, 4.0]).unwrap();
         assert_eq!(log.invert(4.0), Err(AnalysisError::NotInvertible));
     }
 
@@ -264,22 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_objects_are_usable() {
-        let xs = [1.0, 2.0, 4.0, 8.0];
-        let ys: Vec<f64> = xs.iter().map(|x: &f64| 1.0 + 0.5 * x.ln()).collect();
-        let models: Vec<Box<dyn ResponseModel>> = vec![
-            Box::new(LinearModel::fit(&xs, &ys).unwrap()),
-            Box::new(LogLinearModel::fit(&xs, &ys).unwrap()),
-        ];
-        // The log-linear model fits these samples perfectly, the linear one does not.
-        assert!(models[1].r_squared() > models[0].r_squared() - 1e-9);
-        for m in &models {
-            assert!(m.predict(3.0).is_finite());
-            assert_eq!(m.domain(), (1.0, 8.0));
-        }
-    }
-
-    #[test]
     fn inversion_roundtrips_prediction() {
         let eps: Vec<f64> = (1..20).map(|i| i as f64 * 0.005).collect();
         let ys: Vec<f64> = eps.iter().map(|e| 0.84 + 0.17 * e.ln()).collect();
@@ -293,8 +177,6 @@ mod tests {
 
     #[test]
     fn display_shows_the_fitted_equation() {
-        let linear = LinearModel::fit(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]).unwrap();
-        assert_eq!(linear.to_string(), "y = 1.0000 + 2.0000·x (R² = 1.000)");
         let eps = [0.01, 0.1, 1.0];
         let ys: Vec<f64> = eps.iter().map(|e: &f64| 0.5 - 0.25 * e.ln()).collect();
         let log = LogLinearModel::fit(&eps, &ys).unwrap();

@@ -18,10 +18,6 @@ pub struct ActiveZone {
     pub min_x: f64,
     /// Largest `x` of the active zone.
     pub max_x: f64,
-    /// Index of the first sample inside the zone.
-    pub first_index: usize,
-    /// Index of the last sample inside the zone (inclusive).
-    pub last_index: usize,
 }
 
 impl ActiveZone {
@@ -93,12 +89,7 @@ pub fn find_active_zone(curve: &Curve) -> Result<ActiveZone, AnalysisError> {
         return Err(AnalysisError::NotEnoughData { required: 2, actual: last - first + 1 });
     }
 
-    Ok(ActiveZone {
-        min_x: points[first].0,
-        max_x: points[last].0,
-        first_index: first,
-        last_index: last,
-    })
+    Ok(ActiveZone { min_x: points[first].0, max_x: points[last].0 })
 }
 
 #[cfg(test)]
@@ -128,7 +119,7 @@ mod tests {
         assert!(zone.min_x > -9.0);
         assert!(zone.max_x < 1.0);
         assert!(zone.max_x - zone.min_x > 0.5);
-        assert!(zone.last_index - zone.first_index + 1 >= 3);
+        assert!(curve.points().iter().filter(|&&(x, _)| zone.contains(x)).count() >= 3);
     }
 
     #[test]
@@ -143,8 +134,7 @@ mod tests {
         let curve = Curve::new(samples).unwrap();
         let zone = find_active_zone(&curve).unwrap();
         // All interior samples are active; the zone spans (almost) everything.
-        assert_eq!(zone.first_index, 0);
-        assert_eq!(zone.last_index, 10);
+        assert_eq!((zone.min_x, zone.max_x), (0.0, 10.0));
     }
 
     #[test]
@@ -179,13 +169,12 @@ mod tests {
             Curve::new(ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect()).unwrap();
         let zone = find_active_zone(&curve).unwrap();
         // Samples 2..=4 are active; one bracketing sample joins on each side.
-        assert_eq!((zone.first_index, zone.last_index), (1, 5));
         assert_eq!((zone.min_x, zone.max_x), (1.0, 5.0));
     }
 
     #[test]
     fn zone_contains_its_edges_and_nothing_outside() {
-        let zone = ActiveZone { min_x: -2.0, max_x: 1.5, first_index: 3, last_index: 9 };
+        let zone = ActiveZone { min_x: -2.0, max_x: 1.5 };
         assert!(zone.contains(-2.0) && zone.contains(0.0) && zone.contains(1.5));
         assert!(!zone.contains(-2.000_001) && !zone.contains(1.6));
         assert!(!zone.contains(f64::NAN));
@@ -195,7 +184,6 @@ mod tests {
     fn two_sample_curve_zone_is_both_samples() {
         let curve = Curve::new(vec![(0.0, 1.0), (1.0, 0.0)]).unwrap();
         let zone = find_active_zone(&curve).unwrap();
-        assert_eq!((zone.first_index, zone.last_index), (0, 1));
         assert_eq!((zone.min_x, zone.max_x), (0.0, 1.0));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the numerical analysis substrate.
 
-use geopriv_analysis::model::{LogLinearModel, ResponseModel};
+use geopriv_analysis::model::LogLinearModel;
 use geopriv_analysis::{find_active_zone, stats, Curve, Matrix, Pca, SimpleLinearRegression};
 use proptest::prelude::*;
 

@@ -10,7 +10,7 @@
 //! On a one-axis space the inversion is analytic, exactly as in the paper:
 //! every constraint's feasible interval is computed by inverting the fitted
 //! model and the intervals are intersected. On multi-axis spaces the
-//! configurator searches the modeled region on a deterministic scale-aware
+//! configurator searches the modeled region on a deterministic geometric
 //! candidate grid, keeps the points satisfying every constraint, and
 //! recommends the one with the largest worst-case slack.
 
@@ -18,7 +18,8 @@ use crate::error::CoreError;
 use crate::experiment::run_indexed;
 use crate::modeling::{FittedSuite, MetricModel, MetricResponse, PerUserFits, UserFitOutcome};
 use crate::objectives::{Constraint, ConstraintKind, Objectives};
-use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor, ParameterScale};
+use geopriv_analysis::model::LogLinearModel;
+use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor};
 use geopriv_metrics::MetricId;
 use geopriv_mobility::UserId;
 use serde::{Deserialize, Serialize};
@@ -230,9 +231,7 @@ pub struct Configurator {
 }
 
 impl Configurator {
-    /// Creates a configurator from a fitted suite. Axis scales (arithmetic
-    /// vs geometric midpoints, candidate spacing) come from the suite's
-    /// [`geopriv_lppm::ConfigSpace`].
+    /// Creates a configurator from a fitted suite.
     pub fn new(fitted: FittedSuite) -> Self {
         Self { fitted }
     }
@@ -245,7 +244,7 @@ impl Configurator {
     /// Computes the parameter interval satisfying one constraint
     /// `metric(x) ≤/≥ bound` for a monotone model, clipped to `domain`.
     fn interval_for(
-        model: &crate::modeling::ParametricModel,
+        model: &LogLinearModel,
         constraint: &Constraint,
         domain: (f64, f64),
     ) -> Result<(f64, f64), CoreError> {
@@ -253,9 +252,10 @@ impl Configurator {
         // An upper bound on an increasing metric caps the parameter from
         // above; the three other (kind, slope-sign) combinations follow by
         // symmetry.
+        let increasing = model.slope() > 0.0;
         let caps_above = match constraint.kind() {
-            ConstraintKind::AtMost => model.is_increasing(),
-            ConstraintKind::AtLeast => !model.is_increasing(),
+            ConstraintKind::AtMost => increasing,
+            ConstraintKind::AtLeast => !increasing,
         };
         if caps_above {
             Ok((domain.0, critical.min(domain.1)))
@@ -326,7 +326,7 @@ impl Configurator {
         constrained: &[(&MetricId, &Constraint, &MetricModel)],
     ) -> Result<Recommendation, CoreError> {
         let axis = fitted.space.single_axis().expect("one-axis space").clone();
-        let models: Vec<(&MetricId, &Constraint, &crate::modeling::ParametricModel)> = constrained
+        let models: Vec<(&MetricId, &Constraint, &LogLinearModel)> = constrained
             .iter()
             .map(|(id, constraint, model)| {
                 let fit = model.axis().expect("one-axis suites carry axis fits");
@@ -375,10 +375,8 @@ impl Configurator {
             });
         }
 
-        let parameter = match axis.scale() {
-            ParameterScale::Linear => (feasible.0 + feasible.1) / 2.0,
-            ParameterScale::Logarithmic => (feasible.0 * feasible.1).sqrt(),
-        };
+        // The geometric midpoint: every axis is logarithmic.
+        let parameter = (feasible.0 * feasible.1).sqrt();
 
         Ok(Recommendation {
             point: fitted.space.point_from_coords(&[parameter])?,
@@ -396,7 +394,7 @@ impl Configurator {
 
     /// The candidate sub-axis of the multi-axis search: the modeled region
     /// of one axis (the intersection of the constrained models' claimed
-    /// regions), keeping the axis name and scale.
+    /// regions), keeping the axis name.
     fn candidate_axis(
         axis: &ParameterDescriptor,
         constrained: &[(&MetricId, &Constraint, &MetricModel)],
@@ -433,7 +431,7 @@ impl Configurator {
                 ),
             });
         }
-        ParameterDescriptor::new(axis.name(), lo, hi, axis.scale()).map_err(CoreError::from)
+        ParameterDescriptor::new(axis.name(), lo, hi).map_err(CoreError::from)
     }
 
     /// Deterministic grid search over the modeled region of a multi-axis
@@ -653,7 +651,7 @@ mod tests {
     }
 
     fn epsilon_axis() -> ParameterDescriptor {
-        ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap()
+        ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap()
     }
 
     fn paper_like_suite() -> FittedSuite {
@@ -698,8 +696,7 @@ mod tests {
     fn grid_suite() -> FittedSuite {
         let space = ConfigSpace::new(vec![
             epsilon_axis(),
-            ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)
-                .unwrap(),
+            ParameterDescriptor::new("cell_size", 50.0, 5000.0).unwrap(),
         ])
         .unwrap();
         let points = space.grid(&[9, 9]).unwrap();

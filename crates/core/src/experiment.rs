@@ -16,7 +16,7 @@
 
 use crate::error::CoreError;
 use crate::system::SystemDefinition;
-use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor, ParameterScale};
+use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterDescriptor};
 use geopriv_metrics::{Direction, MetricId, MetricValue, PreparedState, SuiteMetric};
 use geopriv_mobility::{Dataset, UserId};
 use parking_lot::Mutex;
@@ -1567,24 +1567,6 @@ fn rank_uncertain_users<'a>(
     ranked
 }
 
-/// The midpoint of `[a, b]` in the axis's own scale: arithmetic on linear
-/// axes, geometric on logarithmic ones — the bisection step of refinement.
-fn scale_midpoint(scale: ParameterScale, a: f64, b: f64) -> f64 {
-    match scale {
-        ParameterScale::Linear => (a + b) / 2.0,
-        ParameterScale::Logarithmic => (a * b).sqrt(),
-    }
-}
-
-/// The width of the gap `[a, b]` in the axis's own scale (log axes measure
-/// ratios), the yardstick by which refinement picks where to bisect.
-fn gap_width(scale: ParameterScale, a: f64, b: f64) -> f64 {
-    match scale {
-        ParameterScale::Linear => b - a,
-        ParameterScale::Logarithmic => b / a,
-    }
-}
-
 /// Proposes the next batch of refinement points, most valuable first, from
 /// two sources in priority order:
 ///
@@ -1594,6 +1576,9 @@ fn gap_width(scale: ParameterScale, a: f64, b: f64) -> f64 {
 ///    outside the zone — the bracket holding the saturation knee.
 /// 2. **Worst residuals**: at each metric's worst-fit point, bisect toward
 ///    the neighbor on the wider-gap side of every axis.
+///
+/// Every axis is logarithmic, so a bisection takes the geometric midpoint
+/// `√(ab)` and a gap `[a, b]` is as wide as its ratio `b/a`.
 ///
 /// Pure and deterministic: candidates depend only on the measurements and
 /// diagnostics, never on scheduling. `seen` (every coordinate token already
@@ -1652,13 +1637,13 @@ fn plan_refinement(
         for metric in &diag.metrics {
             for (name, (zone_lo, zone_hi)) in &metric.zone_edges {
                 let Some(i) = axes.iter().position(|a| a.name() == name) else { continue };
-                let (Some(axis), Some(values)) = (axes.get(i), unique.get(i)) else { continue };
+                let Some(values) = unique.get(i) else { continue };
                 let below = values.iter().rev().find(|&&v| v < *zone_lo).map(|&v| (v, *zone_lo));
                 let above = values.iter().find(|&&v| v > *zone_hi).map(|&v| (*zone_hi, v));
                 for (a, b) in below.into_iter().chain(above) {
                     let mut coords = base.clone();
                     let Some(slot) = coords.get_mut(i) else { continue };
-                    *slot = scale_midpoint(axis.scale(), a, b);
+                    *slot = (a * b).sqrt();
                     push(&coords, &mut candidates, seen)?;
                 }
             }
@@ -1675,8 +1660,7 @@ fn plan_refinement(
             else {
                 continue;
             };
-            for (i, axis) in axes.iter().enumerate() {
-                let Some(values) = unique.get(i) else { continue };
+            for (i, values) in unique.iter().enumerate() {
                 let Some(&worst_value) = at_worst.get(i) else { continue };
                 let Some(position) = values.iter().position(|&v| v == worst_value) else {
                     continue;
@@ -1685,17 +1669,13 @@ fn plan_refinement(
                     position.checked_sub(1).and_then(|p| values.get(p)).map(|&v| (v, worst_value));
                 let right = values.get(position + 1).map(|&v| (worst_value, v));
                 let side = match (left, right) {
-                    (Some(l), Some(r)) => {
-                        let wider_left =
-                            gap_width(axis.scale(), l.0, l.1) >= gap_width(axis.scale(), r.0, r.1);
-                        Some(if wider_left { l } else { r })
-                    }
+                    (Some(l), Some(r)) => Some(if l.1 / l.0 >= r.1 / r.0 { l } else { r }),
                     (gap, None) | (None, gap) => gap,
                 };
                 if let Some((a, b)) = side {
                     let mut coords = at_worst.clone();
                     let Some(slot) = coords.get_mut(i) else { continue };
-                    *slot = scale_midpoint(axis.scale(), a, b);
+                    *slot = (a * b).sqrt();
                     push(&coords, &mut candidates, seen)?;
                 }
             }
@@ -1764,7 +1744,7 @@ mod tests {
     }
 
     fn epsilon_axis() -> ParameterDescriptor {
-        ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap()
+        ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap()
     }
 
     fn composed_system() -> SystemDefinition {
@@ -2055,7 +2035,7 @@ mod tests {
             runs: means.iter().map(|&m| vec![m]).collect(),
             means,
         };
-        let axis = || ParameterDescriptor::new("p", 0.05, 0.5, ParameterScale::Linear).unwrap();
+        let axis = || ParameterDescriptor::new("p", 0.05, 0.5).unwrap();
         assert!(SweepResult::from_axis(
             "m",
             axis(),
@@ -2255,7 +2235,7 @@ mod tests {
             let batch = plan_refinement(&sweep.space, &sweep, &[diagnostics(worst)], seen, limit);
             batch.unwrap().iter().map(ConfigPoint::coords).collect::<Vec<_>>()
         };
-        let mid = |a: f64, b: f64| vec![scale_midpoint(ParameterScale::Logarithmic, a, b)];
+        let mid = |a: f64, b: f64| vec![(a * b).sqrt()];
 
         // Each zone edge is bisected toward its nearest measured value
         // outside the zone, then the worst point toward its wider gap (equal

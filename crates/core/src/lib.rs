@@ -16,7 +16,7 @@
 //! 2. **Modeling** ([`experiment`] + [`modeling`]) — automatically sweep the
 //!    configuration space (full-factorial grid or the paper's one-at-a-time
 //!    design), measure every suite metric into a per-metric column store,
-//!    and fit the invertible (log-)linear relationship of Equation 2 — per
+//!    and fit the invertible log-linear relationship of Equation 2 — per
 //!    axis inside its non-saturated zone, or as a multivariate surface on
 //!    grids. The [`campaign`] engine scales
 //!    this step to many systems × many datasets on one shared work pool with
@@ -84,7 +84,7 @@ pub use experiment::{
 pub use json::JsonValue;
 pub use modeling::{
     AxisFit, FitDiagnostics, FittedSuite, MetricDiagnostics, MetricModel, MetricResponse, Modeler,
-    ParametricModel, PerAxisFit, PerUserFits, SurfaceFit, UserFit, UserFitOutcome,
+    PerAxisFit, PerUserFits, SurfaceFit, UserFit, UserFitOutcome,
 };
 pub use objectives::{at_least, at_most, Constraint, ConstraintKind, Objectives};
 pub use pareto::{ParetoFrontier, TradeOffPoint};
@@ -116,7 +116,7 @@ pub mod prelude {
     };
     pub use crate::modeling::{
         AxisFit, FitDiagnostics, FittedSuite, MetricDiagnostics, MetricModel, MetricResponse,
-        Modeler, ParametricModel, PerUserFits, SurfaceFit, UserFit, UserFitOutcome,
+        Modeler, PerUserFits, SurfaceFit, UserFit, UserFitOutcome,
     };
     pub use crate::objectives::{at_least, at_most, Constraint, ConstraintKind, Objectives};
     pub use crate::pareto::{ParetoFrontier, TradeOffPoint};

@@ -13,11 +13,10 @@
 //! fits, per metric column:
 //!
 //! * **one axis** — the historical path, unchanged: detect the non-saturated
-//!   zone (the vertical lines of Figure 1) and fit the invertible
-//!   (log-)linear model inside it ([`AxisFit`]);
+//!   zone (the vertical lines of Figure 1) and fit the invertible log-linear
+//!   model inside it ([`AxisFit`]);
 //! * **multi-axis grid** — Equation 1's multivariate form: an ordinary
-//!   least-squares plane over the scaled axes (ln-axis per
-//!   [`ParameterScale::Logarithmic`]), via
+//!   least-squares plane over the logarithms of the axes, via
 //!   [`geopriv_analysis::regression::MultipleLinearRegression`]
 //!   ([`SurfaceFit`]);
 //! * **multi-axis one-at-a-time** — one [`AxisFit`] per axis, each fitted on
@@ -32,136 +31,40 @@
 
 use crate::error::CoreError;
 use crate::experiment::{run_indexed, Grain, SweepMode, SweepResult, UserCurves};
-use geopriv_analysis::model::{LinearModel, LogLinearModel, ResponseModel};
+use geopriv_analysis::model::LogLinearModel;
 use geopriv_analysis::regression::MultipleLinearRegression;
-use geopriv_analysis::{find_active_zone, ActiveZone, AnalysisError, Curve};
-use geopriv_lppm::{ConfigPoint, ConfigSpace, ParameterScale};
+use geopriv_analysis::{find_active_zone, ActiveZone, Curve};
+use geopriv_lppm::{ConfigPoint, ConfigSpace};
 use geopriv_metrics::{Direction, MetricId};
 use geopriv_mobility::UserId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// An invertible single-parameter model of a metric response, either linear
-/// or log-linear in the configuration parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ParametricModel {
-    /// `metric = intercept + slope · parameter`
-    Linear(LinearModel),
-    /// `metric = intercept + slope · ln(parameter)` — the paper's Equation 2.
-    LogLinear(LogLinearModel),
-}
-
-impl ParametricModel {
-    /// Predicted metric value at the given parameter value.
-    pub fn predict(&self, parameter: f64) -> f64 {
-        match self {
-            ParametricModel::Linear(m) => m.predict(parameter),
-            ParametricModel::LogLinear(m) => m.predict(parameter),
-        }
-    }
-
-    /// Parameter value achieving the requested metric value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NotInvertible`] for flat responses.
-    pub fn invert(&self, metric: f64) -> Result<f64, AnalysisError> {
-        match self {
-            ParametricModel::Linear(m) => m.invert(metric),
-            ParametricModel::LogLinear(m) => m.invert(metric),
-        }
-    }
-
-    /// Coefficient of determination of the fit.
-    pub fn r_squared(&self) -> f64 {
-        match self {
-            ParametricModel::Linear(m) => m.r_squared(),
-            ParametricModel::LogLinear(m) => m.r_squared(),
-        }
-    }
-
-    /// The fitted intercept (the paper's `a` / `α`).
-    pub fn intercept(&self) -> f64 {
-        match self {
-            ParametricModel::Linear(m) => m.intercept(),
-            ParametricModel::LogLinear(m) => m.intercept(),
-        }
-    }
-
-    /// The fitted slope (the paper's `b` / `β`).
-    pub fn slope(&self) -> f64 {
-        match self {
-            ParametricModel::Linear(m) => m.slope(),
-            ParametricModel::LogLinear(m) => m.slope(),
-        }
-    }
-
-    /// Parameter domain on which the model was fitted.
-    pub fn domain(&self) -> (f64, f64) {
-        match self {
-            ParametricModel::Linear(m) => m.domain(),
-            ParametricModel::LogLinear(m) => m.domain(),
-        }
-    }
-
-    /// Whether the metric increases with the parameter.
-    pub fn is_increasing(&self) -> bool {
-        self.slope() > 0.0
-    }
-}
-
-impl fmt::Display for ParametricModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParametricModel::Linear(m) => write!(f, "{m}"),
-            ParametricModel::LogLinear(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-/// The fitted 1-D response of one metric along one named axis: the empirical
-/// curve, its non-saturated zone, and the parametric model fitted inside
-/// that zone.
+/// The fitted 1-D response of one metric along one named axis: its
+/// non-saturated zone and the log-linear model fitted inside that zone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AxisFit {
     /// Name of the axis the fit varies.
     pub axis: String,
-    /// The full empirical response (axis value → metric), all design points
-    /// of the axis's leg.
-    pub curve: Curve,
     /// The detected non-saturated zone, in parameter units.
     pub active_zone: (f64, f64),
     /// The invertible model fitted on the non-saturated zone.
-    pub model: ParametricModel,
+    pub model: LogLinearModel,
 }
 
 /// The fitted multivariate response of one metric over all axes of a grid
-/// design: `metric = β₀ + Σ βᵢ · scaledᵢ(xᵢ)` with `scaledᵢ = ln` on
-/// logarithmic axes.
+/// design: `metric = β₀ + Σ βᵢ · ln(xᵢ)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurfaceFit {
     /// Axis names, in space order (the regression's predictor order).
     pub axes: Vec<String>,
-    /// Per-axis scale (decides the `ln` transform), aligned with `axes`.
-    pub scales: Vec<ParameterScale>,
-    /// The fitted least-squares plane over the scaled axes.
+    /// The fitted least-squares plane over the logarithms of the axes.
     pub regression: MultipleLinearRegression,
     /// Per-axis fitted domain in parameter units, aligned with `axes`.
     pub domain: Vec<(f64, f64)>,
 }
 
 impl SurfaceFit {
-    fn scaled(&self, coords: &[f64]) -> Vec<f64> {
-        coords
-            .iter()
-            .zip(&self.scales)
-            .map(|(&value, scale)| match scale {
-                ParameterScale::Linear => value,
-                ParameterScale::Logarithmic => value.ln(),
-            })
-            .collect()
-    }
-
     /// Predicted metric value at a configuration point (axis order must
     /// match the fitted axes).
     ///
@@ -180,7 +83,8 @@ impl SurfaceFit {
                 ),
             });
         }
-        Ok(self.regression.predict(&self.scaled(&point.coords()))?)
+        let logarithms: Vec<f64> = point.coords().iter().map(|value| value.ln()).collect();
+        Ok(self.regression.predict(&logarithms)?)
     }
 
     /// Coefficient of determination of the fit.
@@ -629,7 +533,7 @@ impl Modeler {
             let parameters = sweep.axis_values(&name).ok_or_else(|| CoreError::Internal {
                 reason: format!("a design point lacks the sweep's single axis \"{name}\""),
             })?;
-            let fit = self.fit_axis(&name, axis.scale(), &parameters, means, sweep.len(), id)?;
+            let fit = self.fit_axis(&name, &parameters, means, sweep.len(), id)?;
             return Ok(MetricResponse::Axis(fit));
         }
         match sweep.mode {
@@ -650,7 +554,6 @@ impl Modeler {
     fn fit_axis(
         &self,
         axis: &str,
-        scale: ParameterScale,
         parameters: &[f64],
         values: &[f64],
         design_points: usize,
@@ -665,16 +568,10 @@ impl Modeler {
                 ),
             });
         }
-        let logarithmic = scale == ParameterScale::Logarithmic;
 
-        // Work on a transformed x-axis (ln for logarithmic parameters) so the
-        // saturation detector sees evenly spaced samples, exactly like the
-        // log-scale x-axis of Figure 1.
-        let transformed: Vec<f64> = if logarithmic {
-            parameters.iter().map(|p| p.ln()).collect()
-        } else {
-            parameters.to_vec()
-        };
+        // Work on ln of the parameter so the saturation detector sees evenly
+        // spaced samples, exactly like the log-scale x-axis of Figure 1.
+        let transformed: Vec<f64> = parameters.iter().map(|p| p.ln()).collect();
         let detection_curve =
             Curve::new(transformed.iter().copied().zip(values.iter().copied()).collect())?;
         let zone: ActiveZone = find_active_zone(&detection_curve)?;
@@ -690,19 +587,12 @@ impl Modeler {
         let zone_params: Vec<f64> = in_zone.iter().map(|(p, _)| *p).collect();
         let zone_values: Vec<f64> = in_zone.iter().map(|(_, v)| *v).collect();
 
-        let model = if logarithmic {
-            ParametricModel::LogLinear(LogLinearModel::fit(&zone_params, &zone_values)?)
-        } else {
-            ParametricModel::Linear(LinearModel::fit(&zone_params, &zone_values)?)
-        };
-
-        // The full empirical curve is kept in parameter units for reporting.
-        let curve = Curve::new(parameters.iter().copied().zip(values.iter().copied()).collect())?;
+        let model = LogLinearModel::fit(&zone_params, &zone_values)?;
         let active_zone = (
             zone_params.iter().copied().fold(f64::INFINITY, f64::min),
             zone_params.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         );
-        Ok(AxisFit { axis: axis.to_string(), curve, active_zone, model })
+        Ok(AxisFit { axis: axis.to_string(), active_zone, model })
     }
 
     /// One 1-D fit per axis of a one-at-a-time design: each axis's leg is
@@ -732,8 +622,7 @@ impl Modeler {
                 .collect();
             let parameters: Vec<f64> = leg.iter().map(|(p, _)| *p).collect();
             let values: Vec<f64> = leg.iter().map(|(_, v)| *v).collect();
-            let fit =
-                self.fit_axis(axis.name(), axis.scale(), &parameters, &values, sweep.len(), id)?;
+            let fit = self.fit_axis(axis.name(), &parameters, &values, sweep.len(), id)?;
             let default_prediction = fit.model.predict(defaults[i]);
             fits.push(PerAxisFit { fit, default_prediction });
         }
@@ -831,24 +720,12 @@ impl Modeler {
     }
 
     /// Equation 1's multivariate form on a grid design: a least-squares
-    /// plane over the scaled axes.
+    /// plane over the logarithms of the axes.
     fn fit_surface(&self, sweep: &SweepResult, means: &[f64]) -> Result<SurfaceFit, CoreError> {
-        let scales: Vec<ParameterScale> =
-            sweep.space.axes().iter().map(|axis| axis.scale()).collect();
         let predictors: Vec<Vec<f64>> = sweep
             .points
             .iter()
-            .map(|point| {
-                point
-                    .coords()
-                    .iter()
-                    .zip(&scales)
-                    .map(|(&value, scale)| match scale {
-                        ParameterScale::Linear => value,
-                        ParameterScale::Logarithmic => value.ln(),
-                    })
-                    .collect()
-            })
+            .map(|point| point.coords().iter().map(|value| value.ln()).collect())
             .collect();
         let regression = MultipleLinearRegression::fit(&predictors, means)?;
         let domain: Vec<(f64, f64)> = (0..sweep.space.len())
@@ -862,7 +739,6 @@ impl Modeler {
             .collect();
         Ok(SurfaceFit {
             axes: sweep.space.names().iter().map(|n| n.to_string()).collect(),
-            scales,
             regression,
             domain,
         })
@@ -875,7 +751,7 @@ impl Modeler {
 pub(crate) mod fixtures {
     use super::*;
     use crate::experiment::{MetricColumn, UserColumn};
-    use geopriv_lppm::{ParameterDescriptor, ParameterScale};
+    use geopriv_lppm::ParameterDescriptor;
     use geopriv_mobility::UserId;
 
     /// A synthetic per-user sweep: users 1 and 2 follow Equation 2 with
@@ -926,9 +802,7 @@ pub(crate) mod fixtures {
                 curves: utility_curves,
             },
         ];
-        let space = ConfigSpace::single(
-            ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
-        );
+        let space = ConfigSpace::single(ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap());
         let points: Vec<_> =
             parameters.iter().map(|&value| space.point_from_coords(&[value]).unwrap()).collect();
         SweepResult::with_user_columns(
@@ -947,7 +821,7 @@ pub(crate) mod fixtures {
 mod tests {
     use super::*;
     use crate::experiment::MetricColumn;
-    use geopriv_lppm::{ParameterDescriptor, ParameterScale};
+    use geopriv_lppm::ParameterDescriptor;
 
     fn privacy_id() -> MetricId {
         MetricId::new("poi-retrieval")
@@ -958,7 +832,7 @@ mod tests {
     }
 
     fn epsilon_axis() -> ParameterDescriptor {
-        ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap()
+        ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap()
     }
 
     /// Builds a synthetic sweep result following the paper's Equation 2 with
@@ -997,8 +871,7 @@ mod tests {
     fn grid_sweep() -> SweepResult {
         let space = geopriv_lppm::ConfigSpace::new(vec![
             epsilon_axis(),
-            ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)
-                .unwrap(),
+            ParameterDescriptor::new("cell_size", 50.0, 5000.0).unwrap(),
         ])
         .unwrap();
         let points = space.grid(&[5, 5]).unwrap();
@@ -1036,7 +909,7 @@ mod tests {
         assert!((p.intercept() - 0.84).abs() < 0.08, "a = {}", p.intercept());
         assert!((p.slope() - 0.17).abs() < 0.04, "b = {}", p.slope());
         assert!(p.r_squared() > 0.95);
-        assert!(p.is_increasing());
+        assert!(p.slope() > 0.0);
 
         // Utility side: alpha = 1.21, beta = 0.09.
         let u = &fitted.model(&utility_id()).unwrap().axis().unwrap().model;
@@ -1123,39 +996,6 @@ mod tests {
         let mut flat = paper_like_sweep(20);
         flat.columns[0].means = vec![0.3; 20];
         assert!(matches!(Modeler::new().fit(&flat), Err(CoreError::Analysis(_))));
-    }
-
-    #[test]
-    fn linear_scale_parameters_use_a_linear_model() {
-        let parameters: Vec<f64> = (0..15).map(|i| (i as f64 / 14.0).max(0.01)).collect();
-        let privacy: Vec<f64> = parameters.iter().map(|p| 0.05 + 0.4 * p).collect();
-        let utility: Vec<f64> = parameters.iter().map(|p| 0.2 + 0.75 * p).collect();
-        let sweep = SweepResult::from_axis(
-            "release-sampling",
-            ParameterDescriptor::new("probability", 0.01, 1.0, ParameterScale::Linear).unwrap(),
-            &parameters,
-            vec![
-                MetricColumn {
-                    id: privacy_id(),
-                    direction: Direction::LowerIsBetter,
-                    runs: vec![],
-                    means: privacy,
-                },
-                MetricColumn {
-                    id: utility_id(),
-                    direction: Direction::HigherIsBetter,
-                    runs: vec![],
-                    means: utility,
-                },
-            ],
-        )
-        .unwrap();
-        let fitted = Modeler::new().fit(&sweep).unwrap();
-        let p = fitted.model(&privacy_id()).unwrap().axis().unwrap();
-        let u = fitted.model(&utility_id()).unwrap().axis().unwrap();
-        assert!(matches!(p.model, ParametricModel::Linear(_)));
-        assert!((p.model.slope() - 0.4).abs() < 0.05);
-        assert!((u.model.slope() - 0.75).abs() < 0.05);
     }
 
     #[test]
@@ -1382,8 +1222,7 @@ mod tests {
     fn one_at_a_time_sweeps_fit_per_axis_models() {
         let space = geopriv_lppm::ConfigSpace::new(vec![
             epsilon_axis(),
-            ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)
-                .unwrap(),
+            ParameterDescriptor::new("cell_size", 50.0, 5000.0).unwrap(),
         ])
         .unwrap();
         let points = space.one_at_a_time(&[9, 9]).unwrap();

@@ -195,7 +195,7 @@ impl fmt::Display for ParetoFrontier {
 mod tests {
     use super::*;
     use crate::experiment::MetricColumn;
-    use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
+    use geopriv_lppm::{ConfigSpace, ParameterDescriptor};
 
     fn privacy_id() -> MetricId {
         MetricId::new("poi-retrieval")
@@ -206,9 +206,7 @@ mod tests {
     }
 
     fn epsilon_space() -> ConfigSpace {
-        ConfigSpace::single(
-            ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
-        )
+        ConfigSpace::single(ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap())
     }
 
     fn tradeoff(parameter: f64, x: f64, y: f64) -> TradeOffPoint {
@@ -219,7 +217,7 @@ mod tests {
         let parameters: Vec<f64> = points.iter().map(|&(p, _, _)| p).collect();
         SweepResult::from_axis(
             "geo-indistinguishability",
-            ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
+            ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap(),
             &parameters,
             vec![
                 MetricColumn {

@@ -119,13 +119,7 @@ pub fn suite_report(fitted: &FittedSuite) -> String {
                 for (axis, coefficient) in
                     surface.axes.iter().zip(&surface.regression.coefficients()[1..])
                 {
-                    let scaled = match surface.scales
-                        [surface.axes.iter().position(|a| a == axis).expect("aligned")]
-                    {
-                        geopriv_lppm::ParameterScale::Logarithmic => format!("ln({axis})"),
-                        geopriv_lppm::ParameterScale::Linear => axis.clone(),
-                    };
-                    let _ = write!(terms, " {coefficient:+.4}·{scaled}");
+                    let _ = write!(terms, " {coefficient:+.4}·ln({axis})");
                 }
                 let _ = writeln!(
                     out,
@@ -510,7 +504,7 @@ mod tests {
         GaussianPerturbationFactory, GeoIndistinguishabilityFactory, GridCloakingFactory,
         LppmFactory,
     };
-    use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
+    use geopriv_lppm::{ConfigSpace, ParameterDescriptor};
     use geopriv_metrics::{Direction, MetricId};
 
     fn sweep() -> SweepResult {
@@ -522,7 +516,7 @@ mod tests {
             parameters.iter().map(|e| (1.21 + 0.09 * e.ln()).clamp(0.2, 1.0)).collect();
         SweepResult::from_axis(
             "geo-indistinguishability",
-            ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
+            ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap(),
             &parameters,
             vec![
                 MetricColumn {
@@ -544,9 +538,8 @@ mod tests {
 
     fn grid_sweep() -> SweepResult {
         let space = ConfigSpace::new(vec![
-            ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
-            ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)
-                .unwrap(),
+            ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap(),
+            ParameterDescriptor::new("cell_size", 50.0, 5000.0).unwrap(),
         ])
         .unwrap();
         let points = space.grid(&[5, 5]).unwrap();

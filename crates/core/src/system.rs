@@ -49,14 +49,14 @@ pub trait LppmFactory: Send + Sync {
     fn instantiate_at(&self, point: &ConfigPoint) -> Result<Box<dyn Lppm>, CoreError>;
 }
 
-/// A mechanism's axis (its name and scale) over a custom range: what each
-/// single-axis factory's `with_range` sweeps.
+/// A mechanism's axis (its name) over a custom range: what each single-axis
+/// factory's `with_range` sweeps.
 fn over_range(
     axis: &ParameterDescriptor,
     min: f64,
     max: f64,
 ) -> Result<ParameterDescriptor, CoreError> {
-    ParameterDescriptor::new(axis.name(), min, max, axis.scale())
+    ParameterDescriptor::new(axis.name(), min, max)
         .map_err(|e| CoreError::InvalidConfiguration { reason: e.to_string() })
 }
 
@@ -410,7 +410,6 @@ impl std::fmt::Debug for SystemDefinition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geopriv_lppm::ParameterScale;
     use geopriv_metrics::{Direction, HotspotPreservation, MetricId};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use geopriv_mobility::Dataset;
@@ -446,7 +445,6 @@ mod tests {
         assert_eq!(factory.name(), "geo-indistinguishability");
         let descriptor = axis(&factory);
         assert_eq!(descriptor.name(), "epsilon");
-        assert_eq!(descriptor.scale(), ParameterScale::Logarithmic);
         for value in descriptor.sweep(7) {
             let lppm = instantiate(&factory, value).unwrap();
             assert_eq!(lppm.name(), "geo-indistinguishability");
@@ -484,7 +482,6 @@ mod tests {
         // single-axis factories, with identical validation behavior.
         let cloaking = GridCloakingFactory::with_range(100.0, 1000.0).unwrap();
         assert_eq!((axis(&cloaking).min(), axis(&cloaking).max()), (100.0, 1000.0));
-        assert_eq!(axis(&cloaking).scale(), ParameterScale::Logarithmic);
         // Instantiation enforces the configured range uniformly.
         assert!(instantiate(&cloaking, 500.0).is_ok());
         assert!(instantiate(&cloaking, 50.0).is_err());
@@ -603,10 +600,10 @@ mod tests {
             .then(GeoIndistinguishabilityFactory::new());
         let space = factory.space();
         assert_eq!(space.names(), ["1.epsilon", "cell_size", "3.epsilon"]);
-        // Qualification renames only; range and scale survive.
+        // Qualification renames only; the range survives.
         let first = space.axis("1.epsilon").unwrap();
         let d = GeoIndistinguishability::epsilon_descriptor();
-        assert_eq!((first.min(), first.max(), first.scale()), (d.min(), d.max(), d.scale()));
+        assert_eq!((first.min(), first.max()), (d.min(), d.max()));
         // Non-colliding names stay unqualified.
         let single = PipelineFactory::new(GridCloakingFactory::new())
             .then(GeoIndistinguishabilityFactory::new());

@@ -7,10 +7,9 @@
 //! represents the set of cells touched by a trace.
 //!
 //! A sweep evaluates area coverage for every user at every configuration
-//! point, and both of its similarities read only three counts per user:
-//! |A|, |P| and |A ∩ P| ([`CellOverlap`]). [`Grid::overlaps`] makes them for
-//! every (actual, protected) pair in one call, from the traces' coordinate
-//! columns, in one of two ways chosen once per call:
+//! point. [`Grid::overlaps`] counts |A|, |P| and |A ∩ P| ([`CellOverlap`])
+//! for every (actual, protected) pair in one call, from the traces'
+//! coordinate columns, in one of two ways chosen once per call:
 //!
 //! * **Dense grid** (at most 32 cells per input record): two bitmaps over
 //!   the linear cell index `col × rows + row`, allocated once per call. A
@@ -258,7 +257,7 @@ impl CellBitmaps {
 }
 
 /// The cell counts of an actual trace A and its protected release P on one
-/// grid: |A|, |P| and |A ∩ P|, all that the area-coverage similarities read.
+/// grid: |A|, |P| and |A ∩ P|.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellOverlap {
     /// |A|: distinct cells the actual trace touches.
@@ -278,27 +277,6 @@ impl CellOverlap {
             1.0
         } else {
             a.min(p) / a.max(p)
-        }
-    }
-
-    /// F1 score (harmonic mean of precision and recall) of P against A taken
-    /// as ground truth, in `[0, 1]`.
-    ///
-    /// Precision is the fraction of P's cells in A (1 if both are empty, 0
-    /// if only P is); recall is the fraction of A's cells in P (1 if A is
-    /// empty).
-    pub fn f1(&self) -> f64 {
-        let common = self.common as f64;
-        let precision = match (self.protected, self.actual) {
-            (0, 0) => 1.0,
-            (0, _) => 0.0,
-            (p, _) => common / p as f64,
-        };
-        let recall = if self.actual == 0 { 1.0 } else { common / self.actual as f64 };
-        if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
         }
     }
 }
@@ -503,18 +481,16 @@ mod tests {
             assert_eq!(ab, CellOverlap { actual: 3, protected: 3, common: 2 });
             let jaccard = ab.common as f64 / (ab.actual + ab.protected - ab.common) as f64;
             assert!((jaccard - 0.5).abs() < 1e-12);
-            assert!((ab.f1() - 2.0 / 3.0).abs() < 1e-12);
             assert_eq!(ab.area_ratio(), 1.0);
 
             // Identity, with repeated visits.
             let aa = overlap_of(&g, &[a[0], a[1], a[0], a[2], a[2]], &a);
             assert_eq!(aa, CellOverlap { actual: 3, protected: 3, common: 3 });
-            assert_eq!(aa.f1(), 1.0);
+            assert_eq!(aa.area_ratio(), 1.0);
 
             // Disjoint sets.
             let ac = overlap_of(&g, &a, &[cell(4, 4)]);
             assert_eq!(ac, CellOverlap { actual: 3, protected: 1, common: 0 });
-            assert_eq!(ac.f1(), 0.0);
             assert_eq!(ac.area_ratio(), 1.0 / 3.0);
         }
     }
@@ -525,15 +501,14 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.intersection_size(&CellSet::from_cells([cell(0, 0)])), 0);
 
-        // Two empty coverages are identical.
+        // Two empty coverages are identical; one empty coverage against a
+        // non-empty one shares nothing.
         let none = CellOverlap { actual: 0, protected: 0, common: 0 };
-        assert_eq!((none.f1(), none.area_ratio()), (1.0, 1.0));
-        // An empty release of a non-empty truth has precision 0 and recall 0;
-        // a non-empty release of an empty truth has recall 1 and precision 0.
+        assert_eq!(none.area_ratio(), 1.0);
         let dropped = CellOverlap { actual: 1, protected: 0, common: 0 };
-        assert_eq!((dropped.f1(), dropped.area_ratio()), (0.0, 0.0));
+        assert_eq!(dropped.area_ratio(), 0.0);
         let invented = CellOverlap { actual: 0, protected: 1, common: 0 };
-        assert_eq!((invented.f1(), invented.area_ratio()), (0.0, 0.0));
+        assert_eq!(invented.area_ratio(), 0.0);
 
         // An empty trace counts no cell, on cell sets (5 400 cells for one
         // record) and on bitmaps (25 cells); no pair gives no counts.

@@ -63,23 +63,6 @@ fn reference_coverage(cell_m: f64, points: &[GeoPoint]) -> BTreeSet<CellId> {
     points.iter().map(|&p| floor_cell_of(cell_m, p)).collect()
 }
 
-/// F1 as `CellSet::f1_of` computed it on reference sets (`truth` is the
-/// ground truth): precision, then recall, then 2pr/(p+r).
-fn reference_f1(truth: &BTreeSet<CellId>, other: &BTreeSet<CellId>) -> f64 {
-    let common = truth.intersection(other).count() as f64;
-    let precision = match (other.is_empty(), truth.is_empty()) {
-        (true, true) => 1.0,
-        (true, false) => 0.0,
-        _ => common / other.len() as f64,
-    };
-    let recall = if truth.is_empty() { 1.0 } else { common / truth.len() as f64 };
-    if precision + recall == 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    }
-}
-
 /// The area ratio as area coverage computed it on reference sets.
 fn reference_area_ratio(a: &BTreeSet<CellId>, p: &BTreeSet<CellId>) -> f64 {
     let (a, p) = (a.len() as f64, p.len() as f64);
@@ -92,7 +75,7 @@ fn reference_area_ratio(a: &BTreeSet<CellId>, p: &BTreeSet<CellId>) -> f64 {
 
 /// Checks one `Grid::overlaps` call on `pairs`, over a grid of `cell_m`
 /// cells over `sf_area()`, against `BTreeSet` references, pair by pair: the
-/// three counts, and the F1 and area-ratio bits computed from them.
+/// three counts, and the area-ratio bits computed from them.
 fn assert_overlaps_match_reference(grid: &Grid, cell_m: f64, pairs: &[(&[GeoPoint], &[GeoPoint])]) {
     let columns = |points: &[GeoPoint]| -> (Vec<f64>, Vec<f64>) {
         points.iter().map(|p| (p.latitude(), p.longitude())).unzip()
@@ -106,7 +89,6 @@ fn assert_overlaps_match_reference(grid: &Grid, cell_m: f64, pairs: &[(&[GeoPoin
         let common = ref_a.intersection(&ref_p).count();
         let expected = CellOverlap { actual: ref_a.len(), protected: ref_p.len(), common };
         assert_eq!(*overlap, expected, "pair {i}");
-        assert_eq!(overlap.f1().to_bits(), reference_f1(&ref_a, &ref_p).to_bits(), "pair {i}");
         let ratio = reference_area_ratio(&ref_a, &ref_p);
         assert_eq!(overlap.area_ratio().to_bits(), ratio.to_bits(), "pair {i}");
     }
@@ -188,7 +170,7 @@ proptest! {
     }
 
     #[test]
-    fn jaccard_and_f1_are_bounded(points in planar_points(60), radius in 1.0f64..3000.0) {
+    fn jaccard_and_area_ratio_are_bounded(points in planar_points(60), radius in 1.0f64..3000.0) {
         let area = BoundingBox::new(37.60, -122.60, 37.90, -122.30).unwrap();
         let grid = Grid::new(area, Meters::new(200.0)).unwrap();
         let proj = LocalProjection::centered_on(area.center());
@@ -203,13 +185,9 @@ proptest! {
         let overlap = grid.overlaps([((&a.0[..], &a.1[..]), (&b.0[..], &b.1[..]))])[0];
         let union = overlap.actual + overlap.protected - overlap.common;
         let j = if union == 0 { 1.0 } else { overlap.common as f64 / union as f64 };
-        let f1 = overlap.f1();
         prop_assert!(overlap.common <= overlap.actual.min(overlap.protected));
         prop_assert!((0.0..=1.0).contains(&j));
-        prop_assert!((0.0..=1.0).contains(&f1));
         prop_assert!((0.0..=1.0).contains(&overlap.area_ratio()));
-        // F1 is never smaller than Jaccard.
-        prop_assert!(f1 + 1e-12 >= j);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ablation benches.
 
 use crate::error::LppmError;
-use crate::params::{ParameterDescriptor, ParameterScale};
+use crate::params::ParameterDescriptor;
 use crate::traits::{Kernel, Lppm, Relocate};
 use geopriv_geo::{GeoPoint, LocalProjection, Meters, Point};
 
@@ -65,8 +65,7 @@ impl GridCloaking {
 
     /// The parameter descriptor for the cell size (50 m to 5 km, logarithmic).
     pub fn cell_size_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new("cell_size", 50.0, 5_000.0, ParameterScale::Logarithmic)
-            .expect("static descriptor is valid")
+        ParameterDescriptor::new("cell_size", 50.0, 5_000.0).expect("static descriptor is valid")
     }
 
     fn snap(&self, projection: &LocalProjection, location: GeoPoint) -> GeoPoint {
@@ -136,7 +135,6 @@ mod tests {
     fn cell_size_descriptor_spans_fifty_metres_to_five_kilometres() {
         let d = GridCloaking::cell_size_descriptor();
         assert_eq!((d.name(), d.min(), d.max()), ("cell_size", 50.0, 5_000.0));
-        assert_eq!(d.scale(), ParameterScale::Logarithmic);
         assert!(!GridCloaking::new(Meters::new(300.0)).unwrap().draws_randomness());
     }
 

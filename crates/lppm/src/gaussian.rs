@@ -7,7 +7,7 @@
 //! which GEO-I is compared.
 
 use crate::error::LppmError;
-use crate::params::{ParameterDescriptor, ParameterScale};
+use crate::params::ParameterDescriptor;
 use crate::traits::{Kernel, Lppm};
 use geopriv_geo::{LocalProjection, Meters};
 use geopriv_mobility::{DatasetBuilder, TraceView};
@@ -52,8 +52,7 @@ impl GaussianPerturbation {
 
     /// The parameter descriptor for σ (1 m to 10 km, logarithmic).
     pub fn sigma_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new("sigma", 1.0, 10_000.0, ParameterScale::Logarithmic)
-            .expect("static descriptor is valid")
+        ParameterDescriptor::new("sigma", 1.0, 10_000.0).expect("static descriptor is valid")
     }
 
     fn sample_normal(rng: &mut dyn RngCore, std_dev: f64) -> f64 {
@@ -129,7 +128,6 @@ mod tests {
     fn sigma_descriptor_spans_one_metre_to_ten_kilometres() {
         let d = GaussianPerturbation::sigma_descriptor();
         assert_eq!((d.name(), d.min(), d.max()), ("sigma", 1.0, 10_000.0));
-        assert_eq!(d.scale(), ParameterScale::Logarithmic);
         assert!(GaussianPerturbation::new(Meters::new(1.0)).unwrap().draws_randomness());
     }
 

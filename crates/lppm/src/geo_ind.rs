@@ -16,7 +16,7 @@
 //! same bits for the same RNG.
 
 use crate::laplace::PlanarLaplace;
-use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
+use crate::params::{Epsilon, ParameterDescriptor};
 use crate::traits::{Kernel, Lppm};
 use geopriv_geo::LocalProjection;
 use geopriv_mobility::{DatasetBuilder, TraceView};
@@ -57,13 +57,8 @@ impl GeoIndistinguishability {
 
     /// The parameter descriptor for ε over the paper's sweep range.
     pub fn epsilon_descriptor() -> ParameterDescriptor {
-        ParameterDescriptor::new(
-            "epsilon",
-            PAPER_EPSILON_RANGE.0,
-            PAPER_EPSILON_RANGE.1,
-            ParameterScale::Logarithmic,
-        )
-        .expect("static descriptor is valid")
+        ParameterDescriptor::new("epsilon", PAPER_EPSILON_RANGE.0, PAPER_EPSILON_RANGE.1)
+            .expect("static descriptor is valid")
     }
 }
 
@@ -199,7 +194,6 @@ mod tests {
         let descriptor = GeoIndistinguishability::epsilon_descriptor();
         assert_eq!(descriptor.name(), "epsilon");
         assert_eq!((descriptor.min(), descriptor.max()), PAPER_EPSILON_RANGE);
-        assert_eq!(descriptor.scale(), ParameterScale::Logarithmic);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use error::LppmError;
 pub use gaussian::GaussianPerturbation;
 pub use geo_ind::{GeoIndistinguishability, PAPER_EPSILON_RANGE};
 pub use laplace::PlanarLaplace;
-pub use params::{Epsilon, ParameterDescriptor, ParameterScale};
+pub use params::{Epsilon, ParameterDescriptor};
 pub use pipeline::Pipeline;
 pub use space::{ConfigPoint, ConfigSpace};
 pub use stream::{open_stream, LppmStream};
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::error::LppmError;
     pub use crate::gaussian::GaussianPerturbation;
     pub use crate::geo_ind::GeoIndistinguishability;
-    pub use crate::params::{Epsilon, ParameterDescriptor, ParameterScale};
+    pub use crate::params::{Epsilon, ParameterDescriptor};
     pub use crate::pipeline::Pipeline;
     pub use crate::space::{ConfigPoint, ConfigSpace};
     pub use crate::stream::{open_stream, LppmStream};

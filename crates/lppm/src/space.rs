@@ -22,12 +22,12 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
+/// use geopriv_lppm::{ConfigSpace, ParameterDescriptor};
 ///
 /// # fn main() -> Result<(), geopriv_lppm::LppmError> {
 /// let space = ConfigSpace::new(vec![
-///     ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic)?,
-///     ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic)?,
+///     ParameterDescriptor::new("epsilon", 1e-4, 1.0)?,
+///     ParameterDescriptor::new("cell_size", 50.0, 5000.0)?,
 /// ])?;
 /// assert_eq!(space.len(), 2);
 /// let point = space.point_from_coords(&[0.01, 500.0])?;
@@ -382,14 +382,13 @@ impl fmt::Display for ConfigPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ParameterScale;
 
     fn epsilon() -> ParameterDescriptor {
-        ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap()
+        ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap()
     }
 
     fn cell() -> ParameterDescriptor {
-        ParameterDescriptor::new("cell_size", 50.0, 5000.0, ParameterScale::Logarithmic).unwrap()
+        ParameterDescriptor::new("cell_size", 50.0, 5000.0).unwrap()
     }
 
     fn two_d() -> ConfigSpace {

@@ -340,18 +340,14 @@ proptest! {
 /// `ConfigSpace::one_at_a_time`): monotone per axis, exact endpoints, every
 /// generated point valid, deterministic ordering.
 mod space_enumeration {
-    use geopriv_lppm::{ConfigSpace, ParameterDescriptor, ParameterScale};
+    use geopriv_lppm::{ConfigSpace, ParameterDescriptor};
     use proptest::prelude::*;
 
-    /// A strategy over valid descriptors: name, range and scale (strictly
-    /// positive ranges so both scales are valid).
+    /// A strategy over valid descriptors: name and a strictly positive,
+    /// non-empty range.
     fn descriptor(name: &'static str) -> impl Strategy<Value = ParameterDescriptor> {
-        // The vendored proptest shim has no prop_oneof!; draw the scale from
-        // an integer instead.
-        (1e-6f64..1e3, 1.0001f64..1e4, 0u8..2).prop_map(move |(min, ratio, scale_pick)| {
-            let scale =
-                if scale_pick == 0 { ParameterScale::Linear } else { ParameterScale::Logarithmic };
-            ParameterDescriptor::new(name, min, min * ratio, scale)
+        (1e-6f64..1e3, 1.0001f64..1e4).prop_map(move |(min, ratio)| {
+            ParameterDescriptor::new(name, min, min * ratio)
                 .expect("strictly positive non-empty range")
         })
     }

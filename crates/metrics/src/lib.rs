@@ -55,7 +55,7 @@ pub mod poi_retrieval;
 pub mod suite;
 pub mod traits;
 
-pub use area_coverage::{AreaCoverage, CoverageSimilarity};
+pub use area_coverage::AreaCoverage;
 pub use distortion::{DistortionUtility, MeanDistortion};
 pub use error::MetricError;
 pub use hotspot::HotspotPreservation;
@@ -66,7 +66,7 @@ pub use traits::{DatasetFingerprint, Direction, Metric, MetricValue, PreparedSta
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::area_coverage::{AreaCoverage, CoverageSimilarity};
+    pub use crate::area_coverage::AreaCoverage;
     pub use crate::distortion::{DistortionUtility, MeanDistortion};
     pub use crate::error::MetricError;
     pub use crate::hotspot::HotspotPreservation;

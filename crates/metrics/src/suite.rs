@@ -172,11 +172,7 @@ impl fmt::Debug for MetricSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        AreaCoverage, CoverageSimilarity, Direction, DistortionUtility, HotspotPreservation,
-        PoiRetrieval,
-    };
-    use geopriv_geo::Meters;
+    use crate::{AreaCoverage, Direction, DistortionUtility, HotspotPreservation, PoiRetrieval};
     use geopriv_lppm::{Epsilon, GeoIndistinguishability, Lppm};
     use geopriv_mobility::generator::TaxiFleetBuilder;
     use rand::rngs::StdRng;
@@ -245,10 +241,6 @@ mod tests {
         let suite = MetricSuite::new(vec![
             SuiteMetric::new(PoiRetrieval::default()),
             SuiteMetric::new(AreaCoverage::default()),
-            SuiteMetric::new(
-                AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1)
-                    .unwrap(),
-            ),
             SuiteMetric::new(HotspotPreservation::default()),
             SuiteMetric::new(DistortionUtility::default()),
         ])
@@ -259,7 +251,6 @@ mod tests {
             vec![
                 (MetricId::new("poi-retrieval"), Direction::LowerIsBetter),
                 (MetricId::new("area-coverage"), Direction::HigherIsBetter),
-                (MetricId::new("area-coverage-f1"), Direction::HigherIsBetter),
                 (MetricId::new("hotspot-preservation"), Direction::HigherIsBetter),
                 (MetricId::new("distortion-utility"), Direction::HigherIsBetter),
             ]

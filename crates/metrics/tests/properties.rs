@@ -5,8 +5,8 @@ use geopriv_lppm::{
     Epsilon, GaussianPerturbation, GeoIndistinguishability, GridCloaking, Lppm, Pipeline,
 };
 use geopriv_metrics::{
-    AreaCoverage, CoverageSimilarity, DistortionUtility, HotspotPreservation, MeanDistortion,
-    Metric, MetricValue, PoiExtractor, PoiRetrieval,
+    AreaCoverage, DistortionUtility, HotspotPreservation, MeanDistortion, Metric, MetricValue,
+    PoiExtractor, PoiRetrieval,
 };
 use geopriv_mobility::generator::TaxiFleetBuilder;
 use geopriv_mobility::{Dataset, Record, Trace, TraceView, UserId};
@@ -14,11 +14,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-
-/// The strict cell-overlap (F1) variant with the default 200 m cells.
-fn cell_f1() -> AreaCoverage {
-    AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1).unwrap()
-}
 
 /// A deterministic trace with `stops` dwell periods separated by short drives.
 fn stop_and_go_trace(user: u64, stops: usize, dwell_records: usize) -> Trace {
@@ -74,7 +69,6 @@ proptest! {
         let metrics_privacy: Vec<Box<dyn Metric>> = vec![Box::new(PoiRetrieval::default())];
         let metrics_utility: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
-            Box::new(cell_f1()),
             Box::new(HotspotPreservation::default()),
             Box::new(DistortionUtility::default()),
         ];
@@ -212,7 +206,6 @@ proptest! {
 
         let utilities: Vec<Box<dyn Metric>> = vec![
             Box::new(AreaCoverage::default()),
-            Box::new(cell_f1()),
             Box::new(HotspotPreservation::default()),
             Box::new(DistortionUtility::default()),
         ];
@@ -333,12 +326,7 @@ fn breakdowns_of_different_metrics_join_by_user_not_position() {
 /// Area coverage evaluated as it was before `CellSet` became a sorted key
 /// vector: one `BTreeSet` of `floor`-computed cells per trace, on a grid
 /// over both datasets' combined bounds.
-fn reference_area_coverage(
-    cell: f64,
-    similarity: CoverageSimilarity,
-    actual: &Dataset,
-    protected: &Dataset,
-) -> MetricValue {
+fn reference_area_coverage(cell: f64, actual: &Dataset, protected: &Dataset) -> MetricValue {
     let (a, p) = (actual.bounding_box().unwrap(), protected.bounding_box().unwrap());
     let bounds = BoundingBox::new(
         a.min_latitude().min(p.min_latitude()),
@@ -370,31 +358,9 @@ fn reference_area_coverage(
         .unwrap()
         .iter()
         .map(|(actual_trace, protected_trace)| {
-            let (a, p) = (cells_of(actual_trace), cells_of(protected_trace));
-            let value = match similarity {
-                CoverageSimilarity::AreaRatio => {
-                    let (a, p) = (a.len() as f64, p.len() as f64);
-                    if a == 0.0 && p == 0.0 {
-                        1.0
-                    } else {
-                        a.min(p) / a.max(p)
-                    }
-                }
-                CoverageSimilarity::CellF1 => {
-                    let common = a.intersection(&p).count() as f64;
-                    let precision = match (p.is_empty(), a.is_empty()) {
-                        (true, true) => 1.0,
-                        (true, false) => 0.0,
-                        _ => common / p.len() as f64,
-                    };
-                    let recall = if a.is_empty() { 1.0 } else { common / a.len() as f64 };
-                    if precision + recall == 0.0 {
-                        0.0
-                    } else {
-                        2.0 * precision * recall / (precision + recall)
-                    }
-                }
-            };
+            let (a, p) =
+                (cells_of(actual_trace).len() as f64, cells_of(protected_trace).len() as f64);
+            let value = if a == 0.0 && p == 0.0 { 1.0 } else { a.min(p) / a.max(p) };
             (actual_trace.user(), value)
         })
         .collect();
@@ -402,7 +368,7 @@ fn reference_area_coverage(
 }
 
 /// Neither the sorted-key cell sets nor the cell bitmaps change an
-/// area-coverage bit: every mode, every mechanism family, from nearly-exact
+/// area-coverage bit: every mechanism family, from nearly-exact
 /// releases to noise that throws points far outside the city, at the dataset
 /// and the per-user grain.
 #[test]
@@ -423,17 +389,11 @@ fn area_coverage_equals_a_btreeset_reference_bit_for_bit() {
             .collect()
     };
     let check = |actual: &Dataset, protected: &Dataset, label: &str| {
-        let metrics = [
-            (AreaCoverage::default(), CoverageSimilarity::AreaRatio),
-            (cell_f1(), CoverageSimilarity::CellF1),
-        ];
-        for (metric, similarity) in metrics {
-            let value = metric.evaluate(actual, protected).unwrap();
-            // Both metrics count 200 m cells.
-            let reference = reference_area_coverage(200.0, similarity, actual, protected);
-            assert_eq!(bits(&value), bits(&reference), "{} on {label}", metric.name());
-            assert_eq!(value, reference, "{} on {label}", metric.name());
-        }
+        let value = AreaCoverage::default().evaluate(actual, protected).unwrap();
+        // The default metric counts 200 m cells.
+        let reference = reference_area_coverage(200.0, actual, protected);
+        assert_eq!(bits(&value), bits(&reference), "{label}");
+        assert_eq!(value, reference, "{label}");
     };
     for mechanism in &mechanisms {
         let protected = mechanism.protect_dataset(&actual, &mut rng).unwrap();

@@ -135,7 +135,7 @@ fn one_axis_recommendations_match_the_analytic_scalar_inversion() {
 
     // Legacy-style inversion, derived from the fitted models by hand: clip
     // each constraint's critical parameter to the shared domain, intersect,
-    // and take the geometric midpoint (the axis is logarithmic).
+    // and take the geometric midpoint.
     let privacy_model =
         &fitted.model(&privacy_id()).expect("privacy model").axis().expect("1-D fit").model;
     let utility_model =

@@ -3,7 +3,7 @@
 //! umbrella crate's public API.
 
 use geopriv::geo::Meters;
-use geopriv::metrics::{CoverageSimilarity, MeanDistortion};
+use geopriv::metrics::MeanDistortion;
 use geopriv::mobility::io;
 use geopriv::mobility::{DatasetBuilder, TraceProperties, TraceView};
 use geopriv::prelude::*;
@@ -83,10 +83,7 @@ fn protected_dataset_roundtrips_through_csv() {
 fn pipelines_compose_mechanisms_and_degrade_both_metrics() {
     let dataset = small_fleet(3);
     let privacy_metric = PoiRetrieval::default();
-    // The strict cell-overlap variant: dropping records can only lose covered
-    // cells, so the pipeline's utility cannot exceed the noise-only utility.
-    let utility_metric =
-        AreaCoverage::with_similarity(Meters::new(200.0), CoverageSimilarity::CellF1).unwrap();
+    let utility_metric = AreaCoverage::default();
 
     let geoi_only = GeoIndistinguishability::new(Epsilon::new(0.01).expect("valid"));
     let pipeline = Pipeline::new()

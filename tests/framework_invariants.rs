@@ -135,13 +135,7 @@ proptest! {
         let utility: Vec<f64> =
             parameters.iter().map(|e| (1.1 + slope_u * e.ln()).clamp(0.0, 1.0)).collect();
         let space = ConfigSpace::single(
-            geopriv::lppm::ParameterDescriptor::new(
-                "epsilon",
-                1e-4,
-                1.0,
-                geopriv::lppm::ParameterScale::Logarithmic,
-            )
-            .unwrap(),
+            geopriv::lppm::ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap(),
         );
         let points =
             parameters.iter().map(|&value| space.point_from_coords(&[value]).unwrap()).collect();

@@ -7,7 +7,7 @@
 use geopriv::prelude::*;
 use geopriv_core::experiment::UserColumn;
 use geopriv_core::report;
-use geopriv_lppm::{ParameterDescriptor, ParameterScale};
+use geopriv_lppm::ParameterDescriptor;
 use geopriv_mobility::UserId;
 
 /// A deterministic synthetic per-user sweep (no RNG anywhere): users 1 and 2
@@ -23,9 +23,7 @@ fn synthetic_per_user_sweep() -> SweepResult {
     let utility_curve = |shift: f64| -> Vec<f64> {
         parameters.iter().map(|e| (1.21 + shift + 0.09 * e.ln()).clamp(0.2, 1.0)).collect()
     };
-    let space = ConfigSpace::single(
-        ParameterDescriptor::new("epsilon", 1e-4, 1.0, ParameterScale::Logarithmic).unwrap(),
-    );
+    let space = ConfigSpace::single(ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap());
     let design: Vec<_> =
         parameters.iter().map(|&value| space.point_from_coords(&[value]).unwrap()).collect();
     let columns = vec![
