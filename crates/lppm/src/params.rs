@@ -175,8 +175,8 @@ impl ParameterDescriptor {
 
     /// A stable token encoding the descriptor's name and range, for use in
     /// cache keys (two systems sweeping the same mechanism over different
-    /// ranges must not be conflated). It ends in `:log`, the scale token it
-    /// has always carried, so existing cache keys do not move.
+    /// ranges must not be conflated). The trailing `:log` names the axis
+    /// scale; it is part of every stored cache key, so it stays.
     pub fn cache_token(&self) -> String {
         format!("{}:{:e}..{:e}:log", self.name, self.min, self.max)
     }
@@ -269,7 +269,6 @@ mod tests {
     #[test]
     fn display_and_cache_token_share_the_scale_token() {
         let log = ParameterDescriptor::new("epsilon", 1e-4, 1.0).unwrap();
-        // Lowercase prose, not a `{:?}` variant name.
         assert_eq!(log.to_string(), "epsilon ∈ [0.0001, 1] (log)");
         assert_eq!(log.cache_token(), "epsilon:1e-4..1e0:log");
     }
